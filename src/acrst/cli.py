@@ -146,7 +146,6 @@ def cmd_sweep(args) -> int:
                     row[metric] = report.summary.get("final", {}).get(metric, "")
             except Exception as e:  # noqa: BLE001  (a failed run must not kill the sweep)
                 log.warning("sweep run %s seed %s failed: %s", name, seed, e)
-                row.setdefault("status", "failed")
                 row["status"] = "failed"
                 for metric in _SUMMARY_METRICS:
                     row.setdefault(metric, "")

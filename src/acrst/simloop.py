@@ -26,7 +26,7 @@ from .config import ConfigError, ExperimentConfig
 from .cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank, sample_crops
 from .dataset import Dataset, ImageRecord, Instance, Prediction, class_counts, split_standard
 from .filtering import FilterConfig, oracle_image_labels, two_stage_filter, two_stage_mining
-from .metrics import ap_50_95, average_precision, class_kld, fg_ratio, match_greedy
+from .metrics import class_kld, evaluate, fg_ratio
 from .model import (
     DetectorParams,
     LossBreakdown,
@@ -158,6 +158,11 @@ def _loss_dict(loss: LossBreakdown) -> dict[str, float]:
     }
 
 
+def _pastes(config: ExperimentConfig) -> bool:
+    """Whether epochs paste bank crops; ``affr`` only steers what ``fbr`` pastes."""
+    return config.fbr and config.paste.crops_per_image > 0
+
+
 def _effective_mode(config: ExperimentConfig) -> str:
     if not config.two_stage:
         return "one_stage"
@@ -271,7 +276,7 @@ def run_epoch(
     budget = config.proposal_budget
     mode = _effective_mode(config)
     fcfg = replace(config.filter, mode=mode)
-    mixing = (config.fbr or config.affr) and config.paste.crops_per_image > 0
+    mixing = _pastes(config)
     labeled_counts = class_counts(labeled)
     freq = labeled_counts.astype(float)
 
@@ -370,12 +375,8 @@ def run_epoch(
     # Full-set teacher evaluation; also the pseudo-label source for refresh.
     eval_pseudo: dict[int | str, list[Prediction]] = {}
     raw_by_image = []
+    kept_by_image = []
     gts_by_image = []
-    matched = 0
-    n_kept_total = 0
-    n_gt_total = 0
-    iou_sum = 0.0
-    iou_count = 0
     pseudo_counts = np.zeros(k, dtype=np.int64)
     for img in unlabeled.images:
         raw = synth_detect(teacher, img, rng, class_weights=freq)
@@ -387,15 +388,14 @@ def run_epoch(
         kept = _apply_filter(raw, label, fcfg)
         eval_pseudo[img.id] = kept
         raw_by_image.append(raw)
-        gts_by_image.append(list(img.ground_truth))
-        result = match_greedy(kept, list(img.ground_truth), config.match_iou)
-        matched += len(result.pairs)
-        n_kept_total += len(kept)
-        n_gt_total += len(img.ground_truth)
-        iou_sum += sum(v for _, _, v in result.pairs)
-        iou_count += len(result.pairs)
+        kept_by_image.append(kept)
+        gts_by_image.append(img.ground_truth)
         for p in kept:
             pseudo_counts[p.class_id - 1] += 1
+    evaluation = evaluate(raw_by_image, kept_by_image, gts_by_image, config.match_iou)
+    matched = evaluation.matched
+    n_kept_total = sum(len(kept) for kept in kept_by_image)
+    n_gt_total = sum(len(gts) for gts in gts_by_image)
 
     truth_counts = class_counts(unlabeled)
     trace = EpochTrace(
@@ -408,9 +408,9 @@ def run_epoch(
         kld=class_kld(pseudo_counts, truth_counts) if truth_counts.sum() else 0.0,
         pseudo_acc=matched / n_kept_total if n_kept_total else 1.0,
         pseudo_rec=matched / n_gt_total if n_gt_total else 1.0,
-        box_miou=iou_sum / iou_count if iou_count else 0.0,
-        ap50=average_precision(raw_by_image, gts_by_image, 0.5),
-        ap5095=ap_50_95(raw_by_image, gts_by_image),
+        box_miou=evaluation.iou_sum / matched if matched else 0.0,
+        ap50=evaluation.ap50,
+        ap5095=evaluation.ap5095,
         n_pseudo=n_kept_total,
         n_u=bank.n_pseudo,
         pr=tuple(float(v) for v in pr),
@@ -447,9 +447,14 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset) -> RunReport:
             "split produced an empty side; adjust split_fraction or dataset size"
         )
 
+    bank = build_labeled_bank(labeled)
+    if _pastes(config) and not bank.n_labeled:
+        raise ConfigError(
+            "fbr needs labeled crops to paste, but the labeled split drew no "
+            "instances; adjust split_fraction or the dataset"
+        )
     student = pretrain(config, labeled, substream(seed, "pretrain"))
     teacher = student
-    bank = build_labeled_bank(labeled)
     state = LoopState(
         teacher=teacher, student=student, bank=bank, labeled=labeled, unlabeled=unlabeled
     )

@@ -96,9 +96,17 @@ class TestRun:
         config = write_config(tmp_path, split_fraction=1.5)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
-    def test_runtime_failure_exits_one(self, tmp_path):
-        # A labeled split with no instances leaves the crop bank empty, which
-        # surfaces mid-run rather than at config validation.
+    def test_runtime_failure_exits_one(self, tmp_path, monkeypatch):
+        def fail(config, dataset):
+            raise RuntimeError("simulated failure inside the loop")
+
+        monkeypatch.setattr("acrst.cli.run_experiment", fail)
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+    def test_labeled_split_without_instances_exits_two(self, tmp_path, capsys):
+        # No annotations at all: the labeled split holds no crop for fbr to
+        # paste, which is rejected at set-up, not in the first epoch.
         coco = {
             "images": [
                 {"id": 1, "width": 100, "height": 100, "file_name": "a.jpg"},
@@ -114,7 +122,8 @@ class TestRun:
             split_fraction=0.5,
             dataset={"type": "coco_json", "path": str(ann)},
         )
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "labeled split drew no instances" in capsys.readouterr().err
 
     def test_coco_dataset_source(self, tmp_path, coco_text):
         ann = tmp_path / "ann.json"

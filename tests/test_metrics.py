@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrst import (
     BBox,
@@ -16,6 +18,7 @@ from acrst import (
     match_greedy,
     pseudo_quality,
 )
+from acrst.metrics import AP_THRESHOLDS, evaluate
 
 
 def gt(class_id, x, y, w, h):
@@ -270,3 +273,169 @@ class TestAp5095:
         loose = [[pred(1, 0, 0, 10, 6, 0.9)]]
         tight = [[pred(1, 0, 0, 10, 9, 0.9)]]
         assert ap_50_95(tight, gts) > ap_50_95(loose, gts)
+
+
+# Reference oracle: the per-threshold matching and AP that the one-pass
+# evaluator replaced, kept verbatim so the evaluator can be held to it exactly.
+
+
+def _ref_iou(a, b):
+    inter = a.intersection(b)
+    if inter is None:
+        return 0.0
+    overlap = inter.area
+    return overlap / (a.area + b.area - overlap)
+
+
+def _ref_match(preds, gts, iou_thr):
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, i))
+    claimed = [False] * len(gts)
+    pairs = []
+    for pi in order:
+        pred = preds[pi]
+        best_gi = -1
+        best_iou = 0.0
+        for gi, g in enumerate(gts):
+            if claimed[gi] or g.class_id != pred.class_id:
+                continue
+            overlap = _ref_iou(pred.bbox, g.bbox)
+            if overlap >= iou_thr and overlap > best_iou:
+                best_gi, best_iou = gi, overlap
+        if best_gi >= 0:
+            claimed[best_gi] = True
+            pairs.append((pi, best_gi, best_iou))
+    return pairs
+
+
+def _ref_average_precision(preds_by_image, gts_by_image, iou_thr):
+    rows = []
+    n_gt = 0
+    for preds, gts in zip(preds_by_image, gts_by_image):
+        n_gt += len(gts)
+        matched = {pi for pi, _, _ in _ref_match(preds, gts, iou_thr)}
+        rows.extend((p.score, i in matched) for i, p in enumerate(preds))
+    if n_gt == 0 or not rows:
+        return 0.0
+    rows.sort(key=lambda r: -r[0])
+    tp = np.cumsum([r[1] for r in rows])
+    fp = np.cumsum([not r[1] for r in rows])
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    sample_points = np.linspace(0.0, 1.0, 101)
+    indices = np.searchsorted(recall, sample_points, side="left")
+    sampled = np.where(indices < len(envelope), envelope[np.minimum(indices, len(envelope) - 1)], 0.0)
+    return float(sampled.mean())
+
+
+def _ref_ap_50_95(preds_by_image, gts_by_image):
+    thresholds = [0.5 + 0.05 * i for i in range(10)]
+    return float(
+        np.mean([_ref_average_precision(preds_by_image, gts_by_image, t) for t in thresholds])
+    )
+
+
+# Coordinates on a coarse grid, scaled by a step that is either exact (whole
+# numbers) or not (tenths and thirds), so scenes hold duplicate boxes,
+# edge-touching boxes and exactly representable IoUs as well as rounded ones.
+_step = st.sampled_from([1, 0.1, 1 / 3, 2.5])
+_corner = st.integers(0, 12)
+_side = st.integers(1, 10)
+_score = st.sampled_from([0.0, 0.3, 0.5, 0.5, 0.7, 0.9, 1.0])
+
+
+@st.composite
+def _image(draw):
+    step = draw(_step)
+
+    def box():
+        return BBox(draw(_corner) * step, draw(_corner) * step,
+                    draw(_side) * step, draw(_side) * step)
+
+    def jittered(b):
+        # A near miss of a ground truth box: IoUs that are neither 0 nor 1.
+        dx, dy, dw, dh = (draw(st.integers(-1, 1)) * step for _ in range(4))
+        return BBox(b.x + dx, b.y + dy, max(b.w + dw, step), max(b.h + dh, step))
+
+    classes = st.integers(1, 2)
+    gts = [Instance(draw(classes), box(), 1) for _ in range(draw(st.integers(0, 6)))]
+    preds = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["copy", "jitter", "free"]) if gts else st.just("free"))
+        if kind == "free":
+            preds.append(Prediction(draw(classes), box(), draw(_score)))
+            continue
+        # Copies give equal IoUs against duplicates; jitters give rounded ones.
+        source = draw(st.sampled_from(gts))
+        bbox = source.bbox if kind == "copy" else jittered(source.bbox)
+        preds.append(Prediction(source.class_id, bbox, draw(_score)))
+    kept = [p for p in preds if draw(st.booleans())]
+    return preds, kept, gts
+
+
+_HALF_IOU_SCENE = (
+    # A 10x5 box on a 10x10 box at the same origin: IoU exactly 0.5, plus
+    # two equal-score duplicates and an edge-touching neighbour.
+    [[Prediction(1, BBox(0, 0, 10, 5), 0.9), Prediction(1, BBox(0, 0, 10, 10), 0.7),
+      Prediction(1, BBox(0, 0, 10, 10), 0.7), Prediction(1, BBox(10, 0, 10, 10), 0.7)]],
+    [[Instance(1, BBox(0, 0, 10, 10), 1), Instance(1, BBox(0, 0, 10, 10), 1),
+      Instance(1, BBox(20, 0, 10, 10), 1)]],
+)
+
+
+class TestOnePassEquivalence:
+    """The evaluator equals per-threshold matching exactly, not approximately."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scene=st.lists(_image(), max_size=4),
+        match_iou=st.sampled_from([0.5, 0.3, 0.75, 1.0, 1 / 7]),
+    )
+    @example(
+        scene=[(_HALF_IOU_SCENE[0][0], _HALF_IOU_SCENE[0][0][:2], _HALF_IOU_SCENE[1][0])],
+        match_iou=0.5,
+    )
+    def test_matches_the_per_threshold_oracle(self, scene, match_iou):
+        raw = [s[0] for s in scene]
+        kept = [s[1] for s in scene]
+        gts = [s[2] for s in scene]
+        result = evaluate(raw, kept, gts, match_iou)
+
+        expected_aps = tuple(_ref_average_precision(raw, gts, t) for t in AP_THRESHOLDS)
+        assert result.aps == expected_aps
+        assert result.ap50 == _ref_average_precision(raw, gts, 0.5)
+        assert result.ap5095 == _ref_ap_50_95(raw, gts)
+        assert [average_precision(raw, gts, t) for t in AP_THRESHOLDS] == list(expected_aps)
+        assert ap_50_95(raw, gts) == _ref_ap_50_95(raw, gts)
+
+        matched = 0
+        iou_sum = 0.0
+        for k, g in zip(kept, gts):
+            pairs = _ref_match(k, g, match_iou)
+            assert match_greedy(k, g, match_iou).pairs == tuple(pairs)
+            matched += len(pairs)
+            iou_sum += sum(v for _, _, v in pairs)
+        assert result.matched == matched
+        assert result.iou_sum == iou_sum
+
+    def test_half_iou_scene(self):
+        raw, gts = _HALF_IOU_SCENE
+        assert iou(raw[0][0].bbox, gts[0][0].bbox) == 0.5
+        # At 0.5 the 10x5 box claims ground truth 0 (the lower of two equal
+        # IoUs), the first duplicate takes ground truth 1, and the touching
+        # box matches nothing.
+        assert match_greedy(raw[0], gts[0], 0.5).pairs == ((0, 0, 0.5), (1, 1, 1.0))
+        assert match_greedy(raw[0], gts[0], 0.55).pairs == ((1, 0, 1.0), (2, 1, 1.0))
+        result = evaluate(raw, raw, gts, 0.5)
+        assert (result.matched, result.iou_sum) == (2, 1.5)
+
+    def test_kept_must_be_a_subset_of_raw(self):
+        raw = [pred(1, 0, 0, 10, 10, 0.9)]
+        copy = [pred(1, 0, 0, 10, 10, 0.9)]
+        gts = [[gt(1, 0, 0, 10, 10)]]
+        with pytest.raises(ValueError):
+            evaluate([raw], [copy], gts, 0.5)
+        with pytest.raises(ValueError):
+            evaluate([raw], [raw], gts, 0.0)
+        with pytest.raises(ValueError):
+            evaluate([raw], [], gts, 0.5)

@@ -13,12 +13,28 @@ from acrst import (
     LossBreakdown,
     OracleNoise,
     build_labeled_bank,
+    class_counts,
+    derive_seed,
+    parse_coco_annotations,
     pretrain,
     run_epoch,
     run_experiment,
+    split_standard,
     substream,
     synthetic_dataset,
 )
+
+
+def one_image_coco():
+    """Eight images, with all three annotations on image 1."""
+    return {
+        "images": [{"id": i, "width": 100, "height": 100} for i in range(1, 9)],
+        "annotations": [
+            {"id": a, "image_id": 1, "category_id": 1, "bbox": [10 * a, 10, 20, 20]}
+            for a in range(1, 4)
+        ],
+        "categories": [{"id": 1, "name": "thing"}],
+    }
 
 
 def quick_config(**overrides):
@@ -134,6 +150,12 @@ class TestToggleMechanics:
         for t in report.traces:
             assert sum(t.pasted_counts) == 0
 
+    def test_affr_alone_pastes_nothing(self, corpus):
+        # AFFR only chooses which crops FBR pastes; without FBR nothing is.
+        report = run_experiment(quick_config(fbr=False, affr=True), corpus)
+        for t in report.traces:
+            assert set(t.pasted_counts) == {0}
+
     def test_paste_budget_fully_spent(self, corpus):
         config = quick_config(fbr=True)
         report = run_experiment(config, corpus)
@@ -221,6 +243,20 @@ class TestRunExperimentGuards:
 
         with pytest.raises(ConfigError):
             run_experiment(quick_config(), Dataset(images=(), categories=(), labeled_flags=()))
+
+    def test_labeled_split_without_instances(self):
+        # Every annotation sits on image 1; find a seed whose split leaves it
+        # unlabeled, so the labeled bank holds no crop for fbr to paste.
+        corpus = parse_coco_annotations(json.dumps(one_image_coco()))
+        seed = next(
+            s for s in range(50)
+            if not class_counts(split_standard(corpus, 0.25, derive_seed(s, "split"))[0]).sum()
+        )
+        with pytest.raises(ConfigError, match="labeled split drew no instances"):
+            run_experiment(quick_config(seed=seed, fbr=True), corpus)
+        # Without pasting the same split runs to the end.
+        report = run_experiment(quick_config(seed=seed, fbr=False), corpus)
+        assert len(report.traces) == 4
 
     def test_degenerate_split(self):
         tiny = synthetic_dataset(4, 2, seed=1)
