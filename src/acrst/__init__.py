@@ -62,9 +62,8 @@ from .metrics import (
 from .model import (
     DetectorParams,
     LossBreakdown,
-    TrainingTarget,
+    batch_loss,
     ema_update,
-    loss_breakdown,
     smooth_l1,
     student_update,
     synth_detect,

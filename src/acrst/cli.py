@@ -147,13 +147,14 @@ def cmd_sweep(args) -> int:
             except Exception as e:  # noqa: BLE001  (a failed run must not kill the sweep)
                 log.warning("sweep run %s seed %s failed: %s", name, seed, e)
                 row["status"] = "failed"
+                row["error"] = str(e)
                 for metric in _SUMMARY_METRICS:
                     row.setdefault(metric, "")
                 for toggle in TOGGLES:
                     row.setdefault(toggle, "")
             rows.append(row)
 
-    columns = ["run", "seed", *TOGGLES, "status", *_SUMMARY_METRICS]
+    columns = ["run", "seed", *TOGGLES, "status", *_SUMMARY_METRICS, "error"]
     with (out_dir / "summary.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
         writer.writeheader()

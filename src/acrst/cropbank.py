@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -46,11 +47,10 @@ class CropEntry:
 
 @dataclass(frozen=True)
 class CropBank:
-    """Immutable snapshot of both banks plus refresh bookkeeping."""
+    """Immutable snapshot of both banks."""
 
     labeled_bank: tuple[CropEntry, ...]
     pseudo_bank: tuple[CropEntry, ...] = ()
-    refresh_counter: int = 0  # epochs since the pseudo bank was last rebuilt
 
     @property
     def n_labeled(self) -> int:
@@ -60,12 +60,16 @@ class CropBank:
     def n_pseudo(self) -> int:
         return len(self.pseudo_bank)
 
-    def entries_by_class(self) -> dict[int, list[CropEntry]]:
-        """Union of both banks grouped by class id."""
+    @cached_property
+    def entries_by_class(self) -> dict[int, tuple[CropEntry, ...]]:
+        """Union of both banks grouped by class id, labeled entries first.
+
+        Grouped on first use and kept, since a bank never changes.
+        """
         groups: dict[int, list[CropEntry]] = {}
         for entry in self.labeled_bank + self.pseudo_bank:
             groups.setdefault(entry.class_id, []).append(entry)
-        return groups
+        return {class_id: tuple(entries) for class_id, entries in groups.items()}
 
     def pseudo_class_counts(self, n_classes: int) -> np.ndarray:
         counts = np.zeros(n_classes, dtype=np.int64)
@@ -99,13 +103,12 @@ def refresh_pseudo_bank(
     """Replace the pseudo bank wholesale when ``epoch % period == 0``.
 
     ``pseudo_labels`` must be post-filtering predictions keyed by image id.
-    Off-period epochs leave both banks untouched and only advance the
-    refresh counter.
+    Off-period epochs return ``bank`` itself, so its class grouping is kept.
     """
     if period <= 0:
         raise ValueError(f"refresh period must be positive, got {period}")
     if epoch % period != 0:
-        return replace(bank, refresh_counter=bank.refresh_counter + 1)
+        return bank
     entries = tuple(
         CropEntry(
             source_image_id=image_id,
@@ -117,9 +120,7 @@ def refresh_pseudo_bank(
         for image_id, preds in pseudo_labels.items()
         for pred in preds
     )
-    return CropBank(
-        labeled_bank=bank.labeled_bank, pseudo_bank=entries, refresh_counter=0
-    )
+    return CropBank(labeled_bank=bank.labeled_bank, pseudo_bank=entries)
 
 
 def sample_crops(
@@ -136,7 +137,7 @@ def sample_crops(
     """
     if n < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
-    groups = bank.entries_by_class()
+    groups = bank.entries_by_class
     if not groups:
         raise EmptyBankError("both banks are empty, nothing to sample")
     mu = np.asarray(distribution.mu, dtype=float)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import BBox, ImageRecord, Prediction
+from .dataset import BBox, ImageRecord, Instance, Prediction
 
 # Decay floors: confusion and partial-box rates never fall below these.
 CONFUSION_FLOOR = 0.01
@@ -62,22 +62,6 @@ class DetectorParams:
     @property
     def n_classes(self) -> int:
         return len(self.recall_skill)
-
-
-@dataclass(frozen=True)
-class TrainingTarget:
-    """One proposal-level training target with the student's predicted scores.
-
-    ``true_class_prob`` is the probability the student puts on the assigned
-    class (the background class for background targets). ``box_delta`` holds
-    normalized regression residuals for foreground targets.
-    """
-
-    foreground: bool
-    objectness: float
-    true_class_prob: float
-    box_delta: tuple[float, float, float, float] | None = None
-    from_cropbank: bool = False
 
 
 @dataclass(frozen=True)
@@ -273,41 +257,83 @@ def _safe_log(p: float) -> float:
     return math.log(max(p, _LOG_CLAMP))
 
 
-def loss_breakdown(targets: Sequence[TrainingTarget], mode: str) -> LossBreakdown:
-    """Compose the four detector loss terms for one batch of targets.
+def batch_loss(
+    params: DetectorParams,
+    images: Sequence[tuple[Sequence[Instance], Sequence[bool]]],
+    budget: int,
+    mode: str,
+) -> LossBreakdown:
+    """Compose the four detector loss terms for one batch of images.
+
+    Each image contributes one foreground proposal per instance, in order,
+    then ``max(budget - n_instances, 0)`` background proposals. ``images``
+    holds one ``(instances, pasted_flags)`` pair per image. Foreground scores
+    reflect the student's current skill on the instance's class, so losses
+    fall as it improves.
 
     rpn_cls is binary cross-entropy of objectness against the fg/bg
-    assignment; roi_cls is cross-entropy of the assigned class. Regression
-    terms average smooth-L1 over box deltas of foreground targets: all of
-    them in ``supervised`` mode, none in ``unsup_cls_only``, and only targets
-    flagged as pasted from the crop bank in ``unsup_selective``.
+    assignment; roi_cls is cross-entropy of the assigned class (background
+    for background proposals). Regression terms average smooth-L1 over the
+    box residuals of foreground proposals: all of them in ``supervised``
+    mode, none in ``unsup_cls_only``, and only pasted ones in
+    ``unsup_selective``. Every proposal of a class scores alike, so each
+    distinct log term is taken once per batch and the per-proposal terms are
+    summed in proposal order.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not targets:
+    k = params.n_classes
+    term_index: list[int] = []  # a class index, or k for the background term
+    repeats: list[int] = []
+    n_fg = 0
+    n_pasted = 0
+    for instances, pasted_flags in images:
+        if len(instances) != len(pasted_flags):
+            raise ValueError("pasted flags must run parallel to the instances")
+        term_index.extend(inst.class_id - 1 for inst in instances)
+        repeats.extend([1] * len(instances))
+        term_index.append(k)
+        repeats.append(max(budget - len(instances), 0))
+        n_fg += len(instances)
+        n_pasted += sum(pasted_flags)
+    n_targets = sum(repeats)
+    if not n_targets:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
-    rpn_cls = 0.0
-    roi_cls = 0.0
-    for t in targets:
-        p_fg = t.objectness if t.foreground else 1.0 - t.objectness
-        rpn_cls -= _safe_log(p_fg)
-        roi_cls -= _safe_log(t.true_class_prob)
-    rpn_cls /= len(targets)
-    roi_cls /= len(targets)
+    mean_recall = sum(params.recall_skill) / k
+    bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
+    bg_log = _safe_log(1.0 - bg_objectness)
+    objectness_logs = []
+    class_logs = []
+    for skill in params.recall_skill:
+        objectness_logs.append(_safe_log(min(max(skill, 1e-4), 1.0 - 1e-4)))
+        class_logs.append(
+            _safe_log(min(max(skill * (1.0 - params.confusion_rate), 1e-4), 1.0))
+        )
+    term_index_arr = np.asarray(term_index, dtype=np.intp)
+    repeats_arr = np.asarray(repeats, dtype=np.intp)
 
-    if mode == "unsup_cls_only":
-        reg_pool = []
+    def mean_nll(class_terms: list[float]) -> float:
+        table = np.asarray(class_terms + [bg_log], dtype=float)
+        per_target = np.repeat(table[term_index_arr], repeats_arr)
+        # cumsum adds left to right, as a Python loop over the proposals
+        # would; np.sum adds pairwise and rounds differently. Subtracting
+        # from 0.0 keeps an all-zero sum at +0.0, as that loop did.
+        return (0.0 - float(np.cumsum(per_target)[-1])) / n_targets
+
+    rpn_cls = mean_nll(objectness_logs)
+    roi_cls = mean_nll(class_logs)
+
+    if mode == "supervised":
+        n_reg = n_fg
+    elif mode == "unsup_selective":
+        n_reg = n_pasted
     else:
-        reg_pool = [
-            t
-            for t in targets
-            if t.foreground
-            and t.box_delta is not None
-            and (mode == "supervised" or t.from_cropbank)
-        ]
-    if reg_pool:
-        reg = sum(sum(smooth_l1(d) for d in t.box_delta) for t in reg_pool) / len(reg_pool)
+        n_reg = 0
+    if n_reg:
+        delta = (1.0 - params.loc_skill) * 0.1
+        per_target = sum(smooth_l1(d) for d in (delta, delta, delta, delta))
+        reg = sum([per_target] * n_reg) / n_reg
     else:
         reg = 0.0
     total = rpn_cls + reg + roi_cls + reg

@@ -117,20 +117,16 @@ class MixedRecord:
     """A base image after paste mixing.
 
     ``merged_annotations`` lists pasted instances first (paste order), then the
-    surviving base instances. ``visibility`` and ``pasted_flags`` run parallel
-    to it; a pasted instance's visibility accounts only for later placements.
+    surviving base instances. ``pasted_flags`` runs parallel to it.
     """
 
     base: ImageRecord
     placements: tuple[PastePlacement, ...]
     merged_annotations: tuple[Instance, ...]
-    visibility: tuple[float, ...]
     pasted_flags: tuple[bool, ...]
 
     def __post_init__(self) -> None:
-        if not (
-            len(self.merged_annotations) == len(self.visibility) == len(self.pasted_flags)
-        ):
+        if len(self.merged_annotations) != len(self.pasted_flags):
             raise ValueError("merged annotation bookkeeping must align")
 
 
@@ -300,18 +296,11 @@ def fbr_mix(
     merged = merge_annotations(
         record.ground_truth, placements, config.occlusion_threshold
     )
-    rects = [p.target_bbox for p in placements]
     n_pasted = len(placements)
-    visibility = []
-    for i, p in enumerate(placements):
-        visibility.append(visible_fraction(p.target_bbox, rects[i + 1 :]))
-    for inst in merged[n_pasted:]:
-        visibility.append(visible_fraction(inst.bbox, rects) if rects else 1.0)
     flags = (True,) * n_pasted + (False,) * (len(merged) - n_pasted)
     return MixedRecord(
         base=record,
         placements=tuple(placements),
         merged_annotations=tuple(merged),
-        visibility=tuple(visibility),
         pasted_flags=flags,
     )

@@ -30,9 +30,8 @@ from .metrics import class_kld, evaluate, fg_ratio
 from .model import (
     DetectorParams,
     LossBreakdown,
-    TrainingTarget,
+    batch_loss,
     ema_update,
-    loss_breakdown,
     student_update,
     synth_detect,
 )
@@ -177,47 +176,6 @@ def _apply_filter(preds, image_label, fcfg: FilterConfig):
     return two_stage_filter(preds, image_label, fcfg)
 
 
-def _image_targets(
-    params: DetectorParams,
-    instances,
-    pasted_flags,
-    budget: int,
-) -> list[TrainingTarget]:
-    """Proposal-level targets the student would produce for one image.
-
-    Foreground scores reflect current skill, so losses fall as the student
-    improves. Proposals beyond the instances count as background.
-    """
-    mean_recall = sum(params.recall_skill) / params.n_classes
-    bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
-    delta = (1.0 - params.loc_skill) * 0.1
-    targets = []
-    for inst, pasted in zip(instances, pasted_flags):
-        skill = params.recall_skill[inst.class_id - 1]
-        objectness = min(max(skill, 1e-4), 1.0 - 1e-4)
-        p_true = min(max(skill * (1.0 - params.confusion_rate), 1e-4), 1.0)
-        targets.append(
-            TrainingTarget(
-                foreground=True,
-                objectness=objectness,
-                true_class_prob=p_true,
-                box_delta=(delta, delta, delta, delta),
-                from_cropbank=pasted,
-            )
-        )
-    n_bg = max(budget - len(targets), 0)
-    if n_bg:
-        bg = TrainingTarget(
-            foreground=False,
-            objectness=bg_objectness,
-            true_class_prob=1.0 - bg_objectness,
-            box_delta=None,
-            from_cropbank=False,
-        )
-        targets.extend([bg] * n_bg)
-    return targets
-
-
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
     n = len(parts)
     if n == 0:
@@ -288,7 +246,10 @@ def run_epoch(
         ratio=n_unl / n_lab,
     )
     pr = pseudo_recall(stats)
-    if config.affr:
+    # Until the first refresh the pseudo bank is empty, so every pseudo recall
+    # is zero and affr_distribution would fall back to uniform with a warning.
+    before_first_refresh = state.epoch == 0 and not bank.n_pseudo
+    if config.affr and not before_first_refresh:
         dist = affr_distribution(pr, config.paste.beta)
     else:
         dist = SamplingDistribution.uniform(k)
@@ -337,23 +298,21 @@ def run_epoch(
 
         lab_idx = rng.choice(n_lab, size=min(config.labeled_batch, n_lab), replace=False)
         lab_images = [labeled.images[int(i)] for i in lab_idx]
-        sup_targets: list[TrainingTarget] = []
-        n_lab_instances = 0
-        for img in lab_images:
-            flags = [False] * len(img.ground_truth)
-            sup_targets.extend(_image_targets(student, img.ground_truth, flags, budget))
-            n_lab_instances += len(img.ground_truth)
-        unsup_targets: list[TrainingTarget] = []
-        n_pasted = 0
-        for mixed in mixed_batch:
-            unsup_targets.extend(
-                _image_targets(student, mixed.merged_annotations, mixed.pasted_flags, budget)
+        n_lab_instances = sum(len(img.ground_truth) for img in lab_images)
+        n_pasted = sum(sum(mixed.pasted_flags) for mixed in mixed_batch)
+        sup_losses.append(
+            batch_loss(
+                student,
+                [(img.ground_truth, (False,) * len(img.ground_truth)) for img in lab_images],
+                budget,
+                "supervised",
             )
-            n_pasted += sum(mixed.pasted_flags)
-        sup_losses.append(loss_breakdown(sup_targets, "supervised"))
+        )
         unsup_losses.append(
-            loss_breakdown(
-                unsup_targets,
+            batch_loss(
+                student,
+                [(mixed.merged_annotations, mixed.pasted_flags) for mixed in mixed_batch],
+                budget,
                 "unsup_selective" if config.selective_supervision else "unsup_cls_only",
             )
         )

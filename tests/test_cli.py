@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -182,10 +183,12 @@ class TestSweep:
             assert (out / sub / "report.json").is_file()
         lines = (out / "summary.csv").read_text().strip().split("\n")
         assert lines[0] == (
-            "run,seed,fbr,affr,two_stage,selective_supervision,status," + ",".join(METRICS)
+            "run,seed,fbr,affr,two_stage,selective_supervision,status,"
+            + ",".join(METRICS)
+            + ",error"
         )
         assert len(lines) == 7
-        assert all(",ok," in line for line in lines[1:])
+        assert all(",ok," in line and line.endswith(",") for line in lines[1:])
         assert "6/6 runs succeeded" in capsys.readouterr().out
 
     def test_default_seed_when_none_given(self, tmp_path):
@@ -209,6 +212,12 @@ class TestSweep:
         assert (out / "fine__seed1" / "report.json").is_file()
         assert not (out / "broken__seed1").exists()
         assert "1/2 runs succeeded" in capsys.readouterr().out
+        with (out / "summary.csv").open(encoding="utf-8", newline="") as fh:
+            errors = {row["run"]: row["error"] for row in csv.DictReader(fh)}
+        assert "warp_drive" in errors["broken"]
+        assert errors["fine"] == ""
+        assert main(["report", "--in", str(out)]) == 0
+        assert "aggregated 1 runs" in capsys.readouterr().out
 
     def test_missing_sweep_section_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -1,17 +1,20 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrst import (
     BBox,
     DetectorParams,
     ImageRecord,
     Instance,
-    TrainingTarget,
+    LossBreakdown,
+    batch_loss,
     ema_update,
     iou,
-    loss_breakdown,
     smooth_l1,
     student_update,
     synth_detect,
@@ -281,76 +284,225 @@ class TestSmoothL1:
         assert math.isclose(smooth_l1(3.0, transition=2.0), 2.0, abs_tol=1e-12)
 
 
+def image(classes, pasted=None):
+    """One ``batch_loss`` image: instances of ``classes`` and their pasted flags."""
+    if pasted is None:
+        pasted = [False] * len(classes)
+    return tuple(inst(c) for c in classes), tuple(pasted)
+
+
+ZERO_LOSS = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 class TestLossBreakdown:
-    def fg(self, objectness=0.5, prob=0.5, delta=(0.0, 0.0, 0.0, 0.0), pasted=False):
-        return TrainingTarget(
-            foreground=True,
-            objectness=objectness,
-            true_class_prob=prob,
-            box_delta=delta,
-            from_cropbank=pasted,
-        )
-
-    def bg(self, objectness=0.1, prob=0.9):
-        return TrainingTarget(foreground=False, objectness=objectness, true_class_prob=prob)
-
     def test_log_two_example(self):
-        out = loss_breakdown([self.fg()], mode="supervised")
+        student = params(recall=(0.5,), confusion=0.0, loc=1.0)
+        out = batch_loss(student, [image([1])], budget=1, mode="supervised")
         assert math.isclose(out.rpn_cls, math.log(2), abs_tol=1e-12)
         assert math.isclose(out.roi_cls, math.log(2), abs_tol=1e-12)
         assert out.rpn_reg == 0.0
         assert math.isclose(out.total, 2 * math.log(2), abs_tol=1e-12)
 
     def test_perfect_targets_zero_loss(self):
-        targets = [self.fg(objectness=1.0, prob=1.0), self.bg(objectness=0.0, prob=1.0)]
-        out = loss_breakdown(targets, mode="supervised")
-        assert out == type(out)(0.0, 0.0, 0.0, 0.0, 0.0)
+        # A perfect student still pays the objectness clamp, but nothing else.
+        student = params(recall=(1.0,), confusion=0.0, loc=1.0)
+        out = batch_loss(student, [image([1, 1])], budget=2, mode="supervised")
+        assert out.roi_cls == 0.0
+        assert out.rpn_reg == out.roi_reg == 0.0
+        assert math.isclose(out.rpn_cls, -math.log(1.0 - 1e-4), abs_tol=1e-12)
 
     def test_background_uses_complement_objectness(self):
-        out = loss_breakdown([self.bg(objectness=0.25, prob=1.0)], mode="supervised")
-        assert math.isclose(out.rpn_cls, -math.log(0.75), abs_tol=1e-12)
+        # Zero mean recall puts background objectness at 0.02 + 0.2.
+        student = params(recall=(0.0, 0.0))
+        out = batch_loss(student, [image([])], budget=1, mode="supervised")
+        assert math.isclose(out.rpn_cls, -math.log(0.78), abs_tol=1e-12)
+        assert math.isclose(out.roi_cls, -math.log(0.78), abs_tol=1e-12)
 
     def test_regression_mode_gating(self):
-        delta = (1.0, 1.0, 1.0, 1.0)
-        plain = [self.fg(delta=delta, pasted=False)]
-        pasted = [self.fg(delta=delta, pasted=True)]
-        assert loss_breakdown(plain, "supervised").rpn_reg == 2.0
-        assert loss_breakdown(plain, "unsup_cls_only").rpn_reg == 0.0
-        assert loss_breakdown(plain, "unsup_selective").rpn_reg == 0.0
-        assert loss_breakdown(pasted, "unsup_selective").rpn_reg == 2.0
+        student = params(loc=0.0)  # box residuals of 0.1 per coordinate
+        expected = 4 * smooth_l1(0.1)
+        plain = [image([1], [False])]
+        pasted = [image([1], [True])]
+        assert math.isclose(batch_loss(student, plain, 1, "supervised").rpn_reg, expected)
+        assert batch_loss(student, plain, 1, "unsup_cls_only").rpn_reg == 0.0
+        assert batch_loss(student, plain, 1, "unsup_selective").rpn_reg == 0.0
+        assert math.isclose(batch_loss(student, pasted, 1, "unsup_selective").rpn_reg, expected)
 
     def test_selective_at_least_cls_only(self):
-        targets = [
-            self.fg(delta=(0.5, 0.0, 0.2, 0.1), pasted=True),
-            self.fg(delta=(0.1, 0.1, 0.1, 0.1), pasted=False),
-            self.bg(),
-        ]
-        selective = loss_breakdown(targets, "unsup_selective")
-        cls_only = loss_breakdown(targets, "unsup_cls_only")
+        batch = [image([1, 2], [True, False])]
+        selective = batch_loss(params(), batch, 3, "unsup_selective")
+        cls_only = batch_loss(params(), batch, 3, "unsup_cls_only")
         assert selective.total >= cls_only.total
         assert selective.rpn_cls == cls_only.rpn_cls
 
     def test_total_composition(self):
-        targets = [self.fg(delta=(0.5, 0.5, 0.0, 0.0)), self.bg()]
-        out = loss_breakdown(targets, "supervised")
+        out = batch_loss(params(), [image([1])], 2, "supervised")
         assert math.isclose(
             out.total, out.rpn_cls + out.rpn_reg + out.roi_cls + out.roi_reg, abs_tol=1e-12
         )
         assert out.rpn_reg == out.roi_reg
 
     def test_reg_averages_over_reg_pool_only(self):
-        targets = [self.fg(delta=(2.0, 0.0, 0.0, 0.0)), self.bg(), self.bg()]
-        out = loss_breakdown(targets, "supervised")
-        assert math.isclose(out.rpn_reg, 1.5, abs_tol=1e-12)
+        out = batch_loss(params(loc=0.0), [image([1])], 3, "supervised")
+        assert math.isclose(out.rpn_reg, 4 * smooth_l1(0.1), abs_tol=1e-12)
 
     def test_empty_targets(self):
-        out = loss_breakdown([], "supervised")
-        assert out.total == 0.0
+        assert batch_loss(params(), [], 16, "supervised") == ZERO_LOSS
+        assert batch_loss(params(), [image([]), image([])], 0, "supervised") == ZERO_LOSS
 
     def test_clamped_log_finite(self):
-        out = loss_breakdown([self.fg(objectness=0.0, prob=0.0)], "supervised")
+        student = params(recall=(0.0, 0.0), confusion=1.0)
+        out = batch_loss(student, [image([1, 2])], 2, "supervised")
         assert math.isfinite(out.total)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            loss_breakdown([self.fg()], "semi")
+            batch_loss(params(), [image([1])], 1, "semi")
+
+    def test_misaligned_flags_rejected(self):
+        with pytest.raises(ValueError):
+            batch_loss(params(), [((inst(1),), ())], 1, "supervised")
+
+
+# The per-proposal loss composition that batch_loss replaces, kept verbatim
+# as the oracle: one target object per proposal, summed in proposal order.
+
+
+@dataclass(frozen=True)
+class _Target:
+    foreground: bool
+    objectness: float
+    true_class_prob: float
+    box_delta: tuple[float, float, float, float] | None = None
+    from_cropbank: bool = False
+
+
+def _oracle_safe_log(p):
+    return math.log(max(p, 1e-12))
+
+
+def _oracle_image_targets(student, instances, pasted_flags, budget):
+    mean_recall = sum(student.recall_skill) / student.n_classes
+    bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
+    delta = (1.0 - student.loc_skill) * 0.1
+    targets = []
+    for instance, pasted in zip(instances, pasted_flags):
+        skill = student.recall_skill[instance.class_id - 1]
+        objectness = min(max(skill, 1e-4), 1.0 - 1e-4)
+        p_true = min(max(skill * (1.0 - student.confusion_rate), 1e-4), 1.0)
+        targets.append(
+            _Target(
+                foreground=True,
+                objectness=objectness,
+                true_class_prob=p_true,
+                box_delta=(delta, delta, delta, delta),
+                from_cropbank=pasted,
+            )
+        )
+    n_bg = max(budget - len(targets), 0)
+    if n_bg:
+        bg = _Target(
+            foreground=False,
+            objectness=bg_objectness,
+            true_class_prob=1.0 - bg_objectness,
+            box_delta=None,
+            from_cropbank=False,
+        )
+        targets.extend([bg] * n_bg)
+    return targets
+
+
+def _oracle_loss_breakdown(targets, mode):
+    if not targets:
+        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+    rpn_cls = 0.0
+    roi_cls = 0.0
+    for t in targets:
+        p_fg = t.objectness if t.foreground else 1.0 - t.objectness
+        rpn_cls -= _oracle_safe_log(p_fg)
+        roi_cls -= _oracle_safe_log(t.true_class_prob)
+    rpn_cls /= len(targets)
+    roi_cls /= len(targets)
+    if mode == "unsup_cls_only":
+        reg_pool = []
+    else:
+        reg_pool = [
+            t
+            for t in targets
+            if t.foreground
+            and t.box_delta is not None
+            and (mode == "supervised" or t.from_cropbank)
+        ]
+    if reg_pool:
+        reg = sum(sum(smooth_l1(d) for d in t.box_delta) for t in reg_pool) / len(reg_pool)
+    else:
+        reg = 0.0
+    total = rpn_cls + reg + roi_cls + reg
+    return LossBreakdown(
+        rpn_cls=rpn_cls, rpn_reg=reg, roi_cls=roi_cls, roi_reg=reg, total=total
+    )
+
+
+def _oracle_batch_loss(student, images, budget, mode):
+    targets = []
+    for instances, pasted_flags in images:
+        targets.extend(_oracle_image_targets(student, instances, pasted_flags, budget))
+    return _oracle_loss_breakdown(targets, mode)
+
+
+# Edge values, plus uniform floats: np.log differs from math.log in the last
+# bit on a fraction of a percent of those, so a swapped log shows up.
+_rate = st.one_of(
+    st.sampled_from([0.0, 1e-4, 0.5, 1.0 - 1e-4, 1.0]),
+    st.integers(0, 2**32 - 1).map(lambda seed: np.random.default_rng(seed).random()),
+)
+
+
+@st.composite
+def _loss_batch(draw):
+    k = draw(st.integers(1, 4))
+    student = params(
+        recall=tuple(draw(_rate) for _ in range(k)),
+        confusion=draw(_rate),
+        loc=draw(_rate),
+    )
+    images = [
+        (tuple(inst(c) for c, _ in pairs), tuple(flag for _, flag in pairs))
+        for pairs in draw(
+            st.lists(st.lists(st.tuples(st.integers(1, k), st.booleans()), max_size=8), max_size=6)
+        )
+    ]
+    budget = draw(st.one_of(st.integers(0, 10), st.just(512)))
+    return student, images, budget
+
+
+class TestBatchLossEquivalence:
+    """batch_loss equals the per-proposal composition exactly, in every mode."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_loss_batch())
+    @example(batch=(params(), [], 16))
+    @example(batch=(params(), [image([1, 2], [True, False]), image([])], 0))
+    @example(batch=(params(), [image([1, 2, 1, 2, 1], [True, True, False, False, True])], 3))
+    @example(batch=(params(recall=(1.0,), confusion=0.0, loc=1.0), [image([1, 1])], 2))
+    def test_matches_per_target_oracle(self, batch):
+        student, images, budget = batch
+        for mode in ("supervised", "unsup_cls_only", "unsup_selective"):
+            got = batch_loss(student, images, budget, mode)
+            want = _oracle_batch_loss(student, images, budget, mode)
+            for field in ("rpn_cls", "rpn_reg", "roi_cls", "roi_reg", "total"):
+                assert getattr(got, field) == getattr(want, field), (mode, field)
+                # == cannot tell 0.0 from -0.0, and the report prints both.
+                assert math.copysign(1.0, getattr(got, field)) == math.copysign(
+                    1.0, getattr(want, field)
+                ), (mode, field)
+
+    def test_single_proposal_log_terms_bit_for_bit(self):
+        # With one proposal per batch each log term reaches the loss unsummed,
+        # so a log that is off in the last bit cannot round away.
+        for skill in np.random.default_rng(0).random(2000):
+            student = params(recall=(float(skill),), confusion=0.0, loc=1.0)
+            for batch in ([image([1])], [image([])]):
+                assert batch_loss(student, batch, 1, "supervised") == _oracle_batch_loss(
+                    student, batch, 1, "supervised"
+                )

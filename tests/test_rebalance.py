@@ -227,7 +227,6 @@ class TestFbrMix:
         mixed = fbr_mix(rec, [], np.random.default_rng(0), PasteConfig())
         assert mixed.placements == ()
         assert mixed.merged_annotations == rec.ground_truth
-        assert mixed.visibility == (1.0,)
         assert mixed.pasted_flags == (False,)
 
     def test_fitting_crop_keeps_own_size(self):
@@ -280,16 +279,7 @@ class TestFbrMix:
         crops = [crop(2, 10, 10, image_id=7), crop(3, 10, 10, image_id=8)]
         mixed = fbr_mix(rec, crops, np.random.default_rng(0), PasteConfig())
         assert [m.class_id for m in mixed.merged_annotations] == [2, 3]
-        assert mixed.visibility == (0.0, 1.0)
         assert mixed.pasted_flags == (True, True)
-
-    def test_visibility_aligned_with_annotations(self):
-        rec = self.record()
-        crops = [crop(2, 10, 10), crop(3, 15, 15)]
-        mixed = fbr_mix(rec, crops, np.random.default_rng(9), PasteConfig())
-        assert len(mixed.merged_annotations) == len(mixed.visibility)
-        assert len(mixed.merged_annotations) == len(mixed.pasted_flags)
-        assert sum(mixed.pasted_flags) == 2
 
     def test_misaligned_bookkeeping_rejected(self):
         rec = self.record()
@@ -298,8 +288,7 @@ class TestFbrMix:
                 base=rec,
                 placements=(),
                 merged_annotations=rec.ground_truth,
-                visibility=(),
-                pasted_flags=(False,),
+                pasted_flags=(),
             )
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import math
 
 import pytest
@@ -12,6 +14,8 @@ from acrst import (
     LoopState,
     LossBreakdown,
     OracleNoise,
+    SamplingDistribution,
+    affr_distribution,
     build_labeled_bank,
     class_counts,
     derive_seed,
@@ -64,6 +68,20 @@ def report(corpus):
     return run_experiment(quick_config(), corpus)
 
 
+def initial_state(config, corpus):
+    labeled, unlabeled = split_standard(
+        corpus, config.split_fraction, derive_seed(config.seed, "split")
+    )
+    student = pretrain(config, labeled, substream(config.seed, "pretrain"))
+    return LoopState(
+        teacher=student,
+        student=student,
+        bank=build_labeled_bank(labeled),
+        labeled=labeled,
+        unlabeled=unlabeled,
+    )
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, corpus):
         config = quick_config()
@@ -92,19 +110,7 @@ class TestLoopStructure:
 
     def test_run_epoch_advances_state(self, corpus):
         config = quick_config()
-        from acrst import derive_seed, split_standard
-
-        labeled, unlabeled = split_standard(
-            corpus, config.split_fraction, derive_seed(config.seed, "split")
-        )
-        student = pretrain(config, labeled, substream(config.seed, "pretrain"))
-        state = LoopState(
-            teacher=student,
-            student=student,
-            bank=build_labeled_bank(labeled),
-            labeled=labeled,
-            unlabeled=unlabeled,
-        )
+        state = initial_state(config, corpus)
         new_state, trace = run_epoch(state, config, substream(config.seed, "epoch", 0))
         assert new_state.epoch == 1
         assert trace.epoch == 0
@@ -210,6 +216,40 @@ class TestToggleMechanics:
         mined = run_experiment(mining, corpus)
         filtered = run_experiment(filtering, corpus)
         assert mined.traces[0].n_pseudo > filtered.traces[0].n_pseudo
+
+
+ZERO_RECALL_WARNING = "every pseudo recall is zero"
+
+
+def zero_recall_warnings(caplog):
+    return [r for r in caplog.records if ZERO_RECALL_WARNING in r.getMessage()]
+
+
+class TestZeroRecallWarning:
+    """The empty pseudo bank before the first refresh is expected, not abnormal."""
+
+    def test_silent_before_first_refresh(self, corpus, caplog):
+        config = quick_config()
+        assert config.affr
+        state = initial_state(config, corpus)
+        with caplog.at_level(logging.WARNING):
+            _, trace = run_epoch(state, config, substream(config.seed, "epoch", 0))
+        assert not zero_recall_warnings(caplog)
+        assert trace.mu == SamplingDistribution.uniform(corpus.num_classes).mu
+
+    def test_later_empty_bank_still_warns(self, corpus, caplog):
+        config = quick_config()
+        state = dataclasses.replace(initial_state(config, corpus), epoch=1)
+        with caplog.at_level(logging.WARNING):
+            _, trace = run_epoch(state, config, substream(config.seed, "epoch", 1))
+        assert zero_recall_warnings(caplog)
+        assert trace.mu == SamplingDistribution.uniform(corpus.num_classes).mu
+
+    def test_direct_call_still_warns(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            dist = affr_distribution([0, 0, 0], 1.0)
+        assert zero_recall_warnings(caplog)
+        assert dist.mu == SamplingDistribution.uniform(3).mu
 
 
 class TestPretrain:
