@@ -20,7 +20,6 @@ from .cropbank import (
     CropBank,
     CropEntry,
     EmptyBankError,
-    bank_to_csv,
     build_labeled_bank,
     refresh_pseudo_bank,
     sample_crops,
@@ -43,7 +42,6 @@ from .filtering import (
     FilterConfig,
     ImageLevelLabel,
     OracleNoise,
-    focal_bce,
     oracle_image_labels,
     two_stage_filter,
     two_stage_mining,

@@ -225,7 +225,8 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a parsed config document.
 
     Every key is checked; unknown keys raise :class:`ConfigError` naming the
-    offending key. Missing keys take their defaults.
+    offending key. Missing keys take their defaults, except ``oracle.tau_ml``,
+    which takes ``filter.tau_ml`` and may not differ from it.
     """
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
@@ -254,12 +255,23 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
         if key in data:
             scalars[key] = data[key]
 
+    filter_config = _build_section(FilterConfig, data.get("filter"), "filter")
+    # The oracle's low band ends where the filter's image-level gate starts.
+    oracle_data = dict(data.get("oracle") or {})
+    oracle_data.setdefault("tau_ml", filter_config.tau_ml)
+    oracle = _build_section(OracleNoise, oracle_data, "oracle")
+    if oracle.tau_ml != filter_config.tau_ml:
+        raise ConfigError(
+            f"oracle.tau_ml ({oracle.tau_ml}) must equal filter.tau_ml "
+            f"({filter_config.tau_ml}); leave it out to take filter.tau_ml"
+        )
+
     return ExperimentConfig(
         **scalars,
         **toggles,
         dataset=_build_section(DatasetConfig, data.get("dataset"), "dataset"),
         paste=_build_section(PasteConfig, data.get("paste"), "paste"),
-        filter=_build_section(FilterConfig, data.get("filter"), "filter"),
+        filter=filter_config,
         detector=_build_section(DetectorConfig, data.get("detector"), "detector"),
-        oracle=_build_section(OracleNoise, data.get("oracle"), "oracle"),
+        oracle=oracle,
     )

@@ -8,8 +8,6 @@ then a uniform entry of that class from the union of both banks.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -70,6 +68,35 @@ class CropBank:
         for entry in self.labeled_bank + self.pseudo_bank:
             groups.setdefault(entry.class_id, []).append(entry)
         return {class_id: tuple(entries) for class_id, entries in groups.items()}
+
+    @cached_property
+    def _class_tables(self) -> dict[tuple[float, ...], tuple[tuple, np.ndarray]]:
+        return {}
+
+    def _class_table(self, mu: tuple[float, ...]) -> tuple[tuple, np.ndarray]:
+        """Entry pools of the classes with stored crops, and their class CDF.
+
+        Built once per sampling weight vector and kept, since a bank never
+        changes. The CDF is the one ``Generator.choice`` builds from the
+        renormalized weights.
+        """
+        table = self._class_tables.get(mu)
+        if table is not None:
+            return table
+        groups = self.entries_by_class
+        if not groups:
+            raise EmptyBankError("both banks are empty, nothing to sample")
+        available = [k for k in range(1, len(mu) + 1) if groups.get(k)]
+        if not available:
+            raise EmptyBankError("no stored crop falls inside the distribution's classes")
+        weights = np.asarray(mu, dtype=float)[np.array(available) - 1]
+        total = weights.sum()
+        if total <= 0.0:
+            raise ValueError("no available class has positive sampling probability")
+        cdf = np.cumsum(weights / total)
+        cdf /= cdf[-1]
+        table = self._class_tables[mu] = (tuple(groups[k] for k in available), cdf)
+        return table
 
     def pseudo_class_counts(self, n_classes: int) -> np.ndarray:
         counts = np.zeros(n_classes, dtype=np.int64)
@@ -137,38 +164,12 @@ def sample_crops(
     """
     if n < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
-    groups = bank.entries_by_class
-    if not groups:
-        raise EmptyBankError("both banks are empty, nothing to sample")
-    mu = np.asarray(distribution.mu, dtype=float)
-    available = [k for k in range(1, len(mu) + 1) if groups.get(k)]
-    if not available:
-        raise EmptyBankError("no stored crop falls inside the distribution's classes")
-    weights = mu[np.array(available) - 1]
-    total = weights.sum()
-    if total <= 0.0:
-        raise ValueError("no available class has positive sampling probability")
+    pools, cdf = bank._class_table(distribution.mu)
     if n == 0:
         return []
-    class_draws = rng.choice(len(available), size=n, p=weights / total)
-    entry_u = rng.random(n)
-    out = []
-    for ci, u in zip(class_draws, entry_u):
-        pool = groups[available[int(ci)]]
-        out.append(pool[int(u * len(pool))])
-    return out
-
-
-def bank_to_csv(bank: CropBank) -> str:
-    """Debug dump of both banks, labeled entries first."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["source_image_id", "class_id", "x", "y", "w", "h", "score", "origin"]
-    )
-    for entry in bank.labeled_bank + bank.pseudo_bank:
-        b = entry.bbox
-        writer.writerow(
-            [entry.source_image_id, entry.class_id, b.x, b.y, b.w, b.h, entry.score, entry.origin]
-        )
-    return buf.getvalue()
+    # n class draws, then n entry draws, from one call.
+    u = rng.random(2 * n)
+    classes = cdf.searchsorted(u[:n], side="right").tolist()
+    return [
+        pools[c][int(v * len(pools[c]))] for c, v in zip(classes, u[n:].tolist())
+    ]

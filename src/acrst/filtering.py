@@ -9,7 +9,6 @@ simulated by a noisy oracle over the record's hidden ground truth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,8 +20,6 @@ _MODES = ("one_stage", "two_stage_filtering", "two_stage_mining")
 
 # Activation band for classes the oracle reports as present.
 _HIGH_BAND = (0.6, 1.0)
-
-_P_CLAMP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -133,30 +130,15 @@ def oracle_image_labels(
     positive fires.
     """
     present = {inst.class_id for inst in record.ground_truth}
+    # Two doubles per class, band test then band value, drawn in one call;
+    # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` computes.
+    u = rng.random(2 * n_classes).tolist()
     activations = []
-    for class_id in range(1, n_classes + 1):
+    for class_id, test, value in zip(range(1, n_classes + 1), u[0::2], u[1::2]):
         if class_id in present:
-            high = rng.random() >= noise.fn_rate
+            high = test >= noise.fn_rate
         else:
-            high = rng.random() < noise.fp_rate
-        if high:
-            activations.append(float(rng.uniform(*_HIGH_BAND)))
-        else:
-            activations.append(float(rng.uniform(0.0, noise.tau_ml)))
+            high = test < noise.fp_rate
+        lo, hi = _HIGH_BAND if high else (0.0, noise.tau_ml)
+        activations.append(lo + (hi - lo) * value)
     return ImageLevelLabel(image_id=record.id, activations=tuple(activations))
-
-
-def focal_bce(p: float, y: int, gamma: float = 2.0) -> float:
-    """Focal binary cross-entropy with hard-example up-weighting.
-
-    -y * (1-p)^gamma * ln(p) - (1-y) * p^gamma * ln(1-p), with p clamped to
-    [1e-7, 1 - 1e-7]. gamma = 0 recovers plain binary cross-entropy.
-    """
-    if y not in (0, 1):
-        raise ValueError(f"target must be 0 or 1, got {y}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    p = min(max(float(p), _P_CLAMP), 1.0 - _P_CLAMP)
-    if y == 1:
-        return -((1.0 - p) ** gamma) * math.log(p)
-    return -(p**gamma) * math.log(1.0 - p)

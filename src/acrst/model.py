@@ -107,7 +107,7 @@ def _draw_weighted(
     rng: np.random.Generator, weights: np.ndarray, exclude: int | None = None
 ) -> int:
     """Class id drawn by weight, optionally excluding one class."""
-    w = weights.astype(float).copy()
+    w = weights.astype(float)
     if exclude is not None:
         w[exclude - 1] = 0.0
     total = w.sum()
@@ -116,7 +116,10 @@ def _draw_weighted(
         if exclude is not None and w.size > 1:
             w[exclude - 1] = 0.0
         total = w.sum()
-    return int(rng.choice(w.size, p=w / total)) + 1
+    # The CDF draw of Generator.choice(p=...), without its argument checks.
+    cdf = np.cumsum(w / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right")) + 1
 
 
 def synth_detect(

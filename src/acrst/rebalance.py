@@ -192,35 +192,62 @@ def visible_fraction(inst: BBox, occluders: Sequence[BBox]) -> float:
     Exact for rectangles: the box is cut into the grid induced by all occluder
     edges and each cell is attributed by its center point.
     """
-    clipped = []
-    for occ in occluders:
-        c = occ.intersection(inst)
-        if c is not None:
-            clipped.append(c)
+    return _visible(inst, _overlaps(inst, [_edges(occ) for occ in occluders]))
+
+
+_Edges = tuple[float, float, float, float]
+
+
+def _edges(box: BBox) -> _Edges:
+    return box.x, box.y, box.x2, box.y2
+
+
+def _overlaps(inst: BBox, rects: Sequence[_Edges]) -> list[_Edges]:
+    """Edges of each rectangle's overlap with ``inst``, as BBox.intersection
+    gives them: the right edge is ``x1 + (x2 - x1)``, which need not be x2."""
+    ix1, iy1, ix2, iy2 = inst.x, inst.y, inst.x2, inst.y2
+    out = []
+    for ox1, oy1, ox2, oy2 in rects:
+        if ox2 <= ix1 or ix2 <= ox1 or oy2 <= iy1 or iy2 <= oy1:
+            continue  # disjoint, or touching along an edge
+        x1, y1 = max(ox1, ix1), max(oy1, iy1)
+        x2, y2 = min(ox2, ix2), min(oy2, iy2)
+        if x2 > x1 and y2 > y1:
+            out.append((x1, y1, x1 + (x2 - x1), y1 + (y2 - y1)))
+    return out
+
+
+def _visible(inst: BBox, clipped: Sequence[_Edges]) -> float:
+    """Visible fraction of ``inst`` given its overlaps with the occluders."""
     if not clipped:
         return 1.0
+    x1, y1, x2, y2 = clipped[0]
+    if len(clipped) == 1 and x2 <= inst.x2 and y2 <= inst.y2:
+        # One overlap whose edges stay inside the box: the only grid cell
+        # that can be covered is the overlap itself.
+        cx, cy = (x1 + x2) / 2.0, (y1 + y2) / 2.0
+        inside = x1 < cx < x2 and y1 < cy < y2
+        covered_area = (x2 - x1) * (y2 - y1) if inside else 0.0
+    else:
+        covered_area = _grid_covered_area(inst, clipped)
+    visible = max(0.0, inst.area - covered_area)
+    return min(1.0, visible / inst.area)
 
+
+def _grid_covered_area(inst: BBox, clipped: Sequence[_Edges]) -> float:
     xs = np.unique(
-        np.array(
-            [inst.x, inst.x2] + [v for c in clipped for v in (c.x, c.x2)], dtype=float
-        )
+        np.array([inst.x, inst.x2] + [v for c in clipped for v in (c[0], c[2])], dtype=float)
     )
     ys = np.unique(
-        np.array(
-            [inst.y, inst.y2] + [v for c in clipped for v in (c.y, c.y2)], dtype=float
-        )
+        np.array([inst.y, inst.y2] + [v for c in clipped for v in (c[1], c[3])], dtype=float)
     )
     cx = (xs[:-1] + xs[1:]) / 2.0
     cy = (ys[:-1] + ys[1:]) / 2.0
     covered = np.zeros((cx.size, cy.size), dtype=bool)
-    for c in clipped:
-        mx = (cx > c.x) & (cx < c.x2)
-        my = (cy > c.y) & (cy < c.y2)
-        covered |= np.outer(mx, my)
+    for x1, y1, x2, y2 in clipped:
+        covered |= np.outer((cx > x1) & (cx < x2), (cy > y1) & (cy < y2))
     cell_area = np.outer(np.diff(xs), np.diff(ys))
-    covered_area = float(cell_area[covered].sum())
-    visible = max(0.0, inst.area - covered_area)
-    return min(1.0, visible / inst.area)
+    return float(cell_area[covered].sum())
 
 
 def merge_annotations(
@@ -238,7 +265,7 @@ def merge_annotations(
         raise ValueError(
             f"occlusion threshold must be in [0, 1], got {occlusion_threshold}"
         )
-    rects = [p.target_bbox for p in pasted]
+    rects = [_edges(p.target_bbox) for p in pasted]
     merged = [
         Instance(
             class_id=p.crop.class_id,
@@ -248,7 +275,7 @@ def merge_annotations(
         for p in pasted
     ]
     for inst in base:
-        vf = visible_fraction(inst.bbox, rects) if rects else 1.0
+        vf = _visible(inst.bbox, _overlaps(inst.bbox, rects))
         if vf <= _FULL_OCCLUSION_EPS or vf < occlusion_threshold:
             continue
         merged.append(inst)
@@ -270,25 +297,49 @@ def fbr_mix(
     through unchanged.
     """
     width, height = record.width, record.height
-    placements: list[PastePlacement] = []
+    # A crop's draws follow from its geometry: a position (2 doubles) when it
+    # fits, a rescale factor and a position (3) when it fits once rescaled, a
+    # rescale factor alone (1) when it is skipped. Since a larger factor never
+    # fits where the minimum does not, the image's doubles come from one call.
+    plans: list[tuple[CropEntry, bool, float | None]] = []
+    n_draws = 0
     for crop in crops:
         w, h = crop.bbox.w, crop.bbox.h
-        scale = 1.0
         if w > width or h > height:
-            factor = float(rng.uniform(config.rescale_min, config.rescale_max))
+            # Rescaled: the minimum rescale, or None when even that overflows.
+            min_scale = config.rescale_min * min(width, height) / max(w, h)
+            if w * min_scale > width or h * min_scale > height:
+                plans.append((crop, True, None))
+                n_draws += 1
+            else:
+                plans.append((crop, True, min_scale))
+                n_draws += 3
+        else:
+            plans.append((crop, False, None))
+            n_draws += 2
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * u for one double u.
+    u = iter(rng.random(n_draws).tolist())
+    lo, hi = config.rescale_min, config.rescale_max
+
+    placements: list[PastePlacement] = []
+    for crop, rescaled, min_scale in plans:
+        w, h = crop.bbox.w, crop.bbox.h
+        scale = 1.0
+        if rescaled:
+            factor = lo + (hi - lo) * next(u)
+            if min_scale is None:
+                log.warning(
+                    "crop %.0fx%.0f from image %s does not fit %sx%s even at "
+                    "minimum rescale; skipped",
+                    w, h, crop.source_image_id, width, height,
+                )
+                continue
             scale = factor * min(width, height) / max(w, h)
             if w * scale > width or h * scale > height:
-                scale = config.rescale_min * min(width, height) / max(w, h)
-                if w * scale > width or h * scale > height:
-                    log.warning(
-                        "crop %.0fx%.0f from image %s does not fit %sx%s even at "
-                        "minimum rescale; skipped",
-                        w, h, crop.source_image_id, width, height,
-                    )
-                    continue
+                scale = min_scale
         pw, ph = w * scale, h * scale
-        x = float(rng.uniform(0.0, width - pw))
-        y = float(rng.uniform(0.0, height - ph))
+        x = 0.0 + (width - pw) * next(u)
+        y = 0.0 + (height - ph) * next(u)
         placements.append(
             PastePlacement(crop=crop, target_bbox=BBox(x, y, pw, ph), rescale=scale)
         )

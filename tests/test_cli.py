@@ -97,6 +97,14 @@ class TestRun:
         config = write_config(tmp_path, split_fraction=1.5)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    def test_mismatched_oracle_tau_ml_exits_two(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path, filter={"tau_ml": 0.2}, oracle={"fn_rate": 0.1, "tau_ml": 0.5}
+        )
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "oracle.tau_ml" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_runtime_failure_exits_one(self, tmp_path, monkeypatch):
         def fail(config, dataset):
             raise RuntimeError("simulated failure inside the loop")

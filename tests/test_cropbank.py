@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrst import (
     BBox,
@@ -9,7 +11,6 @@ from acrst import (
     EmptyBankError,
     Prediction,
     SamplingDistribution,
-    bank_to_csv,
     build_labeled_bank,
     parse_coco_annotations,
     refresh_pseudo_bank,
@@ -164,14 +165,98 @@ class TestSampling:
         assert scipy.stats.chisquare(counts).pvalue > 0.001
 
 
-def test_csv_dump_round_trips_columns():
+def _choice_sample_crops(bank, distribution, n, rng):
+    """Reference sampler: class weights rebuilt and drawn by rng.choice per call."""
+    if n < 0:
+        raise ValueError(f"sample size must be non-negative, got {n}")
+    groups = bank.entries_by_class
+    if not groups:
+        raise EmptyBankError("both banks are empty, nothing to sample")
+    mu = np.asarray(distribution.mu, dtype=float)
+    available = [k for k in range(1, len(mu) + 1) if groups.get(k)]
+    if not available:
+        raise EmptyBankError("no stored crop falls inside the distribution's classes")
+    weights = mu[np.array(available) - 1]
+    total = weights.sum()
+    if total <= 0.0:
+        raise ValueError("no available class has positive sampling probability")
+    if n == 0:
+        return []
+    class_draws = rng.choice(len(available), size=n, p=weights / total)
+    entry_u = rng.random(n)
+    out = []
+    for ci, u in zip(class_draws, entry_u):
+        pool = groups[available[int(ci)]]
+        out.append(pool[int(u * len(pool))])
+    return out
+
+
+def _outcome(sampler, bank, distribution, n, rng):
+    try:
+        return sampler(bank, distribution, n, rng)
+    except (EmptyBankError, ValueError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def _bank_and_distributions(draw):
+    k = draw(st.integers(1, 6))
+    # Every entry has its own source id, so equal results mean equal picks.
+    classes = draw(st.lists(st.integers(1, k + 2), max_size=12))
+    pseudo = draw(st.lists(st.integers(1, k + 2), max_size=6))
     bank = CropBank(
-        labeled_bank=(entry(1),),
-        pseudo_bank=(entry(2, origin="pseudo", score=0.75, image_id=9),),
+        labeled_bank=tuple(entry(c, image_id=i) for i, c in enumerate(classes)),
+        pseudo_bank=tuple(
+            entry(c, origin="pseudo", score=0.5, image_id=100 + i) for i, c in enumerate(pseudo)
+        ),
     )
-    text = bank_to_csv(bank)
-    lines = text.strip().split("\n")
-    assert lines[0] == "source_image_id,class_id,x,y,w,h,score,origin"
-    assert len(lines) == 3
-    assert lines[1].endswith("labeled")
-    assert lines[2].endswith("pseudo")
+    weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    dists = []
+    for _ in range(draw(st.integers(1, 3))):
+        raw = draw(st.lists(weight, min_size=k, max_size=k))
+        if sum(raw) > 0:
+            dists.append(SamplingDistribution.normalized(raw, 1.0))
+        else:
+            dists.append(SamplingDistribution.uniform(k))
+    return bank, dists
+
+
+class TestSampleEquivalence:
+    """The kept class table draws what rng.choice drew, from the same doubles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=_bank_and_distributions(),
+        sizes=st.lists(st.integers(0, 9), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(
+        case=(CropBank(labeled_bank=()), [SamplingDistribution.uniform(2)]), sizes=[1, 0], seed=0
+    )
+    @example(
+        case=(
+            CropBank(labeled_bank=tuple(entry(k, image_id=k) for k in (1, 2, 3))),
+            [SamplingDistribution(mu=(0.5, 0.0, 0.5), beta=1.0)],
+        ),
+        sizes=[0, 5, 5],
+        seed=1,
+    )
+    @example(
+        case=(
+            CropBank(labeled_bank=(entry(1, image_id=0),)),
+            [SamplingDistribution(mu=(0.0, 1.0), beta=1.0)],
+        ),
+        sizes=[1, 1],
+        seed=2,
+    )
+    def test_matches_choice_sampler(self, case, sizes, seed):
+        bank, dists = case
+        # The reference gets its own bank, so that the two share no cache.
+        ref_bank = CropBank(labeled_bank=bank.labeled_bank, pseudo_bank=bank.pseudo_bank)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i, n in enumerate(sizes):
+            dist = dists[i % len(dists)]
+            got = _outcome(sample_crops, bank, dist, n, rng_got)
+            want = _outcome(_choice_sample_crops, ref_bank, dist, n, rng_want)
+            assert got == want
+        assert rng_got.random() == rng_want.random()

@@ -1,7 +1,7 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrst import (
     BBox,
@@ -11,7 +11,6 @@ from acrst import (
     Instance,
     OracleNoise,
     Prediction,
-    focal_bce,
     oracle_image_labels,
     two_stage_filter,
     two_stage_mining,
@@ -164,36 +163,53 @@ class TestOracle:
             OracleNoise(fn_rate=1.5)
 
 
-class TestFocalBce:
-    def test_worked_example(self):
-        # y=1, p=0.5, gamma=2: 0.25 * ln 2.
-        assert math.isclose(focal_bce(0.5, 1, gamma=2.0), 0.25 * math.log(2), abs_tol=1e-12)
-        assert math.isclose(focal_bce(0.5, 1, gamma=2.0), 0.173287, abs_tol=1e-6)
+def _per_class_oracle_labels(record, noise, rng, n_classes):
+    """Reference oracle: one scalar draw for each band test and band value."""
+    present = {inst.class_id for inst in record.ground_truth}
+    activations = []
+    for class_id in range(1, n_classes + 1):
+        if class_id in present:
+            high = rng.random() >= noise.fn_rate
+        else:
+            high = rng.random() < noise.fp_rate
+        if high:
+            activations.append(float(rng.uniform(0.6, 1.0)))
+        else:
+            activations.append(float(rng.uniform(0.0, noise.tau_ml)))
+    return ImageLevelLabel(image_id=record.id, activations=tuple(activations))
 
-    def test_gamma_zero_is_plain_bce(self):
-        assert math.isclose(focal_bce(0.5, 1, gamma=0.0), math.log(2), abs_tol=1e-12)
-        assert math.isclose(focal_bce(0.25, 0, gamma=0.0), -math.log(0.75), abs_tol=1e-12)
 
-    def test_symmetry(self):
-        assert math.isclose(
-            focal_bce(0.8, 1, gamma=2.0), focal_bce(0.2, 0, gamma=2.0), abs_tol=1e-12
-        )
+_unit = st.one_of(
+    st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
 
-    def test_confident_correct_is_downweighted(self):
-        assert focal_bce(0.9, 1, gamma=2.0) < focal_bce(0.9, 1, gamma=0.0)
 
-    def test_clamp_keeps_loss_finite(self):
-        assert math.isfinite(focal_bce(0.0, 1))
-        assert math.isfinite(focal_bce(1.0, 0))
-        assert focal_bce(0.0, 1) > 10.0
+class TestOracleEquivalence:
+    """The bulk draw gives the per-class draws' labels and stream position."""
 
-    def test_invalid_target(self):
-        with pytest.raises(ValueError):
-            focal_bce(0.5, 2)
-
-    def test_negative_gamma(self):
-        with pytest.raises(ValueError):
-            focal_bce(0.5, 1, gamma=-1.0)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_classes=st.integers(0, 12),
+        images=st.lists(st.lists(st.integers(1, 14), max_size=6), min_size=1, max_size=4),
+        fn_rate=_unit,
+        fp_rate=_unit,
+        tau_ml=_unit,
+    )
+    @example(seed=0, n_classes=3, images=[[1, 2, 3], []], fn_rate=0.0, fp_rate=0.0, tau_ml=0.2)
+    @example(seed=1, n_classes=3, images=[[1, 2, 3], []], fn_rate=1.0, fp_rate=1.0, tau_ml=0.2)
+    @example(seed=2, n_classes=4, images=[[2]], fn_rate=1.0, fp_rate=0.0, tau_ml=0.0)
+    @example(seed=3, n_classes=4, images=[[2]], fn_rate=0.0, fp_rate=1.0, tau_ml=1.0)
+    def test_matches_per_class_draws(self, seed, n_classes, images, fn_rate, fp_rate, tau_ml):
+        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for image_id, class_ids in enumerate(images):
+            rec = TestOracle().record(class_ids, image_id=image_id)
+            got = oracle_image_labels(rec, noise, rng_got, n_classes)
+            want = _per_class_oracle_labels(rec, noise, rng_want, n_classes)
+            assert got == want
+        assert rng_got.random() == rng_want.random()
 
 
 class TestFilterConfig:

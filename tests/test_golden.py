@@ -1,0 +1,84 @@
+"""Golden sha256 of report.json for fixed configs.
+
+A change that only makes the loop faster must leave every report byte for
+byte the same. The figures depend on numpy's random streams, so the test runs
+only with the numpy version CI pins.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from acrst.cli import main
+
+pytestmark = pytest.mark.skipif(
+    np.__version__ != "2.4.6", reason="golden shas are recorded with numpy 2.4.6"
+)
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.json"
+
+EXAMPLE_SHA256 = "04f0401fc9181d0a0b21501ecc1d160bcd4296685a5ba17f6b13134bf5053983"
+RESCALE_SHA256 = "1e86f032469edcb740d79a4bc58aa2c77230555ec126ba9d949fe46f02a42145"
+
+
+def rescale_coco() -> dict:
+    """Large and small images: crops from large images often outsize small ones.
+
+    Large images carry near-square boxes that need a rescale on a 100x60
+    image, and square ones that do not fit there even at ``rescale_min``.
+    """
+    large_boxes = [[10, 10, 200, 180], [100, 40, 200, 200], [5, 150, 150, 60], [260, 20, 40, 30]]
+    small_boxes = [[5, 5, 20, 15], [60, 30, 30, 20]]
+    images, annotations = [], []
+    for image_id in range(1, 41):
+        large = image_id % 2 == 1
+        width, height = (320, 240) if large else (100, 60)
+        images.append({"id": image_id, "width": width, "height": height})
+        boxes = large_boxes if large else small_boxes
+        for j in range(1 + image_id % len(boxes)):
+            annotations.append({
+                "id": len(annotations) + 1,
+                "image_id": image_id,
+                "category_id": 1 + (image_id + j) % 3,
+                "bbox": boxes[j],
+            })
+    categories = [{"id": k, "name": f"c{k}"} for k in (1, 2, 3)]
+    return {"images": images, "annotations": annotations, "categories": categories}
+
+
+RESCALE_CONFIG = {
+    "seed": 101,
+    "split_fraction": 0.3,
+    "epochs": 6,
+    "pretrain_epochs": 2,
+    "labeled_batch": 4,
+    "unlabeled_batch": 8,
+    "batches_per_epoch": 2,
+    "proposal_budget": 64,
+    "dataset": {"type": "coco_json", "path": "coco.json"},
+    "paste": {"crops_per_image": 3, "rescale_min": 1.1, "rescale_max": 1.6, "beta": 1.0},
+    "filter": {"tau_cls": 0.6, "tau_ml": 0.2, "mode": "two_stage_filtering"},
+    "detector": {"initial_recall_skill": 0.5, "fp_rate": 0.5, "lr": 0.25, "ema_alpha": 0.65},
+    "oracle": {"fn_rate": 0.05, "fp_rate": 0.1},
+}
+
+
+def report_sha256(config: Path, out: Path) -> str:
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+
+
+def test_example_config_report(tmp_path):
+    assert report_sha256(EXAMPLE_CONFIG, tmp_path / "out") == EXAMPLE_SHA256
+
+
+def test_rescaling_coco_report(tmp_path, monkeypatch):
+    # The report echoes dataset.path, so the annotation file sits at a fixed
+    # relative path in the working directory.
+    monkeypatch.chdir(tmp_path)
+    Path("coco.json").write_text(json.dumps(rescale_coco()), encoding="utf-8")
+    Path("config.json").write_text(json.dumps(RESCALE_CONFIG), encoding="utf-8")
+    assert report_sha256(Path("config.json"), Path("out")) == RESCALE_SHA256

@@ -19,7 +19,7 @@ from acrst import (
     student_update,
     synth_detect,
 )
-from acrst.model import CONFUSION_FLOOR, PARTIAL_FLOOR
+from acrst.model import CONFUSION_FLOOR, PARTIAL_FLOOR, _draw_weighted
 
 
 def params(
@@ -506,3 +506,63 @@ class TestBatchLossEquivalence:
                 assert batch_loss(student, batch, 1, "supervised") == _oracle_batch_loss(
                     student, batch, 1, "supervised"
                 )
+
+
+def _choice_draw_weighted(rng, weights, exclude=None):
+    """Reference class draw through rng.choice(p=...)."""
+    w = weights.astype(float).copy()
+    if exclude is not None:
+        w[exclude - 1] = 0.0
+    total = w.sum()
+    if total <= 0.0:
+        w = np.ones_like(w)
+        if exclude is not None and w.size > 1:
+            w[exclude - 1] = 0.0
+        total = w.sum()
+    return int(rng.choice(w.size, p=w / total)) + 1
+
+
+@st.composite
+def _weights_and_exclude(draw):
+    k = draw(st.integers(1, 8))
+    weights = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 50.0)), min_size=k, max_size=k))
+    )
+    exclude = draw(st.one_of(st.none(), st.integers(1, k)))
+    return weights, exclude
+
+
+class TestDrawWeightedEquivalence:
+    """The CDF draw picks what rng.choice picked, from the same double."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cases=st.lists(_weights_and_exclude(), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(cases=[(np.array([0.0, 0.0, 0.0]), None), (np.array([0.0, 0.0]), 2)], seed=0)
+    @example(cases=[(np.array([1.0]), 1), (np.array([1.0]), None)], seed=1)
+    @example(cases=[(np.array([0.0, 3.0, 0.0, 1.0]), 2)] * 20, seed=2)
+    def test_matches_choice(self, cases, seed):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for weights, exclude in cases:
+            got = _draw_weighted(rng_got, weights, exclude)
+            want = _choice_draw_weighted(rng_want, weights, exclude)
+            assert got == want
+        assert rng_got.random() == rng_want.random()
+
+    def test_synth_detect_unchanged(self, monkeypatch):
+        # Confusions and background false positives draw classes by weight.
+        p = params(recall=(0.9, 0.6, 0.3), confusion=0.6, fp=3.0)
+        rec = ImageRecord(
+            id=1, width=120, height=100, ground_truth=tuple(inst(c) for c in (1, 2, 3, 1))
+        )
+
+        def detect_all(seed):
+            rng = np.random.default_rng(seed)
+            preds = [synth_detect(p, rec, rng, class_weights=(5.0, 0.0, 1.0)) for _ in range(50)]
+            return preds, rng.random()
+
+        got = detect_all(11)
+        monkeypatch.setattr("acrst.model._draw_weighted", _choice_draw_weighted)
+        assert got == detect_all(11)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrst import (
     LABELED_ABSENT_PR,
@@ -290,6 +292,193 @@ class TestFbrMix:
                 merged_annotations=rec.ground_truth,
                 pasted_flags=(),
             )
+
+
+def _grid_visible_fraction(inst, occluders):
+    """Reference visibility: BBox intersections and the cell grid for any overlap."""
+    clipped = [c for c in (occ.intersection(inst) for occ in occluders) if c is not None]
+    if not clipped:
+        return 1.0
+    xs = np.unique(np.array([inst.x, inst.x2] + [v for c in clipped for v in (c.x, c.x2)]))
+    ys = np.unique(np.array([inst.y, inst.y2] + [v for c in clipped for v in (c.y, c.y2)]))
+    cx = (xs[:-1] + xs[1:]) / 2.0
+    cy = (ys[:-1] + ys[1:]) / 2.0
+    covered = np.zeros((cx.size, cy.size), dtype=bool)
+    for c in clipped:
+        covered |= np.outer((cx > c.x) & (cx < c.x2), (cy > c.y) & (cy < c.y2))
+    covered_area = float(np.outer(np.diff(xs), np.diff(ys))[covered].sum())
+    visible = max(0.0, inst.area - covered_area)
+    return min(1.0, visible / inst.area)
+
+
+def _grid_merge(base, pasted, occlusion_threshold):
+    rects = [p.target_bbox for p in pasted]
+    merged = [Instance(p.crop.class_id, p.target_bbox, p.crop.source_image_id) for p in pasted]
+    for inst in base:
+        vf = _grid_visible_fraction(inst.bbox, rects)
+        if vf <= 1e-12 or vf < occlusion_threshold:
+            continue
+        merged.append(inst)
+    return merged
+
+
+def _per_crop_fbr_mix(record, crops, rng, config):
+    """Reference paste loop: scalar rng.uniform draws, crop by crop."""
+    width, height = record.width, record.height
+    placements = []
+    for c in crops:
+        w, h = c.bbox.w, c.bbox.h
+        scale = 1.0
+        if w > width or h > height:
+            factor = float(rng.uniform(config.rescale_min, config.rescale_max))
+            scale = factor * min(width, height) / max(w, h)
+            if w * scale > width or h * scale > height:
+                scale = config.rescale_min * min(width, height) / max(w, h)
+                if w * scale > width or h * scale > height:
+                    continue
+        pw, ph = w * scale, h * scale
+        x = float(rng.uniform(0.0, width - pw))
+        y = float(rng.uniform(0.0, height - ph))
+        placements.append(PastePlacement(crop=c, target_bbox=BBox(x, y, pw, ph), rescale=scale))
+    merged = _grid_merge(record.ground_truth, placements, config.occlusion_threshold)
+    n = len(placements)
+    return MixedRecord(
+        base=record,
+        placements=tuple(placements),
+        merged_annotations=tuple(merged),
+        pasted_flags=(True,) * n + (False,) * (len(merged) - n),
+    )
+
+
+_coord = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 5.0, 7.5, 10.0]),
+    st.floats(0.0, 12.0),
+)
+_side = st.one_of(st.sampled_from([0.5, 2.5, 5.0, 10.0]), st.floats(1e-3, 12.0))
+
+
+@st.composite
+def _box(draw):
+    return BBox(draw(_coord), draw(_coord), draw(_side), draw(_side))
+
+
+def _occluder(inst, kind, other):
+    """An occluder placed relative to ``inst``."""
+    up = math.inf
+    return {
+        "any": other,
+        "equal": inst,
+        "nested": BBox(inst.x + inst.w / 4, inst.y + inst.h / 4, inst.w / 2, inst.h / 2),
+        "around": BBox(inst.x - 1.0, inst.y - 1.0, inst.w + 2.0, inst.h + 2.0),
+        "shared_edge": BBox(inst.x2, inst.y, 3.0, inst.h),
+        "one_ulp": BBox(math.nextafter(inst.x2, -up), inst.y - 1.0, 3.0, inst.h + 2.0),
+        "two_ulp": BBox(
+            math.nextafter(math.nextafter(inst.x2, -up), -up), inst.y, 3.0, inst.h / 2
+        ),
+    }[kind]
+
+
+_KINDS = ["any", "any", "equal", "nested", "around", "shared_edge", "one_ulp", "two_ulp"]
+
+
+@st.composite
+def _occluded_box(draw):
+    inst = draw(_box())
+    occluders = [
+        _occluder(inst, draw(st.sampled_from(_KINDS)), draw(_box()))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return inst, occluders
+
+
+@st.composite
+def _paste_case(draw):
+    records = []
+    for image_id in range(draw(st.integers(1, 3))):
+        width, height = draw(st.sampled_from([(10, 10), (37, 23), (60, 100), (100, 60)]))
+        gt = []
+        for _ in range(draw(st.integers(0, 4))):
+            w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+            x, y = draw(st.integers(0, width - w)), draw(st.integers(0, height - h))
+            gt.append(Instance(class_id=1, bbox=BBox(x, y, w, h), source_image_id=image_id))
+        sides = st.one_of(st.sampled_from([1.0, 10.0, 23.0, 60.0, 100.0]), st.floats(0.5, 250.0))
+        crops = [
+            crop(2, draw(sides), draw(sides), image_id=j) for j in range(draw(st.integers(0, 5)))
+        ]
+        records.append(
+            (ImageRecord(id=image_id, width=width, height=height, ground_truth=tuple(gt)), crops)
+        )
+    rescale_min = draw(st.sampled_from([0.25, 0.5, 1.0, 1.3, 2.0]))
+    config = PasteConfig(
+        crops_per_image=2,
+        rescale_min=rescale_min,
+        rescale_max=rescale_min + draw(st.sampled_from([0.0, 0.5, 1.5])),
+        occlusion_threshold=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+    return records, config
+
+
+class TestPasteEquivalence:
+    """Bulk draws and closed-form occlusion reproduce the per-crop loop and the
+    cell grid exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_occluded_box())
+    @example(case=(BBox(0, 0, 10, 10), [BBox(0, 0, 10, 10)]))
+    @example(case=(BBox(0, 0, 10, 10), [BBox(10, 0, 5, 10), BBox(0, 10, 10, 5)]))
+    @example(case=(BBox(0, 0, 10, 10), [BBox(2, 2, 4, 4)]))
+    @example(case=(BBox(0, 0, 10, 10), [BBox(math.nextafter(10.0, 0.0), 0, 5, 10)]))
+    # The overlap's right edge, x1 + (x2 - x1), lands past the box's edge.
+    @example(
+        case=(
+            BBox(18.266865139080878, 0, 78.20832396268057, 5),
+            [BBox(27.17190023531588, 1, 90, 2)],
+        )
+    )
+    def test_visible_fraction_matches_grid(self, case):
+        inst, occluders = case
+        assert visible_fraction(inst, occluders) == _grid_visible_fraction(inst, occluders)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cases=st.lists(_occluded_box(), min_size=1, max_size=5),
+        threshold=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_merge_matches_grid(self, cases, threshold):
+        # Every generated box is a base instance; every occluder is pasted.
+        base = [Instance(1, inst, 1) for inst, _ in cases]
+        pasted = [
+            PastePlacement(crop=crop(2, occ.w, occ.h), target_bbox=occ)
+            for _, occluders in cases
+            for occ in occluders
+        ]
+        assert merge_annotations(base, pasted, threshold) == _grid_merge(base, pasted, threshold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_paste_case(), seed=st.integers(0, 2**32 - 1))
+    def test_fbr_mix_matches_per_crop_loop(self, case, seed):
+        records, config = case
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for record, crops in records:
+            got = fbr_mix(record, crops, rng_got, config)
+            want = _per_crop_fbr_mix(record, crops, rng_want, config)
+            assert got == want
+        assert rng_got.random() == rng_want.random()
+
+    def test_fits_rescales_and_skips_in_one_image(self):
+        rec = ImageRecord(id=1, width=100, height=60, ground_truth=())
+        config = PasteConfig(rescale_min=1.3, rescale_max=1.8)
+        # As is; at the drawn factor; at rescale_min; skipped.
+        crops = [crop(2, 20, 20), crop(2, 300, 100), crop(2, 200, 150), crop(2, 200, 200)]
+        rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
+        got = fbr_mix(rec, crops, rng_got, config)
+        assert got == _per_crop_fbr_mix(rec, crops, rng_want, config)
+        assert rng_got.random() == rng_want.random()
+        scales = [p.rescale for p in got.placements]
+        assert [p.crop.bbox.w for p in got.placements] == [20, 300, 200]
+        assert scales[0] == 1.0
+        assert scales[1] != 1.3 * 60 / 300
+        assert scales[2] == 1.3 * 60 / 200
 
 
 class TestSamplingDistributionInvariants:
