@@ -7,6 +7,7 @@ back into a plain dict with all defaults filled in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
@@ -185,8 +186,19 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown config key '{key}' in {where}")
 
 
-def _build_section(cls, data: dict | None, where: str):
-    data = dict(data or {})
+def _section(data: dict, name: str) -> dict:
+    """A copy of the ``name`` section of ``data``; absent or null is empty."""
+    section = data.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"config section '{name}' must be a JSON object, got {type(section).__name__}"
+        )
+    return dict(section)
+
+
+def _build_section(cls, data: dict, where: str):
     allowed = {f.name for f in fields(cls)}
     _check_keys(data, allowed, where)
     if cls is DetectorConfig and isinstance(data.get("initial_recall_skill"), list):
@@ -195,8 +207,25 @@ def _build_section(cls, data: dict | None, where: str):
         return cls(**data)
     except ConfigError:
         raise
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"{where}: {e}") from e
+
+
+# Top-level numbers: key -> "int" or "float", the field's annotation.
+_SCALARS = {f.name: f.type for f in fields(ExperimentConfig) if f.type in ("int", "float")}
+
+
+def _scalar(key: str, value: Any) -> int | float:
+    """``value`` if it is a finite JSON number of the kind ``key`` takes."""
+    kinds = int if _SCALARS[key] == "int" else (int, float)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kinds)
+        or (isinstance(value, float) and not math.isfinite(value))
+    ):
+        what = "an integer" if kinds is int else "a finite number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 _TOP_LEVEL_KEYS = {
@@ -225,39 +254,26 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a parsed config document.
 
     Every key is checked; unknown keys raise :class:`ConfigError` naming the
-    offending key. Missing keys take their defaults, except ``oracle.tau_ml``,
-    which takes ``filter.tau_ml`` and may not differ from it.
+    offending key. So do a top-level number of the wrong type and a section
+    that is not a JSON object or whose values its dataclass rejects. Missing
+    keys take their defaults, except ``oracle.tau_ml``, which takes
+    ``filter.tau_ml`` and may not differ from it.
     """
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
     _check_keys(data, _TOP_LEVEL_KEYS, "the top level")
 
-    toggles = dict(data.get("toggles") or {})
+    toggles = _section(data, "toggles")
     _check_keys(toggles, set(TOGGLES), "toggles")
     for name, value in toggles.items():
         if not isinstance(value, bool):
             raise ConfigError(f"toggle '{name}' must be true or false")
 
-    scalars = {}
-    for key in (
-        "seed",
-        "split_fraction",
-        "epochs",
-        "pretrain_epochs",
-        "labeled_batch",
-        "unlabeled_batch",
-        "batches_per_epoch",
-        "lambda_unsup",
-        "refresh_period",
-        "proposal_budget",
-        "match_iou",
-    ):
-        if key in data:
-            scalars[key] = data[key]
+    scalars = {key: _scalar(key, data[key]) for key in _SCALARS if key in data}
 
-    filter_config = _build_section(FilterConfig, data.get("filter"), "filter")
+    filter_config = _build_section(FilterConfig, _section(data, "filter"), "filter")
     # The oracle's low band ends where the filter's image-level gate starts.
-    oracle_data = dict(data.get("oracle") or {})
+    oracle_data = _section(data, "oracle")
     oracle_data.setdefault("tau_ml", filter_config.tau_ml)
     oracle = _build_section(OracleNoise, oracle_data, "oracle")
     if oracle.tau_ml != filter_config.tau_ml:
@@ -269,9 +285,9 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     return ExperimentConfig(
         **scalars,
         **toggles,
-        dataset=_build_section(DatasetConfig, data.get("dataset"), "dataset"),
-        paste=_build_section(PasteConfig, data.get("paste"), "paste"),
+        dataset=_build_section(DatasetConfig, _section(data, "dataset"), "dataset"),
+        paste=_build_section(PasteConfig, _section(data, "paste"), "paste"),
         filter=filter_config,
-        detector=_build_section(DetectorConfig, data.get("detector"), "detector"),
+        detector=_build_section(DetectorConfig, _section(data, "detector"), "detector"),
         oracle=oracle,
     )

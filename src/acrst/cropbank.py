@@ -106,7 +106,7 @@ class CropBank:
 
 
 def build_labeled_bank(labeled: Dataset) -> CropBank:
-    """One labeled crop per ground-truth instance on labeled-flagged images."""
+    """One labeled crop per ground-truth instance of the labeled split."""
     entries = tuple(
         CropEntry(
             source_image_id=img.id,
@@ -115,7 +115,7 @@ def build_labeled_bank(labeled: Dataset) -> CropBank:
             score=1.0,
             origin="labeled",
         )
-        for img in labeled.labeled_images()
+        for img in labeled.images
         for inst in img.ground_truth
     )
     return CropBank(labeled_bank=entries)

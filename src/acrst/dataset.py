@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -111,42 +110,18 @@ class ImageRecord:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Images plus the category table and a per-image labeled flag.
+    """Images plus the category table.
 
-    ``labeled_flags`` runs parallel to ``images``. Unlabeled images keep their
-    ground truth so metrics can be computed against it; the flag marks it as
-    hidden from training.
+    The unlabeled side of a split keeps its ground truth, hidden from training,
+    so metrics can be computed against it.
     """
 
     images: tuple[ImageRecord, ...]
     categories: tuple[Category, ...]
-    labeled_flags: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.labeled_flags):
-            raise ValueError("labeled_flags must parallel images")
 
     @property
     def num_classes(self) -> int:
         return len(self.categories)
-
-    @property
-    def n_labeled(self) -> int:
-        return sum(self.labeled_flags)
-
-    @property
-    def n_unlabeled(self) -> int:
-        return len(self.images) - self.n_labeled
-
-    def labeled_images(self) -> Iterator[ImageRecord]:
-        for img, flag in zip(self.images, self.labeled_flags):
-            if flag:
-                yield img
-
-    def unlabeled_images(self) -> Iterator[ImageRecord]:
-        for img, flag in zip(self.images, self.labeled_flags):
-            if not flag:
-                yield img
 
 
 def _require(record: dict, key: str, what: str):
@@ -160,8 +135,8 @@ def parse_coco_annotations(text: str) -> Dataset:
 
     Raises :class:`ParseError` for malformed JSON or missing sections and
     :class:`ValidationError` for schema violations; validation messages name
-    the offending record id. All images start labeled; use
-    :func:`split_standard` to divide them.
+    the offending record id. Use :func:`split_standard` to divide the images
+    into a labeled and an unlabeled side.
     """
     try:
         doc = json.loads(text)
@@ -241,40 +216,7 @@ def parse_coco_annotations(text: str) -> Dataset:
         )
         for image_id in image_order
     )
-    return Dataset(
-        images=images,
-        categories=tuple(categories),
-        labeled_flags=(True,) * len(images),
-    )
-
-
-def serialize_coco_annotations(dataset: Dataset) -> str:
-    """Inverse of :func:`parse_coco_annotations` (annotation ids regenerated)."""
-    source_of_class = {c.id: c.source_id for c in dataset.categories}
-    annotations = []
-    next_id = 1
-    for img in dataset.images:
-        for inst in img.ground_truth:
-            annotations.append(
-                {
-                    "id": next_id,
-                    "image_id": img.id,
-                    "category_id": source_of_class[inst.class_id],
-                    "bbox": [inst.bbox.x, inst.bbox.y, inst.bbox.w, inst.bbox.h],
-                }
-            )
-            next_id += 1
-    doc = {
-        "images": [
-            {"id": img.id, "width": img.width, "height": img.height}
-            for img in dataset.images
-        ],
-        "annotations": annotations,
-        "categories": [
-            {"id": c.source_id, "name": c.name} for c in dataset.categories
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return Dataset(images=images, categories=tuple(categories))
 
 
 def split_standard(
@@ -283,8 +225,8 @@ def split_standard(
     """Partition into a labeled and an unlabeled dataset.
 
     round(fraction * N) images are chosen uniformly at random (seeded) for the
-    labeled side. The unlabeled side keeps its ground truth but is flagged
-    hidden. Image order within each side follows the input order.
+    labeled side. The unlabeled side keeps its ground truth, which only
+    metrics read. Image order within each side follows the input order.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
@@ -294,32 +236,15 @@ def split_standard(
     n_labeled = int(round(fraction * n))
     rng = np.random.default_rng(seed)
     chosen = set(rng.choice(n, size=n_labeled, replace=False).tolist())
-    labeled_images = tuple(img for i, img in enumerate(dataset.images) if i in chosen)
-    unlabeled_images = tuple(
-        img for i, img in enumerate(dataset.images) if i not in chosen
-    )
-    labeled = Dataset(
-        images=labeled_images,
-        categories=dataset.categories,
-        labeled_flags=(True,) * len(labeled_images),
-    )
-    unlabeled = Dataset(
-        images=unlabeled_images,
-        categories=dataset.categories,
-        labeled_flags=(False,) * len(unlabeled_images),
-    )
-    return labeled, unlabeled
+    labeled = tuple(img for i, img in enumerate(dataset.images) if i in chosen)
+    unlabeled = tuple(img for i, img in enumerate(dataset.images) if i not in chosen)
+    return Dataset(labeled, dataset.categories), Dataset(unlabeled, dataset.categories)
 
 
-def class_counts(dataset: Dataset, labeled_only: bool = False) -> np.ndarray:
-    """Instance counts per class (index k-1 = class k), hidden truth included.
-
-    With ``labeled_only`` only instances on labeled-flagged images count.
-    """
+def class_counts(dataset: Dataset) -> np.ndarray:
+    """Instance counts per class (index k-1 = class k), hidden truth included."""
     counts = np.zeros(dataset.num_classes, dtype=np.int64)
-    for img, flag in zip(dataset.images, dataset.labeled_flags):
-        if labeled_only and not flag:
-            continue
+    for img in dataset.images:
         for inst in img.ground_truth:
             counts[inst.class_id - 1] += 1
     return counts

@@ -1,5 +1,5 @@
-"""Detection metrics: IoU, greedy matching, pseudo-label quality, distribution
-divergence and average precision.
+"""Detection metrics: a one-pass evaluator of AP and pseudo-label matches,
+foreground ratio and class distribution divergence.
 
 Matching runs on one IoU matrix per image and serves every threshold from it:
 :func:`evaluate` scores a whole epoch's evaluation in one pass per image.
@@ -7,61 +7,23 @@ Matching runs on one IoU matrix per image and serves every threshold from it:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import BBox, Instance, Prediction
-
-log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of matching predictions against ground truth on one image.
-
-    ``pairs`` holds (prediction index, ground-truth index, IoU) triples; each
-    index appears at most once across the result.
-    """
-
-    pairs: tuple[tuple[int, int, float], ...]
-    unmatched_preds: tuple[int, ...]
-    unmatched_gts: tuple[int, ...]
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes."""
-    inter = a.intersection(b)
-    if inter is None:
-        return 0.0
-    overlap = inter.area
-    return overlap / (a.area + b.area - overlap)
+from .dataset import Instance, Prediction
 
 
 # IoU thresholds of AP50:95, in this order; index 0 is AP50.
 AP_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 
 
-def _check_thresholds(thresholds: Sequence[float]) -> None:
-    for thr in thresholds:
-        if not 0.0 < thr <= 1.0:
-            raise ValueError(f"iou threshold must be in (0, 1], got {thr}")
+def _iou_matrix(preds: Sequence[Prediction], gts: Sequence[Instance]) -> np.ndarray:
+    """Class-aware IoU of every prediction (row) with every ground truth (column).
 
-
-def _scores(preds: Sequence[Prediction]) -> np.ndarray:
-    return np.array([p.score for p in preds], dtype=float)
-
-
-def _iou_matrix(
-    preds: Sequence[Prediction], gts: Sequence[Instance], class_aware: bool = True
-) -> np.ndarray:
-    """IoU of every prediction (row) with every ground truth (column).
-
-    The float operations are those of :func:`iou`, so each entry equals it bit
-    for bit. With ``class_aware``, pairs of different classes are 0, which no
-    threshold in (0, 1] matches.
+    The intersection is that of :meth:`BBox.intersection`. Pairs of different
+    classes are 0, which no threshold in (0, 1] matches.
     """
     if not preds or not gts:
         return np.zeros((len(preds), len(gts)))
@@ -71,9 +33,7 @@ def _iou_matrix(
     gx, gy, gw, gh, gc = g.T[:, None, :]
     iw = np.minimum(px + pw, gx + gw) - np.maximum(px, gx)
     ih = np.minimum(py + ph, gy + gh) - np.maximum(py, gy)
-    overlaps = (iw > 0) & (ih > 0)
-    if class_aware:
-        overlaps &= pc == gc
+    overlaps = (iw > 0) & (ih > 0) & (pc == gc)
     inter = np.where(overlaps, iw * ih, 0.0)
     return inter / ((pw * ph + gw * gh) - inter)
 
@@ -113,49 +73,6 @@ def _greedy(
     return order, np.array(claims, dtype=np.intp).reshape(len(thresholds), len(scores))
 
 
-def match_greedy(
-    preds: Sequence[Prediction],
-    gts: Sequence[Instance],
-    iou_thr: float,
-    class_aware: bool = True,
-) -> MatchResult:
-    """Greedy one-to-one matching in descending score order.
-
-    Each prediction claims the unclaimed ground truth with the highest IoU at
-    or above the threshold (same class when ``class_aware``). Ties are broken
-    deterministically: equal scores by prediction index, equal IoUs by lower
-    ground-truth index.
-    """
-    _check_thresholds((iou_thr,))
-    ious = _iou_matrix(preds, gts, class_aware)
-    order, claims = _greedy(ious, _scores(preds), (iou_thr,))
-    claim = claims[0].tolist()
-    return MatchResult(
-        pairs=tuple(
-            (pi, claim[pi], float(ious[pi, claim[pi]])) for pi in order.tolist() if claim[pi] >= 0
-        ),
-        unmatched_preds=tuple(pi for pi, gi in enumerate(claim) if gi < 0),
-        unmatched_gts=tuple(gi for gi in range(len(gts)) if gi not in claim),
-    )
-
-
-def pseudo_quality(
-    preds: Sequence[Prediction],
-    gts: Sequence[Instance],
-    iou_thr: float = 0.5,
-) -> tuple[float, float]:
-    """(accuracy, recall) of predictions under class-aware matching.
-
-    Accuracy is the matched share of predictions, recall the matched share of
-    ground truths. Both degenerate vacuously to 1.0 when their denominator is
-    empty.
-    """
-    result = match_greedy(preds, gts, iou_thr, class_aware=True)
-    accuracy = len(result.pairs) / len(preds) if preds else 1.0
-    recall = len(result.pairs) / len(gts) if gts else 1.0
-    return accuracy, recall
-
-
 def fg_ratio(foreground: int, background: int) -> float:
     """Foreground share of training target assignments."""
     if foreground < 0 or background < 0:
@@ -193,23 +110,6 @@ def class_kld(
     return float(np.sum(p * np.log(p / q)))
 
 
-def box_miou(
-    preds: Sequence[Prediction],
-    gts: Sequence[Instance],
-    iou_thr: float = 0.5,
-) -> float:
-    """Mean IoU over matched prediction/ground-truth pairs.
-
-    Returns 0.0 (logged) when nothing matches, so callers can tell the
-    degenerate case apart only by the match count.
-    """
-    result = match_greedy(preds, gts, iou_thr, class_aware=True)
-    if not result.pairs:
-        log.debug("box_miou: no matched pairs, reporting 0.0")
-        return 0.0
-    return sum(v for _, _, v in result.pairs) / len(result.pairs)
-
-
 def _interpolated_ap(ranked_hits: np.ndarray, n_gt: int) -> float:
     """101-point interpolated AP of true-positive flags in descending score order."""
     tp = np.cumsum(ranked_hits)
@@ -222,54 +122,6 @@ def _interpolated_ap(ranked_hits: np.ndarray, n_gt: int) -> float:
     indices = np.searchsorted(recall, sample_points, side="left")
     sampled = np.where(indices < len(envelope), envelope[np.minimum(indices, len(envelope) - 1)], 0.0)
     return float(sampled.mean())
-
-
-def _average_precisions(
-    preds_by_image: Sequence[Sequence[Prediction]],
-    gts_by_image: Sequence[Sequence[Instance]],
-    thresholds: Sequence[float],
-) -> tuple[list[float], list[np.ndarray], list[np.ndarray]]:
-    """AP at each threshold, plus each image's IoU matrix and scores.
-
-    Each image is matched at every threshold in one pass. Rows are pooled in
-    image order, then prediction order, and ranked by a stable sort on
-    descending score.
-    """
-    if len(preds_by_image) != len(gts_by_image):
-        raise ValueError("prediction and ground-truth image lists must align")
-    _check_thresholds(thresholds)
-    ious, scores, hits = [], [], []
-    for preds, gts in zip(preds_by_image, gts_by_image):
-        ious.append(_iou_matrix(preds, gts))
-        scores.append(_scores(preds))
-        hits.append(_greedy(ious[-1], scores[-1], thresholds)[1] >= 0)
-    n_gt = sum(len(gts) for gts in gts_by_image)
-    if n_gt == 0 or not any(len(s) for s in scores):
-        return [0.0] * len(thresholds), ious, scores
-    ranked = np.concatenate(hits, axis=1)[:, np.argsort(-np.concatenate(scores), kind="stable")]
-    return [_interpolated_ap(row, n_gt) for row in ranked], ious, scores
-
-
-def average_precision(
-    preds_by_image: Sequence[Sequence[Prediction]],
-    gts_by_image: Sequence[Sequence[Instance]],
-    iou_thr: float,
-) -> float:
-    """101-point interpolated average precision at one IoU threshold.
-
-    Predictions are pooled over images and ranked by score; true positives
-    come from per-image class-aware greedy matching. Returns 0.0 when there
-    are no ground truths.
-    """
-    return _average_precisions(preds_by_image, gts_by_image, (iou_thr,))[0][0]
-
-
-def ap_50_95(
-    preds_by_image: Sequence[Sequence[Prediction]],
-    gts_by_image: Sequence[Sequence[Instance]],
-) -> float:
-    """Mean average precision over IoU thresholds 0.50, 0.55, ..., 0.95."""
-    return float(np.mean(_average_precisions(preds_by_image, gts_by_image, AP_THRESHOLDS)[0]))
 
 
 @dataclass(frozen=True)
@@ -316,27 +168,41 @@ def evaluate(
 ) -> Evaluation:
     """AP50:95 of the raw predictions and pseudo-label matches of the kept ones.
 
-    Each image's class-aware IoU matrix is computed once. Greedy matching at
-    all of :data:`AP_THRESHOLDS` runs on it in one pass, and the kept
-    predictions, a subset of the raw ones, are matched at ``match_iou`` from
-    its rows. The results equal :func:`average_precision` at each threshold
-    and :func:`match_greedy` on the kept predictions.
+    Matching is greedy and one-to-one, in descending score order: each
+    prediction claims the free ground truth of its class with the highest IoU
+    at or above the threshold. Equal scores go by prediction index, equal IoUs
+    by the lower ground-truth index.
+
+    Each image's IoU matrix is computed once. The raw predictions are matched
+    at all of :data:`AP_THRESHOLDS` on it in one pass; pooled over images and
+    ranked by a stable sort on descending score, they give each threshold's
+    101-point interpolated AP, 0.0 when there is no ground truth. The kept
+    predictions, an ordered subset of the raw ones, are matched at
+    ``match_iou`` from its rows.
     """
-    if len(kept_by_image) != len(raw_by_image):
-        raise ValueError("raw and kept prediction image lists must align")
-    _check_thresholds((match_iou,))
-    aps, ious_by_image, scores_by_image = _average_precisions(
-        raw_by_image, gts_by_image, AP_THRESHOLDS
-    )
+    if not len(raw_by_image) == len(kept_by_image) == len(gts_by_image):
+        raise ValueError("raw, kept and ground-truth image lists must align")
+    if not 0.0 < match_iou <= 1.0:
+        raise ValueError(f"iou threshold must be in (0, 1], got {match_iou}")
+    scores, hits = [], []
     matched = 0
     iou_sum = 0.0
-    for raw, kept, ious, scores in zip(raw_by_image, kept_by_image, ious_by_image, scores_by_image):
+    for raw, kept, gts in zip(raw_by_image, kept_by_image, gts_by_image):
+        ious = _iou_matrix(raw, gts)
+        scores.append(np.array([p.score for p in raw], dtype=float))
+        hits.append(_greedy(ious, scores[-1], AP_THRESHOLDS)[1] >= 0)
         rows = _positions(kept, raw)
         kept_ious = ious[rows]
-        order, claims = _greedy(kept_ious, scores[rows], (match_iou,))
+        order, claims = _greedy(kept_ious, scores[-1][rows], (match_iou,))
         pairs = order[claims[0, order] >= 0]
         matched += len(pairs)
         # Per-image sums in claim order, then their total: the float additions
         # that box_miou in report.json has always been computed with.
         iou_sum += sum(kept_ious[pairs, claims[0, pairs]].tolist())
-    return Evaluation(aps=tuple(aps), matched=matched, iou_sum=iou_sum)
+    n_gt = sum(len(gts) for gts in gts_by_image)
+    if n_gt == 0 or not any(len(s) for s in scores):
+        aps = (0.0,) * len(AP_THRESHOLDS)
+    else:
+        ranked = np.concatenate(hits, axis=1)[:, np.argsort(-np.concatenate(scores), kind="stable")]
+        aps = tuple(_interpolated_ap(row, n_gt) for row in ranked)
+    return Evaluation(aps=aps, matched=matched, iou_sum=iou_sum)

@@ -25,7 +25,13 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig
 from .cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank, sample_crops
 from .dataset import Dataset, ImageRecord, Instance, Prediction, class_counts, split_standard
-from .filtering import FilterConfig, oracle_image_labels, two_stage_filter, two_stage_mining
+from .filtering import (
+    FilterConfig,
+    OracleNoise,
+    oracle_image_labels,
+    two_stage_filter,
+    two_stage_mining,
+)
 from .metrics import class_kld, evaluate, fg_ratio
 from .model import (
     DetectorParams,
@@ -162,18 +168,25 @@ def _pastes(config: ExperimentConfig) -> bool:
     return config.fbr and config.paste.crops_per_image > 0
 
 
-def _effective_mode(config: ExperimentConfig) -> str:
-    if not config.two_stage:
-        return "one_stage"
-    if config.filter.mode == "one_stage":
-        return "one_stage"
-    return config.filter.mode
+def _pseudo_label(
+    teacher: DetectorParams,
+    img: ImageRecord,
+    fcfg: FilterConfig,
+    oracle: OracleNoise,
+    freq: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[list[Prediction], list[Prediction]]:
+    """The teacher's predictions on ``img`` and the pseudo-labels kept of them.
 
-
-def _apply_filter(preds, image_label, fcfg: FilterConfig):
+    Only a two-stage mode draws the image's oracle label, after the detection.
+    """
+    raw = synth_detect(teacher, img, rng, class_weights=freq)
+    if fcfg.mode == "one_stage":
+        return raw, two_stage_filter(raw, None, fcfg)
+    label = oracle_image_labels(img, oracle, rng, len(freq))
     if fcfg.mode == "two_stage_mining":
-        return two_stage_mining(preds, image_label, fcfg)
-    return two_stage_filter(preds, image_label, fcfg)
+        return raw, two_stage_mining(raw, label, fcfg)
+    return raw, two_stage_filter(raw, label, fcfg)
 
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
@@ -232,8 +245,8 @@ def run_epoch(
     k = labeled.num_classes
     n_lab, n_unl = len(labeled.images), len(unlabeled.images)
     budget = config.proposal_budget
-    mode = _effective_mode(config)
-    fcfg = replace(config.filter, mode=mode)
+    # With the two_stage toggle off, filtering is by score alone.
+    fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     mixing = _pastes(config)
     labeled_counts = class_counts(labeled)
     freq = labeled_counts.astype(float)
@@ -268,13 +281,7 @@ def run_epoch(
         mixed_batch = []
         for i in batch_idx:
             img = unlabeled.images[int(i)]
-            raw = synth_detect(teacher, img, rng, class_weights=freq)
-            label = (
-                oracle_image_labels(img, config.oracle, rng, k)
-                if mode != "one_stage"
-                else None
-            )
-            kept = _apply_filter(raw, label, fcfg)
+            _, kept = _pseudo_label(teacher, img, fcfg, config.oracle, freq, rng)
             pseudo_record = ImageRecord(
                 id=img.id,
                 width=img.width,
@@ -338,13 +345,7 @@ def run_epoch(
     gts_by_image = []
     pseudo_counts = np.zeros(k, dtype=np.int64)
     for img in unlabeled.images:
-        raw = synth_detect(teacher, img, rng, class_weights=freq)
-        label = (
-            oracle_image_labels(img, config.oracle, rng, k)
-            if mode != "one_stage"
-            else None
-        )
-        kept = _apply_filter(raw, label, fcfg)
+        raw, kept = _pseudo_label(teacher, img, fcfg, config.oracle, freq, rng)
         eval_pseudo[img.id] = kept
         raw_by_image.append(raw)
         kept_by_image.append(kept)

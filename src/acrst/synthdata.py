@@ -63,8 +63,4 @@ def synthetic_dataset(
         Category(id=k, name=f"class_{k:02d}", source_id=k)
         for k in range(1, n_classes + 1)
     )
-    return Dataset(
-        images=tuple(images),
-        categories=categories,
-        labeled_flags=(True,) * n_images,
-    )
+    return Dataset(images=tuple(images), categories=categories)

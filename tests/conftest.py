@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from acrst import synthetic_dataset
+from acrst.synthdata import synthetic_dataset
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from acrst import EPOCH_CSV_COLUMNS
 from acrst.cli import main
+from acrst.simloop import EPOCH_CSV_COLUMNS
 
 METRICS = [c for c in EPOCH_CSV_COLUMNS if c != "epoch"]
 
@@ -96,6 +96,24 @@ class TestRun:
     def test_invalid_value_exits_two(self, tmp_path):
         config = write_config(tmp_path, split_fraction=1.5)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ({"paste": [1]}, "'paste'"),
+            ({"oracle": 5}, "'oracle'"),
+            ({"toggles": [1]}, "'toggles'"),
+            ({"dataset": "x"}, "'dataset'"),
+            ({"epochs": "30"}, "epochs"),
+            ({"detector": {"lr": "0.1"}}, "detector"),
+            ({"filter": {"tau_cls": None}}, "filter"),
+        ],
+    )
+    def test_ill_typed_value_named_exits_two(self, tmp_path, capsys, override, named):
+        config = write_config(tmp_path, **override)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_mismatched_oracle_tau_ml_exits_two(self, tmp_path, capsys):
         config = write_config(

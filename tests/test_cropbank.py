@@ -4,18 +4,16 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst import (
-    BBox,
+from acrst.cropbank import (
     CropBank,
     CropEntry,
     EmptyBankError,
-    Prediction,
-    SamplingDistribution,
     build_labeled_bank,
-    parse_coco_annotations,
     refresh_pseudo_bank,
     sample_crops,
 )
+from acrst.dataset import BBox, Prediction, parse_coco_annotations
+from acrst.rebalance import SamplingDistribution
 
 
 def entry(class_id, origin="labeled", score=1.0, image_id=1):

@@ -3,14 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst import (
-    BBox,
+from acrst.dataset import BBox, ImageRecord, Instance, Prediction
+from acrst.filtering import (
     FilterConfig,
     ImageLevelLabel,
-    ImageRecord,
-    Instance,
     OracleNoise,
-    Prediction,
     oracle_image_labels,
     two_stage_filter,
     two_stage_mining,

@@ -5,20 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst import (
-    BBox,
-    Instance,
-    Prediction,
-    ap_50_95,
-    average_precision,
-    box_miou,
-    class_kld,
-    fg_ratio,
-    iou,
-    match_greedy,
-    pseudo_quality,
-)
-from acrst.metrics import AP_THRESHOLDS, evaluate
+from acrst.dataset import BBox, Instance, Prediction
+from acrst.metrics import AP_THRESHOLDS, class_kld, evaluate, fg_ratio
 
 
 def gt(class_id, x, y, w, h):
@@ -29,27 +17,42 @@ def pred(class_id, x, y, w, h, score):
     return Prediction(class_id=class_id, bbox=BBox(x, y, w, h), score=score)
 
 
+def match(preds, gts, match_iou):
+    """Evaluation of one image whose predictions are all kept."""
+    return evaluate([preds], [preds], [gts], match_iou)
+
+
+def pair_iou(a, b):
+    """IoU of two same-class boxes, which match at any positive threshold."""
+    return match([Prediction(1, a, 0.9)], [Instance(1, b, 1)], 1e-12).iou_sum
+
+
+def ap(preds_by_image, gts_by_image):
+    """Evaluation of the raw predictions only, for their APs."""
+    return evaluate(preds_by_image, [[] for _ in preds_by_image], gts_by_image, 0.5)
+
+
 class TestIou:
     def test_one_seventh(self):
         # Two 2x2 boxes overlapping in a unit square: 1 / (4 + 4 - 1).
         a = BBox(0, 0, 2, 2)
         b = BBox(1, 1, 2, 2)
-        assert math.isclose(iou(a, b), 1 / 7, abs_tol=1e-12)
+        assert math.isclose(pair_iou(a, b), 1 / 7, abs_tol=1e-12)
 
     def test_identity(self):
         a = BBox(3, 4, 5, 6)
-        assert iou(a, a) == 1.0
+        assert pair_iou(a, a) == 1.0
 
     def test_disjoint(self):
-        assert iou(BBox(0, 0, 1, 1), BBox(5, 5, 1, 1)) == 0.0
+        assert match([pred(1, 0, 0, 1, 1, 0.9)], [gt(1, 5, 5, 1, 1)], 1e-12).matched == 0
 
     def test_touching(self):
-        assert iou(BBox(0, 0, 2, 2), BBox(2, 0, 2, 2)) == 0.0
+        assert match([pred(1, 0, 0, 2, 2, 0.9)], [gt(1, 2, 0, 2, 2)], 1e-12).matched == 0
 
     def test_symmetric(self):
         a = BBox(0, 0, 4, 4)
         b = BBox(2, 1, 5, 2)
-        assert iou(a, b) == iou(b, a)
+        assert pair_iou(a, b) == pair_iou(b, a)
 
 
 class TestMatching:
@@ -59,51 +62,52 @@ class TestMatching:
             pred(1, 1, 0, 10, 10, score=0.5),
             pred(1, 0, 0, 10, 10, score=0.9),
         ]
-        result = match_greedy(preds, gts, iou_thr=0.5)
-        # The 0.9 prediction matches first and takes gt 0 exactly.
-        assert result.pairs[0][:2] == (1, 0)
-        assert result.pairs[0][2] == 1.0
-        assert result.unmatched_preds == (0,)
-        assert result.unmatched_gts == (1,)
+        # The 0.9 prediction matches first and takes gt 0 exactly; the 0.5
+        # one, which would have matched it, is left over.
+        result = match(preds, gts, 0.5)
+        assert (result.matched, result.iou_sum) == (1, 1.0)
 
     def test_class_aware_blocks_cross_class(self):
         gts = [gt(2, 0, 0, 10, 10)]
         preds = [pred(1, 0, 0, 10, 10, score=0.9)]
-        result = match_greedy(preds, gts, iou_thr=0.5, class_aware=True)
-        assert result.pairs == ()
-        result = match_greedy(preds, gts, iou_thr=0.5, class_aware=False)
-        assert len(result.pairs) == 1
+        assert match(preds, gts, 0.5).matched == 0
+        assert match(preds, [gt(1, 0, 0, 10, 10)], 0.5).matched == 1
 
     def test_one_to_one(self):
         gts = [gt(1, 0, 0, 10, 10)]
         preds = [pred(1, 0, 0, 10, 10, 0.9), pred(1, 1, 1, 10, 10, 0.8)]
-        result = match_greedy(preds, gts, iou_thr=0.3)
-        assert len(result.pairs) == 1
-        assert result.unmatched_preds == (1,)
+        result = match(preds, gts, 0.3)
+        assert (result.matched, result.iou_sum) == (1, 1.0)
 
     def test_iou_tie_takes_lower_gt_index(self):
-        gts = [gt(1, 0, 0, 10, 10), gt(1, 0, 0, 10, 10)]
-        preds = [pred(1, 0, 0, 10, 10, 0.9)]
-        result = match_greedy(preds, gts, iou_thr=0.5)
-        assert result.pairs == ((0, 0, 1.0),)
+        # The first prediction is at IoU 0.5 with both halves of its box. It
+        # claims the lower index, the top half, which leaves the bottom half
+        # to the second prediction, an exact copy of it.
+        gts = [gt(1, 0, 0, 10, 5), gt(1, 0, 5, 10, 5)]
+        preds = [pred(1, 0, 0, 10, 10, 0.9), pred(1, 0, 5, 10, 5, 0.8)]
+        result = match(preds, gts, 0.5)
+        assert (result.matched, result.iou_sum) == (2, 1.5)
+        # Swapping the halves leaves the copy's ground truth claimed.
+        result = match(preds, gts[::-1], 0.5)
+        assert (result.matched, result.iou_sum) == (1, 0.5)
 
     def test_score_tie_takes_lower_pred_index(self):
         gts = [gt(1, 0, 0, 10, 10)]
-        preds = [pred(1, 0, 0, 10, 10, 0.7), pred(1, 0, 0, 10, 10, 0.7)]
-        result = match_greedy(preds, gts, iou_thr=0.5)
-        assert result.pairs == ((0, 0, 1.0),)
+        exact, short = pred(1, 0, 0, 10, 10, 0.7), pred(1, 0, 0, 10, 8, 0.7)
+        assert match([exact, short], gts, 0.5).iou_sum == 1.0
+        assert match([short, exact], gts, 0.5).iou_sum == 0.8
 
     def test_below_threshold_not_matched(self):
         gts = [gt(1, 0, 0, 2, 2)]
         preds = [pred(1, 1, 1, 2, 2, 0.9)]
-        assert match_greedy(preds, gts, iou_thr=0.5).pairs == ()
-        assert len(match_greedy(preds, gts, iou_thr=1 / 7).pairs) == 1
+        assert match(preds, gts, 0.5).matched == 0
+        assert match(preds, gts, 1 / 7).matched == 1
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            match_greedy([], [], iou_thr=0.0)
+            evaluate([], [], [], 0.0)
         with pytest.raises(ValueError):
-            match_greedy([], [], iou_thr=1.1)
+            evaluate([], [], [], 1.1)
 
 
 class TestPseudoQuality:
@@ -119,14 +123,8 @@ class TestPseudoQuality:
             pred(1, 20, 0, 10, 10, 0.8),
             pred(2, 80, 0, 10, 10, 0.7),
         ]
-        accuracy, recall = pseudo_quality(preds, gts, iou_thr=0.5)
-        assert math.isclose(accuracy, 2 / 3, abs_tol=1e-12)
-        assert math.isclose(recall, 0.5, abs_tol=1e-12)
-
-    def test_vacuous_cases(self):
-        assert pseudo_quality([], [gt(1, 0, 0, 5, 5)]) == (1.0, 0.0)
-        assert pseudo_quality([pred(1, 0, 0, 5, 5, 0.9)], []) == (0.0, 1.0)
-        assert pseudo_quality([], []) == (1.0, 1.0)
+        # 2 of 3 kept predictions match, and 2 of 4 ground truths.
+        assert match(preds, gts, 0.5).matched == 2
 
 
 class TestFgRatio:
@@ -184,26 +182,27 @@ class TestBoxMiou:
             pred(1, 0, 0, 10, 10, 0.9),
             pred(1, 20, 0, 10, 8, 0.8),
         ]
-        expected = (1.0 + 0.8) / 2
-        assert math.isclose(box_miou(preds, gts, iou_thr=0.5), expected, abs_tol=1e-12)
+        result = match(preds, gts, 0.5)
+        assert math.isclose(result.iou_sum / result.matched, (1.0 + 0.8) / 2, abs_tol=1e-12)
 
     def test_no_matches_reports_zero(self):
-        assert box_miou([], [gt(1, 0, 0, 5, 5)]) == 0.0
-        assert box_miou([pred(1, 50, 50, 5, 5, 0.9)], [gt(1, 0, 0, 5, 5)]) == 0.0
+        for preds in ([], [pred(1, 50, 50, 5, 5, 0.9)]):
+            result = match(preds, [gt(1, 0, 0, 5, 5)], 0.5)
+            assert (result.matched, result.iou_sum) == (0, 0.0)
 
 
 class TestAveragePrecision:
     def test_perfect_detection(self):
         gts = [[gt(1, 0, 0, 10, 10)]]
         preds = [[pred(1, 0, 0, 10, 10, 0.9)]]
-        assert average_precision(preds, gts, iou_thr=0.5) == 1.0
+        assert ap(preds, gts).ap50 == 1.0
 
     def test_half_recall_is_near_half(self):
         gts = [[gt(1, 0, 0, 10, 10), gt(1, 20, 0, 10, 10)]]
         preds = [[pred(1, 0, 0, 10, 10, 0.9)]]
-        ap = average_precision(preds, gts, iou_thr=0.5)
-        assert math.isclose(ap, 51 / 101, abs_tol=1e-12)
-        assert abs(ap - 0.5) < 0.01
+        ap50 = ap(preds, gts).ap50
+        assert math.isclose(ap50, 51 / 101, abs_tol=1e-12)
+        assert abs(ap50 - 0.5) < 0.01
 
     def test_tp_fp_tp_envelope(self):
         # Ranked TP, FP, TP over two ground truths: envelope gives
@@ -216,13 +215,13 @@ class TestAveragePrecision:
                 pred(1, 20, 0, 10, 10, 0.7),
             ]
         ]
-        ap = average_precision(preds, gts, iou_thr=0.5)
         expected = (51 * 1.0 + 50 * (2 / 3)) / 101
-        assert math.isclose(ap, expected, abs_tol=1e-12)
+        assert math.isclose(ap(preds, gts).ap50, expected, abs_tol=1e-12)
 
     def test_no_ground_truth_is_zero(self):
-        assert average_precision([[pred(1, 0, 0, 5, 5, 0.9)]], [[]], 0.5) == 0.0
-        assert average_precision([], [], 0.5) == 0.0
+        zeros = (0.0,) * len(AP_THRESHOLDS)
+        assert ap([[pred(1, 0, 0, 5, 5, 0.9)]], [[]]).aps == zeros
+        assert ap([], []).aps == zeros
 
     def test_pooled_across_images(self):
         # Splitting the same predictions across images changes nothing when
@@ -230,8 +229,8 @@ class TestAveragePrecision:
         g1, g2 = gt(1, 0, 0, 10, 10), gt(1, 20, 0, 10, 10)
         p1 = pred(1, 0, 0, 10, 10, 0.9)
         p2 = pred(1, 50, 0, 10, 10, 0.8)
-        pooled = average_precision([[p1, p2]], [[g1, g2]], 0.5)
-        split = average_precision([[p1], [p2]], [[g1], [g2]], 0.5)
+        pooled = ap([[p1, p2]], [[g1, g2]]).ap50
+        split = ap([[p1], [p2]], [[g1], [g2]]).ap50
         assert math.isclose(pooled, split, abs_tol=1e-12)
 
     def test_order_invariance_within_image(self):
@@ -243,36 +242,36 @@ class TestAveragePrecision:
             pred(1, 40, 2, 10, 10, 0.8),
             pred(2, 70, 0, 10, 10, 0.4),
         ]
-        reference = average_precision([base], gts, 0.5)
+        reference = ap([base], gts).ap50
         for _ in range(10):
             shuffled = list(base)
             rng.shuffle(shuffled)
-            assert math.isclose(
-                average_precision([shuffled], gts, 0.5), reference, abs_tol=1e-12
-            )
+            assert math.isclose(ap([shuffled], gts).ap50, reference, abs_tol=1e-12)
 
     def test_misaligned_image_lists(self):
         with pytest.raises(ValueError):
-            average_precision([[]], [], 0.5)
+            evaluate([[]], [[]], [], 0.5)
 
 
 class TestAp5095:
     def test_perfect_is_one(self):
         gts = [[gt(1, 0, 0, 10, 10)]]
         preds = [[pred(1, 0, 0, 10, 10, 0.9)]]
-        assert ap_50_95(preds, gts) == 1.0
+        assert ap(preds, gts).ap5095 == 1.0
 
     def test_iou_point_eight_passes_seven_thresholds(self):
         # A single pair at IoU exactly 0.8 counts at 0.50 through 0.80.
         gts = [[gt(1, 0, 0, 10, 10)]]
         preds = [[pred(1, 0, 0, 10, 8, 0.9)]]
-        assert math.isclose(ap_50_95(preds, gts), 0.7, abs_tol=1e-12)
+        result = ap(preds, gts)
+        assert result.aps == (1.0,) * 7 + (0.0,) * 3
+        assert math.isclose(result.ap5095, 0.7, abs_tol=1e-12)
 
     def test_tighter_boxes_score_higher(self):
         gts = [[gt(1, 0, 0, 10, 10)]]
         loose = [[pred(1, 0, 0, 10, 6, 0.9)]]
         tight = [[pred(1, 0, 0, 10, 9, 0.9)]]
-        assert ap_50_95(tight, gts) > ap_50_95(loose, gts)
+        assert ap(tight, gts).ap5095 > ap(loose, gts).ap5095
 
 
 # Reference oracle: the per-threshold matching and AP that the one-pass
@@ -405,14 +404,11 @@ class TestOnePassEquivalence:
         assert result.aps == expected_aps
         assert result.ap50 == _ref_average_precision(raw, gts, 0.5)
         assert result.ap5095 == _ref_ap_50_95(raw, gts)
-        assert [average_precision(raw, gts, t) for t in AP_THRESHOLDS] == list(expected_aps)
-        assert ap_50_95(raw, gts) == _ref_ap_50_95(raw, gts)
 
         matched = 0
         iou_sum = 0.0
         for k, g in zip(kept, gts):
             pairs = _ref_match(k, g, match_iou)
-            assert match_greedy(k, g, match_iou).pairs == tuple(pairs)
             matched += len(pairs)
             iou_sum += sum(v for _, _, v in pairs)
         assert result.matched == matched
@@ -420,14 +416,16 @@ class TestOnePassEquivalence:
 
     def test_half_iou_scene(self):
         raw, gts = _HALF_IOU_SCENE
-        assert iou(raw[0][0].bbox, gts[0][0].bbox) == 0.5
+        assert pair_iou(raw[0][0].bbox, gts[0][0].bbox) == 0.5
         # At 0.5 the 10x5 box claims ground truth 0 (the lower of two equal
         # IoUs), the first duplicate takes ground truth 1, and the touching
-        # box matches nothing.
-        assert match_greedy(raw[0], gts[0], 0.5).pairs == ((0, 0, 0.5), (1, 1, 1.0))
-        assert match_greedy(raw[0], gts[0], 0.55).pairs == ((1, 0, 1.0), (2, 1, 1.0))
+        # box matches nothing. At 0.55 both duplicates match exactly.
+        assert _ref_match(raw[0], gts[0], 0.5) == [(0, 0, 0.5), (1, 1, 1.0)]
+        assert _ref_match(raw[0], gts[0], 0.55) == [(1, 0, 1.0), (2, 1, 1.0)]
         result = evaluate(raw, raw, gts, 0.5)
         assert (result.matched, result.iou_sum) == (2, 1.5)
+        result = evaluate(raw, raw, gts, 0.55)
+        assert (result.matched, result.iou_sum) == (2, 2.0)
 
     def test_kept_must_be_a_subset_of_raw(self):
         raw = [pred(1, 0, 0, 10, 10, 0.9)]

@@ -6,20 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst import (
-    BBox,
+from acrst.dataset import BBox, ImageRecord, Instance
+from acrst.metrics import evaluate
+from acrst.model import (
+    CONFUSION_FLOOR,
+    PARTIAL_FLOOR,
     DetectorParams,
-    ImageRecord,
-    Instance,
     LossBreakdown,
+    _draw_weighted,
     batch_loss,
     ema_update,
-    iou,
     smooth_l1,
     student_update,
     synth_detect,
 )
-from acrst.model import CONFUSION_FLOOR, PARTIAL_FLOOR, _draw_weighted
 
 
 def params(
@@ -114,7 +114,9 @@ class TestSynthDetect:
         assert len(preds) == 2
         for p, g in zip(preds, rec.ground_truth):
             assert p.class_id == g.class_id
-            assert math.isclose(iou(p.bbox, g.bbox), 1.0, abs_tol=1e-9)
+            # The IoU of the pair, which matches at any positive threshold.
+            iou = evaluate([[p]], [[p]], [[g]], match_iou=1e-12).iou_sum
+            assert math.isclose(iou, 1.0, abs_tol=1e-9)
             assert p.score >= 0.85
 
     def test_zero_skill_emits_nothing(self):

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst import (
+from acrst.cropbank import CropEntry
+from acrst.dataset import BBox, ImageRecord, Instance
+from acrst.rebalance import (
     LABELED_ABSENT_PR,
-    BBox,
     ClassStats,
-    CropEntry,
-    ImageRecord,
-    Instance,
     MixedRecord,
     PasteConfig,
     PastePlacement,

@@ -5,28 +5,22 @@ import math
 
 import pytest
 
-from acrst import (
+from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
+from acrst.cropbank import build_labeled_bank
+from acrst.dataset import Dataset, class_counts, parse_coco_annotations, split_standard
+from acrst.filtering import FilterConfig, OracleNoise
+from acrst.model import LossBreakdown
+from acrst.rebalance import SamplingDistribution, affr_distribution
+from acrst.seeding import derive_seed, substream
+from acrst.simloop import (
     EPOCH_CSV_COLUMNS,
-    ConfigError,
-    DetectorConfig,
     EpochTrace,
-    ExperimentConfig,
     LoopState,
-    LossBreakdown,
-    OracleNoise,
-    SamplingDistribution,
-    affr_distribution,
-    build_labeled_bank,
-    class_counts,
-    derive_seed,
-    parse_coco_annotations,
     pretrain,
     run_epoch,
     run_experiment,
-    split_standard,
-    substream,
-    synthetic_dataset,
 )
+from acrst.synthdata import synthetic_dataset
 
 
 def one_image_coco():
@@ -198,13 +192,25 @@ class TestToggleMechanics:
         open_gate = run_experiment(quick_config(oracle=oracle, two_stage=False), corpus)
         assert all(t.n_pseudo == 0 for t in gated.traces)
         assert any(t.n_pseudo > 0 for t in open_gate.traces)
+        # With nothing kept, accuracy is vacuously 1 and no pair has an IoU.
+        for t in gated.traces:
+            assert (t.pseudo_acc, t.pseudo_rec, t.box_miou) == (1.0, 0.0, 0.0)
+        # Recall is vacuously 1 as well where the unlabeled side has no truth:
+        # every annotation sits on image 1, and this split labels it.
+        no_truth = parse_coco_annotations(json.dumps(one_image_coco()))
+        seed = next(
+            s for s in range(50)
+            if class_counts(split_standard(no_truth, 0.25, derive_seed(s, "split"))[0]).sum()
+        )
+        blind = run_experiment(quick_config(seed=seed, oracle=oracle), no_truth)
+        assert blind.traces
+        for t in blind.traces:
+            assert (t.n_pseudo, t.pseudo_acc, t.pseudo_rec, t.box_miou) == (0, 1.0, 1.0, 0.0)
 
     def test_mining_keeps_low_score_correct_predictions(self, corpus):
         # Low starting skill puts scores under tau_cls; a perfect oracle then
         # feeds the OR variant but not the AND variant.
         from dataclasses import replace
-
-        from acrst import FilterConfig
 
         detector = DetectorConfig(initial_recall_skill=0.35, lr=0.2, ema_alpha=0.7)
         oracle = OracleNoise(fn_rate=0.0, fp_rate=0.0)
@@ -255,34 +261,26 @@ class TestZeroRecallWarning:
 class TestPretrain:
     def test_improves_recall(self, corpus):
         config = quick_config()
-        from acrst import derive_seed, split_standard
-
         labeled, _ = split_standard(corpus, 0.25, derive_seed(3, "split"))
         params = pretrain(config, labeled, substream(3, "pretrain"))
         assert all(s > 0.7 for s in params.recall_skill)
 
     def test_zero_epochs_returns_initial(self, corpus):
         config = quick_config(epochs=0, pretrain_epochs=0)
-        from acrst import derive_seed, split_standard
-
         labeled, _ = split_standard(corpus, 0.25, derive_seed(3, "split"))
         params = pretrain(config, labeled, substream(3, "pretrain"))
         assert params == config.detector.build(labeled.num_classes)
 
     def test_empty_labeled_raises(self, corpus):
-        from acrst import Dataset
-
-        empty = Dataset(images=(), categories=corpus.categories, labeled_flags=())
+        empty = Dataset(images=(), categories=corpus.categories)
         with pytest.raises(ConfigError):
             pretrain(quick_config(), empty, substream(0, "pretrain"))
 
 
 class TestRunExperimentGuards:
     def test_empty_dataset(self):
-        from acrst import Dataset
-
         with pytest.raises(ConfigError):
-            run_experiment(quick_config(), Dataset(images=(), categories=(), labeled_flags=()))
+            run_experiment(quick_config(), Dataset(images=(), categories=()))
 
     def test_labeled_split_without_instances(self):
         # Every annotation sits on image 1; find a seed whose split leaves it
