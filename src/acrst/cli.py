@@ -102,16 +102,20 @@ def _sweep_plan(raw_config: dict) -> tuple[list[dict], list[int] | None]:
     if unknown:
         raise _UsageError(f"unknown sweep key '{sorted(unknown)[0]}'")
     runs = sweep.get("runs")
-    if not runs:
+    if not isinstance(runs, list) or not runs:
         raise _UsageError("sweep.runs must be a non-empty list")
     for i, spec in enumerate(runs):
         if not isinstance(spec, dict) or "name" not in spec:
             raise _UsageError(f"sweep.runs[{i}] needs a 'name'")
         if set(spec) - {"name", "toggles"}:
             raise _UsageError(f"sweep.runs[{i}] allows only 'name' and 'toggles'")
+        # Toggle values are checked per run by with_toggles, as failed rows.
+        if not isinstance(spec.get("toggles"), (dict, type(None))):
+            raise _UsageError(f"sweep.runs[{i}].toggles must be a JSON object or null")
     seeds = sweep.get("seeds")
     if seeds is not None and (
-        not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds)
+        not isinstance(seeds, list)
+        or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
     ):
         raise _UsageError("sweep.seeds must be a list of integers")
     return runs, seeds

@@ -1,14 +1,16 @@
-"""Experiment configuration: defaults, strict dict parsing and echoing.
+"""Experiment configuration: defaults, one schema table, parsing and echoing.
 
-Config files are UTF-8 JSON with lower_snake keys. Unknown keys raise
-:class:`ConfigError` naming the key, and every parsed config can be echoed
-back into a plain dict with all defaults filled in.
+Config files are UTF-8 JSON with lower_snake keys. :data:`SCHEMA` gives every
+key its JSON type and range; :func:`config_from_dict` checks each key against
+it once, then the cross-key rules, and raises :class:`ConfigError` naming the
+key. Every parsed config can be echoed back into a plain dict with all
+defaults filled in.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields, replace
+import sys
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from .filtering import FilterConfig, OracleNoise
@@ -39,14 +41,6 @@ class DetectorConfig:
     lr: float = 0.1
     ema_alpha: float = 0.999
 
-    def __post_init__(self) -> None:
-        if self.lr <= 0.0 or self.lr >= 1.0:
-            raise ConfigError(f"detector.lr must be in (0, 1), got {self.lr}")
-        if not 0.0 <= self.ema_alpha <= 1.0:
-            raise ConfigError(
-                f"detector.ema_alpha must be in [0, 1], got {self.ema_alpha}"
-            )
-
     def build(self, n_classes: int) -> DetectorParams:
         skill = self.initial_recall_skill
         if isinstance(skill, (int, float)):
@@ -58,17 +52,14 @@ class DetectorConfig:
                     "detector.initial_recall_skill list must have "
                     f"{n_classes} entries, got {len(recall)}"
                 )
-        try:
-            return DetectorParams(
-                recall_skill=recall,
-                confusion_rate=self.confusion_rate,
-                loc_skill=self.loc_skill,
-                partial_rate=self.partial_rate,
-                fp_rate=self.fp_rate,
-                confidence_sharpness=self.confidence_sharpness,
-            )
-        except ValueError as e:
-            raise ConfigError(f"detector: {e}") from e
+        return DetectorParams(
+            recall_skill=recall,
+            confusion_rate=self.confusion_rate,
+            loc_skill=self.loc_skill,
+            partial_rate=self.partial_rate,
+            fp_rate=self.fp_rate,
+            confidence_sharpness=self.confidence_sharpness,
+        )
 
 
 @dataclass(frozen=True)
@@ -88,14 +79,6 @@ class DatasetConfig:
     max_box: float = 160.0
     # file source
     path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.type not in ("synthetic", "coco_json"):
-            raise ConfigError(
-                f"dataset.type must be 'synthetic' or 'coco_json', got {self.type!r}"
-            )
-        if self.type == "coco_json" and not self.path:
-            raise ConfigError("dataset.path is required for a coco_json dataset")
 
 
 @dataclass(frozen=True)
@@ -123,171 +106,179 @@ class ExperimentConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     oracle: OracleNoise = field(default_factory=OracleNoise)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(
-                f"split_fraction must be in (0, 1), got {self.split_fraction}"
-            )
-        if self.pretrain_epochs < 0 or self.epochs < self.pretrain_epochs:
-            raise ConfigError("need epochs >= pretrain_epochs >= 0")
-        if self.labeled_batch < 1 or self.unlabeled_batch < 1:
-            raise ConfigError("batch sizes must be at least 1")
-        if self.batches_per_epoch < 1:
-            raise ConfigError("batches_per_epoch must be at least 1")
-        if self.lambda_unsup < 0.0:
-            raise ConfigError(f"lambda_unsup must be non-negative, got {self.lambda_unsup}")
-        if self.refresh_period < 1:
-            raise ConfigError(f"refresh_period must be at least 1, got {self.refresh_period}")
-        if self.proposal_budget < 1:
-            raise ConfigError("proposal_budget must be at least 1")
-        if not 0.0 < self.match_iou <= 1.0:
-            raise ConfigError(f"match_iou must be in (0, 1], got {self.match_iou}")
-
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict echo of the full effective configuration."""
-        out: dict[str, Any] = {
-            "seed": self.seed,
-            "split_fraction": self.split_fraction,
-            "epochs": self.epochs,
-            "pretrain_epochs": self.pretrain_epochs,
-            "labeled_batch": self.labeled_batch,
-            "unlabeled_batch": self.unlabeled_batch,
-            "batches_per_epoch": self.batches_per_epoch,
-            "lambda_unsup": self.lambda_unsup,
-            "refresh_period": self.refresh_period,
-            "proposal_budget": self.proposal_budget,
-            "match_iou": self.match_iou,
-            "toggles": {name: getattr(self, name) for name in TOGGLES},
-            "dataset": _dataclass_dict(self.dataset),
-            "paste": _dataclass_dict(self.paste),
-            "filter": _dataclass_dict(self.filter),
-            "detector": _dataclass_dict(self.detector),
-            "oracle": _dataclass_dict(self.oracle),
-        }
-        skill = out["detector"]["initial_recall_skill"]
-        if isinstance(skill, tuple):
-            out["detector"]["initial_recall_skill"] = list(skill)
+        out = asdict(self)
+        out["toggles"] = {name: out.pop(name) for name in TOGGLES}
         return out
 
     def with_toggles(self, **toggles: bool) -> "ExperimentConfig":
-        for name in toggles:
-            if name not in TOGGLES:
-                raise ConfigError(f"unknown toggle '{name}'")
+        """A copy with the named toggles set, each checked against :data:`SCHEMA`."""
+        for name, value in toggles.items():
+            _check(f"toggles.{name}", value)
         return replace(self, **toggles)
 
 
-def _dataclass_dict(obj: Any) -> dict[str, Any]:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key '{key}' in {where}")
-
-
-def _section(data: dict, name: str) -> dict:
-    """A copy of the ``name`` section of ``data``; absent or null is empty."""
-    section = data.get(name)
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError(
-            f"config section '{name}' must be a JSON object, got {type(section).__name__}"
-        )
-    return dict(section)
-
-
-def _build_section(cls, data: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    _check_keys(data, allowed, where)
-    if cls is DetectorConfig and isinstance(data.get("initial_recall_skill"), list):
-        data["initial_recall_skill"] = tuple(data["initial_recall_skill"])
-    try:
-        return cls(**data)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-# Top-level numbers: key -> "int" or "float", the field's annotation.
-_SCALARS = {f.name: f.type for f in fields(ExperimentConfig) if f.type in ("int", "float")}
-
-
-def _scalar(key: str, value: Any) -> int | float:
-    """``value`` if it is a finite JSON number of the kind ``key`` takes."""
-    kinds = int if _SCALARS[key] == "int" else (int, float)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, kinds)
-        or (isinstance(value, float) and not math.isfinite(value))
-    ):
-        what = "an integer" if kinds is int else "a finite number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    return value
-
-
-_TOP_LEVEL_KEYS = {
-    "seed",
-    "split_fraction",
-    "epochs",
-    "pretrain_epochs",
-    "labeled_batch",
-    "unlabeled_batch",
-    "batches_per_epoch",
-    "lambda_unsup",
-    "refresh_period",
-    "proposal_budget",
-    "match_iou",
-    "toggles",
-    "dataset",
-    "paste",
-    "filter",
-    "detector",
-    "oracle",
-    "sweep",  # consumed by the sweep command, not by the run itself
+# Every key's JSON type and range; section keys are written "section.key".
+# A type "a | b" takes either kind. "number" is a finite int or float, never
+# a boolean, and "list of number" checks the range on each item. A range is
+# an interval, the allowed strings joined by " | ", or "-" for none. Values
+# are never coerced: an int given for a number key stays an int.
+SCHEMA: dict[str, tuple[str, str]] = {
+    "seed": ("int", "(-inf, inf)"),
+    "split_fraction": ("number", "(0, 1)"),
+    "epochs": ("int", "[0, inf)"),
+    "pretrain_epochs": ("int", "[0, inf)"),
+    "labeled_batch": ("int", "[1, inf)"),
+    "unlabeled_batch": ("int", "[1, inf)"),
+    "batches_per_epoch": ("int", "[1, inf)"),
+    "lambda_unsup": ("number", "[0, inf)"),
+    "refresh_period": ("int", "[1, inf)"),
+    "proposal_budget": ("int", "[1, inf)"),
+    "match_iou": ("number", "(0, 1]"),
+    **{f"toggles.{name}": ("bool", "-") for name in TOGGLES},
+    "dataset.type": ("string", "synthetic | coco_json"),
+    "dataset.images": ("int", "[1, inf)"),
+    "dataset.classes": ("int", "[1, inf)"),
+    "dataset.seed": ("int | null", "[0, inf)"),
+    "dataset.skew": ("number", "(0, 1]"),
+    "dataset.width": ("number", "(0, inf)"),
+    "dataset.height": ("number", "(0, inf)"),
+    "dataset.mean_extra_instances": ("number", "[0, inf)"),
+    "dataset.min_box": ("number", "(0, inf)"),
+    "dataset.max_box": ("number", "(0, inf)"),
+    "dataset.path": ("string | null", "-"),
+    "paste.crops_per_image": ("int", "[0, inf)"),
+    "paste.rescale_min": ("number", "(0, inf)"),
+    "paste.rescale_max": ("number", "(0, inf)"),
+    "paste.occlusion_threshold": ("number", "[0, 1]"),
+    "paste.beta": ("number", "[0, inf)"),
+    "filter.tau_cls": ("number", "[0, 1]"),
+    "filter.tau_ml": ("number", "[0, 1]"),
+    "filter.mode": ("string", "one_stage | two_stage_filtering | two_stage_mining"),
+    "detector.initial_recall_skill": ("number | list of number", "[0, 1]"),
+    "detector.confusion_rate": ("number", "[0, 1]"),
+    "detector.loc_skill": ("number", "[0, 1]"),
+    "detector.partial_rate": ("number", "[0, 1]"),
+    "detector.fp_rate": ("number", "[0, inf)"),
+    "detector.confidence_sharpness": ("number", "(0, inf)"),
+    "detector.lr": ("number", "(0, 1)"),
+    "detector.ema_alpha": ("number", "[0, 1]"),
+    "oracle.fn_rate": ("number", "[0, 1]"),
+    "oracle.fp_rate": ("number", "[0, 1]"),
+    "oracle.tau_ml": ("number", "[0, 1]"),
 }
+
+_SECTIONS = ("toggles", "dataset", "paste", "filter", "detector", "oracle")
+
+_KINDS = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    # abs() <= the largest double is false for NaN, infinities and huge ints.
+    "number": lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool)
+    and abs(v) <= sys.float_info.max,
+    "bool": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+}
+
+
+def _fits(kind: str, value: Any) -> bool:
+    item = kind.removeprefix("list of ")
+    if item != kind:
+        return isinstance(value, list) and all(_KINDS[item](v) for v in value)
+    return _KINDS[kind](value)
+
+
+def _within(value: Any, bounds: str) -> bool:
+    if value is None or bounds == "-":
+        return True
+    if isinstance(value, list):
+        return all(_within(v, bounds) for v in value)
+    if bounds[0] not in "([":
+        return value in bounds.split(" | ")
+    lo, hi = (float(b) for b in bounds[1:-1].split(","))
+    above = lo < value if bounds[0] == "(" else lo <= value
+    below = value < hi if bounds[-1] == ")" else value <= hi
+    return above and below
+
+
+def _check(key: str, value: Any) -> None:
+    """Raise :class:`ConfigError` unless ``key`` is in the table and ``value`` fits it."""
+    if key not in SCHEMA:
+        raise ConfigError(f"unknown config key '{key}'")
+    kinds, bounds = SCHEMA[key]
+    if not any(_fits(kind, value) for kind in kinds.split(" | ")) or not _within(value, bounds):
+        what = kinds if bounds == "-" else f"{kinds} in {bounds}"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
+def _check_rules(c: ExperimentConfig) -> None:
+    """The rules that tie keys together, on the config with defaults filled in."""
+    d = c.dataset
+    rules = (
+        (c.epochs >= c.pretrain_epochs, "epochs must be >= pretrain_epochs"),
+        (
+            c.paste.rescale_min <= c.paste.rescale_max,
+            "paste.rescale_min must be <= paste.rescale_max",
+        ),
+        (d.type != "coco_json" or d.path, "dataset.path is required for a coco_json dataset"),
+        (
+            d.type != "synthetic" or d.min_box <= d.max_box <= min(d.width, d.height),
+            "dataset.max_box must lie between dataset.min_box and "
+            "min(dataset.width, dataset.height) for a synthetic dataset",
+        ),
+        (
+            c.oracle.tau_ml == c.filter.tau_ml,
+            f"oracle.tau_ml ({c.oracle.tau_ml}) must equal filter.tau_ml "
+            f"({c.filter.tau_ml}); leave it out to take filter.tau_ml",
+        ),
+    )
+    for holds, message in rules:
+        if not holds:
+            raise ConfigError(message)
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a parsed config document.
 
-    Every key is checked; unknown keys raise :class:`ConfigError` naming the
-    offending key. So do a top-level number of the wrong type and a section
-    that is not a JSON object or whose values its dataclass rejects. Missing
-    keys take their defaults, except ``oracle.tau_ml``, which takes
-    ``filter.tau_ml`` and may not differ from it.
+    Every key is checked against :data:`SCHEMA`, then the cross-key rules;
+    a failure raises :class:`ConfigError` naming the key. A section must be a
+    JSON object or null, which takes the defaults. Missing keys take their
+    defaults, except ``oracle.tau_ml``, which takes ``filter.tau_ml``.
     """
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    _check_keys(data, _TOP_LEVEL_KEYS, "the top level")
-
-    toggles = _section(data, "toggles")
-    _check_keys(toggles, set(TOGGLES), "toggles")
-    for name, value in toggles.items():
-        if not isinstance(value, bool):
-            raise ConfigError(f"toggle '{name}' must be true or false")
-
-    scalars = {key: _scalar(key, data[key]) for key in _SCALARS if key in data}
-
-    filter_config = _build_section(FilterConfig, _section(data, "filter"), "filter")
+    top: dict[str, Any] = {}
+    sections: dict[str, dict[str, Any]] = {name: {} for name in _SECTIONS}
+    for key, value in data.items():
+        if key == "sweep":  # consumed by the sweep command, not by the run itself
+            continue
+        if key not in sections:
+            if "." in key:  # a section key written at the top level
+                raise ConfigError(f"unknown config key '{key}'")
+            _check(key, value)
+            top[key] = value
+        elif isinstance(value, dict):
+            for sub, item in value.items():
+                _check(f"{key}.{sub}", item)
+                # The frozen config holds a list as a tuple; both echo as a JSON list.
+                sections[key][sub] = tuple(item) if isinstance(item, list) else item
+        elif value is not None:
+            raise ConfigError(
+                f"config section '{key}' must be a JSON object, got {type(value).__name__}"
+            )
+    filter_config = FilterConfig(**sections["filter"])
     # The oracle's low band ends where the filter's image-level gate starts.
-    oracle_data = _section(data, "oracle")
-    oracle_data.setdefault("tau_ml", filter_config.tau_ml)
-    oracle = _build_section(OracleNoise, oracle_data, "oracle")
-    if oracle.tau_ml != filter_config.tau_ml:
-        raise ConfigError(
-            f"oracle.tau_ml ({oracle.tau_ml}) must equal filter.tau_ml "
-            f"({filter_config.tau_ml}); leave it out to take filter.tau_ml"
-        )
-
-    return ExperimentConfig(
-        **scalars,
-        **toggles,
-        dataset=_build_section(DatasetConfig, _section(data, "dataset"), "dataset"),
-        paste=_build_section(PasteConfig, _section(data, "paste"), "paste"),
+    sections["oracle"].setdefault("tau_ml", filter_config.tau_ml)
+    config = ExperimentConfig(
+        **top,
+        **sections["toggles"],
+        dataset=DatasetConfig(**sections["dataset"]),
+        paste=PasteConfig(**sections["paste"]),
         filter=filter_config,
-        detector=_build_section(DetectorConfig, _section(data, "detector"), "detector"),
-        oracle=oracle,
+        detector=DetectorConfig(**sections["detector"]),
+        oracle=OracleNoise(**sections["oracle"]),
     )
+    _check_rules(config)
+    return config

@@ -92,16 +92,6 @@ class PasteConfig:
     occlusion_threshold: float = 0.0
     beta: float = 2.0
 
-    def __post_init__(self) -> None:
-        if self.crops_per_image < 0:
-            raise ValueError("crops_per_image must be non-negative")
-        if not 0.0 < self.rescale_min <= self.rescale_max:
-            raise ValueError("rescale range must satisfy 0 < min <= max")
-        if not 0.0 <= self.occlusion_threshold <= 1.0:
-            raise ValueError("occlusion_threshold must be in [0, 1]")
-        if self.beta < 0.0:
-            raise ValueError("beta must be non-negative")
-
 
 @dataclass(frozen=True)
 class PastePlacement:

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -115,7 +115,7 @@ class RunReport:
             "config": self.config,
             "seed": self.seed,
             "categories": list(self.categories),
-            "epochs": [_trace_dict(t) for t in self.traces],
+            "epochs": [asdict(t) for t in self.traces],
             "summary": self.summary,
         }
 
@@ -129,38 +129,6 @@ class RunReport:
         for t in self.traces:
             writer.writerow([getattr(t, column) for column in EPOCH_CSV_COLUMNS])
         return buf.getvalue()
-
-
-def _trace_dict(t: EpochTrace) -> dict[str, Any]:
-    return {
-        "epoch": t.epoch,
-        "sup_loss": _loss_dict(t.sup_loss),
-        "unsup_loss": _loss_dict(t.unsup_loss),
-        "total_loss": t.total_loss,
-        "fg_ratio": t.fg_ratio,
-        "kld": t.kld,
-        "pseudo_acc": t.pseudo_acc,
-        "pseudo_rec": t.pseudo_rec,
-        "box_miou": t.box_miou,
-        "ap50": t.ap50,
-        "ap5095": t.ap5095,
-        "n_pseudo": t.n_pseudo,
-        "n_u": t.n_u,
-        "pr": list(t.pr),
-        "mu": list(t.mu),
-        "class_exposure": list(t.class_exposure),
-        "pasted_counts": list(t.pasted_counts),
-    }
-
-
-def _loss_dict(loss: LossBreakdown) -> dict[str, float]:
-    return {
-        "rpn_cls": loss.rpn_cls,
-        "rpn_reg": loss.rpn_reg,
-        "roi_cls": loss.roi_cls,
-        "roi_reg": loss.roi_reg,
-        "total": loss.total,
-    }
 
 
 def _pastes(config: ExperimentConfig) -> bool:

@@ -107,6 +107,15 @@ class TestRun:
             ({"epochs": "30"}, "epochs"),
             ({"detector": {"lr": "0.1"}}, "detector"),
             ({"filter": {"tau_cls": None}}, "filter"),
+            ({"dataset": {"images": "x"}}, "dataset.images"),
+            ({"dataset": {"skew": 0}}, "dataset.skew"),
+            ({"dataset": {"seed": -1}}, "dataset.seed"),
+            ({"dataset": {"max_box": 1000}}, "dataset.max_box"),
+            ({"paste": {"crops_per_image": 2.5}}, "paste.crops_per_image"),
+            ({"detector": {"confusion_rate": "x"}}, "detector.confusion_rate"),
+            ({"detector": {"initial_recall_skill": "x"}}, "detector.initial_recall_skill"),
+            ({"paste": {"crops_per_image": True}}, "paste.crops_per_image"),
+            ({"detector": {"loc_skill": True}}, "detector.loc_skill"),
         ],
     )
     def test_ill_typed_value_named_exits_two(self, tmp_path, capsys, override, named):
@@ -262,6 +271,38 @@ class TestSweep:
     def test_bad_seeds_exits_two(self, tmp_path):
         config = self.sweep_config(tmp_path, runs=[{"name": "x"}], seeds=("a",))
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "runs, named",
+        [
+            (5, "sweep.runs"),
+            ([{"name": "a", "toggles": [1]}], "sweep.runs[0].toggles"),
+            ([{"name": "a"}, {"name": "b", "toggles": "fbr"}], "sweep.runs[1].toggles"),
+        ],
+    )
+    def test_ill_typed_plan_named_exits_two(self, tmp_path, capsys, runs, named):
+        config = self.sweep_config(tmp_path, runs=runs, seeds=(1,))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_boolean_seed_exits_two(self, tmp_path):
+        config = self.sweep_config(tmp_path, runs=[{"name": "x"}], seeds=(True,))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_non_boolean_toggle_fails_its_run(self, tmp_path, capsys):
+        runs = [{"name": "strung", "toggles": {"fbr": "no"}}, {"name": "fine"}]
+        config = self.sweep_config(tmp_path, runs=runs, seeds=(1,))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert "1/2 runs succeeded" in capsys.readouterr().out
+        with (out / "summary.csv").open(encoding="utf-8", newline="") as fh:
+            rows = {row["run"]: row for row in csv.DictReader(fh)}
+        assert rows["strung"]["status"] == "failed"
+        assert "toggles.fbr" in rows["strung"]["error"]
+        assert rows["fine"]["status"] == "ok"
+        assert not (out / "strung__seed1").exists()
 
 
 class TestReport:

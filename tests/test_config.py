@@ -1,19 +1,16 @@
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acrst.config import (
-    _TOP_LEVEL_KEYS,
-    TOGGLES,
-    ConfigError,
-    DatasetConfig,
-    DetectorConfig,
-    config_from_dict,
-)
-from acrst.filtering import FilterConfig, OracleNoise
-from acrst.rebalance import PasteConfig
+from acrst.cli import _build_dataset
+from acrst.config import SCHEMA, ConfigError, ExperimentConfig, config_from_dict
+from acrst.simloop import run_experiment
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestOracleTauMl:
@@ -62,25 +59,18 @@ _JSON = st.recursive(
     max_leaves=6,
 )
 
-_SECTION_KEYS = {
-    "toggles": list(TOGGLES),
-    **{
-        name: [f.name for f in fields(cls)]
-        for name, cls in (
-            ("dataset", DatasetConfig),
-            ("paste", PasteConfig),
-            ("filter", FilterConfig),
-            ("detector", DetectorConfig),
-            ("oracle", OracleNoise),
-        )
-    },
-}
+_SECTION_KEYS: dict[str, list[str]] = {}
+for _key in SCHEMA:
+    if "." in _key:
+        _section, _name = _key.split(".")
+        _SECTION_KEYS.setdefault(_section, []).append(_name)
+_TOP_LEVEL_KEYS = [key for key in SCHEMA if "." not in key] + [*_SECTION_KEYS, "sweep"]
 
 
 @st.composite
 def _document(draw):
     """A config with one known top-level key; a section may hold known keys."""
-    key = draw(st.sampled_from(sorted(_TOP_LEVEL_KEYS)))
+    key = draw(st.sampled_from(_TOP_LEVEL_KEYS))
     value = _JSON
     if key in _SECTION_KEYS:
         value |= st.dictionaries(st.sampled_from(_SECTION_KEYS[key]), _JSON, max_size=3)
@@ -90,7 +80,7 @@ def _document(draw):
 class TestIllTypedValues:
     """Any JSON value under a known key parses or is a ConfigError, never a crash."""
 
-    @settings(max_examples=500, deadline=None)
+    @settings(derandomize=True, deadline=None, max_examples=500)
     @given(data=_document())
     def test_parses_or_raises_config_error(self, data):
         try:
@@ -107,11 +97,106 @@ class TestIllTypedValues:
             ({"epochs": 30.0}, "epochs"),
             ({"split_fraction": "0.2"}, "split_fraction"),
             ({"oracle": {"fn_rate": [0.1]}}, "oracle"),
+            ({"toggles": {"fbr": "no"}}, "toggles.fbr"),
+            ({"detector": {"initial_recall_skill": [0.5, 1.5]}}, "detector.initial_recall_skill"),
+            ({"paste": {"rescale_min": 2.0}}, "paste.rescale_min"),
+            ({"dataset": {"type": "coco_json"}}, "dataset.path"),
+            ({"epochs": 3, "pretrain_epochs": 4}, "pretrain_epochs"),
+            ({"dataset.images": 5}, "dataset.images"),
         ],
     )
     def test_named_in_the_error(self, data, named):
-        with pytest.raises(ConfigError, match=named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
             config_from_dict(data)
 
     def test_null_section_takes_the_defaults(self):
         assert config_from_dict({"paste": None}) == config_from_dict({})
+
+
+class TestSchema:
+    """One table names every config field, and README shows the same table."""
+
+    def test_every_field_has_one_table_key(self):
+        config = ExperimentConfig()
+        want = set()
+        for f in fields(config):
+            value = getattr(config, f.name)
+            if f.name in _SECTION_KEYS:
+                want |= {f"{f.name}.{sub.name}" for sub in fields(value)}
+            elif isinstance(value, bool):
+                want.add(f"toggles.{f.name}")
+            else:
+                want.add(f.name)
+        assert set(SCHEMA) == want
+
+    def test_readme_rows_equal_the_table(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip().strip("`").replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line)]
+            if len(cells) > 4 and cells[1] not in ("key", "") and not set(cells[1]) <= {"-"}:
+                rows[cells[1]] = (cells[2], cells[3])
+        assert rows == SCHEMA
+
+    def test_values_are_echoed_uncoerced(self):
+        echo = config_from_dict(
+            {"lambda_unsup": 2, "detector": {"initial_recall_skill": [0, 0.5]}}
+        ).to_dict()
+        assert echo["lambda_unsup"] == 2 and isinstance(echo["lambda_unsup"], int)
+        assert list(echo["detector"]["initial_recall_skill"]) == [0, 0.5]
+
+
+# A run small enough to take one mutual epoch in a few milliseconds.
+_TINY = {
+    "seed": 3,
+    "split_fraction": 0.25,
+    "epochs": 1,
+    "pretrain_epochs": 0,
+    "labeled_batch": 2,
+    "unlabeled_batch": 4,
+    "batches_per_epoch": 1,
+    "proposal_budget": 32,
+    "dataset": {"images": 12, "classes": 3},
+    "detector": {"initial_recall_skill": 0.6, "lr": 0.2, "ema_alpha": 0.7},
+}
+
+_SMALL_FLOATS = st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 3.0)
+_SMALL_JSON = (
+    st.integers(-2, 40)
+    | _SMALL_FLOATS
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=4)
+    | st.sampled_from(["synthetic", "coco_json", "one_stage", "two_stage_mining"])
+    | st.lists(st.integers(-2, 40) | _SMALL_FLOATS, max_size=4)
+)
+
+
+class TestEveryKeyRunsOrFails:
+    """A table key set to a small JSON value parses and runs, or is a ConfigError.
+
+    ``run_experiment`` may raise ConfigError too: its set-up rejects a split
+    with an empty side and an ``initial_recall_skill`` list of the wrong
+    length, both before the first epoch. Any other exception is a defect.
+    """
+
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(value=_SMALL_JSON)
+    def test_runs_one_epoch_or_raises_config_error(self, key, value):
+        data = {name: dict(v) if isinstance(v, dict) else v for name, v in _TINY.items()}
+        if "." in key:
+            section, name = key.split(".")
+            data.setdefault(section, {})[name] = value
+        else:
+            data[key] = value
+        try:
+            config = config_from_dict(data)
+        except ConfigError:
+            return
+        try:
+            report = run_experiment(config, _build_dataset(config))
+        except ConfigError:
+            return
+        assert len(report.traces) == config.epochs - config.pretrain_epochs

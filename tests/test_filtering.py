@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acrst.config import ConfigError, config_from_dict
 from acrst.dataset import BBox, ImageRecord, Instance, Prediction
 from acrst.filtering import (
     FilterConfig,
@@ -156,8 +157,8 @@ class TestOracle:
         assert lab.activation(2) >= 0.6
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            OracleNoise(fn_rate=1.5)
+        with pytest.raises(ConfigError, match=r"oracle\.fn_rate"):
+            config_from_dict({"oracle": {"fn_rate": 1.5}})
 
 
 def _per_class_oracle_labels(record, noise, rng, n_classes):
@@ -211,14 +212,14 @@ class TestOracleEquivalence:
 
 class TestFilterConfig:
     def test_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            FilterConfig(tau_cls=1.5)
-        with pytest.raises(ValueError):
-            FilterConfig(tau_ml=-0.1)
+        with pytest.raises(ConfigError, match=r"filter\.tau_cls"):
+            config_from_dict({"filter": {"tau_cls": 1.5}})
+        with pytest.raises(ConfigError, match=r"filter\.tau_ml"):
+            config_from_dict({"filter": {"tau_ml": -0.1}})
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            FilterConfig(mode="three_stage")
+        with pytest.raises(ConfigError, match=r"filter\.mode"):
+            config_from_dict({"filter": {"mode": "three_stage"}})
 
     def test_activation_bounds(self):
         with pytest.raises(ValueError):
