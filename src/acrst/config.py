@@ -134,7 +134,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "batches_per_epoch": ("int", "[1, inf)"),
     "lambda_unsup": ("number", "[0, inf)"),
     "refresh_period": ("int", "[1, inf)"),
-    "proposal_budget": ("int", "[1, inf)"),
+    "proposal_budget": ("int", "[1, 100000]"),
     "match_iou": ("number", "(0, 1]"),
     **{f"toggles.{name}": ("bool", "-") for name in TOGGLES},
     "dataset.type": ("string", "synthetic | coco_json"),
@@ -148,7 +148,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "dataset.min_box": ("number", "(0, inf)"),
     "dataset.max_box": ("number", "(0, inf)"),
     "dataset.path": ("string | null", "-"),
-    "paste.crops_per_image": ("int", "[0, inf)"),
+    "paste.crops_per_image": ("int", "[0, 1000]"),
     "paste.rescale_min": ("number", "(0, inf)"),
     "paste.rescale_max": ("number", "(0, inf)"),
     "paste.occlusion_threshold": ("number", "[0, 1]"),
@@ -160,7 +160,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "detector.confusion_rate": ("number", "[0, 1]"),
     "detector.loc_skill": ("number", "[0, 1]"),
     "detector.partial_rate": ("number", "[0, 1]"),
-    "detector.fp_rate": ("number", "[0, inf)"),
+    "detector.fp_rate": ("number", "[0, 100]"),
     "detector.confidence_sharpness": ("number", "(0, inf)"),
     "detector.lr": ("number", "(0, 1)"),
     "detector.ema_alpha": ("number", "[0, 1]"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,17 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return len(self.categories)
+
+    @cached_property
+    def class_counts(self) -> np.ndarray:
+        """Instance counts per class (index k-1 = class k), hidden truth included.
+
+        Counted once, since a dataset never changes, into a read-only array.
+        """
+        ids = [inst.class_id - 1 for img in self.images for inst in img.ground_truth]
+        counts = np.bincount(np.array(ids, dtype=np.int64), minlength=self.num_classes)
+        counts.flags.writeable = False
+        return counts
 
 
 def _require(record: dict, key: str, what: str):
@@ -239,12 +251,3 @@ def split_standard(
     labeled = tuple(img for i, img in enumerate(dataset.images) if i in chosen)
     unlabeled = tuple(img for i, img in enumerate(dataset.images) if i not in chosen)
     return Dataset(labeled, dataset.categories), Dataset(unlabeled, dataset.categories)
-
-
-def class_counts(dataset: Dataset) -> np.ndarray:
-    """Instance counts per class (index k-1 = class k), hidden truth included."""
-    counts = np.zeros(dataset.num_classes, dtype=np.int64)
-    for img in dataset.images:
-        for inst in img.ground_truth:
-            counts[inst.class_id - 1] += 1
-    return counts

@@ -1,8 +1,9 @@
 """Detection metrics: a one-pass evaluator of AP and pseudo-label matches,
 foreground ratio and class distribution divergence.
 
-Matching runs on one IoU matrix per image and serves every threshold from it:
-:func:`evaluate` scores a whole epoch's evaluation in one pass per image.
+:func:`evaluate` scores a whole epoch's evaluation from one IoU pass over its
+same-image, same-class pairs, and runs the greedy matcher only on the images
+where a prediction or a ground truth has two candidates.
 """
 
 from __future__ import annotations
@@ -19,23 +20,30 @@ from .dataset import Instance, Prediction
 AP_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
 
 
-def _iou_matrix(preds: Sequence[Prediction], gts: Sequence[Instance]) -> np.ndarray:
-    """Class-aware IoU of every prediction (row) with every ground truth (column).
+def _iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Class-aware IoU of (x, y, w, h, class) columns ``p`` and ``g``, broadcast.
 
     The intersection is that of :meth:`BBox.intersection`. Pairs of different
     classes are 0, which no threshold in (0, 1] matches.
     """
-    if not preds or not gts:
-        return np.zeros((len(preds), len(gts)))
-    p = np.array([(q.bbox.x, q.bbox.y, q.bbox.w, q.bbox.h, q.class_id) for q in preds], dtype=float)
-    g = np.array([(t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h, t.class_id) for t in gts], dtype=float)
-    px, py, pw, ph, pc = p.T[:, :, None]
-    gx, gy, gw, gh, gc = g.T[:, None, :]
+    px, py, pw, ph, pc = p
+    gx, gy, gw, gh, gc = g
     iw = np.minimum(px + pw, gx + gw) - np.maximum(px, gx)
     ih = np.minimum(py + ph, gy + gh) - np.maximum(py, gy)
     overlaps = (iw > 0) & (ih > 0) & (pc == gc)
     inter = np.where(overlaps, iw * ih, 0.0)
     return inter / ((pw * ph + gw * gh) - inter)
+
+
+def _same_key_pairs(p_key: np.ndarray, g_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (prediction, ground truth) index pair of equal keys, by prediction first."""
+    g_order = np.argsort(g_key, kind="stable")
+    g_sorted = g_key[g_order]
+    first = np.searchsorted(g_sorted, p_key, side="left")
+    count = np.searchsorted(g_sorted, p_key, side="right") - first
+    pair_p = np.repeat(np.arange(len(p_key)), count)
+    offset = np.repeat(first - np.cumsum(count) + count, count)
+    return pair_p, g_order[offset + np.arange(len(pair_p))]
 
 
 def _greedy(
@@ -173,36 +181,78 @@ def evaluate(
     at or above the threshold. Equal scores go by prediction index, equal IoUs
     by the lower ground-truth index.
 
-    Each image's IoU matrix is computed once. The raw predictions are matched
-    at all of :data:`AP_THRESHOLDS` on it in one pass; pooled over images and
-    ranked by a stable sort on descending score, they give each threshold's
-    101-point interpolated AP, 0.0 when there is no ground truth. The kept
-    predictions, an ordered subset of the raw ones, are matched at
-    ``match_iou`` from its rows.
+    The IoU of every same-image, same-class pair is computed in one pass. In
+    an image where no prediction and no ground truth has two pairs at or above
+    the lowest threshold, a pair matches at a threshold exactly when its IoU
+    reaches it; only the other, contested images go through the greedy
+    matcher. The raw predictions are matched at all of :data:`AP_THRESHOLDS`;
+    pooled over images and ranked by a stable sort on descending score, they
+    give each threshold's 101-point interpolated AP, 0.0 when there is no
+    ground truth. The kept predictions, an ordered subset of the raw ones, are
+    matched at ``match_iou``.
     """
     if not len(raw_by_image) == len(kept_by_image) == len(gts_by_image):
         raise ValueError("raw, kept and ground-truth image lists must align")
     if not 0.0 < match_iou <= 1.0:
         raise ValueError(f"iou threshold must be in (0, 1], got {match_iou}")
-    scores, hits = [], []
-    matched = 0
+    n_images = len(raw_by_image)
+    p_count = [len(raw) for raw in raw_by_image]
+    g_count = [len(gts) for gts in gts_by_image]
+    p_start = np.cumsum([0, *p_count]).tolist()
+    g_start = np.cumsum([0, *g_count]).tolist()
+    # The epoch's predictions and ground truths as (field, item) columns.
+    preds = np.array([(q.bbox.x, q.bbox.y, q.bbox.w, q.bbox.h, q.class_id, q.score)
+                      for raw in raw_by_image for q in raw], dtype=float).reshape(-1, 6).T
+    truths = np.array([(t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h, t.class_id)
+                       for gts in gts_by_image for t in gts], dtype=float).reshape(-1, 5).T
+    boxes, scores = preds[:5], preds[5]
+    kept = np.zeros(len(scores), dtype=bool)
+    kept[[start + i for start, kept_preds, raw in zip(p_start, kept_by_image, raw_by_image)
+          for i in _positions(kept_preds, raw)]] = True
+
+    p_image = np.repeat(np.arange(n_images), p_count)
+    g_image = np.repeat(np.arange(n_images), g_count)
+    # A same-image, same-class pair shares the key image * span + class offset.
+    classes = np.concatenate((boxes[4], truths[4])).astype(np.int64)
+    classes -= classes.min(initial=0)
+    keys = np.concatenate((p_image, g_image)) * (classes.max(initial=0) + 1) + classes
+    pair_p, pair_g = _same_key_pairs(keys[:len(scores)], keys[len(scores):])
+    ious = _iou(boxes[:, pair_p], truths[:, pair_g])
+
+    candidate = ious >= min(AP_THRESHOLDS[0], match_iou)
+    cand_p, cand_g = pair_p[candidate], pair_g[candidate]
+    contested = np.zeros(n_images, dtype=bool)
+    contested[p_image[np.bincount(cand_p, minlength=len(scores)) > 1]] = True
+    contested[g_image[np.bincount(cand_g, minlength=len(g_image)) > 1]] = True
+    # Uncontested, a prediction's one candidate is its match at every
+    # threshold its IoU reaches. A kept prediction's claimed IoU is 0.0 where
+    # it matched nothing, since a match has an IoU of at least match_iou > 0.
+    best = np.zeros(len(scores))
+    best[cand_p] = ious[candidate]
+    hits = best >= np.array(AP_THRESHOLDS)[:, None]
+    claimed_iou = np.where(kept & (best >= match_iou), best, 0.0)
+    for i in np.flatnonzero(contested).tolist():
+        a, b = p_start[i], p_start[i + 1]
+        image_ious = _iou(boxes[:, a:b, None], truths[:, None, g_start[i]:g_start[i + 1]])
+        hits[:, a:b] = _greedy(image_ious, scores[a:b], AP_THRESHOLDS)[1] >= 0
+        rows = np.array(_positions(kept_by_image[i], raw_by_image[i]), dtype=np.intp)
+        claims = _greedy(image_ious[rows], scores[a:b][rows], (match_iou,))[1][0]
+        claimed = claims >= 0
+        claimed_iou[a:b] = 0.0
+        claimed_iou[a + rows[claimed]] = image_ious[rows[claimed], claims[claimed]]
+
+    # Per-image sums in claim order, then their total: the float additions
+    # that box_miou in report.json has always been computed with.
+    matches = np.flatnonzero(claimed_iou)
+    matches = matches[np.lexsort((-scores[matches], p_image[matches]))]
+    values = claimed_iou[matches].tolist()
+    cuts = (np.flatnonzero(np.diff(p_image[matches])) + 1).tolist()
     iou_sum = 0.0
-    for raw, kept, gts in zip(raw_by_image, kept_by_image, gts_by_image):
-        ious = _iou_matrix(raw, gts)
-        scores.append(np.array([p.score for p in raw], dtype=float))
-        hits.append(_greedy(ious, scores[-1], AP_THRESHOLDS)[1] >= 0)
-        rows = _positions(kept, raw)
-        kept_ious = ious[rows]
-        order, claims = _greedy(kept_ious, scores[-1][rows], (match_iou,))
-        pairs = order[claims[0, order] >= 0]
-        matched += len(pairs)
-        # Per-image sums in claim order, then their total: the float additions
-        # that box_miou in report.json has always been computed with.
-        iou_sum += sum(kept_ious[pairs, claims[0, pairs]].tolist())
-    n_gt = sum(len(gts) for gts in gts_by_image)
-    if n_gt == 0 or not any(len(s) for s in scores):
+    for a, b in zip([0, *cuts], [*cuts, len(values)]):
+        iou_sum += sum(values[a:b])
+    if not len(g_image) or not len(scores):
         aps = (0.0,) * len(AP_THRESHOLDS)
     else:
-        ranked = np.concatenate(hits, axis=1)[:, np.argsort(-np.concatenate(scores), kind="stable")]
-        aps = tuple(_interpolated_ap(row, n_gt) for row in ranked)
-    return Evaluation(aps=aps, matched=matched, iou_sum=iou_sum)
+        ranked = hits[:, np.argsort(-scores, kind="stable")]
+        aps = tuple(_interpolated_ap(row, len(g_image)) for row in ranked)
+    return Evaluation(aps=aps, matched=len(values), iou_sum=iou_sum)

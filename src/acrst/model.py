@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +63,12 @@ class DetectorParams:
     @property
     def n_classes(self) -> int:
         return len(self.recall_skill)
+
+    @cached_property
+    def score_bases(self) -> tuple[float, ...]:
+        """Per class, the logistic in skill that detection scores center on."""
+        s = self.confidence_sharpness
+        return tuple(1.0 / (1.0 + math.exp(-s * (skill - 0.5))) for skill in self.recall_skill)
 
 
 @dataclass(frozen=True)
@@ -154,54 +161,58 @@ def synth_detect(
             raise ValueError("class_weights must be non-negative")
 
     width, height = record.width, record.height
+    random, standard_normal = rng.random, rng.standard_normal
     preds: list[Prediction] = []
+    # The doubles come in the order one scalar draw each took them, and
+    # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` makes of one.
     for inst in record.ground_truth:
         skill = params.recall_skill[inst.class_id - 1]
-        if rng.random() >= skill:
+        if random() >= skill:
             continue
         box = inst.bbox
         noise_scale = (1.0 - params.loc_skill) * 0.1 * min(box.w, box.h)
-        dx, dy, dw, dh = rng.normal(0.0, 1.0, size=4) * noise_scale
-        x, y = box.x + dx, box.y + dy
-        w = max(box.w + dw, _MIN_SIDE)
-        h = max(box.h + dh, _MIN_SIDE)
-        if rng.random() < params.partial_rate:
-            area_frac = rng.uniform(0.4, 0.7)
-            frac_w = rng.uniform(area_frac, 1.0)
+        dx, dy, dw, dh = standard_normal(4).tolist()
+        x, y = box.x + dx * noise_scale, box.y + dy * noise_scale
+        w = max(box.w + dw * noise_scale, _MIN_SIDE)
+        h = max(box.h + dh * noise_scale, _MIN_SIDE)
+        if random() < params.partial_rate:
+            u_area, u_w, u_x, u_y = random(4).tolist()
+            area_frac = 0.4 + (0.7 - 0.4) * u_area
+            frac_w = area_frac + (1.0 - area_frac) * u_w
             frac_h = area_frac / frac_w
             new_w, new_h = w * frac_w, h * frac_h
-            x = x + rng.uniform(0.0, w - new_w)
-            y = y + rng.uniform(0.0, h - new_h)
-            w, h = new_w, new_h
+            x, y, w, h = x + (w - new_w) * u_x, y + (h - new_h) * u_y, new_w, new_h
         class_id = inst.class_id
-        if rng.random() < params.confusion_rate and k > 1:
+        if random() < params.confusion_rate and k > 1:
             class_id = _draw_weighted(rng, weights, exclude=inst.class_id)
-        score_base = 1.0 / (1.0 + math.exp(-params.confidence_sharpness * (skill - 0.5)))
-        score = min(1.0, max(0.0, score_base + rng.uniform(-0.1, 0.1)))
+        score_base = params.score_bases[inst.class_id - 1]
+        score = min(1.0, max(0.0, score_base + (-0.1 + (0.1 - (-0.1)) * random())))
         clipped = _clip_box(x, y, w, h, width, height)
-        preds.append(Prediction(class_id=class_id, bbox=clipped, score=float(score)))
+        preds.append(Prediction(class_id=class_id, bbox=clipped, score=score))
 
     for _ in range(rng.poisson(params.fp_rate)):
         class_id = _draw_weighted(rng, weights)
-        w = rng.uniform(0.05, 0.4) * width
-        h = rng.uniform(0.05, 0.4) * height
-        x = rng.uniform(0.0, width - w)
-        y = rng.uniform(0.0, height - h)
-        score = float(rng.uniform(0.3, 0.8))
-        preds.append(
-            Prediction(class_id=class_id, bbox=BBox(x, y, w, h), score=score)
-        )
+        u_w, u_h, u_x, u_y, u_score = random(5).tolist()
+        w = (0.05 + (0.4 - 0.05) * u_w) * width
+        h = (0.05 + (0.4 - 0.05) * u_h) * height
+        x, y = (width - w) * u_x, (height - h) * u_y
+        score = 0.3 + (0.8 - 0.3) * u_score
+        preds.append(Prediction(class_id=class_id, bbox=BBox(x, y, w, h), score=score))
     return preds
 
 
 def _clip_box(
     x: float, y: float, w: float, h: float, width: float, height: float
 ) -> BBox:
-    """Clip to the image, keeping a minimal positive extent inside bounds."""
-    x1 = min(max(x, 0.0), width - _MIN_SIDE)
-    y1 = min(max(y, 0.0), height - _MIN_SIDE)
-    x2 = max(min(x + w, width), x1 + _MIN_SIDE)
-    y2 = max(min(y + h, height), y1 + _MIN_SIDE)
+    """Clip to the image, keeping a minimal positive extent; ``min``/``max`` as comparisons."""
+    x1 = x if x >= 0.0 else 0.0
+    x1 = width - _MIN_SIDE if width - _MIN_SIDE < x1 else x1
+    y1 = y if y >= 0.0 else 0.0
+    y1 = height - _MIN_SIDE if height - _MIN_SIDE < y1 else y1
+    x2 = x + w if x + w <= width else width
+    x2 = x1 + _MIN_SIDE if x1 + _MIN_SIDE > x2 else x2
+    y2 = y + h if y + h <= height else height
+    y2 = y1 + _MIN_SIDE if y1 + _MIN_SIDE > y2 else y2
     return BBox(x1, y1, x2 - x1, y2 - y1)
 
 

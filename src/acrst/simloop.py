@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank, sample_crops
-from .dataset import Dataset, ImageRecord, Instance, Prediction, class_counts, split_standard
+from .dataset import Dataset, ImageRecord, Instance, Prediction, split_standard
 from .filtering import (
     FilterConfig,
     OracleNoise,
@@ -216,7 +216,7 @@ def run_epoch(
     # With the two_stage toggle off, filtering is by score alone.
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     mixing = _pastes(config)
-    labeled_counts = class_counts(labeled)
+    labeled_counts = labeled.class_counts
     freq = labeled_counts.astype(float)
 
     # The sampling distribution is fixed for the epoch: the bank only changes
@@ -307,25 +307,21 @@ def run_epoch(
         exposure_total += exposure
 
     # Full-set teacher evaluation; also the pseudo-label source for refresh.
-    eval_pseudo: dict[int | str, list[Prediction]] = {}
-    raw_by_image = []
-    kept_by_image = []
-    gts_by_image = []
-    pseudo_counts = np.zeros(k, dtype=np.int64)
-    for img in unlabeled.images:
-        raw, kept = _pseudo_label(teacher, img, fcfg, config.oracle, freq, rng)
-        eval_pseudo[img.id] = kept
-        raw_by_image.append(raw)
-        kept_by_image.append(kept)
-        gts_by_image.append(img.ground_truth)
-        for p in kept:
-            pseudo_counts[p.class_id - 1] += 1
+    labels = [
+        _pseudo_label(teacher, img, fcfg, config.oracle, freq, rng) for img in unlabeled.images
+    ]
+    raw_by_image = [raw for raw, _ in labels]
+    kept_by_image = [kept for _, kept in labels]
+    gts_by_image = [img.ground_truth for img in unlabeled.images]
+    eval_pseudo = {img.id: kept for img, kept in zip(unlabeled.images, kept_by_image)}
+    pseudo_ids = [p.class_id - 1 for kept in kept_by_image for p in kept]
+    pseudo_counts = np.bincount(np.array(pseudo_ids, dtype=np.int64), minlength=k)
     evaluation = evaluate(raw_by_image, kept_by_image, gts_by_image, config.match_iou)
     matched = evaluation.matched
-    n_kept_total = sum(len(kept) for kept in kept_by_image)
+    n_kept_total = len(pseudo_ids)
     n_gt_total = sum(len(gts) for gts in gts_by_image)
 
-    truth_counts = class_counts(unlabeled)
+    truth_counts = unlabeled.class_counts
     trace = EpochTrace(
         epoch=state.epoch,
         sup_loss=_mean_breakdown(sup_losses),
@@ -397,7 +393,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset) -> RunReport:
         "pretrain_epochs": config.pretrain_epochs,
         "n_labeled_images": len(labeled.images),
         "n_unlabeled_images": len(unlabeled.images),
-        "n_labeled_instances": int(class_counts(labeled).sum()),
+        "n_labeled_instances": int(labeled.class_counts.sum()),
     }
     if traces:
         final = traces[-1]

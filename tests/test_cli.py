@@ -116,6 +116,10 @@ class TestRun:
             ({"detector": {"initial_recall_skill": "x"}}, "detector.initial_recall_skill"),
             ({"paste": {"crops_per_image": True}}, "paste.crops_per_image"),
             ({"detector": {"loc_skill": True}}, "detector.loc_skill"),
+            # Count keys are capped: past the cap a run used to fail mid-way.
+            ({"paste": {"crops_per_image": 10**12}}, "paste.crops_per_image"),
+            ({"proposal_budget": 10**12}, "proposal_budget"),
+            ({"detector": {"fp_rate": 1e300}}, "detector.fp_rate"),
         ],
     )
     def test_ill_typed_value_named_exits_two(self, tmp_path, capsys, override, named):

@@ -9,7 +9,6 @@ from acrst.dataset import (
     Instance,
     ParseError,
     ValidationError,
-    class_counts,
     parse_coco_annotations,
     split_standard,
 )
@@ -45,7 +44,15 @@ class TestParse:
 
     def test_instance_counts(self, coco_text):
         ds = parse_coco_annotations(coco_text)
-        assert class_counts(ds).tolist() == [2, 1]
+        assert ds.class_counts.tolist() == [2, 1]
+
+    def test_instance_counts_are_counted_once_and_read_only(self, coco_text):
+        ds = parse_coco_annotations(coco_text)
+        counts = ds.class_counts
+        assert ds.class_counts is counts
+        with pytest.raises(ValueError):
+            counts[0] = 5
+        assert ds.class_counts.tolist() == [2, 1]
 
     def test_malformed_json_reports_location(self):
         with pytest.raises(ParseError, match=r"line \d+ column \d+"):
@@ -120,9 +127,9 @@ class TestSplit:
     def test_counts_add_up(self):
         ds = synthetic_dataset(60, 4, seed=9)
         labeled, unlabeled = split_standard(ds, 0.4, seed=3)
-        total = class_counts(ds)
+        total = ds.class_counts
         np.testing.assert_array_equal(
-            total, class_counts(labeled) + class_counts(unlabeled)
+            total, labeled.class_counts + unlabeled.class_counts
         )
 
     def test_fraction_bounds(self):
@@ -147,7 +154,7 @@ class TestSynthetic:
 
     def test_skewed_frequencies(self):
         ds = synthetic_dataset(400, 6, seed=3, skew=0.5)
-        counts = class_counts(ds)
+        counts = ds.class_counts
         assert counts[0] > counts[2] > counts[5]
         assert counts.sum() >= 400
 

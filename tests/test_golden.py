@@ -22,6 +22,7 @@ EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.json
 
 EXAMPLE_SHA256 = "04f0401fc9181d0a0b21501ecc1d160bcd4296685a5ba17f6b13134bf5053983"
 RESCALE_SHA256 = "1e86f032469edcb740d79a4bc58aa2c77230555ec126ba9d949fe46f02a42145"
+CROWDED_SHA256 = "e8d9d5ea6a4b4275fc237ade63821dbe5fe2302ee11ced7aec4d9e32748dd1d3"
 
 
 def rescale_coco() -> dict:
@@ -66,6 +67,48 @@ RESCALE_CONFIG = {
 }
 
 
+def crowded_coco() -> dict:
+    """Sixty crowded images with three classes: same-class boxes overlap often.
+
+    Each image holds 2-9 boxes on a 160x120 canvas, so at a low match IoU one
+    prediction often clears the threshold against two ground truths, and two
+    predictions against one.
+    """
+    rng = np.random.default_rng(7)
+    images, annotations = [], []
+    for image_id in range(1, 61):
+        images.append({"id": image_id, "width": 160, "height": 120})
+        for _ in range(2 + int(rng.integers(0, 8))):
+            w, h = (int(v) for v in rng.integers(16, 61, size=2))
+            annotations.append({
+                "id": len(annotations) + 1,
+                "image_id": image_id,
+                "category_id": 1 + int(rng.integers(0, 3)),
+                "bbox": [int(rng.integers(0, 161 - w)), int(rng.integers(0, 121 - h)), w, h],
+            })
+    categories = [{"id": k, "name": f"c{k}"} for k in (1, 2, 3)]
+    return {"images": images, "annotations": annotations, "categories": categories}
+
+
+CROWDED_CONFIG = {
+    "seed": 202,
+    "split_fraction": 0.25,
+    "epochs": 8,
+    "pretrain_epochs": 2,
+    "labeled_batch": 4,
+    "unlabeled_batch": 8,
+    "batches_per_epoch": 2,
+    "proposal_budget": 64,
+    "match_iou": 0.3,
+    "toggles": {"fbr": False, "affr": False, "two_stage": False, "selective_supervision": False},
+    "dataset": {"type": "coco_json", "path": "coco.json"},
+    "filter": {"tau_cls": 0.6, "tau_ml": 0.2, "mode": "two_stage_mining"},
+    "detector": {"initial_recall_skill": 0.5, "loc_skill": 0.3, "fp_rate": 1.5, "lr": 0.25,
+                 "ema_alpha": 0.65},
+    "oracle": {"fn_rate": 0.05, "fp_rate": 0.1},
+}
+
+
 def report_sha256(config: Path, out: Path) -> str:
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
@@ -82,3 +125,12 @@ def test_rescaling_coco_report(tmp_path, monkeypatch):
     Path("coco.json").write_text(json.dumps(rescale_coco()), encoding="utf-8")
     Path("config.json").write_text(json.dumps(RESCALE_CONFIG), encoding="utf-8")
     assert report_sha256(Path("config.json"), Path("out")) == RESCALE_SHA256
+
+
+def test_crowded_coco_report(tmp_path, monkeypatch):
+    # Crowded same-class boxes at match_iou 0.3: images where one prediction
+    # or ground truth has two candidates go through the greedy matcher.
+    monkeypatch.chdir(tmp_path)
+    Path("coco.json").write_text(json.dumps(crowded_coco()), encoding="utf-8")
+    Path("config.json").write_text(json.dumps(CROWDED_CONFIG), encoding="utf-8")
+    assert report_sha256(Path("config.json"), Path("out")) == CROWDED_SHA256

@@ -6,7 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrst.dataset import BBox, Instance, Prediction
-from acrst.metrics import AP_THRESHOLDS, class_kld, evaluate, fg_ratio
+from acrst.metrics import (
+    AP_THRESHOLDS,
+    _greedy,
+    _interpolated_ap,
+    _positions,
+    class_kld,
+    evaluate,
+    fg_ratio,
+)
 
 
 def gt(class_id, x, y, w, h):
@@ -437,3 +445,125 @@ class TestOnePassEquivalence:
             evaluate([raw], [raw], gts, 0.0)
         with pytest.raises(ValueError):
             evaluate([raw], [], gts, 0.5)
+
+
+# Reference oracle: the per-image evaluator that the one-pass IoU evaluator
+# replaced, kept verbatim but for its IoU matrix, which is rebuilt from the
+# box objects here. Every image goes through the greedy matcher.
+
+
+def _per_image_iou_matrix(preds, gts):
+    if not preds or not gts:
+        return np.zeros((len(preds), len(gts)))
+    p = np.array([(q.bbox.x, q.bbox.y, q.bbox.w, q.bbox.h, q.class_id) for q in preds], dtype=float)
+    g = np.array([(t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h, t.class_id) for t in gts], dtype=float)
+    px, py, pw, ph, pc = p.T[:, :, None]
+    gx, gy, gw, gh, gc = g.T[:, None, :]
+    iw = np.minimum(px + pw, gx + gw) - np.maximum(px, gx)
+    ih = np.minimum(py + ph, gy + gh) - np.maximum(py, gy)
+    overlaps = (iw > 0) & (ih > 0) & (pc == gc)
+    inter = np.where(overlaps, iw * ih, 0.0)
+    return inter / ((pw * ph + gw * gh) - inter)
+
+
+def _per_image_evaluate(raw_by_image, kept_by_image, gts_by_image, match_iou):
+    scores, hits = [], []
+    matched = 0
+    iou_sum = 0.0
+    for raw, kept, gts in zip(raw_by_image, kept_by_image, gts_by_image):
+        ious = _per_image_iou_matrix(raw, gts)
+        scores.append(np.array([p.score for p in raw], dtype=float))
+        hits.append(_greedy(ious, scores[-1], AP_THRESHOLDS)[1] >= 0)
+        rows = _positions(kept, raw)
+        kept_ious = ious[rows]
+        order, claims = _greedy(kept_ious, scores[-1][rows], (match_iou,))
+        pairs = order[claims[0, order] >= 0]
+        matched += len(pairs)
+        iou_sum += sum(kept_ious[pairs, claims[0, pairs]].tolist())
+    n_gt = sum(len(gts) for gts in gts_by_image)
+    if n_gt == 0 or not any(len(s) for s in scores):
+        aps = (0.0,) * len(AP_THRESHOLDS)
+    else:
+        ranked = np.concatenate(hits, axis=1)[:, np.argsort(-np.concatenate(scores), kind="stable")]
+        aps = tuple(_interpolated_ap(row, n_gt) for row in ranked)
+    return aps, matched, iou_sum
+
+
+@st.composite
+def _crowded_image(draw):
+    """An image of few classes and many overlaps: duplicated ground truths,
+    copied, jittered and class-confused predictions, and repeated scores."""
+    step = draw(_step)
+
+    def box():
+        return BBox(draw(st.integers(0, 6)) * step, draw(st.integers(0, 6)) * step,
+                    draw(st.integers(2, 8)) * step, draw(st.integers(2, 8)) * step)
+
+    classes = st.integers(1, 3)
+    gts = []
+    for _ in range(draw(st.integers(0, 7))):
+        if gts and draw(st.booleans()):
+            gts.append(draw(st.sampled_from(gts)))  # a duplicate ground truth
+        else:
+            gts.append(Instance(draw(classes), box(), 1))
+    preds = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["copy", "jitter", "confused", "free"]) if gts
+                    else st.just("free"))
+        if kind == "free":
+            preds.append(Prediction(draw(classes), box(), draw(_score)))
+            continue
+        source = draw(st.sampled_from(gts))
+        bbox = source.bbox
+        if kind == "jitter":
+            dx, dy, dw, dh = (draw(st.integers(-1, 1)) * step for _ in range(4))
+            bbox = BBox(bbox.x + dx, bbox.y + dy, max(bbox.w + dw, step), max(bbox.h + dh, step))
+        class_id = draw(classes) if kind == "confused" else source.class_id
+        preds.append(Prediction(class_id, bbox, draw(_score)))
+    kept = [p for p in preds if draw(st.booleans())]
+    return preds, kept, gts
+
+
+class TestPerImageEquivalence:
+    """The one-pass IoU evaluator equals the per-image evaluator exactly."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        scene=st.lists(st.one_of(_crowded_image(), _image()), max_size=6),
+        match_iou=st.sampled_from([0.3, 0.5, 1.0]),
+    )
+    @example(
+        scene=[(_HALF_IOU_SCENE[0][0], _HALF_IOU_SCENE[0][0][:2], _HALF_IOU_SCENE[1][0])],
+        match_iou=0.5,
+    )
+    @example(scene=[([], [], [gt(1, 0, 0, 4, 4)]), ([pred(1, 0, 0, 4, 4, 0.5)] * 2, [], [])],
+             match_iou=0.3)
+    def test_matches_the_per_image_evaluator(self, scene, match_iou):
+        raw = [s[0] for s in scene]
+        kept = [s[1] for s in scene]
+        gts = [s[2] for s in scene]
+        result = evaluate(raw, kept, gts, match_iou)
+        aps, matched, iou_sum = _per_image_evaluate(raw, kept, gts, match_iou)
+        assert result.aps == aps
+        assert result.matched == matched
+        assert result.iou_sum == iou_sum
+
+    def test_greedy_runs_on_contested_images_only(self, monkeypatch):
+        calls = []
+
+        def counted(ious, scores, thresholds):
+            calls.append(ious.shape)
+            return _greedy(ious, scores, thresholds)
+
+        monkeypatch.setattr("acrst.metrics._greedy", counted)
+        lone = ([pred(1, 0, 0, 10, 10, 0.9)], [gt(1, 0, 0, 10, 10), gt(2, 0, 0, 10, 10)])
+        # Two predictions over one ground truth: both clear 0.5 against it.
+        crowded = ([pred(1, 0, 0, 10, 10, 0.9), pred(1, 0, 0, 10, 9, 0.8)], [gt(1, 0, 0, 10, 10)])
+        raw = [lone[0], crowded[0]]
+        result = evaluate(raw, raw, [lone[1], crowded[1]], 0.5)
+        # The crowded image is matched at the AP thresholds, then at match_iou.
+        assert calls == [(2, 1), (2, 1)]
+        assert (result.matched, result.iou_sum) == (2, 2.0)
+        calls.clear()
+        evaluate([lone[0]], [lone[0]], [lone[1]], 0.5)
+        assert calls == []

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst.dataset import BBox, ImageRecord, Instance
+from acrst.dataset import BBox, ImageRecord, Instance, Prediction
 from acrst.metrics import evaluate
 from acrst.model import (
     CONFUSION_FLOOR,
     PARTIAL_FLOOR,
     DetectorParams,
     LossBreakdown,
+    _clip_box,
     _draw_weighted,
     batch_loss,
     ema_update,
@@ -568,3 +569,136 @@ class TestDrawWeightedEquivalence:
         got = detect_all(11)
         monkeypatch.setattr("acrst.model._draw_weighted", _choice_draw_weighted)
         assert got == detect_all(11)
+
+
+# Reference oracle: the detector as it drew before its bulk draws, one scalar
+# draw per value and min/max clipping, kept verbatim. The detector must give
+# the same predictions and leave the stream at the same place.
+
+
+def _oracle_clip_box(x, y, w, h, width, height):
+    x1 = min(max(x, 0.0), width - 1e-3)
+    y1 = min(max(y, 0.0), height - 1e-3)
+    x2 = max(min(x + w, width), x1 + 1e-3)
+    y2 = max(min(y + h, height), y1 + 1e-3)
+    return BBox(x1, y1, x2 - x1, y2 - y1)
+
+
+def _oracle_synth_detect(params, record, rng, class_weights=None):
+    k = params.n_classes
+    if class_weights is None:
+        weights = np.ones(k, dtype=float)
+    else:
+        weights = np.asarray(class_weights, dtype=float)
+    width, height = record.width, record.height
+    preds = []
+    for inst in record.ground_truth:
+        skill = params.recall_skill[inst.class_id - 1]
+        if rng.random() >= skill:
+            continue
+        box = inst.bbox
+        noise_scale = (1.0 - params.loc_skill) * 0.1 * min(box.w, box.h)
+        dx, dy, dw, dh = rng.normal(0.0, 1.0, size=4) * noise_scale
+        x, y = box.x + dx, box.y + dy
+        w = max(box.w + dw, 1e-3)
+        h = max(box.h + dh, 1e-3)
+        if rng.random() < params.partial_rate:
+            area_frac = rng.uniform(0.4, 0.7)
+            frac_w = rng.uniform(area_frac, 1.0)
+            frac_h = area_frac / frac_w
+            new_w, new_h = w * frac_w, h * frac_h
+            x = x + rng.uniform(0.0, w - new_w)
+            y = y + rng.uniform(0.0, h - new_h)
+            w, h = new_w, new_h
+        class_id = inst.class_id
+        if rng.random() < params.confusion_rate and k > 1:
+            class_id = _draw_weighted(rng, weights, exclude=inst.class_id)
+        score_base = 1.0 / (1.0 + math.exp(-params.confidence_sharpness * (skill - 0.5)))
+        score = min(1.0, max(0.0, score_base + rng.uniform(-0.1, 0.1)))
+        clipped = _oracle_clip_box(x, y, w, h, width, height)
+        preds.append(Prediction(class_id=class_id, bbox=clipped, score=float(score)))
+    for _ in range(rng.poisson(params.fp_rate)):
+        class_id = _draw_weighted(rng, weights)
+        w = rng.uniform(0.05, 0.4) * width
+        h = rng.uniform(0.05, 0.4) * height
+        x = rng.uniform(0.0, width - w)
+        y = rng.uniform(0.0, height - h)
+        score = float(rng.uniform(0.3, 0.8))
+        preds.append(Prediction(class_id=class_id, bbox=BBox(x, y, w, h), score=score))
+    return preds
+
+
+def _bits(preds):
+    """Each prediction's class and the exact doubles of its box and score."""
+    return [
+        (p.class_id, *(float(v).hex() for v in (p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h)),
+         float(p.score).hex())
+        for p in preds
+    ]
+
+
+_edge_rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _detect_case(draw):
+    k = draw(st.integers(1, 4))
+    detector = params(
+        recall=tuple(draw(st.one_of(st.just(1.0), _edge_rate)) for _ in range(k)),
+        confusion=draw(_edge_rate),
+        loc=draw(_edge_rate),
+        partial=draw(_edge_rate),
+        fp=draw(st.sampled_from([0.0, 0.5, 5.0])),
+        sharpness=draw(st.sampled_from([1.0, 8.0, 30.0])),
+    )
+    weights = draw(st.one_of(
+        st.none(),
+        st.just([0.0] * k),
+        st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=k, max_size=k),
+    ))
+    width, height = draw(st.sampled_from([(200, 150), (40, 30), (640, 480)]))
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        instances = []
+        for _ in range(draw(st.integers(0, 6))):
+            # Boxes up to the full image, flush with its edges at times.
+            w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
+            x, y = draw(st.integers(0, width - w)), draw(st.integers(0, height - h))
+            instances.append(inst(draw(st.integers(1, k)), x, y, w, h))
+        records.append(record(instances, width, height))
+    return detector, weights, records
+
+
+class TestSynthDetectEquivalence:
+    """synth_detect equals the scalar-draw detector, prediction for prediction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_detect_case(), seed=st.integers(0, 2**32 - 1))
+    @example(
+        case=(params(recall=(1.0,), confusion=1.0, loc=0.0, partial=1.0, fp=5.0), None,
+              [record([inst(1, 0, 0, 200, 200), inst(1, 150, 150, 50, 50)])]),
+        seed=0,
+    )
+    @example(
+        case=(params(recall=(1.0, 1.0), confusion=1.0, loc=1.0, partial=0.0, fp=5.0), [0.0, 0.0],
+              [record([inst(1), inst(2)]), record([])]),
+        seed=1,
+    )
+    def test_matches_scalar_draws(self, case, seed):
+        detector, weights, records = case
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rec in records:
+            got = synth_detect(detector, rec, rng_got, class_weights=weights)
+            want = _oracle_synth_detect(detector, rec, rng_want, class_weights=weights)
+            assert _bits(got) == _bits(want)
+        assert rng_got.random() == rng_want.random()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        corner=st.tuples(*[st.sampled_from([-0.0, 0.0, -5.0, 1e-4, 39.999, 40.0, 55.5])] * 2),
+        size=st.tuples(*[st.sampled_from([1e-3, 0.5, 10.0, 39.999, 40.0, 80.0])] * 2),
+    )
+    def test_clip_matches_min_max(self, corner, size):
+        got = _clip_box(*corner, *size, 40.0, 30.0)
+        want = _oracle_clip_box(*corner, *size, 40.0, 30.0)
+        assert _bits([Prediction(1, got, 0.5)]) == _bits([Prediction(1, want, 0.5)])

@@ -7,7 +7,7 @@ import pytest
 
 from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
 from acrst.cropbank import build_labeled_bank
-from acrst.dataset import Dataset, class_counts, parse_coco_annotations, split_standard
+from acrst.dataset import Dataset, parse_coco_annotations, split_standard
 from acrst.filtering import FilterConfig, OracleNoise
 from acrst.model import LossBreakdown
 from acrst.rebalance import SamplingDistribution, affr_distribution
@@ -200,7 +200,7 @@ class TestToggleMechanics:
         no_truth = parse_coco_annotations(json.dumps(one_image_coco()))
         seed = next(
             s for s in range(50)
-            if class_counts(split_standard(no_truth, 0.25, derive_seed(s, "split"))[0]).sum()
+            if split_standard(no_truth, 0.25, derive_seed(s, "split"))[0].class_counts.sum()
         )
         blind = run_experiment(quick_config(seed=seed, oracle=oracle), no_truth)
         assert blind.traces
@@ -288,7 +288,7 @@ class TestRunExperimentGuards:
         corpus = parse_coco_annotations(json.dumps(one_image_coco()))
         seed = next(
             s for s in range(50)
-            if not class_counts(split_standard(corpus, 0.25, derive_seed(s, "split"))[0]).sum()
+            if not split_standard(corpus, 0.25, derive_seed(s, "split"))[0].class_counts.sum()
         )
         with pytest.raises(ConfigError, match="labeled split drew no instances"):
             run_experiment(quick_config(seed=seed, fbr=True), corpus)
