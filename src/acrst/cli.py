@@ -28,16 +28,26 @@ class _UsageError(Exception):
     """Raised for problems that map to exit code 2."""
 
 
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise _UsageError(f"{what} {path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
+
+
 def _load_config(path_text: str) -> dict:
     path = Path(path_text)
     if not path.is_file():
         raise _UsageError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as e:
         raise _UsageError(
             f"config {path} is not valid JSON: {e.msg} (line {e.lineno} column {e.colno})"
         ) from e
+    if not isinstance(doc, dict):
+        raise _UsageError(f"config {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _build_dataset(config: ExperimentConfig) -> Dataset:
@@ -46,7 +56,7 @@ def _build_dataset(config: ExperimentConfig) -> Dataset:
         path = Path(dc.path)
         if not path.is_file():
             raise _UsageError(f"annotation file not found: {path}")
-        return parse_coco_annotations(path.read_text(encoding="utf-8"))
+        return parse_coco_annotations(_read_text(path, "annotation file"))
     seed = dc.seed if dc.seed is not None else derive_seed(config.seed, "dataset")
     return synthetic_dataset(
         dc.images,
@@ -170,7 +180,7 @@ def cmd_sweep(args) -> int:
 
 def _load_report(path: Path) -> dict:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(_read_text(path, "report"))
     except json.JSONDecodeError as e:
         raise _UsageError(
             f"corrupt report {path}: {e.msg} (line {e.lineno} column {e.colno})"

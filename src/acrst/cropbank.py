@@ -3,7 +3,8 @@
 The labeled bank is built once from ground truth and never changes. The pseudo
 bank is replaced wholesale from post-filtering predictions on a fixed epoch
 period. Sampling is two-level: first a class from a sampling distribution,
-then a uniform entry of that class from the union of both banks.
+then a uniform entry of that class from the union of both banks. A stored
+crop is an :class:`Instance`: a class, a box and the image it came from.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import BBox, Dataset, Prediction
+from .dataset import Dataset, Instance, Prediction
 
 if TYPE_CHECKING:
     from .rebalance import SamplingDistribution
@@ -25,12 +26,9 @@ class EmptyBankError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CropEntry:
-    """One stored crop: provenance, geometry, class and confidence."""
+class CropEntry(Instance):
+    """An instance tagged with its bank and score; the loop stores plain instances."""
 
-    source_image_id: int | str
-    bbox: BBox
-    class_id: int
     score: float
     origin: str  # "labeled" or "pseudo"
 
@@ -47,8 +45,8 @@ class CropEntry:
 class CropBank:
     """Immutable snapshot of both banks."""
 
-    labeled_bank: tuple[CropEntry, ...]
-    pseudo_bank: tuple[CropEntry, ...] = ()
+    labeled_bank: tuple[Instance, ...]
+    pseudo_bank: tuple[Instance, ...] = ()
 
     @property
     def n_labeled(self) -> int:
@@ -59,12 +57,12 @@ class CropBank:
         return len(self.pseudo_bank)
 
     @cached_property
-    def entries_by_class(self) -> dict[int, tuple[CropEntry, ...]]:
+    def entries_by_class(self) -> dict[int, tuple[Instance, ...]]:
         """Union of both banks grouped by class id, labeled entries first.
 
         Grouped on first use and kept, since a bank never changes.
         """
-        groups: dict[int, list[CropEntry]] = {}
+        groups: dict[int, list[Instance]] = {}
         for entry in self.labeled_bank + self.pseudo_bank:
             groups.setdefault(entry.class_id, []).append(entry)
         return {class_id: tuple(entries) for class_id, entries in groups.items()}
@@ -98,27 +96,12 @@ class CropBank:
         table = self._class_tables[mu] = (tuple(groups[k] for k in available), cdf)
         return table
 
-    def pseudo_class_counts(self, n_classes: int) -> np.ndarray:
-        counts = np.zeros(n_classes, dtype=np.int64)
-        for entry in self.pseudo_bank:
-            counts[entry.class_id - 1] += 1
-        return counts
-
 
 def build_labeled_bank(labeled: Dataset) -> CropBank:
-    """One labeled crop per ground-truth instance of the labeled split."""
-    entries = tuple(
-        CropEntry(
-            source_image_id=img.id,
-            bbox=inst.bbox,
-            class_id=inst.class_id,
-            score=1.0,
-            origin="labeled",
-        )
-        for img in labeled.images
-        for inst in img.ground_truth
+    """The labeled split's ground-truth instances, in image order."""
+    return CropBank(
+        labeled_bank=tuple(inst for img in labeled.images for inst in img.ground_truth)
     )
-    return CropBank(labeled_bank=entries)
 
 
 def refresh_pseudo_bank(
@@ -137,13 +120,7 @@ def refresh_pseudo_bank(
     if epoch % period != 0:
         return bank
     entries = tuple(
-        CropEntry(
-            source_image_id=image_id,
-            bbox=pred.bbox,
-            class_id=pred.class_id,
-            score=pred.score,
-            origin="pseudo",
-        )
+        Instance(pred.class_id, pred.bbox, image_id)
         for image_id, preds in pseudo_labels.items()
         for pred in preds
     )
@@ -155,7 +132,7 @@ def sample_crops(
     distribution: "SamplingDistribution",
     n: int,
     rng: np.random.Generator,
-) -> list[CropEntry]:
+) -> list[Instance]:
     """Draw ``n`` crops: class by the distribution, entry uniformly within class.
 
     Classes without any stored entry are excluded and the class weights are

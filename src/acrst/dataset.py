@@ -9,6 +9,7 @@ Unknown keys anywhere in the document are ignored.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -136,6 +137,10 @@ class Dataset:
         return counts
 
 
+# The types a JSON number parses to; ``type(True)`` is bool, so booleans fail.
+_NUMBER = frozenset((int, float))
+
+
 def _require(record: dict, key: str, what: str):
     if key not in record:
         raise ValidationError(f"{what} record missing required field '{key}'")
@@ -145,10 +150,12 @@ def _require(record: dict, key: str, what: str):
 def parse_coco_annotations(text: str) -> Dataset:
     """Parse an annotation document into a :class:`Dataset`.
 
-    Raises :class:`ParseError` for malformed JSON or missing sections and
-    :class:`ValidationError` for schema violations; validation messages name
-    the offending record id. Use :func:`split_standard` to divide the images
-    into a labeled and an unlabeled side.
+    Raises :class:`ParseError` for malformed JSON or a missing or non-list
+    section and :class:`ValidationError` for schema violations, such as a
+    record that is not an object or a size or box value that is not a finite
+    number; validation messages name the offending record. Use
+    :func:`split_standard` to divide the images into a labeled and an
+    unlabeled side.
     """
     try:
         doc = json.loads(text)
@@ -161,6 +168,11 @@ def parse_coco_annotations(text: str) -> Dataset:
     for section in ("images", "annotations", "categories"):
         if section not in doc:
             raise ParseError(f"annotation document missing '{section}' section")
+        if not isinstance(doc[section], list):
+            raise ParseError(f"annotation section '{section}' must be a JSON list")
+        for i, record in enumerate(doc[section]):
+            if not isinstance(record, dict):
+                raise ValidationError(f"{section}[{i}] must be a JSON object, got {record!r}")
 
     categories: list[Category] = []
     class_of_source: dict[int, int] = {}
@@ -180,8 +192,11 @@ def parse_coco_annotations(text: str) -> Dataset:
         height = _require(img, "height", "image")
         if image_id in image_meta:
             raise ValidationError(f"duplicate image id {image_id}")
-        if width <= 0 or height <= 0:
-            raise ValidationError(f"image {image_id} has non-positive dimensions")
+        if type(width) not in _NUMBER or type(height) not in _NUMBER:
+            raise ValidationError(f"image {image_id} width and height must be numbers")
+        # Positive comparisons, so that NaN fails them too.
+        if not (0 < width <= sys.float_info.max and 0 < height <= sys.float_info.max):
+            raise ValidationError(f"image {image_id} has non-positive or non-finite dimensions")
         image_meta[image_id] = (float(width), float(height))
         image_order.append(image_id)
 
@@ -205,12 +220,17 @@ def parse_coco_annotations(text: str) -> Dataset:
             )
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise ValidationError(f"annotation {ann_id} bbox must be [x, y, w, h]")
-        x, y, w, h = (float(v) for v in bbox)
-        if w <= 0 or h <= 0:
-            raise ValidationError(f"annotation {ann_id} has non-positive box sides")
+        x, y, w, h = bbox
+        if not {type(x), type(y), type(w), type(h)} <= _NUMBER:
+            raise ValidationError(f"annotation {ann_id} bbox values must be numbers, got {bbox}")
+        x, y, w, h = float(x), float(y), float(w), float(h)
+        # Positive comparisons, so that NaN fails them; the image is finite,
+        # so an infinite side or corner fails the bounds.
+        if not (w > 0 and h > 0):
+            raise ValidationError(f"annotation {ann_id} box sides must be positive, got {bbox}")
         width, height = image_meta[image_id]
-        if x < 0 or y < 0 or x + w > width or y + h > height:
-            raise ValidationError(f"annotation {ann_id} box exceeds image bounds")
+        if not (x >= 0 and y >= 0 and x + w <= width and y + h <= height):
+            raise ValidationError(f"annotation {ann_id} box {bbox} is not inside image {image_id}")
         instances[image_id].append(
             Instance(
                 class_id=class_of_source[cat_id],

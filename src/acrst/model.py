@@ -273,7 +273,7 @@ def _safe_log(p: float) -> float:
 
 def batch_loss(
     params: DetectorParams,
-    images: Sequence[tuple[Sequence[Instance], Sequence[bool]]],
+    images: Sequence[tuple[Sequence[Instance], int]],
     budget: int,
     mode: str,
 ) -> LossBreakdown:
@@ -281,9 +281,9 @@ def batch_loss(
 
     Each image contributes one foreground proposal per instance, in order,
     then ``max(budget - n_instances, 0)`` background proposals. ``images``
-    holds one ``(instances, pasted_flags)`` pair per image. Foreground scores
-    reflect the student's current skill on the instance's class, so losses
-    fall as it improves.
+    holds one ``(instances, n_pasted)`` pair per image; the first ``n_pasted``
+    instances are pasted crops. Foreground scores reflect the student's
+    current skill on the instance's class, so losses fall as it improves.
 
     rpn_cls is binary cross-entropy of objectness against the fg/bg
     assignment; roi_cls is cross-entropy of the assigned class (background
@@ -301,15 +301,13 @@ def batch_loss(
     repeats: list[int] = []
     n_fg = 0
     n_pasted = 0
-    for instances, pasted_flags in images:
-        if len(instances) != len(pasted_flags):
-            raise ValueError("pasted flags must run parallel to the instances")
+    for instances, n_image_pasted in images:
         term_index.extend(inst.class_id - 1 for inst in instances)
         repeats.extend([1] * len(instances))
         term_index.append(k)
         repeats.append(max(budget - len(instances), 0))
         n_fg += len(instances)
-        n_pasted += sum(pasted_flags)
+        n_pasted += n_image_pasted
     n_targets = sum(repeats)
     if not n_targets:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .cropbank import CropEntry
 from .dataset import BBox, ImageRecord, Instance
 
 log = logging.getLogger(__name__)
@@ -95,29 +94,22 @@ class PasteConfig:
 
 @dataclass(frozen=True)
 class PastePlacement:
-    """A crop placed at a destination box, with the applied rescale factor."""
+    """A crop placed at a destination box, rescaled to the box's size."""
 
-    crop: CropEntry
+    crop: Instance
     target_bbox: BBox
-    rescale: float = 1.0
 
 
 @dataclass(frozen=True)
 class MixedRecord:
     """A base image after paste mixing.
 
-    ``merged_annotations`` lists pasted instances first (paste order), then the
-    surviving base instances. ``pasted_flags`` runs parallel to it.
+    ``merged_annotations`` lists the pasted instances first, one per placement
+    in paste order, then the surviving base instances.
     """
 
-    base: ImageRecord
     placements: tuple[PastePlacement, ...]
     merged_annotations: tuple[Instance, ...]
-    pasted_flags: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.merged_annotations) != len(self.pasted_flags):
-            raise ValueError("merged annotation bookkeeping must align")
 
 
 def pseudo_recall(stats: ClassStats) -> np.ndarray:
@@ -127,8 +119,6 @@ def pseudo_recall(stats: ClassStats) -> np.ndarray:
     instances gets the sentinel ``LABELED_ABSENT_PR``; downstream weighting
     excludes the sentinel from sums and gives such classes the minimum weight.
     """
-    if stats.ratio <= 0.0:
-        raise ValueError(f"data ratio must be positive, got {stats.ratio}")
     pseudo = np.asarray(stats.pseudo_counts, dtype=float)
     labeled = np.asarray(stats.labeled_counts, dtype=float)
     pr = np.full(pseudo.shape, LABELED_ABSENT_PR, dtype=float)
@@ -274,7 +264,7 @@ def merge_annotations(
 
 def fbr_mix(
     record: ImageRecord,
-    crops: Sequence[CropEntry],
+    crops: Sequence[Instance],
     rng: np.random.Generator,
     config: PasteConfig,
 ) -> MixedRecord:
@@ -291,7 +281,7 @@ def fbr_mix(
     # fits, a rescale factor and a position (3) when it fits once rescaled, a
     # rescale factor alone (1) when it is skipped. Since a larger factor never
     # fits where the minimum does not, the image's doubles come from one call.
-    plans: list[tuple[CropEntry, bool, float | None]] = []
+    plans: list[tuple[Instance, bool, float | None]] = []
     n_draws = 0
     for crop in crops:
         w, h = crop.bbox.w, crop.bbox.h
@@ -330,18 +320,9 @@ def fbr_mix(
         pw, ph = w * scale, h * scale
         x = 0.0 + (width - pw) * next(u)
         y = 0.0 + (height - ph) * next(u)
-        placements.append(
-            PastePlacement(crop=crop, target_bbox=BBox(x, y, pw, ph), rescale=scale)
-        )
+        placements.append(PastePlacement(crop=crop, target_bbox=BBox(x, y, pw, ph)))
 
     merged = merge_annotations(
         record.ground_truth, placements, config.occlusion_threshold
     )
-    n_pasted = len(placements)
-    flags = (True,) * n_pasted + (False,) * (len(merged) - n_pasted)
-    return MixedRecord(
-        base=record,
-        placements=tuple(placements),
-        merged_annotations=tuple(merged),
-        pasted_flags=flags,
-    )
+    return MixedRecord(placements=tuple(placements), merged_annotations=tuple(merged))

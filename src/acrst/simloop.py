@@ -17,8 +17,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Any
+from dataclasses import asdict, astuple, dataclass, replace
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -59,7 +59,11 @@ EPOCH_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class EpochTrace:
-    """Metrics and bookkeeping for one mutual-learning epoch."""
+    """Metrics and bookkeeping for one mutual-learning epoch.
+
+    ``ap50`` and ``ap5095`` are pooled over classes: all detections ranked in
+    one list against all ground truth, not a mean of per-class AP.
+    """
 
     epoch: int
     sup_loss: LossBreakdown
@@ -157,17 +161,18 @@ def _pseudo_label(
     return raw, two_stage_filter(raw, label, fcfg)
 
 
+def _class_counts(items: Iterable[Instance | Prediction], k: int) -> np.ndarray:
+    """How many of ``items`` fall in each class (index k-1 = class k)."""
+    ids = [item.class_id - 1 for item in items]
+    return np.bincount(np.array(ids, dtype=np.int64), minlength=k)
+
+
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
-    n = len(parts)
-    if n == 0:
+    """Each loss term's mean over batches, summed in batch order."""
+    if not parts:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-    return LossBreakdown(
-        rpn_cls=sum(p.rpn_cls for p in parts) / n,
-        rpn_reg=sum(p.rpn_reg for p in parts) / n,
-        roi_cls=sum(p.roi_cls for p in parts) / n,
-        roi_reg=sum(p.roi_reg for p in parts) / n,
-        total=sum(p.total for p in parts) / n,
-    )
+    columns = zip(*(astuple(p) for p in parts))
+    return LossBreakdown(*(sum(column) / len(parts) for column in columns))
 
 
 def pretrain(
@@ -187,13 +192,8 @@ def pretrain(
     for _ in range(config.pretrain_epochs):
         for _ in range(config.batches_per_epoch):
             idx = rng.choice(n, size=min(config.labeled_batch, n), replace=False)
-            exposure = np.zeros(k, dtype=np.int64)
-            total = 0
-            for i in idx:
-                for inst in labeled.images[int(i)].ground_truth:
-                    exposure[inst.class_id - 1] += 1
-                    total += 1
-            params = student_update(params, exposure, total, config.detector.lr)
+            batch = [inst for i in idx for inst in labeled.images[int(i)].ground_truth]
+            params = student_update(params, _class_counts(batch, k), len(batch), config.detector.lr)
     return params
 
 
@@ -216,13 +216,14 @@ def run_epoch(
     # With the two_stage toggle off, filtering is by score alone.
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     mixing = _pastes(config)
+    unsup_mode = "unsup_selective" if config.selective_supervision else "unsup_cls_only"
     labeled_counts = labeled.class_counts
     freq = labeled_counts.astype(float)
 
     # The sampling distribution is fixed for the epoch: the bank only changes
     # at the refresh step below.
     stats = ClassStats(
-        pseudo_counts=tuple(int(c) for c in bank.pseudo_class_counts(k)),
+        pseudo_counts=tuple(int(c) for c in _class_counts(bank.pseudo_bank, k)),
         labeled_counts=tuple(int(c) for c in labeled_counts),
         ratio=n_unl / n_lab,
     )
@@ -243,65 +244,37 @@ def run_epoch(
     unsup_losses: list[LossBreakdown] = []
 
     for _ in range(config.batches_per_epoch):
-        batch_idx = rng.choice(
-            n_unl, size=min(config.unlabeled_batch, n_unl), replace=False
-        )
+        batch_idx = rng.choice(n_unl, size=min(config.unlabeled_batch, n_unl), replace=False)
         mixed_batch = []
         for i in batch_idx:
             img = unlabeled.images[int(i)]
             _, kept = _pseudo_label(teacher, img, fcfg, config.oracle, freq, rng)
-            pseudo_record = ImageRecord(
-                id=img.id,
-                width=img.width,
-                height=img.height,
-                ground_truth=tuple(
-                    Instance(p.class_id, p.bbox, img.id) for p in kept
-                ),
-            )
-            crops = (
-                sample_crops(bank, dist, config.paste.crops_per_image, rng)
-                if mixing
-                else []
-            )
-            mixed = fbr_mix(pseudo_record, crops, rng, config.paste)
+            pseudo_gt = tuple(Instance(p.class_id, p.bbox, img.id) for p in kept)
+            crops = sample_crops(bank, dist, config.paste.crops_per_image, rng) if mixing else []
+            record = ImageRecord(img.id, img.width, img.height, pseudo_gt)
+            mixed = fbr_mix(record, crops, rng, config.paste)
             mixed_batch.append(mixed)
             fg_total += len(mixed.merged_annotations)
             bg_total += max(budget - len(mixed.merged_annotations), 0)
-            for inst, pasted in zip(mixed.merged_annotations, mixed.pasted_flags):
-                if pasted:
-                    pasted_total[inst.class_id - 1] += 1
+        # A mixed image lists its pasted instances first, one per placement.
+        pasted = [inst for m in mixed_batch for inst in m.merged_annotations[: len(m.placements)]]
+        pasted_total += _class_counts(pasted, k)
 
         lab_idx = rng.choice(n_lab, size=min(config.labeled_batch, n_lab), replace=False)
         lab_images = [labeled.images[int(i)] for i in lab_idx]
-        n_lab_instances = sum(len(img.ground_truth) for img in lab_images)
-        n_pasted = sum(sum(mixed.pasted_flags) for mixed in mixed_batch)
+        lab_instances = [inst for img in lab_images for inst in img.ground_truth]
         sup_losses.append(
-            batch_loss(
-                student,
-                [(img.ground_truth, (False,) * len(img.ground_truth)) for img in lab_images],
-                budget,
-                "supervised",
-            )
+            batch_loss(student, [(img.ground_truth, 0) for img in lab_images], budget, "supervised")
         )
-        unsup_losses.append(
-            batch_loss(
-                student,
-                [(mixed.merged_annotations, mixed.pasted_flags) for mixed in mixed_batch],
-                budget,
-                "unsup_selective" if config.selective_supervision else "unsup_cls_only",
-            )
-        )
+        unsup_images = [(m.merged_annotations, len(m.placements)) for m in mixed_batch]
+        unsup_losses.append(batch_loss(student, unsup_images, budget, unsup_mode))
 
-        exposure = np.zeros(k, dtype=np.int64)
-        for img in lab_images:
-            for inst in img.ground_truth:
-                exposure[inst.class_id - 1] += 1
-        for mixed in mixed_batch:
-            for inst in mixed.merged_annotations:
-                exposure[inst.class_id - 1] += 1
+        exposure = _class_counts(
+            lab_instances + [inst for m in mixed_batch for inst in m.merged_annotations], k
+        )
         # Labeled instances always carry regression supervision; pasted crops
         # join them only under selective supervision.
-        reg_targets = n_lab_instances + (n_pasted if config.selective_supervision else 0)
+        reg_targets = len(lab_instances) + (len(pasted) if config.selective_supervision else 0)
         student = student_update(student, exposure, reg_targets, config.detector.lr)
         teacher = ema_update(teacher, student, config.detector.ema_alpha)
         exposure_total += exposure
@@ -314,20 +287,20 @@ def run_epoch(
     kept_by_image = [kept for _, kept in labels]
     gts_by_image = [img.ground_truth for img in unlabeled.images]
     eval_pseudo = {img.id: kept for img, kept in zip(unlabeled.images, kept_by_image)}
-    pseudo_ids = [p.class_id - 1 for kept in kept_by_image for p in kept]
-    pseudo_counts = np.bincount(np.array(pseudo_ids, dtype=np.int64), minlength=k)
+    kept_all = [p for kept in kept_by_image for p in kept]
+    pseudo_counts = _class_counts(kept_all, k)
     evaluation = evaluate(raw_by_image, kept_by_image, gts_by_image, config.match_iou)
     matched = evaluation.matched
-    n_kept_total = len(pseudo_ids)
+    n_kept_total = len(kept_all)
     n_gt_total = sum(len(gts) for gts in gts_by_image)
 
     truth_counts = unlabeled.class_counts
+    sup, unsup = _mean_breakdown(sup_losses), _mean_breakdown(unsup_losses)
     trace = EpochTrace(
         epoch=state.epoch,
-        sup_loss=_mean_breakdown(sup_losses),
-        unsup_loss=_mean_breakdown(unsup_losses),
-        total_loss=_mean_breakdown(sup_losses).total
-        + config.lambda_unsup * _mean_breakdown(unsup_losses).total,
+        sup_loss=sup,
+        unsup_loss=unsup,
+        total_loss=sup.total + config.lambda_unsup * unsup.total,
         fg_ratio=fg_ratio(fg_total, bg_total),
         kld=class_kld(pseudo_counts, truth_counts) if truth_counts.sum() else 0.0,
         pseudo_acc=matched / n_kept_total if n_kept_total else 1.0,

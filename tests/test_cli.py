@@ -187,6 +187,26 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "annotation file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_object_document_named_exits_two(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text("[1]", encoding="utf-8")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"config {config} must hold a JSON object" in capsys.readouterr().err
+
+    def test_non_utf8_config_named_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(json.dumps(base_config()).encode("utf-16"))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"config {config} is not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_annotation_file_named_exits_two(self, tmp_path, capsys, coco_text):
+        ann = tmp_path / "ann.json"
+        ann.write_bytes(coco_text.replace("cat", "caf\u00e9").encode("latin-1"))
+        config = write_config(tmp_path, dataset={"type": "coco_json", "path": str(ann)})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"annotation file {ann} is not UTF-8" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert main(["run", "--help"]) == 0
         assert "--config" in capsys.readouterr().out

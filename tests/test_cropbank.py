@@ -12,7 +12,7 @@ from acrst.cropbank import (
     refresh_pseudo_bank,
     sample_crops,
 )
-from acrst.dataset import BBox, Prediction, parse_coco_annotations
+from acrst.dataset import BBox, Instance, Prediction, parse_coco_annotations
 from acrst.rebalance import SamplingDistribution
 
 
@@ -46,7 +46,9 @@ class TestBuild:
         bank = build_labeled_bank(ds)
         assert bank.n_labeled == 3
         assert bank.n_pseudo == 0
-        assert all(e.origin == "labeled" and e.score == 1.0 for e in bank.labeled_bank)
+        # The bank holds the split's own ground-truth objects, in image order.
+        truth = [inst for img in ds.images for inst in img.ground_truth]
+        assert all(e is inst for e, inst in zip(bank.labeled_bank, truth, strict=True))
 
     def test_entries_carry_geometry(self, coco_text):
         ds = parse_coco_annotations(coco_text)
@@ -67,8 +69,11 @@ class TestRefresh:
         bank = refresh_pseudo_bank(self.bank, self.preds, period=1, epoch=0)
         assert bank.n_pseudo == 3
         assert bank is not self.bank
-        assert all(e.origin == "pseudo" for e in bank.pseudo_bank)
-        assert bank.pseudo_bank[0].score == 0.8
+        assert bank.pseudo_bank == (
+            Instance(1, BBox(0, 0, 4, 4), 5),
+            Instance(2, BBox(1, 1, 5, 5), 6),
+            Instance(1, BBox(2, 2, 3, 3), 6),
+        )
         again = refresh_pseudo_bank(bank, {7: []}, period=1, epoch=1)
         assert again.n_pseudo == 0
 

@@ -88,6 +88,44 @@ class TestParse:
         with pytest.raises(ValidationError, match="annotation 1"):
             parse_coco_annotations(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(lambda d: d.update(categories=[5]), r"categories\[0\]", id="category-5"),
+            pytest.param(lambda d: d["images"].append("x"), r"images\[2\]", id="image-str"),
+            pytest.param(lambda d: d["annotations"].insert(1, None), r"annotations\[1\]",
+                         id="annotation-null"),
+            pytest.param(lambda d: d.update(images=5), "'images'", id="images-5"),
+            pytest.param(lambda d: d.update(annotations={"id": 1}), "'annotations'",
+                         id="annotations-object"),
+            pytest.param(lambda d: d["annotations"][0].update(bbox=["a", 1, 1, 1]), "annotation 1",
+                         id="bbox-str"),
+            pytest.param(lambda d: d["annotations"][0].update(bbox=[5, "5", 20, 10]),
+                         "annotation 1", id="bbox-numeric-str"),
+            pytest.param(lambda d: d["annotations"][0].update(bbox=[5, 5, True, 10]),
+                         "annotation 1", id="bbox-bool"),
+            pytest.param(lambda d: d["annotations"][1].update(bbox=[float("nan"), 20, 40, 30]),
+                         "annotation 2", id="bbox-nan-x"),
+            pytest.param(lambda d: d["annotations"][1].update(bbox=[30, 20, float("nan"), 30]),
+                         "annotation 2", id="bbox-nan-w"),
+            pytest.param(lambda d: d["annotations"][1].update(bbox=[30, 20, 40, float("inf")]),
+                         "annotation 2", id="bbox-inf-h"),
+            pytest.param(lambda d: d["images"][0].update(width="w"), "image 10", id="width-str"),
+            pytest.param(lambda d: d["images"][0].update(width=True), "image 10", id="width-bool"),
+            pytest.param(lambda d: d["images"][1].update(width=float("inf")), "image 11",
+                         id="width-inf"),
+            pytest.param(lambda d: d["images"][1].update(height=float("nan")), "image 11",
+                         id="height-nan"),
+        ],
+    )
+    def test_ill_typed_record_named(self, coco_text, edit, named):
+        # json.dumps writes float("nan") and float("inf") as the NaN and
+        # Infinity tokens that json.loads accepts.
+        doc = json.loads(coco_text)
+        edit(doc)
+        with pytest.raises((ParseError, ValidationError), match=named):
+            parse_coco_annotations(json.dumps(doc))
+
     def test_unknown_keys_ignored(self, coco_text):
         doc = json.loads(coco_text)
         doc["info"] = {"year": 2024}

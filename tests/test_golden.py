@@ -23,6 +23,7 @@ EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.json
 EXAMPLE_SHA256 = "04f0401fc9181d0a0b21501ecc1d160bcd4296685a5ba17f6b13134bf5053983"
 RESCALE_SHA256 = "1e86f032469edcb740d79a4bc58aa2c77230555ec126ba9d949fe46f02a42145"
 CROWDED_SHA256 = "e8d9d5ea6a4b4275fc237ade63821dbe5fe2302ee11ced7aec4d9e32748dd1d3"
+PASTE_HEAVY_SHA256 = "458146a921532efc6510e877166413c21ed9d79667d761bbd59e50bf7fc766fd"
 
 
 def rescale_coco() -> dict:
@@ -109,6 +110,31 @@ CROWDED_CONFIG = {
 }
 
 
+# Shaped like the paste_heavy benchmark workload, at a tenth of its work: a
+# small synthetic corpus, four crops on every unlabeled image, 512 proposals,
+# mining and every toggle on, so crop sampling, pasting, occlusion and
+# selective supervision all reach the report.
+PASTE_HEAVY_CONFIG = {
+    "seed": 303,
+    "split_fraction": 0.2,
+    "epochs": 8,
+    "pretrain_epochs": 2,
+    "labeled_batch": 4,
+    "unlabeled_batch": 24,
+    "batches_per_epoch": 2,
+    "lambda_unsup": 2.0,
+    "refresh_period": 1,
+    "proposal_budget": 512,
+    "toggles": {"fbr": True, "affr": True, "two_stage": True, "selective_supervision": True},
+    "dataset": {"type": "synthetic", "images": 60, "classes": 10, "skew": 0.65},
+    "paste": {"crops_per_image": 4, "beta": 1.0},
+    "filter": {"tau_cls": 0.7, "tau_ml": 0.2, "mode": "two_stage_mining"},
+    "detector": {"initial_recall_skill": 0.35, "confusion_rate": 0.2, "loc_skill": 0.3,
+                 "partial_rate": 0.25, "fp_rate": 0.5, "lr": 0.25, "ema_alpha": 0.65},
+    "oracle": {"fn_rate": 0.05, "fp_rate": 0.1},
+}
+
+
 def report_sha256(config: Path, out: Path) -> str:
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
@@ -134,3 +160,9 @@ def test_crowded_coco_report(tmp_path, monkeypatch):
     Path("coco.json").write_text(json.dumps(crowded_coco()), encoding="utf-8")
     Path("config.json").write_text(json.dumps(CROWDED_CONFIG), encoding="utf-8")
     assert report_sha256(Path("config.json"), Path("out")) == CROWDED_SHA256
+
+
+def test_paste_heavy_report(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(PASTE_HEAVY_CONFIG), encoding="utf-8")
+    assert report_sha256(config, tmp_path / "out") == PASTE_HEAVY_SHA256

@@ -287,11 +287,9 @@ class TestSmoothL1:
         assert math.isclose(smooth_l1(3.0, transition=2.0), 2.0, abs_tol=1e-12)
 
 
-def image(classes, pasted=None):
-    """One ``batch_loss`` image: instances of ``classes`` and their pasted flags."""
-    if pasted is None:
-        pasted = [False] * len(classes)
-    return tuple(inst(c) for c in classes), tuple(pasted)
+def image(classes, n_pasted=0):
+    """One ``batch_loss`` image: instances of ``classes``, the first ``n_pasted`` pasted."""
+    return tuple(inst(c) for c in classes), n_pasted
 
 
 ZERO_LOSS = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -324,15 +322,15 @@ class TestLossBreakdown:
     def test_regression_mode_gating(self):
         student = params(loc=0.0)  # box residuals of 0.1 per coordinate
         expected = 4 * smooth_l1(0.1)
-        plain = [image([1], [False])]
-        pasted = [image([1], [True])]
+        plain = [image([1])]
+        pasted = [image([1], 1)]
         assert math.isclose(batch_loss(student, plain, 1, "supervised").rpn_reg, expected)
         assert batch_loss(student, plain, 1, "unsup_cls_only").rpn_reg == 0.0
         assert batch_loss(student, plain, 1, "unsup_selective").rpn_reg == 0.0
         assert math.isclose(batch_loss(student, pasted, 1, "unsup_selective").rpn_reg, expected)
 
     def test_selective_at_least_cls_only(self):
-        batch = [image([1, 2], [True, False])]
+        batch = [image([1, 2], 1)]
         selective = batch_loss(params(), batch, 3, "unsup_selective")
         cls_only = batch_loss(params(), batch, 3, "unsup_cls_only")
         assert selective.total >= cls_only.total
@@ -362,10 +360,6 @@ class TestLossBreakdown:
         with pytest.raises(ValueError):
             batch_loss(params(), [image([1])], 1, "semi")
 
-    def test_misaligned_flags_rejected(self):
-        with pytest.raises(ValueError):
-            batch_loss(params(), [((inst(1),), ())], 1, "supervised")
-
 
 # The per-proposal loss composition that batch_loss replaces, kept verbatim
 # as the oracle: one target object per proposal, summed in proposal order.
@@ -384,12 +378,12 @@ def _oracle_safe_log(p):
     return math.log(max(p, 1e-12))
 
 
-def _oracle_image_targets(student, instances, pasted_flags, budget):
+def _oracle_image_targets(student, instances, n_pasted, budget):
     mean_recall = sum(student.recall_skill) / student.n_classes
     bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
     delta = (1.0 - student.loc_skill) * 0.1
     targets = []
-    for instance, pasted in zip(instances, pasted_flags):
+    for i, instance in enumerate(instances):
         skill = student.recall_skill[instance.class_id - 1]
         objectness = min(max(skill, 1e-4), 1.0 - 1e-4)
         p_true = min(max(skill * (1.0 - student.confusion_rate), 1e-4), 1.0)
@@ -399,7 +393,7 @@ def _oracle_image_targets(student, instances, pasted_flags, budget):
                 objectness=objectness,
                 true_class_prob=p_true,
                 box_delta=(delta, delta, delta, delta),
-                from_cropbank=pasted,
+                from_cropbank=i < n_pasted,
             )
         )
     n_bg = max(budget - len(targets), 0)
@@ -448,8 +442,8 @@ def _oracle_loss_breakdown(targets, mode):
 
 def _oracle_batch_loss(student, images, budget, mode):
     targets = []
-    for instances, pasted_flags in images:
-        targets.extend(_oracle_image_targets(student, instances, pasted_flags, budget))
+    for instances, n_pasted in images:
+        targets.extend(_oracle_image_targets(student, instances, n_pasted, budget))
     return _oracle_loss_breakdown(targets, mode)
 
 
@@ -470,10 +464,8 @@ def _loss_batch(draw):
         loc=draw(_rate),
     )
     images = [
-        (tuple(inst(c) for c, _ in pairs), tuple(flag for _, flag in pairs))
-        for pairs in draw(
-            st.lists(st.lists(st.tuples(st.integers(1, k), st.booleans()), max_size=8), max_size=6)
-        )
+        image(classes, draw(st.integers(0, len(classes))))
+        for classes in draw(st.lists(st.lists(st.integers(1, k), max_size=8), max_size=6))
     ]
     budget = draw(st.one_of(st.integers(0, 10), st.just(512)))
     return student, images, budget
@@ -485,8 +477,8 @@ class TestBatchLossEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(batch=_loss_batch())
     @example(batch=(params(), [], 16))
-    @example(batch=(params(), [image([1, 2], [True, False]), image([])], 0))
-    @example(batch=(params(), [image([1, 2, 1, 2, 1], [True, True, False, False, True])], 3))
+    @example(batch=(params(), [image([1, 2], 1), image([])], 0))
+    @example(batch=(params(), [image([1, 2, 1, 2, 1], 3)], 3))
     @example(batch=(params(recall=(1.0,), confusion=0.0, loc=1.0), [image([1, 1])], 2))
     def test_matches_per_target_oracle(self, batch):
         student, images, budget = batch

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst.cropbank import CropEntry
 from acrst.dataset import BBox, ImageRecord, Instance
 from acrst.rebalance import (
     LABELED_ABSENT_PR,
@@ -24,13 +23,7 @@ from acrst.rebalance import (
 
 
 def crop(class_id, w, h, image_id=1):
-    return CropEntry(
-        source_image_id=image_id,
-        bbox=BBox(0, 0, w, h),
-        class_id=class_id,
-        score=1.0,
-        origin="labeled",
-    )
+    return Instance(class_id=class_id, bbox=BBox(0, 0, w, h), source_image_id=image_id)
 
 
 class TestPseudoRecall:
@@ -227,7 +220,6 @@ class TestFbrMix:
         mixed = fbr_mix(rec, [], np.random.default_rng(0), PasteConfig())
         assert mixed.placements == ()
         assert mixed.merged_annotations == rec.ground_truth
-        assert mixed.pasted_flags == (False,)
 
     def test_fitting_crop_keeps_own_size(self):
         rec = self.record()
@@ -235,7 +227,6 @@ class TestFbrMix:
             rec, [crop(2, 30, 20)], np.random.default_rng(1), PasteConfig()
         )
         (placement,) = mixed.placements
-        assert placement.rescale == 1.0
         assert placement.target_bbox.w == 30
         assert placement.target_bbox.h == 20
         assert 0 <= placement.target_bbox.x <= rec.width - 30
@@ -249,7 +240,7 @@ class TestFbrMix:
             mixed = fbr_mix(rec, [big], np.random.default_rng(seed), config)
             (placement,) = mixed.placements
             longer = max(placement.target_bbox.w, placement.target_bbox.h)
-            assert placement.rescale < 1.0
+            assert placement.target_bbox.w < big.bbox.w
             # Longer side becomes a fraction in [min, max] of the shorter image side.
             assert 0.5 * 80 - 1e-9 <= longer <= 1.0 * 80 + 1e-9
             assert placement.target_bbox.x2 <= rec.width + 1e-9
@@ -279,17 +270,7 @@ class TestFbrMix:
         crops = [crop(2, 10, 10, image_id=7), crop(3, 10, 10, image_id=8)]
         mixed = fbr_mix(rec, crops, np.random.default_rng(0), PasteConfig())
         assert [m.class_id for m in mixed.merged_annotations] == [2, 3]
-        assert mixed.pasted_flags == (True, True)
-
-    def test_misaligned_bookkeeping_rejected(self):
-        rec = self.record()
-        with pytest.raises(ValueError):
-            MixedRecord(
-                base=rec,
-                placements=(),
-                merged_annotations=rec.ground_truth,
-                pasted_flags=(),
-            )
+        assert len(mixed.placements) == 2
 
 
 def _grid_visible_fraction(inst, occluders):
@@ -321,9 +302,12 @@ def _grid_merge(base, pasted, occlusion_threshold):
 
 
 def _per_crop_fbr_mix(record, crops, rng, config):
-    """Reference paste loop: scalar rng.uniform draws, crop by crop."""
+    """Reference paste loop: scalar rng.uniform draws, crop by crop.
+
+    Returns the mixed record and the scale applied to each placed crop.
+    """
     width, height = record.width, record.height
-    placements = []
+    placements, scales = [], []
     for c in crops:
         w, h = c.bbox.w, c.bbox.h
         scale = 1.0
@@ -337,15 +321,10 @@ def _per_crop_fbr_mix(record, crops, rng, config):
         pw, ph = w * scale, h * scale
         x = float(rng.uniform(0.0, width - pw))
         y = float(rng.uniform(0.0, height - ph))
-        placements.append(PastePlacement(crop=c, target_bbox=BBox(x, y, pw, ph), rescale=scale))
+        placements.append(PastePlacement(crop=c, target_bbox=BBox(x, y, pw, ph)))
+        scales.append(scale)
     merged = _grid_merge(record.ground_truth, placements, config.occlusion_threshold)
-    n = len(placements)
-    return MixedRecord(
-        base=record,
-        placements=tuple(placements),
-        merged_annotations=tuple(merged),
-        pasted_flags=(True,) * n + (False,) * (len(merged) - n),
-    )
+    return MixedRecord(placements=tuple(placements), merged_annotations=tuple(merged)), scales
 
 
 _coord = st.one_of(
@@ -459,7 +438,7 @@ class TestPasteEquivalence:
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for record, crops in records:
             got = fbr_mix(record, crops, rng_got, config)
-            want = _per_crop_fbr_mix(record, crops, rng_want, config)
+            want, _ = _per_crop_fbr_mix(record, crops, rng_want, config)
             assert got == want
         assert rng_got.random() == rng_want.random()
 
@@ -470,10 +449,13 @@ class TestPasteEquivalence:
         crops = [crop(2, 20, 20), crop(2, 300, 100), crop(2, 200, 150), crop(2, 200, 200)]
         rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
         got = fbr_mix(rec, crops, rng_got, config)
-        assert got == _per_crop_fbr_mix(rec, crops, rng_want, config)
+        want, scales = _per_crop_fbr_mix(rec, crops, rng_want, config)
+        assert got == want
         assert rng_got.random() == rng_want.random()
-        scales = [p.rescale for p in got.placements]
         assert [p.crop.bbox.w for p in got.placements] == [20, 300, 200]
+        assert [p.target_bbox.w for p in got.placements] == [
+            p.crop.bbox.w * s for p, s in zip(got.placements, scales)
+        ]
         assert scales[0] == 1.0
         assert scales[1] != 1.3 * 60 / 300
         assert scales[2] == 1.3 * 60 / 200
