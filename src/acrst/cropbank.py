@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Instance, Prediction
+from .dataset import Dataset, Instance
 
 if TYPE_CHECKING:
     from .rebalance import SamplingDistribution
@@ -106,24 +106,21 @@ def build_labeled_bank(labeled: Dataset) -> CropBank:
 
 def refresh_pseudo_bank(
     bank: CropBank,
-    pseudo_labels: Mapping[int | str, Sequence[Prediction]],
+    pseudo_labels: Mapping[int | str, Sequence[Instance]],
     period: int,
     epoch: int,
 ) -> CropBank:
     """Replace the pseudo bank wholesale when ``epoch % period == 0``.
 
-    ``pseudo_labels`` must be post-filtering predictions keyed by image id.
-    Off-period epochs return ``bank`` itself, so its class grouping is kept.
+    ``pseudo_labels`` are the post-filtering pseudo-labels keyed by image id,
+    stored as they are. Off-period epochs return ``bank`` itself, so its class
+    grouping is kept.
     """
     if period <= 0:
         raise ValueError(f"refresh period must be positive, got {period}")
     if epoch % period != 0:
         return bank
-    entries = tuple(
-        Instance(pred.class_id, pred.bbox, image_id)
-        for image_id, preds in pseudo_labels.items()
-        for pred in preds
-    )
+    entries = tuple(label for labels in pseudo_labels.values() for label in labels)
     return CropBank(labeled_bank=bank.labeled_bank, pseudo_bank=entries)
 
 

@@ -136,15 +136,35 @@ class Dataset:
         counts.flags.writeable = False
         return counts
 
+    @cached_property
+    def truth_columns(self) -> tuple[np.ndarray, list[int]]:
+        """The (x, y, w, h, class) columns of every ground-truth instance, images
+        in order, and each image's count; built once, on first use, read-only."""
+        rows = [(t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h, t.class_id)
+                for img in self.images for t in img.ground_truth]
+        columns = np.array(rows, dtype=float).reshape(-1, 5).T
+        columns.flags.writeable = False
+        return columns, [len(img.ground_truth) for img in self.images]
+
 
 # The types a JSON number parses to; ``type(True)`` is bool, so booleans fail.
 _NUMBER = frozenset((int, float))
+# Category ids are JSON integers; image and annotation ids integers or strings.
+_INT = frozenset((int,))
+_ID = frozenset((int, str))
 
 
-def _require(record: dict, key: str, what: str):
-    if key not in record:
-        raise ValidationError(f"{what} record missing required field '{key}'")
-    return record[key]
+def _require(record: dict, key: str, section: str, index: int, types: frozenset | None = None):
+    """``record[key]`` of ``section[index]``, checked to be present and, given
+    ``types``, of one of them."""
+    try:
+        value = record[key]
+    except KeyError:
+        raise ValidationError(f"{section}[{index}] missing required field '{key}'") from None
+    if types is not None and type(value) not in types:
+        kinds = "an integer or a string" if str in types else "an integer"
+        raise ValidationError(f"{section}[{index}] field '{key}' must be {kinds}, got {value!r}")
+    return value
 
 
 def parse_coco_annotations(text: str) -> Dataset:
@@ -177,19 +197,19 @@ def parse_coco_annotations(text: str) -> Dataset:
     categories: list[Category] = []
     class_of_source: dict[int, int] = {}
     for slot, cat in enumerate(doc["categories"], start=1):
-        source_id = _require(cat, "id", "category")
-        name = _require(cat, "name", "category")
+        source_id = _require(cat, "id", "categories", slot - 1, _INT)
+        name = _require(cat, "name", "categories", slot - 1)
         if source_id in class_of_source:
             raise ValidationError(f"duplicate category id {source_id}")
         class_of_source[source_id] = slot
-        categories.append(Category(id=slot, name=str(name), source_id=int(source_id)))
+        categories.append(Category(id=slot, name=str(name), source_id=source_id))
 
     image_meta: dict = {}
     image_order: list = []
-    for img in doc["images"]:
-        image_id = _require(img, "id", "image")
-        width = _require(img, "width", "image")
-        height = _require(img, "height", "image")
+    for i, img in enumerate(doc["images"]):
+        image_id = _require(img, "id", "images", i, _ID)
+        width = _require(img, "width", "images", i)
+        height = _require(img, "height", "images", i)
         if image_id in image_meta:
             raise ValidationError(f"duplicate image id {image_id}")
         if type(width) not in _NUMBER or type(height) not in _NUMBER:
@@ -202,11 +222,11 @@ def parse_coco_annotations(text: str) -> Dataset:
 
     instances: dict[object, list[Instance]] = {i: [] for i in image_order}
     seen_ann: set = set()
-    for ann in doc["annotations"]:
-        ann_id = _require(ann, "id", "annotation")
-        image_id = _require(ann, "image_id", "annotation")
-        cat_id = _require(ann, "category_id", "annotation")
-        bbox = _require(ann, "bbox", "annotation")
+    for i, ann in enumerate(doc["annotations"]):
+        ann_id = _require(ann, "id", "annotations", i, _ID)
+        image_id = _require(ann, "image_id", "annotations", i, _ID)
+        cat_id = _require(ann, "category_id", "annotations", i, _INT)
+        bbox = _require(ann, "bbox", "annotations", i)
         if ann_id in seen_ann:
             raise ValidationError(f"duplicate annotation id {ann_id}")
         seen_ann.add(ann_id)
@@ -223,7 +243,10 @@ def parse_coco_annotations(text: str) -> Dataset:
         x, y, w, h = bbox
         if not {type(x), type(y), type(w), type(h)} <= _NUMBER:
             raise ValidationError(f"annotation {ann_id} bbox values must be numbers, got {bbox}")
-        x, y, w, h = float(x), float(y), float(w), float(h)
+        try:
+            x, y, w, h = float(x), float(y), float(w), float(h)
+        except OverflowError:
+            raise ValidationError(f"annotation {ann_id} bbox {bbox} exceeds a double") from None
         # Positive comparisons, so that NaN fails them; the image is finite,
         # so an infinite side or corner fails the bounds.
         if not (w > 0 and h > 0):

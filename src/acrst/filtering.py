@@ -9,7 +9,7 @@ simulated by a noisy oracle over the record's hidden ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -61,47 +61,49 @@ class OracleNoise:
     tau_ml: float = 0.2
 
 
+def keep_mask(
+    class_ids: Sequence[int],
+    scores: Sequence[float],
+    image_label: ImageLevelLabel | None,
+    config: FilterConfig,
+) -> list[bool]:
+    """Which of one image's predictions, given as columns, survive filtering:
+    score >= tau_cls in ``one_stage``, and also (AND, ``two_stage_filtering``)
+    or else (OR, ``two_stage_mining``) an activation of the predicted class
+    >= tau_ml, which needs the image label."""
+    tau_cls = config.tau_cls
+    if config.mode == "one_stage":
+        return [s >= tau_cls for s in scores]
+    if image_label is None:
+        raise ValueError("two-stage filtering needs an image-level label")
+    activations, tau_ml = image_label.activations, config.tau_ml
+    if config.mode == "two_stage_mining":
+        return [s >= tau_cls or activations[c - 1] >= tau_ml for c, s in zip(class_ids, scores)]
+    return [s >= tau_cls and activations[c - 1] >= tau_ml for c, s in zip(class_ids, scores)]
+
+
+def _kept(preds: Sequence[Prediction], image_label, config: FilterConfig) -> list[Prediction]:
+    mask = keep_mask([p.class_id for p in preds], [p.score for p in preds], image_label, config)
+    return [p for p, keep in zip(preds, mask) if keep]
+
+
 def two_stage_filter(
     preds: Sequence[Prediction],
     image_label: ImageLevelLabel | None,
     config: FilterConfig,
 ) -> list[Prediction]:
-    """Score-threshold filtering, optionally AND-gated by class activation.
-
-    ``one_stage`` keeps predictions with score >= tau_cls. ``two_stage_filtering``
-    additionally requires the predicted class's activation >= tau_ml (the
-    image label is then mandatory). Prediction order is preserved.
-    """
+    """The predictions that :func:`keep_mask` keeps, in order, in ``one_stage``
+    or ``two_stage_filtering`` mode; :func:`two_stage_mining` is the OR gate."""
     if config.mode == "two_stage_mining":
         raise ValueError("mining variant is handled by two_stage_mining")
-    if config.mode == "one_stage":
-        return [p for p in preds if p.score >= config.tau_cls]
-    if image_label is None:
-        raise ValueError("two-stage filtering needs an image-level label")
-    return [
-        p
-        for p in preds
-        if p.score >= config.tau_cls
-        and image_label.activation(p.class_id) >= config.tau_ml
-    ]
+    return _kept(preds, image_label, config)
 
 
 def two_stage_mining(
-    preds: Sequence[Prediction],
-    image_label: ImageLevelLabel,
-    config: FilterConfig,
+    preds: Sequence[Prediction], image_label: ImageLevelLabel, config: FilterConfig
 ) -> list[Prediction]:
-    """OR variant: keep a prediction when either stage fires.
-
-    A prediction survives when its score clears tau_cls or its class
-    activation clears tau_ml. Supersets the one-stage output.
-    """
-    return [
-        p
-        for p in preds
-        if p.score >= config.tau_cls
-        or image_label.activation(p.class_id) >= config.tau_ml
-    ]
+    """The OR gate of :func:`keep_mask`, whatever ``config.mode`` says."""
+    return _kept(preds, image_label, replace(config, mode="two_stage_mining"))
 
 
 def oracle_image_labels(

@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Instance, Prediction
-
 
 # IoU thresholds of AP50:95, in this order; index 0 is AP50.
 AP_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
@@ -154,27 +152,19 @@ class Evaluation:
         return float(np.mean(self.aps))
 
 
-def _positions(kept: Sequence[Prediction], raw: Sequence[Prediction]) -> list[int]:
-    """Indices in ``raw`` of ``kept``, an order-preserving subset of its objects."""
-    positions = []
-    candidates = iter(enumerate(raw))
-    for pred in kept:
-        for i, other in candidates:
-            if other is pred:
-                positions.append(i)
-                break
-        else:
-            raise ValueError("kept predictions must be an ordered subset of the raw ones")
-    return positions
-
-
 def evaluate(
-    raw_by_image: Sequence[Sequence[Prediction]],
-    kept_by_image: Sequence[Sequence[Prediction]],
-    gts_by_image: Sequence[Sequence[Instance]],
+    preds: np.ndarray,
+    p_count: Sequence[int],
+    kept: np.ndarray,
+    truths: np.ndarray,
+    g_count: Sequence[int],
     match_iou: float,
 ) -> Evaluation:
     """AP50:95 of the raw predictions and pseudo-label matches of the kept ones.
+
+    ``preds`` holds (x, y, w, h, class, score) columns and ``truths`` (x, y,
+    w, h, class) columns, image after image; ``p_count`` and ``g_count`` give
+    each image's number of rows, and ``kept`` marks the pseudo-labels.
 
     Matching is greedy and one-to-one, in descending score order: each
     prediction claims the free ground truth of its class with the highest IoU
@@ -188,27 +178,18 @@ def evaluate(
     matcher. The raw predictions are matched at all of :data:`AP_THRESHOLDS`;
     pooled over images and ranked by a stable sort on descending score, they
     give each threshold's 101-point interpolated AP, 0.0 when there is no
-    ground truth. The kept predictions, an ordered subset of the raw ones, are
-    matched at ``match_iou``.
+    ground truth. The kept predictions are matched at ``match_iou``.
     """
-    if not len(raw_by_image) == len(kept_by_image) == len(gts_by_image):
-        raise ValueError("raw, kept and ground-truth image lists must align")
+    kept = np.asarray(kept, dtype=bool)
+    sizes = (len(p_count), sum(p_count), sum(p_count), sum(g_count))
+    if sizes != (len(g_count), preds.shape[1], len(kept), truths.shape[1]):
+        raise ValueError("prediction, kept and ground-truth rows must match the per-image counts")
     if not 0.0 < match_iou <= 1.0:
         raise ValueError(f"iou threshold must be in (0, 1], got {match_iou}")
-    n_images = len(raw_by_image)
-    p_count = [len(raw) for raw in raw_by_image]
-    g_count = [len(gts) for gts in gts_by_image]
+    n_images = len(p_count)
     p_start = np.cumsum([0, *p_count]).tolist()
     g_start = np.cumsum([0, *g_count]).tolist()
-    # The epoch's predictions and ground truths as (field, item) columns.
-    preds = np.array([(q.bbox.x, q.bbox.y, q.bbox.w, q.bbox.h, q.class_id, q.score)
-                      for raw in raw_by_image for q in raw], dtype=float).reshape(-1, 6).T
-    truths = np.array([(t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h, t.class_id)
-                       for gts in gts_by_image for t in gts], dtype=float).reshape(-1, 5).T
     boxes, scores = preds[:5], preds[5]
-    kept = np.zeros(len(scores), dtype=bool)
-    kept[[start + i for start, kept_preds, raw in zip(p_start, kept_by_image, raw_by_image)
-          for i in _positions(kept_preds, raw)]] = True
 
     p_image = np.repeat(np.arange(n_images), p_count)
     g_image = np.repeat(np.arange(n_images), g_count)
@@ -235,7 +216,7 @@ def evaluate(
         a, b = p_start[i], p_start[i + 1]
         image_ious = _iou(boxes[:, a:b, None], truths[:, None, g_start[i]:g_start[i + 1]])
         hits[:, a:b] = _greedy(image_ious, scores[a:b], AP_THRESHOLDS)[1] >= 0
-        rows = np.array(_positions(kept_by_image[i], raw_by_image[i]), dtype=np.intp)
+        rows = np.flatnonzero(kept[a:b])
         claims = _greedy(image_ious[rows], scores[a:b][rows], (match_iou,))[1][0]
         claimed = claims >= 0
         claimed_iou[a:b] = 0.0

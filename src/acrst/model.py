@@ -10,9 +10,10 @@ updates, and the teacher tracks the student by exponential moving average.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,53 +92,72 @@ def ema_update(
     if teacher.n_classes != student.n_classes:
         raise ValueError("teacher and student must cover the same classes")
 
-    def blend(t: float, s: float) -> float:
-        return alpha * t + (1.0 - alpha) * s
+    def blend(t: float, s: float, lo: float = 0.0, hi: float = 1.0) -> float:
+        return min(hi, max(lo, alpha * t + (1.0 - alpha) * s))
 
-    recall = tuple(
-        min(1.0, max(0.0, blend(t, s)))
-        for t, s in zip(teacher.recall_skill, student.recall_skill)
-    )
     return DetectorParams(
-        recall_skill=recall,
-        confusion_rate=min(1.0, max(0.0, blend(teacher.confusion_rate, student.confusion_rate))),
-        loc_skill=min(1.0, max(0.0, blend(teacher.loc_skill, student.loc_skill))),
-        partial_rate=min(1.0, max(0.0, blend(teacher.partial_rate, student.partial_rate))),
-        fp_rate=max(0.0, blend(teacher.fp_rate, student.fp_rate)),
-        confidence_sharpness=max(
-            1e-9, blend(teacher.confidence_sharpness, student.confidence_sharpness)
+        recall_skill=tuple(map(blend, teacher.recall_skill, student.recall_skill)),
+        confusion_rate=blend(teacher.confusion_rate, student.confusion_rate),
+        loc_skill=blend(teacher.loc_skill, student.loc_skill),
+        partial_rate=blend(teacher.partial_rate, student.partial_rate),
+        fp_rate=blend(teacher.fp_rate, student.fp_rate, hi=math.inf),
+        confidence_sharpness=blend(
+            teacher.confidence_sharpness, student.confidence_sharpness, 1e-9, math.inf
         ),
     )
 
 
-def _draw_weighted(
-    rng: np.random.Generator, weights: np.ndarray, exclude: int | None = None
-) -> int:
-    """Class id drawn by weight, optionally excluding one class."""
-    w = weights.astype(float)
-    if exclude is not None:
-        w[exclude - 1] = 0.0
-    total = w.sum()
-    if total <= 0.0:
-        w = np.ones_like(w)
-        if exclude is not None and w.size > 1:
+class Detections:
+    """Detector output as the columns class_id, x, y, w, h and score: one list
+    each, one row per box, one image's rows after another's. ``counts`` holds
+    each image's number of rows."""
+
+    def __init__(self) -> None:
+        self.class_id, self.x, self.y, self.w, self.h, self.score = ([] for _ in range(6))
+        self.counts: list[int] = []
+
+    def rows(self, start: int = 0) -> Iterator[tuple[int, float, float, float, float, float]]:
+        """(class, x, y, w, h, score) of each row from ``start`` on."""
+        columns = (self.class_id, self.x, self.y, self.w, self.h, self.score)
+        return zip(*(column[start:] for column in columns))
+
+
+def class_cdfs(class_weights: Sequence[float]) -> list[list[float]]:
+    """Class-draw CDFs by weight: index 0 over every class, index c without class c.
+
+    A draw is ``bisect_right(cdf, u) + 1`` for one double ``u``, which picks
+    what ``Generator.choice(p=...)`` picks from it. Weights that leave nothing
+    to draw fall back to uniform over the classes allowed.
+    """
+    weights = np.asarray(class_weights, dtype=float)
+    if (weights < 0).any():
+        raise ValueError("class_weights must be non-negative")
+    cdfs = []
+    for exclude in range(weights.size + 1):
+        w = weights.copy()
+        if exclude:
             w[exclude - 1] = 0.0
-        total = w.sum()
-    # The CDF draw of Generator.choice(p=...), without its argument checks.
-    cdf = np.cumsum(w / total)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right")) + 1
+        if w.sum() <= 0.0:
+            w = np.ones_like(w)
+            if exclude and w.size > 1:
+                w[exclude - 1] = 0.0
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        cdfs.append(cdf.tolist())
+    return cdfs
 
 
-def synth_detect(
+def detect(
     params: DetectorParams,
     record: ImageRecord,
     rng: np.random.Generator,
-    class_weights: Sequence[float] | None = None,
-) -> list[Prediction]:
+    cdfs: Sequence[Sequence[float]],
+    out: Detections,
+) -> None:
     """Simulate detector output on one image from its hidden ground truth.
 
-    Each ground-truth instance of class k is emitted with probability
+    Appends one row per box, and their number, to ``out``. Each
+    ground-truth instance of class k is emitted with probability
     recall_skill[k]. Emitted boxes are perturbed by zero-mean noise with
     per-coordinate scale (1 - loc_skill) * 0.1 * min(w, h), truncated with
     probability partial_rate to a random sub-rectangle covering 40-70% of the
@@ -147,73 +167,88 @@ def synth_detect(
     background false positives are added with frequency-weighted classes and
     scores uniform in [0.3, 0.8]. Boxes are clipped to the image.
 
-    ``class_weights`` supplies the class frequencies used for confusion
-    targets and false-positive classes; uniform when omitted.
+    ``cdfs`` are the :func:`class_cdfs` of the class frequencies that
+    confusion targets and false-positive classes are drawn by.
     """
-    k = params.n_classes
-    if class_weights is None:
-        weights = np.ones(k, dtype=float)
-    else:
-        weights = np.asarray(class_weights, dtype=float)
-        if weights.shape != (k,):
-            raise ValueError("class_weights must have one entry per class")
-        if (weights < 0).any():
-            raise ValueError("class_weights must be non-negative")
-
+    confuses = params.n_classes > 1
+    recall, score_bases = params.recall_skill, params.score_bases
+    partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
+    loc_scale = (1.0 - params.loc_skill) * 0.1
     width, height = record.width, record.height
+    x1_max, y1_max = width - _MIN_SIDE, height - _MIN_SIDE
     random, standard_normal = rng.random, rng.standard_normal
-    preds: list[Prediction] = []
+    add_class, add_x, add_y = out.class_id.append, out.x.append, out.y.append
+    add_w, add_h, add_score = out.w.append, out.h.append, out.score.append
+    n_before = len(out.score)
     # The doubles come in the order one scalar draw each took them, and
     # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` makes of one.
     for inst in record.ground_truth:
-        skill = params.recall_skill[inst.class_id - 1]
-        if random() >= skill:
+        true_class = inst.class_id
+        if random() >= recall[true_class - 1]:
             continue
         box = inst.bbox
-        noise_scale = (1.0 - params.loc_skill) * 0.1 * min(box.w, box.h)
+        noise_scale = loc_scale * min(box.w, box.h)
         dx, dy, dw, dh = standard_normal(4).tolist()
         x, y = box.x + dx * noise_scale, box.y + dy * noise_scale
         w = max(box.w + dw * noise_scale, _MIN_SIDE)
         h = max(box.h + dh * noise_scale, _MIN_SIDE)
-        if random() < params.partial_rate:
+        if random() < partial_rate:
             u_area, u_w, u_x, u_y = random(4).tolist()
             area_frac = 0.4 + (0.7 - 0.4) * u_area
             frac_w = area_frac + (1.0 - area_frac) * u_w
             frac_h = area_frac / frac_w
             new_w, new_h = w * frac_w, h * frac_h
             x, y, w, h = x + (w - new_w) * u_x, y + (h - new_h) * u_y, new_w, new_h
-        class_id = inst.class_id
-        if random() < params.confusion_rate and k > 1:
-            class_id = _draw_weighted(rng, weights, exclude=inst.class_id)
-        score_base = params.score_bases[inst.class_id - 1]
-        score = min(1.0, max(0.0, score_base + (-0.1 + (0.1 - (-0.1)) * random())))
-        clipped = _clip_box(x, y, w, h, width, height)
-        preds.append(Prediction(class_id=class_id, bbox=clipped, score=score))
+        if random() < confusion_rate and confuses:
+            add_class(bisect_right(cdfs[true_class], random()) + 1)
+        else:
+            add_class(true_class)
+        score = score_bases[true_class - 1] + (-0.1 + (0.1 - (-0.1)) * random())
+        score = score if score > 0.0 else 0.0
+        add_score(score if score < 1.0 else 1.0)
+        # Clipped to the image with a minimal positive extent; min/max as comparisons.
+        x1 = x if x >= 0.0 else 0.0
+        x1 = x1_max if x1_max < x1 else x1
+        y1 = y if y >= 0.0 else 0.0
+        y1 = y1_max if y1_max < y1 else y1
+        x2 = x + w if x + w <= width else width
+        x2 = x1 + _MIN_SIDE if x1 + _MIN_SIDE > x2 else x2
+        y2 = y + h if y + h <= height else height
+        y2 = y1 + _MIN_SIDE if y1 + _MIN_SIDE > y2 else y2
+        add_x(x1)
+        add_y(y1)
+        add_w(x2 - x1)
+        add_h(y2 - y1)
 
+    background = cdfs[0]
     for _ in range(rng.poisson(params.fp_rate)):
-        class_id = _draw_weighted(rng, weights)
+        add_class(bisect_right(background, random()) + 1)
         u_w, u_h, u_x, u_y, u_score = random(5).tolist()
         w = (0.05 + (0.4 - 0.05) * u_w) * width
         h = (0.05 + (0.4 - 0.05) * u_h) * height
-        x, y = (width - w) * u_x, (height - h) * u_y
-        score = 0.3 + (0.8 - 0.3) * u_score
-        preds.append(Prediction(class_id=class_id, bbox=BBox(x, y, w, h), score=score))
-    return preds
+        add_x((width - w) * u_x)
+        add_y((height - h) * u_y)
+        add_w(w)
+        add_h(h)
+        add_score(0.3 + (0.8 - 0.3) * u_score)
+    out.counts.append(len(out.score) - n_before)
 
 
-def _clip_box(
-    x: float, y: float, w: float, h: float, width: float, height: float
-) -> BBox:
-    """Clip to the image, keeping a minimal positive extent; ``min``/``max`` as comparisons."""
-    x1 = x if x >= 0.0 else 0.0
-    x1 = width - _MIN_SIDE if width - _MIN_SIDE < x1 else x1
-    y1 = y if y >= 0.0 else 0.0
-    y1 = height - _MIN_SIDE if height - _MIN_SIDE < y1 else y1
-    x2 = x + w if x + w <= width else width
-    x2 = x1 + _MIN_SIDE if x1 + _MIN_SIDE > x2 else x2
-    y2 = y + h if y + h <= height else height
-    y2 = y1 + _MIN_SIDE if y1 + _MIN_SIDE > y2 else y2
-    return BBox(x1, y1, x2 - x1, y2 - y1)
+def synth_detect(
+    params: DetectorParams,
+    record: ImageRecord,
+    rng: np.random.Generator,
+    class_weights: Sequence[float] | None = None,
+) -> list[Prediction]:
+    """:func:`detect` on one image as predictions, its classes drawn by
+    ``class_weights`` (uniform when omitted)."""
+    k = params.n_classes
+    weights = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=float)
+    if weights.shape != (k,):
+        raise ValueError("class_weights must have one entry per class")
+    out = Detections()
+    detect(params, record, rng, class_cdfs(weights), out)
+    return [Prediction(c, BBox(x, y, w, h), s) for c, x, y, w, h, s in out.rows()]
 
 
 def student_update(
@@ -315,13 +350,9 @@ def batch_loss(
     mean_recall = sum(params.recall_skill) / k
     bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
     bg_log = _safe_log(1.0 - bg_objectness)
-    objectness_logs = []
-    class_logs = []
-    for skill in params.recall_skill:
-        objectness_logs.append(_safe_log(min(max(skill, 1e-4), 1.0 - 1e-4)))
-        class_logs.append(
-            _safe_log(min(max(skill * (1.0 - params.confusion_rate), 1e-4), 1.0))
-        )
+    skills, kept_class = params.recall_skill, 1.0 - params.confusion_rate
+    objectness_logs = [_safe_log(min(max(s, 1e-4), 1.0 - 1e-4)) for s in skills]
+    class_logs = [_safe_log(min(max(s * kept_class, 1e-4), 1.0)) for s in skills]
     term_index_arr = np.asarray(term_index, dtype=np.intp)
     repeats_arr = np.asarray(repeats, dtype=np.intp)
 
@@ -336,12 +367,7 @@ def batch_loss(
     rpn_cls = mean_nll(objectness_logs)
     roi_cls = mean_nll(class_logs)
 
-    if mode == "supervised":
-        n_reg = n_fg
-    elif mode == "unsup_selective":
-        n_reg = n_pasted
-    else:
-        n_reg = 0
+    n_reg = {"supervised": n_fg, "unsup_selective": n_pasted}.get(mode, 0)
     if n_reg:
         delta = (1.0 - params.loc_skill) * 0.1
         per_target = sum(smooth_l1(d) for d in (delta, delta, delta, delta))
@@ -349,6 +375,4 @@ def batch_loss(
     else:
         reg = 0.0
     total = rpn_cls + reg + roi_cls + reg
-    return LossBreakdown(
-        rpn_cls=rpn_cls, rpn_reg=reg, roi_cls=roi_cls, roi_reg=reg, total=total
-    )
+    return LossBreakdown(rpn_cls=rpn_cls, rpn_reg=reg, roi_cls=roi_cls, roi_reg=reg, total=total)

@@ -215,19 +215,24 @@ def _visible(inst: BBox, clipped: Sequence[_Edges]) -> float:
 
 
 def _grid_covered_area(inst: BBox, clipped: Sequence[_Edges]) -> float:
-    xs = np.unique(
-        np.array([inst.x, inst.x2] + [v for c in clipped for v in (c[0], c[2])], dtype=float)
-    )
-    ys = np.unique(
-        np.array([inst.y, inst.y2] + [v for c in clipped for v in (c[1], c[3])], dtype=float)
-    )
-    cx = (xs[:-1] + xs[1:]) / 2.0
-    cy = (ys[:-1] + ys[1:]) / 2.0
-    covered = np.zeros((cx.size, cy.size), dtype=bool)
-    for x1, y1, x2, y2 in clipped:
-        covered |= np.outer((cx > x1) & (cx < x2), (cy > y1) & (cy < y2))
-    cell_area = np.outer(np.diff(xs), np.diff(ys))
-    return float(cell_area[covered].sum())
+    """Area of the grid cells whose centers some overlap covers, the cells
+    x-major and added as ``np.sum`` adds them: left to right below eight."""
+    xs = sorted({inst.x, inst.x2, *(c[0] for c in clipped), *(c[2] for c in clipped)})
+    ys = sorted({inst.y, inst.y2, *(c[1] for c in clipped), *(c[3] for c in clipped)})
+    x_cells = [((a + b) / 2.0, b - a) for a, b in zip(xs, xs[1:])]
+    y_cells = [((a + b) / 2.0, b - a) for a, b in zip(ys, ys[1:])]
+    areas = [
+        w * h
+        for cx, w in x_cells
+        for cy, h in y_cells
+        if any(x1 < cx < x2 and y1 < cy < y2 for x1, y1, x2, y2 in clipped)
+    ]
+    if len(areas) >= 8:
+        return float(np.sum(areas))
+    total = 0.0
+    for area in areas:
+        total += area
+    return total
 
 
 def merge_annotations(

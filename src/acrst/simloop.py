@@ -24,22 +24,18 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank, sample_crops
-from .dataset import Dataset, ImageRecord, Instance, Prediction, split_standard
-from .filtering import (
-    FilterConfig,
-    OracleNoise,
-    oracle_image_labels,
-    two_stage_filter,
-    two_stage_mining,
-)
+from .dataset import BBox, Dataset, ImageRecord, Instance, split_standard
+from .filtering import keep_mask, oracle_image_labels
 from .metrics import class_kld, evaluate, fg_ratio
 from .model import (
     DetectorParams,
+    Detections,
     LossBreakdown,
     batch_loss,
+    class_cdfs,
+    detect,
     ema_update,
     student_update,
-    synth_detect,
 )
 from .rebalance import ClassStats, SamplingDistribution, affr_distribution, fbr_mix, pseudo_recall
 from .seeding import derive_seed, substream
@@ -84,10 +80,8 @@ class EpochTrace:
     pasted_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in (
-            "total_loss", "fg_ratio", "kld", "pseudo_acc",
-            "pseudo_rec", "box_miou", "ap50", "ap5095",
-        ):
+        for name in ("total_loss", "fg_ratio", "kld", "pseudo_acc", "pseudo_rec", "box_miou",
+                     "ap50", "ap5095"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"trace field {name} is not finite")
 
@@ -140,28 +134,7 @@ def _pastes(config: ExperimentConfig) -> bool:
     return config.fbr and config.paste.crops_per_image > 0
 
 
-def _pseudo_label(
-    teacher: DetectorParams,
-    img: ImageRecord,
-    fcfg: FilterConfig,
-    oracle: OracleNoise,
-    freq: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[list[Prediction], list[Prediction]]:
-    """The teacher's predictions on ``img`` and the pseudo-labels kept of them.
-
-    Only a two-stage mode draws the image's oracle label, after the detection.
-    """
-    raw = synth_detect(teacher, img, rng, class_weights=freq)
-    if fcfg.mode == "one_stage":
-        return raw, two_stage_filter(raw, None, fcfg)
-    label = oracle_image_labels(img, oracle, rng, len(freq))
-    if fcfg.mode == "two_stage_mining":
-        return raw, two_stage_mining(raw, label, fcfg)
-    return raw, two_stage_filter(raw, label, fcfg)
-
-
-def _class_counts(items: Iterable[Instance | Prediction], k: int) -> np.ndarray:
+def _class_counts(items: Iterable[Instance], k: int) -> np.ndarray:
     """How many of ``items`` fall in each class (index k-1 = class k)."""
     ids = [item.class_id - 1 for item in items]
     return np.bincount(np.array(ids, dtype=np.int64), minlength=k)
@@ -187,8 +160,7 @@ def pretrain(
     if not labeled.images:
         raise ConfigError("pretraining requires a non-empty labeled dataset")
     params = config.detector.build(labeled.num_classes)
-    n = len(labeled.images)
-    k = labeled.num_classes
+    n, k = len(labeled.images), labeled.num_classes
     for _ in range(config.pretrain_epochs):
         for _ in range(config.batches_per_epoch):
             idx = rng.choice(n, size=min(config.labeled_batch, n), replace=False)
@@ -218,7 +190,6 @@ def run_epoch(
     mixing = _pastes(config)
     unsup_mode = "unsup_selective" if config.selective_supervision else "unsup_cls_only"
     labeled_counts = labeled.class_counts
-    freq = labeled_counts.astype(float)
 
     # The sampling distribution is fixed for the epoch: the bank only changes
     # at the refresh step below.
@@ -236,28 +207,43 @@ def run_epoch(
     else:
         dist = SamplingDistribution.uniform(k)
 
-    fg_total = 0
-    bg_total = 0
+    fg_total = bg_total = 0
     exposure_total = np.zeros(k, dtype=np.int64)
     pasted_total = np.zeros(k, dtype=np.int64)
     sup_losses: list[LossBreakdown] = []
     unsup_losses: list[LossBreakdown] = []
+    cdfs = class_cdfs(labeled_counts)
+
+    def pseudo_label(img: ImageRecord, dets: Detections, keep: list[bool]) -> tuple:
+        """Append the teacher's detections on ``img`` to ``dets`` and their keep
+        mask to ``keep``; return the kept ones as instances. Only a two-stage
+        mode draws the image's oracle label, after the detection."""
+        start = len(dets.score)
+        detect(teacher, img, rng, cdfs, dets)
+        label = (None if fcfg.mode == "one_stage"
+                 else oracle_image_labels(img, config.oracle, rng, k))
+        image_keep = keep_mask(dets.class_id[start:], dets.score[start:], label, fcfg)
+        keep += image_keep
+        return tuple(Instance(c, BBox(x, y, w, h), img.id)
+                     for (c, x, y, w, h, _), kept in zip(dets.rows(start), image_keep) if kept)
 
     for _ in range(config.batches_per_epoch):
         batch_idx = rng.choice(n_unl, size=min(config.unlabeled_batch, n_unl), replace=False)
-        mixed_batch = []
+        # Per image, its instances with the pasted ones first, and how many were pasted.
+        unsup_images: list[tuple[tuple[Instance, ...], int]] = []
         for i in batch_idx:
             img = unlabeled.images[int(i)]
-            _, kept = _pseudo_label(teacher, img, fcfg, config.oracle, freq, rng)
-            pseudo_gt = tuple(Instance(p.class_id, p.bbox, img.id) for p in kept)
-            crops = sample_crops(bank, dist, config.paste.crops_per_image, rng) if mixing else []
-            record = ImageRecord(img.id, img.width, img.height, pseudo_gt)
-            mixed = fbr_mix(record, crops, rng, config.paste)
-            mixed_batch.append(mixed)
-            fg_total += len(mixed.merged_annotations)
-            bg_total += max(budget - len(mixed.merged_annotations), 0)
-        # A mixed image lists its pasted instances first, one per placement.
-        pasted = [inst for m in mixed_batch for inst in m.merged_annotations[: len(m.placements)]]
+            pseudo_gt = pseudo_label(img, Detections(), [])
+            if mixing:
+                crops = sample_crops(bank, dist, config.paste.crops_per_image, rng)
+                record = ImageRecord(img.id, img.width, img.height, pseudo_gt)
+                mixed = fbr_mix(record, crops, rng, config.paste)
+                unsup_images.append((mixed.merged_annotations, len(mixed.placements)))
+            else:
+                unsup_images.append((pseudo_gt, 0))
+            fg_total += len(unsup_images[-1][0])
+            bg_total += max(budget - len(unsup_images[-1][0]), 0)
+        pasted = [inst for instances, n in unsup_images for inst in instances[:n]]
         pasted_total += _class_counts(pasted, k)
 
         lab_idx = rng.choice(n_lab, size=min(config.labeled_batch, n_lab), replace=False)
@@ -266,11 +252,10 @@ def run_epoch(
         sup_losses.append(
             batch_loss(student, [(img.ground_truth, 0) for img in lab_images], budget, "supervised")
         )
-        unsup_images = [(m.merged_annotations, len(m.placements)) for m in mixed_batch]
         unsup_losses.append(batch_loss(student, unsup_images, budget, unsup_mode))
 
         exposure = _class_counts(
-            lab_instances + [inst for m in mixed_batch for inst in m.merged_annotations], k
+            lab_instances + [inst for instances, _ in unsup_images for inst in instances], k
         )
         # Labeled instances always carry regression supervision; pasted crops
         # join them only under selective supervision.
@@ -280,19 +265,15 @@ def run_epoch(
         exposure_total += exposure
 
     # Full-set teacher evaluation; also the pseudo-label source for refresh.
-    labels = [
-        _pseudo_label(teacher, img, fcfg, config.oracle, freq, rng) for img in unlabeled.images
-    ]
-    raw_by_image = [raw for raw, _ in labels]
-    kept_by_image = [kept for _, kept in labels]
-    gts_by_image = [img.ground_truth for img in unlabeled.images]
-    eval_pseudo = {img.id: kept for img, kept in zip(unlabeled.images, kept_by_image)}
-    kept_all = [p for kept in kept_by_image for p in kept]
-    pseudo_counts = _class_counts(kept_all, k)
-    evaluation = evaluate(raw_by_image, kept_by_image, gts_by_image, config.match_iou)
+    dets, keep = Detections(), []
+    eval_pseudo = {img.id: pseudo_label(img, dets, keep) for img in unlabeled.images}
+    kept = np.array(keep, dtype=bool)
+    preds = np.array((dets.x, dets.y, dets.w, dets.h, dets.class_id, dets.score), dtype=float)
+    pseudo_counts = np.bincount(preds[4, kept].astype(np.int64) - 1, minlength=k)
+    evaluation = evaluate(preds, dets.counts, kept, *unlabeled.truth_columns, config.match_iou)
     matched = evaluation.matched
-    n_kept_total = len(kept_all)
-    n_gt_total = sum(len(gts) for gts in gts_by_image)
+    n_kept_total = int(kept.sum())
+    n_gt_total = sum(unlabeled.truth_columns[1])
 
     truth_counts = unlabeled.class_counts
     sup, unsup = _mean_breakdown(sup_losses), _mean_breakdown(unsup_losses)
@@ -316,14 +297,7 @@ def run_epoch(
         pasted_counts=tuple(int(c) for c in pasted_total),
     )
     bank = refresh_pseudo_bank(bank, eval_pseudo, config.refresh_period, state.epoch)
-    new_state = LoopState(
-        teacher=teacher,
-        student=student,
-        bank=bank,
-        labeled=labeled,
-        unlabeled=unlabeled,
-        epoch=state.epoch + 1,
-    )
+    new_state = replace(state, teacher=teacher, student=student, bank=bank, epoch=state.epoch + 1)
     return new_state, trace
 
 

@@ -116,6 +116,26 @@ class TestParse:
                          id="width-inf"),
             pytest.param(lambda d: d["images"][1].update(height=float("nan")), "image 11",
                          id="height-nan"),
+            pytest.param(lambda d: d["categories"][0].update(id=[7]), r"categories\[0\]",
+                         id="category-id-list"),
+            pytest.param(lambda d: d["categories"][1].update(id="a"), r"categories\[1\]",
+                         id="category-id-str"),
+            pytest.param(lambda d: d["categories"][0].update(id=7.5), r"categories\[0\]",
+                         id="category-id-float"),
+            pytest.param(lambda d: d["categories"][0].update(id=True), r"categories\[0\]",
+                         id="category-id-bool"),
+            pytest.param(lambda d: d["images"][1].update(id=[11]), r"images\[1\]",
+                         id="image-id-list"),
+            pytest.param(lambda d: d["images"][0].update(id=10.0), r"images\[0\]",
+                         id="image-id-float"),
+            pytest.param(lambda d: d["annotations"][2].update(id=[3]), r"annotations\[2\]",
+                         id="annotation-id-list"),
+            pytest.param(lambda d: d["annotations"][0].update(image_id=[10]),
+                         r"annotations\[0\]", id="annotation-image-id-list"),
+            pytest.param(lambda d: d["annotations"][0].update(category_id=7.0),
+                         r"annotations\[0\]", id="annotation-category-id-float"),
+            pytest.param(lambda d: d["annotations"][1].update(bbox=[30, 20, 10**400, 30]),
+                         "annotation 2", id="bbox-huge-int"),
         ],
     )
     def test_ill_typed_record_named(self, coco_text, edit, named):
@@ -125,6 +145,16 @@ class TestParse:
         edit(doc)
         with pytest.raises((ParseError, ValidationError), match=named):
             parse_coco_annotations(json.dumps(doc))
+
+    def test_string_ids_accepted(self, coco_text):
+        doc = json.loads(coco_text)
+        doc["images"][0]["id"] = "a"
+        for ann in doc["annotations"][:2]:
+            ann["image_id"] = "a"
+        doc["annotations"][0]["id"] = "first"
+        ds = parse_coco_annotations(json.dumps(doc))
+        assert [img.id for img in ds.images] == ["a", 11]
+        assert [inst.source_image_id for inst in ds.images[0].ground_truth] == ["a", "a"]
 
     def test_unknown_keys_ignored(self, coco_text):
         doc = json.loads(coco_text)

@@ -9,6 +9,7 @@ from acrst.filtering import (
     FilterConfig,
     ImageLevelLabel,
     OracleNoise,
+    keep_mask,
     oracle_image_labels,
     two_stage_filter,
     two_stage_mining,
@@ -108,6 +109,65 @@ class TestSetRelations:
                 assert (p in one) == (p.score >= tau_cls)
                 assert (p in both) == (p.score >= tau_cls and act >= tau_ml)
                 assert (p in either) == (p.score >= tau_cls or act >= tau_ml)
+
+
+# Reference filters: the per-prediction filters the keep mask replaced, kept
+# verbatim but for their mode checks.
+
+
+def _ref_two_stage_filter(preds, image_label, config):
+    if config.mode == "one_stage":
+        return [p for p in preds if p.score >= config.tau_cls]
+    return [
+        p
+        for p in preds
+        if p.score >= config.tau_cls
+        and image_label.activation(p.class_id) >= config.tau_ml
+    ]
+
+
+def _ref_two_stage_mining(preds, image_label, config):
+    return [
+        p
+        for p in preds
+        if p.score >= config.tau_cls
+        or image_label.activation(p.class_id) >= config.tau_ml
+    ]
+
+
+_threshold = st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0])
+
+
+class TestKeepMaskEquivalence:
+    """The keep mask keeps what the per-prediction filters kept, in every mode."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        data=st.data(),
+        tau_cls=_threshold,
+        tau_ml=_threshold,
+        mode=st.sampled_from(["one_stage", "two_stage_filtering", "two_stage_mining"]),
+    )
+    def test_matches_reference_filters(self, k, data, tau_cls, tau_ml, mode):
+        activations = data.draw(st.lists(_threshold, min_size=k, max_size=k))
+        label = ImageLevelLabel(image_id=1, activations=tuple(activations))
+        preds = data.draw(st.lists(
+            st.builds(pred, st.integers(1, k), st.one_of(_threshold, st.floats(0.0, 1.0))),
+            max_size=10,
+        ))
+        config = FilterConfig(tau_cls, tau_ml, mode)
+        mask = keep_mask([p.class_id for p in preds], [p.score for p in preds], label, config)
+        kept = [p for p, keep in zip(preds, mask) if keep]
+        if mode == "two_stage_mining":
+            want = _ref_two_stage_mining(preds, label, config)
+            got = two_stage_mining(preds, label, config)
+        else:
+            want = _ref_two_stage_filter(preds, label, config)
+            got = two_stage_filter(preds, label, config)
+        assert list(map(id, kept)) == list(map(id, want)) == list(map(id, got))
+        # The mining wrapper is the OR gate whatever mode the config names.
+        assert two_stage_mining(preds, label, config) == _ref_two_stage_mining(preds, label, config)
 
 
 class TestOracle:

@@ -10,7 +10,6 @@ from acrst.metrics import (
     AP_THRESHOLDS,
     _greedy,
     _interpolated_ap,
-    _positions,
     class_kld,
     evaluate,
     fg_ratio,
@@ -25,9 +24,25 @@ def pred(class_id, x, y, w, h, score):
     return Prediction(class_id=class_id, bbox=BBox(x, y, w, h), score=score)
 
 
+def evaluate_images(raw_by_image, keep_by_image, gts_by_image, match_iou):
+    """:func:`evaluate` of per-image predictions, keep masks and ground truths."""
+    preds = [(p.bbox.x, p.bbox.y, p.bbox.w, p.bbox.h, p.class_id, p.score)
+             for raw in raw_by_image for p in raw]
+    truths = [(t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h, t.class_id)
+              for gts in gts_by_image for t in gts]
+    return evaluate(
+        np.array(preds, dtype=float).reshape(-1, 6).T,
+        [len(raw) for raw in raw_by_image],
+        np.array([k for keep in keep_by_image for k in keep], dtype=bool),
+        np.array(truths, dtype=float).reshape(-1, 5).T,
+        [len(gts) for gts in gts_by_image],
+        match_iou,
+    )
+
+
 def match(preds, gts, match_iou):
     """Evaluation of one image whose predictions are all kept."""
-    return evaluate([preds], [preds], [gts], match_iou)
+    return evaluate_images([preds], [[True] * len(preds)], [gts], match_iou)
 
 
 def pair_iou(a, b):
@@ -37,7 +52,8 @@ def pair_iou(a, b):
 
 def ap(preds_by_image, gts_by_image):
     """Evaluation of the raw predictions only, for their APs."""
-    return evaluate(preds_by_image, [[] for _ in preds_by_image], gts_by_image, 0.5)
+    keep = [[False] * len(preds) for preds in preds_by_image]
+    return evaluate_images(preds_by_image, keep, gts_by_image, 0.5)
 
 
 class TestIou:
@@ -113,9 +129,9 @@ class TestMatching:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            evaluate([], [], [], 0.0)
+            evaluate_images([], [], [], 0.0)
         with pytest.raises(ValueError):
-            evaluate([], [], [], 1.1)
+            evaluate_images([], [], [], 1.1)
 
 
 class TestPseudoQuality:
@@ -258,7 +274,7 @@ class TestAveragePrecision:
 
     def test_misaligned_image_lists(self):
         with pytest.raises(ValueError):
-            evaluate([[]], [[]], [], 0.5)
+            evaluate_images([[]], [[]], [], 0.5)
 
 
 class TestAp5095:
@@ -376,8 +392,7 @@ def _image(draw):
         source = draw(st.sampled_from(gts))
         bbox = source.bbox if kind == "copy" else jittered(source.bbox)
         preds.append(Prediction(source.class_id, bbox, draw(_score)))
-    kept = [p for p in preds if draw(st.booleans())]
-    return preds, kept, gts
+    return preds, [draw(st.booleans()) for _ in preds], gts
 
 
 _HALF_IOU_SCENE = (
@@ -399,14 +414,14 @@ class TestOnePassEquivalence:
         match_iou=st.sampled_from([0.5, 0.3, 0.75, 1.0, 1 / 7]),
     )
     @example(
-        scene=[(_HALF_IOU_SCENE[0][0], _HALF_IOU_SCENE[0][0][:2], _HALF_IOU_SCENE[1][0])],
+        scene=[(_HALF_IOU_SCENE[0][0], [True, True, False, False], _HALF_IOU_SCENE[1][0])],
         match_iou=0.5,
     )
     def test_matches_the_per_threshold_oracle(self, scene, match_iou):
         raw = [s[0] for s in scene]
-        kept = [s[1] for s in scene]
+        keep = [s[1] for s in scene]
         gts = [s[2] for s in scene]
-        result = evaluate(raw, kept, gts, match_iou)
+        result = evaluate_images(raw, keep, gts, match_iou)
 
         expected_aps = tuple(_ref_average_precision(raw, gts, t) for t in AP_THRESHOLDS)
         assert result.aps == expected_aps
@@ -415,8 +430,8 @@ class TestOnePassEquivalence:
 
         matched = 0
         iou_sum = 0.0
-        for k, g in zip(kept, gts):
-            pairs = _ref_match(k, g, match_iou)
+        for preds, k, g in zip(raw, keep, gts):
+            pairs = _ref_match([p for p, kept in zip(preds, k) if kept], g, match_iou)
             matched += len(pairs)
             iou_sum += sum(v for _, _, v in pairs)
         assert result.matched == matched
@@ -430,21 +445,20 @@ class TestOnePassEquivalence:
         # box matches nothing. At 0.55 both duplicates match exactly.
         assert _ref_match(raw[0], gts[0], 0.5) == [(0, 0, 0.5), (1, 1, 1.0)]
         assert _ref_match(raw[0], gts[0], 0.55) == [(1, 0, 1.0), (2, 1, 1.0)]
-        result = evaluate(raw, raw, gts, 0.5)
-        assert (result.matched, result.iou_sum) == (2, 1.5)
-        result = evaluate(raw, raw, gts, 0.55)
-        assert (result.matched, result.iou_sum) == (2, 2.0)
+        for match_iou, expected in ((0.5, (2, 1.5)), (0.55, (2, 2.0))):
+            result = match(raw[0], gts[0], match_iou)
+            assert (result.matched, result.iou_sum) == expected
 
-    def test_kept_must_be_a_subset_of_raw(self):
-        raw = [pred(1, 0, 0, 10, 10, 0.9)]
-        copy = [pred(1, 0, 0, 10, 10, 0.9)]
-        gts = [[gt(1, 0, 0, 10, 10)]]
+    def test_rows_must_match_the_counts(self):
+        preds = np.array([[0.0], [0.0], [10.0], [10.0], [1.0], [0.9]])
+        truths = np.array([[0.0], [0.0], [10.0], [10.0], [1.0]])
+        assert evaluate(preds, [1], [True], truths, [1], 0.5).matched == 1
+        for p_count, kept, g_count in (([2], [True], [1]), ([1], [True, False], [1]),
+                                       ([1], [True], [0]), ([1, 0], [True], [1])):
+            with pytest.raises(ValueError):
+                evaluate(preds, p_count, kept, truths, g_count, 0.5)
         with pytest.raises(ValueError):
-            evaluate([raw], [copy], gts, 0.5)
-        with pytest.raises(ValueError):
-            evaluate([raw], [raw], gts, 0.0)
-        with pytest.raises(ValueError):
-            evaluate([raw], [], gts, 0.5)
+            evaluate(preds, [1], [True], truths, [1], 0.0)
 
 
 # Reference oracle: the per-image evaluator that the one-pass IoU evaluator
@@ -466,15 +480,15 @@ def _per_image_iou_matrix(preds, gts):
     return inter / ((pw * ph + gw * gh) - inter)
 
 
-def _per_image_evaluate(raw_by_image, kept_by_image, gts_by_image, match_iou):
+def _per_image_evaluate(raw_by_image, keep_by_image, gts_by_image, match_iou):
     scores, hits = [], []
     matched = 0
     iou_sum = 0.0
-    for raw, kept, gts in zip(raw_by_image, kept_by_image, gts_by_image):
+    for raw, keep, gts in zip(raw_by_image, keep_by_image, gts_by_image):
         ious = _per_image_iou_matrix(raw, gts)
         scores.append(np.array([p.score for p in raw], dtype=float))
         hits.append(_greedy(ious, scores[-1], AP_THRESHOLDS)[1] >= 0)
-        rows = _positions(kept, raw)
+        rows = np.flatnonzero(np.array(keep, dtype=bool))
         kept_ious = ious[rows]
         order, claims = _greedy(kept_ious, scores[-1][rows], (match_iou,))
         pairs = order[claims[0, order] >= 0]
@@ -520,8 +534,7 @@ def _crowded_image(draw):
             bbox = BBox(bbox.x + dx, bbox.y + dy, max(bbox.w + dw, step), max(bbox.h + dh, step))
         class_id = draw(classes) if kind == "confused" else source.class_id
         preds.append(Prediction(class_id, bbox, draw(_score)))
-    kept = [p for p in preds if draw(st.booleans())]
-    return preds, kept, gts
+    return preds, [draw(st.booleans()) for _ in preds], gts
 
 
 class TestPerImageEquivalence:
@@ -533,17 +546,18 @@ class TestPerImageEquivalence:
         match_iou=st.sampled_from([0.3, 0.5, 1.0]),
     )
     @example(
-        scene=[(_HALF_IOU_SCENE[0][0], _HALF_IOU_SCENE[0][0][:2], _HALF_IOU_SCENE[1][0])],
+        scene=[(_HALF_IOU_SCENE[0][0], [True, True, False, False], _HALF_IOU_SCENE[1][0])],
         match_iou=0.5,
     )
-    @example(scene=[([], [], [gt(1, 0, 0, 4, 4)]), ([pred(1, 0, 0, 4, 4, 0.5)] * 2, [], [])],
+    @example(scene=[([], [], [gt(1, 0, 0, 4, 4)]),
+                    ([pred(1, 0, 0, 4, 4, 0.5)] * 2, [False, False], [])],
              match_iou=0.3)
     def test_matches_the_per_image_evaluator(self, scene, match_iou):
         raw = [s[0] for s in scene]
-        kept = [s[1] for s in scene]
+        keep = [s[1] for s in scene]
         gts = [s[2] for s in scene]
-        result = evaluate(raw, kept, gts, match_iou)
-        aps, matched, iou_sum = _per_image_evaluate(raw, kept, gts, match_iou)
+        result = evaluate_images(raw, keep, gts, match_iou)
+        aps, matched, iou_sum = _per_image_evaluate(raw, keep, gts, match_iou)
         assert result.aps == aps
         assert result.matched == matched
         assert result.iou_sum == iou_sum
@@ -559,11 +573,11 @@ class TestPerImageEquivalence:
         lone = ([pred(1, 0, 0, 10, 10, 0.9)], [gt(1, 0, 0, 10, 10), gt(2, 0, 0, 10, 10)])
         # Two predictions over one ground truth: both clear 0.5 against it.
         crowded = ([pred(1, 0, 0, 10, 10, 0.9), pred(1, 0, 0, 10, 9, 0.8)], [gt(1, 0, 0, 10, 10)])
-        raw = [lone[0], crowded[0]]
-        result = evaluate(raw, raw, [lone[1], crowded[1]], 0.5)
+        result = evaluate_images([lone[0], crowded[0]], [[True], [True, True]],
+                                 [lone[1], crowded[1]], 0.5)
         # The crowded image is matched at the AP thresholds, then at match_iou.
         assert calls == [(2, 1), (2, 1)]
         assert (result.matched, result.iou_sum) == (2, 2.0)
         calls.clear()
-        evaluate([lone[0]], [lone[0]], [lone[1]], 0.5)
+        evaluate_images([lone[0]], [[True]], [lone[1]], 0.5)
         assert calls == []

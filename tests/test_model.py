@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,15 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrst.dataset import BBox, ImageRecord, Instance, Prediction
-from acrst.metrics import evaluate
 from acrst.model import (
     CONFUSION_FLOOR,
     PARTIAL_FLOOR,
+    Detections,
     DetectorParams,
     LossBreakdown,
-    _clip_box,
-    _draw_weighted,
     batch_loss,
+    class_cdfs,
+    detect,
     ema_update,
     smooth_l1,
     student_update,
@@ -115,8 +116,8 @@ class TestSynthDetect:
         assert len(preds) == 2
         for p, g in zip(preds, rec.ground_truth):
             assert p.class_id == g.class_id
-            # The IoU of the pair, which matches at any positive threshold.
-            iou = evaluate([[p]], [[p]], [[g]], match_iou=1e-12).iou_sum
+            overlap = p.bbox.intersection(g.bbox).area
+            iou = overlap / (p.bbox.area + g.bbox.area - overlap)
             assert math.isclose(iou, 1.0, abs_tol=1e-9)
             assert p.score >= 0.85
 
@@ -528,7 +529,7 @@ def _weights_and_exclude(draw):
 
 
 class TestDrawWeightedEquivalence:
-    """The CDF draw picks what rng.choice picked, from the same double."""
+    """A draw from the class CDFs picks what rng.choice picked, from the same double."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -541,31 +542,48 @@ class TestDrawWeightedEquivalence:
     def test_matches_choice(self, cases, seed):
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for weights, exclude in cases:
-            got = _draw_weighted(rng_got, weights, exclude)
+            got = bisect_right(class_cdfs(weights)[exclude or 0], rng_got.random()) + 1
             want = _choice_draw_weighted(rng_want, weights, exclude)
             assert got == want
         assert rng_got.random() == rng_want.random()
 
-    def test_synth_detect_unchanged(self, monkeypatch):
+    def test_synth_detect_unchanged(self):
         # Confusions and background false positives draw classes by weight.
         p = params(recall=(0.9, 0.6, 0.3), confusion=0.6, fp=3.0)
         rec = ImageRecord(
             id=1, width=120, height=100, ground_truth=tuple(inst(c) for c in (1, 2, 3, 1))
         )
 
-        def detect_all(seed):
-            rng = np.random.default_rng(seed)
-            preds = [synth_detect(p, rec, rng, class_weights=(5.0, 0.0, 1.0)) for _ in range(50)]
-            return preds, rng.random()
+        def detect_all(detector):
+            rng = np.random.default_rng(11)
+            preds = [detector(p, rec, rng, class_weights=(5.0, 0.0, 1.0)) for _ in range(50)]
+            return [_bits(image) for image in preds], rng.random()
 
-        got = detect_all(11)
-        monkeypatch.setattr("acrst.model._draw_weighted", _choice_draw_weighted)
-        assert got == detect_all(11)
+        def choice_detector(*args, **kwargs):
+            return _oracle_synth_detect(*args, **kwargs, draw=_choice_draw_weighted)
+
+        assert detect_all(synth_detect) == detect_all(choice_detector)
 
 
 # Reference oracle: the detector as it drew before its bulk draws, one scalar
-# draw per value and min/max clipping, kept verbatim. The detector must give
-# the same predictions and leave the stream at the same place.
+# draw per value, a CDF rebuilt per class draw and min/max clipping, kept
+# verbatim. The detector must give the same predictions and leave the stream
+# at the same place.
+
+
+def _cdf_draw_weighted(rng, weights, exclude=None):
+    w = weights.astype(float)
+    if exclude is not None:
+        w[exclude - 1] = 0.0
+    total = w.sum()
+    if total <= 0.0:
+        w = np.ones_like(w)
+        if exclude is not None and w.size > 1:
+            w[exclude - 1] = 0.0
+        total = w.sum()
+    cdf = np.cumsum(w / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right")) + 1
 
 
 def _oracle_clip_box(x, y, w, h, width, height):
@@ -576,7 +594,7 @@ def _oracle_clip_box(x, y, w, h, width, height):
     return BBox(x1, y1, x2 - x1, y2 - y1)
 
 
-def _oracle_synth_detect(params, record, rng, class_weights=None):
+def _oracle_synth_detect(params, record, rng, class_weights=None, draw=_cdf_draw_weighted):
     k = params.n_classes
     if class_weights is None:
         weights = np.ones(k, dtype=float)
@@ -604,13 +622,13 @@ def _oracle_synth_detect(params, record, rng, class_weights=None):
             w, h = new_w, new_h
         class_id = inst.class_id
         if rng.random() < params.confusion_rate and k > 1:
-            class_id = _draw_weighted(rng, weights, exclude=inst.class_id)
+            class_id = draw(rng, weights, exclude=inst.class_id)
         score_base = 1.0 / (1.0 + math.exp(-params.confidence_sharpness * (skill - 0.5)))
         score = min(1.0, max(0.0, score_base + rng.uniform(-0.1, 0.1)))
         clipped = _oracle_clip_box(x, y, w, h, width, height)
         preds.append(Prediction(class_id=class_id, bbox=clipped, score=float(score)))
     for _ in range(rng.poisson(params.fp_rate)):
-        class_id = _draw_weighted(rng, weights)
+        class_id = draw(rng, weights)
         w = rng.uniform(0.05, 0.4) * width
         h = rng.uniform(0.05, 0.4) * height
         x = rng.uniform(0.0, width - w)
@@ -640,7 +658,7 @@ def _detect_case(draw):
         confusion=draw(_edge_rate),
         loc=draw(_edge_rate),
         partial=draw(_edge_rate),
-        fp=draw(st.sampled_from([0.0, 0.5, 5.0])),
+        fp=draw(st.sampled_from([0.0, 0.5, 5.0, 40.0])),
         sharpness=draw(st.sampled_from([1.0, 8.0, 30.0])),
     )
     weights = draw(st.one_of(
@@ -686,11 +704,65 @@ class TestSynthDetectEquivalence:
         assert rng_got.random() == rng_want.random()
 
     @settings(max_examples=300, deadline=None)
+    @given(case=_detect_case(), seed=st.integers(0, 2**32 - 1))
+    @example(
+        case=(params(recall=(1.0,), confusion=1.0, loc=0.0, partial=1.0, fp=40.0), [0.0],
+              [record([inst(1, 0, 0, 200, 200), inst(1, 150, 150, 50, 50)])]),
+        seed=2,
+    )
+    @example(
+        case=(params(recall=(1.0, 1.0, 1.0), confusion=1.0, loc=0.5, partial=0.0, fp=5.0),
+              [0.0, 0.0, 0.0], [record([inst(1), inst(2), inst(3)]), record([inst(2)])]),
+        seed=3,
+    )
+    def test_columns_match_scalar_draws(self, case, seed):
+        # The loop's detector: one set of class CDFs for every image, and the
+        # images' rows one after another in one set of columns.
+        detector, weights, records = case
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        cdfs = class_cdfs([1.0] * detector.n_classes if weights is None else weights)
+        out = Detections()
+        for rec in records:
+            start = len(out.score)
+            detect(detector, rec, rng_got, cdfs, out)
+            want = _oracle_synth_detect(detector, rec, rng_want, class_weights=weights)
+            rows = [(c, *(float(v).hex() for v in values)) for c, *values in out.rows(start)]
+            assert rows == _bits(want)
+        assert rng_got.random() == rng_want.random()
+
+    @settings(max_examples=300, deadline=None)
     @given(
-        corner=st.tuples(*[st.sampled_from([-0.0, 0.0, -5.0, 1e-4, 39.999, 40.0, 55.5])] * 2),
+        corner=st.tuples(*[st.sampled_from([0.0, -5.0, 1e-4, 39.999, 40.0, 55.5])] * 2),
         size=st.tuples(*[st.sampled_from([1e-3, 0.5, 10.0, 39.999, 40.0, 80.0])] * 2),
     )
     def test_clip_matches_min_max(self, corner, size):
-        got = _clip_box(*corner, *size, 40.0, 30.0)
-        want = _oracle_clip_box(*corner, *size, 40.0, 30.0)
-        assert _bits([Prediction(1, got, 0.5)]) == _bits([Prediction(1, want, 0.5)])
+        # A 10x10 box at the origin with loc_skill 0 has a noise scale of 1.0,
+        # so the four normals move its corner to ``corner`` and give it about
+        # ``size``; the detector then clips it to the 40x30 image.
+        detector = params(recall=(1.0,), confusion=0.0, loc=0.0, partial=0.0, fp=0.0)
+        rec = record([inst(1, 0, 0, 10, 10)], width=40.0, height=30.0)
+        normals = [corner[0], corner[1], size[0] - 10, size[1] - 10]
+        out = Detections()
+        detect(detector, rec, _FixedDraws(normals), class_cdfs([1.0]), out)
+        (_, *got, _), = out.rows()
+        x, y = 0 + normals[0] * 1.0, 0 + normals[1] * 1.0
+        w, h = max(10 + normals[2] * 1.0, 1e-3), max(10 + normals[3] * 1.0, 1e-3)
+        want = _oracle_clip_box(x, y, w, h, 40.0, 30.0)
+        assert _bits([Prediction(1, BBox(*got), 0.5)]) == _bits([Prediction(1, want, 0.5)])
+
+
+class _FixedDraws:
+    """A generator stand-in: the given standard normals, every double 0.0, no
+    Poisson events."""
+
+    def __init__(self, normals):
+        self.normals = normals
+
+    def standard_normal(self, n):
+        return np.array(self.normals[:n])
+
+    def random(self, n=None):
+        return 0.0 if n is None else np.zeros(n)
+
+    def poisson(self, lam):
+        return 0

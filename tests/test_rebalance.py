@@ -363,7 +363,7 @@ def _occluded_box(draw):
     inst = draw(_box())
     occluders = [
         _occluder(inst, draw(st.sampled_from(_KINDS)), draw(_box()))
-        for _ in range(draw(st.integers(0, 4)))
+        for _ in range(draw(st.integers(0, 6)))
     ]
     return inst, occluders
 
@@ -410,6 +410,23 @@ class TestPasteEquivalence:
         case=(
             BBox(18.266865139080878, 0, 78.20832396268057, 5),
             [BBox(27.17190023531588, 1, 90, 2)],
+        )
+    )
+    # Sixteen covered cells, whose areas np.sum adds pairwise: adding them
+    # left to right would give a different last bit.
+    @example(
+        case=(
+            BBox(0.0, 0.0, 1.0, 1.0),
+            [BBox(0.4, 0.7000000000000001, 0.5, 0.4),
+             BBox(-0.1, 0.8, 0.30000000000000004, 0.30000000000000004),
+             BBox(0.1, 0.4, 0.6000000000000001, 0.5)],
+        )
+    )
+    # Forty-nine cells, all covered by the first occluder.
+    @example(
+        case=(
+            BBox(0, 0, 10, 10),
+            [BBox(-1, -1, 12, 12), BBox(1, 1, 2, 2), BBox(4, 4, 2, 2), BBox(7, 7, 2, 2)],
         )
     )
     def test_visible_fraction_matches_grid(self, case):
