@@ -60,22 +60,22 @@ class TestBuild:
 class TestRefresh:
     def setup_method(self):
         self.bank = CropBank(labeled_bank=(entry(1), entry(2)))
-        self.preds = {
+        self.labels = {
             5: [Instance(1, BBox(0, 0, 4, 4), 5)],
             6: [Instance(2, BBox(1, 1, 5, 5), 6), Instance(1, BBox(2, 2, 3, 3), 6)],
         }
 
     def test_wholesale_replacement_on_period(self):
-        bank = refresh_pseudo_bank(self.bank, self.preds, period=1, epoch=0)
+        bank = refresh_pseudo_bank(self.bank, self.labels, period=1, epoch=0)
         assert bank.n_pseudo == 3
         assert bank is not self.bank
         # The pseudo-labels themselves, in image order.
-        assert all(a is b for a, b in zip(bank.pseudo_bank, [*self.preds[5], *self.preds[6]]))
+        assert all(a is b for a, b in zip(bank.pseudo_bank, [*self.labels[5], *self.labels[6]]))
         again = refresh_pseudo_bank(bank, {7: []}, period=1, epoch=1)
         assert again.n_pseudo == 0
 
     def test_off_period_keeps_banks(self):
-        bank = refresh_pseudo_bank(self.bank, self.preds, period=2, epoch=3)
+        bank = refresh_pseudo_bank(self.bank, self.labels, period=2, epoch=3)
         assert bank.pseudo_bank == self.bank.pseudo_bank
         assert bank.labeled_bank is self.bank.labeled_bank
         assert bank is self.bank
@@ -83,7 +83,7 @@ class TestRefresh:
     def test_labeled_bank_never_changes(self):
         bank = self.bank
         for epoch in range(6):
-            bank = refresh_pseudo_bank(bank, self.preds, period=2, epoch=epoch)
+            bank = refresh_pseudo_bank(bank, self.labels, period=2, epoch=epoch)
         assert bank.labeled_bank is self.bank.labeled_bank
 
     def test_bad_period(self):
