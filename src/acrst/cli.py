@@ -74,8 +74,14 @@ def _build_dataset(config: ExperimentConfig) -> Dataset:
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    toggles = {**dict.fromkeys(args.enable or [], True), **dict.fromkeys(args.disable or [], False)}
-    return config.with_toggles(**toggles) if toggles else config
+    toggles = {}
+    for name in args.enable or []:
+        toggles[name] = True
+    for name in args.disable or []:
+        toggles[name] = False
+    if toggles:
+        config = config.with_toggles(**toggles)
+    return config
 
 
 def _write_run_artifacts(report: RunReport, out_dir: Path) -> None:

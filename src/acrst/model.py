@@ -92,17 +92,21 @@ def ema_update(
     if teacher.n_classes != student.n_classes:
         raise ValueError("teacher and student must cover the same classes")
 
-    def blend(t: float, s: float, lo: float = 0.0, hi: float = 1.0) -> float:
-        return min(hi, max(lo, alpha * t + (1.0 - alpha) * s))
+    def blend(t: float, s: float) -> float:
+        return alpha * t + (1.0 - alpha) * s
 
+    recall = tuple(
+        min(1.0, max(0.0, blend(t, s)))
+        for t, s in zip(teacher.recall_skill, student.recall_skill)
+    )
     return DetectorParams(
-        recall_skill=tuple(map(blend, teacher.recall_skill, student.recall_skill)),
-        confusion_rate=blend(teacher.confusion_rate, student.confusion_rate),
-        loc_skill=blend(teacher.loc_skill, student.loc_skill),
-        partial_rate=blend(teacher.partial_rate, student.partial_rate),
-        fp_rate=blend(teacher.fp_rate, student.fp_rate, hi=math.inf),
-        confidence_sharpness=blend(
-            teacher.confidence_sharpness, student.confidence_sharpness, 1e-9, math.inf
+        recall_skill=recall,
+        confusion_rate=min(1.0, max(0.0, blend(teacher.confusion_rate, student.confusion_rate))),
+        loc_skill=min(1.0, max(0.0, blend(teacher.loc_skill, student.loc_skill))),
+        partial_rate=min(1.0, max(0.0, blend(teacher.partial_rate, student.partial_rate))),
+        fp_rate=max(0.0, blend(teacher.fp_rate, student.fp_rate)),
+        confidence_sharpness=max(
+            1e-9, blend(teacher.confidence_sharpness, student.confidence_sharpness)
         ),
     )
 
@@ -350,9 +354,13 @@ def batch_loss(
     mean_recall = sum(params.recall_skill) / k
     bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
     bg_log = _safe_log(1.0 - bg_objectness)
-    skills, kept_class = params.recall_skill, 1.0 - params.confusion_rate
-    objectness_logs = [_safe_log(min(max(s, 1e-4), 1.0 - 1e-4)) for s in skills]
-    class_logs = [_safe_log(min(max(s * kept_class, 1e-4), 1.0)) for s in skills]
+    objectness_logs = []
+    class_logs = []
+    for skill in params.recall_skill:
+        objectness_logs.append(_safe_log(min(max(skill, 1e-4), 1.0 - 1e-4)))
+        class_logs.append(
+            _safe_log(min(max(skill * (1.0 - params.confusion_rate), 1e-4), 1.0))
+        )
     term_index_arr = np.asarray(term_index, dtype=np.intp)
     repeats_arr = np.asarray(repeats, dtype=np.intp)
 
@@ -367,7 +375,12 @@ def batch_loss(
     rpn_cls = mean_nll(objectness_logs)
     roi_cls = mean_nll(class_logs)
 
-    n_reg = {"supervised": n_fg, "unsup_selective": n_pasted}.get(mode, 0)
+    if mode == "supervised":
+        n_reg = n_fg
+    elif mode == "unsup_selective":
+        n_reg = n_pasted
+    else:
+        n_reg = 0
     if n_reg:
         delta = (1.0 - params.loc_skill) * 0.1
         per_target = sum(smooth_l1(d) for d in (delta, delta, delta, delta))
@@ -375,4 +388,6 @@ def batch_loss(
     else:
         reg = 0.0
     total = rpn_cls + reg + roi_cls + reg
-    return LossBreakdown(rpn_cls=rpn_cls, rpn_reg=reg, roi_cls=roi_cls, roi_reg=reg, total=total)
+    return LossBreakdown(
+        rpn_cls=rpn_cls, rpn_reg=reg, roi_cls=roi_cls, roi_reg=reg, total=total
+    )

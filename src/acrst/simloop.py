@@ -80,8 +80,10 @@ class EpochTrace:
     pasted_counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for name in ("total_loss", "fg_ratio", "kld", "pseudo_acc", "pseudo_rec", "box_miou",
-                     "ap50", "ap5095"):
+        for name in (
+            "total_loss", "fg_ratio", "kld", "pseudo_acc",
+            "pseudo_rec", "box_miou", "ap50", "ap5095",
+        ):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"trace field {name} is not finite")
 
@@ -160,7 +162,8 @@ def pretrain(
     if not labeled.images:
         raise ConfigError("pretraining requires a non-empty labeled dataset")
     params = config.detector.build(labeled.num_classes)
-    n, k = len(labeled.images), labeled.num_classes
+    n = len(labeled.images)
+    k = labeled.num_classes
     for _ in range(config.pretrain_epochs):
         for _ in range(config.batches_per_epoch):
             idx = rng.choice(n, size=min(config.labeled_batch, n), replace=False)
@@ -207,7 +210,8 @@ def run_epoch(
     else:
         dist = SamplingDistribution.uniform(k)
 
-    fg_total = bg_total = 0
+    fg_total = 0
+    bg_total = 0
     exposure_total = np.zeros(k, dtype=np.int64)
     pasted_total = np.zeros(k, dtype=np.int64)
     sup_losses: list[LossBreakdown] = []
@@ -297,7 +301,14 @@ def run_epoch(
         pasted_counts=tuple(int(c) for c in pasted_total),
     )
     bank = refresh_pseudo_bank(bank, eval_pseudo, config.refresh_period, state.epoch)
-    new_state = replace(state, teacher=teacher, student=student, bank=bank, epoch=state.epoch + 1)
+    new_state = LoopState(
+        teacher=teacher,
+        student=student,
+        bank=bank,
+        labeled=labeled,
+        unlabeled=unlabeled,
+        epoch=state.epoch + 1,
+    )
     return new_state, trace
 
 

@@ -732,20 +732,23 @@ class TestSynthDetectEquivalence:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        corner=st.tuples(*[st.sampled_from([0.0, -5.0, 1e-4, 39.999, 40.0, 55.5])] * 2),
+        corner=st.tuples(*[st.sampled_from([-0.0, 0.0, -5.0, 1e-4, 39.999, 40.0, 55.5])] * 2),
         size=st.tuples(*[st.sampled_from([1e-3, 0.5, 10.0, 39.999, 40.0, 80.0])] * 2),
     )
+    @example(corner=(-0.0, -0.0), size=(10.0, 10.0))
     def test_clip_matches_min_max(self, corner, size):
-        # A 10x10 box at the origin with loc_skill 0 has a noise scale of 1.0,
-        # so the four normals move its corner to ``corner`` and give it about
+        # A 10x10 box at (-0.0, -0.0) with loc_skill 0 has a noise scale of
+        # 1.0, so the four normals move its corner to ``corner``, signed zeros
+        # included (-0.0 + -0.0 is -0.0, -0.0 + 0.0 is 0.0), and give it about
         # ``size``; the detector then clips it to the 40x30 image.
         detector = params(recall=(1.0,), confusion=0.0, loc=0.0, partial=0.0, fp=0.0)
-        rec = record([inst(1, 0, 0, 10, 10)], width=40.0, height=30.0)
+        rec = record([inst(1, -0.0, -0.0, 10, 10)], width=40.0, height=30.0)
         normals = [corner[0], corner[1], size[0] - 10, size[1] - 10]
         out = Detections()
         detect(detector, rec, _FixedDraws(normals), class_cdfs([1.0]), out)
         (_, *got, _), = out.rows()
-        x, y = 0 + normals[0] * 1.0, 0 + normals[1] * 1.0
+        x, y = -0.0 + normals[0] * 1.0, -0.0 + normals[1] * 1.0
+        assert (x.hex(), y.hex()) == (corner[0].hex(), corner[1].hex())
         w, h = max(10 + normals[2] * 1.0, 1e-3), max(10 + normals[3] * 1.0, 1e-3)
         want = _oracle_clip_box(x, y, w, h, 40.0, 30.0)
         assert _bits([Prediction(1, BBox(*got), 0.5)]) == _bits([Prediction(1, want, 0.5)])

@@ -433,6 +433,20 @@ class TestPasteEquivalence:
         inst, occluders = case
         assert visible_fraction(inst, occluders) == _grid_visible_fraction(inst, occluders)
 
+    def test_short_sums_left_to_right_equal_np_sum(self):
+        # The grid adds fewer than eight cell areas left to right and more
+        # with np.sum. That keeps to np.sum's bits only while np.sum adds an
+        # array of one to seven doubles left to right from 0.0.
+        rng = np.random.default_rng(0)
+        for n in range(1, 8):
+            for _ in range(2000):
+                widths = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+                areas = (widths * rng.random(n) * 10.0 ** rng.integers(-3, 4, n)).tolist()
+                total = 0.0
+                for area in areas:
+                    total += area
+                assert total.hex() == float(np.sum(areas)).hex(), areas
+
     @settings(max_examples=200, deadline=None)
     @given(
         cases=st.lists(_occluded_box(), min_size=1, max_size=5),
