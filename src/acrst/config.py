@@ -144,7 +144,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "dataset.skew": ("number", "(0, 1]"),
     "dataset.width": ("number", "(0, inf)"),
     "dataset.height": ("number", "(0, inf)"),
-    "dataset.mean_extra_instances": ("number", "[0, inf)"),
+    "dataset.mean_extra_instances": ("number", "[0, 100]"),
     "dataset.min_box": ("number", "(0, inf)"),
     "dataset.max_box": ("number", "(0, inf)"),
     "dataset.path": ("string | null", "-"),
@@ -161,7 +161,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "detector.loc_skill": ("number", "[0, 1]"),
     "detector.partial_rate": ("number", "[0, 1]"),
     "detector.fp_rate": ("number", "[0, 100]"),
-    "detector.confidence_sharpness": ("number", "(0, inf)"),
+    "detector.confidence_sharpness": ("number", "(0, 1000]"),
     "detector.lr": ("number", "(0, 1)"),
     "detector.ema_alpha": ("number", "[0, 1]"),
     "oracle.fn_rate": ("number", "[0, 1]"),

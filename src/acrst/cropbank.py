@@ -3,21 +3,24 @@
 The labeled bank is built once from ground truth and never changes. The pseudo
 bank is replaced wholesale from post-filtering predictions on a fixed epoch
 period. Sampling is two-level: first a class from a sampling distribution,
-then a uniform entry of that class from the union of both banks. A stored
-crop is an :class:`Instance`: a class, a box and the image it came from.
+then a uniform entry of that class from the union of both banks. A labeled
+crop is an :class:`Instance`: a class, a box and the image it came from. A
+pseudo crop is a row of columns, and becomes an :class:`Instance` when drawn.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from itertools import chain, compress, repeat
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Instance
+from .dataset import BBox, Dataset, Instance
 
 if TYPE_CHECKING:
+    from .model import Detections
     from .rebalance import SamplingDistribution
 
 
@@ -27,7 +30,8 @@ class EmptyBankError(RuntimeError):
 
 @dataclass(frozen=True)
 class CropEntry(Instance):
-    """An instance tagged with its bank and score; the loop stores plain instances."""
+    """An instance tagged with its bank and score; the loop's banks store plain
+    instances and pseudo rows."""
 
     score: float
     origin: str  # "labeled" or "pseudo"
@@ -43,10 +47,11 @@ class CropEntry(Instance):
 
 @dataclass(frozen=True)
 class CropBank:
-    """Immutable snapshot of both banks."""
+    """Immutable snapshot of both banks; the pseudo bank is the columns class
+    id, x, y, w, h and source image id, one row per kept pseudo-label."""
 
     labeled_bank: tuple[Instance, ...]
-    pseudo_bank: tuple[Instance, ...] = ()
+    pseudo_columns: tuple[list, ...] = ([], [], [], [], [], [])
 
     @property
     def n_labeled(self) -> int:
@@ -54,18 +59,7 @@ class CropBank:
 
     @property
     def n_pseudo(self) -> int:
-        return len(self.pseudo_bank)
-
-    @cached_property
-    def entries_by_class(self) -> dict[int, tuple[Instance, ...]]:
-        """Union of both banks grouped by class id, labeled entries first.
-
-        Grouped on first use and kept, since a bank never changes.
-        """
-        groups: dict[int, list[Instance]] = {}
-        for entry in self.labeled_bank + self.pseudo_bank:
-            groups.setdefault(entry.class_id, []).append(entry)
-        return {class_id: tuple(entries) for class_id, entries in groups.items()}
+        return len(self.pseudo_columns[0])
 
     @cached_property
     def _class_tables(self) -> dict[tuple[float, ...], tuple[tuple, np.ndarray]]:
@@ -74,14 +68,20 @@ class CropBank:
     def _class_table(self, mu: tuple[float, ...]) -> tuple[tuple, np.ndarray]:
         """Entry pools of the classes with stored crops, and their class CDF.
 
-        Built once per sampling weight vector and kept, since a bank never
-        changes. The CDF is the one ``Generator.choice`` builds from the
-        renormalized weights.
+        A class's pool holds its labeled entries, then the indices of its
+        pseudo rows; :func:`sample_crops` turns a row into its instance the
+        first time it draws it. Built once per sampling weight vector and
+        kept, since a bank never changes. The CDF is the one
+        ``Generator.choice`` builds from the renormalized weights.
         """
         table = self._class_tables.get(mu)
         if table is not None:
             return table
-        groups = self.entries_by_class
+        groups: dict[int, list] = {}
+        for entry in self.labeled_bank:
+            groups.setdefault(entry.class_id, []).append(entry)
+        for row, class_id in enumerate(self.pseudo_columns[0]):
+            groups.setdefault(class_id, []).append(row)
         if not groups:
             raise EmptyBankError("both banks are empty, nothing to sample")
         available = [k for k in range(1, len(mu) + 1) if groups.get(k)]
@@ -105,23 +105,22 @@ def build_labeled_bank(labeled: Dataset) -> CropBank:
 
 
 def refresh_pseudo_bank(
-    bank: CropBank,
-    pseudo_labels: Mapping[int | str, Sequence[Instance]],
-    period: int,
-    epoch: int,
+    bank: CropBank, dets: "Detections", kept: Sequence[bool], image_ids: Sequence[int | str],
+    period: int, epoch: int,
 ) -> CropBank:
     """Replace the pseudo bank wholesale when ``epoch % period == 0``.
 
-    ``pseudo_labels`` are the post-filtering pseudo-labels keyed by image id,
-    stored as they are. Off-period epochs return ``bank`` itself, so its class
-    grouping is kept.
+    The new pseudo bank holds the rows of ``dets`` that ``kept`` marks, in
+    order; ``image_ids`` names the image of each of ``dets.counts``.
+    Off-period epochs return ``bank`` itself, so its class tables are kept.
     """
     if period <= 0:
         raise ValueError(f"refresh period must be positive, got {period}")
     if epoch % period != 0:
         return bank
-    entries = tuple(label for labels in pseudo_labels.values() for label in labels)
-    return CropBank(labeled_bank=bank.labeled_bank, pseudo_bank=entries)
+    sources = chain.from_iterable(map(repeat, image_ids, dets.counts))
+    columns = (dets.class_id, dets.x, dets.y, dets.w, dets.h, sources)
+    return CropBank(bank.labeled_bank, tuple(list(compress(c, kept)) for c in columns))
 
 
 def sample_crops(
@@ -144,6 +143,12 @@ def sample_crops(
     # n class draws, then n entry draws, from one call.
     u = rng.random(2 * n)
     classes = cdf.searchsorted(u[:n], side="right").tolist()
-    return [
-        pools[c][int(v * len(pools[c]))] for c, v in zip(classes, u[n:].tolist())
-    ]
+    cls, x, y, w, h, source = bank.pseudo_columns
+    crops = []
+    for c, v in zip(classes, u[n:].tolist()):
+        pool, i = pools[c], int(v * len(pools[c]))
+        if not isinstance(pool[i], Instance):  # a pseudo row, drawn for the first time
+            r = pool[i]
+            pool[i] = Instance(cls[r], BBox(x[r], y[r], w[r], h[r]), source[r])
+        crops.append(pool[i])
+    return crops

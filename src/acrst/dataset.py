@@ -12,6 +12,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -109,6 +110,39 @@ class ImageRecord:
                     f"image {self.id}: ground-truth box {b} outside image bounds"
                 )
 
+    @cached_property
+    def class_ids(self) -> frozenset[int]:
+        """The classes of the ground truth; kept, since a record never changes."""
+        return frozenset(inst.class_id for inst in self.ground_truth)
+
+
+class ClassCdfs(dict):
+    """Class-draw CDFs by weight: key 0 over every class, key c without class c.
+
+    A draw is ``bisect_right(cdf, u) + 1`` for one double ``u``, which picks
+    what ``Generator.choice(p=...)`` picks from it. Weights that leave nothing
+    to draw fall back to uniform over the classes allowed. A row is built the
+    first time it is looked up, and kept.
+    """
+
+    def __init__(self, class_weights: Sequence[float]) -> None:
+        self.weights = np.asarray(class_weights, dtype=float)
+        if (self.weights < 0).any():
+            raise ValueError("class_weights must be non-negative")
+
+    def __missing__(self, exclude: int) -> list[float]:
+        w = self.weights.copy()
+        if exclude:
+            w[exclude - 1] = 0.0
+        if w.sum() <= 0.0:
+            w = np.ones_like(w)
+            if exclude and w.size > 1:
+                w[exclude - 1] = 0.0
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        row = self[exclude] = cdf.tolist()
+        return row
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -135,6 +169,11 @@ class Dataset:
         counts = np.bincount(np.array(ids, dtype=np.int64), minlength=self.num_classes)
         counts.flags.writeable = False
         return counts
+
+    @cached_property
+    def class_cdfs(self) -> ClassCdfs:
+        """The :class:`ClassCdfs` of :attr:`class_counts`, kept with them."""
+        return ClassCdfs(self.class_counts)
 
     @cached_property
     def truth_columns(self) -> tuple[np.ndarray, list[int]]:

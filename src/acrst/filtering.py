@@ -118,16 +118,16 @@ def oracle_image_labels(
     fires; absent classes draw from the low band [0, tau_ml) unless a false
     positive fires.
     """
-    present = {inst.class_id for inst in record.ground_truth}
+    present, fn_rate, fp_rate = record.class_ids, noise.fn_rate, noise.fp_rate
     # Two doubles per class, band test then band value, drawn in one call;
     # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` computes.
+    (high_lo, high_hi), low_lo = _HIGH_BAND, 0.0
+    high_span, low_span = high_hi - high_lo, noise.tau_ml - low_lo
     u = rng.random(2 * n_classes).tolist()
-    activations = []
-    for class_id, test, value in zip(range(1, n_classes + 1), u[0::2], u[1::2]):
-        if class_id in present:
-            high = test >= noise.fn_rate
-        else:
-            high = test < noise.fp_rate
-        lo, hi = _HIGH_BAND if high else (0.0, noise.tau_ml)
-        activations.append(lo + (hi - lo) * value)
+    activations = [
+        high_lo + high_span * value
+        if (test >= fn_rate if class_id in present else test < fp_rate)
+        else low_lo + low_span * value
+        for class_id, test, value in zip(range(1, n_classes + 1), u[0::2], u[1::2])
+    ]
     return ImageLevelLabel(image_id=record.id, activations=tuple(activations))

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import BBox, ImageRecord, Instance, Prediction
+from .dataset import BBox, ClassCdfs, ImageRecord, Prediction
 
 # Decay floors: confusion and partial-box rates never fall below these.
 CONFUSION_FLOOR = 0.01
@@ -120,42 +120,16 @@ class Detections:
         self.class_id, self.x, self.y, self.w, self.h, self.score = ([] for _ in range(6))
         self.counts: list[int] = []
 
-    def rows(self, start: int = 0) -> Iterator[tuple[int, float, float, float, float, float]]:
-        """(class, x, y, w, h, score) of each row from ``start`` on."""
-        columns = (self.class_id, self.x, self.y, self.w, self.h, self.score)
-        return zip(*(column[start:] for column in columns))
-
-
-def class_cdfs(class_weights: Sequence[float]) -> list[list[float]]:
-    """Class-draw CDFs by weight: index 0 over every class, index c without class c.
-
-    A draw is ``bisect_right(cdf, u) + 1`` for one double ``u``, which picks
-    what ``Generator.choice(p=...)`` picks from it. Weights that leave nothing
-    to draw fall back to uniform over the classes allowed.
-    """
-    weights = np.asarray(class_weights, dtype=float)
-    if (weights < 0).any():
-        raise ValueError("class_weights must be non-negative")
-    cdfs = []
-    for exclude in range(weights.size + 1):
-        w = weights.copy()
-        if exclude:
-            w[exclude - 1] = 0.0
-        if w.sum() <= 0.0:
-            w = np.ones_like(w)
-            if exclude and w.size > 1:
-                w[exclude - 1] = 0.0
-        cdf = np.cumsum(w / w.sum())
-        cdf /= cdf[-1]
-        cdfs.append(cdf.tolist())
-    return cdfs
+    def rows(self) -> Iterator[tuple[int, float, float, float, float, float]]:
+        """(class, x, y, w, h, score) of each row."""
+        return zip(self.class_id, self.x, self.y, self.w, self.h, self.score)
 
 
 def detect(
     params: DetectorParams,
     record: ImageRecord,
     rng: np.random.Generator,
-    cdfs: Sequence[Sequence[float]],
+    cdfs: ClassCdfs,
     out: Detections,
 ) -> None:
     """Simulate detector output on one image from its hidden ground truth.
@@ -171,7 +145,7 @@ def detect(
     background false positives are added with frequency-weighted classes and
     scores uniform in [0.3, 0.8]. Boxes are clipped to the image.
 
-    ``cdfs`` are the :func:`class_cdfs` of the class frequencies that
+    ``cdfs`` are the :class:`ClassCdfs` of the class frequencies that
     confusion targets and false-positive classes are drawn by.
     """
     confuses = params.n_classes > 1
@@ -251,7 +225,7 @@ def synth_detect(
     if weights.shape != (k,):
         raise ValueError("class_weights must have one entry per class")
     out = Detections()
-    detect(params, record, rng, class_cdfs(weights), out)
+    detect(params, record, rng, ClassCdfs(weights), out)
     return [Prediction(c, BBox(x, y, w, h), s) for c, x, y, w, h, s in out.rows()]
 
 
@@ -312,7 +286,7 @@ def _safe_log(p: float) -> float:
 
 def batch_loss(
     params: DetectorParams,
-    images: Sequence[tuple[Sequence[Instance], int]],
+    images: Sequence[tuple[Sequence[int], int]],
     budget: int,
     mode: str,
 ) -> LossBreakdown:
@@ -320,9 +294,10 @@ def batch_loss(
 
     Each image contributes one foreground proposal per instance, in order,
     then ``max(budget - n_instances, 0)`` background proposals. ``images``
-    holds one ``(instances, n_pasted)`` pair per image; the first ``n_pasted``
-    instances are pasted crops. Foreground scores reflect the student's
-    current skill on the instance's class, so losses fall as it improves.
+    holds one ``(class_ids, n_pasted)`` pair per image, a class id per
+    instance; the first ``n_pasted`` are pasted crops. Foreground scores
+    reflect the student's current skill on the instance's class, so losses
+    fall as it improves.
 
     rpn_cls is binary cross-entropy of objectness against the fg/bg
     assignment; roi_cls is cross-entropy of the assigned class (background
@@ -336,16 +311,16 @@ def batch_loss(
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     k = params.n_classes
-    term_index: list[int] = []  # a class index, or k for the background term
+    term_index: list[int] = []  # a class id, or k + 1 for the background term
     repeats: list[int] = []
     n_fg = 0
     n_pasted = 0
-    for instances, n_image_pasted in images:
-        term_index.extend(inst.class_id - 1 for inst in instances)
-        repeats.extend([1] * len(instances))
-        term_index.append(k)
-        repeats.append(max(budget - len(instances), 0))
-        n_fg += len(instances)
+    for class_ids, n_image_pasted in images:
+        term_index.extend(class_ids)
+        repeats.extend([1] * len(class_ids))
+        term_index.append(k + 1)
+        repeats.append(max(budget - len(class_ids), 0))
+        n_fg += len(class_ids)
         n_pasted += n_image_pasted
     n_targets = sum(repeats)
     if not n_targets:
@@ -361,7 +336,7 @@ def batch_loss(
         class_logs.append(
             _safe_log(min(max(skill * (1.0 - params.confusion_rate), 1e-4), 1.0))
         )
-    term_index_arr = np.asarray(term_index, dtype=np.intp)
+    term_index_arr = np.asarray(term_index, dtype=np.intp) - 1
     repeats_arr = np.asarray(repeats, dtype=np.intp)
 
     def mean_nll(class_terms: list[float]) -> float:

@@ -18,7 +18,8 @@ import io
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, replace
-from typing import Any, Iterable
+from itertools import compress
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .model import (
     Detections,
     LossBreakdown,
     batch_loss,
-    class_cdfs,
     detect,
     ema_update,
     student_update,
@@ -136,10 +136,9 @@ def _pastes(config: ExperimentConfig) -> bool:
     return config.fbr and config.paste.crops_per_image > 0
 
 
-def _class_counts(items: Iterable[Instance], k: int) -> np.ndarray:
-    """How many of ``items`` fall in each class (index k-1 = class k)."""
-    ids = [item.class_id - 1 for item in items]
-    return np.bincount(np.array(ids, dtype=np.int64), minlength=k)
+def _class_counts(class_ids: Sequence[int], k: int) -> np.ndarray:
+    """How many of ``class_ids`` fall in each class (index k-1 = class k)."""
+    return np.bincount(np.array(class_ids, dtype=np.int64) - 1, minlength=k)
 
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
@@ -167,7 +166,7 @@ def pretrain(
     for _ in range(config.pretrain_epochs):
         for _ in range(config.batches_per_epoch):
             idx = rng.choice(n, size=min(config.labeled_batch, n), replace=False)
-            batch = [inst for i in idx for inst in labeled.images[int(i)].ground_truth]
+            batch = [inst.class_id for i in idx for inst in labeled.images[int(i)].ground_truth]
             params = student_update(params, _class_counts(batch, k), len(batch), config.detector.lr)
     return params
 
@@ -197,7 +196,7 @@ def run_epoch(
     # The sampling distribution is fixed for the epoch: the bank only changes
     # at the refresh step below.
     stats = ClassStats(
-        pseudo_counts=tuple(int(c) for c in _class_counts(bank.pseudo_bank, k)),
+        pseudo_counts=tuple(int(c) for c in _class_counts(bank.pseudo_columns[0], k)),
         labeled_counts=tuple(int(c) for c in labeled_counts),
         ratio=n_unl / n_lab,
     )
@@ -216,11 +215,11 @@ def run_epoch(
     pasted_total = np.zeros(k, dtype=np.int64)
     sup_losses: list[LossBreakdown] = []
     unsup_losses: list[LossBreakdown] = []
-    cdfs = class_cdfs(labeled_counts)
+    cdfs = labeled.class_cdfs
 
-    def pseudo_label(img: ImageRecord, dets: Detections, keep: list[bool]) -> tuple:
+    def pseudo_label(img: ImageRecord, dets: Detections, keep: list[bool]) -> list[int]:
         """Append the teacher's detections on ``img`` to ``dets`` and their keep
-        mask to ``keep``; return the kept ones as instances. Only a two-stage
+        mask to ``keep``; return the kept rows' class ids. Only a two-stage
         mode draws the image's oracle label, after the detection."""
         start = len(dets.score)
         detect(teacher, img, rng, cdfs, dets)
@@ -228,49 +227,50 @@ def run_epoch(
                  else oracle_image_labels(img, config.oracle, rng, k))
         image_keep = keep_mask(dets.class_id[start:], dets.score[start:], label, fcfg)
         keep += image_keep
-        return tuple(Instance(c, BBox(x, y, w, h), img.id)
-                     for (c, x, y, w, h, _), kept in zip(dets.rows(start), image_keep) if kept)
+        return list(compress(dets.class_id[start:], image_keep))
 
     for _ in range(config.batches_per_epoch):
         batch_idx = rng.choice(n_unl, size=min(config.unlabeled_batch, n_unl), replace=False)
-        # Per image, its instances with the pasted ones first, and how many were pasted.
-        unsup_images: list[tuple[tuple[Instance, ...], int]] = []
+        # Per image, its class ids with the pasted ones first, and how many were pasted.
+        unsup_images: list[tuple[list[int], int]] = []
         for i in batch_idx:
             img = unlabeled.images[int(i)]
-            pseudo_gt = pseudo_label(img, Detections(), [])
+            dets, keep = Detections(), []
+            class_ids, n_pasted = pseudo_label(img, dets, keep), 0
             if mixing:
                 crops = sample_crops(bank, dist, config.paste.crops_per_image, rng)
+                # Only a pasted image turns its pseudo-labels into instances.
+                pseudo_gt = tuple(Instance(c, BBox(x, y, w, h), img.id)
+                                  for c, x, y, w, h, _ in compress(dets.rows(), keep))
                 record = ImageRecord(img.id, img.width, img.height, pseudo_gt)
                 mixed = fbr_mix(record, crops, rng, config.paste)
-                unsup_images.append((mixed.merged_annotations, len(mixed.placements)))
-            else:
-                unsup_images.append((pseudo_gt, 0))
-            fg_total += len(unsup_images[-1][0])
-            bg_total += max(budget - len(unsup_images[-1][0]), 0)
-        pasted = [inst for instances, n in unsup_images for inst in instances[:n]]
+                class_ids = [inst.class_id for inst in mixed.merged_annotations]
+                n_pasted = len(mixed.placements)
+            unsup_images.append((class_ids, n_pasted))
+            fg_total += len(class_ids)
+            bg_total += max(budget - len(class_ids), 0)
+        pasted = [c for class_ids, n in unsup_images for c in class_ids[:n]]
         pasted_total += _class_counts(pasted, k)
 
         lab_idx = rng.choice(n_lab, size=min(config.labeled_batch, n_lab), replace=False)
-        lab_images = [labeled.images[int(i)] for i in lab_idx]
-        lab_instances = [inst for img in lab_images for inst in img.ground_truth]
-        sup_losses.append(
-            batch_loss(student, [(img.ground_truth, 0) for img in lab_images], budget, "supervised")
-        )
+        lab_images = [([inst.class_id for inst in labeled.images[int(i)].ground_truth], 0)
+                      for i in lab_idx]
+        sup_losses.append(batch_loss(student, lab_images, budget, "supervised"))
         unsup_losses.append(batch_loss(student, unsup_images, budget, unsup_mode))
 
-        exposure = _class_counts(
-            lab_instances + [inst for instances, _ in unsup_images for inst in instances], k
-        )
+        exposure = _class_counts([c for ids, _ in lab_images + unsup_images for c in ids], k)
         # Labeled instances always carry regression supervision; pasted crops
         # join them only under selective supervision.
-        reg_targets = len(lab_instances) + (len(pasted) if config.selective_supervision else 0)
+        reg_targets = sum(len(ids) for ids, _ in lab_images)
+        reg_targets += len(pasted) if config.selective_supervision else 0
         student = student_update(student, exposure, reg_targets, config.detector.lr)
         teacher = ema_update(teacher, student, config.detector.ema_alpha)
         exposure_total += exposure
 
     # Full-set teacher evaluation; also the pseudo-label source for refresh.
     dets, keep = Detections(), []
-    eval_pseudo = {img.id: pseudo_label(img, dets, keep) for img in unlabeled.images}
+    for img in unlabeled.images:
+        pseudo_label(img, dets, keep)
     kept = np.array(keep, dtype=bool)
     preds = np.array((dets.x, dets.y, dets.w, dets.h, dets.class_id, dets.score), dtype=float)
     pseudo_counts = np.bincount(preds[4, kept].astype(np.int64) - 1, minlength=k)
@@ -300,7 +300,8 @@ def run_epoch(
         class_exposure=tuple(int(c) for c in exposure_total),
         pasted_counts=tuple(int(c) for c in pasted_total),
     )
-    bank = refresh_pseudo_bank(bank, eval_pseudo, config.refresh_period, state.epoch)
+    image_ids = [img.id for img in unlabeled.images]
+    bank = refresh_pseudo_bank(bank, dets, keep, image_ids, config.refresh_period, state.epoch)
     new_state = LoopState(
         teacher=teacher,
         student=student,

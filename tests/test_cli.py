@@ -120,6 +120,11 @@ class TestRun:
             ({"paste": {"crops_per_image": 10**12}}, "paste.crops_per_image"),
             ({"proposal_budget": 10**12}, "proposal_budget"),
             ({"detector": {"fp_rate": 1e300}}, "detector.fp_rate"),
+            # Past these caps a run failed mid-way: math.exp overflowed in the
+            # score logistic, and the Poisson draw of the synthetic corpus
+            # raised or did not finish.
+            ({"detector": {"confidence_sharpness": 1e300}}, "detector.confidence_sharpness"),
+            ({"dataset": {"mean_extra_instances": 1e19}}, "dataset.mean_extra_instances"),
         ],
     )
     def test_ill_typed_value_named_exits_two(self, tmp_path, capsys, override, named):

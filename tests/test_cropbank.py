@@ -13,6 +13,7 @@ from acrst.cropbank import (
     sample_crops,
 )
 from acrst.dataset import BBox, Instance, parse_coco_annotations
+from acrst.model import Detections
 from acrst.rebalance import SamplingDistribution
 
 
@@ -24,6 +25,18 @@ def entry(class_id, origin="labeled", score=1.0, image_id=1):
         score=score,
         origin=origin,
     )
+
+
+def pseudo(class_id, image_id=1):
+    """A pseudo-label as the loop made one before the pseudo bank became columns."""
+    return Instance(class_id, BBox(0, 0, 10, 10), image_id)
+
+
+def pseudo_columns(instances):
+    """The pseudo bank's columns holding ``instances``, in order."""
+    rows = [(i.class_id, i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h, i.source_image_id)
+            for i in instances]
+    return tuple([row[j] for row in rows] for j in range(6))
 
 
 class TestCropEntry:
@@ -60,35 +73,54 @@ class TestBuild:
 class TestRefresh:
     def setup_method(self):
         self.bank = CropBank(labeled_bank=(entry(1), entry(2)))
-        self.labels = {
-            5: [Instance(1, BBox(0, 0, 4, 4), 5)],
-            6: [Instance(2, BBox(1, 1, 5, 5), 6), Instance(1, BBox(2, 2, 3, 3), 6)],
-        }
+        # Image 5 has two detections, image 6 three, image 7 none.
+        self.dets = Detections()
+        for c, x, y, w, h, score in [
+            (1, 0.0, 0.0, 4.0, 4.0, 0.9), (2, 3.0, 3.0, 2.0, 2.0, 0.1),
+            (2, 1.0, 1.0, 5.0, 5.0, 0.8), (3, 0.5, 0.5, 1.0, 1.0, 0.2),
+            (1, 2.0, 2.0, 3.0, 3.0, 0.95),
+        ]:
+            for column, value in zip(
+                (self.dets.class_id, self.dets.x, self.dets.y, self.dets.w, self.dets.h,
+                 self.dets.score), (c, x, y, w, h, score)
+            ):
+                column.append(value)
+        self.dets.counts += [2, 3, 0]
+        self.kept = [True, False, True, False, True]
+        self.image_ids = [5, 6, 7]
+
+    def refresh(self, bank, period, epoch, kept=None):
+        kept = self.kept if kept is None else kept
+        return refresh_pseudo_bank(bank, self.dets, kept, self.image_ids, period, epoch)
 
     def test_wholesale_replacement_on_period(self):
-        bank = refresh_pseudo_bank(self.bank, self.labels, period=1, epoch=0)
+        bank = self.refresh(self.bank, period=1, epoch=0)
         assert bank.n_pseudo == 3
         assert bank is not self.bank
-        # The pseudo-labels themselves, in image order.
-        assert all(a is b for a, b in zip(bank.pseudo_bank, [*self.labels[5], *self.labels[6]]))
-        again = refresh_pseudo_bank(bank, {7: []}, period=1, epoch=1)
+        # The kept rows, in order, each with its image's id.
+        assert bank.pseudo_columns == (
+            [1, 2, 1], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [4.0, 5.0, 3.0], [4.0, 5.0, 3.0],
+            [5, 6, 6],
+        )
+        again = self.refresh(bank, period=1, epoch=1, kept=[False] * 5)
         assert again.n_pseudo == 0
+        assert again.pseudo_columns == ([], [], [], [], [], [])
 
     def test_off_period_keeps_banks(self):
-        bank = refresh_pseudo_bank(self.bank, self.labels, period=2, epoch=3)
-        assert bank.pseudo_bank == self.bank.pseudo_bank
+        bank = self.refresh(self.bank, period=2, epoch=3)
+        assert bank.pseudo_columns == self.bank.pseudo_columns
         assert bank.labeled_bank is self.bank.labeled_bank
         assert bank is self.bank
 
     def test_labeled_bank_never_changes(self):
         bank = self.bank
         for epoch in range(6):
-            bank = refresh_pseudo_bank(bank, self.labels, period=2, epoch=epoch)
+            bank = self.refresh(bank, period=2, epoch=epoch)
         assert bank.labeled_bank is self.bank.labeled_bank
 
     def test_bad_period(self):
         with pytest.raises(ValueError):
-            refresh_pseudo_bank(self.bank, {}, period=0, epoch=0)
+            self.refresh(self.bank, period=0, epoch=0)
 
 
 class TestSampling:
@@ -109,7 +141,7 @@ class TestSampling:
     def test_union_of_banks_is_sampled(self):
         bank = CropBank(
             labeled_bank=(entry(1, image_id=100),),
-            pseudo_bank=(entry(1, origin="pseudo", score=0.8, image_id=200),),
+            pseudo_columns=pseudo_columns([pseudo(1, image_id=200)]),
         )
         dist = SamplingDistribution.uniform(1)
         crops = sample_crops(bank, dist, 400, np.random.default_rng(2))
@@ -145,7 +177,7 @@ class TestSampling:
         """Class frequencies at 1e5 draws pass a goodness-of-fit test."""
         bank = CropBank(
             labeled_bank=tuple(entry(k) for k in (1, 1, 1, 2, 3, 3)),
-            pseudo_bank=tuple(entry(k, origin="pseudo", score=0.5) for k in (2, 4)),
+            pseudo_columns=pseudo_columns([pseudo(k) for k in (2, 4)]),
         )
         dist = SamplingDistribution(mu=(0.4, 0.3, 0.2, 0.1), beta=2.0)
         n = 100_000
@@ -154,6 +186,28 @@ class TestSampling:
         expected = np.asarray(dist.mu) * n
         result = scipy.stats.chisquare(observed, expected)
         assert result.pvalue > 0.001
+
+    def test_pseudo_rows_become_instances_only_when_drawn(self, monkeypatch):
+        bank = CropBank(
+            labeled_bank=(entry(1, image_id=0),),
+            pseudo_columns=pseudo_columns([pseudo(1 + i % 2, image_id=10 + i) for i in range(40)]),
+        )
+        made = []
+        init = Instance.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Instance, "__init__", counting)
+        dist, rng = SamplingDistribution.uniform(2), np.random.default_rng(4)
+        first = sample_crops(bank, dist, 3, rng)
+        assert len(made) <= 3
+        crops = first + [c for _ in range(200) for c in sample_crops(bank, dist, 4, rng)]
+        # Each drawn row was built once and is returned as that one object after.
+        pseudo_crops = {id(c): c for c in crops if c.source_image_id != 0}
+        assert len(made) == len(pseudo_crops) <= 40
+        assert all(type(c) is Instance for c in pseudo_crops.values())
 
     def test_within_class_entries_uniform(self):
         pool = tuple(entry(1, image_id=i) for i in range(4))
@@ -165,8 +219,19 @@ class TestSampling:
         assert scipy.stats.chisquare(counts).pvalue > 0.001
 
 
+class _InstanceBank:
+    """The bank as it was before the pseudo side became columns: both sides
+    instances, grouped by class with the labeled entries first."""
+
+    def __init__(self, labeled, pseudo_instances):
+        self.entries_by_class = {}
+        for entry in (*labeled, *pseudo_instances):
+            self.entries_by_class.setdefault(entry.class_id, []).append(entry)
+
+
 def _choice_sample_crops(bank, distribution, n, rng):
-    """Reference sampler: class weights rebuilt and drawn by rng.choice per call."""
+    """Reference sampler over an :class:`_InstanceBank`: class weights rebuilt
+    and drawn by rng.choice per call."""
     if n < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
     groups = bank.entries_by_class
@@ -203,13 +268,9 @@ def _bank_and_distributions(draw):
     k = draw(st.integers(1, 6))
     # Every entry has its own source id, so equal results mean equal picks.
     classes = draw(st.lists(st.integers(1, k + 2), max_size=12))
-    pseudo = draw(st.lists(st.integers(1, k + 2), max_size=6))
-    bank = CropBank(
-        labeled_bank=tuple(entry(c, image_id=i) for i, c in enumerate(classes)),
-        pseudo_bank=tuple(
-            entry(c, origin="pseudo", score=0.5, image_id=100 + i) for i, c in enumerate(pseudo)
-        ),
-    )
+    pseudo_classes = draw(st.lists(st.integers(1, k + 2), max_size=6))
+    labeled = tuple(entry(c, image_id=i) for i, c in enumerate(classes))
+    pseudo_labels = [pseudo(c, image_id=100 + i) for i, c in enumerate(pseudo_classes)]
     weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
     dists = []
     for _ in range(draw(st.integers(1, 3))):
@@ -218,11 +279,12 @@ def _bank_and_distributions(draw):
             dists.append(SamplingDistribution.normalized(raw, 1.0))
         else:
             dists.append(SamplingDistribution.uniform(k))
-    return bank, dists
+    return labeled, pseudo_labels, dists
 
 
 class TestSampleEquivalence:
-    """The kept class table draws what rng.choice drew, from the same doubles."""
+    """The columnar bank's class table draws the crops, in order, that
+    rng.choice drew from the bank of instances, from the same doubles."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -230,33 +292,49 @@ class TestSampleEquivalence:
         sizes=st.lists(st.integers(0, 9), min_size=1, max_size=5),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(
-        case=(CropBank(labeled_bank=()), [SamplingDistribution.uniform(2)]), sizes=[1, 0], seed=0
-    )
+    @example(case=((), [], [SamplingDistribution.uniform(2)]), sizes=[1, 0], seed=0)
     @example(
         case=(
-            CropBank(labeled_bank=tuple(entry(k, image_id=k) for k in (1, 2, 3))),
+            tuple(entry(k, image_id=k) for k in (1, 2, 3)),
+            [],
             [SamplingDistribution(mu=(0.5, 0.0, 0.5), beta=1.0)],
         ),
         sizes=[0, 5, 5],
         seed=1,
     )
     @example(
-        case=(
-            CropBank(labeled_bank=(entry(1, image_id=0),)),
-            [SamplingDistribution(mu=(0.0, 1.0), beta=1.0)],
-        ),
+        case=((entry(1, image_id=0),), [], [SamplingDistribution(mu=(0.0, 1.0), beta=1.0)]),
         sizes=[1, 1],
         seed=2,
     )
+    # Classes 2 and 3 are only in the pseudo bank, and the pseudo side alone
+    # holds every crop.
+    @example(
+        case=(
+            (entry(1, image_id=0), entry(1, image_id=1)),
+            [pseudo(2, image_id=100), pseudo(3, image_id=101), pseudo(2, image_id=102)],
+            [SamplingDistribution(mu=(0.2, 0.5, 0.3), beta=1.0)],
+        ),
+        sizes=[9, 9, 9],
+        seed=3,
+    )
+    @example(
+        case=((), [pseudo(2, image_id=100), pseudo(1, image_id=101)],
+              [SamplingDistribution.uniform(2)]),
+        sizes=[9, 4],
+        seed=4,
+    )
     def test_matches_choice_sampler(self, case, sizes, seed):
-        bank, dists = case
-        # The reference gets its own bank, so that the two share no cache.
-        ref_bank = CropBank(labeled_bank=bank.labeled_bank, pseudo_bank=bank.pseudo_bank)
+        labeled, pseudo_labels, dists = case
+        bank = CropBank(labeled_bank=labeled, pseudo_columns=pseudo_columns(pseudo_labels))
+        ref_bank = _InstanceBank(labeled, pseudo_labels)
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for i, n in enumerate(sizes):
             dist = dists[i % len(dists)]
             got = _outcome(sample_crops, bank, dist, n, rng_got)
             want = _outcome(_choice_sample_crops, ref_bank, dist, n, rng_want)
             assert got == want
+            if isinstance(got, list):
+                # A labeled crop is the bank's own entry, a pseudo crop a plain instance.
+                assert all(type(g) is type(w) for g, w in zip(got, want))
         assert rng_got.random() == rng_want.random()

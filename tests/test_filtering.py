@@ -269,6 +269,21 @@ class TestOracleEquivalence:
             assert got == want
         assert rng_got.random() == rng_want.random()
 
+    @pytest.mark.parametrize("fn_rate", [0.0, 1.0])
+    @pytest.mark.parametrize("fp_rate", [0.0, 1.0])
+    @pytest.mark.parametrize("tau_ml", [0.0, 1.0])
+    def test_rates_at_zero_and_one_bit_for_bit(self, fn_rate, fp_rate, tau_ml):
+        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
+        rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
+        for image_id, class_ids in enumerate([[1, 3], [], [2, 2, 4], [1, 2, 3, 4]]):
+            rec = TestOracle().record(class_ids, image_id=image_id)
+            # Twice per record: the second call reads the classes the record kept.
+            for _ in range(2):
+                got = oracle_image_labels(rec, noise, rng_got, 4)
+                want = _per_class_oracle_labels(rec, noise, rng_want, 4)
+                assert [a.hex() for a in got.activations] == [a.hex() for a in want.activations]
+        assert rng_got.random() == rng_want.random()
+
 
 class TestFilterConfig:
     def test_threshold_bounds(self):

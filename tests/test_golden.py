@@ -24,6 +24,7 @@ EXAMPLE_SHA256 = "04f0401fc9181d0a0b21501ecc1d160bcd4296685a5ba17f6b13134bf50539
 RESCALE_SHA256 = "1e86f032469edcb740d79a4bc58aa2c77230555ec126ba9d949fe46f02a42145"
 CROWDED_SHA256 = "e8d9d5ea6a4b4275fc237ade63821dbe5fe2302ee11ced7aec4d9e32748dd1d3"
 PASTE_HEAVY_SHA256 = "458146a921532efc6510e877166413c21ed9d79667d761bbd59e50bf7fc766fd"
+BANK_REUSE_SHA256 = "adff4358499c3dfc6b593abd9c37f7c434cfc25efc62c6a49172bdbe95c3cfc1"
 
 
 def rescale_coco() -> dict:
@@ -135,6 +136,30 @@ PASTE_HEAVY_CONFIG = {
 }
 
 
+# The pseudo bank refreshes every third epoch, so two epochs in three sample
+# the bank an earlier epoch built; a base box half hidden by pasted crops is
+# dropped; and without selective supervision the unlabeled loss is
+# classification only. Each of the three settings moves the report.
+BANK_REUSE_CONFIG = {
+    "seed": 404,
+    "split_fraction": 0.25,
+    "epochs": 9,
+    "pretrain_epochs": 2,
+    "labeled_batch": 4,
+    "unlabeled_batch": 12,
+    "batches_per_epoch": 2,
+    "refresh_period": 3,
+    "proposal_budget": 128,
+    "toggles": {"fbr": True, "affr": True, "two_stage": True, "selective_supervision": False},
+    "dataset": {"type": "synthetic", "images": 60, "classes": 6, "skew": 0.6},
+    "paste": {"crops_per_image": 3, "occlusion_threshold": 0.5, "beta": 1.5},
+    "filter": {"tau_cls": 0.65, "tau_ml": 0.2, "mode": "two_stage_filtering"},
+    "detector": {"initial_recall_skill": 0.4, "confusion_rate": 0.15, "loc_skill": 0.4,
+                 "partial_rate": 0.2, "fp_rate": 0.5, "lr": 0.25, "ema_alpha": 0.65},
+    "oracle": {"fn_rate": 0.05, "fp_rate": 0.1},
+}
+
+
 def report_sha256(config: Path, out: Path) -> str:
     assert main(["run", "--config", str(config), "--out", str(out)]) == 0
     return hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
@@ -166,3 +191,9 @@ def test_paste_heavy_report(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(PASTE_HEAVY_CONFIG), encoding="utf-8")
     assert report_sha256(config, tmp_path / "out") == PASTE_HEAVY_SHA256
+
+
+def test_bank_reuse_report(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BANK_REUSE_CONFIG), encoding="utf-8")
+    assert report_sha256(config, tmp_path / "out") == BANK_REUSE_SHA256

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst.dataset import BBox, ImageRecord, Instance, Prediction
+from acrst.dataset import BBox, ClassCdfs, ImageRecord, Instance, Prediction
 from acrst.model import (
     CONFUSION_FLOOR,
     PARTIAL_FLOOR,
@@ -15,13 +15,13 @@ from acrst.model import (
     DetectorParams,
     LossBreakdown,
     batch_loss,
-    class_cdfs,
     detect,
     ema_update,
     smooth_l1,
     student_update,
     synth_detect,
 )
+from acrst.synthdata import synthetic_dataset
 
 
 def params(
@@ -289,8 +289,9 @@ class TestSmoothL1:
 
 
 def image(classes, n_pasted=0):
-    """One ``batch_loss`` image: instances of ``classes``, the first ``n_pasted`` pasted."""
-    return tuple(inst(c) for c in classes), n_pasted
+    """One ``batch_loss`` image: the class ids of its instances, the first
+    ``n_pasted`` of them pasted."""
+    return list(classes), n_pasted
 
 
 ZERO_LOSS = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -363,7 +364,8 @@ class TestLossBreakdown:
 
 
 # The per-proposal loss composition that batch_loss replaces, kept verbatim
-# as the oracle: one target object per proposal, summed in proposal order.
+# as the oracle: one target object per proposal, summed in proposal order. It
+# takes each image's instances, as batch_loss did before it took class ids.
 
 
 @dataclass(frozen=True)
@@ -448,6 +450,11 @@ def _oracle_batch_loss(student, images, budget, mode):
     return _oracle_loss_breakdown(targets, mode)
 
 
+def _as_instances(images):
+    """The ``(class_ids, n_pasted)`` images as ``(instances, n_pasted)``."""
+    return [(tuple(inst(c) for c in class_ids), n_pasted) for class_ids, n_pasted in images]
+
+
 # Edge values, plus uniform floats: np.log differs from math.log in the last
 # bit on a fraction of a percent of those, so a swapped log shows up.
 _rate = st.one_of(
@@ -473,7 +480,8 @@ def _loss_batch(draw):
 
 
 class TestBatchLossEquivalence:
-    """batch_loss equals the per-proposal composition exactly, in every mode."""
+    """batch_loss on class ids equals the per-proposal composition on the
+    same images' instances exactly, in every mode."""
 
     @settings(max_examples=300, deadline=None)
     @given(batch=_loss_batch())
@@ -485,7 +493,7 @@ class TestBatchLossEquivalence:
         student, images, budget = batch
         for mode in ("supervised", "unsup_cls_only", "unsup_selective"):
             got = batch_loss(student, images, budget, mode)
-            want = _oracle_batch_loss(student, images, budget, mode)
+            want = _oracle_batch_loss(student, _as_instances(images), budget, mode)
             for field in ("rpn_cls", "rpn_reg", "roi_cls", "roi_reg", "total"):
                 assert getattr(got, field) == getattr(want, field), (mode, field)
                 # == cannot tell 0.0 from -0.0, and the report prints both.
@@ -500,7 +508,7 @@ class TestBatchLossEquivalence:
             student = params(recall=(float(skill),), confusion=0.0, loc=1.0)
             for batch in ([image([1])], [image([])]):
                 assert batch_loss(student, batch, 1, "supervised") == _oracle_batch_loss(
-                    student, batch, 1, "supervised"
+                    student, _as_instances(batch), 1, "supervised"
                 )
 
 
@@ -528,6 +536,64 @@ def _weights_and_exclude(draw):
     return weights, exclude
 
 
+def _eager_class_cdfs(class_weights):
+    """Reference table: every row built up front, index 0 over every class,
+    index c without class c."""
+    weights = np.asarray(class_weights, dtype=float)
+    if (weights < 0).any():
+        raise ValueError("class_weights must be non-negative")
+    cdfs = []
+    for exclude in range(weights.size + 1):
+        w = weights.copy()
+        if exclude:
+            w[exclude - 1] = 0.0
+        if w.sum() <= 0.0:
+            w = np.ones_like(w)
+            if exclude and w.size > 1:
+                w[exclude - 1] = 0.0
+        cdf = np.cumsum(w / w.sum())
+        cdf /= cdf[-1]
+        cdfs.append(cdf.tolist())
+    return cdfs
+
+
+def _hex_row(row):
+    return [float(v).hex() for v in row]
+
+
+class TestClassCdfs:
+    """Rows built on first lookup equal the eager table's, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_weights_and_exclude(), order_seed=st.integers(0, 2**32 - 1))
+    @example(case=(np.array([0.0]), 1), order_seed=0)
+    @example(case=(np.array([1.0]), None), order_seed=0)
+    @example(case=(np.array([0.0, 0.0, 0.0]), 2), order_seed=1)
+    @example(case=(np.array([0.0, 5.0, 0.0]), 2), order_seed=2)
+    def test_rows_match_eager_table(self, case, order_seed):
+        weights, _ = case
+        want = _eager_class_cdfs(weights)
+        table = ClassCdfs(weights)
+        assert len(table) == 0
+        order = np.random.default_rng(order_seed).permutation(weights.size + 1).tolist()
+        for built, exclude in enumerate(order, start=1):
+            assert _hex_row(table[exclude]) == _hex_row(want[exclude])
+            assert len(table) == built
+            assert table[exclude] is table[exclude]
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            ClassCdfs([1.0, -1.0])
+
+    def test_kept_on_the_dataset(self):
+        ds = synthetic_dataset(30, 4, seed=3)
+        table = ds.class_cdfs
+        assert table is ds.class_cdfs
+        assert len(table) == 0
+        want = _eager_class_cdfs(ds.class_counts)
+        assert [_hex_row(table[c]) for c in range(5)] == [_hex_row(row) for row in want]
+
+
 class TestDrawWeightedEquivalence:
     """A draw from the class CDFs picks what rng.choice picked, from the same double."""
 
@@ -542,7 +608,7 @@ class TestDrawWeightedEquivalence:
     def test_matches_choice(self, cases, seed):
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for weights, exclude in cases:
-            got = bisect_right(class_cdfs(weights)[exclude or 0], rng_got.random()) + 1
+            got = bisect_right(ClassCdfs(weights)[exclude or 0], rng_got.random()) + 1
             want = _choice_draw_weighted(rng_want, weights, exclude)
             assert got == want
         assert rng_got.random() == rng_want.random()
@@ -720,13 +786,13 @@ class TestSynthDetectEquivalence:
         # images' rows one after another in one set of columns.
         detector, weights, records = case
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        cdfs = class_cdfs([1.0] * detector.n_classes if weights is None else weights)
+        cdfs = ClassCdfs([1.0] * detector.n_classes if weights is None else weights)
         out = Detections()
         for rec in records:
             start = len(out.score)
             detect(detector, rec, rng_got, cdfs, out)
             want = _oracle_synth_detect(detector, rec, rng_want, class_weights=weights)
-            rows = [(c, *(float(v).hex() for v in values)) for c, *values in out.rows(start)]
+            rows = [(c, *(float(v).hex() for v in values)) for c, *values in list(out.rows())[start:]]
             assert rows == _bits(want)
         assert rng_got.random() == rng_want.random()
 
@@ -745,7 +811,7 @@ class TestSynthDetectEquivalence:
         rec = record([inst(1, -0.0, -0.0, 10, 10)], width=40.0, height=30.0)
         normals = [corner[0], corner[1], size[0] - 10, size[1] - 10]
         out = Detections()
-        detect(detector, rec, _FixedDraws(normals), class_cdfs([1.0]), out)
+        detect(detector, rec, _FixedDraws(normals), ClassCdfs([1.0]), out)
         (_, *got, _), = out.rows()
         x, y = -0.0 + normals[0] * 1.0, -0.0 + normals[1] * 1.0
         assert (x.hex(), y.hex()) == (corner[0].hex(), corner[1].hex())

@@ -7,7 +7,7 @@ import pytest
 
 from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
 from acrst.cropbank import build_labeled_bank
-from acrst.dataset import Dataset, parse_coco_annotations, split_standard
+from acrst.dataset import BBox, Dataset, Instance, parse_coco_annotations, split_standard
 from acrst.filtering import FilterConfig, OracleNoise
 from acrst.model import LossBreakdown
 from acrst.rebalance import SamplingDistribution, affr_distribution
@@ -229,6 +229,38 @@ ZERO_RECALL_WARNING = "every pseudo recall is zero"
 
 def zero_recall_warnings(caplog):
     return [r for r in caplog.records if ZERO_RECALL_WARNING in r.getMessage()]
+
+
+class TestPseudoLabelsStayColumns:
+    """Without pasting, a pseudo-label is a row of the epoch's columns, never an object."""
+
+    @staticmethod
+    def count_objects(monkeypatch):
+        made = []
+        for cls in (Instance, BBox):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                made.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return made
+
+    def run_epochs(self, config, corpus, monkeypatch):
+        state = initial_state(config, corpus)
+        made = self.count_objects(monkeypatch)
+        for epoch in range(3):
+            state, trace = run_epoch(state, config, substream(config.seed, "epoch", epoch))
+        assert trace.n_pseudo > 0 and state.bank.n_pseudo > 0
+        return made
+
+    def test_no_instance_without_pasting(self, corpus, monkeypatch):
+        assert self.run_epochs(quick_config(fbr=False), corpus, monkeypatch) == []
+
+    def test_pasting_still_builds_instances(self, corpus, monkeypatch):
+        # The counter sees the paste path's instances, so the empty count
+        # above is not an unpatched constructor.
+        made = self.run_epochs(quick_config(), corpus, monkeypatch)
+        assert "Instance" in made and "BBox" in made
 
 
 class TestZeroRecallWarning:
