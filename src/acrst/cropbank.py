@@ -3,9 +3,9 @@
 The labeled bank is built once from ground truth and never changes. The pseudo
 bank is replaced wholesale from post-filtering predictions on a fixed epoch
 period. Sampling is two-level: first a class from a sampling distribution,
-then a uniform entry of that class from the union of both banks. A labeled
-crop is an :class:`Instance`: a class, a box and the image it came from. A
-pseudo crop is a row of columns, and becomes an :class:`Instance` when drawn.
+then a uniform entry of that class from the union of both banks. A crop is a
+row ``(class_id, w, h, source_image_id)``: pasting reads its size, never where
+it sat on its source image.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import BBox, Dataset, Instance
-
-if TYPE_CHECKING:
-    from .model import Detections
-    from .rebalance import SamplingDistribution
+from .dataset import Dataset, Instance
+from .model import Detections
+from .rebalance import Crop, SamplingDistribution
 
 
 class EmptyBankError(RuntimeError):
@@ -30,8 +28,7 @@ class EmptyBankError(RuntimeError):
 
 @dataclass(frozen=True)
 class CropEntry(Instance):
-    """An instance tagged with its bank and score; the loop's banks store plain
-    instances and pseudo rows."""
+    """An instance tagged with its bank and score; the loop's banks hold crop rows."""
 
     score: float
     origin: str  # "labeled" or "pseudo"
@@ -47,11 +44,10 @@ class CropEntry(Instance):
 
 @dataclass(frozen=True)
 class CropBank:
-    """Immutable snapshot of both banks; the pseudo bank is the columns class
-    id, x, y, w, h and source image id, one row per kept pseudo-label."""
+    """Immutable snapshot of both banks, each a tuple of crop rows."""
 
-    labeled_bank: tuple[Instance, ...]
-    pseudo_columns: tuple[list, ...] = ([], [], [], [], [], [])
+    labeled_bank: tuple[Crop, ...]
+    pseudo_bank: tuple[Crop, ...] = ()
 
     @property
     def n_labeled(self) -> int:
@@ -59,29 +55,26 @@ class CropBank:
 
     @property
     def n_pseudo(self) -> int:
-        return len(self.pseudo_columns[0])
+        return len(self.pseudo_bank)
 
     @cached_property
     def _class_tables(self) -> dict[tuple[float, ...], tuple[tuple, np.ndarray]]:
         return {}
 
     def _class_table(self, mu: tuple[float, ...]) -> tuple[tuple, np.ndarray]:
-        """Entry pools of the classes with stored crops, and their class CDF.
+        """Crop pools of the classes with stored crops, and their class CDF.
 
-        A class's pool holds its labeled entries, then the indices of its
-        pseudo rows; :func:`sample_crops` turns a row into its instance the
-        first time it draws it. Built once per sampling weight vector and
-        kept, since a bank never changes. The CDF is the one
-        ``Generator.choice`` builds from the renormalized weights.
+        A class's pool holds its labeled rows, then its pseudo rows. Built
+        once per sampling weight vector and kept, since a bank never changes.
+        The CDF is the one ``Generator.choice`` builds from the renormalized
+        weights.
         """
         table = self._class_tables.get(mu)
         if table is not None:
             return table
-        groups: dict[int, list] = {}
-        for entry in self.labeled_bank:
-            groups.setdefault(entry.class_id, []).append(entry)
-        for row, class_id in enumerate(self.pseudo_columns[0]):
-            groups.setdefault(class_id, []).append(row)
+        groups: dict[int, list[Crop]] = {}
+        for crop in chain(self.labeled_bank, self.pseudo_bank):
+            groups.setdefault(crop[0], []).append(crop)
         if not groups:
             raise EmptyBankError("both banks are empty, nothing to sample")
         available = [k for k in range(1, len(mu) + 1) if groups.get(k)]
@@ -98,20 +91,21 @@ class CropBank:
 
 
 def build_labeled_bank(labeled: Dataset) -> CropBank:
-    """The labeled split's ground-truth instances, in image order."""
-    return CropBank(
-        labeled_bank=tuple(inst for img in labeled.images for inst in img.ground_truth)
-    )
+    """The labeled split's ground-truth crops, in image order."""
+    return CropBank(labeled_bank=tuple(
+        (inst.class_id, inst.bbox.w, inst.bbox.h, inst.source_image_id)
+        for img in labeled.images for inst in img.ground_truth
+    ))
 
 
 def refresh_pseudo_bank(
-    bank: CropBank, dets: "Detections", kept: Sequence[bool], image_ids: Sequence[int | str],
+    bank: CropBank, dets: Detections, kept: Sequence[bool], image_ids: Sequence[int | str],
     period: int, epoch: int,
 ) -> CropBank:
     """Replace the pseudo bank wholesale when ``epoch % period == 0``.
 
-    The new pseudo bank holds the rows of ``dets`` that ``kept`` marks, in
-    order; ``image_ids`` names the image of each of ``dets.counts``.
+    The new pseudo bank holds the crop of each row of ``dets`` that ``kept``
+    marks, in order; ``image_ids`` names the image of each of ``dets.counts``.
     Off-period epochs return ``bank`` itself, so its class tables are kept.
     """
     if period <= 0:
@@ -119,16 +113,16 @@ def refresh_pseudo_bank(
     if epoch % period != 0:
         return bank
     sources = chain.from_iterable(map(repeat, image_ids, dets.counts))
-    columns = (dets.class_id, dets.x, dets.y, dets.w, dets.h, sources)
-    return CropBank(bank.labeled_bank, tuple(list(compress(c, kept)) for c in columns))
+    rows = zip(dets.class_id, dets.w, dets.h, sources)
+    return CropBank(bank.labeled_bank, tuple(compress(rows, kept)))
 
 
 def sample_crops(
     bank: CropBank,
-    distribution: "SamplingDistribution",
+    distribution: SamplingDistribution,
     n: int,
     rng: np.random.Generator,
-) -> list[Instance]:
+) -> list[Crop]:
     """Draw ``n`` crops: class by the distribution, entry uniformly within class.
 
     Classes without any stored entry are excluded and the class weights are
@@ -143,12 +137,4 @@ def sample_crops(
     # n class draws, then n entry draws, from one call.
     u = rng.random(2 * n)
     classes = cdf.searchsorted(u[:n], side="right").tolist()
-    cls, x, y, w, h, source = bank.pseudo_columns
-    crops = []
-    for c, v in zip(classes, u[n:].tolist()):
-        pool, i = pools[c], int(v * len(pools[c]))
-        if not isinstance(pool[i], Instance):  # a pseudo row, drawn for the first time
-            r = pool[i]
-            pool[i] = Instance(cls[r], BBox(x[r], y[r], w[r], h[r]), source[r])
-        crops.append(pool[i])
-    return crops
+    return [pools[c][int(v * len(pools[c]))] for c, v in zip(classes, u[n:].tolist())]

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import BBox, ClassCdfs, ImageRecord, Prediction
+from .dataset import ClassCdfs, ImageRecord
 
 # Decay floors: confusion and partial-box rates never fall below these.
 CONFUSION_FLOOR = 0.01
@@ -210,23 +210,6 @@ def detect(
         add_h(h)
         add_score(0.3 + (0.8 - 0.3) * u_score)
     out.counts.append(len(out.score) - n_before)
-
-
-def synth_detect(
-    params: DetectorParams,
-    record: ImageRecord,
-    rng: np.random.Generator,
-    class_weights: Sequence[float] | None = None,
-) -> list[Prediction]:
-    """:func:`detect` on one image as predictions, its classes drawn by
-    ``class_weights`` (uniform when omitted)."""
-    k = params.n_classes
-    weights = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=float)
-    if weights.shape != (k,):
-        raise ValueError("class_weights must have one entry per class")
-    out = Detections()
-    detect(params, record, rng, ClassCdfs(weights), out)
-    return [Prediction(c, BBox(x, y, w, h), s) for c, x, y, w, h, s in out.rows()]
 
 
 def student_update(

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import BBox, ImageRecord, Instance
+from .dataset import BBox, Instance
 
 log = logging.getLogger(__name__)
 
@@ -26,6 +26,10 @@ LABELED_ABSENT_PR = 1e9
 
 # Visible fractions at or below this count as full occlusion.
 _FULL_OCCLUSION_EPS = 1e-12
+
+_Edges = tuple[float, float, float, float]
+# A crop as the bank stores it: (class_id, w, h, source_image_id).
+Crop = tuple[int, float, float, int | str]
 
 
 @dataclass(frozen=True)
@@ -100,16 +104,12 @@ class PastePlacement:
     target_bbox: BBox
 
 
-@dataclass(frozen=True)
-class MixedRecord:
-    """A base image after paste mixing.
+class Mix(NamedTuple):
+    """The pasted crops' classes in paste order, then the surviving base
+    boxes' classes; and each pasted box's edges ``(x1, y1, x2, y2)``."""
 
-    ``merged_annotations`` lists the pasted instances first, one per placement
-    in paste order, then the surviving base instances.
-    """
-
-    placements: tuple[PastePlacement, ...]
-    merged_annotations: tuple[Instance, ...]
+    class_ids: list[int]
+    placements: list[_Edges]
 
 
 def pseudo_recall(stats: ClassStats) -> np.ndarray:
@@ -172,53 +172,47 @@ def visible_fraction(inst: BBox, occluders: Sequence[BBox]) -> float:
     Exact for rectangles: the box is cut into the grid induced by all occluder
     edges and each cell is attributed by its center point.
     """
-    return _visible(inst, _overlaps(inst, [_edges(occ) for occ in occluders]))
-
-
-_Edges = tuple[float, float, float, float]
+    return _visible(inst.x, inst.y, inst.w, inst.h, [_edges(occ) for occ in occluders])
 
 
 def _edges(box: BBox) -> _Edges:
     return box.x, box.y, box.x2, box.y2
 
 
-def _overlaps(inst: BBox, rects: Sequence[_Edges]) -> list[_Edges]:
-    """Edges of each rectangle's overlap with ``inst``, as BBox.intersection
-    gives them: the right edge is ``x1 + (x2 - x1)``, which need not be x2."""
-    ix1, iy1, ix2, iy2 = inst.x, inst.y, inst.x2, inst.y2
-    out = []
+def _visible(x: float, y: float, w: float, h: float, rects: Sequence[_Edges]) -> float:
+    """Visible fraction of the box ``(x, y, w, h)`` under the rectangles with
+    edges ``rects``. Each overlap's edges are as BBox.intersection gives them:
+    the right edge is ``x1 + (x2 - x1)``, which need not be x2."""
+    ix2, iy2 = x + w, y + h
+    clipped = []
     for ox1, oy1, ox2, oy2 in rects:
-        if ox2 <= ix1 or ix2 <= ox1 or oy2 <= iy1 or iy2 <= oy1:
+        if ox2 <= x or ix2 <= ox1 or oy2 <= y or iy2 <= oy1:
             continue  # disjoint, or touching along an edge
-        x1, y1 = max(ox1, ix1), max(oy1, iy1)
+        x1, y1 = max(ox1, x), max(oy1, y)
         x2, y2 = min(ox2, ix2), min(oy2, iy2)
         if x2 > x1 and y2 > y1:
-            out.append((x1, y1, x1 + (x2 - x1), y1 + (y2 - y1)))
-    return out
-
-
-def _visible(inst: BBox, clipped: Sequence[_Edges]) -> float:
-    """Visible fraction of ``inst`` given its overlaps with the occluders."""
+            clipped.append((x1, y1, x1 + (x2 - x1), y1 + (y2 - y1)))
     if not clipped:
         return 1.0
     x1, y1, x2, y2 = clipped[0]
-    if len(clipped) == 1 and x2 <= inst.x2 and y2 <= inst.y2:
+    if len(clipped) == 1 and x2 <= ix2 and y2 <= iy2:
         # One overlap whose edges stay inside the box: the only grid cell
         # that can be covered is the overlap itself.
         cx, cy = (x1 + x2) / 2.0, (y1 + y2) / 2.0
         inside = x1 < cx < x2 and y1 < cy < y2
         covered_area = (x2 - x1) * (y2 - y1) if inside else 0.0
     else:
-        covered_area = _grid_covered_area(inst, clipped)
-    visible = max(0.0, inst.area - covered_area)
-    return min(1.0, visible / inst.area)
+        covered_area = _grid_covered_area((x, y, ix2, iy2), clipped)
+    area = w * h
+    visible = max(0.0, area - covered_area)
+    return min(1.0, visible / area)
 
 
-def _grid_covered_area(inst: BBox, clipped: Sequence[_Edges]) -> float:
-    """Area of the grid cells whose centers some overlap covers, the cells
-    x-major and added as ``np.sum`` adds them: left to right below eight."""
-    xs = sorted({inst.x, inst.x2, *(c[0] for c in clipped), *(c[2] for c in clipped)})
-    ys = sorted({inst.y, inst.y2, *(c[1] for c in clipped), *(c[3] for c in clipped)})
+def _grid_covered_area(box: _Edges, clipped: Sequence[_Edges]) -> float:
+    """Area of the grid cells of ``box`` whose centers some overlap covers, the
+    cells x-major and added as ``np.sum`` adds them: left to right below eight."""
+    xs = sorted({box[0], box[2], *(c[0] for c in clipped), *(c[2] for c in clipped)})
+    ys = sorted({box[1], box[3], *(c[1] for c in clipped), *(c[3] for c in clipped)})
     x_cells = [((a + b) / 2.0, b - a) for a, b in zip(xs, xs[1:])]
     y_cells = [((a + b) / 2.0, b - a) for a, b in zip(ys, ys[1:])]
     areas = [
@@ -235,6 +229,19 @@ def _grid_covered_area(inst: BBox, clipped: Sequence[_Edges]) -> float:
     return total
 
 
+def _survivors(base: Iterable[tuple], rects: Sequence[_Edges], occlusion_threshold: float) -> list:
+    """The first field of each ``(item, x, y, w, h)`` row of ``base`` whose box
+    ``rects`` neither occlude fully nor leave less than the threshold visible."""
+    if not 0.0 <= occlusion_threshold <= 1.0:
+        raise ValueError(f"occlusion threshold must be in [0, 1], got {occlusion_threshold}")
+    out = []
+    for item, x, y, w, h in base:
+        vf = _visible(x, y, w, h, rects)
+        if vf > _FULL_OCCLUSION_EPS and vf >= occlusion_threshold:
+            out.append(item)
+    return out
+
+
 def merge_annotations(
     base: Sequence[Instance],
     pasted: Sequence[PastePlacement],
@@ -246,50 +253,36 @@ def merge_annotations(
     instance survives when its visible fraction is at least the threshold;
     fully occluded instances are dropped regardless of threshold.
     """
-    if not 0.0 <= occlusion_threshold <= 1.0:
-        raise ValueError(
-            f"occlusion threshold must be in [0, 1], got {occlusion_threshold}"
-        )
-    rects = [_edges(p.target_bbox) for p in pasted]
-    merged = [
-        Instance(
-            class_id=p.crop.class_id,
-            bbox=p.target_bbox,
-            source_image_id=p.crop.source_image_id,
-        )
-        for p in pasted
-    ]
-    for inst in base:
-        vf = _visible(inst.bbox, _overlaps(inst.bbox, rects))
-        if vf <= _FULL_OCCLUSION_EPS or vf < occlusion_threshold:
-            continue
-        merged.append(inst)
-    return merged
+    merged = [Instance(p.crop.class_id, p.target_bbox, p.crop.source_image_id) for p in pasted]
+    rows = [(inst, inst.bbox.x, inst.bbox.y, inst.bbox.w, inst.bbox.h) for inst in base]
+    return merged + _survivors(rows, [_edges(p.target_bbox) for p in pasted], occlusion_threshold)
 
 
 def fbr_mix(
-    record: ImageRecord,
-    crops: Sequence[Instance],
+    size: tuple[float, float],
+    crops: Sequence[Crop],
     rng: np.random.Generator,
     config: PasteConfig,
-) -> MixedRecord:
-    """Paste crops onto a record at uniform random in-bounds positions.
+    base: Sequence[tuple[int, float, float, float, float]],
+) -> Mix:
+    """Paste crops at uniform random in-bounds positions onto an image of
+    ``size`` (width, height) whose boxes are the ``(class, x, y, w, h)`` rows of ``base``.
 
     A crop that fits is pasted at its own size. One that does not is rescaled
     so its longer side becomes a uniform random fraction (config range) of the
     destination's shorter side; if it still cannot fit even at the minimum
-    rescale it is skipped with a warning. With no crops the record passes
+    rescale it is skipped with a warning. With no crops the base classes pass
     through unchanged.
     """
-    width, height = record.width, record.height
+    width, height = size
     # A crop's draws follow from its geometry: a position (2 doubles) when it
     # fits, a rescale factor and a position (3) when it fits once rescaled, a
     # rescale factor alone (1) when it is skipped. Since a larger factor never
     # fits where the minimum does not, the image's doubles come from one call.
-    plans: list[tuple[Instance, bool, float | None]] = []
+    plans: list[tuple[Crop, bool, float | None]] = []
     n_draws = 0
     for crop in crops:
-        w, h = crop.bbox.w, crop.bbox.h
+        w, h = crop[1], crop[2]
         if w > width or h > height:
             # Rescaled: the minimum rescale, or None when even that overflows.
             min_scale = config.rescale_min * min(width, height) / max(w, h)
@@ -306,9 +299,9 @@ def fbr_mix(
     u = iter(rng.random(n_draws).tolist())
     lo, hi = config.rescale_min, config.rescale_max
 
-    placements: list[PastePlacement] = []
-    for crop, rescaled, min_scale in plans:
-        w, h = crop.bbox.w, crop.bbox.h
+    class_ids: list[int] = []
+    placements: list[_Edges] = []
+    for (class_id, w, h, source), rescaled, min_scale in plans:
         scale = 1.0
         if rescaled:
             factor = lo + (hi - lo) * next(u)
@@ -316,18 +309,19 @@ def fbr_mix(
                 log.warning(
                     "crop %.0fx%.0f from image %s does not fit %sx%s even at "
                     "minimum rescale; skipped",
-                    w, h, crop.source_image_id, width, height,
+                    w, h, source, width, height,
                 )
                 continue
             scale = factor * min(width, height) / max(w, h)
             if w * scale > width or h * scale > height:
                 scale = min_scale
         pw, ph = w * scale, h * scale
+        if pw <= 0 or ph <= 0:
+            raise ValueError(f"box sides must be positive, got w={pw} h={ph}")
         x = 0.0 + (width - pw) * next(u)
         y = 0.0 + (height - ph) * next(u)
-        placements.append(PastePlacement(crop=crop, target_bbox=BBox(x, y, pw, ph)))
+        class_ids.append(class_id)
+        placements.append((x, y, x + pw, y + ph))
 
-    merged = merge_annotations(
-        record.ground_truth, placements, config.occlusion_threshold
-    )
-    return MixedRecord(placements=tuple(placements), merged_annotations=tuple(merged))
+    class_ids += _survivors(base, placements, config.occlusion_threshold)
+    return Mix(class_ids, placements)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank, sample_crops
-from .dataset import BBox, Dataset, ImageRecord, Instance, split_standard
+from .dataset import Dataset, ImageRecord, split_standard
 from .filtering import keep_mask, oracle_image_labels
 from .metrics import class_kld, evaluate, fg_ratio
 from .model import (
@@ -196,7 +196,7 @@ def run_epoch(
     # The sampling distribution is fixed for the epoch: the bank only changes
     # at the refresh step below.
     stats = ClassStats(
-        pseudo_counts=tuple(int(c) for c in _class_counts(bank.pseudo_columns[0], k)),
+        pseudo_counts=tuple(_class_counts([row[0] for row in bank.pseudo_bank], k).tolist()),
         labeled_counts=tuple(int(c) for c in labeled_counts),
         ratio=n_unl / n_lab,
     )
@@ -239,13 +239,9 @@ def run_epoch(
             class_ids, n_pasted = pseudo_label(img, dets, keep), 0
             if mixing:
                 crops = sample_crops(bank, dist, config.paste.crops_per_image, rng)
-                # Only a pasted image turns its pseudo-labels into instances.
-                pseudo_gt = tuple(Instance(c, BBox(x, y, w, h), img.id)
-                                  for c, x, y, w, h, _ in compress(dets.rows(), keep))
-                record = ImageRecord(img.id, img.width, img.height, pseudo_gt)
-                mixed = fbr_mix(record, crops, rng, config.paste)
-                class_ids = [inst.class_id for inst in mixed.merged_annotations]
-                n_pasted = len(mixed.placements)
+                base = [row[:5] for row in compress(dets.rows(), keep)]
+                mixed = fbr_mix((img.width, img.height), crops, rng, config.paste, base)
+                class_ids, n_pasted = mixed.class_ids, len(mixed.placements)
             unsup_images.append((class_ids, n_pasted))
             fg_total += len(class_ids)
             bg_total += max(budget - len(class_ids), 0)

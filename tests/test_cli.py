@@ -185,6 +185,31 @@ class TestRun:
         report = json.loads((out / "report.json").read_text())
         assert [c["name"] for c in report["categories"]] == ["cat", "dog"]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_fractional_image_sizes_run_to_the_end(self, tmp_path, seed):
+        # A box the teacher clips to a fractional image edge can end one ulp
+        # past it; pasting onto that image must not reject the box mid-run.
+        coco = {
+            "images": [{"id": i, "width": 333.3, "height": 250.7} for i in range(1, 61)],
+            "annotations": [
+                {"id": i, "image_id": i, "category_id": 1, "bbox": [20, 15, 313.2, 235.6]}
+                for i in range(1, 61)
+            ],
+            "categories": [{"id": 1, "name": "thing"}],
+        }
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(coco), encoding="utf-8")
+        config = write_config(
+            tmp_path,
+            epochs=8,
+            unlabeled_batch=8,
+            batches_per_epoch=2,
+            dataset={"type": "coco_json", "path": str(ann)},
+            detector={"initial_recall_skill": 0.6, "lr": 0.2, "ema_alpha": 0.7, "loc_skill": 0},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--seed", str(seed)]) == 0
+
     def test_missing_annotation_file_exits_two(self, tmp_path, capsys):
         config = write_config(
             tmp_path, dataset={"type": "coco_json", "path": str(tmp_path / "gone.json")}

@@ -28,15 +28,13 @@ def entry(class_id, origin="labeled", score=1.0, image_id=1):
 
 
 def pseudo(class_id, image_id=1):
-    """A pseudo-label as the loop made one before the pseudo bank became columns."""
+    """A pseudo-label as the loop made one before the pseudo bank became rows."""
     return Instance(class_id, BBox(0, 0, 10, 10), image_id)
 
 
-def pseudo_columns(instances):
-    """The pseudo bank's columns holding ``instances``, in order."""
-    rows = [(i.class_id, i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h, i.source_image_id)
-            for i in instances]
-    return tuple([row[j] for row in rows] for j in range(6))
+def rows(instances):
+    """The crop rows of ``instances``, in order."""
+    return tuple((i.class_id, i.bbox.w, i.bbox.h, i.source_image_id) for i in instances)
 
 
 class TestCropEntry:
@@ -59,20 +57,19 @@ class TestBuild:
         bank = build_labeled_bank(ds)
         assert bank.n_labeled == 3
         assert bank.n_pseudo == 0
-        # The bank holds the split's own ground-truth objects, in image order.
-        truth = [inst for img in ds.images for inst in img.ground_truth]
-        assert all(e is inst for e, inst in zip(bank.labeled_bank, truth, strict=True))
+        # One row per ground-truth instance of the split, in image order.
+        assert bank.labeled_bank == rows(inst for img in ds.images for inst in img.ground_truth)
 
     def test_entries_carry_geometry(self, coco_text):
         ds = parse_coco_annotations(coco_text)
         bank = build_labeled_bank(ds)
-        assert bank.labeled_bank[0].bbox == BBox(5, 5, 20, 10)
-        assert bank.labeled_bank[0].source_image_id == 10
+        # Category 7 is class 1; the crop keeps the box's size and its image.
+        assert bank.labeled_bank[0] == (1, 20, 10, 10)
 
 
 class TestRefresh:
     def setup_method(self):
-        self.bank = CropBank(labeled_bank=(entry(1), entry(2)))
+        self.bank = CropBank(labeled_bank=rows([entry(1), entry(2)]))
         # Image 5 has two detections, image 6 three, image 7 none.
         self.dets = Detections()
         for c, x, y, w, h, score in [
@@ -97,18 +94,15 @@ class TestRefresh:
         bank = self.refresh(self.bank, period=1, epoch=0)
         assert bank.n_pseudo == 3
         assert bank is not self.bank
-        # The kept rows, in order, each with its image's id.
-        assert bank.pseudo_columns == (
-            [1, 2, 1], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [4.0, 5.0, 3.0], [4.0, 5.0, 3.0],
-            [5, 6, 6],
-        )
+        # The kept rows' class and size, in order, each with its image's id.
+        assert bank.pseudo_bank == ((1, 4.0, 4.0, 5), (2, 5.0, 5.0, 6), (1, 3.0, 3.0, 6))
         again = self.refresh(bank, period=1, epoch=1, kept=[False] * 5)
         assert again.n_pseudo == 0
-        assert again.pseudo_columns == ([], [], [], [], [], [])
+        assert again.pseudo_bank == ()
 
     def test_off_period_keeps_banks(self):
         bank = self.refresh(self.bank, period=2, epoch=3)
-        assert bank.pseudo_columns == self.bank.pseudo_columns
+        assert bank.pseudo_bank == self.bank.pseudo_bank
         assert bank.labeled_bank is self.bank.labeled_bank
         assert bank is self.bank
 
@@ -125,27 +119,27 @@ class TestRefresh:
 
 class TestSampling:
     def test_one_hot_distribution(self):
-        bank = CropBank(labeled_bank=(entry(1), entry(2), entry(2)))
+        bank = CropBank(labeled_bank=rows([entry(1), entry(2), entry(2)]))
         dist = SamplingDistribution(mu=(0.0, 1.0), beta=2.0)
         rng = np.random.default_rng(0)
         crops = sample_crops(bank, dist, 50, rng)
         assert len(crops) == 50
-        assert all(c.class_id == 2 for c in crops)
+        assert all(c[0] == 2 for c in crops)
 
     def test_renormalizes_over_available_classes(self):
-        bank = CropBank(labeled_bank=(entry(1),))
+        bank = CropBank(labeled_bank=rows([entry(1)]))
         dist = SamplingDistribution(mu=(0.1, 0.9), beta=2.0)
         crops = sample_crops(bank, dist, 20, np.random.default_rng(1))
-        assert all(c.class_id == 1 for c in crops)
+        assert all(c[0] == 1 for c in crops)
 
     def test_union_of_banks_is_sampled(self):
         bank = CropBank(
-            labeled_bank=(entry(1, image_id=100),),
-            pseudo_columns=pseudo_columns([pseudo(1, image_id=200)]),
+            labeled_bank=rows([entry(1, image_id=100)]),
+            pseudo_bank=rows([pseudo(1, image_id=200)]),
         )
         dist = SamplingDistribution.uniform(1)
         crops = sample_crops(bank, dist, 400, np.random.default_rng(2))
-        sources = {c.source_image_id for c in crops}
+        sources = {c[3] for c in crops}
         assert sources == {100, 200}
 
     def test_empty_bank_raises(self):
@@ -154,43 +148,43 @@ class TestSampling:
             sample_crops(bank, SamplingDistribution.uniform(2), 1, np.random.default_rng(0))
 
     def test_zero_weight_on_available_classes_raises(self):
-        bank = CropBank(labeled_bank=(entry(1),))
+        bank = CropBank(labeled_bank=rows([entry(1)]))
         dist = SamplingDistribution(mu=(0.0, 1.0), beta=2.0)
         with pytest.raises(ValueError):
             sample_crops(bank, dist, 1, np.random.default_rng(0))
 
     def test_deterministic_for_seed(self):
-        bank = CropBank(labeled_bank=(entry(1), entry(2), entry(3)))
+        bank = CropBank(labeled_bank=rows([entry(1), entry(2), entry(3)]))
         dist = SamplingDistribution.uniform(3)
         a = sample_crops(bank, dist, 100, np.random.default_rng(42))
         b = sample_crops(bank, dist, 100, np.random.default_rng(42))
         assert a == b
 
     def test_uniform_frequencies_within_two_percent(self):
-        bank = CropBank(labeled_bank=(entry(1), entry(2)))
+        bank = CropBank(labeled_bank=rows([entry(1), entry(2)]))
         dist = SamplingDistribution.uniform(2)
         crops = sample_crops(bank, dist, 100_000, np.random.default_rng(7))
-        share = sum(c.class_id == 1 for c in crops) / len(crops)
+        share = sum(c[0] == 1 for c in crops) / len(crops)
         assert abs(share - 0.5) < 0.02
 
     def test_two_level_sampling_matches_distribution_chisquare(self):
         """Class frequencies at 1e5 draws pass a goodness-of-fit test."""
         bank = CropBank(
-            labeled_bank=tuple(entry(k) for k in (1, 1, 1, 2, 3, 3)),
-            pseudo_columns=pseudo_columns([pseudo(k) for k in (2, 4)]),
+            labeled_bank=rows(entry(k) for k in (1, 1, 1, 2, 3, 3)),
+            pseudo_bank=rows([pseudo(k) for k in (2, 4)]),
         )
         dist = SamplingDistribution(mu=(0.4, 0.3, 0.2, 0.1), beta=2.0)
         n = 100_000
         crops = sample_crops(bank, dist, n, np.random.default_rng(123))
-        observed = np.bincount([c.class_id for c in crops], minlength=5)[1:]
+        observed = np.bincount([c[0] for c in crops], minlength=5)[1:]
         expected = np.asarray(dist.mu) * n
         result = scipy.stats.chisquare(observed, expected)
         assert result.pvalue > 0.001
 
-    def test_pseudo_rows_become_instances_only_when_drawn(self, monkeypatch):
+    def test_sampled_crops_are_bank_rows(self, monkeypatch):
         bank = CropBank(
-            labeled_bank=(entry(1, image_id=0),),
-            pseudo_columns=pseudo_columns([pseudo(1 + i % 2, image_id=10 + i) for i in range(40)]),
+            labeled_bank=rows([entry(1, image_id=0)]),
+            pseudo_bank=rows([pseudo(1 + i % 2, image_id=10 + i) for i in range(40)]),
         )
         made = []
         init = Instance.__init__
@@ -201,27 +195,26 @@ class TestSampling:
 
         monkeypatch.setattr(Instance, "__init__", counting)
         dist, rng = SamplingDistribution.uniform(2), np.random.default_rng(4)
-        first = sample_crops(bank, dist, 3, rng)
-        assert len(made) <= 3
-        crops = first + [c for _ in range(200) for c in sample_crops(bank, dist, 4, rng)]
-        # Each drawn row was built once and is returned as that one object after.
-        pseudo_crops = {id(c): c for c in crops if c.source_image_id != 0}
-        assert len(made) == len(pseudo_crops) <= 40
-        assert all(type(c) is Instance for c in pseudo_crops.values())
+        crops = [c for _ in range(200) for c in sample_crops(bank, dist, 4, rng)]
+        # Every crop is a row the bank holds, returned as that one object.
+        stored = {id(row) for row in (*bank.labeled_bank, *bank.pseudo_bank)}
+        assert all(id(c) in stored for c in crops)
+        assert made == []
+        pseudo(1)  # the patched constructor does count an instance
+        assert len(made) == 1
 
     def test_within_class_entries_uniform(self):
-        pool = tuple(entry(1, image_id=i) for i in range(4))
-        bank = CropBank(labeled_bank=pool)
+        bank = CropBank(labeled_bank=rows(entry(1, image_id=i) for i in range(4)))
         crops = sample_crops(
             bank, SamplingDistribution.uniform(1), 100_000, np.random.default_rng(5)
         )
-        counts = np.bincount([c.source_image_id for c in crops], minlength=4)
+        counts = np.bincount([c[3] for c in crops], minlength=4)
         assert scipy.stats.chisquare(counts).pvalue > 0.001
 
 
 class _InstanceBank:
-    """The bank as it was before the pseudo side became columns: both sides
-    instances, grouped by class with the labeled entries first."""
+    """The bank as it was before its crops became rows: both sides instances,
+    grouped by class with the labeled entries first."""
 
     def __init__(self, labeled, pseudo_instances):
         self.entries_by_class = {}
@@ -283,8 +276,8 @@ def _bank_and_distributions(draw):
 
 
 class TestSampleEquivalence:
-    """The columnar bank's class table draws the crops, in order, that
-    rng.choice drew from the bank of instances, from the same doubles."""
+    """The row bank's class table draws the crops, in order, that rng.choice
+    drew from the bank of instances, from the same doubles."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -326,15 +319,12 @@ class TestSampleEquivalence:
     )
     def test_matches_choice_sampler(self, case, sizes, seed):
         labeled, pseudo_labels, dists = case
-        bank = CropBank(labeled_bank=labeled, pseudo_columns=pseudo_columns(pseudo_labels))
+        bank = CropBank(labeled_bank=rows(labeled), pseudo_bank=rows(pseudo_labels))
         ref_bank = _InstanceBank(labeled, pseudo_labels)
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for i, n in enumerate(sizes):
             dist = dists[i % len(dists)]
             got = _outcome(sample_crops, bank, dist, n, rng_got)
             want = _outcome(_choice_sample_crops, ref_bank, dist, n, rng_want)
-            assert got == want
-            if isinstance(got, list):
-                # A labeled crop is the bank's own entry, a pseudo crop a plain instance.
-                assert all(type(g) is type(w) for g, w in zip(got, want))
+            assert got == (list(rows(want)) if isinstance(want, list) else want)
         assert rng_got.random() == rng_want.random()

@@ -19,7 +19,6 @@ from acrst.model import (
     ema_update,
     smooth_l1,
     student_update,
-    synth_detect,
 )
 from acrst.synthdata import synthetic_dataset
 
@@ -48,6 +47,18 @@ def record(instances, width=200, height=200):
 
 def inst(class_id, x=50, y=50, w=40, h=40):
     return Instance(class_id=class_id, bbox=BBox(x, y, w, h), source_image_id=1)
+
+
+def synth_detect(params, record, rng, class_weights=None):
+    """Reference per-image detector: :func:`detect` on one image as
+    predictions, its classes drawn by ``class_weights`` (uniform when omitted)."""
+    k = params.n_classes
+    weights = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=float)
+    if weights.shape != (k,):
+        raise ValueError("class_weights must have one entry per class")
+    out = Detections()
+    detect(params, record, rng, ClassCdfs(weights), out)
+    return [Prediction(c, BBox(x, y, w, h), s) for c, x, y, w, h, s in out.rows()]
 
 
 class TestParams:
@@ -835,3 +846,52 @@ class _FixedDraws:
 
     def poisson(self, lam):
         return 0
+
+
+@st.composite
+def _fractional_case(draw):
+    """A detector and one image with fractional sides, its boxes inside it."""
+    detector = params(
+        recall=(1.0,),
+        confusion=0.0,
+        loc=draw(_edge_rate),
+        partial=draw(_edge_rate),
+        fp=draw(st.sampled_from([0.0, 5.0, 40.0])),
+    )
+    width, height = draw(st.floats(1.0, 1000.0)), draw(st.floats(1.0, 1000.0))
+    instances = []
+    for _ in range(draw(st.integers(0, 6))):
+        x, y = width * draw(st.floats(0.0, 0.99)), height * draw(st.floats(0.0, 0.99))
+        w = (width - x) * draw(st.floats(0.01, 1.0))
+        h = (height - y) * draw(st.floats(0.01, 1.0))
+        if x + w <= width and y + h <= height:
+            instances.append(inst(1, x, y, w, h))
+    return detector, record(instances, width, height)
+
+
+class TestDetectBounds:
+    """Every row ``detect`` writes is a positive box inside the image, up to
+    one ulp past the right and bottom edges: ``x1 + (x2 - x1)`` need not round
+    back to x2, and a false positive's ``(width - w) * u + w`` need not stay
+    at width."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_fractional_case(), seed=st.integers(0, 2**32 - 1))
+    # The fractional-size corpus whose pasted images exited 1 when the loop
+    # re-checked these boxes against the image.
+    @example(
+        case=(params(recall=(1.0,), confusion=0.0, loc=0.0, partial=0.0, fp=0.0),
+              record([inst(1, 20, 15, 313.2, 235.6)], 333.3, 250.7)),
+        seed=0,
+    )
+    def test_rows_stay_inside_the_image(self, case, seed):
+        detector, rec = case
+        rng = np.random.default_rng(seed)
+        out = Detections()
+        for _ in range(20):
+            detect(detector, rec, rng, ClassCdfs([1.0]), out)
+        x_max = math.nextafter(rec.width, math.inf)
+        y_max = math.nextafter(rec.height, math.inf)
+        for _, x, y, w, h, _ in out.rows():
+            assert x >= 0 and y >= 0 and w > 0 and h > 0
+            assert x + w <= x_max and y + h <= y_max

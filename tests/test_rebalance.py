@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from acrst.dataset import BBox, ImageRecord, Instance
 from acrst.rebalance import (
     LABELED_ABSENT_PR,
     ClassStats,
-    MixedRecord,
+    Mix,
     PasteConfig,
     PastePlacement,
     SamplingDistribution,
@@ -24,6 +25,13 @@ from acrst.rebalance import (
 
 def crop(class_id, w, h, image_id=1):
     return Instance(class_id=class_id, bbox=BBox(0, 0, w, h), source_image_id=image_id)
+
+
+def mix(record, crops, rng, config):
+    """fbr_mix on a record's ground truth, each crop given as an instance."""
+    base = [(i.class_id, i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for i in record.ground_truth]
+    rows = [(c.class_id, c.bbox.w, c.bbox.h, c.source_image_id) for c in crops]
+    return fbr_mix((record.width, record.height), rows, rng, config, base)
 
 
 class TestPseudoRecall:
@@ -216,35 +224,31 @@ class TestFbrMix:
         return ImageRecord(id=1, width=width, height=height, ground_truth=gt)
 
     def test_no_crops_passes_through(self):
-        rec = self.record()
-        mixed = fbr_mix(rec, [], np.random.default_rng(0), PasteConfig())
-        assert mixed.placements == ()
-        assert mixed.merged_annotations == rec.ground_truth
+        mixed = mix(self.record(), [], np.random.default_rng(0), PasteConfig())
+        assert mixed == Mix(class_ids=[1], placements=[])
 
     def test_fitting_crop_keeps_own_size(self):
         rec = self.record()
-        mixed = fbr_mix(
-            rec, [crop(2, 30, 20)], np.random.default_rng(1), PasteConfig()
-        )
-        (placement,) = mixed.placements
-        assert placement.target_bbox.w == 30
-        assert placement.target_bbox.h == 20
-        assert 0 <= placement.target_bbox.x <= rec.width - 30
-        assert 0 <= placement.target_bbox.y <= rec.height - 20
+        mixed = mix(rec, [crop(2, 30, 20)], np.random.default_rng(1), PasteConfig())
+        ((x1, y1, x2, y2),) = mixed.placements
+        assert (x2, y2) == (x1 + 30, y1 + 20)
+        assert 0 <= x1 <= rec.width - 30
+        assert 0 <= y1 <= rec.height - 20
+        assert mixed.class_ids == [2, 1]
 
     def test_oversized_crop_rescaled_into_bounds(self):
         rec = self.record(width=100, height=80)
         config = PasteConfig(rescale_min=0.5, rescale_max=1.0)
         big = crop(2, 200, 100)
         for seed in range(20):
-            mixed = fbr_mix(rec, [big], np.random.default_rng(seed), config)
-            (placement,) = mixed.placements
-            longer = max(placement.target_bbox.w, placement.target_bbox.h)
-            assert placement.target_bbox.w < big.bbox.w
+            mixed = mix(rec, [big], np.random.default_rng(seed), config)
+            ((x1, y1, x2, y2),) = mixed.placements
+            longer = max(x2 - x1, y2 - y1)
+            assert x2 - x1 < big.bbox.w
             # Longer side becomes a fraction in [min, max] of the shorter image side.
             assert 0.5 * 80 - 1e-9 <= longer <= 1.0 * 80 + 1e-9
-            assert placement.target_bbox.x2 <= rec.width + 1e-9
-            assert placement.target_bbox.y2 <= rec.height + 1e-9
+            assert x2 <= rec.width + 1e-9
+            assert y2 <= rec.height + 1e-9
 
     def test_unfittable_crop_skipped_with_warning(self, caplog):
         # Rescale factors above 1 can push the longer side past the narrow
@@ -252,10 +256,8 @@ class TestFbrMix:
         rec = self.record(width=50, height=40)
         config = PasteConfig(rescale_min=2.0, rescale_max=3.0)
         with caplog.at_level(logging.WARNING):
-            mixed = fbr_mix(
-                rec, [crop(2, 100, 100)], np.random.default_rng(0), config
-            )
-        assert mixed.placements == ()
+            mixed = mix(rec, [crop(2, 100, 100)], np.random.default_rng(0), config)
+        assert mixed == Mix(class_ids=[1], placements=[])
         assert any("skipped" in r.message for r in caplog.records)
 
     def test_paste_occlusion_bookkeeping(self):
@@ -268,9 +270,18 @@ class TestFbrMix:
             ground_truth=(Instance(class_id=1, bbox=BBox(0, 0, 5, 5), source_image_id=1),),
         )
         crops = [crop(2, 10, 10, image_id=7), crop(3, 10, 10, image_id=8)]
-        mixed = fbr_mix(rec, crops, np.random.default_rng(0), PasteConfig())
-        assert [m.class_id for m in mixed.merged_annotations] == [2, 3]
+        mixed = mix(rec, crops, np.random.default_rng(0), PasteConfig())
+        assert mixed.class_ids == [2, 3]
         assert len(mixed.placements) == 2
+
+    def test_pasted_box_needs_positive_sides(self):
+        # The rescale underflows to zero: the pasted box has no area.
+        rec = ImageRecord(id=1, width=10, height=10, ground_truth=())
+        config = PasteConfig(rescale_min=1e-300, rescale_max=1e-300)
+        with pytest.raises(ValueError, match="positive"):
+            mix(rec, [crop(2, 1e300, 1e300)], np.random.default_rng(0), config)
+        with pytest.raises(ValueError, match="positive"):
+            _per_crop_fbr_mix(rec, [crop(2, 1e300, 1e300)], np.random.default_rng(0), config)
 
 
 def _grid_visible_fraction(inst, occluders):
@@ -299,6 +310,23 @@ def _grid_merge(base, pasted, occlusion_threshold):
             continue
         merged.append(inst)
     return merged
+
+
+@dataclass(frozen=True)
+class MixedRecord:
+    """A base image after the reference paste loop: the pasted instances
+    first, one per placement in paste order, then the surviving base ones."""
+
+    placements: tuple[PastePlacement, ...]
+    merged_annotations: tuple[Instance, ...]
+
+
+def _as_mix(mixed):
+    """A reference result as :func:`fbr_mix` gives it: class ids and edges."""
+    return Mix(
+        [inst.class_id for inst in mixed.merged_annotations],
+        [(b.x, b.y, b.x2, b.y2) for b in (p.target_bbox for p in mixed.placements)],
+    )
 
 
 def _per_crop_fbr_mix(record, crops, rng, config):
@@ -390,7 +418,7 @@ def _paste_case(draw):
         crops_per_image=2,
         rescale_min=rescale_min,
         rescale_max=rescale_min + draw(st.sampled_from([0.0, 0.5, 1.5])),
-        occlusion_threshold=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        occlusion_threshold=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
     )
     return records, config
 
@@ -464,32 +492,44 @@ class TestPasteEquivalence:
 
     @settings(max_examples=300, deadline=None)
     @given(case=_paste_case(), seed=st.integers(0, 2**32 - 1))
+    # No crops at all, and a fixed rescale factor.
+    @example(case=([(ImageRecord(1, 10, 10, (Instance(1, BBox(0, 0, 5, 5), 1),)), [])],
+                   PasteConfig()), seed=0)
+    @example(
+        case=([(ImageRecord(1, 60, 100, (Instance(1, BBox(0, 0, 30, 30), 1),)),
+                [crop(2, 250.0, 90.0), crop(2, 10.0, 10.0, image_id=2)])],
+              PasteConfig(rescale_min=0.5, rescale_max=0.5, occlusion_threshold=0.5)),
+        seed=1,
+    )
     def test_fbr_mix_matches_per_crop_loop(self, case, seed):
         records, config = case
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for record, crops in records:
-            got = fbr_mix(record, crops, rng_got, config)
+            got = mix(record, crops, rng_got, config)
             want, _ = _per_crop_fbr_mix(record, crops, rng_want, config)
-            assert got == want
+            assert got == _as_mix(want)
         assert rng_got.random() == rng_want.random()
 
-    def test_fits_rescales_and_skips_in_one_image(self):
-        rec = ImageRecord(id=1, width=100, height=60, ground_truth=())
+    def test_fits_rescales_and_skips_in_one_image(self, caplog):
+        rec = ImageRecord(id=1, width=100, height=60,
+                          ground_truth=(Instance(1, BBox(40, 20, 20, 20), 1),))
         config = PasteConfig(rescale_min=1.3, rescale_max=1.8)
         # As is; at the drawn factor; at rescale_min; skipped.
-        crops = [crop(2, 20, 20), crop(2, 300, 100), crop(2, 200, 150), crop(2, 200, 200)]
+        crops = [crop(2, 20, 20), crop(3, 300, 100), crop(4, 200, 150), crop(5, 200, 200)]
         rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
-        got = fbr_mix(rec, crops, rng_got, config)
+        with caplog.at_level(logging.WARNING):
+            got = mix(rec, crops, rng_got, config)
         want, scales = _per_crop_fbr_mix(rec, crops, rng_want, config)
-        assert got == want
+        assert got == _as_mix(want)
         assert rng_got.random() == rng_want.random()
-        assert [p.crop.bbox.w for p in got.placements] == [20, 300, 200]
-        assert [p.target_bbox.w for p in got.placements] == [
-            p.crop.bbox.w * s for p, s in zip(got.placements, scales)
-        ]
+        assert got.class_ids[:3] == [2, 3, 4]
+        assert [p.crop.bbox.w for p in want.placements] == [20, 300, 200]
         assert scales[0] == 1.0
         assert scales[1] != 1.3 * 60 / 300
         assert scales[2] == 1.3 * 60 / 200
+        assert [r.getMessage() for r in caplog.records] == [
+            "crop 200x200 from image 1 does not fit 100x60 even at minimum rescale; skipped"
+        ]
 
 
 class TestSamplingDistributionInvariants:

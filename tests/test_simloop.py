@@ -7,10 +7,17 @@ import pytest
 
 from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
 from acrst.cropbank import build_labeled_bank
-from acrst.dataset import BBox, Dataset, Instance, parse_coco_annotations, split_standard
+from acrst.dataset import (
+    BBox,
+    Dataset,
+    ImageRecord,
+    Instance,
+    parse_coco_annotations,
+    split_standard,
+)
 from acrst.filtering import FilterConfig, OracleNoise
 from acrst.model import LossBreakdown
-from acrst.rebalance import SamplingDistribution, affr_distribution
+from acrst.rebalance import PastePlacement, SamplingDistribution, affr_distribution
 from acrst.seeding import derive_seed, substream
 from acrst.simloop import (
     EPOCH_CSV_COLUMNS,
@@ -232,12 +239,13 @@ def zero_recall_warnings(caplog):
 
 
 class TestPseudoLabelsStayColumns:
-    """Without pasting, a pseudo-label is a row of the epoch's columns, never an object."""
+    """A pseudo-label is a row of the epoch's columns, never an object, and
+    pasting works on those rows and the bank's crop rows."""
 
     @staticmethod
     def count_objects(monkeypatch):
         made = []
-        for cls in (Instance, BBox):
+        for cls in (Instance, BBox, ImageRecord, PastePlacement):
             def counting(self, *args, _init=cls.__init__, **kwargs):
                 made.append(type(self).__name__)
                 _init(self, *args, **kwargs)
@@ -251,16 +259,19 @@ class TestPseudoLabelsStayColumns:
         for epoch in range(3):
             state, trace = run_epoch(state, config, substream(config.seed, "epoch", epoch))
         assert trace.n_pseudo > 0 and state.bank.n_pseudo > 0
-        return made
+        return made, trace
 
     def test_no_instance_without_pasting(self, corpus, monkeypatch):
-        assert self.run_epochs(quick_config(fbr=False), corpus, monkeypatch) == []
+        made, _ = self.run_epochs(quick_config(fbr=False), corpus, monkeypatch)
+        assert made == []
 
-    def test_pasting_still_builds_instances(self, corpus, monkeypatch):
-        # The counter sees the paste path's instances, so the empty count
-        # above is not an unpatched constructor.
-        made = self.run_epochs(quick_config(), corpus, monkeypatch)
-        assert "Instance" in made and "BBox" in made
+    def test_pasting_builds_no_objects(self, corpus, monkeypatch):
+        made, trace = self.run_epochs(quick_config(), corpus, monkeypatch)
+        assert sum(trace.pasted_counts) > 0
+        assert made == []
+        # The counter does see objects: a synthetic corpus is made of them.
+        synthetic_dataset(4, 2, seed=0)
+        assert {"Instance", "BBox", "ImageRecord"} <= set(made)
 
 
 class TestZeroRecallWarning:
