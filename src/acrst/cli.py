@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
 
-from .config import TOGGLES, ConfigError, ExperimentConfig, config_from_dict
+from .config import SECTIONS, TOGGLES, ConfigError, ExperimentConfig, config_from_dict
 from .dataset import Dataset, ParseError, ValidationError, parse_coco_annotations
 from .seeding import derive_seed
 from .simloop import EPOCH_CSV_COLUMNS, RunReport, run_experiment
@@ -71,17 +70,10 @@ def _build_dataset(config: ExperimentConfig) -> Dataset:
     )
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    toggles = {}
-    for name in args.enable or []:
-        toggles[name] = True
-    for name in args.disable or []:
-        toggles[name] = False
-    if toggles:
-        config = config.with_toggles(**toggles)
-    return config
+def _cli_document(args) -> dict:
+    """``--seed``, ``--enable`` and ``--disable`` as a partial config document."""
+    toggles = {**dict.fromkeys(args.enable or [], True), **dict.fromkeys(args.disable or [], False)}
+    return {"toggles": toggles} if args.seed is None else {"toggles": toggles, "seed": args.seed}
 
 
 def _write_run_artifacts(report: RunReport, out_dir: Path) -> None:
@@ -91,7 +83,7 @@ def _write_run_artifacts(report: RunReport, out_dir: Path) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _apply_overrides(config_from_dict(_load_config(args.config)), args)
+    config = config_from_dict(_load_config(args.config), _cli_document(args))
     dataset = _build_dataset(config)
     report = run_experiment(config, dataset)
     _write_run_artifacts(report, Path(args.out))
@@ -114,28 +106,34 @@ def _sweep_plan(raw_config: dict) -> tuple[list[dict], list[int] | None]:
     runs = sweep.get("runs")
     if not isinstance(runs, list) or not runs:
         raise _UsageError("sweep.runs must be a non-empty list")
+    names = set()
     for i, spec in enumerate(runs):
         if not isinstance(spec, dict) or "name" not in spec:
             raise _UsageError(f"sweep.runs[{i}] needs a 'name'")
-        if set(spec) - {"name", "toggles"}:
-            raise _UsageError(f"sweep.runs[{i}] allows only 'name' and 'toggles'")
-        # Toggle values are checked per run by with_toggles, as failed rows.
-        if not isinstance(spec.get("toggles"), (dict, type(None))):
-            raise _UsageError(f"sweep.runs[{i}].toggles must be a JSON object or null")
+        name = spec["name"]  # names a directory: one path component, unique in the plan
+        if not isinstance(name, str) or name in names | {"", ".", ".."} or {"/", "\\"} & set(name):
+            raise _UsageError(f"sweep.runs[{i}].name must be a unique directory name, got {name!r}")
+        names.add(name)
+        # Other keys and values are checked per run by config_from_dict, as failed rows.
+        for section in SECTIONS:
+            if not isinstance(spec.get(section), (dict, type(None))):
+                raise _UsageError(f"sweep.runs[{i}].{section} must be a JSON object or null")
     seeds = sweep.get("seeds")
     if seeds is not None and (
         not isinstance(seeds, list)
+        or not seeds
         or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
+        or len(set(seeds)) != len(seeds)  # a seed names a directory, as a run's name does
     ):
-        raise _UsageError("sweep.seeds must be a list of integers")
+        raise _UsageError("sweep.seeds must be a non-empty list of distinct integers")
     return runs, seeds
 
 
 def cmd_sweep(args) -> int:
     raw = _load_config(args.config)
     runs, seeds = _sweep_plan(raw)
-    base = config_from_dict(raw)
-    base = _apply_overrides(base, args)
+    cli_doc = _cli_document(args)
+    base = config_from_dict(raw, cli_doc)
     if seeds is None:
         seeds = [base.seed]
 
@@ -143,13 +141,12 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for spec in runs:
+        name = spec["name"]
+        run_doc = {key: value for key, value in spec.items() if key != "name"}
         for seed in seeds:
-            name = str(spec["name"])
-            config = dataclasses.replace(base, seed=seed)
-            toggles = dict(spec.get("toggles") or {})
             row = {"run": name, "seed": seed}
             try:
-                config = config.with_toggles(**toggles)
+                config = config_from_dict(raw, cli_doc, run_doc, {"seed": seed})
                 for toggle in TOGGLES:
                     row[toggle] = getattr(config, toggle)
                 dataset = _build_dataset(config)
@@ -162,10 +159,6 @@ def cmd_sweep(args) -> int:
                 log.warning("sweep run %s seed %s failed: %s", name, seed, e)
                 row["status"] = "failed"
                 row["error"] = str(e)
-                for metric in _SUMMARY_METRICS:
-                    row.setdefault(metric, "")
-                for toggle in TOGGLES:
-                    row.setdefault(toggle, "")
             rows.append(row)
 
     columns = ["run", "seed", *TOGGLES, "status", *_SUMMARY_METRICS, "error"]

@@ -10,7 +10,8 @@ defaults filled in.
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Any
 
 from .filtering import FilterConfig, OracleNoise
@@ -112,12 +113,6 @@ class ExperimentConfig:
         out["toggles"] = {name: out.pop(name) for name in TOGGLES}
         return out
 
-    def with_toggles(self, **toggles: bool) -> "ExperimentConfig":
-        """A copy with the named toggles set, each checked against :data:`SCHEMA`."""
-        for name, value in toggles.items():
-            _check(f"toggles.{name}", value)
-        return replace(self, **toggles)
-
 
 # Every key's JSON type and range; section keys are written "section.key".
 # A type "a | b" takes either kind. "number" is a finite int or float, never
@@ -149,7 +144,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "dataset.max_box": ("number", "(0, inf)"),
     "dataset.path": ("string | null", "-"),
     "paste.crops_per_image": ("int", "[0, 1000]"),
-    "paste.rescale_min": ("number", "(0, inf)"),
+    "paste.rescale_min": ("number", "[0.01, inf)"),
     "paste.rescale_max": ("number", "(0, inf)"),
     "paste.occlusion_threshold": ("number", "[0, 1]"),
     "paste.beta": ("number", "[0, inf)"),
@@ -169,7 +164,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "oracle.tau_ml": ("number", "[0, 1]"),
 }
 
-_SECTIONS = ("toggles", "dataset", "paste", "filter", "detector", "oracle")
+SECTIONS = ("toggles", "dataset", "paste", "filter", "detector", "oracle")
 
 _KINDS = {
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
@@ -239,21 +234,22 @@ def _check_rules(c: ExperimentConfig) -> None:
             raise ConfigError(message)
 
 
-def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from a parsed config document.
+def config_from_dict(data: dict[str, Any], *overrides: dict[str, Any]) -> ExperimentConfig:
+    """Build an :class:`ExperimentConfig` from a config document and partial
+    documents merged over it in order: a top-level key is replaced, a section
+    (a JSON object) has its keys merged one by one, and a null section changes nothing.
 
-    Every key is checked against :data:`SCHEMA`, then the cross-key rules;
-    a failure raises :class:`ConfigError` naming the key. A section must be a
-    JSON object or null, which takes the defaults. Missing keys take their
-    defaults, except ``oracle.tau_ml``, which takes ``filter.tau_ml``.
+    Every key is checked against :data:`SCHEMA`, then the cross-key rules run
+    once on the result; a failure raises :class:`ConfigError` naming the key.
+    Missing keys take their defaults, except ``oracle.tau_ml``, which takes
+    ``filter.tau_ml``. The base document's ``sweep`` section is skipped.
     """
-    if not isinstance(data, dict):
+    if not all(isinstance(doc, dict) for doc in (data, *overrides)):
         raise ConfigError("config document must be a JSON object")
     top: dict[str, Any] = {}
-    sections: dict[str, dict[str, Any]] = {name: {} for name in _SECTIONS}
-    for key, value in data.items():
-        if key == "sweep":  # consumed by the sweep command, not by the run itself
-            continue
+    sections: dict[str, dict[str, Any]] = {name: {} for name in SECTIONS}
+    docs = [{k: v for k, v in data.items() if k != "sweep"}, *overrides]
+    for key, value in chain.from_iterable(doc.items() for doc in docs):
         if key not in sections:
             if "." in key:  # a section key written at the top level
                 raise ConfigError(f"unknown config key '{key}'")

@@ -17,6 +17,7 @@ makes paste-driven dilution and recovery measurable, and 20 mutual epochs
 stop short of saturating every arm of the comparisons.
 """
 
+import dataclasses
 import json
 import time
 
@@ -81,7 +82,7 @@ def _acceptance_config(seed, *, epochs=25, mode="two_stage_filtering",
         filter=FilterConfig(tau_cls=0.7, tau_ml=0.2, mode=mode),
         oracle=OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate),
     )
-    return config.with_toggles(**toggles) if toggles else config
+    return dataclasses.replace(config, **toggles)
 
 
 def _run(seed, **kwargs):

@@ -125,6 +125,8 @@ class TestRun:
             # raised or did not finish.
             ({"detector": {"confidence_sharpness": 1e300}}, "detector.confidence_sharpness"),
             ({"dataset": {"mean_extra_instances": 1e19}}, "dataset.mean_extra_instances"),
+            # Below the floor a rescaled crop's size rounded to 0 mid-run.
+            ({"paste": {"rescale_min": 5e-324, "rescale_max": 5e-324}}, "paste.rescale_min"),
         ],
     )
     def test_ill_typed_value_named_exits_two(self, tmp_path, capsys, override, named):
@@ -209,6 +211,32 @@ class TestRun:
         )
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out), "--seed", str(seed)]) == 0
+
+    @pytest.mark.parametrize("rescale, code", [(5e-324, 2), (0.01, 0)])
+    def test_rescale_floor_is_checked_at_parse_time(self, tmp_path, capsys, rescale, code):
+        # Crops from the large images are rescaled onto the small ones; a
+        # factor that rounds a pasted side to 0 once failed the run mid-way.
+        images, annotations = [], []
+        for i in range(1, 41):
+            large = i % 2 == 1
+            images.append({"id": i, "width": 320 if large else 100, "height": 240 if large else 60})
+            bbox = [10, 10, 200, 180] if large else [5, 5, 20, 15]
+            annotations.append({"id": i, "image_id": i, "category_id": 1, "bbox": bbox})
+        coco = {"images": images, "annotations": annotations, "categories": [{"id": 1, "name": "a"}]}
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(coco), encoding="utf-8")
+        config = write_config(
+            tmp_path,
+            split_fraction=0.5,
+            unlabeled_batch=8,
+            toggles={"fbr": True},
+            dataset={"type": "coco_json", "path": str(ann)},
+            paste={"crops_per_image": 3, "rescale_min": rescale, "rescale_max": rescale},
+        )
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == code
+        assert ("paste.rescale_min" in capsys.readouterr().err) == (code == 2)
+        assert out.exists() == (code == 0)
 
     def test_missing_annotation_file_exits_two(self, tmp_path, capsys):
         config = write_config(
@@ -326,12 +354,21 @@ class TestSweep:
         config = self.sweep_config(tmp_path, runs=[{"name": "x"}], seeds=("a",))
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("seeds", [(), (1, 2, 1)])
+    def test_empty_or_repeated_seeds_exit_two(self, tmp_path, capsys, seeds):
+        # A repeated seed ran the same run twice into one directory.
+        config = self.sweep_config(tmp_path, runs=[{"name": "x"}], seeds=seeds)
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "sweep.seeds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "runs, named",
         [
             (5, "sweep.runs"),
             ([{"name": "a", "toggles": [1]}], "sweep.runs[0].toggles"),
             ([{"name": "a"}, {"name": "b", "toggles": "fbr"}], "sweep.runs[1].toggles"),
+            ([{"name": "a", "paste": 3}], "sweep.runs[0].paste"),
         ],
     )
     def test_ill_typed_plan_named_exits_two(self, tmp_path, capsys, runs, named):
@@ -339,6 +376,91 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "runs, named",
+        [
+            # A repeated name overwrote the earlier run's directory.
+            ([{"name": "dup"}, {"name": "dup"}], "sweep.runs[1].name"),
+            # A separator wrote the run outside the sweep's own level.
+            ([{"name": "a/b"}], "sweep.runs[0].name"),
+            ([{"name": "ok"}, {"name": "a\\b"}], "sweep.runs[1].name"),
+            ([{"name": "."}], "sweep.runs[0].name"),
+            ([{"name": ".."}], "sweep.runs[0].name"),
+            ([{"name": ""}], "sweep.runs[0].name"),
+            ([{"name": 5}], "sweep.runs[0].name"),
+        ],
+    )
+    def test_run_name_that_is_not_a_unique_path_component_exits_two(
+        self, tmp_path, capsys, runs, named
+    ):
+        config = self.sweep_config(tmp_path, runs=runs, seeds=(1,))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_is_a_partial_config_document(self, tmp_path):
+        runs = [{"name": "half", "split_fraction": 0.5, "paste": {"beta": 2.0}}]
+        config = self.sweep_config(tmp_path, runs=runs, seeds=(1,), paste={"crops_per_image": 3})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        echo = json.loads((out / "half__seed1" / "report.json").read_text())["config"]
+        assert echo["split_fraction"] == 0.5
+        assert echo["paste"]["beta"] == 2.0 and echo["paste"]["crops_per_image"] == 3
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            # The cross-key rules run on the merged document.
+            ({"epochs": 1}, "epochs must be >= pretrain_epochs"),
+            ({"filter": {"tau_ml": 0.3}, "oracle": {"tau_ml": 0.5}}, "oracle.tau_ml"),
+            ({"split_fraction": 1.5}, "split_fraction"),
+            ({"paste": {"rescale_min": 0}}, "paste.rescale_min"),
+            ({"sweep": {"runs": []}}, "'sweep'"),
+        ],
+    )
+    def test_bad_run_key_fails_its_row_naming_it(self, tmp_path, capsys, override, named):
+        runs = [{"name": "bad", **override}, {"name": "fine"}]
+        config = self.sweep_config(tmp_path, runs=runs, seeds=(1,))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        assert "1/2 runs succeeded" in capsys.readouterr().out
+        with (out / "summary.csv").open(encoding="utf-8", newline="") as fh:
+            rows = {row["run"]: row for row in csv.DictReader(fh)}
+        assert rows["bad"]["status"] == "failed" and named in rows["bad"]["error"]
+        assert rows["bad"]["fbr"] == rows["bad"]["ap50"] == ""
+        assert rows["fine"]["status"] == "ok"
+        assert not (out / "bad__seed1").exists()
+
+    def test_run_keys_beat_flags_and_seeds_beat_seed_flag(self, tmp_path):
+        runs = [{"name": "own", "toggles": {"fbr": True}}, {"name": "flagged"}]
+        config = self.sweep_config(tmp_path, runs=runs, seeds=(1,))
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--config", str(config), "--out", str(out)]
+        assert main([*argv, "--disable", "fbr", "--seed", "9"]) == 0
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["flagged__seed1", "own__seed1"]
+        with (out / "summary.csv").open(encoding="utf-8", newline="") as fh:
+            rows = {row["run"]: row for row in csv.DictReader(fh)}
+        assert rows["own"]["fbr"] == "True" and rows["flagged"]["fbr"] == "False"
+        report = json.loads((out / "own__seed1" / "report.json").read_text())
+        assert report["seed"] == 1 and report["config"]["toggles"]["fbr"] is True
+
+    def test_seed_flag_is_the_default_seed(self, tmp_path):
+        config = self.sweep_config(tmp_path, runs=[{"name": "only"}], seeds=None)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out), "--seed", "9"]) == 0
+        assert (out / "only__seed9" / "report.json").is_file()
+
+    def test_run_filter_tau_ml_reaches_the_oracle_as_in_one_document(self, tmp_path):
+        runs = [{"name": "tau", "filter": {"tau_ml": 0.3}}]
+        config = self.sweep_config(tmp_path, runs=runs, seeds=(1,))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        swept = (out / "tau__seed1" / "report.json").read_bytes()
+        assert json.loads(swept)["config"]["oracle"]["tau_ml"] == 0.3
+        single = write_config(tmp_path, "single.json", seed=1, filter={"tau_ml": 0.3})
+        assert main(["run", "--config", str(single), "--out", str(tmp_path / "one")]) == 0
+        assert (tmp_path / "one" / "report.json").read_bytes() == swept
 
     def test_boolean_seed_exits_two(self, tmp_path):
         config = self.sweep_config(tmp_path, runs=[{"name": "x"}], seeds=(True,))

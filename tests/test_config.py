@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acrst.cli import _build_dataset
+from acrst.cli import _build_dataset, _sweep_plan
 from acrst.config import SCHEMA, ConfigError, ExperimentConfig, config_from_dict
 from acrst.simloop import run_experiment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestOracleTauMl:
@@ -111,6 +113,80 @@ class TestIllTypedValues:
 
     def test_null_section_takes_the_defaults(self):
         assert config_from_dict({"paste": None}) == config_from_dict({})
+
+
+class TestOverrides:
+    """Partial documents merged over a config document, in order, key by key."""
+
+    def test_top_level_key_replaced_and_section_keys_merged(self):
+        config = config_from_dict(
+            {"epochs": 10, "paste": {"beta": 2.0, "crops_per_image": 3}},
+            {"epochs": 12, "paste": {"beta": 0.5}},
+        )
+        assert config.epochs == 12
+        assert (config.paste.beta, config.paste.crops_per_image) == (0.5, 3)
+
+    def test_later_document_wins(self):
+        config = config_from_dict({}, {"seed": 1, "toggles": {"fbr": False}}, {"seed": 2})
+        assert (config.seed, config.fbr, config.affr) == (2, False, True)
+
+    def test_null_section_changes_nothing(self):
+        base = {"paste": {"beta": 2.0}}
+        assert config_from_dict(base, {"paste": None}) == config_from_dict(base)
+
+    def test_rules_run_once_on_the_merged_result(self):
+        with pytest.raises(ConfigError, match="epochs must be >= pretrain_epochs"):
+            config_from_dict({"epochs": 4, "pretrain_epochs": 2}, {"pretrain_epochs": 5})
+        # The rule would fail between the two overrides; only the result counts.
+        config = config_from_dict(
+            {"epochs": 4, "pretrain_epochs": 2}, {"pretrain_epochs": 6}, {"epochs": 8}
+        )
+        assert (config.epochs, config.pretrain_epochs) == (8, 6)
+
+    def test_oracle_tau_ml_follows_the_merged_filter(self):
+        config = config_from_dict({"filter": {"tau_ml": 0.2}}, {"filter": {"tau_ml": 0.3}})
+        assert config.oracle.tau_ml == config.filter.tau_ml == 0.3
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ({"toggles": {"warp": True}}, "toggles.warp"),
+            ({"split_fraction": 1.5}, "split_fraction"),
+            ({"paste": 3}, "'paste'"),
+            ({"sweep": {"runs": []}}, "'sweep'"),
+            ([1], "JSON object"),
+        ],
+    )
+    def test_override_keys_are_checked(self, override, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            config_from_dict({}, override)
+
+    def test_base_sweep_section_is_skipped(self):
+        assert config_from_dict({"sweep": {"runs": []}}) == config_from_dict({})
+
+
+class TestShippedConfigs:
+    def test_label_fraction_study_builds_every_run(self):
+        """The example config's three sweep arms at four labeled shares, five seeds each."""
+        raw = json.loads((CONFIGS / "label_fraction.json").read_text(encoding="utf-8"))
+        example = json.loads((CONFIGS / "example.json").read_text(encoding="utf-8"))
+        assert {k: v for k, v in raw.items() if k != "sweep"} == {
+            k: v for k, v in example.items() if k != "sweep"
+        }
+        runs, seeds = _sweep_plan(raw)
+        assert seeds == [101, 202, 303, 404, 505]
+        arms = [run["toggles"] for run in example["sweep"]["runs"]]
+        assert [(run["split_fraction"], run["toggles"]) for run in runs] == [
+            (fraction, arm) for fraction in (0.05, 0.1, 0.2, 0.4) for arm in arms
+        ]
+        for run in runs:
+            run_doc = {k: v for k, v in run.items() if k != "name"}
+            for seed in seeds:
+                # Nothing but the share, the toggles and the seed leaves the example's value.
+                assert config_from_dict(raw, run_doc, {"seed": seed}) == config_from_dict(
+                    example, {"seed": seed, "split_fraction": run["split_fraction"]},
+                    {"toggles": run["toggles"]},
+                )
 
 
 class TestSchema:

@@ -1,4 +1,4 @@
-"""Golden sha256 of report.json for fixed configs.
+"""Golden sha256 of report.json for fixed configs, and of the example sweep's summary.csv.
 
 A change that only makes the loop faster must leave every report byte for
 byte the same. The figures depend on numpy's random streams, so the test runs
@@ -25,6 +25,7 @@ RESCALE_SHA256 = "1e86f032469edcb740d79a4bc58aa2c77230555ec126ba9d949fe46f02a421
 CROWDED_SHA256 = "e8d9d5ea6a4b4275fc237ade63821dbe5fe2302ee11ced7aec4d9e32748dd1d3"
 PASTE_HEAVY_SHA256 = "458146a921532efc6510e877166413c21ed9d79667d761bbd59e50bf7fc766fd"
 BANK_REUSE_SHA256 = "adff4358499c3dfc6b593abd9c37f7c434cfc25efc62c6a49172bdbe95c3cfc1"
+EXAMPLE_SWEEP_SHA256 = "6408d2ce36f3d2108168a56b445063d38cb072e4e0f5b7aaea8d25487adbaefd"
 
 
 def rescale_coco() -> dict:
@@ -197,3 +198,10 @@ def test_bank_reuse_report(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(BANK_REUSE_CONFIG), encoding="utf-8")
     assert report_sha256(config, tmp_path / "out") == BANK_REUSE_SHA256
+
+
+def test_example_config_sweep_summary(tmp_path):
+    # Each run's config is the file with the run's keys and seed merged over it.
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(EXAMPLE_CONFIG), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "summary.csv").read_bytes()).hexdigest() == EXAMPLE_SWEEP_SHA256
