@@ -115,6 +115,12 @@ class ImageRecord:
         """The classes of the ground truth; kept, since a record never changes."""
         return frozenset(inst.class_id for inst in self.ground_truth)
 
+    @cached_property
+    def truth_rows(self) -> tuple[tuple[int, float, float, float, float, float], ...]:
+        """(class, x, y, w, h, min(w, h)) of each ground truth, kept likewise."""
+        return tuple((i.class_id, b.x, b.y, b.w, b.h, min(b.w, b.h))
+                     for i in self.ground_truth for b in (i.bbox,))
+
 
 class ClassCdfs(dict):
     """Class-draw CDFs by weight: key 0 over every class, key c without class c.
@@ -179,8 +185,7 @@ class Dataset:
     def truth_columns(self) -> tuple[np.ndarray, list[int]]:
         """The (x, y, w, h, class) columns of every ground-truth instance, images
         in order, and each image's count; built once, on first use, read-only."""
-        rows = [(t.bbox.x, t.bbox.y, t.bbox.w, t.bbox.h, t.class_id)
-                for img in self.images for t in img.ground_truth]
+        rows = [(*row[1:5], row[0]) for img in self.images for row in img.truth_rows]
         columns = np.array(rows, dtype=float).reshape(-1, 5).T
         columns.flags.writeable = False
         return columns, [len(img.ground_truth) for img in self.images]

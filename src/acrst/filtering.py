@@ -16,8 +16,8 @@ import numpy as np
 
 from .dataset import ImageRecord, Prediction
 
-# Activation band for classes the oracle reports as present.
-_HIGH_BAND = (0.6, 1.0)
+# Activation band [0.6, 1.0] for classes the oracle reports as present.
+_HIGH_LO, _HIGH_SPAN = 0.6, 1.0 - 0.6
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,35 @@ class OracleNoise:
     tau_ml: float = 0.2
 
 
+class OracleLabel(dict):
+    """One image's oracle draws, read as an :class:`ImageLevelLabel` is. A
+    class's activation is worked out from its two doubles, band test then band
+    value, the first time it is read, and kept."""
+
+    __slots__ = ("draws", "present", "noise")
+
+    def __init__(self, draws: list[float], present: frozenset[int], noise: OracleNoise) -> None:
+        self.draws, self.present, self.noise = draws, present, noise
+
+    @property
+    def activations(self) -> OracleLabel:
+        return self
+
+    def activation(self, class_id: int) -> float:
+        return self[class_id - 1]
+
+    def __missing__(self, index: int) -> float:
+        test, value, noise = self.draws[2 * index], self.draws[2 * index + 1], self.noise
+        high = test >= noise.fn_rate if index + 1 in self.present else test < noise.fp_rate
+        # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` computes.
+        self[index] = _HIGH_LO + _HIGH_SPAN * value if high else 0.0 + (noise.tau_ml - 0.0) * value
+        return self[index]
+
+
 def keep_mask(
     class_ids: Sequence[int],
     scores: Sequence[float],
-    image_label: ImageLevelLabel | None,
+    image_label: ImageLevelLabel | OracleLabel | None,
     config: FilterConfig,
 ) -> list[bool]:
     """Which of one image's predictions, given as columns, survive filtering:
@@ -111,23 +136,13 @@ def oracle_image_labels(
     noise: OracleNoise,
     rng: np.random.Generator,
     n_classes: int,
-) -> ImageLevelLabel:
+) -> OracleLabel:
     """Simulate image-level activations from the record's ground truth.
 
     Present classes draw from the high band [0.6, 1.0] unless a false negative
     fires; absent classes draw from the low band [0, tau_ml) unless a false
-    positive fires.
+    positive fires. Two doubles per class, band test then band value, are
+    drawn in one call; an activation is worked out only for the classes that
+    are read, which in the loop are those the image's predictions carry.
     """
-    present, fn_rate, fp_rate = record.class_ids, noise.fn_rate, noise.fp_rate
-    # Two doubles per class, band test then band value, drawn in one call;
-    # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` computes.
-    (high_lo, high_hi), low_lo = _HIGH_BAND, 0.0
-    high_span, low_span = high_hi - high_lo, noise.tau_ml - low_lo
-    u = rng.random(2 * n_classes).tolist()
-    activations = [
-        high_lo + high_span * value
-        if (test >= fn_rate if class_id in present else test < fp_rate)
-        else low_lo + low_span * value
-        for class_id, test, value in zip(range(1, n_classes + 1), u[0::2], u[1::2])
-    ]
-    return ImageLevelLabel(image_id=record.id, activations=tuple(activations))
+    return OracleLabel(rng.random(2 * n_classes).tolist(), record.class_ids, noise)

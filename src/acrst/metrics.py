@@ -16,6 +16,8 @@ import numpy as np
 
 # IoU thresholds of AP50:95, in this order; index 0 is AP50.
 AP_THRESHOLDS = tuple(0.5 + 0.05 * i for i in range(10))
+# Recall levels at which the interpolated AP samples the precision envelope.
+RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 
 def _iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -116,18 +118,16 @@ def class_kld(
     return float(np.sum(p * np.log(p / q)))
 
 
-def _interpolated_ap(ranked_hits: np.ndarray, n_gt: int) -> float:
-    """101-point interpolated AP of true-positive flags in descending score order."""
-    tp = np.cumsum(ranked_hits)
-    fp = np.cumsum(~ranked_hits)
+def _interpolated_aps(ranked_hits: np.ndarray, n_gt: int) -> np.ndarray:
+    """101-point interpolated AP of each row of flags ranked by descending score."""
+    tp, n = np.cumsum(ranked_hits, axis=1), ranked_hits.shape[1]
     recall = tp / n_gt
-    precision = tp / (tp + fp)
+    precision = tp / np.arange(1, n + 1)
     # Precision envelope: best precision achievable at or beyond each recall.
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    sample_points = np.linspace(0.0, 1.0, 101)
-    indices = np.searchsorted(recall, sample_points, side="left")
-    sampled = np.where(indices < len(envelope), envelope[np.minimum(indices, len(envelope) - 1)], 0.0)
-    return float(sampled.mean())
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    indices = np.array([np.searchsorted(row, RECALL_POINTS, side="left") for row in recall])
+    sampled = np.take_along_axis(envelope, np.minimum(indices, n - 1), axis=1)
+    return np.where(indices < n, sampled, 0.0).mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,9 @@ def evaluate(
     reaches it; only the other, contested images go through the greedy
     matcher. The raw predictions are matched at all of :data:`AP_THRESHOLDS`;
     pooled over images and ranked by a stable sort on descending score, they
-    give each threshold's 101-point interpolated AP, 0.0 when there is no
-    ground truth. The kept predictions are matched at ``match_iou``.
+    give every threshold's 101-point interpolated AP in one pass over the
+    (threshold, prediction) hits, 0.0 when there is no ground truth. The kept
+    predictions are matched at ``match_iou``.
     """
     kept = np.asarray(kept, dtype=bool)
     sizes = (len(p_count), sum(p_count), sum(p_count), sum(g_count))
@@ -231,9 +232,8 @@ def evaluate(
     iou_sum = 0.0
     for a, b in zip([0, *cuts], [*cuts, len(values)]):
         iou_sum += sum(values[a:b])
-    if not len(g_image) or not len(scores):
-        aps = (0.0,) * len(AP_THRESHOLDS)
-    else:
+    aps = (0.0,) * len(AP_THRESHOLDS)
+    if len(g_image) and len(scores):
         ranked = hits[:, np.argsort(-scores, kind="stable")]
-        aps = tuple(_interpolated_ap(row, len(g_image)) for row in ranked)
+        aps = tuple(_interpolated_aps(ranked, len(g_image)).tolist())
     return Evaluation(aps=aps, matched=len(values), iou_sum=iou_sum)

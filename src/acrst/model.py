@@ -134,8 +134,8 @@ def detect(
 ) -> None:
     """Simulate detector output on one image from its hidden ground truth.
 
-    Appends one row per box, and their number, to ``out``. Each
-    ground-truth instance of class k is emitted with probability
+    Appends one row per box, and their number, to ``out``. Each ground-truth
+    row of ``record.truth_rows`` of class k is emitted with probability
     recall_skill[k]. Emitted boxes are perturbed by zero-mean noise with
     per-coordinate scale (1 - loc_skill) * 0.1 * min(w, h), truncated with
     probability partial_rate to a random sub-rectangle covering 40-70% of the
@@ -143,13 +143,14 @@ def detect(
     probability confusion_rate. Scores follow a logistic in the true class's
     skill plus uniform +-0.1 noise, clamped to [0, 1]. Poisson(fp_rate)
     background false positives are added with frequency-weighted classes and
-    scores uniform in [0.3, 0.8]. Boxes are clipped to the image.
+    scores uniform in [0.3, 0.8], all of the image's drawn in one call, six
+    doubles each. Boxes are clipped to the image.
 
     ``cdfs`` are the :class:`ClassCdfs` of the class frequencies that
     confusion targets and false-positive classes are drawn by.
     """
-    confuses = params.n_classes > 1
     recall, score_bases = params.recall_skill, params.score_bases
+    confuses, min_side = len(recall) > 1, _MIN_SIDE
     partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
     loc_scale = (1.0 - params.loc_skill) * 0.1
     width, height = record.width, record.height
@@ -160,16 +161,15 @@ def detect(
     n_before = len(out.score)
     # The doubles come in the order one scalar draw each took them, and
     # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` makes of one.
-    for inst in record.ground_truth:
-        true_class = inst.class_id
+    for true_class, box_x, box_y, box_w, box_h, box_side in record.truth_rows:
         if random() >= recall[true_class - 1]:
             continue
-        box = inst.bbox
-        noise_scale = loc_scale * min(box.w, box.h)
+        noise_scale = loc_scale * box_side
         dx, dy, dw, dh = standard_normal(4).tolist()
-        x, y = box.x + dx * noise_scale, box.y + dy * noise_scale
-        w = max(box.w + dw * noise_scale, _MIN_SIDE)
-        h = max(box.h + dh * noise_scale, _MIN_SIDE)
+        x, y = box_x + dx * noise_scale, box_y + dy * noise_scale
+        w, h = box_w + dw * noise_scale, box_h + dh * noise_scale
+        w = w if w >= min_side else min_side
+        h = h if h >= min_side else min_side
         if random() < partial_rate:
             u_area, u_w, u_x, u_y = random(4).tolist()
             area_frac = 0.4 + (0.7 - 0.4) * u_area
@@ -190,25 +190,28 @@ def detect(
         y1 = y if y >= 0.0 else 0.0
         y1 = y1_max if y1_max < y1 else y1
         x2 = x + w if x + w <= width else width
-        x2 = x1 + _MIN_SIDE if x1 + _MIN_SIDE > x2 else x2
+        x2 = x1 + min_side if x1 + min_side > x2 else x2
         y2 = y + h if y + h <= height else height
-        y2 = y1 + _MIN_SIDE if y1 + _MIN_SIDE > y2 else y2
+        y2 = y1 + min_side if y1 + min_side > y2 else y2
         add_x(x1)
         add_y(y1)
         add_w(x2 - x1)
         add_h(y2 - y1)
 
     background = cdfs[0]
-    for _ in range(rng.poisson(params.fp_rate)):
-        add_class(bisect_right(background, random()) + 1)
-        u_w, u_h, u_x, u_y, u_score = random(5).tolist()
-        w = (0.05 + (0.4 - 0.05) * u_w) * width
-        h = (0.05 + (0.4 - 0.05) * u_h) * height
-        add_x((width - w) * u_x)
-        add_y((height - h) * u_y)
-        add_w(w)
-        add_h(h)
-        add_score(0.3 + (0.8 - 0.3) * u_score)
+    # Six doubles per false positive, all drawn in one call: class, box, score.
+    n_fp = rng.poisson(params.fp_rate)
+    if n_fp:
+        draws = iter(random(6 * n_fp).tolist())
+        for u_class, u_w, u_h, u_x, u_y, u_score in zip(*[draws] * 6):
+            add_class(bisect_right(background, u_class) + 1)
+            w = (0.05 + (0.4 - 0.05) * u_w) * width
+            h = (0.05 + (0.4 - 0.05) * u_h) * height
+            add_x((width - w) * u_x)
+            add_y((height - h) * u_y)
+            add_w(w)
+            add_h(h)
+            add_score(0.3 + (0.8 - 0.3) * u_score)
     out.counts.append(len(out.score) - n_before)
 
 

@@ -217,17 +217,14 @@ def run_epoch(
     unsup_losses: list[LossBreakdown] = []
     cdfs = labeled.class_cdfs
 
-    def pseudo_label(img: ImageRecord, dets: Detections, keep: list[bool]) -> list[int]:
+    def pseudo_label(img: ImageRecord, dets: Detections, keep: list[bool]) -> None:
         """Append the teacher's detections on ``img`` to ``dets`` and their keep
-        mask to ``keep``; return the kept rows' class ids. Only a two-stage
-        mode draws the image's oracle label, after the detection."""
+        mask to ``keep``. Only a two-stage mode draws the image's oracle label,
+        after the detection."""
         start = len(dets.score)
         detect(teacher, img, rng, cdfs, dets)
-        label = (None if fcfg.mode == "one_stage"
-                 else oracle_image_labels(img, config.oracle, rng, k))
-        image_keep = keep_mask(dets.class_id[start:], dets.score[start:], label, fcfg)
-        keep += image_keep
-        return list(compress(dets.class_id[start:], image_keep))
+        label = None if fcfg.mode == "one_stage" else oracle_image_labels(img, config.oracle, rng, k)
+        keep += keep_mask(dets.class_id[start:], dets.score[start:], label, fcfg)
 
     for _ in range(config.batches_per_epoch):
         batch_idx = rng.choice(n_unl, size=min(config.unlabeled_batch, n_unl), replace=False)
@@ -236,7 +233,8 @@ def run_epoch(
         for i in batch_idx:
             img = unlabeled.images[int(i)]
             dets, keep = Detections(), []
-            class_ids, n_pasted = pseudo_label(img, dets, keep), 0
+            pseudo_label(img, dets, keep)
+            class_ids, n_pasted = list(compress(dets.class_id, keep)), 0
             if mixing:
                 crops = sample_crops(bank, dist, config.paste.crops_per_image, rng)
                 base = [row[:5] for row in compress(dets.rows(), keep)]

@@ -241,6 +241,31 @@ _unit = st.one_of(
     st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]),
     st.floats(0.0, 1.0, allow_nan=False),
 )
+# The order in which a test reads an oracle label's classes; classes past
+# the label's count are skipped.
+_read_order = st.permutations(range(1, 13))
+
+
+def _read(label, n_classes, order):
+    """The label's activations in class order, read class by class in ``order``."""
+    read = {c: label.activation(c) for c in order if c <= n_classes}
+    return tuple(read[c] for c in range(1, n_classes + 1))
+
+
+def _bulk_oracle_labels(record, noise, rng, n_classes):
+    """Reference oracle: the bulk draw, every class's activation built into
+    one validated :class:`ImageLevelLabel` per image."""
+    present, fn_rate, fp_rate = record.class_ids, noise.fn_rate, noise.fp_rate
+    (high_lo, high_hi), low_lo = (0.6, 1.0), 0.0
+    high_span, low_span = high_hi - high_lo, noise.tau_ml - low_lo
+    u = rng.random(2 * n_classes).tolist()
+    activations = [
+        high_lo + high_span * value
+        if (test >= fn_rate if class_id in present else test < fp_rate)
+        else low_lo + low_span * value
+        for class_id, test, value in zip(range(1, n_classes + 1), u[0::2], u[1::2])
+    ]
+    return ImageLevelLabel(image_id=record.id, activations=tuple(activations))
 
 
 class TestOracleEquivalence:
@@ -254,19 +279,26 @@ class TestOracleEquivalence:
         fn_rate=_unit,
         fp_rate=_unit,
         tau_ml=_unit,
+        order=_read_order,
     )
-    @example(seed=0, n_classes=3, images=[[1, 2, 3], []], fn_rate=0.0, fp_rate=0.0, tau_ml=0.2)
-    @example(seed=1, n_classes=3, images=[[1, 2, 3], []], fn_rate=1.0, fp_rate=1.0, tau_ml=0.2)
-    @example(seed=2, n_classes=4, images=[[2]], fn_rate=1.0, fp_rate=0.0, tau_ml=0.0)
-    @example(seed=3, n_classes=4, images=[[2]], fn_rate=0.0, fp_rate=1.0, tau_ml=1.0)
-    def test_matches_per_class_draws(self, seed, n_classes, images, fn_rate, fp_rate, tau_ml):
+    @example(seed=0, n_classes=3, images=[[1, 2, 3], []], fn_rate=0.0, fp_rate=0.0, tau_ml=0.2,
+             order=list(range(1, 13)))
+    @example(seed=1, n_classes=3, images=[[1, 2, 3], []], fn_rate=1.0, fp_rate=1.0, tau_ml=0.2,
+             order=list(range(12, 0, -1)))
+    @example(seed=2, n_classes=4, images=[[2]], fn_rate=1.0, fp_rate=0.0, tau_ml=0.0,
+             order=list(range(1, 13)))
+    @example(seed=3, n_classes=4, images=[[2]], fn_rate=0.0, fp_rate=1.0, tau_ml=1.0,
+             order=list(range(1, 13)))
+    def test_matches_per_class_draws(
+        self, seed, n_classes, images, fn_rate, fp_rate, tau_ml, order
+    ):
         noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for image_id, class_ids in enumerate(images):
             rec = TestOracle().record(class_ids, image_id=image_id)
             got = oracle_image_labels(rec, noise, rng_got, n_classes)
             want = _per_class_oracle_labels(rec, noise, rng_want, n_classes)
-            assert got == want
+            assert _read(got, n_classes, order) == want.activations
         assert rng_got.random() == rng_want.random()
 
     @pytest.mark.parametrize("fn_rate", [0.0, 1.0])
@@ -281,8 +313,93 @@ class TestOracleEquivalence:
             for _ in range(2):
                 got = oracle_image_labels(rec, noise, rng_got, 4)
                 want = _per_class_oracle_labels(rec, noise, rng_want, 4)
-                assert [a.hex() for a in got.activations] == [a.hex() for a in want.activations]
+                got_hex = [a.hex() for a in _read(got, 4, range(4, 0, -1))]
+                assert got_hex == [a.hex() for a in want.activations]
         assert rng_got.random() == rng_want.random()
+
+
+_MODES = ("one_stage", "two_stage_filtering", "two_stage_mining")
+
+
+@st.composite
+def _gate_images(draw, k):
+    """Images as (ground-truth classes, prediction classes, prediction scores);
+    some have no ground truth or no predictions."""
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        truth = draw(st.lists(st.integers(1, k), max_size=6))
+        n = draw(st.integers(0, 8))
+        classes = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+        scores = draw(st.lists(st.one_of(_unit, st.just(0.7)), min_size=n, max_size=n))
+        images.append((truth, classes, scores))
+    return images
+
+
+def _gate_matches_reference(seed, k, images, noise, config):
+    """Run the loop's gate (the oracle's draw, then keep_mask, on every image)
+    and the reference gate side by side; both must keep the same rows and
+    leave their generators in the same state."""
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    two_stage = config.mode != "one_stage"
+    for image_id, (truth, classes, scores) in enumerate(images):
+        rec = TestOracle().record(truth, image_id=image_id)
+        label = oracle_image_labels(rec, noise, rng_got, k) if two_stage else None
+        ref = _bulk_oracle_labels(rec, noise, rng_want, k) if two_stage else None
+        assert keep_mask(classes, scores, label, config) == keep_mask(classes, scores, ref, config)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+class TestLoopGateEquivalence:
+    """The loop's gate, an oracle label whose activations are worked out only
+    for the classes keep_mask reads, keeps what a full ImageLevelLabel built
+    from the same draw keeps, row for row, in every mode."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+        k=st.integers(1, 12),
+        fn_rate=_unit,
+        fp_rate=_unit,
+        oracle_tau_ml=_unit,
+        tau_cls=_unit,
+        tau_ml=_unit,
+        mode=st.sampled_from(_MODES),
+    )
+    def test_matches_full_image_labels(
+        self, seed, data, k, fn_rate, fp_rate, oracle_tau_ml, tau_cls, tau_ml, mode
+    ):
+        images = data.draw(_gate_images(k))
+        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=oracle_tau_ml)
+        _gate_matches_reference(seed, k, images, noise, FilterConfig(tau_cls, tau_ml, mode))
+
+    @pytest.mark.parametrize("mode", _MODES)
+    @pytest.mark.parametrize("fn_rate", [0.0, 1.0])
+    @pytest.mark.parametrize("fp_rate", [0.0, 1.0])
+    @pytest.mark.parametrize("tau_ml", [0.0, 1.0])
+    def test_rates_and_thresholds_at_zero_and_one(self, mode, fn_rate, fp_rate, tau_ml):
+        # Two images have no predictions; their labels are drawn all the same.
+        images = [
+            ([1, 3], [1, 2, 3, 3], [0.9, 0.1, 0.7, 0.0]),
+            ([], [], []),
+            ([2], [1, 2, 4], [1.0, 0.5, 0.69]),
+            ([1, 2, 3, 4], [], []),
+            ([4], [4], [0.7]),
+        ]
+        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
+        for k in (4, 12):
+            for tau_cls in (0.0, 0.7, 1.0):
+                config = FilterConfig(tau_cls, tau_ml, mode)
+                _gate_matches_reference(7, k, images, noise, config)
+
+    def test_images_without_predictions_still_draw(self):
+        noise = OracleNoise()
+        rng, skipped = np.random.default_rng(3), np.random.default_rng(3)
+        label = oracle_image_labels(TestOracle().record([1]), noise, rng, 5)
+        assert keep_mask([], [], label, FilterConfig()) == []
+        assert len(label) == 0  # no activation was worked out
+        skipped.random(10)
+        assert rng.bit_generator.state == skipped.bit_generator.state
 
 
 class TestFilterConfig:

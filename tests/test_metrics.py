@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from acrst.dataset import BBox, Instance, Prediction
 from acrst.metrics import (
     AP_THRESHOLDS,
+    RECALL_POINTS,
     _greedy,
-    _interpolated_ap,
+    _interpolated_aps,
     class_kld,
     evaluate,
     fg_ratio,
@@ -463,7 +464,22 @@ class TestOnePassEquivalence:
 
 # Reference oracle: the per-image evaluator that the one-pass IoU evaluator
 # replaced, kept verbatim but for its IoU matrix, which is rebuilt from the
-# box objects here. Every image goes through the greedy matcher.
+# box objects here. Every image goes through the greedy matcher, and every
+# threshold's AP through the per-threshold AP that the batched AP replaced.
+
+
+def _interpolated_ap(ranked_hits, n_gt):
+    """101-point interpolated AP of true-positive flags in descending score order."""
+    tp = np.cumsum(ranked_hits)
+    fp = np.cumsum(~ranked_hits)
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    # Precision envelope: best precision achievable at or beyond each recall.
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    sample_points = np.linspace(0.0, 1.0, 101)
+    indices = np.searchsorted(recall, sample_points, side="left")
+    sampled = np.where(indices < len(envelope), envelope[np.minimum(indices, len(envelope) - 1)], 0.0)
+    return float(sampled.mean())
 
 
 def _per_image_iou_matrix(preds, gts):
@@ -581,3 +597,55 @@ class TestPerImageEquivalence:
         calls.clear()
         evaluate_images([lone[0]], [[True]], [lone[1]], 0.5)
         assert calls == []
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def _hit_rows(draw):
+    """(rows of true-positive flags, ground-truth count): 1 to 12 rows of one
+    length, each row's flags free or all equal."""
+    n = draw(st.integers(1, 40))
+    row = st.one_of(
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.booleans().map(lambda flag: [flag] * n),
+    )
+    rows = np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=bool)
+    return rows, draw(st.integers(max(1, int(rows.sum(axis=1).max())), n + 5))
+
+
+class TestBatchedAp:
+    """Every row's AP from the one 2-D pass equals the per-threshold AP, bit
+    for bit."""
+
+    def test_recall_points(self):
+        assert RECALL_POINTS.tolist() == np.linspace(0.0, 1.0, 101).tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_hit_rows())
+    @example(case=(np.zeros((10, 7), dtype=bool), 3))  # no hits
+    @example(case=(np.ones((10, 7), dtype=bool), 7))  # all hits
+    @example(case=(np.ones((10, 7), dtype=bool), 9))  # all hits, recall short of 1
+    @example(case=(np.array([[True]] * 5 + [[False]] * 5), 1))  # a single prediction
+    @example(case=(np.array([[False], [True]]), 4))
+    def test_matches_per_threshold_ap(self, case):
+        rows, n_gt = case
+        got = _interpolated_aps(rows, n_gt)
+        assert _hex(got) == _hex(_interpolated_ap(row, n_gt) for row in rows)
+
+    @pytest.mark.parametrize("score", [0.0, 0.5, 1.0])
+    def test_tied_scores_through_evaluate(self, score):
+        # Every score ties, so the stable sort keeps the prediction order.
+        # Prediction 1 sits one pixel off its ground truth (IoU 9/11), a hit
+        # at the low thresholds only; three predictions and two ground truths
+        # match nothing.
+        gts = [gt(1, 20 * i, 0, 10, 10) for i in range(6)]
+        preds = [pred(1, 20 * i + i % 2, 0, 10, 10, score) for i in range(5)]
+        preds += [pred(2, 0, 0, 10, 10, score), pred(1, 200, 0, 5, 5, score)]
+        raw, keep = [preds[:4], preds[4:]], [[True] * 4, [False] * 3]
+        got = evaluate_images(raw, keep, [gts[:3], gts[3:]], 0.5)
+        aps, _, _ = _per_image_evaluate(raw, keep, [gts[:3], gts[3:]], 0.5)
+        assert _hex(got.aps) == _hex(aps)
+        assert 0.0 < got.ap50 < 1.0 and got.aps[-1] < got.ap50

@@ -831,6 +831,28 @@ class TestSynthDetectEquivalence:
         assert _bits([Prediction(1, BBox(*got), 0.5)]) == _bits([Prediction(1, want, 0.5)])
 
 
+class TestTruthRows:
+    """``detect`` reads a record's ground truth from its kept truth rows."""
+
+    @staticmethod
+    def rows_of(rec):
+        return tuple((i.class_id, i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h, min(i.bbox.w, i.bbox.h))
+                     for i in rec.ground_truth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_detect_case())
+    def test_rows_are_the_ground_truth(self, case):
+        for rec in case[2]:
+            assert rec.truth_rows == self.rows_of(rec)
+            assert rec.truth_rows is rec.truth_rows
+
+    def test_synthetic_and_fractional_records(self):
+        records = [*synthetic_dataset(30, 5, seed=2).images,
+                   record([inst(1, 20, 15, 313.2, 235.6), inst(2, 0.5, 0, 3, 0.25)], 333.3, 250.7)]
+        for rec in records:
+            assert rec.truth_rows == self.rows_of(rec)
+
+
 class _FixedDraws:
     """A generator stand-in: the given standard normals, every double 0.0, no
     Poisson events."""
