@@ -172,19 +172,31 @@ def cmd_sweep(args) -> int:
 
 
 def _load_report(path: Path) -> dict:
+    """The report at ``path``, checked to have the shape ``report`` reads: an
+    object whose ``epochs`` is a list of objects holding every epoch column
+    and whose ``summary`` is an object."""
     try:
-        return json.loads(_read_text(path, "report"))
+        report = json.loads(_read_text(path, "report"))
     except json.JSONDecodeError as e:
         raise _UsageError(
             f"corrupt report {path}: {e.msg} (line {e.lineno} column {e.colno})"
         ) from e
+    if not isinstance(report, dict) or not isinstance(report.get("epochs"), list):
+        raise _UsageError(f"report {path} must be a JSON object whose 'epochs' is a list")
+    for i, row in enumerate(report["epochs"]):
+        missing = [c for c in EPOCH_CSV_COLUMNS if not isinstance(row, dict) or c not in row]
+        if missing:
+            raise _UsageError(f"report {path}: epochs[{i}] has no '{missing[0]}'")
+    summary = report.get("summary")
+    if not isinstance(summary, dict) or not isinstance(summary.get("final", {}), dict):
+        raise _UsageError(f"report {path}: 'summary' and its 'final' must be objects")
+    return report
 
 
 def _write_slices(report: dict, slice_dir: Path, prefix: str = "") -> None:
     slice_dir.mkdir(parents=True, exist_ok=True)
-    epochs = report.get("epochs", [])
     for metric in _SUMMARY_METRICS:
-        rows = [(row["epoch"], row[metric]) for row in epochs]
+        rows = [(row["epoch"], row[metric]) for row in report["epochs"]]
         name = f"{prefix}{metric}_vs_epoch.csv"
         with (slice_dir / name).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -193,7 +205,7 @@ def _write_slices(report: dict, slice_dir: Path, prefix: str = "") -> None:
 
 
 def _print_report_summary(label: str, report: dict) -> None:
-    summary = report.get("summary", {})
+    summary = report["summary"]
     final = summary.get("final", {})
     parts = [f"epochs={summary.get('epochs_run', '?')}"]
     parts += [

@@ -134,7 +134,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     **{f"toggles.{name}": ("bool", "-") for name in TOGGLES},
     "dataset.type": ("string", "synthetic | coco_json"),
     "dataset.images": ("int", "[1, inf)"),
-    "dataset.classes": ("int", "[1, inf)"),
+    "dataset.classes": ("int", "[1, 10000]"),
     "dataset.seed": ("int | null", "[0, inf)"),
     "dataset.skew": ("number", "(0, 1]"),
     "dataset.width": ("number", "(0, inf)"),

@@ -111,13 +111,8 @@ class ImageRecord:
                 )
 
     @cached_property
-    def class_ids(self) -> frozenset[int]:
-        """The classes of the ground truth; kept, since a record never changes."""
-        return frozenset(inst.class_id for inst in self.ground_truth)
-
-    @cached_property
     def truth_rows(self) -> tuple[tuple[int, float, float, float, float, float], ...]:
-        """(class, x, y, w, h, min(w, h)) of each ground truth, kept likewise."""
+        """(class, x, y, w, h, min(w, h)) of each ground truth, kept: a record never changes."""
         return tuple((i.class_id, b.x, b.y, b.w, b.h, min(b.w, b.h))
                      for i in self.ground_truth for b in (i.bbox,))
 
@@ -189,6 +184,16 @@ class Dataset:
         columns = np.array(rows, dtype=float).reshape(-1, 5).T
         columns.flags.writeable = False
         return columns, [len(img.ground_truth) for img in self.images]
+
+    @cached_property
+    def class_presence(self) -> np.ndarray:
+        """Whether each image (row, in order) holds each class (column k-1 =
+        class k) in its ground truth; built once, on first use, read-only."""
+        columns, counts = self.truth_columns
+        present = np.zeros((len(self.images), self.num_classes), dtype=bool)
+        present[np.repeat(np.arange(len(counts)), counts), columns[4].astype(np.intp) - 1] = True
+        present.flags.writeable = False
+        return present
 
 
 # The types a JSON number parses to; ``type(True)`` is bool, so booleans fail.

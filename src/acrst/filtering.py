@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import ImageRecord, Prediction
+from .dataset import Prediction
 
 # Activation band [0.6, 1.0] for classes the oracle reports as present.
 _HIGH_LO, _HIGH_SPAN = 0.6, 1.0 - 0.6
@@ -61,55 +61,26 @@ class OracleNoise:
     tau_ml: float = 0.2
 
 
-class OracleLabel(dict):
-    """One image's oracle draws, read as an :class:`ImageLevelLabel` is. A
-    class's activation is worked out from its two doubles, band test then band
-    value, the first time it is read, and kept."""
-
-    __slots__ = ("draws", "present", "noise")
-
-    def __init__(self, draws: list[float], present: frozenset[int], noise: OracleNoise) -> None:
-        self.draws, self.present, self.noise = draws, present, noise
-
-    @property
-    def activations(self) -> OracleLabel:
-        return self
-
-    def activation(self, class_id: int) -> float:
-        return self[class_id - 1]
-
-    def __missing__(self, index: int) -> float:
-        test, value, noise = self.draws[2 * index], self.draws[2 * index + 1], self.noise
-        high = test >= noise.fn_rate if index + 1 in self.present else test < noise.fp_rate
-        # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` computes.
-        self[index] = _HIGH_LO + _HIGH_SPAN * value if high else 0.0 + (noise.tau_ml - 0.0) * value
-        return self[index]
-
-
 def keep_mask(
-    class_ids: Sequence[int],
-    scores: Sequence[float],
-    image_label: ImageLevelLabel | OracleLabel | None,
-    config: FilterConfig,
-) -> list[bool]:
-    """Which of one image's predictions, given as columns, survive filtering:
-    score >= tau_cls in ``one_stage``, and also (AND, ``two_stage_filtering``)
-    or else (OR, ``two_stage_mining``) an activation of the predicted class
-    >= tau_ml, which needs the image label."""
-    tau_cls = config.tau_cls
+    scores: Sequence[float], activations: Sequence[float] | None, config: FilterConfig
+) -> np.ndarray:
+    """Which predictions, given as columns, survive filtering: score >= tau_cls
+    in ``one_stage``, and also (AND, ``two_stage_filtering``) or else (OR,
+    ``two_stage_mining``) an activation of the predicted class >= tau_ml, which
+    needs each row's activation."""
+    passed = np.asarray(scores, dtype=float) >= config.tau_cls
     if config.mode == "one_stage":
-        return [s >= tau_cls for s in scores]
-    if image_label is None:
-        raise ValueError("two-stage filtering needs an image-level label")
-    activations, tau_ml = image_label.activations, config.tau_ml
-    if config.mode == "two_stage_mining":
-        return [s >= tau_cls or activations[c - 1] >= tau_ml for c, s in zip(class_ids, scores)]
-    return [s >= tau_cls and activations[c - 1] >= tau_ml for c, s in zip(class_ids, scores)]
+        return passed
+    if activations is None:
+        raise ValueError("two-stage filtering needs each row's activation")
+    active = np.asarray(activations, dtype=float) >= config.tau_ml
+    return passed | active if config.mode == "two_stage_mining" else passed & active
 
 
 def _kept(preds: Sequence[Prediction], image_label, config: FilterConfig) -> list[Prediction]:
-    mask = keep_mask([p.class_id for p in preds], [p.score for p in preds], image_label, config)
-    return [p for p, keep in zip(preds, mask) if keep]
+    acts = None if image_label is None else [image_label.activation(p.class_id) for p in preds]
+    mask = keep_mask([p.score for p in preds], acts, config)
+    return [p for p, keep in zip(preds, mask.tolist()) if keep]
 
 
 def two_stage_filter(
@@ -131,18 +102,17 @@ def two_stage_mining(
     return _kept(preds, image_label, replace(config, mode="two_stage_mining"))
 
 
-def oracle_image_labels(
-    record: ImageRecord,
-    noise: OracleNoise,
-    rng: np.random.Generator,
-    n_classes: int,
-) -> OracleLabel:
-    """Simulate image-level activations from the record's ground truth.
+def oracle_activations(draws: np.ndarray, present: np.ndarray, noise: OracleNoise) -> np.ndarray:
+    """Image-level activations of classes from their oracle doubles: each pair
+    along the last axis of ``draws`` is a class's band test then band value on
+    one image, and ``present`` says whether the class is in that image's ground
+    truth.
 
     Present classes draw from the high band [0.6, 1.0] unless a false negative
     fires; absent classes draw from the low band [0, tau_ml) unless a false
-    positive fires. Two doubles per class, band test then band value, are
-    drawn in one call; an activation is worked out only for the classes that
-    are read, which in the loop are those the image's predictions carry.
+    positive fires.
     """
-    return OracleLabel(rng.random(2 * n_classes).tolist(), record.class_ids, noise)
+    test, value = draws[..., 0], draws[..., 1]
+    high = np.where(present, test >= noise.fn_rate, test < noise.fp_rate)
+    # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` computes.
+    return np.where(high, _HIGH_LO + _HIGH_SPAN * value, 0.0 + (noise.tau_ml - 0.0) * value)

@@ -105,8 +105,8 @@ class PastePlacement:
 
 
 class Mix(NamedTuple):
-    """The pasted crops' classes in paste order, then the surviving base
-    boxes' classes; and each pasted box's edges ``(x1, y1, x2, y2)``."""
+    """The pasted crops' classes in paste order, and each pasted box's edges
+    ``(x1, y1, x2, y2)``."""
 
     class_ids: list[int]
     placements: list[_Edges]
@@ -229,13 +229,16 @@ def _grid_covered_area(box: _Edges, clipped: Sequence[_Edges]) -> float:
     return total
 
 
-def _survivors(base: Iterable[tuple], rects: Sequence[_Edges], occlusion_threshold: float) -> list:
-    """The first field of each ``(item, x, y, w, h)`` row of ``base`` whose box
-    ``rects`` neither occlude fully nor leave less than the threshold visible."""
+def occlusion_survivors(
+    base: Iterable[tuple], rects: Sequence[_Edges], occlusion_threshold: float
+) -> list:
+    """The first field of each ``(item, x, y, w, h, ...)`` row of ``base`` whose
+    box ``rects`` neither occlude fully nor leave less than the threshold
+    visible: with the pasted boxes' edges, a pasted image's surviving classes."""
     if not 0.0 <= occlusion_threshold <= 1.0:
         raise ValueError(f"occlusion threshold must be in [0, 1], got {occlusion_threshold}")
     out = []
-    for item, x, y, w, h in base:
+    for item, x, y, w, h, *_ in base:
         vf = _visible(x, y, w, h, rects)
         if vf > _FULL_OCCLUSION_EPS and vf >= occlusion_threshold:
             out.append(item)
@@ -255,7 +258,8 @@ def merge_annotations(
     """
     merged = [Instance(p.crop.class_id, p.target_bbox, p.crop.source_image_id) for p in pasted]
     rows = [(inst, inst.bbox.x, inst.bbox.y, inst.bbox.w, inst.bbox.h) for inst in base]
-    return merged + _survivors(rows, [_edges(p.target_bbox) for p in pasted], occlusion_threshold)
+    rects = [_edges(p.target_bbox) for p in pasted]
+    return merged + occlusion_survivors(rows, rects, occlusion_threshold)
 
 
 def fbr_mix(
@@ -263,16 +267,15 @@ def fbr_mix(
     crops: Sequence[Crop],
     rng: np.random.Generator,
     config: PasteConfig,
-    base: Sequence[tuple[int, float, float, float, float]],
 ) -> Mix:
     """Paste crops at uniform random in-bounds positions onto an image of
-    ``size`` (width, height) whose boxes are the ``(class, x, y, w, h)`` rows of ``base``.
+    ``size`` (width, height).
 
     A crop that fits is pasted at its own size. One that does not is rescaled
     so its longer side becomes a uniform random fraction (config range) of the
     destination's shorter side; if it still cannot fit even at the minimum
-    rescale it is skipped with a warning. With no crops the base classes pass
-    through unchanged.
+    rescale it is skipped with a warning. Which of the image's own boxes the
+    pasted ones leave is :func:`occlusion_survivors`' to say.
     """
     width, height = size
     # A crop's draws follow from its geometry: a position (2 doubles) when it
@@ -322,6 +325,4 @@ def fbr_mix(
         y = 0.0 + (height - ph) * next(u)
         class_ids.append(class_id)
         placements.append((x, y, x + pw, y + ph))
-
-    class_ids += _survivors(base, placements, config.occlusion_threshold)
     return Mix(class_ids, placements)

@@ -18,15 +18,15 @@ import io
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, replace
-from itertools import compress
+from itertools import compress, islice
 from typing import Any, Sequence
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank, sample_crops
-from .dataset import Dataset, ImageRecord, split_standard
-from .filtering import keep_mask, oracle_image_labels
+from .dataset import ClassCdfs, Dataset, split_standard
+from .filtering import keep_mask, oracle_activations
 from .metrics import class_kld, evaluate, fg_ratio
 from .model import (
     DetectorParams,
@@ -38,6 +38,7 @@ from .model import (
     student_update,
 )
 from .rebalance import ClassStats, SamplingDistribution, affr_distribution, fbr_mix, pseudo_recall
+from .rebalance import Mix, occlusion_survivors
 from .seeding import derive_seed, substream
 
 EPOCH_CSV_COLUMNS = (
@@ -171,6 +172,46 @@ def pretrain(
     return params
 
 
+def label_pass(
+    teacher: DetectorParams,
+    dataset: Dataset,
+    indices: Sequence[int],
+    rng: np.random.Generator,
+    config: ExperimentConfig,
+    cdfs: ClassCdfs,
+    paste: tuple[CropBank, SamplingDistribution] | None = None,
+) -> tuple[Detections, np.ndarray, list[Mix]]:
+    """Pseudo-label ``dataset.images[i]`` for each ``i`` of ``indices``, in order.
+
+    Per image the pass only draws: the teacher's detections (by ``cdfs``), in
+    a two-stage filter mode the oracle's two doubles per class, and, given
+    ``paste`` (a bank and its sampling distribution), the image's crops and
+    their placements. One array pass then sets each row's oracle activation,
+    against :attr:`Dataset.class_presence`, and its keep bit. With the
+    ``two_stage`` toggle off, filtering is by score alone. Returns the
+    detection columns, the keep bits and, when pasting, each image's paste.
+    """
+    fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
+    two_stage = fcfg.mode != "one_stage"
+    dets, mixes = Detections(), []
+    draws = np.empty((len(indices), dataset.num_classes, 2)) if two_stage else None
+    for j, i in enumerate(indices):
+        img = dataset.images[i]
+        detect(teacher, img, rng, cdfs, dets)
+        if two_stage:
+            rng.random(out=draws[j])
+        if paste:
+            crops = sample_crops(*paste, config.paste.crops_per_image, rng)
+            mixes.append(fbr_mix((img.width, img.height), crops, rng, config.paste))
+    activations = None
+    if two_stage:
+        image = np.repeat(np.arange(len(indices)), dets.counts)
+        cls = np.array(dets.class_id, dtype=np.intp) - 1
+        present = dataset.class_presence[np.asarray(indices, dtype=np.intp)[image], cls]
+        activations = oracle_activations(draws[image, cls], present, config.oracle)
+    return dets, keep_mask(dets.score, activations, fcfg), mixes
+
+
 def run_epoch(
     state: LoopState, config: ExperimentConfig, rng: np.random.Generator
 ) -> tuple[LoopState, EpochTrace]:
@@ -186,10 +227,7 @@ def run_epoch(
     labeled, unlabeled = state.labeled, state.unlabeled
     k = labeled.num_classes
     n_lab, n_unl = len(labeled.images), len(unlabeled.images)
-    budget = config.proposal_budget
-    # With the two_stage toggle off, filtering is by score alone.
-    fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
-    mixing = _pastes(config)
+    budget, occlusion_threshold = config.proposal_budget, config.paste.occlusion_threshold
     unsup_mode = "unsup_selective" if config.selective_supervision else "unsup_cls_only"
     labeled_counts = labeled.class_counts
 
@@ -216,30 +254,22 @@ def run_epoch(
     sup_losses: list[LossBreakdown] = []
     unsup_losses: list[LossBreakdown] = []
     cdfs = labeled.class_cdfs
-
-    def pseudo_label(img: ImageRecord, dets: Detections, keep: list[bool]) -> None:
-        """Append the teacher's detections on ``img`` to ``dets`` and their keep
-        mask to ``keep``. Only a two-stage mode draws the image's oracle label,
-        after the detection."""
-        start = len(dets.score)
-        detect(teacher, img, rng, cdfs, dets)
-        label = None if fcfg.mode == "one_stage" else oracle_image_labels(img, config.oracle, rng, k)
-        keep += keep_mask(dets.class_id[start:], dets.score[start:], label, fcfg)
+    paste = (bank, dist) if _pastes(config) else None
 
     for _ in range(config.batches_per_epoch):
-        batch_idx = rng.choice(n_unl, size=min(config.unlabeled_batch, n_unl), replace=False)
+        batch = rng.choice(n_unl, size=min(config.unlabeled_batch, n_unl), replace=False).tolist()
+        dets, keep, mixes = label_pass(teacher, unlabeled, batch, rng, config, cdfs, paste)
         # Per image, its class ids with the pasted ones first, and how many were pasted.
         unsup_images: list[tuple[list[int], int]] = []
-        for i in batch_idx:
-            img = unlabeled.images[int(i)]
-            dets, keep = Detections(), []
-            pseudo_label(img, dets, keep)
-            class_ids, n_pasted = list(compress(dets.class_id, keep)), 0
-            if mixing:
-                crops = sample_crops(bank, dist, config.paste.crops_per_image, rng)
-                base = [row[:5] for row in compress(dets.rows(), keep)]
-                mixed = fbr_mix((img.width, img.height), crops, rng, config.paste, base)
-                class_ids, n_pasted = mixed.class_ids, len(mixed.placements)
+        rows, bits = dets.rows(), iter(keep.tolist())
+        for j, n in enumerate(dets.counts):
+            kept = list(compress(islice(rows, n), islice(bits, n)))
+            if paste:
+                mix = mixes[j]
+                survivors = occlusion_survivors(kept, mix.placements, occlusion_threshold)
+                class_ids, n_pasted = mix.class_ids + survivors, len(mix.placements)
+            else:
+                class_ids, n_pasted = [row[0] for row in kept], 0
             unsup_images.append((class_ids, n_pasted))
             fg_total += len(class_ids)
             bg_total += max(budget - len(class_ids), 0)
@@ -262,10 +292,7 @@ def run_epoch(
         exposure_total += exposure
 
     # Full-set teacher evaluation; also the pseudo-label source for refresh.
-    dets, keep = Detections(), []
-    for img in unlabeled.images:
-        pseudo_label(img, dets, keep)
-    kept = np.array(keep, dtype=bool)
+    dets, kept, _ = label_pass(teacher, unlabeled, range(n_unl), rng, config, cdfs)
     preds = np.array((dets.x, dets.y, dets.w, dets.h, dets.class_id, dets.score), dtype=float)
     pseudo_counts = np.bincount(preds[4, kept].astype(np.int64) - 1, minlength=k)
     evaluation = evaluate(preds, dets.counts, kept, *unlabeled.truth_columns, config.match_iou)
@@ -295,7 +322,9 @@ def run_epoch(
         pasted_counts=tuple(int(c) for c in pasted_total),
     )
     image_ids = [img.id for img in unlabeled.images]
-    bank = refresh_pseudo_bank(bank, dets, keep, image_ids, config.refresh_period, state.epoch)
+    bank = refresh_pseudo_bank(
+        bank, dets, kept.tolist(), image_ids, config.refresh_period, state.epoch
+    )
     new_state = LoopState(
         teacher=teacher,
         student=student,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-from .dataset import BBox, Category, Dataset, ImageRecord, Instance
+from .dataset import BBox, Category, ClassCdfs, Dataset, ImageRecord, Instance
 
 
 def synthetic_dataset(
@@ -36,28 +38,26 @@ def synthetic_dataset(
         raise ValueError("max_box must not exceed the image's shorter side")
 
     rng = np.random.default_rng(seed)
-    weights = skew ** np.arange(n_classes)
-    weights = weights / weights.sum()
+    # The CDF ``Generator.choice(p=...)`` builds from the normalized weights.
+    cdf = ClassCdfs(skew ** np.arange(n_classes))[0]
+    # As doubles, as ``Generator.uniform`` takes its bounds.
+    box_lo, box_span = float(min_box), float(max_box) - float(min_box)
 
     images = []
-    for i in range(n_images):
-        image_id = i + 1
+    for image_id in range(1, n_images + 1):
         n_inst = 1 + int(rng.poisson(mean_extra_instances))
+        # Five doubles per instance, class then w, h, x, y, in the order one
+        # scalar draw each took them; ``lo + (hi - lo) * u`` is what
+        # ``Generator.uniform(lo, hi)`` makes of one.
+        draws = iter(rng.random(5 * n_inst).tolist())
         instances = []
-        for _ in range(n_inst):
-            class_id = int(rng.choice(n_classes, p=weights)) + 1
-            w = float(rng.uniform(min_box, max_box))
-            h = float(rng.uniform(min_box, max_box))
-            x = float(rng.uniform(0.0, width - w))
-            y = float(rng.uniform(0.0, height - h))
-            instances.append(
-                Instance(class_id=class_id, bbox=BBox(x, y, w, h), source_image_id=image_id)
-            )
-        images.append(
-            ImageRecord(
-                id=image_id, width=width, height=height, ground_truth=tuple(instances)
-            )
-        )
+        for u_class, u_w, u_h, u_x, u_y in zip(*[draws] * 5):
+            w = box_lo + box_span * u_w
+            h = box_lo + box_span * u_h
+            x = 0.0 + (width - w) * u_x
+            y = 0.0 + (height - h) * u_y
+            instances.append(Instance(bisect_right(cdf, u_class) + 1, BBox(x, y, w, h), image_id))
+        images.append(ImageRecord(image_id, width, height, tuple(instances)))
 
     categories = tuple(
         Category(id=k, name=f"class_{k:02d}", source_id=k)

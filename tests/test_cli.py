@@ -127,6 +127,8 @@ class TestRun:
             ({"dataset": {"mean_extra_instances": 1e19}}, "dataset.mean_extra_instances"),
             # Below the floor a rescaled crop's size rounded to 0 mid-run.
             ({"paste": {"rescale_min": 5e-324, "rescale_max": 5e-324}}, "paste.rescale_min"),
+            # Past the cap the synthetic corpus failed to allocate before the first epoch.
+            ({"dataset": {"classes": 10**12}}, "dataset.classes"),
         ],
     )
     def test_ill_typed_value_named_exits_two(self, tmp_path, capsys, override, named):
@@ -528,3 +530,33 @@ class TestReport:
         assert main(["report", "--in", str(out)]) == 2
         err = capsys.readouterr().err
         assert "corrupt report" in err and "line" in err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda report: [1, 2], "JSON object"),
+            (lambda report: {**report, "epochs": {}}, "'epochs'"),
+            (lambda report: {**report, "epochs": [*report["epochs"][:1], 3]}, "epochs[1]"),
+            (lambda report: {**report, "summary": [1]}, "'summary'"),
+            (lambda report: {**report, "summary": {"final": 1}}, "'final'"),
+        ],
+        ids=["list", "epochs_object", "epoch_row_number", "summary_list", "final_number"],
+    )
+    def test_report_of_another_shape_exits_two(self, tmp_path, capsys, edit, named):
+        out = self.run_once(tmp_path)
+        report = json.loads((out / "report.json").read_text())
+        (out / "report.json").write_text(json.dumps(edit(report)), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "report.json") in err and named in err
+
+    def test_epoch_row_without_a_column_is_named(self, tmp_path, capsys):
+        out = self.run_once(tmp_path)
+        report = json.loads((out / "report.json").read_text())
+        del report["epochs"][1]["fg_ratio"]
+        (out / "report.json").write_text(json.dumps(report), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "report.json") in err and "epochs[1]" in err and "'fg_ratio'" in err

@@ -249,6 +249,21 @@ _SMALL_JSON = (
 )
 
 
+class TestClassCap:
+    """``dataset.classes`` is capped: past the cap, building the corpus failed
+    to allocate before the first epoch."""
+
+    def test_past_the_cap_is_named(self):
+        with pytest.raises(ConfigError, match=r"dataset\.classes"):
+            config_from_dict(_TINY, {"dataset": {"classes": 10**12}})
+
+    def test_the_cap_builds_and_runs(self):
+        config = config_from_dict(_TINY, {"dataset": {"classes": 10_000}})
+        dataset = _build_dataset(config)
+        assert dataset.num_classes == 10_000
+        assert len(run_experiment(config, dataset).traces) == 1
+
+
 class TestEveryKeyRunsOrFails:
     """A table key set to a small JSON value parses and runs, or is a ConfigError.
 

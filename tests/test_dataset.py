@@ -1,10 +1,15 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acrst.dataset import (
     BBox,
+    Category,
+    Dataset,
     ImageRecord,
     Instance,
     ParseError,
@@ -233,3 +238,71 @@ class TestSynthetic:
                 b = inst.bbox
                 assert 0 <= b.x and 0 <= b.y
                 assert b.x2 <= img.width and b.y2 <= img.height
+
+
+def _scalar_synthetic_dataset(
+    n_images, n_classes, rng, *, width=640.0, height=480.0, mean_extra_instances=1.8,
+    skew=0.65, min_box=32.0, max_box=160.0,
+):
+    """Reference generator: one scalar draw per class and per coordinate."""
+    weights = skew ** np.arange(n_classes)
+    weights = weights / weights.sum()
+    images = []
+    for i in range(n_images):
+        image_id = i + 1
+        n_inst = 1 + int(rng.poisson(mean_extra_instances))
+        instances = []
+        for _ in range(n_inst):
+            class_id = int(rng.choice(n_classes, p=weights)) + 1
+            w = float(rng.uniform(min_box, max_box))
+            h = float(rng.uniform(min_box, max_box))
+            x = float(rng.uniform(0.0, width - w))
+            y = float(rng.uniform(0.0, height - h))
+            instances.append(
+                Instance(class_id=class_id, bbox=BBox(x, y, w, h), source_image_id=image_id)
+            )
+        images.append(
+            ImageRecord(id=image_id, width=width, height=height, ground_truth=tuple(instances))
+        )
+    categories = tuple(
+        Category(id=k, name=f"class_{k:02d}", source_id=k) for k in range(1, n_classes + 1)
+    )
+    return Dataset(images=tuple(images), categories=categories)
+
+
+class TestSyntheticEquivalence:
+    """One Poisson draw and one call of five doubles per instance, per image,
+    build the scalar-draw generator's dataset and leave its generator in the
+    same state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_images=st.integers(1, 60),
+        n_classes=st.integers(1, 12),
+        skew=st.sampled_from([1.0, 0.65, 0.5, 0.1]) | st.floats(0.01, 1.0),
+        mean_extra=st.sampled_from([0.0, 1.8, 6.0]),
+        min_box=st.sampled_from([1, 32, 32.0, 160.0]) | st.floats(0.5, 200.0),
+        box_extra=st.sampled_from([0, 0.0, 128.0]) | st.floats(0.0, 280.0),
+    )
+    @example(seed=0, n_images=1, n_classes=1, skew=1.0, mean_extra=0.0, min_box=32.0,
+             box_extra=0.0)
+    @example(seed=1, n_images=60, n_classes=12, skew=1.0, mean_extra=1.8, min_box=480.0,
+             box_extra=0.0)
+    def test_matches_scalar_draws(
+        self, seed, n_images, n_classes, skew, mean_extra, min_box, box_extra
+    ):
+        max_box = min(min_box + box_extra, 480.0)
+        kwargs = dict(skew=skew, mean_extra_instances=mean_extra, min_box=min(min_box, max_box),
+                      max_box=max_box)
+        made, default_rng = [], np.random.default_rng
+
+        def noting_rng(*args):
+            made.append(default_rng(*args))
+            return made[-1]
+
+        with mock.patch("numpy.random.default_rng", noting_rng):
+            got = synthetic_dataset(n_images, n_classes, seed, **kwargs)
+        rng = np.random.default_rng(seed)
+        assert got == _scalar_synthetic_dataset(n_images, n_classes, rng, **kwargs)
+        assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state

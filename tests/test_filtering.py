@@ -3,17 +3,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst.config import ConfigError, config_from_dict
-from acrst.dataset import BBox, ImageRecord, Instance, Prediction
+from acrst.config import ConfigError, ExperimentConfig, config_from_dict
+from acrst.dataset import BBox, Category, Dataset, ImageRecord, Instance, Prediction
 from acrst.filtering import (
     FilterConfig,
     ImageLevelLabel,
     OracleNoise,
     keep_mask,
-    oracle_image_labels,
+    oracle_activations,
     two_stage_filter,
     two_stage_mining,
 )
+from acrst.model import Detections, DetectorParams, detect
+from acrst.simloop import label_pass
 
 
 def pred(class_id, score):
@@ -139,7 +141,8 @@ _threshold = st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0])
 
 
 class TestKeepMaskEquivalence:
-    """The keep mask keeps what the per-prediction filters kept, in every mode."""
+    """The keep mask, given each prediction's score and the activation of its
+    class, keeps what the per-prediction filters kept, in every mode."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -157,7 +160,8 @@ class TestKeepMaskEquivalence:
             max_size=10,
         ))
         config = FilterConfig(tau_cls, tau_ml, mode)
-        mask = keep_mask([p.class_id for p in preds], [p.score for p in preds], label, config)
+        scores = [p.score for p in preds]
+        mask = keep_mask(scores, [label.activation(p.class_id) for p in preds], config).tolist()
         kept = [p for p, keep in zip(preds, mask) if keep]
         if mode == "two_stage_mining":
             want = _ref_two_stage_mining(preds, label, config)
@@ -168,6 +172,15 @@ class TestKeepMaskEquivalence:
         assert list(map(id, kept)) == list(map(id, want)) == list(map(id, got))
         # The mining wrapper is the OR gate whatever mode the config names.
         assert two_stage_mining(preds, label, config) == _ref_two_stage_mining(preds, label, config)
+
+
+def oracle_label(record, noise, rng, n_classes):
+    """One image's validated label: :func:`oracle_activations` of every class,
+    from two doubles per class drawn in one call, as the label pass draws them."""
+    classes = {inst.class_id for inst in record.ground_truth}
+    present = np.array([c in classes for c in range(1, n_classes + 1)], dtype=bool)
+    activations = oracle_activations(rng.random((n_classes, 2)), present, noise)
+    return ImageLevelLabel(record.id, tuple(activations.tolist()))
 
 
 class TestOracle:
@@ -182,7 +195,7 @@ class TestOracle:
         noise = OracleNoise(fn_rate=0.0, fp_rate=0.0, tau_ml=0.2)
         rng = np.random.default_rng(0)
         rec = self.record([1, 3])
-        lab = oracle_image_labels(rec, noise, rng, n_classes=4)
+        lab = oracle_label(rec, noise, rng, n_classes=4)
         assert 0.6 <= lab.activation(1) <= 1.0
         assert lab.activation(2) < 0.2
         assert 0.6 <= lab.activation(3) <= 1.0
@@ -193,7 +206,7 @@ class TestOracle:
         rng = np.random.default_rng(1)
         rec = self.record([1])
         for _ in range(200):
-            lab = oracle_image_labels(rec, noise, rng, n_classes=2)
+            lab = oracle_label(rec, noise, rng, n_classes=2)
             assert lab.activation(2) < 0.05
 
     def test_error_rates_within_two_percent(self):
@@ -203,7 +216,7 @@ class TestOracle:
         n = 20_000
         fn = fp = 0
         for _ in range(n):
-            lab = oracle_image_labels(rec, noise, rng, n_classes=2)
+            lab = oracle_label(rec, noise, rng, n_classes=2)
             fn += lab.activation(1) < 0.2
             fp += lab.activation(2) >= 0.6
         assert abs(fn / n - 0.1) < 0.02
@@ -212,7 +225,7 @@ class TestOracle:
     def test_always_fn_always_fp(self):
         noise = OracleNoise(fn_rate=1.0, fp_rate=1.0, tau_ml=0.2)
         rng = np.random.default_rng(3)
-        lab = oracle_image_labels(self.record([1]), noise, rng, n_classes=2)
+        lab = oracle_label(self.record([1]), noise, rng, n_classes=2)
         assert lab.activation(1) < 0.2
         assert lab.activation(2) >= 0.6
 
@@ -255,7 +268,8 @@ def _read(label, n_classes, order):
 def _bulk_oracle_labels(record, noise, rng, n_classes):
     """Reference oracle: the bulk draw, every class's activation built into
     one validated :class:`ImageLevelLabel` per image."""
-    present, fn_rate, fp_rate = record.class_ids, noise.fn_rate, noise.fp_rate
+    present = {inst.class_id for inst in record.ground_truth}
+    fn_rate, fp_rate = noise.fn_rate, noise.fp_rate
     (high_lo, high_hi), low_lo = (0.6, 1.0), 0.0
     high_span, low_span = high_hi - high_lo, noise.tau_ml - low_lo
     u = rng.random(2 * n_classes).tolist()
@@ -268,8 +282,12 @@ def _bulk_oracle_labels(record, noise, rng, n_classes):
     return ImageLevelLabel(image_id=record.id, activations=tuple(activations))
 
 
+_MODES = ("one_stage", "two_stage_filtering", "two_stage_mining")
+
+
 class TestOracleEquivalence:
-    """The bulk draw gives the per-class draws' labels and stream position."""
+    """The bulk draw and the array activations give the per-class draws'
+    labels and stream position, alone and in the label pass."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -296,7 +314,7 @@ class TestOracleEquivalence:
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for image_id, class_ids in enumerate(images):
             rec = TestOracle().record(class_ids, image_id=image_id)
-            got = oracle_image_labels(rec, noise, rng_got, n_classes)
+            got = oracle_label(rec, noise, rng_got, n_classes)
             want = _per_class_oracle_labels(rec, noise, rng_want, n_classes)
             assert _read(got, n_classes, order) == want.activations
         assert rng_got.random() == rng_want.random()
@@ -306,53 +324,77 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("tau_ml", [0.0, 1.0])
     def test_rates_at_zero_and_one_bit_for_bit(self, fn_rate, fp_rate, tau_ml):
         noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
+        images = [[1, 3], [], [2, 2, 4], [1, 2, 3, 4]]
         rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
-        for image_id, class_ids in enumerate([[1, 3], [], [2, 2, 4], [1, 2, 3, 4]]):
+        for image_id, class_ids in enumerate(images):
             rec = TestOracle().record(class_ids, image_id=image_id)
-            # Twice per record: the second call reads the classes the record kept.
-            for _ in range(2):
-                got = oracle_image_labels(rec, noise, rng_got, 4)
-                want = _per_class_oracle_labels(rec, noise, rng_want, 4)
-                got_hex = [a.hex() for a in _read(got, 4, range(4, 0, -1))]
-                assert got_hex == [a.hex() for a in want.activations]
+            got = oracle_label(rec, noise, rng_got, 4)
+            want = _per_class_oracle_labels(rec, noise, rng_want, 4)
+            assert [a.hex() for a in got.activations] == [a.hex() for a in want.activations]
         assert rng_got.random() == rng_want.random()
-
-
-_MODES = ("one_stage", "two_stage_filtering", "two_stage_mining")
+        # The label pass against one scalar draw per band test and band value.
+        dataset = _dataset(images, 4)
+        for mode in _MODES:
+            config = ExperimentConfig(filter=FilterConfig(0.7, tau_ml, mode), oracle=noise)
+            for indices in ([0, 1, 2, 3], [3, 1, 3, 0, 2]):
+                _pass_matches_reference(
+                    5, dataset, indices, _teacher(4), config, _per_class_oracle_labels
+                )
 
 
 @st.composite
-def _gate_images(draw, k):
-    """Images as (ground-truth classes, prediction classes, prediction scores);
-    some have no ground truth or no predictions."""
-    images = []
-    for _ in range(draw(st.integers(1, 4))):
-        truth = draw(st.lists(st.integers(1, k), max_size=6))
-        n = draw(st.integers(0, 8))
-        classes = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
-        scores = draw(st.lists(st.one_of(_unit, st.just(0.7)), min_size=n, max_size=n))
-        images.append((truth, classes, scores))
-    return images
+def _pass_images(draw, k):
+    """Images as lists of ground-truth classes; some have none."""
+    return draw(st.lists(st.lists(st.integers(1, k), max_size=6), min_size=1, max_size=5))
 
 
-def _gate_matches_reference(seed, k, images, noise, config):
-    """Run the loop's gate (the oracle's draw, then keep_mask, on every image)
-    and the reference gate side by side; both must keep the same rows and
-    leave their generators in the same state."""
+def _dataset(images, k):
+    records = tuple(TestOracle().record(truth, image_id=i + 1) for i, truth in enumerate(images))
+    return Dataset(records, tuple(Category(c, f"class_{c}", c) for c in range(1, k + 1)))
+
+
+def _teacher(k, recall=0.9, fp_rate=1.0, confusion_rate=0.3, sharpness=8.0):
+    return DetectorParams(
+        recall_skill=(recall,) * k, confusion_rate=confusion_rate, loc_skill=0.5,
+        partial_rate=0.2, fp_rate=fp_rate, confidence_sharpness=sharpness,
+    )
+
+
+def _pass_matches_reference(seed, dataset, indices, teacher, config, oracle):
+    """Run :func:`label_pass` and, side by side, a reference that labels image
+    by image: detect, then the reference ``oracle``'s label in a two-stage
+    mode, then the per-prediction filter on the image's predictions. Both must
+    detect the same rows, keep the same ones and leave their generators in the
+    same state. Returns the number of rows."""
     rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-    two_stage = config.mode != "one_stage"
-    for image_id, (truth, classes, scores) in enumerate(images):
-        rec = TestOracle().record(truth, image_id=image_id)
-        label = oracle_image_labels(rec, noise, rng_got, k) if two_stage else None
-        ref = _bulk_oracle_labels(rec, noise, rng_want, k) if two_stage else None
-        assert keep_mask(classes, scores, label, config) == keep_mask(classes, scores, ref, config)
+    cdfs, k = dataset.class_cdfs, dataset.num_classes
+    fcfg = config.filter
+    if not config.two_stage:
+        fcfg = FilterConfig(fcfg.tau_cls, mode="one_stage")
+    dets, keep, mixes = label_pass(teacher, dataset, indices, rng_got, config, cdfs)
+    want_dets, want_keep = Detections(), []
+    for i in indices:
+        record = dataset.images[i]
+        start = len(want_dets.score)
+        detect(teacher, record, rng_want, cdfs, want_dets)
+        label = oracle(record, config.oracle, rng_want, k) if fcfg.mode != "one_stage" else None
+        preds = [pred(c, s) for c, s in zip(want_dets.class_id[start:], want_dets.score[start:])]
+        ref = _ref_two_stage_mining if fcfg.mode == "two_stage_mining" else _ref_two_stage_filter
+        kept = set(map(id, ref(preds, label, fcfg)))
+        want_keep += [id(p) in kept for p in preds]
+    assert list(dets.rows()) == list(want_dets.rows())
+    assert dets.counts == want_dets.counts
+    assert keep.tolist() == want_keep
+    assert mixes == []
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    return len(want_keep)
 
 
 class TestLoopGateEquivalence:
-    """The loop's gate, an oracle label whose activations are worked out only
-    for the classes keep_mask reads, keeps what a full ImageLevelLabel built
-    from the same draw keeps, row for row, in every mode."""
+    """The label pass, which draws every image's oracle doubles into one array
+    and sets all keep bits in one array pass, keeps what a full ImageLevelLabel
+    per image and the per-prediction filters keep, row for row, in every mode
+    and with the two_stage toggle off, and leaves the generator where they do."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -365,40 +407,49 @@ class TestLoopGateEquivalence:
         tau_cls=_unit,
         tau_ml=_unit,
         mode=st.sampled_from(_MODES),
+        two_stage=st.booleans(),
+        recall=_unit,
+        teacher_fp_rate=st.sampled_from([0.0, 0.5, 3.0]),
     )
     def test_matches_full_image_labels(
-        self, seed, data, k, fn_rate, fp_rate, oracle_tau_ml, tau_cls, tau_ml, mode
+        self, seed, data, k, fn_rate, fp_rate, oracle_tau_ml, tau_cls, tau_ml, mode,
+        two_stage, recall, teacher_fp_rate,
     ):
-        images = data.draw(_gate_images(k))
+        images = data.draw(_pass_images(k))
+        indices = data.draw(st.lists(st.integers(0, len(images) - 1), max_size=6))
         noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=oracle_tau_ml)
-        _gate_matches_reference(seed, k, images, noise, FilterConfig(tau_cls, tau_ml, mode))
+        config = ExperimentConfig(
+            filter=FilterConfig(tau_cls, tau_ml, mode), oracle=noise, two_stage=two_stage
+        )
+        teacher = _teacher(k, recall=recall, fp_rate=teacher_fp_rate)
+        _pass_matches_reference(seed, _dataset(images, k), indices, teacher, config,
+                                _bulk_oracle_labels)
 
     @pytest.mark.parametrize("mode", _MODES)
     @pytest.mark.parametrize("fn_rate", [0.0, 1.0])
     @pytest.mark.parametrize("fp_rate", [0.0, 1.0])
     @pytest.mark.parametrize("tau_ml", [0.0, 1.0])
     def test_rates_and_thresholds_at_zero_and_one(self, mode, fn_rate, fp_rate, tau_ml):
-        # Two images have no predictions; their labels are drawn all the same.
-        images = [
-            ([1, 3], [1, 2, 3, 3], [0.9, 0.1, 0.7, 0.0]),
-            ([], [], []),
-            ([2], [1, 2, 4], [1.0, 0.5, 0.69]),
-            ([1, 2, 3, 4], [], []),
-            ([4], [4], [0.7]),
-        ]
+        # Images 1 and 3 have no ground truth, so a teacher without false
+        # positives predicts nothing there; their labels are drawn all the same.
+        images = [[1, 3], [], [2], [], [1, 2, 3, 4], [4]]
         noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
         for k in (4, 12):
+            dataset = _dataset(images, k)
             for tau_cls in (0.0, 0.7, 1.0):
-                config = FilterConfig(tau_cls, tau_ml, mode)
-                _gate_matches_reference(7, k, images, noise, config)
+                config = ExperimentConfig(filter=FilterConfig(tau_cls, tau_ml, mode), oracle=noise)
+                for teacher in (_teacher(k), _teacher(k, recall=1.0, fp_rate=0.0)):
+                    _pass_matches_reference(7, dataset, range(6), teacher, config,
+                                            _bulk_oracle_labels)
 
     def test_images_without_predictions_still_draw(self):
-        noise = OracleNoise()
+        dataset = _dataset([[], [], []], 5)
         rng, skipped = np.random.default_rng(3), np.random.default_rng(3)
-        label = oracle_image_labels(TestOracle().record([1]), noise, rng, 5)
-        assert keep_mask([], [], label, FilterConfig()) == []
-        assert len(label) == 0  # no activation was worked out
-        skipped.random(10)
+        teacher = _teacher(5, fp_rate=0.0)
+        dets, keep, _ = label_pass(teacher, dataset, [2, 0, 1], rng, ExperimentConfig(),
+                                   dataset.class_cdfs)
+        assert dets.counts == [0, 0, 0] and keep.tolist() == []
+        skipped.random(3 * 10)  # two doubles per class, per image
         assert rng.bit_generator.state == skipped.bit_generator.state
 
 

@@ -18,6 +18,7 @@ from acrst.rebalance import (
     affr_distribution,
     fbr_mix,
     merge_annotations,
+    occlusion_survivors,
     pseudo_recall,
     visible_fraction,
 )
@@ -28,10 +29,14 @@ def crop(class_id, w, h, image_id=1):
 
 
 def mix(record, crops, rng, config):
-    """fbr_mix on a record's ground truth, each crop given as an instance."""
+    """fbr_mix onto a record, each crop given as an instance, then the record's
+    ground truth that survives the pasted boxes, as the loop merges them: the
+    pasted classes first, then the surviving base classes."""
     base = [(i.class_id, i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for i in record.ground_truth]
     rows = [(c.class_id, c.bbox.w, c.bbox.h, c.source_image_id) for c in crops]
-    return fbr_mix((record.width, record.height), rows, rng, config, base)
+    pasted = fbr_mix((record.width, record.height), rows, rng, config)
+    survivors = occlusion_survivors(base, pasted.placements, config.occlusion_threshold)
+    return Mix(pasted.class_ids + survivors, pasted.placements)
 
 
 class TestPseudoRecall:
@@ -222,6 +227,12 @@ class TestFbrMix:
     def record(self, width=100, height=80):
         gt = (Instance(class_id=1, bbox=BBox(10, 10, 20, 20), source_image_id=1),)
         return ImageRecord(id=1, width=width, height=height, ground_truth=gt)
+
+    def test_returns_the_pasted_classes_alone(self):
+        got = fbr_mix((100, 80), [(2, 30, 20, 7), (3, 5, 5, 8)], np.random.default_rng(1),
+                      PasteConfig())
+        assert got.class_ids == [2, 3] and len(got.placements) == 2
+        assert fbr_mix((100, 80), [], np.random.default_rng(1), PasteConfig()) == Mix([], [])
 
     def test_no_crops_passes_through(self):
         mixed = mix(self.record(), [], np.random.default_rng(0), PasteConfig())

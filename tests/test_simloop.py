@@ -15,7 +15,7 @@ from acrst.dataset import (
     parse_coco_annotations,
     split_standard,
 )
-from acrst.filtering import FilterConfig, ImageLevelLabel, OracleNoise, oracle_image_labels
+from acrst.filtering import FilterConfig, ImageLevelLabel, OracleNoise
 from acrst.model import LossBreakdown
 from acrst.rebalance import PastePlacement, SamplingDistribution, affr_distribution
 from acrst.seeding import derive_seed, substream
@@ -274,35 +274,50 @@ class TestPseudoLabelsStayColumns:
         assert {"Instance", "BBox", "ImageRecord"} <= set(made)
 
 
+class _DrawLog:
+    """A generator that notes the shape of every draw made into an array and
+    passes every call on to ``rng``, so the stream is unchanged."""
+
+    def __init__(self, rng):
+        self.rng, self.into = rng, []
+
+    def random(self, *args, out=None, **kwargs):
+        if out is not None:
+            self.into.append(out.shape)
+        return self.rng.random(*args, out=out, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 class TestOracleGate:
-    """A two-stage epoch draws one oracle label per image it labels, and
-    builds no ImageLevelLabel for any of them."""
+    """A two-stage epoch makes one oracle draw, two doubles per class, per
+    image it labels, and builds no ImageLevelLabel for any of them."""
 
     @pytest.mark.parametrize("mode", ["two_stage_filtering", "two_stage_mining"])
     def test_no_image_level_label_per_image(self, corpus, monkeypatch, mode):
         config = quick_config(filter=FilterConfig(mode=mode))
-        state = initial_state(config, corpus)
-        built, labeled = [], []
+        state = plain = initial_state(config, corpus)
+        built = []
 
         def counting_init(self, *args, _init=ImageLevelLabel.__init__, **kwargs):
             built.append(self)
             _init(self, *args, **kwargs)
 
-        def counting_oracle(record, *args):
-            labeled.append(record.id)
-            return oracle_image_labels(record, *args)
-
         monkeypatch.setattr(ImageLevelLabel, "__init__", counting_init)
-        monkeypatch.setattr("acrst.simloop.oracle_image_labels", counting_oracle)
+        draws = []
         for epoch in range(3):
-            state, trace = run_epoch(state, config, substream(config.seed, "epoch", epoch))
+            rng = _DrawLog(substream(config.seed, "epoch", epoch))
+            state, trace = run_epoch(state, config, rng)
+            plain, plain_trace = run_epoch(plain, config, substream(config.seed, "epoch", epoch))
+            assert trace == plain_trace
+            draws += rng.into
         assert trace.n_pseudo > 0
         assert built == []
         # Every batch image, then every unlabeled image once for evaluation.
         n_unl = len(state.unlabeled.images)
         per_epoch = config.batches_per_epoch * min(config.unlabeled_batch, n_unl) + n_unl
-        assert len(labeled) == 3 * per_epoch
-        assert labeled[-n_unl:] == [img.id for img in state.unlabeled.images]
+        assert draws == [(corpus.num_classes, 2)] * (3 * per_epoch)
         # The counter does see labels built by hand.
         ImageLevelLabel(image_id=1, activations=(0.5,))
         assert len(built) == 1
