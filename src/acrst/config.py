@@ -127,7 +127,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "labeled_batch": ("int", "[1, inf)"),
     "unlabeled_batch": ("int", "[1, inf)"),
     "batches_per_epoch": ("int", "[1, inf)"),
-    "lambda_unsup": ("number", "[0, inf)"),
+    "lambda_unsup": ("number", "[0, 1000]"),
     "refresh_period": ("int", "[1, inf)"),
     "proposal_budget": ("int", "[1, 100000]"),
     "match_iou": ("number", "(0, 1]"),
@@ -137,8 +137,8 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "dataset.classes": ("int", "[1, 10000]"),
     "dataset.seed": ("int | null", "[0, inf)"),
     "dataset.skew": ("number", "(0, 1]"),
-    "dataset.width": ("number", "(0, inf)"),
-    "dataset.height": ("number", "(0, inf)"),
+    "dataset.width": ("number", "(0, 1e9]"),
+    "dataset.height": ("number", "(0, 1e9]"),
     "dataset.mean_extra_instances": ("number", "[0, 100]"),
     "dataset.min_box": ("number", "(0, inf)"),
     "dataset.max_box": ("number", "(0, inf)"),

@@ -91,10 +91,10 @@ class CropBank:
 
 
 def build_labeled_bank(labeled: Dataset) -> CropBank:
-    """The labeled split's ground-truth crops, in image order."""
+    """The labeled split's ground-truth crops, a ``(class_id, w, h, image id)``
+    row per truth row, in image order."""
     return CropBank(labeled_bank=tuple(
-        (inst.class_id, inst.bbox.w, inst.bbox.h, inst.source_image_id)
-        for img in labeled.images for inst in img.ground_truth
+        (row[0], row[3], row[4], img.id) for img in labeled.images for row in img.truth_rows
     ))
 
 

@@ -3,14 +3,15 @@
 The on-disk format is a JSON object with ``images``, ``annotations`` and
 ``categories`` sections. Category ids are remapped to contiguous 1..K in input
 order; the original ids are kept on :class:`Category` so reports can echo them.
-Unknown keys anywhere in the document are ignored.
+Unknown keys anywhere in the document are ignored. An image holds its ground
+truth as ``(class_id, x, y, w, h)`` rows; :class:`BBox`, :class:`Instance` and
+:class:`Prediction` are the hand-built types of the pasting and filtering API.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -90,31 +91,24 @@ class Category:
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """An image and its ground-truth instances.
-
-    All ground-truth boxes must lie inside [0, width] x [0, height].
+    """An image and its ground truth, one ``(class_id, x, y, w, h)`` row per
+    instance; every box has positive sides and lies inside the image.
     """
 
     id: int | str
     width: float
     height: float
-    ground_truth: tuple[Instance, ...] = field(default=())
+    truth_rows: tuple[tuple[int, float, float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image {self.id}: non-positive dimensions")
-        for inst in self.ground_truth:
-            b = inst.bbox
-            if b.x < 0 or b.y < 0 or b.x2 > self.width or b.y2 > self.height:
-                raise ValueError(
-                    f"image {self.id}: ground-truth box {b} outside image bounds"
-                )
-
-    @cached_property
-    def truth_rows(self) -> tuple[tuple[int, float, float, float, float, float], ...]:
-        """(class, x, y, w, h, min(w, h)) of each ground truth, kept: a record never changes."""
-        return tuple((i.class_id, b.x, b.y, b.w, b.h, min(b.w, b.h))
-                     for i in self.ground_truth for b in (i.bbox,))
+        for row in self.truth_rows:
+            _, x, y, w, h = row
+            if w <= 0 or h <= 0:
+                raise ValueError(f"image {self.id}: box sides must be positive, got {row}")
+            if x < 0 or y < 0 or x + w > self.width or y + h > self.height:
+                raise ValueError(f"image {self.id}: ground-truth box {row} outside image bounds")
 
 
 class ClassCdfs(dict):
@@ -166,7 +160,7 @@ class Dataset:
 
         Counted once, since a dataset never changes, into a read-only array.
         """
-        ids = [inst.class_id - 1 for img in self.images for inst in img.ground_truth]
+        ids = [row[0] - 1 for img in self.images for row in img.truth_rows]
         counts = np.bincount(np.array(ids, dtype=np.int64), minlength=self.num_classes)
         counts.flags.writeable = False
         return counts
@@ -180,10 +174,10 @@ class Dataset:
     def truth_columns(self) -> tuple[np.ndarray, list[int]]:
         """The (x, y, w, h, class) columns of every ground-truth instance, images
         in order, and each image's count; built once, on first use, read-only."""
-        rows = [(*row[1:5], row[0]) for img in self.images for row in img.truth_rows]
+        rows = [(*row[1:], row[0]) for img in self.images for row in img.truth_rows]
         columns = np.array(rows, dtype=float).reshape(-1, 5).T
         columns.flags.writeable = False
-        return columns, [len(img.ground_truth) for img in self.images]
+        return columns, [len(img.truth_rows) for img in self.images]
 
     @cached_property
     def class_presence(self) -> np.ndarray:
@@ -220,9 +214,9 @@ def parse_coco_annotations(text: str) -> Dataset:
     """Parse an annotation document into a :class:`Dataset`.
 
     Raises :class:`ParseError` for malformed JSON or a missing or non-list
-    section and :class:`ValidationError` for schema violations, such as a
-    record that is not an object or a size or box value that is not a finite
-    number; validation messages name the offending record. Use
+    section and :class:`ValidationError` for schema violations, such as no
+    category, a record that is not an object, an image side outside (0, 1e9]
+    or a box value that is not a finite number; messages name the record. Use
     :func:`split_standard` to divide the images into a labeled and an
     unlabeled side.
     """
@@ -252,6 +246,8 @@ def parse_coco_annotations(text: str) -> Dataset:
             raise ValidationError(f"duplicate category id {source_id}")
         class_of_source[source_id] = slot
         categories.append(Category(id=slot, name=str(name), source_id=source_id))
+    if not categories:
+        raise ValidationError("annotation document has no categories")
 
     image_meta: dict = {}
     image_order: list = []
@@ -263,13 +259,13 @@ def parse_coco_annotations(text: str) -> Dataset:
             raise ValidationError(f"duplicate image id {image_id}")
         if type(width) not in _NUMBER or type(height) not in _NUMBER:
             raise ValidationError(f"image {image_id} width and height must be numbers")
-        # Positive comparisons, so that NaN fails them too.
-        if not (0 < width <= sys.float_info.max and 0 < height <= sys.float_info.max):
-            raise ValidationError(f"image {image_id} has non-positive or non-finite dimensions")
+        # Positive comparisons, so that NaN fails them too; the cap keeps areas finite.
+        if not (0 < width <= 1e9 and 0 < height <= 1e9):
+            raise ValidationError(f"image {image_id} width and height must be in (0, 1e9]")
         image_meta[image_id] = (float(width), float(height))
         image_order.append(image_id)
 
-    instances: dict[object, list[Instance]] = {i: [] for i in image_order}
+    rows: dict[object, list[tuple]] = {i: [] for i in image_order}
     seen_ann: set = set()
     for i, ann in enumerate(doc["annotations"]):
         ann_id = _require(ann, "id", "annotations", i, _ID)
@@ -303,23 +299,9 @@ def parse_coco_annotations(text: str) -> Dataset:
         width, height = image_meta[image_id]
         if not (x >= 0 and y >= 0 and x + w <= width and y + h <= height):
             raise ValidationError(f"annotation {ann_id} box {bbox} is not inside image {image_id}")
-        instances[image_id].append(
-            Instance(
-                class_id=class_of_source[cat_id],
-                bbox=BBox(x, y, w, h),
-                source_image_id=image_id,
-            )
-        )
+        rows[image_id].append((class_of_source[cat_id], x, y, w, h))
 
-    images = tuple(
-        ImageRecord(
-            id=image_id,
-            width=image_meta[image_id][0],
-            height=image_meta[image_id][1],
-            ground_truth=tuple(instances[image_id]),
-        )
-        for image_id in image_order
-    )
+    images = tuple(ImageRecord(i, *image_meta[i], tuple(rows[i])) for i in image_order)
     return Dataset(images=images, categories=tuple(categories))
 
 

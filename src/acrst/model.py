@@ -135,16 +135,16 @@ def detect(
     """Simulate detector output on one image from its hidden ground truth.
 
     Appends one row per box, and their number, to ``out``. Each ground-truth
-    row of ``record.truth_rows`` of class k is emitted with probability
-    recall_skill[k]. Emitted boxes are perturbed by zero-mean noise with
-    per-coordinate scale (1 - loc_skill) * 0.1 * min(w, h), truncated with
-    probability partial_rate to a random sub-rectangle covering 40-70% of the
-    instance area, and flipped to a frequency-weighted wrong class with
-    probability confusion_rate. Scores follow a logistic in the true class's
-    skill plus uniform +-0.1 noise, clamped to [0, 1]. Poisson(fp_rate)
-    background false positives are added with frequency-weighted classes and
-    scores uniform in [0.3, 0.8], all of the image's drawn in one call, six
-    doubles each. Boxes are clipped to the image.
+    row ``(class_id, x, y, w, h)`` of ``record.truth_rows`` of class k is
+    emitted with probability recall_skill[k]. Emitted boxes are perturbed by
+    zero-mean noise with per-coordinate scale (1 - loc_skill) * 0.1 * min(w, h),
+    truncated with probability partial_rate to a random sub-rectangle covering
+    40-70% of the instance area, and flipped to a frequency-weighted wrong
+    class with probability confusion_rate. Scores follow a logistic in the
+    true class's skill plus uniform +-0.1 noise, clamped to [0, 1].
+    Poisson(fp_rate) background false positives are added with
+    frequency-weighted classes and scores uniform in [0.3, 0.8], all of the
+    image's drawn in one call, six doubles each. Boxes are clipped to the image.
 
     ``cdfs`` are the :class:`ClassCdfs` of the class frequencies that
     confusion targets and false-positive classes are drawn by.
@@ -161,10 +161,10 @@ def detect(
     n_before = len(out.score)
     # The doubles come in the order one scalar draw each took them, and
     # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` makes of one.
-    for true_class, box_x, box_y, box_w, box_h, box_side in record.truth_rows:
+    for true_class, box_x, box_y, box_w, box_h in record.truth_rows:
         if random() >= recall[true_class - 1]:
             continue
-        noise_scale = loc_scale * box_side
+        noise_scale = loc_scale * (box_w if box_w <= box_h else box_h)
         dx, dy, dw, dh = standard_normal(4).tolist()
         x, y = box_x + dx * noise_scale, box_y + dy * noise_scale
         w, h = box_w + dw * noise_scale, box_h + dh * noise_scale

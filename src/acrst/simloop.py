@@ -167,7 +167,7 @@ def pretrain(
     for _ in range(config.pretrain_epochs):
         for _ in range(config.batches_per_epoch):
             idx = rng.choice(n, size=min(config.labeled_batch, n), replace=False)
-            batch = [inst.class_id for i in idx for inst in labeled.images[int(i)].ground_truth]
+            batch = [row[0] for i in idx for row in labeled.images[int(i)].truth_rows]
             params = student_update(params, _class_counts(batch, k), len(batch), config.detector.lr)
     return params
 
@@ -277,8 +277,7 @@ def run_epoch(
         pasted_total += _class_counts(pasted, k)
 
         lab_idx = rng.choice(n_lab, size=min(config.labeled_batch, n_lab), replace=False)
-        lab_images = [([inst.class_id for inst in labeled.images[int(i)].ground_truth], 0)
-                      for i in lab_idx]
+        lab_images = [([row[0] for row in labeled.images[int(i)].truth_rows], 0) for i in lab_idx]
         sup_losses.append(batch_loss(student, lab_images, budget, "supervised"))
         unsup_losses.append(batch_loss(student, unsup_images, budget, unsup_mode))
 

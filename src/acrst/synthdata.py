@@ -6,7 +6,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .dataset import BBox, Category, ClassCdfs, Dataset, ImageRecord, Instance
+from .dataset import Category, ClassCdfs, Dataset, ImageRecord
 
 
 def synthetic_dataset(
@@ -50,14 +50,14 @@ def synthetic_dataset(
         # scalar draw each took them; ``lo + (hi - lo) * u`` is what
         # ``Generator.uniform(lo, hi)`` makes of one.
         draws = iter(rng.random(5 * n_inst).tolist())
-        instances = []
+        rows = []
         for u_class, u_w, u_h, u_x, u_y in zip(*[draws] * 5):
             w = box_lo + box_span * u_w
             h = box_lo + box_span * u_h
             x = 0.0 + (width - w) * u_x
             y = 0.0 + (height - h) * u_y
-            instances.append(Instance(bisect_right(cdf, u_class) + 1, BBox(x, y, w, h), image_id))
-        images.append(ImageRecord(image_id, width, height, tuple(instances)))
+            rows.append((bisect_right(cdf, u_class) + 1, x, y, w, h))
+        images.append(ImageRecord(image_id, width, height, tuple(rows)))
 
     categories = tuple(
         Category(id=k, name=f"class_{k:02d}", source_id=k)

@@ -8,6 +8,7 @@ from acrst.cli import main
 from acrst.simloop import EPOCH_CSV_COLUMNS
 
 METRICS = [c for c in EPOCH_CSV_COLUMNS if c != "epoch"]
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.json"
 
 
 def base_config(**overrides):
@@ -129,6 +130,12 @@ class TestRun:
             ({"paste": {"rescale_min": 5e-324, "rescale_max": 5e-324}}, "paste.rescale_min"),
             # Past the cap the synthetic corpus failed to allocate before the first epoch.
             ({"dataset": {"classes": 10**12}}, "dataset.classes"),
+            # Past this cap the weighted loss overflowed and a run failed mid-way.
+            ({"lambda_unsup": 1e308}, "lambda_unsup"),
+            # Past these caps a box area overflowed and every metric read 0.
+            ({"dataset": {"width": 1e160, "height": 7.5e159, "min_box": 5e158,
+                          "max_box": 2.5e159}}, "dataset.width"),
+            ({"dataset": {"height": 1e10}}, "dataset.height"),
         ],
     )
     def test_ill_typed_value_named_exits_two(self, tmp_path, capsys, override, named):
@@ -136,6 +143,36 @@ class TestRun:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_largest_lambda_unsup_runs_to_the_end(self, tmp_path, seed):
+        # Each unsupervised loss term is bounded, so the weighted total stays
+        # finite at the cap, where 1e308 once overflowed mid-run.
+        config = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        del config["sweep"]
+        config.update(epochs=8, lambda_unsup=1000, proposal_budget=1)
+        config["dataset"]["images"] = 60
+        config["detector"]["initial_recall_skill"] = 0.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out), "--seed", str(seed)]) == 0
+        assert len(json.loads((out / "report.json").read_text())["epochs"]) == 3
+
+    def test_largest_image_sides_run_as_their_scaled_copy(self, tmp_path):
+        # At 1e9 px, the width cap, every area is finite and each epoch scores
+        # what the same corpus at 640 x 480 scores.
+        scale = 1e9 / 640
+        sides = {"width": 1e9, "height": 480 * scale, "min_box": 32 * scale, "max_box": 160 * scale}
+        epochs = []
+        for dataset in ({**base_config()["dataset"], **sides}, base_config()["dataset"]):
+            out = tmp_path / str(len(epochs))
+            config = write_config(tmp_path, dataset=dataset)
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            epochs.append(json.loads((out / "report.json").read_text())["epochs"])
+        metrics = ("ap50", "ap5095", "pseudo_acc", "pseudo_rec")
+        large, small = ([[e[m] for m in metrics] for e in run] for run in epochs)
+        assert large == small and any(e["ap50"] > 0 for e in epochs[0])
 
     def test_mismatched_oracle_tau_ml_exits_two(self, tmp_path, capsys):
         config = write_config(
@@ -173,6 +210,18 @@ class TestRun:
         )
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "labeled split drew no instances" in capsys.readouterr().err
+
+    def test_coco_file_without_categories_exits_two(self, tmp_path, capsys):
+        # Once this failed mid-run, when the detector was built for no class.
+        coco = {"images": [{"id": i, "width": 64, "height": 64} for i in range(1, 21)],
+                "annotations": [], "categories": []}
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(coco), encoding="utf-8")
+        config = write_config(tmp_path, toggles={"fbr": False, "affr": False},
+                              dataset={"type": "coco_json", "path": str(ann)})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "annotation document has no categories" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_coco_dataset_source(self, tmp_path, coco_text):
         ann = tmp_path / "ann.json"

@@ -58,7 +58,9 @@ class TestBuild:
         assert bank.n_labeled == 3
         assert bank.n_pseudo == 0
         # One row per ground-truth instance of the split, in image order.
-        assert bank.labeled_bank == rows(inst for img in ds.images for inst in img.ground_truth)
+        assert bank.labeled_bank == tuple(
+            (c, w, h, img.id) for img in ds.images for c, _, _, w, h in img.truth_rows
+        )
 
     def test_entries_carry_geometry(self, coco_text):
         ds = parse_coco_annotations(coco_text)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acrst.cropbank import build_labeled_bank
 from acrst.dataset import (
     BBox,
     Category,
@@ -121,6 +122,14 @@ class TestParse:
                          id="width-inf"),
             pytest.param(lambda d: d["images"][1].update(height=float("nan")), "image 11",
                          id="height-nan"),
+            # Past 1e9 a box area could overflow to inf and every IoU read NaN.
+            pytest.param(lambda d: d["images"][1].update(width=1e160), "image 11",
+                         id="width-1e160"),
+            pytest.param(lambda d: d["images"][0].update(height=10**9 + 1), "image 10",
+                         id="height-past-1e9"),
+            # With no category a run once failed mid-way, building its detector.
+            pytest.param(lambda d: d.update(annotations=[], categories=[]),
+                         "annotation document has no categories", id="no-categories"),
             pytest.param(lambda d: d["categories"][0].update(id=[7]), r"categories\[0\]",
                          id="category-id-list"),
             pytest.param(lambda d: d["categories"][1].update(id="a"), r"categories\[1\]",
@@ -159,7 +168,13 @@ class TestParse:
         doc["annotations"][0]["id"] = "first"
         ds = parse_coco_annotations(json.dumps(doc))
         assert [img.id for img in ds.images] == ["a", 11]
-        assert [inst.source_image_id for inst in ds.images[0].ground_truth] == ["a", "a"]
+        assert [row[0] for row in ds.images[0].truth_rows] == [1, 2]
+        assert [crop[3] for crop in build_labeled_bank(ds).labeled_bank] == ["a", "a", 11]
+
+    def test_image_side_of_1e9_accepted(self, coco_text):
+        doc = json.loads(coco_text)
+        doc["images"][1].update(width=1e9, height=1e9)
+        assert parse_coco_annotations(json.dumps(doc)).images[1].width == 1e9
 
     def test_unknown_keys_ignored(self, coco_text):
         doc = json.loads(coco_text)
@@ -195,7 +210,7 @@ class TestSplit:
     def test_unlabeled_keeps_hidden_truth(self):
         ds = synthetic_dataset(30, 3, seed=4)
         _, unlabeled = split_standard(ds, 0.2, seed=0)
-        assert all(img.ground_truth for img in unlabeled.images)
+        assert all(img.truth_rows for img in unlabeled.images)
 
     def test_counts_add_up(self):
         ds = synthetic_dataset(60, 4, seed=9)
@@ -214,9 +229,37 @@ class TestSplit:
 
 class TestRecordInvariants:
     def test_ground_truth_must_fit_image(self):
-        inst = Instance(1, BBox(50, 50, 100, 100), source_image_id=1)
-        with pytest.raises(ValueError):
-            ImageRecord(id=1, width=100, height=100, ground_truth=(inst,))
+        with pytest.raises(ValueError, match="outside image bounds"):
+            ImageRecord(id=1, width=100, height=100, truth_rows=((1, 50, 50, 100, 100),))
+        with pytest.raises(ValueError, match="outside image bounds"):
+            ImageRecord(id=1, width=100, height=100, truth_rows=((1, -1, 0, 10, 10),))
+
+    @pytest.mark.parametrize("w, h", [(0, 5), (5, -1)])
+    def test_box_sides_must_be_positive(self, w, h):
+        with pytest.raises(ValueError, match="positive"):
+            ImageRecord(id=1, width=100, height=100, truth_rows=((1, 10, 10, w, h),))
+
+    def test_loading_builds_no_instance_or_box(self, coco_text, monkeypatch):
+        made = []
+        for cls in (Instance, BBox):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                made.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        parse_coco_annotations(coco_text)
+        synthetic_dataset(20, 4, seed=0)
+        assert made == []
+        # The counter does see objects built by hand.
+        Instance(1, BBox(0, 0, 1, 1), 1)
+        assert made == ["BBox", "Instance"]
+
+    def test_rows_are_the_stored_form(self, coco_text):
+        ds = parse_coco_annotations(coco_text)
+        assert [img.truth_rows for img in ds.images] == [
+            ((1, 5.0, 5.0, 20.0, 10.0), (2, 30.0, 20.0, 40.0, 30.0)), ((1, 0.0, 0.0, 64.0, 64.0),)
+        ]
+        assert not hasattr(ds.images[0], "ground_truth")
 
 
 class TestSynthetic:
@@ -234,10 +277,9 @@ class TestSynthetic:
     def test_boxes_inside_images(self):
         ds = synthetic_dataset(50, 4, seed=8)
         for img in ds.images:
-            for inst in img.ground_truth:
-                b = inst.bbox
-                assert 0 <= b.x and 0 <= b.y
-                assert b.x2 <= img.width and b.y2 <= img.height
+            for _, x, y, w, h in img.truth_rows:
+                assert 0 <= x and 0 <= y
+                assert x + w <= img.width and y + h <= img.height
 
 
 def _scalar_synthetic_dataset(
@@ -251,19 +293,15 @@ def _scalar_synthetic_dataset(
     for i in range(n_images):
         image_id = i + 1
         n_inst = 1 + int(rng.poisson(mean_extra_instances))
-        instances = []
+        rows = []
         for _ in range(n_inst):
             class_id = int(rng.choice(n_classes, p=weights)) + 1
             w = float(rng.uniform(min_box, max_box))
             h = float(rng.uniform(min_box, max_box))
             x = float(rng.uniform(0.0, width - w))
             y = float(rng.uniform(0.0, height - h))
-            instances.append(
-                Instance(class_id=class_id, bbox=BBox(x, y, w, h), source_image_id=image_id)
-            )
-        images.append(
-            ImageRecord(id=image_id, width=width, height=height, ground_truth=tuple(instances))
-        )
+            rows.append((class_id, x, y, w, h))
+        images.append(ImageRecord(id=image_id, width=width, height=height, truth_rows=tuple(rows)))
     categories = tuple(
         Category(id=k, name=f"class_{k:02d}", source_id=k) for k in range(1, n_classes + 1)
     )

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrst.config import ConfigError, ExperimentConfig, config_from_dict
-from acrst.dataset import BBox, Category, Dataset, ImageRecord, Instance, Prediction
+from acrst.dataset import BBox, Category, Dataset, ImageRecord, Prediction
 from acrst.filtering import (
     FilterConfig,
     ImageLevelLabel,
@@ -177,7 +177,7 @@ class TestKeepMaskEquivalence:
 def oracle_label(record, noise, rng, n_classes):
     """One image's validated label: :func:`oracle_activations` of every class,
     from two doubles per class drawn in one call, as the label pass draws them."""
-    classes = {inst.class_id for inst in record.ground_truth}
+    classes = {row[0] for row in record.truth_rows}
     present = np.array([c in classes for c in range(1, n_classes + 1)], dtype=bool)
     activations = oracle_activations(rng.random((n_classes, 2)), present, noise)
     return ImageLevelLabel(record.id, tuple(activations.tolist()))
@@ -185,11 +185,8 @@ def oracle_label(record, noise, rng, n_classes):
 
 class TestOracle:
     def record(self, class_ids, image_id=1):
-        gt = tuple(
-            Instance(class_id=c, bbox=BBox(0, 0, 5, 5), source_image_id=image_id)
-            for c in class_ids
-        )
-        return ImageRecord(id=image_id, width=100, height=100, ground_truth=gt)
+        rows = tuple((c, 0, 0, 5, 5) for c in class_ids)
+        return ImageRecord(id=image_id, width=100, height=100, truth_rows=rows)
 
     def test_noiseless_bands(self):
         noise = OracleNoise(fn_rate=0.0, fp_rate=0.0, tau_ml=0.2)
@@ -236,7 +233,7 @@ class TestOracle:
 
 def _per_class_oracle_labels(record, noise, rng, n_classes):
     """Reference oracle: one scalar draw for each band test and band value."""
-    present = {inst.class_id for inst in record.ground_truth}
+    present = {row[0] for row in record.truth_rows}
     activations = []
     for class_id in range(1, n_classes + 1):
         if class_id in present:
@@ -268,7 +265,7 @@ def _read(label, n_classes, order):
 def _bulk_oracle_labels(record, noise, rng, n_classes):
     """Reference oracle: the bulk draw, every class's activation built into
     one validated :class:`ImageLevelLabel` per image."""
-    present = {inst.class_id for inst in record.ground_truth}
+    present = {row[0] for row in record.truth_rows}
     fn_rate, fp_rate = noise.fn_rate, noise.fp_rate
     (high_lo, high_hi), low_lo = (0.6, 1.0), 0.0
     high_span, low_span = high_hi - high_lo, noise.tau_ml - low_lo

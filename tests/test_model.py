@@ -42,7 +42,14 @@ def params(
 
 
 def record(instances, width=200, height=200):
-    return ImageRecord(id=1, width=width, height=height, ground_truth=tuple(instances))
+    """An image whose truth rows are those of ``instances``."""
+    rows = tuple((i.class_id, i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for i in instances)
+    return ImageRecord(id=1, width=width, height=height, truth_rows=rows)
+
+
+def truth_instances(rec):
+    """The truth rows of ``rec`` as instances, as the reference detector reads them."""
+    return [Instance(c, BBox(x, y, w, h), rec.id) for c, x, y, w, h in rec.truth_rows]
 
 
 def inst(class_id, x=50, y=50, w=40, h=40):
@@ -125,7 +132,7 @@ class TestSynthDetect:
         rec = record([inst(1), inst(2, x=120, y=120)])
         preds = synth_detect(self.perfect(), rec, np.random.default_rng(0))
         assert len(preds) == 2
-        for p, g in zip(preds, rec.ground_truth):
+        for p, g in zip(preds, truth_instances(rec)):
             assert p.class_id == g.class_id
             overlap = p.bbox.intersection(g.bbox).area
             iou = overlap / (p.bbox.area + g.bbox.area - overlap)
@@ -176,7 +183,7 @@ class TestSynthDetect:
         rec = record([inst(1)])
         p = params(recall=(1.0,), confusion=0.0, partial=1.0, fp=0.0, loc=1.0)
         rng = np.random.default_rng(5)
-        g = rec.ground_truth[0].bbox
+        g = truth_instances(rec)[0].bbox
         for _ in range(200):
             (pred,) = synth_detect(p, rec, rng)
             frac = pred.bbox.area / g.area
@@ -627,9 +634,7 @@ class TestDrawWeightedEquivalence:
     def test_synth_detect_unchanged(self):
         # Confusions and background false positives draw classes by weight.
         p = params(recall=(0.9, 0.6, 0.3), confusion=0.6, fp=3.0)
-        rec = ImageRecord(
-            id=1, width=120, height=100, ground_truth=tuple(inst(c) for c in (1, 2, 3, 1))
-        )
+        rec = record([inst(c) for c in (1, 2, 3, 1)], width=120, height=100)
 
         def detect_all(detector):
             rng = np.random.default_rng(11)
@@ -679,7 +684,7 @@ def _oracle_synth_detect(params, record, rng, class_weights=None, draw=_cdf_draw
         weights = np.asarray(class_weights, dtype=float)
     width, height = record.width, record.height
     preds = []
-    for inst in record.ground_truth:
+    for inst in truth_instances(record):
         skill = params.recall_skill[inst.class_id - 1]
         if rng.random() >= skill:
             continue
@@ -832,25 +837,20 @@ class TestSynthDetectEquivalence:
 
 
 class TestTruthRows:
-    """``detect`` reads a record's ground truth from its kept truth rows."""
-
-    @staticmethod
-    def rows_of(rec):
-        return tuple((i.class_id, i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h, min(i.bbox.w, i.bbox.h))
-                     for i in rec.ground_truth)
-
-    @settings(max_examples=100, deadline=None)
-    @given(case=_detect_case())
-    def test_rows_are_the_ground_truth(self, case):
-        for rec in case[2]:
-            assert rec.truth_rows == self.rows_of(rec)
-            assert rec.truth_rows is rec.truth_rows
+    """``detect`` reads a record's ground truth from its (class, x, y, w, h) rows."""
 
     def test_synthetic_and_fractional_records(self):
+        # A detector without noise, misses or confusion emits each truth row.
+        perfect = params(recall=(1.0,) * 5, confusion=0.0, loc=1.0, partial=0.0, fp=0.0)
         records = [*synthetic_dataset(30, 5, seed=2).images,
                    record([inst(1, 20, 15, 313.2, 235.6), inst(2, 0.5, 0, 3, 0.25)], 333.3, 250.7)]
         for rec in records:
-            assert rec.truth_rows == self.rows_of(rec)
+            out = Detections()
+            detect(perfect, rec, np.random.default_rng(0), ClassCdfs([1.0] * 5), out)
+            assert out.counts == [len(rec.truth_rows)] and rec.truth_rows
+            for (c, *box, _), (want_c, *want_box) in zip(out.rows(), rec.truth_rows):
+                assert c == want_c
+                assert box == pytest.approx(want_box, rel=1e-12, abs=1e-12)
 
 
 class _FixedDraws:

@@ -28,11 +28,16 @@ def crop(class_id, w, h, image_id=1):
     return Instance(class_id=class_id, bbox=BBox(0, 0, w, h), source_image_id=image_id)
 
 
+def truth_instances(record):
+    """The truth rows of ``record`` as instances, as the reference paste loop reads them."""
+    return [Instance(c, BBox(x, y, w, h), record.id) for c, x, y, w, h in record.truth_rows]
+
+
 def mix(record, crops, rng, config):
     """fbr_mix onto a record, each crop given as an instance, then the record's
     ground truth that survives the pasted boxes, as the loop merges them: the
     pasted classes first, then the surviving base classes."""
-    base = [(i.class_id, i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for i in record.ground_truth]
+    base = list(record.truth_rows)
     rows = [(c.class_id, c.bbox.w, c.bbox.h, c.source_image_id) for c in crops]
     pasted = fbr_mix((record.width, record.height), rows, rng, config)
     survivors = occlusion_survivors(base, pasted.placements, config.occlusion_threshold)
@@ -225,8 +230,7 @@ class TestMerge:
 
 class TestFbrMix:
     def record(self, width=100, height=80):
-        gt = (Instance(class_id=1, bbox=BBox(10, 10, 20, 20), source_image_id=1),)
-        return ImageRecord(id=1, width=width, height=height, ground_truth=gt)
+        return ImageRecord(id=1, width=width, height=height, truth_rows=((1, 10, 10, 20, 20),))
 
     def test_returns_the_pasted_classes_alone(self):
         got = fbr_mix((100, 80), [(2, 30, 20, 7), (3, 5, 5, 8)], np.random.default_rng(1),
@@ -274,12 +278,7 @@ class TestFbrMix:
     def test_paste_occlusion_bookkeeping(self):
         # Crops as large as the image force placement at the origin, so the
         # first paste is fully hidden by the second and the base instance dies.
-        rec = ImageRecord(
-            id=1,
-            width=10,
-            height=10,
-            ground_truth=(Instance(class_id=1, bbox=BBox(0, 0, 5, 5), source_image_id=1),),
-        )
+        rec = ImageRecord(id=1, width=10, height=10, truth_rows=((1, 0, 0, 5, 5),))
         crops = [crop(2, 10, 10, image_id=7), crop(3, 10, 10, image_id=8)]
         mixed = mix(rec, crops, np.random.default_rng(0), PasteConfig())
         assert mixed.class_ids == [2, 3]
@@ -287,7 +286,7 @@ class TestFbrMix:
 
     def test_pasted_box_needs_positive_sides(self):
         # The rescale underflows to zero: the pasted box has no area.
-        rec = ImageRecord(id=1, width=10, height=10, ground_truth=())
+        rec = ImageRecord(id=1, width=10, height=10)
         config = PasteConfig(rescale_min=1e-300, rescale_max=1e-300)
         with pytest.raises(ValueError, match="positive"):
             mix(rec, [crop(2, 1e300, 1e300)], np.random.default_rng(0), config)
@@ -362,7 +361,7 @@ def _per_crop_fbr_mix(record, crops, rng, config):
         y = float(rng.uniform(0.0, height - ph))
         placements.append(PastePlacement(crop=c, target_bbox=BBox(x, y, pw, ph)))
         scales.append(scale)
-    merged = _grid_merge(record.ground_truth, placements, config.occlusion_threshold)
+    merged = _grid_merge(truth_instances(record), placements, config.occlusion_threshold)
     return MixedRecord(placements=tuple(placements), merged_annotations=tuple(merged)), scales
 
 
@@ -416,13 +415,13 @@ def _paste_case(draw):
         for _ in range(draw(st.integers(0, 4))):
             w, h = draw(st.integers(1, width)), draw(st.integers(1, height))
             x, y = draw(st.integers(0, width - w)), draw(st.integers(0, height - h))
-            gt.append(Instance(class_id=1, bbox=BBox(x, y, w, h), source_image_id=image_id))
+            gt.append((1, x, y, w, h))
         sides = st.one_of(st.sampled_from([1.0, 10.0, 23.0, 60.0, 100.0]), st.floats(0.5, 250.0))
         crops = [
             crop(2, draw(sides), draw(sides), image_id=j) for j in range(draw(st.integers(0, 5)))
         ]
         records.append(
-            (ImageRecord(id=image_id, width=width, height=height, ground_truth=tuple(gt)), crops)
+            (ImageRecord(id=image_id, width=width, height=height, truth_rows=tuple(gt)), crops)
         )
     rescale_min = draw(st.sampled_from([0.25, 0.5, 1.0, 1.3, 2.0]))
     config = PasteConfig(
@@ -504,10 +503,10 @@ class TestPasteEquivalence:
     @settings(max_examples=300, deadline=None)
     @given(case=_paste_case(), seed=st.integers(0, 2**32 - 1))
     # No crops at all, and a fixed rescale factor.
-    @example(case=([(ImageRecord(1, 10, 10, (Instance(1, BBox(0, 0, 5, 5), 1),)), [])],
+    @example(case=([(ImageRecord(1, 10, 10, ((1, 0, 0, 5, 5),)), [])],
                    PasteConfig()), seed=0)
     @example(
-        case=([(ImageRecord(1, 60, 100, (Instance(1, BBox(0, 0, 30, 30), 1),)),
+        case=([(ImageRecord(1, 60, 100, ((1, 0, 0, 30, 30),)),
                 [crop(2, 250.0, 90.0), crop(2, 10.0, 10.0, image_id=2)])],
               PasteConfig(rescale_min=0.5, rescale_max=0.5, occlusion_threshold=0.5)),
         seed=1,
@@ -522,8 +521,7 @@ class TestPasteEquivalence:
         assert rng_got.random() == rng_want.random()
 
     def test_fits_rescales_and_skips_in_one_image(self, caplog):
-        rec = ImageRecord(id=1, width=100, height=60,
-                          ground_truth=(Instance(1, BBox(40, 20, 20, 20), 1),))
+        rec = ImageRecord(id=1, width=100, height=60, truth_rows=((1, 40, 20, 20, 20),))
         config = PasteConfig(rescale_min=1.3, rescale_max=1.8)
         # As is; at the drawn factor; at rescale_min; skipped.
         crops = [crop(2, 20, 20), crop(3, 300, 100), crop(4, 200, 150), crop(5, 200, 200)]

@@ -269,9 +269,10 @@ class TestPseudoLabelsStayColumns:
         made, trace = self.run_epochs(quick_config(), corpus, monkeypatch)
         assert sum(trace.pasted_counts) > 0
         assert made == []
-        # The counter does see objects: a synthetic corpus is made of them.
-        synthetic_dataset(4, 2, seed=0)
-        assert {"Instance", "BBox", "ImageRecord"} <= set(made)
+        # The counter does see objects: one record and one instance built by hand.
+        ImageRecord(1, 10, 10, ((1, 0, 0, 5, 5),))
+        Instance(1, BBox(0, 0, 5, 5), 1)
+        assert made == ["ImageRecord", "BBox", "Instance"]
 
 
 class _DrawLog:
