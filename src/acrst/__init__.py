@@ -12,26 +12,27 @@ imported from its module.
 
 __version__ = "0.1.0"
 
-from .config import DetectorConfig, ExperimentConfig
-from .cropbank import CropEntry
-from .dataset import BBox, Instance, Prediction
-from .filtering import (
-    FilterConfig,
+from .api import (
+    BBox,
+    CropEntry,
     ImageLevelLabel,
-    OracleNoise,
+    Instance,
+    PastePlacement,
+    Prediction,
+    merge_annotations,
     two_stage_filter,
     two_stage_mining,
+    visible_fraction,
 )
+from .config import DetectorConfig, ExperimentConfig
+from .filtering import FilterConfig, OracleNoise
 from .model import DetectorParams, ema_update
 from .rebalance import (
     LABELED_ABSENT_PR,
     ClassStats,
     PasteConfig,
-    PastePlacement,
     affr_distribution,
-    merge_annotations,
     pseudo_recall,
-    visible_fraction,
 )
 from .seeding import derive_seed
 from .simloop import run_experiment

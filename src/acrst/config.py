@@ -140,7 +140,7 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "dataset.width": ("number", "(0, 1e9]"),
     "dataset.height": ("number", "(0, 1e9]"),
     "dataset.mean_extra_instances": ("number", "[0, 100]"),
-    "dataset.min_box": ("number", "(0, inf)"),
+    "dataset.min_box": ("number", "[1, inf)"),
     "dataset.max_box": ("number", "(0, inf)"),
     "dataset.path": ("string | null", "-"),
     "paste.crops_per_image": ("int", "[0, 1000]"),
@@ -161,7 +161,6 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "detector.ema_alpha": ("number", "[0, 1]"),
     "oracle.fn_rate": ("number", "[0, 1]"),
     "oracle.fp_rate": ("number", "[0, 1]"),
-    "oracle.tau_ml": ("number", "[0, 1]"),
 }
 
 SECTIONS = ("toggles", "dataset", "paste", "filter", "detector", "oracle")
@@ -223,11 +222,6 @@ def _check_rules(c: ExperimentConfig) -> None:
             "dataset.max_box must lie between dataset.min_box and "
             "min(dataset.width, dataset.height) for a synthetic dataset",
         ),
-        (
-            c.oracle.tau_ml == c.filter.tau_ml,
-            f"oracle.tau_ml ({c.oracle.tau_ml}) must equal filter.tau_ml "
-            f"({c.filter.tau_ml}); leave it out to take filter.tau_ml",
-        ),
     )
     for holds, message in rules:
         if not holds:
@@ -241,8 +235,8 @@ def config_from_dict(data: dict[str, Any], *overrides: dict[str, Any]) -> Experi
 
     Every key is checked against :data:`SCHEMA`, then the cross-key rules run
     once on the result; a failure raises :class:`ConfigError` naming the key.
-    Missing keys take their defaults, except ``oracle.tau_ml``, which takes
-    ``filter.tau_ml``. The base document's ``sweep`` section is skipped.
+    Missing keys take their defaults; ``oracle.tau_ml``, not a key of its own,
+    is ``filter.tau_ml``. The base document's ``sweep`` section is skipped.
     """
     if not all(isinstance(doc, dict) for doc in (data, *overrides)):
         raise ConfigError("config document must be a JSON object")
@@ -266,7 +260,7 @@ def config_from_dict(data: dict[str, Any], *overrides: dict[str, Any]) -> Experi
             )
     filter_config = FilterConfig(**sections["filter"])
     # The oracle's low band ends where the filter's image-level gate starts.
-    sections["oracle"].setdefault("tau_ml", filter_config.tau_ml)
+    sections["oracle"]["tau_ml"] = filter_config.tau_ml
     config = ExperimentConfig(
         **top,
         **sections["toggles"],

@@ -17,29 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Instance
+from .dataset import Dataset
 from .model import Detections
 from .rebalance import Crop, SamplingDistribution
 
 
 class EmptyBankError(RuntimeError):
     """Sampling was requested but no class has any stored crop."""
-
-
-@dataclass(frozen=True)
-class CropEntry(Instance):
-    """An instance tagged with its bank and score; the loop's banks hold crop rows."""
-
-    score: float
-    origin: str  # "labeled" or "pseudo"
-
-    def __post_init__(self) -> None:
-        if self.origin not in ("labeled", "pseudo"):
-            raise ValueError(f"unknown crop origin {self.origin!r}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"crop score must be in [0, 1], got {self.score}")
-        if self.origin == "labeled" and self.score != 1.0:
-            raise ValueError("labeled crops carry score 1.0")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,7 @@ The on-disk format is a JSON object with ``images``, ``annotations`` and
 ``categories`` sections. Category ids are remapped to contiguous 1..K in input
 order; the original ids are kept on :class:`Category` so reports can echo them.
 Unknown keys anywhere in the document are ignored. An image holds its ground
-truth as ``(class_id, x, y, w, h)`` rows; :class:`BBox`, :class:`Instance` and
-:class:`Prediction` are the hand-built types of the pasting and filtering API.
+truth as ``(class_id, x, y, w, h)`` rows.
 """
 
 from __future__ import annotations
@@ -24,60 +23,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Annotation document violates a schema constraint."""
-
-
-@dataclass(frozen=True)
-class BBox:
-    """Axis-aligned box as (left, top, width, height) in pixels."""
-
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __post_init__(self) -> None:
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box sides must be positive, got w={self.w} h={self.h}")
-
-    @property
-    def x2(self) -> float:
-        return self.x + self.w
-
-    @property
-    def y2(self) -> float:
-        return self.y + self.h
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    def intersection(self, other: BBox) -> BBox | None:
-        """Overlap rectangle with ``other``, or None when disjoint."""
-        x1 = max(self.x, other.x)
-        y1 = max(self.y, other.y)
-        x2 = min(self.x2, other.x2)
-        y2 = min(self.y2, other.y2)
-        if x2 <= x1 or y2 <= y1:
-            return None
-        return BBox(x1, y1, x2 - x1, y2 - y1)
-
-
-@dataclass(frozen=True)
-class Instance:
-    """One ground-truth object: a class id and a box on a source image."""
-
-    class_id: int
-    bbox: BBox
-    source_image_id: int | str
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """One detector output: class, box and confidence score in [0, 1]."""
-
-    class_id: int
-    bbox: BBox
-    score: float
 
 
 @dataclass(frozen=True)

@@ -9,30 +9,13 @@ simulated by a noisy oracle over the record's hidden ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Prediction
-
 # Activation band [0.6, 1.0] for classes the oracle reports as present.
 _HIGH_LO, _HIGH_SPAN = 0.6, 1.0 - 0.6
-
-
-@dataclass(frozen=True)
-class ImageLevelLabel:
-    """Multi-label activations in [0, 1], one per class, for one image."""
-
-    image_id: int | str
-    activations: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(not 0.0 <= a <= 1.0 for a in self.activations):
-            raise ValueError("activations must lie in [0, 1]")
-
-    def activation(self, class_id: int) -> float:
-        return self.activations[class_id - 1]
 
 
 @dataclass(frozen=True)
@@ -75,31 +58,6 @@ def keep_mask(
         raise ValueError("two-stage filtering needs each row's activation")
     active = np.asarray(activations, dtype=float) >= config.tau_ml
     return passed | active if config.mode == "two_stage_mining" else passed & active
-
-
-def _kept(preds: Sequence[Prediction], image_label, config: FilterConfig) -> list[Prediction]:
-    acts = None if image_label is None else [image_label.activation(p.class_id) for p in preds]
-    mask = keep_mask([p.score for p in preds], acts, config)
-    return [p for p, keep in zip(preds, mask.tolist()) if keep]
-
-
-def two_stage_filter(
-    preds: Sequence[Prediction],
-    image_label: ImageLevelLabel | None,
-    config: FilterConfig,
-) -> list[Prediction]:
-    """The predictions that :func:`keep_mask` keeps, in order, in ``one_stage``
-    or ``two_stage_filtering`` mode; :func:`two_stage_mining` is the OR gate."""
-    if config.mode == "two_stage_mining":
-        raise ValueError("mining variant is handled by two_stage_mining")
-    return _kept(preds, image_label, config)
-
-
-def two_stage_mining(
-    preds: Sequence[Prediction], image_label: ImageLevelLabel, config: FilterConfig
-) -> list[Prediction]:
-    """The OR gate of :func:`keep_mask`, whatever ``config.mode`` says."""
-    return _kept(preds, image_label, replace(config, mode="two_stage_mining"))
 
 
 def oracle_activations(draws: np.ndarray, present: np.ndarray, noise: OracleNoise) -> np.ndarray:

@@ -23,8 +23,9 @@ RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 def _iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Class-aware IoU of (x, y, w, h, class) columns ``p`` and ``g``, broadcast.
 
-    The intersection is that of :meth:`BBox.intersection`. Pairs of different
-    classes are 0, which no threshold in (0, 1] matches.
+    The overlap's width is the lesser right edge ``x + w`` minus the greater
+    left edge, its height likewise. Pairs of different classes are 0, which no
+    threshold in (0, 1] matches.
     """
     px, py, pw, ph, pc = p
     gx, gy, gw, gh, gc = g

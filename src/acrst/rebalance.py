@@ -16,8 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import BBox, Instance
-
 log = logging.getLogger(__name__)
 
 # Pseudo recall assigned to classes absent from the labeled data. Large enough
@@ -96,14 +94,6 @@ class PasteConfig:
     beta: float = 2.0
 
 
-@dataclass(frozen=True)
-class PastePlacement:
-    """A crop placed at a destination box, rescaled to the box's size."""
-
-    crop: Instance
-    target_bbox: BBox
-
-
 class Mix(NamedTuple):
     """The pasted crops' classes in paste order, and each pasted box's edges
     ``(x1, y1, x2, y2)``."""
@@ -166,23 +156,10 @@ def affr_distribution(pr: Sequence[float], beta: float) -> SamplingDistribution:
     return SamplingDistribution.normalized(raw, beta)
 
 
-def visible_fraction(inst: BBox, occluders: Sequence[BBox]) -> float:
-    """Fraction of ``inst`` area not covered by the union of ``occluders``.
-
-    Exact for rectangles: the box is cut into the grid induced by all occluder
-    edges and each cell is attributed by its center point.
-    """
-    return _visible(inst.x, inst.y, inst.w, inst.h, [_edges(occ) for occ in occluders])
-
-
-def _edges(box: BBox) -> _Edges:
-    return box.x, box.y, box.x2, box.y2
-
-
 def _visible(x: float, y: float, w: float, h: float, rects: Sequence[_Edges]) -> float:
     """Visible fraction of the box ``(x, y, w, h)`` under the rectangles with
-    edges ``rects``. Each overlap's edges are as BBox.intersection gives them:
-    the right edge is ``x1 + (x2 - x1)``, which need not be x2."""
+    edges ``rects``. An overlap's right edge is its left edge plus its width,
+    ``x1 + (x2 - x1)``, which need not be x2; its bottom edge likewise."""
     ix2, iy2 = x + w, y + h
     clipped = []
     for ox1, oy1, ox2, oy2 in rects:
@@ -243,23 +220,6 @@ def occlusion_survivors(
         if vf > _FULL_OCCLUSION_EPS and vf >= occlusion_threshold:
             out.append(item)
     return out
-
-
-def merge_annotations(
-    base: Sequence[Instance],
-    pasted: Sequence[PastePlacement],
-    occlusion_threshold: float,
-) -> list[Instance]:
-    """Combine base and pasted annotations after occlusion bookkeeping.
-
-    Pasted instances sit on top and are always kept, in paste order. A base
-    instance survives when its visible fraction is at least the threshold;
-    fully occluded instances are dropped regardless of threshold.
-    """
-    merged = [Instance(p.crop.class_id, p.target_bbox, p.crop.source_image_id) for p in pasted]
-    rows = [(inst, inst.bbox.x, inst.bbox.y, inst.bbox.w, inst.bbox.h) for inst in base]
-    rects = [_edges(p.target_bbox) for p in pasted]
-    return merged + occlusion_survivors(rows, rects, occlusion_threshold)
 
 
 def fbr_mix(

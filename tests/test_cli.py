@@ -289,6 +289,22 @@ class TestRun:
         assert ("paste.rescale_min" in capsys.readouterr().err) == (code == 2)
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize("width, code", [(1e-200, 2), (20, 0)])
+    def test_min_box_floor_is_checked_at_parse_time(self, tmp_path, capsys, width, code):
+        # The example corpus scaled to ``width``: at 1e-200 px a run once
+        # failed mid-way on a division by zero; at 20 px min_box is 1 px.
+        config = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        del config["sweep"]
+        scale = width / 640
+        sides = {"width": 640, "height": 480, "min_box": 32, "max_box": 160}
+        config["dataset"].update({key: side * scale for key, side in sides.items()})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == code
+        assert ("dataset.min_box" in capsys.readouterr().err) == (code == 2)
+        assert out.exists() == (code == 0)
+
     def test_missing_annotation_file_exits_two(self, tmp_path, capsys):
         config = write_config(
             tmp_path, dataset={"type": "coco_json", "path": str(tmp_path / "gone.json")}

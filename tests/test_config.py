@@ -27,9 +27,10 @@ class TestOracleTauMl:
         config = config_from_dict({})
         assert config.oracle.tau_ml == config.filter.tau_ml == 0.2
 
-    def test_equal_explicit_values_accepted(self):
-        config = config_from_dict({"filter": {"tau_ml": 0.3}, "oracle": {"tau_ml": 0.3}})
-        assert config.oracle.tau_ml == 0.3
+    def test_equal_explicit_value_rejected(self):
+        # oracle.tau_ml is filter.tau_ml, so it is no key of its own.
+        with pytest.raises(ConfigError, match=r"oracle\.tau_ml"):
+            config_from_dict({"filter": {"tau_ml": 0.3}, "oracle": {"tau_ml": 0.3}})
 
     @pytest.mark.parametrize(
         "data",
@@ -203,7 +204,9 @@ class TestSchema:
                 want.add(f"toggles.{f.name}")
             else:
                 want.add(f.name)
-        assert set(SCHEMA) == want
+        # Derived, not a key: the oracle's low band ends at the filter's gate.
+        assert set(SCHEMA) == want - {"oracle.tau_ml"}
+        assert config.oracle.tau_ml == config.filter.tau_ml
 
     def test_readme_rows_equal_the_table(self):
         text = README.read_text(encoding="utf-8")

@@ -4,15 +4,15 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acrst.api import BBox, CropEntry, Instance
 from acrst.cropbank import (
     CropBank,
-    CropEntry,
     EmptyBankError,
     build_labeled_bank,
     refresh_pseudo_bank,
     sample_crops,
 )
-from acrst.dataset import BBox, Instance, parse_coco_annotations
+from acrst.dataset import parse_coco_annotations
 from acrst.model import Detections
 from acrst.rebalance import SamplingDistribution
 

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acrst.api import BBox, Instance
 from acrst.cropbank import build_labeled_bank
 from acrst.dataset import (
-    BBox,
     Category,
     Dataset,
     ImageRecord,
-    Instance,
     ParseError,
     ValidationError,
     parse_coco_annotations,

@@ -24,3 +24,26 @@ def test_public_names_are_the_acceptance_imports():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == acceptance_imports()
+
+
+def acrst_imports(path):
+    """Short names of the acrst modules that a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("acrst" if node.level else "", node.module)))
+            dotted = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in dotted if name.startswith("acrst.")}
+    return found
+
+
+def test_only_the_package_imports_the_object_api():
+    # The loop speaks rows: the API's object types stay out of its modules.
+    src = Path(acrst.__file__).parent
+    importers = {path.name for path in src.glob("*.py") if "api" in acrst_imports(path)}
+    assert importers == {"__init__.py"}
+    assert not acrst_imports(src / "api.py") & {"cli", "simloop", "model", "metrics"}

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acrst.api import BBox, ImageLevelLabel, Prediction, two_stage_filter, two_stage_mining
 from acrst.config import ConfigError, ExperimentConfig, config_from_dict
-from acrst.dataset import BBox, Category, Dataset, ImageRecord, Prediction
-from acrst.filtering import (
-    FilterConfig,
-    ImageLevelLabel,
-    OracleNoise,
-    keep_mask,
-    oracle_activations,
-    two_stage_filter,
-    two_stage_mining,
-)
+from acrst.dataset import Category, Dataset, ImageRecord
+from acrst.filtering import FilterConfig, OracleNoise, keep_mask, oracle_activations
 from acrst.model import Detections, DetectorParams, detect
 from acrst.simloop import label_pass
 

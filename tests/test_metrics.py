@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst.dataset import BBox, Instance, Prediction
+from acrst.api import BBox, Instance, Prediction
 from acrst.metrics import (
     AP_THRESHOLDS,
     RECALL_POINTS,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst.dataset import BBox, ClassCdfs, ImageRecord, Instance, Prediction
+from acrst.api import BBox, Instance, Prediction
+from acrst.dataset import ClassCdfs, ImageRecord
 from acrst.model import (
     CONFUSION_FLOOR,
     PARTIAL_FLOOR,

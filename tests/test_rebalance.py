@@ -7,20 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from acrst.dataset import BBox, ImageRecord, Instance
+from acrst.api import BBox, Instance, PastePlacement, merge_annotations, visible_fraction
+from acrst.dataset import ImageRecord
 from acrst.rebalance import (
     LABELED_ABSENT_PR,
     ClassStats,
     Mix,
     PasteConfig,
-    PastePlacement,
     SamplingDistribution,
     affr_distribution,
     fbr_mix,
-    merge_annotations,
     occlusion_survivors,
     pseudo_recall,
-    visible_fraction,
 )
 
 

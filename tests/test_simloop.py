@@ -5,19 +5,13 @@ import math
 
 import pytest
 
+from acrst.api import BBox, ImageLevelLabel, Instance, PastePlacement
 from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
 from acrst.cropbank import build_labeled_bank
-from acrst.dataset import (
-    BBox,
-    Dataset,
-    ImageRecord,
-    Instance,
-    parse_coco_annotations,
-    split_standard,
-)
-from acrst.filtering import FilterConfig, ImageLevelLabel, OracleNoise
+from acrst.dataset import Dataset, ImageRecord, parse_coco_annotations, split_standard
+from acrst.filtering import FilterConfig, OracleNoise
 from acrst.model import LossBreakdown
-from acrst.rebalance import PastePlacement, SamplingDistribution, affr_distribution
+from acrst.rebalance import SamplingDistribution, affr_distribution
 from acrst.seeding import derive_seed, substream
 from acrst.simloop import (
     EPOCH_CSV_COLUMNS,
