@@ -111,6 +111,9 @@ class ExperimentConfig:
         """Plain-dict echo of the full effective configuration."""
         out = asdict(self)
         out["toggles"] = {name: out.pop(name) for name in TOGGLES}
+        # The oracle's low band ends at the filter's tau_ml, its one owner;
+        # the echo repeats it under the oracle, so reports keep that key.
+        out["oracle"]["tau_ml"] = self.filter.tau_ml
         return out
 
 
@@ -235,8 +238,8 @@ def config_from_dict(data: dict[str, Any], *overrides: dict[str, Any]) -> Experi
 
     Every key is checked against :data:`SCHEMA`, then the cross-key rules run
     once on the result; a failure raises :class:`ConfigError` naming the key.
-    Missing keys take their defaults; ``oracle.tau_ml``, not a key of its own,
-    is ``filter.tau_ml``. The base document's ``sweep`` section is skipped.
+    Missing keys take their defaults. The base document's ``sweep`` section
+    is skipped.
     """
     if not all(isinstance(doc, dict) for doc in (data, *overrides)):
         raise ConfigError("config document must be a JSON object")
@@ -258,15 +261,12 @@ def config_from_dict(data: dict[str, Any], *overrides: dict[str, Any]) -> Experi
             raise ConfigError(
                 f"config section '{key}' must be a JSON object, got {type(value).__name__}"
             )
-    filter_config = FilterConfig(**sections["filter"])
-    # The oracle's low band ends where the filter's image-level gate starts.
-    sections["oracle"]["tau_ml"] = filter_config.tau_ml
     config = ExperimentConfig(
         **top,
         **sections["toggles"],
         dataset=DatasetConfig(**sections["dataset"]),
         paste=PasteConfig(**sections["paste"]),
-        filter=filter_config,
+        filter=FilterConfig(**sections["filter"]),
         detector=DetectorConfig(**sections["detector"]),
         oracle=OracleNoise(**sections["oracle"]),
     )

@@ -16,6 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+# The detector's minimal box side in px, and so the smallest annotated side.
+MIN_BOX_SIDE = 1e-3
+
 
 class ParseError(ValueError):
     """Annotation document is not valid JSON or misses a required section."""
@@ -160,8 +163,9 @@ def parse_coco_annotations(text: str) -> Dataset:
 
     Raises :class:`ParseError` for malformed JSON or a missing or non-list
     section and :class:`ValidationError` for schema violations, such as no
-    category, a record that is not an object, an image side outside (0, 1e9]
-    or a box value that is not a finite number; messages name the record. Use
+    category, a record that is not an object, an image side outside [1, 1e9],
+    a box value that is not a finite number or a box side below
+    :data:`MIN_BOX_SIDE`; messages name the record. Use
     :func:`split_standard` to divide the images into a labeled and an
     unlabeled side.
     """
@@ -204,9 +208,10 @@ def parse_coco_annotations(text: str) -> Dataset:
             raise ValidationError(f"duplicate image id {image_id}")
         if type(width) not in _NUMBER or type(height) not in _NUMBER:
             raise ValidationError(f"image {image_id} width and height must be numbers")
-        # Positive comparisons, so that NaN fails them too; the cap keeps areas finite.
-        if not (0 < width <= 1e9 and 0 < height <= 1e9):
-            raise ValidationError(f"image {image_id} width and height must be in (0, 1e9]")
+        # Positive comparisons, so that NaN fails them too. The floor is the
+        # synthetic images' and keeps areas above 0; the cap keeps them finite.
+        if not (1 <= width <= 1e9 and 1 <= height <= 1e9):
+            raise ValidationError(f"image {image_id} width and height must be in [1, 1e9]")
         image_meta[image_id] = (float(width), float(height))
         image_order.append(image_id)
 
@@ -239,8 +244,10 @@ def parse_coco_annotations(text: str) -> Dataset:
             raise ValidationError(f"annotation {ann_id} bbox {bbox} exceeds a double") from None
         # Positive comparisons, so that NaN fails them; the image is finite,
         # so an infinite side or corner fails the bounds.
-        if not (w > 0 and h > 0):
-            raise ValidationError(f"annotation {ann_id} box sides must be positive, got {bbox}")
+        if not (w >= MIN_BOX_SIDE and h >= MIN_BOX_SIDE):
+            raise ValidationError(
+                f"annotation {ann_id} box sides must be at least {MIN_BOX_SIDE}, got {bbox}"
+            )
         width, height = image_meta[image_id]
         if not (x >= 0 and y >= 0 and x + w <= width and y + h <= height):
             raise ValidationError(f"annotation {ann_id} box {bbox} is not inside image {image_id}")

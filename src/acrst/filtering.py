@@ -36,12 +36,10 @@ class OracleNoise:
 
     ``fn_rate`` is the chance a present class activates in the low band,
     ``fp_rate`` the chance an absent class activates in the high band.
-    ``tau_ml`` bounds the low band from above.
     """
 
     fn_rate: float = 0.1
     fp_rate: float = 0.1
-    tau_ml: float = 0.2
 
 
 def keep_mask(
@@ -60,7 +58,9 @@ def keep_mask(
     return passed | active if config.mode == "two_stage_mining" else passed & active
 
 
-def oracle_activations(draws: np.ndarray, present: np.ndarray, noise: OracleNoise) -> np.ndarray:
+def oracle_activations(
+    draws: np.ndarray, present: np.ndarray, noise: OracleNoise, tau_ml: float
+) -> np.ndarray:
     """Image-level activations of classes from their oracle doubles: each pair
     along the last axis of ``draws`` is a class's band test then band value on
     one image, and ``present`` says whether the class is in that image's ground
@@ -68,9 +68,10 @@ def oracle_activations(draws: np.ndarray, present: np.ndarray, noise: OracleNois
 
     Present classes draw from the high band [0.6, 1.0] unless a false negative
     fires; absent classes draw from the low band [0, tau_ml) unless a false
-    positive fires.
+    positive fires. The loop passes the filter's ``tau_ml``, so the low band
+    ends where the image-level gate starts.
     """
     test, value = draws[..., 0], draws[..., 1]
     high = np.where(present, test >= noise.fn_rate, test < noise.fp_rate)
     # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` computes.
-    return np.where(high, _HIGH_LO + _HIGH_SPAN * value, 0.0 + (noise.tau_ml - 0.0) * value)
+    return np.where(high, _HIGH_LO + _HIGH_SPAN * value, 0.0 + (tau_ml - 0.0) * value)

@@ -17,15 +17,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import ClassCdfs, ImageRecord
+from .dataset import MIN_BOX_SIDE, ClassCdfs, ImageRecord
 
 # Decay floors: confusion and partial-box rates never fall below these.
 CONFUSION_FLOOR = 0.01
 PARTIAL_FLOOR = 0.01
 
-_MODES = ("supervised", "unsup_cls_only", "unsup_selective")
 _LOG_CLAMP = 1e-12
-_MIN_SIDE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -150,11 +148,11 @@ def detect(
     confusion targets and false-positive classes are drawn by.
     """
     recall, score_bases = params.recall_skill, params.score_bases
-    confuses, min_side = len(recall) > 1, _MIN_SIDE
+    confuses, min_side = len(recall) > 1, MIN_BOX_SIDE
     partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
     loc_scale = (1.0 - params.loc_skill) * 0.1
     width, height = record.width, record.height
-    x1_max, y1_max = width - _MIN_SIDE, height - _MIN_SIDE
+    x1_max, y1_max = width - MIN_BOX_SIDE, height - MIN_BOX_SIDE
     random, standard_normal = rng.random, rng.standard_normal
     add_class, add_x, add_y = out.class_id.append, out.x.append, out.y.append
     add_w, add_h, add_score = out.w.append, out.h.append, out.score.append
@@ -272,42 +270,34 @@ def _safe_log(p: float) -> float:
 
 def batch_loss(
     params: DetectorParams,
-    images: Sequence[tuple[Sequence[int], int]],
+    images: Sequence[Sequence[int]],
     budget: int,
-    mode: str,
+    n_reg: int,
 ) -> LossBreakdown:
     """Compose the four detector loss terms for one batch of images.
 
-    Each image contributes one foreground proposal per instance, in order,
-    then ``max(budget - n_instances, 0)`` background proposals. ``images``
-    holds one ``(class_ids, n_pasted)`` pair per image, a class id per
-    instance; the first ``n_pasted`` are pasted crops. Foreground scores
+    ``images`` holds each image's class ids, one per instance. Each image
+    contributes one foreground proposal per instance, in order, then
+    ``max(budget - n_instances, 0)`` background proposals. Foreground scores
     reflect the student's current skill on the instance's class, so losses
     fall as it improves.
 
     rpn_cls is binary cross-entropy of objectness against the fg/bg
     assignment; roi_cls is cross-entropy of the assigned class (background
     for background proposals). Regression terms average smooth-L1 over the
-    box residuals of foreground proposals: all of them in ``supervised``
-    mode, none in ``unsup_cls_only``, and only pasted ones in
-    ``unsup_selective``. Every proposal of a class scores alike, so each
-    distinct log term is taken once per batch and the per-proposal terms are
-    summed in proposal order.
+    box residuals of the ``n_reg`` foreground proposals that carry regression
+    targets; the caller decides which those are. Every proposal of a class
+    scores alike, so each distinct log term is taken once per batch and the
+    per-proposal terms are summed in proposal order.
     """
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     k = params.n_classes
     term_index: list[int] = []  # a class id, or k + 1 for the background term
     repeats: list[int] = []
-    n_fg = 0
-    n_pasted = 0
-    for class_ids, n_image_pasted in images:
+    for class_ids in images:
         term_index.extend(class_ids)
         repeats.extend([1] * len(class_ids))
         term_index.append(k + 1)
         repeats.append(max(budget - len(class_ids), 0))
-        n_fg += len(class_ids)
-        n_pasted += n_image_pasted
     n_targets = sum(repeats)
     if not n_targets:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -336,12 +326,6 @@ def batch_loss(
     rpn_cls = mean_nll(objectness_logs)
     roi_cls = mean_nll(class_logs)
 
-    if mode == "supervised":
-        n_reg = n_fg
-    elif mode == "unsup_selective":
-        n_reg = n_pasted
-    else:
-        n_reg = 0
     if n_reg:
         delta = (1.0 - params.loc_skill) * 0.1
         per_target = sum(smooth_l1(d) for d in (delta, delta, delta, delta))

@@ -55,10 +55,9 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class SamplingDistribution:
-    """Normalized class sampling weights plus the exponent that built them."""
+    """Normalized class sampling weights."""
 
     mu: tuple[float, ...]
-    beta: float
 
     def __post_init__(self) -> None:
         if not self.mu:
@@ -69,18 +68,18 @@ class SamplingDistribution:
             raise ValueError("sampling weights must sum to 1")
 
     @classmethod
-    def normalized(cls, weights: Sequence[float], beta: float) -> "SamplingDistribution":
+    def normalized(cls, weights: Sequence[float]) -> "SamplingDistribution":
         w = np.asarray(weights, dtype=float)
         total = w.sum()
         if total <= 0.0:
             raise ValueError("cannot normalize an all-zero weight vector")
-        return cls(mu=tuple((w / total).tolist()), beta=beta)
+        return cls(mu=tuple((w / total).tolist()))
 
     @classmethod
     def uniform(cls, n_classes: int) -> "SamplingDistribution":
         if n_classes < 1:
             raise ValueError("need at least one class")
-        return cls(mu=(1.0 / n_classes,) * n_classes, beta=0.0)
+        return cls(mu=(1.0 / n_classes,) * n_classes)
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def affr_distribution(pr: Sequence[float], beta: float) -> SamplingDistribution:
     if raw.sum() <= 0.0:
         log.warning("degenerate sampling weights; falling back to uniform sampling")
         return SamplingDistribution.uniform(k)
-    return SamplingDistribution.normalized(raw, beta)
+    return SamplingDistribution.normalized(raw)
 
 
 def _visible(x: float, y: float, w: float, h: float, rects: Sequence[_Edges]) -> float:

@@ -187,9 +187,10 @@ def label_pass(
     a two-stage filter mode the oracle's two doubles per class, and, given
     ``paste`` (a bank and its sampling distribution), the image's crops and
     their placements. One array pass then sets each row's oracle activation,
-    against :attr:`Dataset.class_presence`, and its keep bit. With the
-    ``two_stage`` toggle off, filtering is by score alone. Returns the
-    detection columns, the keep bits and, when pasting, each image's paste.
+    against :attr:`Dataset.class_presence` and with the filter's ``tau_ml``
+    as the low band's edge, and its keep bit. With the ``two_stage`` toggle
+    off, filtering is by score alone. Returns the detection columns, the keep
+    bits and, when pasting, each image's paste.
     """
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     two_stage = fcfg.mode != "one_stage"
@@ -208,7 +209,7 @@ def label_pass(
         image = np.repeat(np.arange(len(indices)), dets.counts)
         cls = np.array(dets.class_id, dtype=np.intp) - 1
         present = dataset.class_presence[np.asarray(indices, dtype=np.intp)[image], cls]
-        activations = oracle_activations(draws[image, cls], present, config.oracle)
+        activations = oracle_activations(draws[image, cls], present, config.oracle, fcfg.tau_ml)
     return dets, keep_mask(dets.score, activations, fcfg), mixes
 
 
@@ -228,7 +229,6 @@ def run_epoch(
     k = labeled.num_classes
     n_lab, n_unl = len(labeled.images), len(unlabeled.images)
     budget, occlusion_threshold = config.proposal_budget, config.paste.occlusion_threshold
-    unsup_mode = "unsup_selective" if config.selective_supervision else "unsup_cls_only"
     labeled_counts = labeled.class_counts
 
     # The sampling distribution is fixed for the epoch: the bank only changes
@@ -259,34 +259,34 @@ def run_epoch(
     for _ in range(config.batches_per_epoch):
         batch = rng.choice(n_unl, size=min(config.unlabeled_batch, n_unl), replace=False).tolist()
         dets, keep, mixes = label_pass(teacher, unlabeled, batch, rng, config, cdfs, paste)
-        # Per image, its class ids with the pasted ones first, and how many were pasted.
-        unsup_images: list[tuple[list[int], int]] = []
+        # Per image, its class ids with the pasted ones first.
+        unsup_images: list[list[int]] = []
         rows, bits = dets.rows(), iter(keep.tolist())
         for j, n in enumerate(dets.counts):
             kept = list(compress(islice(rows, n), islice(bits, n)))
             if paste:
                 mix = mixes[j]
                 survivors = occlusion_survivors(kept, mix.placements, occlusion_threshold)
-                class_ids, n_pasted = mix.class_ids + survivors, len(mix.placements)
+                class_ids = mix.class_ids + survivors
             else:
-                class_ids, n_pasted = [row[0] for row in kept], 0
-            unsup_images.append((class_ids, n_pasted))
+                class_ids = [row[0] for row in kept]
+            unsup_images.append(class_ids)
             fg_total += len(class_ids)
             bg_total += max(budget - len(class_ids), 0)
-        pasted = [c for class_ids, n in unsup_images for c in class_ids[:n]]
+        pasted = [c for mix in mixes for c in mix.class_ids]
         pasted_total += _class_counts(pasted, k)
 
         lab_idx = rng.choice(n_lab, size=min(config.labeled_batch, n_lab), replace=False)
-        lab_images = [([row[0] for row in labeled.images[int(i)].truth_rows], 0) for i in lab_idx]
-        sup_losses.append(batch_loss(student, lab_images, budget, "supervised"))
-        unsup_losses.append(batch_loss(student, unsup_images, budget, unsup_mode))
-
-        exposure = _class_counts([c for ids, _ in lab_images + unsup_images for c in ids], k)
-        # Labeled instances always carry regression supervision; pasted crops
+        lab_images = [[row[0] for row in labeled.images[int(i)].truth_rows] for i in lab_idx]
+        # Labeled instances always carry regression targets; pasted crops
         # join them only under selective supervision.
-        reg_targets = sum(len(ids) for ids, _ in lab_images)
-        reg_targets += len(pasted) if config.selective_supervision else 0
-        student = student_update(student, exposure, reg_targets, config.detector.lr)
+        lab_reg = sum(map(len, lab_images))
+        unsup_reg = len(pasted) if config.selective_supervision else 0
+        sup_losses.append(batch_loss(student, lab_images, budget, lab_reg))
+        unsup_losses.append(batch_loss(student, unsup_images, budget, unsup_reg))
+
+        exposure = _class_counts([c for ids in lab_images + unsup_images for c in ids], k)
+        student = student_update(student, exposure, lab_reg + unsup_reg, config.detector.lr)
         teacher = ema_update(teacher, student, config.detector.ema_alpha)
         exposure_total += exposure
 

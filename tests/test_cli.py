@@ -305,6 +305,48 @@ class TestRun:
         assert ("dataset.min_box" in capsys.readouterr().err) == (code == 2)
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize(
+        "width, box, code, named",
+        [
+            (1e-200, None, 2, "image 1"),
+            (1e-100, None, 2, "image 1"),
+            (640, 1e-300, 2, "annotation 1"),
+            (2, None, 0, None),
+            (640, 1e-3, 0, None),
+        ],
+    )
+    def test_coco_side_floors_are_checked_at_parse_time(
+        self, tmp_path, capsys, width, box, code, named
+    ):
+        # 60 images of 640 x 480 scaled to ``width``, one box each: at 1e-200
+        # px a run once failed mid-way on a division by zero, and at 1e-100
+        # px, or with a 1e-300 px box, it scored ap50 0.0. From 1 px image
+        # sides and 1e-3 px box sides on, every run scores as at 640 px.
+        s = width / 640
+        bbox = [50 * s, 40 * s, 100 * s, 80 * s] if box is None else [50, 40, box, box]
+        coco = {
+            "images": [{"id": i, "width": 640 * s, "height": 480 * s} for i in range(1, 61)],
+            "annotations": [
+                {"id": i, "image_id": i, "category_id": i % 3 + 1, "bbox": bbox}
+                for i in range(1, 61)
+            ],
+            "categories": [{"id": c, "name": f"c{c}"} for c in (1, 2, 3)],
+        }
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps(coco), encoding="utf-8")
+        config = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        del config["sweep"]
+        config.update(epochs=8, dataset={"type": "coco_json", "path": str(ann)})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == code
+        if named:
+            assert named in capsys.readouterr().err and not out.exists()
+        else:
+            report = json.loads((out / "report.json").read_text())
+            assert round(report["summary"]["final"]["ap50"], 4) == 0.7651
+
     def test_missing_annotation_file_exits_two(self, tmp_path, capsys):
         config = write_config(
             tmp_path, dataset={"type": "coco_json", "path": str(tmp_path / "gone.json")}

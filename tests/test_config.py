@@ -16,16 +16,17 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestOracleTauMl:
-    """The oracle's low band and the filter's image-level gate share tau_ml."""
+    """The oracle's low band and the filter's image-level gate share tau_ml:
+    the filter owns it, and the echo repeats it under the oracle."""
 
     def test_absent_oracle_tau_ml_takes_filter_tau_ml(self):
         config = config_from_dict({"filter": {"tau_ml": 0.05}, "oracle": {"fn_rate": 0.1}})
-        assert config.oracle.tau_ml == 0.05
+        assert config.to_dict()["oracle"]["tau_ml"] == 0.05
         assert config.oracle.fn_rate == 0.1
 
     def test_absent_sections_share_the_default(self):
-        config = config_from_dict({})
-        assert config.oracle.tau_ml == config.filter.tau_ml == 0.2
+        echo = config_from_dict({}).to_dict()
+        assert echo["oracle"]["tau_ml"] == echo["filter"]["tau_ml"] == 0.2
 
     def test_equal_explicit_value_rejected(self):
         # oracle.tau_ml is filter.tau_ml, so it is no key of its own.
@@ -146,7 +147,8 @@ class TestOverrides:
 
     def test_oracle_tau_ml_follows_the_merged_filter(self):
         config = config_from_dict({"filter": {"tau_ml": 0.2}}, {"filter": {"tau_ml": 0.3}})
-        assert config.oracle.tau_ml == config.filter.tau_ml == 0.3
+        echo = config.to_dict()
+        assert echo["oracle"]["tau_ml"] == echo["filter"]["tau_ml"] == 0.3
 
     @pytest.mark.parametrize(
         "override, named",
@@ -204,9 +206,10 @@ class TestSchema:
                 want.add(f"toggles.{f.name}")
             else:
                 want.add(f.name)
-        # Derived, not a key: the oracle's low band ends at the filter's gate.
-        assert set(SCHEMA) == want - {"oracle.tau_ml"}
-        assert config.oracle.tau_ml == config.filter.tau_ml
+        assert set(SCHEMA) == want
+        # Echoed, not a field: the oracle's low band ends at the filter's gate.
+        echo = config.to_dict()
+        assert echo["oracle"]["tau_ml"] == echo["filter"]["tau_ml"]
 
     def test_readme_rows_equal_the_table(self):
         text = README.read_text(encoding="utf-8")

@@ -122,7 +122,7 @@ class TestRefresh:
 class TestSampling:
     def test_one_hot_distribution(self):
         bank = CropBank(labeled_bank=rows([entry(1), entry(2), entry(2)]))
-        dist = SamplingDistribution(mu=(0.0, 1.0), beta=2.0)
+        dist = SamplingDistribution(mu=(0.0, 1.0))
         rng = np.random.default_rng(0)
         crops = sample_crops(bank, dist, 50, rng)
         assert len(crops) == 50
@@ -130,7 +130,7 @@ class TestSampling:
 
     def test_renormalizes_over_available_classes(self):
         bank = CropBank(labeled_bank=rows([entry(1)]))
-        dist = SamplingDistribution(mu=(0.1, 0.9), beta=2.0)
+        dist = SamplingDistribution(mu=(0.1, 0.9))
         crops = sample_crops(bank, dist, 20, np.random.default_rng(1))
         assert all(c[0] == 1 for c in crops)
 
@@ -151,7 +151,7 @@ class TestSampling:
 
     def test_zero_weight_on_available_classes_raises(self):
         bank = CropBank(labeled_bank=rows([entry(1)]))
-        dist = SamplingDistribution(mu=(0.0, 1.0), beta=2.0)
+        dist = SamplingDistribution(mu=(0.0, 1.0))
         with pytest.raises(ValueError):
             sample_crops(bank, dist, 1, np.random.default_rng(0))
 
@@ -175,7 +175,7 @@ class TestSampling:
             labeled_bank=rows(entry(k) for k in (1, 1, 1, 2, 3, 3)),
             pseudo_bank=rows([pseudo(k) for k in (2, 4)]),
         )
-        dist = SamplingDistribution(mu=(0.4, 0.3, 0.2, 0.1), beta=2.0)
+        dist = SamplingDistribution(mu=(0.4, 0.3, 0.2, 0.1))
         n = 100_000
         crops = sample_crops(bank, dist, n, np.random.default_rng(123))
         observed = np.bincount([c[0] for c in crops], minlength=5)[1:]
@@ -271,7 +271,7 @@ def _bank_and_distributions(draw):
     for _ in range(draw(st.integers(1, 3))):
         raw = draw(st.lists(weight, min_size=k, max_size=k))
         if sum(raw) > 0:
-            dists.append(SamplingDistribution.normalized(raw, 1.0))
+            dists.append(SamplingDistribution.normalized(raw))
         else:
             dists.append(SamplingDistribution.uniform(k))
     return labeled, pseudo_labels, dists
@@ -292,13 +292,13 @@ class TestSampleEquivalence:
         case=(
             tuple(entry(k, image_id=k) for k in (1, 2, 3)),
             [],
-            [SamplingDistribution(mu=(0.5, 0.0, 0.5), beta=1.0)],
+            [SamplingDistribution(mu=(0.5, 0.0, 0.5))],
         ),
         sizes=[0, 5, 5],
         seed=1,
     )
     @example(
-        case=((entry(1, image_id=0),), [], [SamplingDistribution(mu=(0.0, 1.0), beta=1.0)]),
+        case=((entry(1, image_id=0),), [], [SamplingDistribution(mu=(0.0, 1.0))]),
         sizes=[1, 1],
         seed=2,
     )
@@ -308,7 +308,7 @@ class TestSampleEquivalence:
         case=(
             (entry(1, image_id=0), entry(1, image_id=1)),
             [pseudo(2, image_id=100), pseudo(3, image_id=101), pseudo(2, image_id=102)],
-            [SamplingDistribution(mu=(0.2, 0.5, 0.3), beta=1.0)],
+            [SamplingDistribution(mu=(0.2, 0.5, 0.3))],
         ),
         sizes=[9, 9, 9],
         seed=3,

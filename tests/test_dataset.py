@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from acrst.api import BBox, Instance
 from acrst.cropbank import build_labeled_bank
 from acrst.dataset import (
+    MIN_BOX_SIDE,
     Category,
     Dataset,
     ImageRecord,
@@ -126,6 +127,16 @@ class TestParse:
                          id="width-1e160"),
             pytest.param(lambda d: d["images"][0].update(height=10**9 + 1), "image 10",
                          id="height-past-1e9"),
+            # Below 1 px, the synthetic floor, a run could score 0.0 or fail mid-way.
+            pytest.param(lambda d: d["images"][0].update(width=0.999), "image 10 width",
+                         id="width-below-1"),
+            pytest.param(lambda d: d["images"][1].update(height=1e-200), "image 11 width",
+                         id="height-1e-200"),
+            # Below the detector's minimal side a box could never be matched.
+            pytest.param(lambda d: d["annotations"][0].update(bbox=[5, 5, 1e-300, 10]),
+                         "annotation 1", id="box-width-1e-300"),
+            pytest.param(lambda d: d["annotations"][1].update(bbox=[30, 20, 40, 9e-4]),
+                         "annotation 2", id="box-height-below-min-side"),
             # With no category a run once failed mid-way, building its detector.
             pytest.param(lambda d: d.update(annotations=[], categories=[]),
                          "annotation document has no categories", id="no-categories"),
@@ -174,6 +185,15 @@ class TestParse:
         doc = json.loads(coco_text)
         doc["images"][1].update(width=1e9, height=1e9)
         assert parse_coco_annotations(json.dumps(doc)).images[1].width == 1e9
+
+    def test_smallest_sides_accepted(self, coco_text):
+        doc = json.loads(coco_text)
+        doc["images"][0].update(width=1, height=1)
+        doc["annotations"] = [{"id": 1, "image_id": 10, "category_id": 7,
+                               "bbox": [0, 0, MIN_BOX_SIDE, MIN_BOX_SIDE]}]
+        record = parse_coco_annotations(json.dumps(doc)).images[0]
+        assert (record.width, record.height) == (1.0, 1.0)
+        assert record.truth_rows == ((1, 0.0, 0.0, MIN_BOX_SIDE, MIN_BOX_SIDE),)
 
     def test_unknown_keys_ignored(self, coco_text):
         doc = json.loads(coco_text)

@@ -167,12 +167,13 @@ class TestKeepMaskEquivalence:
         assert two_stage_mining(preds, label, config) == _ref_two_stage_mining(preds, label, config)
 
 
-def oracle_label(record, noise, rng, n_classes):
+def oracle_label(record, noise, rng, n_classes, tau_ml):
     """One image's validated label: :func:`oracle_activations` of every class,
-    from two doubles per class drawn in one call, as the label pass draws them."""
+    from two doubles per class drawn in one call, as the label pass draws them,
+    with ``tau_ml`` as the low band's edge."""
     classes = {row[0] for row in record.truth_rows}
     present = np.array([c in classes for c in range(1, n_classes + 1)], dtype=bool)
-    activations = oracle_activations(rng.random((n_classes, 2)), present, noise)
+    activations = oracle_activations(rng.random((n_classes, 2)), present, noise, tau_ml)
     return ImageLevelLabel(record.id, tuple(activations.tolist()))
 
 
@@ -182,40 +183,40 @@ class TestOracle:
         return ImageRecord(id=image_id, width=100, height=100, truth_rows=rows)
 
     def test_noiseless_bands(self):
-        noise = OracleNoise(fn_rate=0.0, fp_rate=0.0, tau_ml=0.2)
+        noise = OracleNoise(fn_rate=0.0, fp_rate=0.0)
         rng = np.random.default_rng(0)
         rec = self.record([1, 3])
-        lab = oracle_label(rec, noise, rng, n_classes=4)
+        lab = oracle_label(rec, noise, rng, n_classes=4, tau_ml=0.2)
         assert 0.6 <= lab.activation(1) <= 1.0
         assert lab.activation(2) < 0.2
         assert 0.6 <= lab.activation(3) <= 1.0
         assert lab.activation(4) < 0.2
 
     def test_low_band_bounded_by_tau_ml(self):
-        noise = OracleNoise(fn_rate=0.0, fp_rate=0.0, tau_ml=0.05)
+        noise = OracleNoise(fn_rate=0.0, fp_rate=0.0)
         rng = np.random.default_rng(1)
         rec = self.record([1])
         for _ in range(200):
-            lab = oracle_label(rec, noise, rng, n_classes=2)
+            lab = oracle_label(rec, noise, rng, n_classes=2, tau_ml=0.05)
             assert lab.activation(2) < 0.05
 
     def test_error_rates_within_two_percent(self):
-        noise = OracleNoise(fn_rate=0.1, fp_rate=0.3, tau_ml=0.2)
+        noise = OracleNoise(fn_rate=0.1, fp_rate=0.3)
         rng = np.random.default_rng(2)
         rec = self.record([1])
         n = 20_000
         fn = fp = 0
         for _ in range(n):
-            lab = oracle_label(rec, noise, rng, n_classes=2)
+            lab = oracle_label(rec, noise, rng, n_classes=2, tau_ml=0.2)
             fn += lab.activation(1) < 0.2
             fp += lab.activation(2) >= 0.6
         assert abs(fn / n - 0.1) < 0.02
         assert abs(fp / n - 0.3) < 0.02
 
     def test_always_fn_always_fp(self):
-        noise = OracleNoise(fn_rate=1.0, fp_rate=1.0, tau_ml=0.2)
+        noise = OracleNoise(fn_rate=1.0, fp_rate=1.0)
         rng = np.random.default_rng(3)
-        lab = oracle_label(self.record([1]), noise, rng, n_classes=2)
+        lab = oracle_label(self.record([1]), noise, rng, n_classes=2, tau_ml=0.2)
         assert lab.activation(1) < 0.2
         assert lab.activation(2) >= 0.6
 
@@ -224,7 +225,7 @@ class TestOracle:
             config_from_dict({"oracle": {"fn_rate": 1.5}})
 
 
-def _per_class_oracle_labels(record, noise, rng, n_classes):
+def _per_class_oracle_labels(record, noise, rng, n_classes, tau_ml):
     """Reference oracle: one scalar draw for each band test and band value."""
     present = {row[0] for row in record.truth_rows}
     activations = []
@@ -236,7 +237,7 @@ def _per_class_oracle_labels(record, noise, rng, n_classes):
         if high:
             activations.append(float(rng.uniform(0.6, 1.0)))
         else:
-            activations.append(float(rng.uniform(0.0, noise.tau_ml)))
+            activations.append(float(rng.uniform(0.0, tau_ml)))
     return ImageLevelLabel(image_id=record.id, activations=tuple(activations))
 
 
@@ -255,13 +256,13 @@ def _read(label, n_classes, order):
     return tuple(read[c] for c in range(1, n_classes + 1))
 
 
-def _bulk_oracle_labels(record, noise, rng, n_classes):
+def _bulk_oracle_labels(record, noise, rng, n_classes, tau_ml):
     """Reference oracle: the bulk draw, every class's activation built into
     one validated :class:`ImageLevelLabel` per image."""
     present = {row[0] for row in record.truth_rows}
     fn_rate, fp_rate = noise.fn_rate, noise.fp_rate
     (high_lo, high_hi), low_lo = (0.6, 1.0), 0.0
-    high_span, low_span = high_hi - high_lo, noise.tau_ml - low_lo
+    high_span, low_span = high_hi - high_lo, tau_ml - low_lo
     u = rng.random(2 * n_classes).tolist()
     activations = [
         high_lo + high_span * value
@@ -300,12 +301,12 @@ class TestOracleEquivalence:
     def test_matches_per_class_draws(
         self, seed, n_classes, images, fn_rate, fp_rate, tau_ml, order
     ):
-        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
+        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate)
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for image_id, class_ids in enumerate(images):
             rec = TestOracle().record(class_ids, image_id=image_id)
-            got = oracle_label(rec, noise, rng_got, n_classes)
-            want = _per_class_oracle_labels(rec, noise, rng_want, n_classes)
+            got = oracle_label(rec, noise, rng_got, n_classes, tau_ml)
+            want = _per_class_oracle_labels(rec, noise, rng_want, n_classes, tau_ml)
             assert _read(got, n_classes, order) == want.activations
         assert rng_got.random() == rng_want.random()
 
@@ -313,13 +314,13 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("fp_rate", [0.0, 1.0])
     @pytest.mark.parametrize("tau_ml", [0.0, 1.0])
     def test_rates_at_zero_and_one_bit_for_bit(self, fn_rate, fp_rate, tau_ml):
-        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
+        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate)
         images = [[1, 3], [], [2, 2, 4], [1, 2, 3, 4]]
         rng_got, rng_want = np.random.default_rng(5), np.random.default_rng(5)
         for image_id, class_ids in enumerate(images):
             rec = TestOracle().record(class_ids, image_id=image_id)
-            got = oracle_label(rec, noise, rng_got, 4)
-            want = _per_class_oracle_labels(rec, noise, rng_want, 4)
+            got = oracle_label(rec, noise, rng_got, 4, tau_ml)
+            want = _per_class_oracle_labels(rec, noise, rng_want, 4, tau_ml)
             assert [a.hex() for a in got.activations] == [a.hex() for a in want.activations]
         assert rng_got.random() == rng_want.random()
         # The label pass against one scalar draw per band test and band value.
@@ -367,7 +368,8 @@ def _pass_matches_reference(seed, dataset, indices, teacher, config, oracle):
         record = dataset.images[i]
         start = len(want_dets.score)
         detect(teacher, record, rng_want, cdfs, want_dets)
-        label = oracle(record, config.oracle, rng_want, k) if fcfg.mode != "one_stage" else None
+        two_stage = fcfg.mode != "one_stage"
+        label = oracle(record, config.oracle, rng_want, k, fcfg.tau_ml) if two_stage else None
         preds = [pred(c, s) for c, s in zip(want_dets.class_id[start:], want_dets.score[start:])]
         ref = _ref_two_stage_mining if fcfg.mode == "two_stage_mining" else _ref_two_stage_filter
         kept = set(map(id, ref(preds, label, fcfg)))
@@ -393,7 +395,6 @@ class TestLoopGateEquivalence:
         k=st.integers(1, 12),
         fn_rate=_unit,
         fp_rate=_unit,
-        oracle_tau_ml=_unit,
         tau_cls=_unit,
         tau_ml=_unit,
         mode=st.sampled_from(_MODES),
@@ -402,12 +403,12 @@ class TestLoopGateEquivalence:
         teacher_fp_rate=st.sampled_from([0.0, 0.5, 3.0]),
     )
     def test_matches_full_image_labels(
-        self, seed, data, k, fn_rate, fp_rate, oracle_tau_ml, tau_cls, tau_ml, mode,
+        self, seed, data, k, fn_rate, fp_rate, tau_cls, tau_ml, mode,
         two_stage, recall, teacher_fp_rate,
     ):
         images = data.draw(_pass_images(k))
         indices = data.draw(st.lists(st.integers(0, len(images) - 1), max_size=6))
-        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=oracle_tau_ml)
+        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate)
         config = ExperimentConfig(
             filter=FilterConfig(tau_cls, tau_ml, mode), oracle=noise, two_stage=two_stage
         )
@@ -423,7 +424,7 @@ class TestLoopGateEquivalence:
         # Images 1 and 3 have no ground truth, so a teacher without false
         # positives predicts nothing there; their labels are drawn all the same.
         images = [[1, 3], [], [2], [], [1, 2, 3, 4], [4]]
-        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate, tau_ml=tau_ml)
+        noise = OracleNoise(fn_rate=fn_rate, fp_rate=fp_rate)
         for k in (4, 12):
             dataset = _dataset(images, k)
             for tau_cls in (0.0, 0.7, 1.0):
@@ -441,6 +442,30 @@ class TestLoopGateEquivalence:
         assert dets.counts == [0, 0, 0] and keep.tolist() == []
         skipped.random(3 * 10)  # two doubles per class, per image
         assert rng.bit_generator.state == skipped.bit_generator.state
+
+
+class TestOneBandEdge:
+    def test_hand_built_config_bounds_the_oracle_by_the_filter(self, monkeypatch):
+        # A config built in Python has one tau_ml too: the echo and the low
+        # band both follow the filter's, whatever OracleNoise says.
+        config = ExperimentConfig(
+            filter=FilterConfig(tau_ml=0.35), oracle=OracleNoise(fn_rate=1.0, fp_rate=0.0)
+        )
+        assert config.to_dict()["oracle"]["tau_ml"] == 0.35
+        drawn = []
+
+        def spy(*args):
+            drawn.append(oracle_activations(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr("acrst.simloop.oracle_activations", spy)
+        dataset = _dataset([[1, 2], [3], [1, 2, 3, 4]] * 10, 4)
+        rng = np.random.default_rng(0)
+        label_pass(_teacher(4), dataset, range(30), rng, config, dataset.class_cdfs)
+        # fn_rate 1 and fp_rate 0 put every activation in the low band.
+        activations = np.concatenate(drawn)
+        assert activations.size >= 50
+        assert 0.2 < activations.max() < 0.35
 
 
 class TestFilterConfig:

@@ -307,19 +307,13 @@ class TestSmoothL1:
         assert math.isclose(smooth_l1(3.0, transition=2.0), 2.0, abs_tol=1e-12)
 
 
-def image(classes, n_pasted=0):
-    """One ``batch_loss`` image: the class ids of its instances, the first
-    ``n_pasted`` of them pasted."""
-    return list(classes), n_pasted
-
-
 ZERO_LOSS = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TestLossBreakdown:
     def test_log_two_example(self):
         student = params(recall=(0.5,), confusion=0.0, loc=1.0)
-        out = batch_loss(student, [image([1])], budget=1, mode="supervised")
+        out = batch_loss(student, [[1]], budget=1, n_reg=1)
         assert math.isclose(out.rpn_cls, math.log(2), abs_tol=1e-12)
         assert math.isclose(out.roi_cls, math.log(2), abs_tol=1e-12)
         assert out.rpn_reg == 0.0
@@ -328,7 +322,7 @@ class TestLossBreakdown:
     def test_perfect_targets_zero_loss(self):
         # A perfect student still pays the objectness clamp, but nothing else.
         student = params(recall=(1.0,), confusion=0.0, loc=1.0)
-        out = batch_loss(student, [image([1, 1])], budget=2, mode="supervised")
+        out = batch_loss(student, [[1, 1]], budget=2, n_reg=2)
         assert out.roi_cls == 0.0
         assert out.rpn_reg == out.roi_reg == 0.0
         assert math.isclose(out.rpn_cls, -math.log(1.0 - 1e-4), abs_tol=1e-12)
@@ -336,55 +330,52 @@ class TestLossBreakdown:
     def test_background_uses_complement_objectness(self):
         # Zero mean recall puts background objectness at 0.02 + 0.2.
         student = params(recall=(0.0, 0.0))
-        out = batch_loss(student, [image([])], budget=1, mode="supervised")
+        out = batch_loss(student, [[]], budget=1, n_reg=0)
         assert math.isclose(out.rpn_cls, -math.log(0.78), abs_tol=1e-12)
         assert math.isclose(out.roi_cls, -math.log(0.78), abs_tol=1e-12)
 
     def test_regression_mode_gating(self):
         student = params(loc=0.0)  # box residuals of 0.1 per coordinate
         expected = 4 * smooth_l1(0.1)
-        plain = [image([1])]
-        pasted = [image([1], 1)]
-        assert math.isclose(batch_loss(student, plain, 1, "supervised").rpn_reg, expected)
-        assert batch_loss(student, plain, 1, "unsup_cls_only").rpn_reg == 0.0
-        assert batch_loss(student, plain, 1, "unsup_selective").rpn_reg == 0.0
-        assert math.isclose(batch_loss(student, pasted, 1, "unsup_selective").rpn_reg, expected)
+        assert math.isclose(batch_loss(student, [[1]], 1, 1).rpn_reg, expected)
+        assert batch_loss(student, [[1]], 1, 0).rpn_reg == 0.0
+        # Every target carries the same residuals, so the mean is one target's.
+        assert math.isclose(batch_loss(student, [[1, 2]], 1, 1).rpn_reg, expected)
 
     def test_selective_at_least_cls_only(self):
-        batch = [image([1, 2], 1)]
-        selective = batch_loss(params(), batch, 3, "unsup_selective")
-        cls_only = batch_loss(params(), batch, 3, "unsup_cls_only")
+        # One of the two instances pasted: selective supervision regresses
+        # it, class-only supervision nothing.
+        batch = [[1, 2]]
+        selective = batch_loss(params(), batch, 3, 1)
+        cls_only = batch_loss(params(), batch, 3, 0)
         assert selective.total >= cls_only.total
         assert selective.rpn_cls == cls_only.rpn_cls
 
     def test_total_composition(self):
-        out = batch_loss(params(), [image([1])], 2, "supervised")
+        out = batch_loss(params(), [[1]], 2, 1)
         assert math.isclose(
             out.total, out.rpn_cls + out.rpn_reg + out.roi_cls + out.roi_reg, abs_tol=1e-12
         )
         assert out.rpn_reg == out.roi_reg
 
     def test_reg_averages_over_reg_pool_only(self):
-        out = batch_loss(params(loc=0.0), [image([1])], 3, "supervised")
+        out = batch_loss(params(loc=0.0), [[1]], 3, 1)
         assert math.isclose(out.rpn_reg, 4 * smooth_l1(0.1), abs_tol=1e-12)
 
     def test_empty_targets(self):
-        assert batch_loss(params(), [], 16, "supervised") == ZERO_LOSS
-        assert batch_loss(params(), [image([]), image([])], 0, "supervised") == ZERO_LOSS
+        assert batch_loss(params(), [], 16, 0) == ZERO_LOSS
+        assert batch_loss(params(), [[], []], 0, 0) == ZERO_LOSS
 
     def test_clamped_log_finite(self):
         student = params(recall=(0.0, 0.0), confusion=1.0)
-        out = batch_loss(student, [image([1, 2])], 2, "supervised")
+        out = batch_loss(student, [[1, 2]], 2, 2)
         assert math.isfinite(out.total)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            batch_loss(params(), [image([1])], 1, "semi")
 
 
 # The per-proposal loss composition that batch_loss replaces, kept verbatim
 # as the oracle: one target object per proposal, summed in proposal order. It
-# takes each image's instances, as batch_loss did before it took class ids.
+# takes each image's instances and how many of them were pasted, and the
+# regression mode that batch_loss once took in place of a count.
 
 
 @dataclass(frozen=True)
@@ -469,6 +460,19 @@ def _oracle_batch_loss(student, images, budget, mode):
     return _oracle_loss_breakdown(targets, mode)
 
 
+def image(classes, n_pasted=0):
+    """One oracle image: the class ids of its instances, the first
+    ``n_pasted`` of them pasted."""
+    return list(classes), n_pasted
+
+
+def _n_reg(images, mode):
+    """The regression count ``run_epoch`` passes for what ``mode`` meant."""
+    if mode == "supervised":
+        return sum(len(class_ids) for class_ids, _ in images)
+    return sum(n_pasted for _, n_pasted in images) if mode == "unsup_selective" else 0
+
+
 def _as_instances(images):
     """The ``(class_ids, n_pasted)`` images as ``(instances, n_pasted)``."""
     return [(tuple(inst(c) for c in class_ids), n_pasted) for class_ids, n_pasted in images]
@@ -499,8 +503,9 @@ def _loss_batch(draw):
 
 
 class TestBatchLossEquivalence:
-    """batch_loss on class ids equals the per-proposal composition on the
-    same images' instances exactly, in every mode."""
+    """batch_loss on class ids and a regression count equals the per-proposal
+    composition on the same images' instances exactly, in every mode the
+    count stands for."""
 
     @settings(max_examples=300, deadline=None)
     @given(batch=_loss_batch())
@@ -511,7 +516,8 @@ class TestBatchLossEquivalence:
     def test_matches_per_target_oracle(self, batch):
         student, images, budget = batch
         for mode in ("supervised", "unsup_cls_only", "unsup_selective"):
-            got = batch_loss(student, images, budget, mode)
+            class_ids = [ids for ids, _ in images]
+            got = batch_loss(student, class_ids, budget, _n_reg(images, mode))
             want = _oracle_batch_loss(student, _as_instances(images), budget, mode)
             for field in ("rpn_cls", "rpn_reg", "roi_cls", "roi_reg", "total"):
                 assert getattr(got, field) == getattr(want, field), (mode, field)
@@ -525,9 +531,9 @@ class TestBatchLossEquivalence:
         # so a log that is off in the last bit cannot round away.
         for skill in np.random.default_rng(0).random(2000):
             student = params(recall=(float(skill),), confusion=0.0, loc=1.0)
-            for batch in ([image([1])], [image([])]):
-                assert batch_loss(student, batch, 1, "supervised") == _oracle_batch_loss(
-                    student, _as_instances(batch), 1, "supervised"
+            for ids in ([1], []):
+                assert batch_loss(student, [ids], 1, len(ids)) == _oracle_batch_loss(
+                    student, _as_instances([image(ids)]), 1, "supervised"
                 )
 
 
