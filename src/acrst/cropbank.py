@@ -97,7 +97,7 @@ def refresh_pseudo_bank(
     if epoch % period != 0:
         return bank
     sources = chain.from_iterable(map(repeat, image_ids, dets.counts))
-    rows = zip(dets.class_id, dets.w, dets.h, sources)
+    rows = zip(dets.class_id.tolist(), dets.w.tolist(), dets.h.tolist(), sources)
     return CropBank(bank.labeled_bank, tuple(compress(rows, kept)))
 
 

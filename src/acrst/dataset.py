@@ -18,6 +18,8 @@ import numpy as np
 
 # The detector's minimal box side in px, and so the smallest annotated side.
 MIN_BOX_SIDE = 1e-3
+# Image sides in px: the synthetic images' floor, and a cap that keeps areas finite.
+MIN_IMAGE_SIDE, MAX_IMAGE_SIDE = 1.0, 1e9
 
 
 class ParseError(ValueError):
@@ -39,8 +41,8 @@ class Category:
 
 @dataclass(frozen=True)
 class ImageRecord:
-    """An image and its ground truth, one ``(class_id, x, y, w, h)`` row per
-    instance; every box has positive sides and lies inside the image.
+    """An image of sides in [1, 1e9] and its ground truth, one ``(class_id, x,
+    y, w, h)`` row per instance, each box inside it with sides >= MIN_BOX_SIDE.
     """
 
     id: int | str
@@ -49,13 +51,16 @@ class ImageRecord:
     truth_rows: tuple[tuple[int, float, float, float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image {self.id}: non-positive dimensions")
+        # Positive comparisons, so that NaN fails them too.
+        width, height = self.width, self.height
+        if not (MIN_IMAGE_SIDE <= width <= MAX_IMAGE_SIDE
+                and MIN_IMAGE_SIDE <= height <= MAX_IMAGE_SIDE):
+            raise ValueError(f"image {self.id}: width and height must be in [1, 1e9]")
         for row in self.truth_rows:
             _, x, y, w, h = row
-            if w <= 0 or h <= 0:
-                raise ValueError(f"image {self.id}: box sides must be positive, got {row}")
-            if x < 0 or y < 0 or x + w > self.width or y + h > self.height:
+            if not (w >= MIN_BOX_SIDE and h >= MIN_BOX_SIDE):
+                raise ValueError(f"image {self.id}: box sides must be positive, >= 1e-3: {row}")
+            if not (x >= 0 and y >= 0 and x + w <= width and y + h <= height):
                 raise ValueError(f"image {self.id}: ground-truth box {row} outside image bounds")
 
 
@@ -208,9 +213,9 @@ def parse_coco_annotations(text: str) -> Dataset:
             raise ValidationError(f"duplicate image id {image_id}")
         if type(width) not in _NUMBER or type(height) not in _NUMBER:
             raise ValidationError(f"image {image_id} width and height must be numbers")
-        # Positive comparisons, so that NaN fails them too. The floor is the
-        # synthetic images' and keeps areas above 0; the cap keeps them finite.
-        if not (1 <= width <= 1e9 and 1 <= height <= 1e9):
+        # Positive comparisons, so that NaN fails them too.
+        if not (MIN_IMAGE_SIDE <= width <= MAX_IMAGE_SIDE
+                and MIN_IMAGE_SIDE <= height <= MAX_IMAGE_SIDE):
             raise ValidationError(f"image {image_id} width and height must be in [1, 1e9]")
         image_meta[image_id] = (float(width), float(height))
         image_order.append(image_id)

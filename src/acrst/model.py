@@ -25,6 +25,9 @@ PARTIAL_FLOOR = 0.01
 
 _LOG_CLAMP = 1e-12
 
+# Per emitted truth row: its 5 fields, 4 normals, class emitted, score base and double.
+_ROW_FIELDS = 12
+
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -110,17 +113,74 @@ def ema_update(
 
 
 class Detections:
-    """Detector output as the columns class_id, x, y, w, h and score: one list
-    each, one row per box, one image's rows after another's. ``counts`` holds
-    each image's number of rows."""
+    """Detector output over a sequence of images: the columns class_id, x, y,
+    w, h and score, one row per box, one image's rows after another's, and
+    ``counts``, each image's number of rows; ``table`` holds the columns as
+    one (x, y, w, h, class, score) float array. :func:`detect` records only
+    draws: reading a column computes every row recorded since the last read.
+    """
 
     def __init__(self) -> None:
-        self.class_id, self.x, self.y, self.w, self.h, self.score = ([] for _ in range(6))
         self.counts: list[int] = []
+        self._table = np.empty((6, 0))
+        # The draws since the last read, flat. Per image: width, height, noise
+        # scale per px of the shorter side, emitted truth rows, false positives;
+        # per truth row its _ROW_FIELDS; per partial box its row and 4 doubles;
+        # per false positive its class and 5 doubles.
+        self._images, self._rows, self._partial, self._fps = [], [], [], []
+
+    @property
+    def table(self) -> np.ndarray:
+        if self._images:
+            self._table = np.concatenate((self._table, self._arithmetic()), axis=1)
+            self._images, self._rows, self._partial, self._fps = [], [], [], []
+        return self._table
+
+    class_id = property(lambda self: self.table[4].astype(np.intp))
+    x, y, w, h, score = (property(lambda self, i=i: self.table[i]) for i in (0, 1, 2, 3, 5))
 
     def rows(self) -> Iterator[tuple[int, float, float, float, float, float]]:
         """(class, x, y, w, h, score) of each row."""
-        return zip(self.class_id, self.x, self.y, self.w, self.h, self.score)
+        return zip(self.class_id.tolist(), *self.table[:4].tolist(), self.score.tolist())
+
+    def _arithmetic(self) -> np.ndarray:
+        """The table columns of the rows recorded since the last read, in one
+        numpy pass. Each ``a if cond else b`` of the per-row detector became
+        ``np.where(cond, a, b)``, so NaN and signed zeros come out as they did.
+        """
+        images = np.array(self._images).reshape(-1, 5).T
+        n_rows, n_fp = images[3:].astype(np.intp)
+        rows = np.array(self._rows, dtype=float).reshape(-1, _ROW_FIELDS).T
+        corner, size, normals, (cls, base, u_score) = rows[1:3], rows[3:5], rows[5:9], rows[9:]
+        noise = np.repeat(images[2], n_rows) * np.where(size[0] <= size[1], size[0], size[1])
+        corner, size = corner + normals[:2] * noise, size + normals[2:] * noise
+        size = np.where(size >= MIN_BOX_SIDE, size, MIN_BOX_SIDE)
+        at, u_area, u_w, *u_corner = np.array(self._partial).reshape(-1, 5).T
+        at = at.astype(np.intp)
+        area_frac = 0.4 + (0.7 - 0.4) * u_area
+        frac_w = area_frac + (1.0 - area_frac) * u_w
+        part_size = size[:, at] * (frac_w, area_frac / frac_w)
+        corner[:, at] += (size[:, at] - part_size) * u_corner
+        size[:, at] = part_size
+        score = base + (-0.1 + (0.1 - (-0.1)) * u_score)
+        score = np.where(score > 0.0, score, 0.0)
+        score = np.where(score < 1.0, score, 1.0)
+        # Clipped to the image with a minimal positive extent.
+        side = np.repeat(images[:2], n_rows, axis=1)
+        lo = np.where(corner >= 0.0, corner, 0.0)
+        lo = np.where(side - MIN_BOX_SIDE < lo, side - MIN_BOX_SIDE, lo)
+        hi = np.where(corner + size <= side, corner + size, side)
+        hi = np.where(lo + MIN_BOX_SIDE > hi, lo + MIN_BOX_SIDE, hi)
+        # A false positive's class, then its w, h, x, y and score doubles.
+        fp = np.array(self._fps).reshape(-1, 6).T
+        fp_side = np.repeat(images[:2], n_fp, axis=1)
+        fp_size = (0.05 + (0.4 - 0.05) * fp[1:3]) * fp_side
+        fp_corner, fp_score = (fp_side - fp_size) * fp[3:5], 0.3 + (0.8 - 0.3) * fp[5]
+        # Each image's truth rows, then its false positives.
+        key = np.repeat(np.tile(np.arange(len(n_rows)), 2), np.concatenate((n_rows, n_fp)))
+        return np.concatenate((np.vstack((lo, hi - lo, cls, score)),
+                               np.vstack((fp_corner, fp_size, fp[0], fp_score))),
+                              axis=1)[:, np.argsort(key, kind="stable")]
 
 
 def detect(
@@ -130,87 +190,65 @@ def detect(
     cdfs: ClassCdfs,
     out: Detections,
 ) -> None:
-    """Simulate detector output on one image from its hidden ground truth.
+    """Simulate detector output on one image from its hidden ground truth,
+    appending the image's draws and its number of rows to ``out``.
 
-    Appends one row per box, and their number, to ``out``. Each ground-truth
-    row ``(class_id, x, y, w, h)`` of ``record.truth_rows`` of class k is
-    emitted with probability recall_skill[k]. Emitted boxes are perturbed by
-    zero-mean noise with per-coordinate scale (1 - loc_skill) * 0.1 * min(w, h),
-    truncated with probability partial_rate to a random sub-rectangle covering
-    40-70% of the instance area, and flipped to a frequency-weighted wrong
-    class with probability confusion_rate. Scores follow a logistic in the
-    true class's skill plus uniform +-0.1 noise, clamped to [0, 1].
-    Poisson(fp_rate) background false positives are added with
-    frequency-weighted classes and scores uniform in [0.3, 0.8], all of the
-    image's drawn in one call, six doubles each. Boxes are clipped to the image.
-
-    ``cdfs`` are the :class:`ClassCdfs` of the class frequencies that
+    Each ground-truth row ``(class_id, x, y, w, h)`` of class k is emitted
+    with probability recall_skill[k], perturbed by zero-mean noise with
+    per-coordinate scale (1 - loc_skill) * 0.1 * min(w, h), truncated with
+    probability partial_rate to a random sub-rectangle covering 40-70% of its
+    area, and flipped to a frequency-weighted wrong class with probability
+    confusion_rate. Scores follow a logistic in the true class's skill plus
+    uniform +-0.1 noise, clamped to [0, 1]. Poisson(fp_rate) background false
+    positives get frequency-weighted classes and scores uniform in [0.3, 0.8].
+    Boxes are clipped to the image. ``cdfs`` are the :class:`ClassCdfs` that
     confusion targets and false-positive classes are drawn by.
-    """
-    recall, score_bases = params.recall_skill, params.score_bases
-    confuses, min_side = len(recall) > 1, MIN_BOX_SIDE
-    partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
-    loc_scale = (1.0 - params.loc_skill) * 0.1
-    width, height = record.width, record.height
-    x1_max, y1_max = width - MIN_BOX_SIDE, height - MIN_BOX_SIDE
-    random, standard_normal = rng.random, rng.standard_normal
-    add_class, add_x, add_y = out.class_id.append, out.x.append, out.y.append
-    add_w, add_h, add_score = out.w.append, out.h.append, out.score.append
-    n_before = len(out.score)
-    # The doubles come in the order one scalar draw each took them, and
-    # ``lo + (hi - lo) * u`` is what ``Generator.uniform(lo, hi)`` makes of one.
-    for true_class, box_x, box_y, box_w, box_h in record.truth_rows:
-        if random() >= recall[true_class - 1]:
-            continue
-        noise_scale = loc_scale * (box_w if box_w <= box_h else box_h)
-        dx, dy, dw, dh = standard_normal(4).tolist()
-        x, y = box_x + dx * noise_scale, box_y + dy * noise_scale
-        w, h = box_w + dw * noise_scale, box_h + dh * noise_scale
-        w = w if w >= min_side else min_side
-        h = h if h >= min_side else min_side
-        if random() < partial_rate:
-            u_area, u_w, u_x, u_y = random(4).tolist()
-            area_frac = 0.4 + (0.7 - 0.4) * u_area
-            frac_w = area_frac + (1.0 - area_frac) * u_w
-            frac_h = area_frac / frac_w
-            new_w, new_h = w * frac_w, h * frac_h
-            x, y, w, h = x + (w - new_w) * u_x, y + (h - new_h) * u_y, new_w, new_h
-        if random() < confusion_rate and confuses:
-            add_class(bisect_right(cdfs[true_class], random()) + 1)
-        else:
-            add_class(true_class)
-        score = score_bases[true_class - 1] + (-0.1 + (0.1 - (-0.1)) * random())
-        score = score if score > 0.0 else 0.0
-        add_score(score if score < 1.0 else 1.0)
-        # Clipped to the image with a minimal positive extent; min/max as comparisons.
-        x1 = x if x >= 0.0 else 0.0
-        x1 = x1_max if x1_max < x1 else x1
-        y1 = y if y >= 0.0 else 0.0
-        y1 = y1_max if y1_max < y1 else y1
-        x2 = x + w if x + w <= width else width
-        x2 = x1 + min_side if x1 + min_side > x2 else x2
-        y2 = y + h if y + h <= height else height
-        y2 = y1 + min_side if y1 + min_side > y2 else y2
-        add_x(x1)
-        add_y(y1)
-        add_w(x2 - x1)
-        add_h(y2 - y1)
 
-    background = cdfs[0]
-    # Six doubles per false positive, all drawn in one call: class, box, score.
+    The stream is the one a scalar draw per value took: per emitted row four
+    normals, then partial, [4 box], confusion, [class] and score doubles,
+    then the next row's emission double. PCG64 makes ``random(n)`` the doubles
+    of n ``random()`` calls, so a row takes those it is sure to draw before
+    its next normal in one call: 3, plus 1 when a row follows; then 4 once the
+    partial double fires, and 1 once the confusion double fires among two or
+    more classes. The first emission double, and one after a missed row, take
+    a call each; false positives take ``poisson``, then six doubles each in
+    one call.
+    """
+    recall, score_bases, confuses = params.recall_skill, params.score_bases, params.n_classes > 1
+    partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
+    random, standard_normal = rng.random, rng.standard_normal
+    truth, rows, partial = record.truth_rows, out._rows, out._partial
+    n_before, last = len(rows), len(truth) - 1
+    u = random() if truth else 0.0
+    for j, row in enumerate(truth):
+        true_class = row[0]
+        if u >= recall[true_class - 1]:
+            if j < last:
+                u = random()
+            continue
+        rows += row
+        rows += standard_normal(4).tolist()
+        d = random(4 if j < last else 3).tolist()  # the row's doubles, in stream order
+        at = 1  # where the confusion double lies in d
+        if d[0] < partial_rate:
+            d += random(4).tolist()
+            partial += (len(rows) // _ROW_FIELDS, *d[1:5])
+            at = 5
+        cls = true_class
+        if d[at] < confusion_rate and confuses:
+            d.append(random())
+            at += 1
+            cls = bisect_right(cdfs[true_class], d[at]) + 1
+        rows += (cls, score_bases[true_class - 1], d[at + 1])
+        u = d[-1]
+    n_rows = (len(rows) - n_before) // _ROW_FIELDS
     n_fp = rng.poisson(params.fp_rate)
     if n_fp:
-        draws = iter(random(6 * n_fp).tolist())
-        for u_class, u_w, u_h, u_x, u_y, u_score in zip(*[draws] * 6):
-            add_class(bisect_right(background, u_class) + 1)
-            w = (0.05 + (0.4 - 0.05) * u_w) * width
-            h = (0.05 + (0.4 - 0.05) * u_h) * height
-            add_x((width - w) * u_x)
-            add_y((height - h) * u_y)
-            add_w(w)
-            add_h(h)
-            add_score(0.3 + (0.8 - 0.3) * u_score)
-    out.counts.append(len(out.score) - n_before)
+        draws = random(6 * n_fp).tolist()
+        draws[::6] = [bisect_right(cdfs[0], v) + 1 for v in draws[::6]]
+        out._fps += draws
+    out._images += (record.width, record.height, (1.0 - params.loc_skill) * 0.1, n_rows, n_fp)
+    out.counts.append(n_rows + n_fp)
 
 
 def student_update(

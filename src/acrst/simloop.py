@@ -186,11 +186,12 @@ def label_pass(
     Per image the pass only draws: the teacher's detections (by ``cdfs``), in
     a two-stage filter mode the oracle's two doubles per class, and, given
     ``paste`` (a bank and its sampling distribution), the image's crops and
-    their placements. One array pass then sets each row's oracle activation,
-    against :attr:`Dataset.class_presence` and with the filter's ``tau_ml``
-    as the low band's edge, and its keep bit. With the ``two_stage`` toggle
-    off, filtering is by score alone. Returns the detection columns, the keep
-    bits and, when pasting, each image's paste.
+    their placements. Array passes then compute every detection's box and
+    score, and set each row's oracle activation, against
+    :attr:`Dataset.class_presence` with the filter's ``tau_ml`` as the low
+    band's edge, and its keep bit. With the ``two_stage`` toggle off,
+    filtering is by score alone. Returns the detections, the keep bits and,
+    when pasting, each image's paste.
     """
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     two_stage = fcfg.mode != "one_stage"
@@ -207,7 +208,7 @@ def label_pass(
     activations = None
     if two_stage:
         image = np.repeat(np.arange(len(indices)), dets.counts)
-        cls = np.array(dets.class_id, dtype=np.intp) - 1
+        cls = dets.class_id - 1
         present = dataset.class_presence[np.asarray(indices, dtype=np.intp)[image], cls]
         activations = oracle_activations(draws[image, cls], present, config.oracle, fcfg.tau_ml)
     return dets, keep_mask(dets.score, activations, fcfg), mixes
@@ -292,9 +293,8 @@ def run_epoch(
 
     # Full-set teacher evaluation; also the pseudo-label source for refresh.
     dets, kept, _ = label_pass(teacher, unlabeled, range(n_unl), rng, config, cdfs)
-    preds = np.array((dets.x, dets.y, dets.w, dets.h, dets.class_id, dets.score), dtype=float)
-    pseudo_counts = np.bincount(preds[4, kept].astype(np.int64) - 1, minlength=k)
-    evaluation = evaluate(preds, dets.counts, kept, *unlabeled.truth_columns, config.match_iou)
+    pseudo_counts = np.bincount(dets.class_id[kept] - 1, minlength=k)
+    evaluation = evaluate(dets.table, dets.counts, kept, *unlabeled.truth_columns, config.match_iou)
     matched = evaluation.matched
     n_kept_total = int(kept.sum())
     n_gt_total = sum(unlabeled.truth_columns[1])

@@ -12,8 +12,8 @@ from acrst.cropbank import (
     refresh_pseudo_bank,
     sample_crops,
 )
-from acrst.dataset import parse_coco_annotations
-from acrst.model import Detections
+from acrst.dataset import ClassCdfs, ImageRecord, parse_coco_annotations
+from acrst.model import Detections, DetectorParams, detect
 from acrst.rebalance import SamplingDistribution
 
 
@@ -72,19 +72,20 @@ class TestBuild:
 class TestRefresh:
     def setup_method(self):
         self.bank = CropBank(labeled_bank=rows([entry(1), entry(2)]))
-        # Image 5 has two detections, image 6 three, image 7 none.
+        # Image 5 has two detections, image 6 three, image 7 none: a detector
+        # without noise, misses, confusion or false positives emits its truth rows.
+        exact = DetectorParams(
+            recall_skill=(1.0,) * 3, confusion_rate=0.0, loc_skill=1.0, partial_rate=0.0,
+            fp_rate=0.0, confidence_sharpness=8.0,
+        )
         self.dets = Detections()
-        for c, x, y, w, h, score in [
-            (1, 0.0, 0.0, 4.0, 4.0, 0.9), (2, 3.0, 3.0, 2.0, 2.0, 0.1),
-            (2, 1.0, 1.0, 5.0, 5.0, 0.8), (3, 0.5, 0.5, 1.0, 1.0, 0.2),
-            (1, 2.0, 2.0, 3.0, 3.0, 0.95),
+        for image_id, truth in [
+            (5, [(1, 0.0, 0.0, 4.0, 4.0), (2, 3.0, 3.0, 2.0, 2.0)]),
+            (6, [(2, 1.0, 1.0, 5.0, 5.0), (3, 0.5, 0.5, 1.0, 1.0), (1, 2.0, 2.0, 3.0, 3.0)]),
+            (7, []),
         ]:
-            for column, value in zip(
-                (self.dets.class_id, self.dets.x, self.dets.y, self.dets.w, self.dets.h,
-                 self.dets.score), (c, x, y, w, h, score)
-            ):
-                column.append(value)
-        self.dets.counts += [2, 3, 0]
+            record = ImageRecord(image_id, 10.0, 10.0, tuple(truth))
+            detect(exact, record, np.random.default_rng(0), ClassCdfs([1.0] * 3), self.dets)
         self.kept = [True, False, True, False, True]
         self.image_ids = [5, 6, 7]
 

@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -257,6 +258,40 @@ class TestRecordInvariants:
     def test_box_sides_must_be_positive(self, w, h):
         with pytest.raises(ValueError, match="positive"):
             ImageRecord(id=1, width=100, height=100, truth_rows=((1, 10, 10, w, h),))
+
+    @pytest.mark.parametrize("width", [1e-200, 1e-100, 0.5])
+    def test_scaled_corpus_fails_when_built(self, width):
+        # 60 images of 640 x 480 scaled to ``width``, one box each, built in
+        # Python rather than parsed: at 1e-200 px a run of it once raised
+        # ZeroDivisionError mid-way. The record holds the parser's floors.
+        s = width / 640
+        with pytest.raises(ValueError, match=r"image 1: width and height must be in \[1, 1e9\]"):
+            Dataset(
+                tuple(
+                    ImageRecord(i, 640 * s, 480 * s, ((i % 3 + 1, 50 * s, 40 * s, 100 * s, 80 * s),))
+                    for i in range(1, 61)
+                ),
+                tuple(Category(c, f"c{c}", c) for c in (1, 2, 3)),
+            )
+
+    @pytest.mark.parametrize(
+        "width, height, box",
+        [
+            (math.nextafter(1e9, math.inf), 10, (1, 0, 0, 5, 5)),
+            (10, float("nan"), (1, 0, 0, 5, 5)),
+            (10, 10, (1, 0, 0, MIN_BOX_SIDE / 2, 5)),
+            (10, 10, (1, 0, 0, 5, float("nan"))),
+            (10, 10, (1, float("nan"), 0, 5, 5)),
+        ],
+    )
+    def test_sides_outside_the_floors_fail(self, width, height, box):
+        with pytest.raises(ValueError, match="image 1"):
+            ImageRecord(1, width, height, (box,))
+
+    def test_smallest_image_and_box_build(self):
+        record = ImageRecord(1, 1.0, 1.0, ((1, 0.0, 0.0, MIN_BOX_SIDE, MIN_BOX_SIDE),))
+        assert record.truth_rows == ((1, 0.0, 0.0, 1e-3, 1e-3),)
+        assert ImageRecord(2, 1e9, 1e9).width == 1e9
 
     def test_loading_builds_no_instance_or_box(self, coco_text, monkeypatch):
         made = []

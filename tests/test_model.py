@@ -1,6 +1,8 @@
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrst.api import BBox, Instance, Prediction
-from acrst.dataset import ClassCdfs, ImageRecord
+from acrst.dataset import MIN_BOX_SIDE, ClassCdfs, ImageRecord
 from acrst.model import (
     CONFUSION_FLOOR,
     PARTIAL_FLOOR,
@@ -843,6 +845,86 @@ class TestSynthDetectEquivalence:
         assert _bits([Prediction(1, BBox(*got), 0.5)]) == _bits([Prediction(1, want, 0.5)])
 
 
+class TestOnePass:
+    """``detect`` draws per image and computes per pass: one set of columns
+    over several images, read once, with other draws between the images as
+    the label pass makes them, equals the scalar-draw detector image by image
+    and leaves the generator where it does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_detect_case(), foreign=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+    # The last truth row emitted: its doubles end the row, with no emission
+    # double of a next row among them.
+    @example(
+        case=(params(recall=(1.0,), confusion=0.0, partial=0.0, fp=0.0), None,
+              [record([inst(1), inst(1, 0, 0, 30, 20)]), record([inst(1)])]),
+        foreign=2, seed=4,
+    )
+    # One row both partial and confused: 3 + 1, then 4, then 1 doubles.
+    @example(
+        case=(params(recall=(1.0, 1.0), confusion=1.0, partial=1.0, fp=0.5), [1.0, 3.0],
+              [record([inst(1), inst(2, 10, 20, 60, 30)])]),
+        foreign=4, seed=5,
+    )
+    # Every row missed: one emission double each and no normals.
+    @example(
+        case=(params(recall=(0.0, 0.0), fp=5.0), None,
+              [record([inst(1), inst(2), inst(1)]), record([inst(2)])]),
+        foreign=4, seed=6,
+    )
+    # An image without truth rows, then one with: no emission double first.
+    @example(
+        case=(params(recall=(1.0,), confusion=0.0, partial=0.5, fp=0.0), None,
+              [record([]), record([inst(1), inst(1, 100, 100, 80, 90)])]),
+        foreign=1, seed=7,
+    )
+    def test_pass_matches_scalar_draws(self, case, foreign, seed):
+        detector, weights, records = case
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        cdfs = ClassCdfs([1.0] * detector.n_classes if weights is None else weights)
+        out, want = Detections(), []
+        for rec in records:
+            detect(detector, rec, rng_got, cdfs, out)
+            rng_got.random(foreign)
+            want.append(_oracle_synth_detect(detector, rec, rng_want, class_weights=weights))
+            rng_want.random(foreign)
+        rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in out.rows()])
+        assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
+        assert next(rows, None) is None
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+class _CountingDraws:
+    """A generator that counts the calls of each draw method it passes on."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), Counter()
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+class TestDrawCalls:
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_one_uniform_call_per_row(self, n):
+        # Every row emitted, none partial or confused, no false positives: the
+        # image's first emission double, then per row four normals in one call
+        # and its partial, confusion and score doubles with the next row's
+        # emission double in another; the scalar path made 4n uniform calls.
+        exact = params(recall=(1.0,), confusion=0.0, partial=0.0, fp=0.0)
+        rng = _CountingDraws(0)
+        out = Detections()
+        detect(exact, record([inst(1)] * n), rng, ClassCdfs([1.0]), out)
+        assert rng.calls == {"random": n + 1, "standard_normal": n, "poisson": 1}
+        assert out.counts == [n]
+
+
 class TestTruthRows:
     """``detect`` reads a record's ground truth from its (class, x, y, w, h) rows."""
 
@@ -891,8 +973,9 @@ def _fractional_case(draw):
     instances = []
     for _ in range(draw(st.integers(0, 6))):
         x, y = width * draw(st.floats(0.0, 0.99)), height * draw(st.floats(0.0, 0.99))
-        w = (width - x) * draw(st.floats(0.01, 1.0))
-        h = (height - y) * draw(st.floats(0.01, 1.0))
+        # At least the smallest side an ImageRecord holds; width - x is 0.01 px or more.
+        w = max((width - x) * draw(st.floats(0.01, 1.0)), MIN_BOX_SIDE)
+        h = max((height - y) * draw(st.floats(0.01, 1.0)), MIN_BOX_SIDE)
         if x + w <= width and y + h <= height:
             instances.append(inst(1, x, y, w, h))
     return detector, record(instances, width, height)
