@@ -34,16 +34,20 @@ def _read_text(path: Path, what: str) -> str:
         raise _UsageError(f"{what} {path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
 
 
+def _read_json(path: Path, what: str, invalid: str):
+    """The JSON document at ``path``; malformed JSON is a usage error whose
+    message starts with ``invalid`` and gives the line and column."""
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as e:
+        raise _UsageError(f"{invalid}: {e.msg} (line {e.lineno} column {e.colno})") from e
+
+
 def _load_config(path_text: str) -> dict:
     path = Path(path_text)
     if not path.is_file():
         raise _UsageError(f"config file not found: {path}")
-    try:
-        doc = json.loads(_read_text(path, "config"))
-    except json.JSONDecodeError as e:
-        raise _UsageError(
-            f"config {path} is not valid JSON: {e.msg} (line {e.lineno} column {e.colno})"
-        ) from e
+    doc = _read_json(path, "config", f"config {path} is not valid JSON")
     if not isinstance(doc, dict):
         raise _UsageError(f"config {path} must hold a JSON object, got {type(doc).__name__}")
     return doc
@@ -175,12 +179,7 @@ def _load_report(path: Path) -> dict:
     """The report at ``path``, checked to have the shape ``report`` reads: an
     object whose ``epochs`` is a list of objects holding every epoch column
     and whose ``summary`` is an object."""
-    try:
-        report = json.loads(_read_text(path, "report"))
-    except json.JSONDecodeError as e:
-        raise _UsageError(
-            f"corrupt report {path}: {e.msg} (line {e.lineno} column {e.colno})"
-        ) from e
+    report = _read_json(path, "report", f"corrupt report {path}")
     if not isinstance(report, dict) or not isinstance(report.get("epochs"), list):
         raise _UsageError(f"report {path} must be a JSON object whose 'epochs' is a list")
     for i, row in enumerate(report["epochs"]):
@@ -193,7 +192,7 @@ def _load_report(path: Path) -> dict:
     return report
 
 
-def _write_slices(report: dict, slice_dir: Path, prefix: str = "") -> None:
+def _write_slices(report: dict, slice_dir: Path, prefix: str) -> None:
     slice_dir.mkdir(parents=True, exist_ok=True)
     for metric in _SUMMARY_METRICS:
         rows = [(row["epoch"], row[metric]) for row in report["epochs"]]
@@ -220,27 +219,21 @@ def cmd_report(args) -> int:
     in_dir = Path(getattr(args, "in"))
     if not in_dir.is_dir():
         raise _UsageError(f"input directory not found: {in_dir}")
-    single = in_dir / "report.json"
-    sweep_summary = in_dir / "summary.csv"
-    if single.is_file():
-        report = _load_report(single)
-        _print_report_summary(in_dir.name, report)
-        _write_slices(report, in_dir / "slices")
-        print(f"slices written to {in_dir / 'slices'}")
-        return 0
-    if sweep_summary.is_file():
-        count = 0
-        for sub in sorted(p for p in in_dir.iterdir() if p.is_dir()):
-            report_path = sub / "report.json"
-            if not report_path.is_file():
-                continue
-            report = _load_report(report_path)
-            _print_report_summary(sub.name, report)
-            _write_slices(report, in_dir / "slices", prefix=f"{sub.name}__")
-            count += 1
-        print(f"aggregated {count} runs; slices written to {in_dir / 'slices'}")
-        return 0
-    raise _UsageError(f"{in_dir} holds neither report.json nor summary.csv")
+    # (label, run directory, slice prefix) for each report to render.
+    if (in_dir / "report.json").is_file():
+        runs, lead = [(in_dir.name, in_dir, "")], ""
+    elif (in_dir / "summary.csv").is_file():
+        subs = sorted(p for p in in_dir.iterdir() if (p / "report.json").is_file())
+        runs = [(sub.name, sub, f"{sub.name}__") for sub in subs]
+        lead = f"aggregated {len(runs)} runs; "
+    else:
+        raise _UsageError(f"{in_dir} holds neither report.json nor summary.csv")
+    for label, run_dir, prefix in runs:
+        report = _load_report(run_dir / "report.json")
+        _print_report_summary(label, report)
+        _write_slices(report, in_dir / "slices", prefix)
+    print(f"{lead}slices written to {in_dir / 'slices'}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_overrides(p: argparse.ArgumentParser) -> None:
+    for name, func, help_text, config_help in (
+        ("run", cmd_run, "run one experiment", "path to a JSON config"),
+        ("sweep", cmd_sweep, "run a config's sweep plan",
+         "path to a JSON config with a sweep section"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help=config_help)
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument(
             "--enable", action="append", choices=TOGGLES, metavar="TOGGLE",
@@ -260,18 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--disable", action="append", choices=TOGGLES, metavar="TOGGLE",
             help="turn a toggle off",
         )
-
-    run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("--config", required=True, help="path to a JSON config")
-    run.add_argument("--out", required=True, help="output directory")
-    add_overrides(run)
-    run.set_defaults(func=cmd_run)
-
-    sweep = sub.add_parser("sweep", help="run a config's sweep plan")
-    sweep.add_argument("--config", required=True, help="path to a JSON config with a sweep section")
-    sweep.add_argument("--out", required=True, help="output directory")
-    add_overrides(sweep)
-    sweep.set_defaults(func=cmd_sweep)
+        p.set_defaults(func=func)
 
     report = sub.add_parser("report", help="summarize a run or sweep directory")
     report.add_argument("--in", required=True, help="directory written by run or sweep")

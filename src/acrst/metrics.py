@@ -92,18 +92,13 @@ def fg_ratio(foreground: int, background: int) -> float:
     return foreground / total
 
 
-def class_kld(
-    pseudo_counts: Sequence[int],
-    truth_counts: Sequence[int],
-    epsilon: float = 1e-6,
-) -> float:
+def class_kld(pseudo_counts: Sequence[int], truth_counts: Sequence[int]) -> float:
     """KL divergence (nats) of the pseudo class distribution from the truth.
 
-    Both count vectors are epsilon-smoothed and normalized first, so the
-    result is finite even with empty classes. Direction is pseudo || truth.
+    Both count vectors have 1e-6 added to each entry and are normalized
+    first, so the result is finite even with empty classes. Direction is
+    pseudo || truth.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     p = np.asarray(pseudo_counts, dtype=float)
     q = np.asarray(truth_counts, dtype=float)
     if p.shape != q.shape or p.ndim != 1 or p.size == 0:
@@ -112,8 +107,8 @@ def class_kld(
         raise ValueError("counts must be non-negative")
     if q.sum() <= 0:
         raise ValueError("truth counts must not be all zero")
-    p = p + epsilon
-    q = q + epsilon
+    p = p + 1e-6
+    q = q + 1e-6
     p = p / p.sum()
     q = q / q.sum()
     return float(np.sum(p * np.log(p / q)))

@@ -294,12 +294,11 @@ def student_update(
     )
 
 
-def smooth_l1(x: float, transition: float = 1.0) -> float:
-    """Huber-style penalty: quadratic below the transition, linear above."""
+def smooth_l1(x: float) -> float:
+    """Huber-style penalty with its transition at 1: ``0.5 * x * x`` below,
+    ``abs(x) - 0.5`` above."""
     ax = abs(x)
-    if ax < transition:
-        return 0.5 * x * x / transition
-    return ax - 0.5 * transition
+    return 0.5 * x * x if ax < 1.0 else ax - 0.5
 
 
 def _safe_log(p: float) -> float:

@@ -124,7 +124,9 @@ def affr_distribution(pr: Sequence[float], beta: float) -> SamplingDistribution:
     ``(PR at rank K-k+1 / sum of PR) ** beta`` and raw weights are normalized
     to sum 1. beta = 0 gives the uniform distribution; sentinel classes (no
     labeled instances) are excluded from the sum and receive the minimum raw
-    weight. Falls back to uniform when every real PR is zero.
+    weight. When every raw weight underflows to 0 the result is the
+    beta -> inf limit: raw weight 1 for each class whose mirrored PR is the
+    largest, 0 for the rest. Falls back to uniform when every real PR is zero.
     """
     if beta < 0.0:
         raise ValueError(f"beta must be non-negative, got {beta}")
@@ -143,15 +145,15 @@ def affr_distribution(pr: Sequence[float], beta: float) -> SamplingDistribution:
         return SamplingDistribution.uniform(k)
 
     order = sorted(real.tolist(), key=lambda i: (-values[i], i))
+    mirrored = np.zeros(k, dtype=float)
+    mirrored[order] = values[order[::-1]]
     raw = np.zeros(k, dtype=float)
-    for rank, class_index in enumerate(order):
-        mirrored = values[order[len(order) - 1 - rank]]
-        raw[class_index] = (mirrored / total) ** beta
+    for class_index in order:
+        raw[class_index] = (mirrored[class_index] / total) ** beta
+    if raw.sum() <= 0.0:  # every weight underflowed: take the beta -> inf limit
+        raw[real] = mirrored[real] == mirrored[real].max()
     if sentinel.any():
         raw[sentinel] = raw[real].min()
-    if raw.sum() <= 0.0:
-        log.warning("degenerate sampling weights; falling back to uniform sampling")
-        return SamplingDistribution.uniform(k)
     return SamplingDistribution.normalized(raw)
 
 

@@ -347,6 +347,22 @@ class TestRun:
             report = json.loads((out / "report.json").read_text())
             assert round(report["summary"]["final"]["ap50"], 4) == 0.7651
 
+    def test_huge_beta_samples_one_class_after_epoch_zero(self, tmp_path, caplog):
+        # Every mirror-rank weight underflows at beta 1e6; sampling once fell
+        # back to uniform there, the opposite of a sharper rank.
+        config = json.loads(EXAMPLE_CONFIG.read_text(encoding="utf-8"))
+        del config["sweep"]
+        config["epochs"] = 10
+        config["paste"]["beta"] = 1e6
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        epochs = json.loads((tmp_path / "o" / "report.json").read_text())["epochs"]
+        assert len(epochs) == 5
+        for row in epochs[1:]:
+            assert sorted(row["mu"])[-2:] == [0.0, 1.0]
+        assert "degenerate" not in caplog.text
+
     def test_missing_annotation_file_exits_two(self, tmp_path, capsys):
         config = write_config(
             tmp_path, dataset={"type": "coco_json", "path": str(tmp_path / "gone.json")}
@@ -484,6 +500,13 @@ class TestSweep:
         config = self.sweep_config(tmp_path, runs=runs, seeds=(1,))
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_sweep_key_named_exits_two(self, tmp_path, capsys):
+        sweep = {"runs": [{"name": "a"}], "seeds": [1], "repeats": 2}
+        config = write_config(tmp_path, sweep=sweep)
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown sweep key 'repeats'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

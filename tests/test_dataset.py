@@ -69,6 +69,10 @@ class TestParse:
         with pytest.raises(ParseError, match="categories"):
             parse_coco_annotations(json.dumps({"images": [], "annotations": []}))
 
+    def test_list_document_rejected(self, coco_text):
+        with pytest.raises(ParseError, match="must be a JSON object"):
+            parse_coco_annotations(json.dumps([json.loads(coco_text)]))
+
     def test_unknown_image_reference_names_annotation(self, coco_text):
         doc = json.loads(coco_text)
         doc["annotations"].append(
@@ -161,6 +165,19 @@ class TestParse:
                          r"annotations\[0\]", id="annotation-category-id-float"),
             pytest.param(lambda d: d["annotations"][1].update(bbox=[30, 20, 10**400, 30]),
                          "annotation 2", id="bbox-huge-int"),
+            pytest.param(lambda d: d["images"][0].pop("width"),
+                         r"images\[0\] missing required field 'width'", id="image-without-width"),
+            pytest.param(lambda d: d["annotations"][2].pop("bbox"),
+                         r"annotations\[2\] missing required field 'bbox'",
+                         id="annotation-without-bbox"),
+            pytest.param(lambda d: d["categories"][1].update(id=7), "duplicate category id 7",
+                         id="category-id-repeated"),
+            pytest.param(lambda d: d["images"][1].update(id=10), "duplicate image id 10",
+                         id="image-id-repeated"),
+            pytest.param(lambda d: d["annotations"][1].update(id=1), "duplicate annotation id 1",
+                         id="annotation-id-repeated"),
+            pytest.param(lambda d: d["annotations"][0].update(bbox=[5, 5, 20]),
+                         "annotation 1 bbox must be", id="bbox-three-values"),
         ],
     )
     def test_ill_typed_record_named(self, coco_text, edit, named):
@@ -327,6 +344,23 @@ class TestSynthetic:
         counts = ds.class_counts
         assert counts[0] > counts[2] > counts[5]
         assert counts.sum() >= 400
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"n_images": 0}, "at least one image and one class"),
+            ({"n_classes": 0}, "at least one image and one class"),
+            ({"skew": 0.0}, "skew"),
+            ({"skew": 1.5}, "skew"),
+            ({"min_box": 0.0}, "min_box <= max_box"),
+            ({"min_box": 50.0, "max_box": 40.0}, "min_box <= max_box"),
+            ({"max_box": 500.0}, "shorter side"),
+        ],
+    )
+    def test_argument_checks(self, kwargs, named):
+        args = {"n_images": 5, "n_classes": 2, "seed": 1, **kwargs}
+        with pytest.raises(ValueError, match=named):
+            synthetic_dataset(**args)
 
     def test_boxes_inside_images(self):
         ds = synthetic_dataset(50, 4, seed=8)

@@ -304,10 +304,6 @@ class TestSmoothL1:
         eps = 1e-9
         assert abs(smooth_l1(1.0 - eps) - smooth_l1(1.0 + eps)) < 1e-6
 
-    def test_custom_transition(self):
-        assert math.isclose(smooth_l1(1.0, transition=2.0), 0.25, abs_tol=1e-12)
-        assert math.isclose(smooth_l1(3.0, transition=2.0), 2.0, abs_tol=1e-12)
-
 
 ZERO_LOSS = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 

@@ -101,6 +101,29 @@ class TestAffrDistribution:
         np.testing.assert_allclose(dist.mu, [0.5, 0.5], atol=1e-12)
         assert any("uniform" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "pr, limit",
+        [
+            ([0.3, 0.7, 0.0], [0.0, 0.0, 1.0]),
+            # The top recall is tied: the two lowest ranks share it mirrored.
+            ([0.5, 0.5, 0.2], [0.0, 0.5, 0.5]),
+            # A sentinel takes the smallest real weight, 0 unless all tie.
+            ([0.5, LABELED_ABSENT_PR, 0.2], [0.0, 0.0, 1.0]),
+            ([0.5, LABELED_ABSENT_PR, 0.5], [1 / 3, 1 / 3, 1 / 3]),
+        ],
+    )
+    def test_largest_weight_never_falls_as_beta_grows(self, pr, limit, caplog):
+        # Once every raw weight underflows, the result is the beta -> inf
+        # limit, not the uniform distribution.
+        largest = 0.0
+        with caplog.at_level(logging.WARNING):
+            for beta in (1.0, 10.0, 100.0, 1e3, 3e3, 1e6, 1e308):
+                mu = affr_distribution(pr, beta=beta).mu
+                assert max(mu) >= largest
+                largest = max(mu)
+        np.testing.assert_allclose(mu, limit, atol=1e-12)
+        assert not caplog.records
+
     def test_all_sentinel_falls_back_to_uniform(self):
         dist = affr_distribution([LABELED_ABSENT_PR] * 4, beta=2.0)
         np.testing.assert_allclose(dist.mu, [0.25] * 4, atol=1e-12)
