@@ -1,9 +1,9 @@
 """The object form of the pasting and filtering API, over the row core.
 
 The loop passes rows and columns: ground truth as ``(class_id, x, y, w, h)``
-rows, crops as ``(class_id, w, h, source_image_id)`` rows and predictions as
-detection columns. The types here are hand-built, and each function is a thin
-adapter over the row function the loop calls. No loop module imports this one.
+rows, crops as ``(class_id, w, h)`` rows and predictions as detection columns.
+The types here are hand-built, and each function is a thin adapter over the
+row function the loop calls. No loop module imports this one.
 """
 
 from __future__ import annotations

@@ -80,6 +80,16 @@ def _cli_document(args) -> dict:
     return {"toggles": toggles} if args.seed is None else {"toggles": toggles, "seed": args.seed}
 
 
+def _make_out_dir(path_text: str) -> Path:
+    """The ``--out`` directory, made before any run so that a bad path exits 2 at once."""
+    out_dir = Path(path_text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _UsageError(f"cannot make output directory {out_dir}: {e.strerror}") from e
+    return out_dir
+
+
 def _write_run_artifacts(report: RunReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
@@ -89,8 +99,9 @@ def _write_run_artifacts(report: RunReport, out_dir: Path) -> None:
 def cmd_run(args) -> int:
     config = config_from_dict(_load_config(args.config), _cli_document(args))
     dataset = _build_dataset(config)
+    out_dir = _make_out_dir(args.out)
     report = run_experiment(config, dataset)
-    _write_run_artifacts(report, Path(args.out))
+    _write_run_artifacts(report, out_dir)
     final = report.summary.get("final", {})
     print(f"run complete: {report.summary['epochs_run']} mutual epochs -> {args.out}")
     for metric in _SUMMARY_METRICS:
@@ -141,8 +152,7 @@ def cmd_sweep(args) -> int:
     if seeds is None:
         seeds = [base.seed]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(args.out)
     rows = []
     for spec in runs:
         name = spec["name"]

@@ -1,18 +1,18 @@
-"""Crop memory bank: a fixed labeled bank plus a periodically refreshed pseudo bank.
+"""Crop memory bank: a fixed labeled bank plus a pseudo bank rebuilt on refresh.
 
 The labeled bank is built once from ground truth and never changes. The pseudo
-bank is replaced wholesale from post-filtering predictions on a fixed epoch
-period. Sampling is two-level: first a class from a sampling distribution,
-then a uniform entry of that class from the union of both banks. A crop is a
-row ``(class_id, w, h, source_image_id)``: pasting reads its size, never where
-it sat on its source image.
+bank is replaced wholesale from post-filtering predictions whenever the loop
+refreshes it; the loop alone owns that schedule. Sampling is two-level: first
+a class from a sampling distribution, then a uniform entry of that class from
+the union of both banks. A crop is a row ``(class_id, w, h)``: pasting reads
+its class and size, never where it came from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -75,29 +75,17 @@ class CropBank:
 
 
 def build_labeled_bank(labeled: Dataset) -> CropBank:
-    """The labeled split's ground-truth crops, a ``(class_id, w, h, image id)``
-    row per truth row, in image order."""
+    """The labeled split's ground-truth crops, a ``(class_id, w, h)`` row per
+    truth row, in image order."""
     return CropBank(labeled_bank=tuple(
-        (row[0], row[3], row[4], img.id) for img in labeled.images for row in img.truth_rows
+        (row[0], row[3], row[4]) for img in labeled.images for row in img.truth_rows
     ))
 
 
-def refresh_pseudo_bank(
-    bank: CropBank, dets: Detections, kept: Sequence[bool], image_ids: Sequence[int | str],
-    period: int, epoch: int,
-) -> CropBank:
-    """Replace the pseudo bank wholesale when ``epoch % period == 0``.
-
-    The new pseudo bank holds the crop of each row of ``dets`` that ``kept``
-    marks, in order; ``image_ids`` names the image of each of ``dets.counts``.
-    Off-period epochs return ``bank`` itself, so its class tables are kept.
-    """
-    if period <= 0:
-        raise ValueError(f"refresh period must be positive, got {period}")
-    if epoch % period != 0:
-        return bank
-    sources = chain.from_iterable(map(repeat, image_ids, dets.counts))
-    rows = zip(dets.class_id.tolist(), dets.w.tolist(), dets.h.tolist(), sources)
+def refresh_pseudo_bank(bank: CropBank, dets: Detections, kept: Sequence[bool]) -> CropBank:
+    """``bank`` with its pseudo bank replaced wholesale: the crop of each row
+    of ``dets`` that ``kept`` marks, in order."""
+    rows = zip(dets.class_id.tolist(), dets.w.tolist(), dets.h.tolist())
     return CropBank(bank.labeled_bank, tuple(compress(rows, kept)))
 
 

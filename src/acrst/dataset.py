@@ -145,9 +145,11 @@ class Dataset:
 
 # The types a JSON number parses to; ``type(True)`` is bool, so booleans fail.
 _NUMBER = frozenset((int, float))
-# Category ids are JSON integers; image and annotation ids integers or strings.
+# Category ids are JSON integers and names strings; other ids integers or strings.
 _INT = frozenset((int,))
+_STR = frozenset((str,))
 _ID = frozenset((int, str))
+_KINDS = {_INT: "an integer", _STR: "a string", _ID: "an integer or a string"}
 
 
 def _require(record: dict, key: str, section: str, index: int, types: frozenset | None = None):
@@ -158,7 +160,7 @@ def _require(record: dict, key: str, section: str, index: int, types: frozenset 
     except KeyError:
         raise ValidationError(f"{section}[{index}] missing required field '{key}'") from None
     if types is not None and type(value) not in types:
-        kinds = "an integer or a string" if str in types else "an integer"
+        kinds = _KINDS[types]
         raise ValidationError(f"{section}[{index}] field '{key}' must be {kinds}, got {value!r}")
     return value
 
@@ -195,11 +197,11 @@ def parse_coco_annotations(text: str) -> Dataset:
     class_of_source: dict[int, int] = {}
     for slot, cat in enumerate(doc["categories"], start=1):
         source_id = _require(cat, "id", "categories", slot - 1, _INT)
-        name = _require(cat, "name", "categories", slot - 1)
+        name = _require(cat, "name", "categories", slot - 1, _STR)
         if source_id in class_of_source:
             raise ValidationError(f"duplicate category id {source_id}")
         class_of_source[source_id] = slot
-        categories.append(Category(id=slot, name=str(name), source_id=source_id))
+        categories.append(Category(id=slot, name=name, source_id=source_id))
     if not categories:
         raise ValidationError("annotation document has no categories")
 

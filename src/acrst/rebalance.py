@@ -26,8 +26,8 @@ LABELED_ABSENT_PR = 1e9
 _FULL_OCCLUSION_EPS = 1e-12
 
 _Edges = tuple[float, float, float, float]
-# A crop as the bank stores it: (class_id, w, h, source_image_id).
-Crop = tuple[int, float, float, int | str]
+# A crop as the bank stores it: (class_id, w, h).
+Crop = tuple[int, float, float]
 
 
 @dataclass(frozen=True)
@@ -265,15 +265,15 @@ def fbr_mix(
 
     class_ids: list[int] = []
     placements: list[_Edges] = []
-    for (class_id, w, h, source), rescaled, min_scale in plans:
+    for (class_id, w, h), rescaled, min_scale in plans:
         scale = 1.0
         if rescaled:
             factor = lo + (hi - lo) * next(u)
             if min_scale is None:
                 log.warning(
-                    "crop %.0fx%.0f from image %s does not fit %sx%s even at "
+                    "crop %.0fx%.0f of class %s does not fit %sx%s even at "
                     "minimum rescale; skipped",
-                    w, h, source, width, height,
+                    w, h, class_id, width, height,
                 )
                 continue
             scale = factor * min(width, height) / max(w, h)

@@ -320,10 +320,9 @@ def run_epoch(
         class_exposure=tuple(int(c) for c in exposure_total),
         pasted_counts=tuple(int(c) for c in pasted_total),
     )
-    image_ids = [img.id for img in unlabeled.images]
-    bank = refresh_pseudo_bank(
-        bank, dets, kept.tolist(), image_ids, config.refresh_period, state.epoch
-    )
+    # Off-period epochs pass on the same bank, and with it its class tables.
+    if state.epoch % config.refresh_period == 0:
+        bank = refresh_pseudo_bank(bank, dets, kept.tolist())
     new_state = LoopState(
         teacher=teacher,
         student=student,

@@ -190,6 +190,23 @@ class TestRun:
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("under", ["", "sub"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_out_that_cannot_be_a_directory_exits_two_before_running(
+        self, tmp_path, capsys, monkeypatch, command, under
+    ):
+        def never(config, dataset):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr("acrst.cli.run_experiment", never)
+        taken = tmp_path / "taken"
+        taken.write_text("a file", encoding="utf-8")
+        out = taken / under if under else taken
+        config = write_config(tmp_path, sweep={"runs": [{"name": "only"}]})
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert f"cannot make output directory {out}" in capsys.readouterr().err
+        assert taken.read_text(encoding="utf-8") == "a file"
+
     def test_labeled_split_without_instances_exits_two(self, tmp_path, capsys):
         # No annotations at all: the labeled split holds no crop for fbr to
         # paste, which is rejected at set-up, not in the first epoch.

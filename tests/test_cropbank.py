@@ -17,24 +17,24 @@ from acrst.model import Detections, DetectorParams, detect
 from acrst.rebalance import SamplingDistribution
 
 
-def entry(class_id, origin="labeled", score=1.0, image_id=1):
+def entry(class_id, origin="labeled", score=1.0, w=10):
     return CropEntry(
-        source_image_id=image_id,
-        bbox=BBox(0, 0, 10, 10),
+        source_image_id=1,
+        bbox=BBox(0, 0, w, 10),
         class_id=class_id,
         score=score,
         origin=origin,
     )
 
 
-def pseudo(class_id, image_id=1):
+def pseudo(class_id, w=10):
     """A pseudo-label as the loop made one before the pseudo bank became rows."""
-    return Instance(class_id, BBox(0, 0, 10, 10), image_id)
+    return Instance(class_id, BBox(0, 0, w, 10), 1)
 
 
 def rows(instances):
     """The crop rows of ``instances``, in order."""
-    return tuple((i.class_id, i.bbox.w, i.bbox.h, i.source_image_id) for i in instances)
+    return tuple((i.class_id, i.bbox.w, i.bbox.h) for i in instances)
 
 
 class TestCropEntry:
@@ -59,14 +59,14 @@ class TestBuild:
         assert bank.n_pseudo == 0
         # One row per ground-truth instance of the split, in image order.
         assert bank.labeled_bank == tuple(
-            (c, w, h, img.id) for img in ds.images for c, _, _, w, h in img.truth_rows
+            (c, w, h) for img in ds.images for c, _, _, w, h in img.truth_rows
         )
 
     def test_entries_carry_geometry(self, coco_text):
         ds = parse_coco_annotations(coco_text)
         bank = build_labeled_bank(ds)
-        # Category 7 is class 1; the crop keeps the box's size and its image.
-        assert bank.labeled_bank[0] == (1, 20, 10, 10)
+        # Category 7 is class 1; the crop keeps the box's size and nothing else.
+        assert bank.labeled_bank[0] == (1, 20, 10)
 
 
 class TestRefresh:
@@ -87,37 +87,17 @@ class TestRefresh:
             record = ImageRecord(image_id, 10.0, 10.0, tuple(truth))
             detect(exact, record, np.random.default_rng(0), ClassCdfs([1.0] * 3), self.dets)
         self.kept = [True, False, True, False, True]
-        self.image_ids = [5, 6, 7]
 
-    def refresh(self, bank, period, epoch, kept=None):
-        kept = self.kept if kept is None else kept
-        return refresh_pseudo_bank(bank, self.dets, kept, self.image_ids, period, epoch)
-
-    def test_wholesale_replacement_on_period(self):
-        bank = self.refresh(self.bank, period=1, epoch=0)
+    def test_wholesale_replacement(self):
+        bank = refresh_pseudo_bank(self.bank, self.dets, self.kept)
         assert bank.n_pseudo == 3
         assert bank is not self.bank
-        # The kept rows' class and size, in order, each with its image's id.
-        assert bank.pseudo_bank == ((1, 4.0, 4.0, 5), (2, 5.0, 5.0, 6), (1, 3.0, 3.0, 6))
-        again = self.refresh(bank, period=1, epoch=1, kept=[False] * 5)
+        assert bank.labeled_bank is self.bank.labeled_bank
+        # The kept rows' class and size, in order.
+        assert bank.pseudo_bank == ((1, 4.0, 4.0), (2, 5.0, 5.0), (1, 3.0, 3.0))
+        again = refresh_pseudo_bank(bank, self.dets, [False] * 5)
         assert again.n_pseudo == 0
         assert again.pseudo_bank == ()
-
-    def test_off_period_keeps_banks(self):
-        bank = self.refresh(self.bank, period=2, epoch=3)
-        assert bank.pseudo_bank == self.bank.pseudo_bank
-        assert bank.labeled_bank is self.bank.labeled_bank
-        assert bank is self.bank
-
-    def test_labeled_bank_never_changes(self):
-        bank = self.bank
-        for epoch in range(6):
-            bank = self.refresh(bank, period=2, epoch=epoch)
-        assert bank.labeled_bank is self.bank.labeled_bank
-
-    def test_bad_period(self):
-        with pytest.raises(ValueError):
-            self.refresh(self.bank, period=0, epoch=0)
 
 
 class TestSampling:
@@ -137,13 +117,13 @@ class TestSampling:
 
     def test_union_of_banks_is_sampled(self):
         bank = CropBank(
-            labeled_bank=rows([entry(1, image_id=100)]),
-            pseudo_bank=rows([pseudo(1, image_id=200)]),
+            labeled_bank=rows([entry(1, w=100)]),
+            pseudo_bank=rows([pseudo(1, w=200)]),
         )
         dist = SamplingDistribution.uniform(1)
         crops = sample_crops(bank, dist, 400, np.random.default_rng(2))
-        sources = {c[3] for c in crops}
-        assert sources == {100, 200}
+        widths = {c[1] for c in crops}
+        assert widths == {100, 200}
 
     def test_empty_bank_raises(self):
         bank = CropBank(labeled_bank=())
@@ -186,8 +166,8 @@ class TestSampling:
 
     def test_sampled_crops_are_bank_rows(self, monkeypatch):
         bank = CropBank(
-            labeled_bank=rows([entry(1, image_id=0)]),
-            pseudo_bank=rows([pseudo(1 + i % 2, image_id=10 + i) for i in range(40)]),
+            labeled_bank=rows([entry(1, w=1)]),
+            pseudo_bank=rows([pseudo(1 + i % 2, w=10 + i) for i in range(40)]),
         )
         made = []
         init = Instance.__init__
@@ -207,11 +187,11 @@ class TestSampling:
         assert len(made) == 1
 
     def test_within_class_entries_uniform(self):
-        bank = CropBank(labeled_bank=rows(entry(1, image_id=i) for i in range(4)))
+        bank = CropBank(labeled_bank=rows(entry(1, w=i) for i in range(1, 5)))
         crops = sample_crops(
             bank, SamplingDistribution.uniform(1), 100_000, np.random.default_rng(5)
         )
-        counts = np.bincount([c[3] for c in crops], minlength=4)
+        counts = np.bincount([int(c[1]) - 1 for c in crops], minlength=4)
         assert scipy.stats.chisquare(counts).pvalue > 0.001
 
 
@@ -262,11 +242,11 @@ def _outcome(sampler, bank, distribution, n, rng):
 @st.composite
 def _bank_and_distributions(draw):
     k = draw(st.integers(1, 6))
-    # Every entry has its own source id, so equal results mean equal picks.
+    # Every entry has its own width, so equal results mean equal picks.
     classes = draw(st.lists(st.integers(1, k + 2), max_size=12))
     pseudo_classes = draw(st.lists(st.integers(1, k + 2), max_size=6))
-    labeled = tuple(entry(c, image_id=i) for i, c in enumerate(classes))
-    pseudo_labels = [pseudo(c, image_id=100 + i) for i, c in enumerate(pseudo_classes)]
+    labeled = tuple(entry(c, w=1 + i) for i, c in enumerate(classes))
+    pseudo_labels = [pseudo(c, w=100 + i) for i, c in enumerate(pseudo_classes)]
     weight = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
     dists = []
     for _ in range(draw(st.integers(1, 3))):
@@ -291,7 +271,7 @@ class TestSampleEquivalence:
     @example(case=((), [], [SamplingDistribution.uniform(2)]), sizes=[1, 0], seed=0)
     @example(
         case=(
-            tuple(entry(k, image_id=k) for k in (1, 2, 3)),
+            tuple(entry(k, w=k) for k in (1, 2, 3)),
             [],
             [SamplingDistribution(mu=(0.5, 0.0, 0.5))],
         ),
@@ -299,7 +279,7 @@ class TestSampleEquivalence:
         seed=1,
     )
     @example(
-        case=((entry(1, image_id=0),), [], [SamplingDistribution(mu=(0.0, 1.0))]),
+        case=((entry(1, w=1),), [], [SamplingDistribution(mu=(0.0, 1.0))]),
         sizes=[1, 1],
         seed=2,
     )
@@ -307,15 +287,15 @@ class TestSampleEquivalence:
     # holds every crop.
     @example(
         case=(
-            (entry(1, image_id=0), entry(1, image_id=1)),
-            [pseudo(2, image_id=100), pseudo(3, image_id=101), pseudo(2, image_id=102)],
+            (entry(1, w=1), entry(1, w=2)),
+            [pseudo(2, w=100), pseudo(3, w=101), pseudo(2, w=102)],
             [SamplingDistribution(mu=(0.2, 0.5, 0.3))],
         ),
         sizes=[9, 9, 9],
         seed=3,
     )
     @example(
-        case=((), [pseudo(2, image_id=100), pseudo(1, image_id=101)],
+        case=((), [pseudo(2, w=100), pseudo(1, w=101)],
               [SamplingDistribution.uniform(2)]),
         sizes=[9, 4],
         seed=4,

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrst.api import BBox, Instance
-from acrst.cropbank import build_labeled_bank
 from acrst.dataset import (
     MIN_BOX_SIDE,
     Category,
@@ -153,6 +152,14 @@ class TestParse:
                          id="category-id-float"),
             pytest.param(lambda d: d["categories"][0].update(id=True), r"categories\[0\]",
                          id="category-id-bool"),
+            pytest.param(lambda d: d["categories"][0].update(name=None), r"categories\[0\]",
+                         id="category-name-null"),
+            pytest.param(lambda d: d["categories"][1].update(name=5), r"categories\[1\]",
+                         id="category-name-int"),
+            pytest.param(lambda d: d["categories"][0].update(name=["a"]), r"categories\[0\]",
+                         id="category-name-list"),
+            pytest.param(lambda d: d["categories"][1].update(name=True), r"categories\[1\]",
+                         id="category-name-bool"),
             pytest.param(lambda d: d["images"][1].update(id=[11]), r"images\[1\]",
                          id="image-id-list"),
             pytest.param(lambda d: d["images"][0].update(id=10.0), r"images\[0\]",
@@ -197,7 +204,6 @@ class TestParse:
         ds = parse_coco_annotations(json.dumps(doc))
         assert [img.id for img in ds.images] == ["a", 11]
         assert [row[0] for row in ds.images[0].truth_rows] == [1, 2]
-        assert [crop[3] for crop in build_labeled_bank(ds).labeled_bank] == ["a", "a", 11]
 
     def test_image_side_of_1e9_accepted(self, coco_text):
         doc = json.loads(coco_text)

@@ -36,7 +36,7 @@ def mix(record, crops, rng, config):
     ground truth that survives the pasted boxes, as the loop merges them: the
     pasted classes first, then the surviving base classes."""
     base = list(record.truth_rows)
-    rows = [(c.class_id, c.bbox.w, c.bbox.h, c.source_image_id) for c in crops]
+    rows = [(c.class_id, c.bbox.w, c.bbox.h) for c in crops]
     pasted = fbr_mix((record.width, record.height), rows, rng, config)
     survivors = occlusion_survivors(base, pasted.placements, config.occlusion_threshold)
     return Mix(pasted.class_ids + survivors, pasted.placements)
@@ -254,7 +254,7 @@ class TestFbrMix:
         return ImageRecord(id=1, width=width, height=height, truth_rows=((1, 10, 10, 20, 20),))
 
     def test_returns_the_pasted_classes_alone(self):
-        got = fbr_mix((100, 80), [(2, 30, 20, 7), (3, 5, 5, 8)], np.random.default_rng(1),
+        got = fbr_mix((100, 80), [(2, 30, 20), (3, 5, 5)], np.random.default_rng(1),
                       PasteConfig())
         assert got.class_ids == [2, 3] and len(got.placements) == 2
         assert fbr_mix((100, 80), [], np.random.default_rng(1), PasteConfig()) == Mix([], [])
@@ -558,7 +558,7 @@ class TestPasteEquivalence:
         assert scales[1] != 1.3 * 60 / 300
         assert scales[2] == 1.3 * 60 / 200
         assert [r.getMessage() for r in caplog.records] == [
-            "crop 200x200 from image 1 does not fit 100x60 even at minimum rescale; skipped"
+            "crop 200x200 of class 5 does not fit 100x60 even at minimum rescale; skipped"
         ]
 
 

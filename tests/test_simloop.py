@@ -5,9 +5,10 @@ import math
 
 import pytest
 
+from acrst import simloop
 from acrst.api import BBox, ImageLevelLabel, Instance, PastePlacement
 from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
-from acrst.cropbank import build_labeled_bank
+from acrst.cropbank import build_labeled_bank, refresh_pseudo_bank
 from acrst.dataset import Dataset, ImageRecord, parse_coco_annotations, split_standard
 from acrst.filtering import FilterConfig, OracleNoise
 from acrst.model import LossBreakdown
@@ -125,6 +126,24 @@ class TestLoopStructure:
         # Refresh fires on even epochs, so odd-epoch banks persist one epoch.
         assert traces[1].n_u == traces[0].n_pseudo
         assert traces[2].n_u == traces[1].n_u
+
+    def test_refresh_only_on_period_epochs(self, corpus, monkeypatch):
+        config = quick_config(refresh_period=3)
+        refreshed = []
+
+        def recording(bank, dets, kept):
+            refreshed.append(epoch)
+            return refresh_pseudo_bank(bank, dets, kept)
+
+        monkeypatch.setattr(simloop, "refresh_pseudo_bank", recording)
+        state = first = initial_state(config, corpus)
+        for epoch in range(8):
+            new_state, _ = run_epoch(state, config, substream(config.seed, "epoch", epoch))
+            # An off-period epoch passes on the very bank it was given.
+            assert (new_state.bank is state.bank) == (epoch % 3 != 0)
+            assert new_state.bank.labeled_bank is first.bank.labeled_bank
+            state = new_state
+        assert refreshed == [0, 3, 6]
 
 
 class TestToggleMechanics:
