@@ -32,6 +32,8 @@ def _read_text(path: Path, what: str) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise _UsageError(f"{what} {path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
+    except OSError as e:
+        raise _UsageError(f"cannot read {what} {path}: {e.strerror}") from e
 
 
 def _read_json(path: Path, what: str, invalid: str):
@@ -99,8 +101,14 @@ def _write_run_artifacts(report: RunReport, out_dir: Path) -> None:
 def cmd_run(args) -> int:
     config = config_from_dict(_load_config(args.config), _cli_document(args))
     dataset = _build_dataset(config)
+    made = not Path(args.out).exists()
     out_dir = _make_out_dir(args.out)
-    report = run_experiment(config, dataset)
+    try:
+        report = run_experiment(config, dataset)
+    except Exception:
+        if made and not any(out_dir.iterdir()):  # a failed run leaves no empty --out it made
+            out_dir.rmdir()
+        raise
     _write_run_artifacts(report, out_dir)
     final = report.summary.get("final", {})
     print(f"run complete: {report.summary['epochs_run']} mutual epochs -> {args.out}")

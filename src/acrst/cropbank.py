@@ -95,17 +95,13 @@ def sample_crops(
     n: int,
     rng: np.random.Generator,
 ) -> list[Crop]:
-    """Draw ``n`` crops: class by the distribution, entry uniformly within class.
+    """Draw ``n >= 0`` crops: class by the distribution, entry uniformly within class.
 
     Classes without any stored entry are excluded and the class weights are
     renormalized over the rest. Raises :class:`EmptyBankError` when both banks
     are empty and ValueError when no available class has positive weight.
     """
-    if n < 0:
-        raise ValueError(f"sample size must be non-negative, got {n}")
     pools, cdf = bank._class_table(distribution.mu)
-    if n == 0:
-        return []
     # n class draws, then n entry draws, from one call.
     u = rng.random(2 * n)
     classes = cdf.searchsorted(u[:n], side="right").tolist()

@@ -275,8 +275,6 @@ def split_standard(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
-    if not dataset.images:
-        raise ValueError("cannot split an empty dataset")
     n = len(dataset.images)
     n_labeled = int(round(fraction * n))
     rng = np.random.default_rng(seed)

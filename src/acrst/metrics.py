@@ -84,8 +84,6 @@ def _greedy(
 
 def fg_ratio(foreground: int, background: int) -> float:
     """Foreground share of training target assignments."""
-    if foreground < 0 or background < 0:
-        raise ValueError("target counts must be non-negative")
     total = foreground + background
     if total == 0:
         raise ValueError("foreground ratio undefined for zero targets")
@@ -95,18 +93,12 @@ def fg_ratio(foreground: int, background: int) -> float:
 def class_kld(pseudo_counts: Sequence[int], truth_counts: Sequence[int]) -> float:
     """KL divergence (nats) of the pseudo class distribution from the truth.
 
-    Both count vectors have 1e-6 added to each entry and are normalized
-    first, so the result is finite even with empty classes. Direction is
-    pseudo || truth.
+    The arguments are per-class counts of one length, the truth's not all
+    zero. Both have 1e-6 added to each entry and are normalized first, so
+    the result is finite even with empty classes. Direction is pseudo || truth.
     """
     p = np.asarray(pseudo_counts, dtype=float)
     q = np.asarray(truth_counts, dtype=float)
-    if p.shape != q.shape or p.ndim != 1 or p.size == 0:
-        raise ValueError("count vectors must be non-empty and aligned")
-    if (p < 0).any() or (q < 0).any():
-        raise ValueError("counts must be non-negative")
-    if q.sum() <= 0:
-        raise ValueError("truth counts must not be all zero")
     p = p + 1e-6
     q = q + 1e-6
     p = p / p.sum()
@@ -178,9 +170,6 @@ def evaluate(
     predictions are matched at ``match_iou``.
     """
     kept = np.asarray(kept, dtype=bool)
-    sizes = (len(p_count), sum(p_count), sum(p_count), sum(g_count))
-    if sizes != (len(g_count), preds.shape[1], len(kept), truths.shape[1]):
-        raise ValueError("prediction, kept and ground-truth rows must match the per-image counts")
     if not 0.0 < match_iou <= 1.0:
         raise ValueError(f"iou threshold must be in (0, 1], got {match_iou}")
     n_images = len(p_count)

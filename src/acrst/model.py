@@ -262,16 +262,12 @@ def student_update(
     Per-class recall moves toward 1 in proportion to the class's share of
     batch instances. Localization moves toward 1 with the share of instances
     that carried regression supervision, and the confusion and partial-box
-    rates decay toward their floors by the same signal. Zero exposure and
-    zero regression targets leave the parameters unchanged.
+    rates decay toward their floors by the same signal. The counts are never
+    negative; zero exposure and zero regression targets change nothing.
     """
     exposure = np.asarray(batch_class_exposure, dtype=float)
     if exposure.shape != (params.n_classes,):
         raise ValueError("exposure vector must have one entry per class")
-    if (exposure < 0).any():
-        raise ValueError("exposure counts must be non-negative")
-    if batch_reg_targets < 0:
-        raise ValueError("regression target count must be non-negative")
 
     total = exposure.sum()
     share = exposure / max(1.0, total)

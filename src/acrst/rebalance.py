@@ -55,30 +55,18 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class SamplingDistribution:
-    """Normalized class sampling weights."""
+    """Non-negative class sampling weights summing to 1, as their only makers
+    build them: :meth:`uniform` over k >= 1 classes, :meth:`normalized` of a positive sum."""
 
     mu: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.mu:
-            raise ValueError("sampling distribution needs at least one class")
-        if any(m < 0 for m in self.mu):
-            raise ValueError("sampling weights must be non-negative")
-        if abs(sum(self.mu) - 1.0) > 1e-9:
-            raise ValueError("sampling weights must sum to 1")
 
     @classmethod
     def normalized(cls, weights: Sequence[float]) -> "SamplingDistribution":
         w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if total <= 0.0:
-            raise ValueError("cannot normalize an all-zero weight vector")
-        return cls(mu=tuple((w / total).tolist()))
+        return cls(mu=tuple((w / w.sum()).tolist()))
 
     @classmethod
     def uniform(cls, n_classes: int) -> "SamplingDistribution":
-        if n_classes < 1:
-            raise ValueError("need at least one class")
         return cls(mu=(1.0 / n_classes,) * n_classes)
 
 

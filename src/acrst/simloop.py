@@ -159,8 +159,6 @@ def pretrain(
     update with full regression supervision. With zero pretrain epochs the
     configured initial parameters come back untouched.
     """
-    if not labeled.images:
-        raise ConfigError("pretraining requires a non-empty labeled dataset")
     params = config.detector.build(labeled.num_classes)
     n = len(labeled.images)
     k = labeled.num_classes

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 from pathlib import Path
 
@@ -227,6 +228,29 @@ class TestRun:
         )
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "labeled split drew no instances" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rejection", ["no_labeled_instance", "empty_split_side"])
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_set_up_rejection_removes_only_an_out_it_made(
+        self, tmp_path, capsys, rejection, existed
+    ):
+        if rejection == "no_labeled_instance":
+            coco = {"images": [{"id": i, "width": 64, "height": 64} for i in range(1, 21)],
+                    "annotations": [], "categories": [{"id": 1, "name": "thing"}]}
+            ann = tmp_path / "ann.json"
+            ann.write_text(json.dumps(coco), encoding="utf-8")
+            dataset, fraction = {"type": "coco_json", "path": str(ann)}, 0.25
+            message = "fbr needs labeled crops to paste"
+        else:
+            dataset, fraction = {"type": "synthetic", "images": 2, "classes": 3}, 0.2
+            message = "split produced an empty side"
+        config = write_config(tmp_path, split_fraction=fraction, dataset=dataset)
+        out = tmp_path / "o"
+        if existed:
+            out.mkdir()
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert out.is_dir() == existed
 
     def test_coco_file_without_categories_exits_two(self, tmp_path, capsys):
         # Once this failed mid-run, when the detector was built for no class.
@@ -707,3 +731,45 @@ class TestReport:
         assert main(["report", "--in", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(out / "report.json") in err and "epochs[1]" in err and "'fg_ratio'" in err
+
+
+class TestUnreadableFile:
+    """A file that exists but cannot be read exits 2 naming it. The read is
+    patched to fail, since file modes do not stop root from reading."""
+
+    @pytest.fixture
+    def denied(self, monkeypatch):
+        paths, read_text = [], Path.read_text
+
+        def read(path, *args, **kwargs):
+            if path in paths:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read)
+        return paths
+
+    def test_config(self, tmp_path, capsys, denied):
+        config = write_config(tmp_path)
+        denied.append(config)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"cannot read config {config}: Permission denied" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_annotation_file(self, tmp_path, capsys, denied):
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps({"images": [], "annotations": [], "categories": []}))
+        config = write_config(tmp_path, dataset={"type": "coco_json", "path": str(ann)})
+        denied.append(ann)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read annotation file {ann}: Permission denied" in err
+
+    def test_report(self, tmp_path, capsys, denied):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        denied.append(out / "report.json")
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read report {out / 'report.json'}: Permission denied" in err

@@ -563,14 +563,6 @@ class TestPasteEquivalence:
 
 
 class TestSamplingDistributionInvariants:
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            SamplingDistribution(mu=(0.5, 0.4))
-
     def test_normalized_constructor(self):
         dist = SamplingDistribution.normalized([2.0, 6.0])
         np.testing.assert_allclose(dist.mu, [0.25, 0.75], atol=1e-12)
-
-    def test_normalized_rejects_zero_vector(self):
-        with pytest.raises(ValueError):
-            SamplingDistribution.normalized([0.0, 0.0])

@@ -2,17 +2,18 @@ import dataclasses
 import json
 import logging
 import math
+import re
 
 import pytest
 
 from acrst import simloop
-from acrst.api import BBox, ImageLevelLabel, Instance, PastePlacement
+from acrst.api import BBox, ImageLevelLabel, Instance, PastePlacement, Prediction, two_stage_filter
 from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
 from acrst.cropbank import build_labeled_bank, refresh_pseudo_bank
-from acrst.dataset import Dataset, ImageRecord, parse_coco_annotations, split_standard
+from acrst.dataset import Category, Dataset, ImageRecord, parse_coco_annotations, split_standard
 from acrst.filtering import FilterConfig, OracleNoise
 from acrst.model import LossBreakdown
-from acrst.rebalance import SamplingDistribution, affr_distribution
+from acrst.rebalance import PasteConfig, SamplingDistribution, affr_distribution
 from acrst.seeding import derive_seed, substream
 from acrst.simloop import (
     EPOCH_CSV_COLUMNS,
@@ -377,11 +378,6 @@ class TestPretrain:
         params = pretrain(config, labeled, substream(3, "pretrain"))
         assert params == config.detector.build(labeled.num_classes)
 
-    def test_empty_labeled_raises(self, corpus):
-        empty = Dataset(images=(), categories=corpus.categories)
-        with pytest.raises(ConfigError):
-            pretrain(quick_config(), empty, substream(0, "pretrain"))
-
 
 class TestRunExperimentGuards:
     def test_empty_dataset(self):
@@ -406,6 +402,59 @@ class TestRunExperimentGuards:
         tiny = synthetic_dataset(4, 2, seed=1)
         with pytest.raises(ConfigError):
             run_experiment(quick_config(split_fraction=0.05), tiny)
+
+
+def overflowing_paste_corpus():
+    """Six 300x300 images holding a 200x200 box and six 100x60 images holding
+    a 10x10 one: a large crop pasted on a small image must be rescaled."""
+    large = [ImageRecord(i, 300, 300, ((1, 10, 10, 200, 200),)) for i in range(6)]
+    small = [ImageRecord(i, 100, 60, ((1, 5, 5, 10, 10),)) for i in range(6, 12)]
+    return Dataset(tuple(large + small), (Category(1, "thing", 1),))
+
+
+def class_past_categories_corpus():
+    """Eight one-category images whose boxes say class 2."""
+    images = tuple(ImageRecord(i, 100, 100, ((2, 10, 10, 20, 20),)) for i in range(8))
+    return Dataset(images, (Category(1, "thing", 1),))
+
+
+class TestReachableGuards:
+    """Each guard that a Python-built config, a hand-built dataset or the
+    object API reaches still fires; none of them is dead code. A Python-built
+    ``ExperimentConfig`` is not checked against ``config.SCHEMA``."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda corpus: run_experiment(quick_config(split_fraction=1.5), corpus),
+             "split fraction must be in (0, 1), got 1.5"),
+            (lambda corpus: run_experiment(
+                quick_config(paste=PasteConfig(occlusion_threshold=1.5)), corpus),
+             "occlusion threshold must be in [0, 1], got 1.5"),
+            (lambda corpus: run_experiment(quick_config(match_iou=0.0), corpus),
+             "iou threshold must be in (0, 1], got 0.0"),
+            (lambda corpus: run_experiment(
+                quick_config(detector=DetectorConfig(lr=0.2, ema_alpha=1.5)), corpus),
+             "alpha must be in [0, 1], got 1.5"),
+            # Once the minimum rescale is 0, a factor too large to fit falls
+            # back to a zero scale.
+            (lambda corpus: run_experiment(
+                quick_config(split_fraction=0.5, paste=PasteConfig(rescale_min=0.0, rescale_max=3.0)),
+                overflowing_paste_corpus()),
+             "box sides must be positive, got w=0.0 h=0.0"),
+            (lambda corpus: run_experiment(quick_config(), class_past_categories_corpus()),
+             "exposure vector must have one entry per class"),
+            (lambda corpus: two_stage_filter(
+                [Prediction(1, BBox(0, 0, 10, 10), 0.9)], None,
+                FilterConfig(mode="two_stage_filtering")),
+             "two-stage filtering needs each row's activation"),
+        ],
+        ids=["split_fraction", "occlusion_threshold", "match_iou", "ema_alpha",
+             "paste_side", "exposure_shape", "missing_activation"],
+    )
+    def test_raises_value_error(self, corpus, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(corpus)
 
 
 class TestReportSerialization:
