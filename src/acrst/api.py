@@ -153,6 +153,8 @@ def merge_annotations(
     instance survives when its visible fraction is at least the threshold;
     fully occluded instances are dropped regardless of threshold.
     """
+    if not 0.0 <= occlusion_threshold <= 1.0:
+        raise ValueError(f"occlusion threshold must be in [0, 1], got {occlusion_threshold}")
     merged = [Instance(p.crop.class_id, p.target_bbox, p.crop.source_image_id) for p in pasted]
     rows = [(inst, inst.bbox.x, inst.bbox.y, inst.bbox.w, inst.bbox.h) for inst in base]
     rects = [(b.x, b.y, b.x2, b.y2) for b in (p.target_bbox for p in pasted)]

@@ -10,6 +10,7 @@ import csv
 import json
 import logging
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 from .config import SECTIONS, TOGGLES, ConfigError, ExperimentConfig, config_from_dict
@@ -101,13 +102,16 @@ def _write_run_artifacts(report: RunReport, out_dir: Path) -> None:
 def cmd_run(args) -> int:
     config = config_from_dict(_load_config(args.config), _cli_document(args))
     dataset = _build_dataset(config)
-    made = not Path(args.out).exists()
+    out = Path(args.out)
+    made = list(takewhile(lambda p: not p.exists(), (out, *out.parents)))  # deepest first
     out_dir = _make_out_dir(args.out)
     try:
         report = run_experiment(config, dataset)
     except Exception:
-        if made and not any(out_dir.iterdir()):  # a failed run leaves no empty --out it made
-            out_dir.rmdir()
+        for path in made:  # a failed run leaves no empty directory it made
+            if any(path.iterdir()):
+                break
+            path.rmdir()
         raise
     _write_run_artifacts(report, out_dir)
     final = report.summary.get("final", {})

@@ -1,10 +1,10 @@
 """Experiment configuration: defaults, one schema table, parsing and echoing.
 
 Config files are UTF-8 JSON with lower_snake keys. :data:`SCHEMA` gives every
-key its JSON type and range; :func:`config_from_dict` checks each key against
-it once, then the cross-key rules, and raises :class:`ConfigError` naming the
-key. Every parsed config can be echoed back into a plain dict with all
-defaults filled in.
+key its JSON type and range. Building an :class:`ExperimentConfig`, from a
+document by :func:`config_from_dict` or in Python, checks every key against it,
+then the cross-key rules, and raises :class:`ConfigError` naming the key. Every
+config can be echoed back into a plain dict with all defaults filled in.
 """
 
 from __future__ import annotations
@@ -107,6 +107,14 @@ class ExperimentConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     oracle: OracleNoise = field(default_factory=OracleNoise)
 
+    def __post_init__(self) -> None:
+        """Check every :data:`SCHEMA` key, then the rules; ``toggles.*`` are top-level fields."""
+        for key in SCHEMA:
+            section, _, name = key.rpartition(".")
+            holder = self if section in ("", "toggles") else getattr(self, section)
+            _check(key, getattr(holder, name))
+        _check_rules(self)
+
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict echo of the full effective configuration."""
         out = asdict(self)
@@ -119,9 +127,9 @@ class ExperimentConfig:
 
 # Every key's JSON type and range; section keys are written "section.key".
 # A type "a | b" takes either kind. "number" is a finite int or float, never
-# a boolean, and "list of number" checks the range on each item. A range is
-# an interval, the allowed strings joined by " | ", or "-" for none. Values
-# are never coerced: an int given for a number key stays an int.
+# a boolean, and "list of number" (a list or tuple) checks the range on each
+# item. A range is an interval, the allowed strings joined by " | ", or "-"
+# for none. Values are never coerced: an int given for a number key stays an int.
 SCHEMA: dict[str, tuple[str, str]] = {
     "seed": ("int", "(-inf, inf)"),
     "split_fraction": ("number", "(0, 1)"),
@@ -183,14 +191,14 @@ _KINDS = {
 def _fits(kind: str, value: Any) -> bool:
     item = kind.removeprefix("list of ")
     if item != kind:
-        return isinstance(value, list) and all(_KINDS[item](v) for v in value)
+        return isinstance(value, (list, tuple)) and all(_KINDS[item](v) for v in value)
     return _KINDS[kind](value)
 
 
 def _within(value: Any, bounds: str) -> bool:
     if value is None or bounds == "-":
         return True
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return all(_within(v, bounds) for v in value)
     if bounds[0] not in "([":
         return value in bounds.split(" | ")
@@ -201,13 +209,12 @@ def _within(value: Any, bounds: str) -> bool:
 
 
 def _check(key: str, value: Any) -> None:
-    """Raise :class:`ConfigError` unless ``key`` is in the table and ``value`` fits it."""
-    if key not in SCHEMA:
-        raise ConfigError(f"unknown config key '{key}'")
+    """Raise :class:`ConfigError` unless ``value`` fits table key ``key``."""
     kinds, bounds = SCHEMA[key]
     if not any(_fits(kind, value) for kind in kinds.split(" | ")) or not _within(value, bounds):
         what = kinds if bounds == "-" else f"{kinds} in {bounds}"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
+        shown = list(value) if isinstance(value, tuple) else value  # as the JSON list it was
+        raise ConfigError(f"{key} must be {what}, got {shown!r}")
 
 
 def _check_rules(c: ExperimentConfig) -> None:
@@ -236,10 +243,9 @@ def config_from_dict(data: dict[str, Any], *overrides: dict[str, Any]) -> Experi
     documents merged over it in order: a top-level key is replaced, a section
     (a JSON object) has its keys merged one by one, and a null section changes nothing.
 
-    Every key is checked against :data:`SCHEMA`, then the cross-key rules run
-    once on the result; a failure raises :class:`ConfigError` naming the key.
-    Missing keys take their defaults. The base document's ``sweep`` section
-    is skipped.
+    A key outside :data:`SCHEMA` raises :class:`ConfigError`; building the
+    result checks the values and the rules. Missing keys take their defaults.
+    The base document's ``sweep`` section is skipped.
     """
     if not all(isinstance(doc, dict) for doc in (data, *overrides)):
         raise ConfigError("config document must be a JSON object")
@@ -248,20 +254,20 @@ def config_from_dict(data: dict[str, Any], *overrides: dict[str, Any]) -> Experi
     docs = [{k: v for k, v in data.items() if k != "sweep"}, *overrides]
     for key, value in chain.from_iterable(doc.items() for doc in docs):
         if key not in sections:
-            if "." in key:  # a section key written at the top level
+            if key not in SCHEMA or "." in key:  # "." marks a section key at the top level
                 raise ConfigError(f"unknown config key '{key}'")
-            _check(key, value)
             top[key] = value
         elif isinstance(value, dict):
             for sub, item in value.items():
-                _check(f"{key}.{sub}", item)
+                if f"{key}.{sub}" not in SCHEMA:
+                    raise ConfigError(f"unknown config key '{key}.{sub}'")
                 # The frozen config holds a list as a tuple; both echo as a JSON list.
                 sections[key][sub] = tuple(item) if isinstance(item, list) else item
         elif value is not None:
             raise ConfigError(
                 f"config section '{key}' must be a JSON object, got {type(value).__name__}"
             )
-    config = ExperimentConfig(
+    return ExperimentConfig(
         **top,
         **sections["toggles"],
         dataset=DatasetConfig(**sections["dataset"]),
@@ -270,5 +276,3 @@ def config_from_dict(data: dict[str, Any], *overrides: dict[str, Any]) -> Experi
         detector=DetectorConfig(**sections["detector"]),
         oracle=OracleNoise(**sections["oracle"]),
     )
-    _check_rules(config)
-    return config

@@ -273,8 +273,6 @@ def split_standard(
     labeled side. The unlabeled side keeps its ground truth, which only
     metrics read. Image order within each side follows the input order.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
     n = len(dataset.images)
     n_labeled = int(round(fraction * n))
     rng = np.random.default_rng(seed)

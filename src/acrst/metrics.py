@@ -84,10 +84,7 @@ def _greedy(
 
 def fg_ratio(foreground: int, background: int) -> float:
     """Foreground share of training target assignments."""
-    total = foreground + background
-    if total == 0:
-        raise ValueError("foreground ratio undefined for zero targets")
-    return foreground / total
+    return foreground / (foreground + background)
 
 
 def class_kld(pseudo_counts: Sequence[int], truth_counts: Sequence[int]) -> float:
@@ -170,8 +167,6 @@ def evaluate(
     predictions are matched at ``match_iou``.
     """
     kept = np.asarray(kept, dtype=bool)
-    if not 0.0 < match_iou <= 1.0:
-        raise ValueError(f"iou threshold must be in (0, 1], got {match_iou}")
     n_images = len(p_count)
     p_start = np.cumsum([0, *p_count]).tolist()
     g_start = np.cumsum([0, *g_count]).tolist()

@@ -262,13 +262,11 @@ def student_update(
     Per-class recall moves toward 1 in proportion to the class's share of
     batch instances. Localization moves toward 1 with the share of instances
     that carried regression supervision, and the confusion and partial-box
-    rates decay toward their floors by the same signal. The counts are never
-    negative; zero exposure and zero regression targets change nothing.
+    rates decay toward their floors by the same signal. The exposure holds one
+    count per class, none negative; zero exposure and zero regression targets
+    change nothing.
     """
     exposure = np.asarray(batch_class_exposure, dtype=float)
-    if exposure.shape != (params.n_classes,):
-        raise ValueError("exposure vector must have one entry per class")
-
     total = exposure.sum()
     share = exposure / max(1.0, total)
     recall = tuple(

@@ -201,8 +201,6 @@ def occlusion_survivors(
     """The first field of each ``(item, x, y, w, h, ...)`` row of ``base`` whose
     box ``rects`` neither occlude fully nor leave less than the threshold
     visible: with the pasted boxes' edges, a pasted image's surviving classes."""
-    if not 0.0 <= occlusion_threshold <= 1.0:
-        raise ValueError(f"occlusion threshold must be in [0, 1], got {occlusion_threshold}")
     out = []
     for item, x, y, w, h, *_ in base:
         vf = _visible(x, y, w, h, rects)
@@ -268,8 +266,6 @@ def fbr_mix(
             if w * scale > width or h * scale > height:
                 scale = min_scale
         pw, ph = w * scale, h * scale
-        if pw <= 0 or ph <= 0:
-            raise ValueError(f"box sides must be positive, got w={pw} h={ph}")
         x = 0.0 + (width - pw) * next(u)
         y = 0.0 + (height - ph) * next(u)
         class_ids.append(class_id)

@@ -144,8 +144,6 @@ def _class_counts(class_ids: Sequence[int], k: int) -> np.ndarray:
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
     """Each loss term's mean over batches, summed in batch order."""
-    if not parts:
-        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
     columns = zip(*(astuple(p) for p in parts))
     return LossBreakdown(*(sum(column) / len(parts) for column in columns))
 
@@ -340,6 +338,11 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset) -> RunReport:
     """
     if not dataset.images:
         raise ConfigError("experiment needs a non-empty dataset")
+    k = dataset.num_classes
+    for img in dataset.images:
+        for row in img.truth_rows:
+            if not 1 <= row[0] <= k:
+                raise ConfigError(f"image {img.id}: ground-truth class {row[0]} is not in 1..{k}")
     seed = config.seed
     labeled, unlabeled = split_standard(
         dataset, config.split_fraction, derive_seed(seed, "split")

@@ -231,8 +231,9 @@ class TestRun:
 
     @pytest.mark.parametrize("rejection", ["no_labeled_instance", "empty_split_side"])
     @pytest.mark.parametrize("existed", [False, True])
+    @pytest.mark.parametrize("out_path", ["o", "nest/a/b"])
     def test_set_up_rejection_removes_only_an_out_it_made(
-        self, tmp_path, capsys, rejection, existed
+        self, tmp_path, capsys, rejection, existed, out_path
     ):
         if rejection == "no_labeled_instance":
             coco = {"images": [{"id": i, "width": 64, "height": 64} for i in range(1, 21)],
@@ -245,12 +246,14 @@ class TestRun:
             dataset, fraction = {"type": "synthetic", "images": 2, "classes": 3}, 0.2
             message = "split produced an empty side"
         config = write_config(tmp_path, split_fraction=fraction, dataset=dataset)
-        out = tmp_path / "o"
+        # When it existed, the topmost directory of the --out path stays; no other does.
+        top = out_path.split("/")[0]
         if existed:
-            out.mkdir()
-        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+            (tmp_path / top).mkdir()
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / out_path)]) == 2
         assert message in capsys.readouterr().err
-        assert out.is_dir() == existed
+        dirs = [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_dir()]
+        assert dirs == ([top] if existed else [])
 
     def test_coco_file_without_categories_exits_two(self, tmp_path, capsys):
         # Once this failed mid-run, when the detector was built for no class.

@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -270,12 +270,25 @@ class TestClassCap:
         assert len(run_experiment(config, dataset).traces) == 1
 
 
+def _python_built(key: str, value):
+    """The config of ``_TINY`` with ``key`` set to ``value`` by ``dataclasses.replace``,
+    a JSON list given as a tuple."""
+    value = tuple(value) if isinstance(value, list) else value
+    section, _, name = key.rpartition(".")
+    base = config_from_dict(_TINY)
+    if section in ("", "toggles"):
+        return replace(base, **{name: value})
+    return replace(base, **{section: replace(getattr(base, section), **{name: value})})
+
+
 class TestEveryKeyRunsOrFails:
     """A table key set to a small JSON value parses and runs, or is a ConfigError.
 
-    ``run_experiment`` may raise ConfigError too: its set-up rejects a split
-    with an empty side and an ``initial_recall_skill`` list of the wrong
-    length, both before the first epoch. Any other exception is a defect.
+    The same key and value set in Python raise the same ConfigError, or build
+    the same config. ``run_experiment`` may raise ConfigError too: its set-up
+    rejects a split with an empty side and an ``initial_recall_skill`` list of
+    the wrong length, both before the first epoch. Any other exception is a
+    defect.
     """
 
     @pytest.mark.parametrize("key", sorted(SCHEMA))
@@ -290,8 +303,12 @@ class TestEveryKeyRunsOrFails:
             data[key] = value
         try:
             config = config_from_dict(data)
-        except ConfigError:
+        except ConfigError as e:
+            with pytest.raises(ConfigError) as built:
+                _python_built(key, value)
+            assert str(built.value) == str(e)
             return
+        assert _python_built(key, value) == config
         try:
             report = run_experiment(config, _build_dataset(config))
         except ConfigError:

@@ -282,11 +282,6 @@ class TestStudentUpdate:
         assert out.fp_rate == 0.7
         assert out.confidence_sharpness == 6.0
 
-    def test_validation(self):
-        p = params()
-        with pytest.raises(ValueError):
-            student_update(p, [1], 0, lr=0.1)
-
 
 class TestSmoothL1:
     def test_quadratic_region(self):

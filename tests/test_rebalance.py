@@ -305,15 +305,6 @@ class TestFbrMix:
         assert mixed.class_ids == [2, 3]
         assert len(mixed.placements) == 2
 
-    def test_pasted_box_needs_positive_sides(self):
-        # The rescale underflows to zero: the pasted box has no area.
-        rec = ImageRecord(id=1, width=10, height=10)
-        config = PasteConfig(rescale_min=1e-300, rescale_max=1e-300)
-        with pytest.raises(ValueError, match="positive"):
-            mix(rec, [crop(2, 1e300, 1e300)], np.random.default_rng(0), config)
-        with pytest.raises(ValueError, match="positive"):
-            _per_crop_fbr_mix(rec, [crop(2, 1e300, 1e300)], np.random.default_rng(0), config)
-
 
 def _grid_visible_fraction(inst, occluders):
     """Reference visibility: BBox intersections and the cell grid for any overlap."""

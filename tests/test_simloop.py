@@ -12,7 +12,7 @@ from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
 from acrst.cropbank import build_labeled_bank, refresh_pseudo_bank
 from acrst.dataset import Category, Dataset, ImageRecord, parse_coco_annotations, split_standard
 from acrst.filtering import FilterConfig, OracleNoise
-from acrst.model import LossBreakdown
+from acrst.model import LossBreakdown, ema_update
 from acrst.rebalance import PasteConfig, SamplingDistribution, affr_distribution
 from acrst.seeding import derive_seed, substream
 from acrst.simloop import (
@@ -404,14 +404,6 @@ class TestRunExperimentGuards:
             run_experiment(quick_config(split_fraction=0.05), tiny)
 
 
-def overflowing_paste_corpus():
-    """Six 300x300 images holding a 200x200 box and six 100x60 images holding
-    a 10x10 one: a large crop pasted on a small image must be rescaled."""
-    large = [ImageRecord(i, 300, 300, ((1, 10, 10, 200, 200),)) for i in range(6)]
-    small = [ImageRecord(i, 100, 60, ((1, 5, 5, 10, 10),)) for i in range(6, 12)]
-    return Dataset(tuple(large + small), (Category(1, "thing", 1),))
-
-
 def class_past_categories_corpus():
     """Eight one-category images whose boxes say class 2."""
     images = tuple(ImageRecord(i, 100, 100, ((2, 10, 10, 20, 20),)) for i in range(8))
@@ -419,41 +411,56 @@ def class_past_categories_corpus():
 
 
 class TestReachableGuards:
-    """Each guard that a Python-built config, a hand-built dataset or the
-    object API reaches still fires; none of them is dead code. A Python-built
-    ``ExperimentConfig`` is not checked against ``config.SCHEMA``."""
+    """A config is checked against ``config.SCHEMA`` and its rules however it
+    is built, so a Python-built one past a key's range is a ConfigError naming
+    the key, raised before any run. The guards that a hand-built dataset or
+    an exported function reaches still fire; none of them is dead code."""
 
     @pytest.mark.parametrize(
-        "call, message",
+        "overrides, message",
         [
-            (lambda corpus: run_experiment(quick_config(split_fraction=1.5), corpus),
-             "split fraction must be in (0, 1), got 1.5"),
-            (lambda corpus: run_experiment(
-                quick_config(paste=PasteConfig(occlusion_threshold=1.5)), corpus),
-             "occlusion threshold must be in [0, 1], got 1.5"),
-            (lambda corpus: run_experiment(quick_config(match_iou=0.0), corpus),
-             "iou threshold must be in (0, 1], got 0.0"),
-            (lambda corpus: run_experiment(
-                quick_config(detector=DetectorConfig(lr=0.2, ema_alpha=1.5)), corpus),
-             "alpha must be in [0, 1], got 1.5"),
-            # Once the minimum rescale is 0, a factor too large to fit falls
-            # back to a zero scale.
-            (lambda corpus: run_experiment(
-                quick_config(split_fraction=0.5, paste=PasteConfig(rescale_min=0.0, rescale_max=3.0)),
-                overflowing_paste_corpus()),
-             "box sides must be positive, got w=0.0 h=0.0"),
+            (dict(split_fraction=1.5), "split_fraction must be number in (0, 1), got 1.5"),
+            (dict(paste=PasteConfig(occlusion_threshold=1.5)),
+             "paste.occlusion_threshold must be number in [0, 1], got 1.5"),
+            (dict(match_iou=0.0), "match_iou must be number in (0, 1], got 0.0"),
+            (dict(detector=DetectorConfig(lr=0.2, ema_alpha=1.5)),
+             "detector.ema_alpha must be number in [0, 1], got 1.5"),
+            (dict(paste=PasteConfig(rescale_min=0.0, rescale_max=3.0)),
+             "paste.rescale_min must be number in [0.01, inf), got 0.0"),
+            (dict(refresh_period=0), "refresh_period must be int in [1, inf), got 0"),
+            (dict(unlabeled_batch=0), "unlabeled_batch must be int in [1, inf), got 0"),
+            (dict(detector=DetectorConfig(lr=0.2, fp_rate=1e300)),
+             "detector.fp_rate must be number in [0, 100], got 1e+300"),
+            (dict(epochs=2.5), "epochs must be int in [0, inf), got 2.5"),
+            (dict(filter=FilterConfig(mode="bogus")), "filter.mode must be string in "
+             "one_stage | two_stage_filtering | two_stage_mining, got 'bogus'"),
+            (dict(fbr="no"), "toggles.fbr must be bool, got 'no'"),
+            (dict(epochs=2), "epochs must be >= pretrain_epochs"),
+        ],
+        ids=["split_fraction", "occlusion_threshold", "match_iou", "ema_alpha",
+             "rescale_min", "refresh_period", "unlabeled_batch", "fp_rate", "epochs_float",
+             "filter_mode", "fbr_string", "epochs_below_pretrain"],
+    )
+    def test_construction_names_the_key(self, overrides, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            quick_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
             (lambda corpus: run_experiment(quick_config(), class_past_categories_corpus()),
-             "exposure vector must have one entry per class"),
+             ConfigError, "image 0: ground-truth class 2 is not in 1..1"),
+            (lambda corpus: ema_update(*[DetectorConfig().build(1)] * 2, 1.5),
+             ValueError, "alpha must be in [0, 1], got 1.5"),
             (lambda corpus: two_stage_filter(
                 [Prediction(1, BBox(0, 0, 10, 10), 0.9)], None,
                 FilterConfig(mode="two_stage_filtering")),
-             "two-stage filtering needs each row's activation"),
+             ValueError, "two-stage filtering needs each row's activation"),
         ],
-        ids=["split_fraction", "occlusion_threshold", "match_iou", "ema_alpha",
-             "paste_side", "exposure_shape", "missing_activation"],
+        ids=["class_past_categories", "ema_alpha", "missing_activation"],
     )
-    def test_raises_value_error(self, corpus, call, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+    def test_raises(self, corpus, call, error, message):
+        with pytest.raises(error, match=re.escape(message)):
             call(corpus)
 
 
