@@ -9,10 +9,13 @@ row function the loop calls. No loop module imports this one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Sequence
 
+import numpy as np
+
 from .filtering import FilterConfig, keep_mask
-from .rebalance import _visible, occlusion_survivors
+from .rebalance import _visible, survivor_mask
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,10 @@ def merge_annotations(
     if not 0.0 <= occlusion_threshold <= 1.0:
         raise ValueError(f"occlusion threshold must be in [0, 1], got {occlusion_threshold}")
     merged = [Instance(p.crop.class_id, p.target_bbox, p.crop.source_image_id) for p in pasted]
-    rows = [(inst, inst.bbox.x, inst.bbox.y, inst.bbox.w, inst.bbox.h) for inst in base]
-    rects = [(b.x, b.y, b.x2, b.y2) for b in (p.target_bbox for p in pasted)]
-    return merged + occlusion_survivors(rows, rects, occlusion_threshold)
+    boxes = [(i.bbox.x, i.bbox.y, i.bbox.w, i.bbox.h) for i in base]
+    boxes = np.array(boxes, dtype=float).reshape(-1, 4).T
+    # Paste columns on one image, 0; survivor_mask reads no class.
+    rects = [(0, 0, b.x, b.y, b.x2, b.y2) for b in (p.target_bbox for p in pasted)]
+    pastes = np.array(rects, dtype=float).reshape(-1, 6).T
+    alive = survivor_mask(boxes, np.zeros(len(base), dtype=np.intp), pastes, occlusion_threshold)
+    return merged + list(compress(base, alive.tolist()))

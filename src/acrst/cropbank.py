@@ -4,8 +4,10 @@ The labeled bank is built once from ground truth and never changes. The pseudo
 bank is replaced wholesale from post-filtering predictions whenever the loop
 refreshes it; the loop alone owns that schedule. Sampling is two-level: first
 a class from a sampling distribution, then a uniform entry of that class from
-the union of both banks. A crop is a row ``(class_id, w, h)``: pasting reads
-its class and size, never where it came from.
+the union of both banks; :meth:`CropBank.class_table` holds both levels'
+tables and :func:`~acrst.rebalance.draw_pastes` draws by them. A crop is a
+row ``(class_id, w, h)``: pasting reads its class and size, never where it
+came from.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .model import Detections
-from .rebalance import Crop, SamplingDistribution
+from .rebalance import Crop
 
 
 class EmptyBankError(RuntimeError):
@@ -42,16 +44,17 @@ class CropBank:
         return len(self.pseudo_bank)
 
     @cached_property
-    def _class_tables(self) -> dict[tuple[float, ...], tuple[tuple, np.ndarray]]:
+    def _class_tables(self) -> dict[tuple[float, ...], tuple[tuple, list[float]]]:
         return {}
 
-    def _class_table(self, mu: tuple[float, ...]) -> tuple[tuple, np.ndarray]:
-        """Crop pools of the classes with stored crops, and their class CDF.
+    def class_table(self, mu: tuple[float, ...]) -> tuple[tuple, list[float]]:
+        """Crop pools of the classes with stored crops, and their class CDF,
+        which :func:`~acrst.rebalance.draw_pastes` draws crops by.
 
         A class's pool holds its labeled rows, then its pseudo rows. Built
         once per sampling weight vector and kept, since a bank never changes.
-        The CDF is the one ``Generator.choice`` builds from the renormalized
-        weights.
+        The CDF, a list, is the one ``Generator.choice`` builds from the
+        weights renormalized over the classes with crops.
         """
         table = self._class_tables.get(mu)
         if table is not None:
@@ -70,7 +73,7 @@ class CropBank:
             raise ValueError("no available class has positive sampling probability")
         cdf = np.cumsum(weights / total)
         cdf /= cdf[-1]
-        table = self._class_tables[mu] = (tuple(groups[k] for k in available), cdf)
+        table = self._class_tables[mu] = (tuple(groups[k] for k in available), cdf.tolist())
         return table
 
 
@@ -87,22 +90,3 @@ def refresh_pseudo_bank(bank: CropBank, dets: Detections, kept: Sequence[bool]) 
     of ``dets`` that ``kept`` marks, in order."""
     rows = zip(dets.class_id.tolist(), dets.w.tolist(), dets.h.tolist())
     return CropBank(bank.labeled_bank, tuple(compress(rows, kept)))
-
-
-def sample_crops(
-    bank: CropBank,
-    distribution: SamplingDistribution,
-    n: int,
-    rng: np.random.Generator,
-) -> list[Crop]:
-    """Draw ``n >= 0`` crops: class by the distribution, entry uniformly within class.
-
-    Classes without any stored entry are excluded and the class weights are
-    renormalized over the rest. Raises :class:`EmptyBankError` when both banks
-    are empty and ValueError when no available class has positive weight.
-    """
-    pools, cdf = bank._class_table(distribution.mu)
-    # n class draws, then n entry draws, from one call.
-    u = rng.random(2 * n)
-    classes = cdf.searchsorted(u[:n], side="right").tolist()
-    return [pools[c][int(v * len(pools[c]))] for c, v in zip(classes, u[n:].tolist())]

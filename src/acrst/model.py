@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,10 +138,6 @@ class Detections:
 
     class_id = property(lambda self: self.table[4].astype(np.intp))
     x, y, w, h, score = (property(lambda self, i=i: self.table[i]) for i in (0, 1, 2, 3, 5))
-
-    def rows(self) -> Iterator[tuple[int, float, float, float, float, float]]:
-        """(class, x, y, w, h, score) of each row."""
-        return zip(self.class_id.tolist(), *self.table[:4].tolist(), self.score.tolist())
 
     def _arithmetic(self) -> np.ndarray:
         """The table columns of the rows recorded since the last read, in one
@@ -301,14 +297,16 @@ def _safe_log(p: float) -> float:
 
 def batch_loss(
     params: DetectorParams,
-    images: Sequence[Sequence[int]],
+    class_ids: Sequence[int],
+    counts: Sequence[int],
     budget: int,
     n_reg: int,
 ) -> LossBreakdown:
     """Compose the four detector loss terms for one batch of images.
 
-    ``images`` holds each image's class ids, one per instance. Each image
-    contributes one foreground proposal per instance, in order, then
+    ``class_ids`` holds the batch's class ids, one per instance, image after
+    image, and ``counts`` each image's number of them. Each image contributes
+    one foreground proposal per instance, in order, then
     ``max(budget - n_instances, 0)`` background proposals. Foreground scores
     reflect the student's current skill on the instance's class, so losses
     fall as it improves.
@@ -322,16 +320,21 @@ def batch_loss(
     per-proposal terms are summed in proposal order.
     """
     k = params.n_classes
-    term_index: list[int] = []  # a class id, or k + 1 for the background term
-    repeats: list[int] = []
-    for class_ids in images:
-        term_index.extend(class_ids)
-        repeats.extend([1] * len(class_ids))
-        term_index.append(k + 1)
-        repeats.append(max(budget - len(class_ids), 0))
-    n_targets = sum(repeats)
+    ids = np.asarray(class_ids, dtype=np.intp)
+    counts = np.asarray(counts, dtype=np.intp)
+    n_bg = np.maximum(budget - counts, 0)
+    n_targets = len(ids) + int(n_bg.sum())
     if not n_targets:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+    # Per image, a term per instance, then the background term (index k)
+    # repeated once per background proposal.
+    bg_slots = np.cumsum(counts + 1) - 1
+    foreground = np.ones(len(ids) + len(counts), dtype=bool)
+    foreground[bg_slots] = False
+    term_index = np.full(len(foreground), k, dtype=np.intp)
+    term_index[foreground] = ids - 1
+    repeats = np.ones(len(foreground), dtype=np.intp)
+    repeats[bg_slots] = n_bg
 
     mean_recall = sum(params.recall_skill) / k
     bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
@@ -343,12 +346,10 @@ def batch_loss(
         class_logs.append(
             _safe_log(min(max(skill * (1.0 - params.confusion_rate), 1e-4), 1.0))
         )
-    term_index_arr = np.asarray(term_index, dtype=np.intp) - 1
-    repeats_arr = np.asarray(repeats, dtype=np.intp)
 
     def mean_nll(class_terms: list[float]) -> float:
         table = np.asarray(class_terms + [bg_log], dtype=float)
-        per_target = np.repeat(table[term_index_arr], repeats_arr)
+        per_target = np.repeat(table[term_index], repeats)
         # cumsum adds left to right, as a Python loop over the proposals
         # would; np.sum adds pairwise and rounds differently. Subtracting
         # from 0.0 keeps an all-zero sum at +0.0, as that loop did.

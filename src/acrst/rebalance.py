@@ -1,18 +1,20 @@
 """Foreground-background and foreground-foreground rebalancing.
 
 Two mechanisms act on training images. Crop-and-paste mixing raises the
-foreground share of training targets (`fbr_mix`). An adaptive class sampling
-distribution decides which classes get pasted: classes whose pseudo-label
-recall is low receive high sampling weight (`pseudo_recall`,
-`affr_distribution`). Geometry is handled in annotation space only; occluded
-base annotations are dropped by visible fraction.
+foreground share of training targets: per image, `draw_pastes` draws the
+crops and their placements; per pass, `survivor_mask` drops the base boxes
+they occlude by visible fraction. An adaptive class sampling distribution
+decides which classes get pasted: classes whose pseudo-label recall is low
+receive high sampling weight (`pseudo_recall`, `affr_distribution`).
+Geometry is handled in annotation space only.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +26,15 @@ LABELED_ABSENT_PR = 1e9
 
 # Visible fractions at or below this count as full occlusion.
 _FULL_OCCLUSION_EPS = 1e-12
+
+# A row whose overlaps' summed areas leave a visible share this far past the
+# threshold survives without the cell grid. The grid adds at most (2m+1)**2
+# cell areas for m overlaps, each product and addition rounding by at most
+# 2**-53 relative, and misses cells one ulp wide but never adds one, so it
+# never covers more than that sum but for rounding: 1e-9 covers m up to the
+# crops_per_image cap of 1000. No bound may drop a row, as missed cells
+# would make that unsafe.
+_UNION_BOUND_MARGIN = 1e-9
 
 _Edges = tuple[float, float, float, float]
 # A crop as the bank stores it: (class_id, w, h).
@@ -72,21 +83,13 @@ class SamplingDistribution:
 
 @dataclass(frozen=True)
 class PasteConfig:
-    """Crop-and-paste settings for `fbr_mix` plus the sampling exponent."""
+    """Crop-and-paste settings for `draw_pastes` plus the sampling exponent."""
 
     crops_per_image: int = 2
     rescale_min: float = 0.5
     rescale_max: float = 1.0
     occlusion_threshold: float = 0.0
     beta: float = 2.0
-
-
-class Mix(NamedTuple):
-    """The pasted crops' classes in paste order, and each pasted box's edges
-    ``(x1, y1, x2, y2)``."""
-
-    class_ids: list[int]
-    placements: list[_Edges]
 
 
 def pseudo_recall(stats: ClassStats) -> np.ndarray:
@@ -195,66 +198,95 @@ def _grid_covered_area(box: _Edges, clipped: Sequence[_Edges]) -> float:
     return total
 
 
-def occlusion_survivors(
-    base: Iterable[tuple], rects: Sequence[_Edges], occlusion_threshold: float
-) -> list:
-    """The first field of each ``(item, x, y, w, h, ...)`` row of ``base`` whose
-    box ``rects`` neither occlude fully nor leave less than the threshold
-    visible: with the pasted boxes' edges, a pasted image's surviving classes."""
-    out = []
-    for item, x, y, w, h, *_ in base:
-        vf = _visible(x, y, w, h, rects)
-        if vf > _FULL_OCCLUSION_EPS and vf >= occlusion_threshold:
-            out.append(item)
-    return out
+def survivor_mask(
+    boxes: np.ndarray, image: np.ndarray, pastes: np.ndarray, occlusion_threshold: float
+) -> np.ndarray:
+    """Per row of ``boxes`` ((x, y, w, h) columns) on image ``image``, whether
+    the pasted boxes of that image, in :func:`draw_pastes`' columns with
+    images ascending, leave it neither fully occluded nor less than the
+    threshold visible. A row that no pasted box overlaps survives, as does one
+    whose overlaps' summed areas leave ``_UNION_BOUND_MARGIN`` more than the
+    threshold visible; :func:`_visible` decides every other row, with its
+    image's pasted edges in order.
+    """
+    first = np.searchsorted(pastes[1], image, side="left")
+    count = np.searchsorted(pastes[1], image, side="right") - first
+    pair_row = np.repeat(np.arange(len(image)), count)
+    pair_paste = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(pair_row))
+    # _visible's overlap test and clipped edges, pair by pair.
+    x, y, w, h = boxes[:, pair_row]
+    ox1, oy1, ox2, oy2 = pastes[2:, pair_paste]
+    ix2, iy2 = x + w, y + h
+    x1, x2 = np.maximum(ox1, x), np.minimum(ox2, ix2)
+    y1, y2 = np.maximum(oy1, y), np.minimum(oy2, iy2)
+    hit = (ox2 > x) & (ix2 > ox1) & (oy2 > y) & (iy2 > oy1) & (x2 > x1) & (y2 > y1)
+    clipped_area = ((x1 + (x2 - x1)) - x1) * ((y1 + (y2 - y1)) - y1)
+    alive = np.bincount(pair_row[hit], minlength=len(image)) == 0
+    bound = np.bincount(pair_row[hit], weights=clipped_area[hit], minlength=len(image))[~alive]
+    area = boxes[2, ~alive] * boxes[3, ~alive]
+    floor = max(occlusion_threshold, _FULL_OCCLUSION_EPS) + _UNION_BOUND_MARGIN
+    alive[~alive] = (area - bound) / area >= floor
+    for i in np.flatnonzero(~alive).tolist():
+        vf = _visible(*boxes[:, i].tolist(), pastes[2:, first[i]:first[i] + count[i]].T.tolist())
+        alive[i] = vf > _FULL_OCCLUSION_EPS and vf >= occlusion_threshold
+    return alive
 
 
-def fbr_mix(
+def draw_pastes(
     size: tuple[float, float],
-    crops: Sequence[Crop],
+    pools: Sequence[Sequence[Crop]],
+    cdf: list[float],
     rng: np.random.Generator,
     config: PasteConfig,
-) -> Mix:
-    """Paste crops at uniform random in-bounds positions onto an image of
-    ``size`` (width, height).
+    image: int,
+    out: list,
+) -> None:
+    """Draw ``config.crops_per_image`` crops and paste each at a uniform
+    random in-bounds position onto image ``image`` of ``size`` (width,
+    height), appending its paste columns (class, image, x1, y1, x2, y2) to
+    ``out``.
 
-    A crop that fits is pasted at its own size. One that does not is rescaled
-    so its longer side becomes a uniform random fraction (config range) of the
-    destination's shorter side; if it still cannot fit even at the minimum
-    rescale it is skipped with a warning. Which of the image's own boxes the
-    pasted ones leave is :func:`occlusion_survivors`' to say.
+    A crop's class is drawn by ``cdf`` over the class ``pools``, as
+    :meth:`CropBank.class_table` gives them, then its entry uniformly within
+    the class's pool. A crop that fits is pasted at its own size. One that
+    does not is rescaled so its longer side becomes a uniform random fraction
+    (config range) of the destination's shorter side; if it still cannot fit
+    even at the minimum rescale it is skipped with a warning. Which of the
+    image's own boxes the pasted ones leave is :func:`survivor_mask`'s to say.
     """
+    n = config.crops_per_image
     width, height = size
-    # A crop's draws follow from its geometry: a position (2 doubles) when it
-    # fits, a rescale factor and a position (3) when it fits once rescaled, a
-    # rescale factor alone (1) when it is skipped. Since a larger factor never
-    # fits where the minimum does not, the image's doubles come from one call.
-    plans: list[tuple[Crop, bool, float | None]] = []
+    lo, hi = config.rescale_min, config.rescale_max
+    # n class draws, then n entry draws, from one call.
+    u = rng.random(2 * n).tolist()
+    # A crop's placement draws follow from its geometry: a position (2
+    # doubles) when it fits, a rescale factor and a position (3) when it fits
+    # once rescaled, a rescale factor alone (1) when it is skipped. Since a
+    # larger factor never fits where the minimum does not, the image's doubles
+    # come from one call.
+    plans: list[tuple[int, float, float, bool, float | None]] = []
     n_draws = 0
-    for crop in crops:
-        w, h = crop[1], crop[2]
+    for a, b in zip(u[:n], u[n:]):
+        pool = pools[bisect_right(cdf, a)]
+        class_id, w, h = pool[int(b * len(pool))]
         if w > width or h > height:
             # Rescaled: the minimum rescale, or None when even that overflows.
-            min_scale = config.rescale_min * min(width, height) / max(w, h)
+            min_scale = lo * min(width, height) / max(w, h)
             if w * min_scale > width or h * min_scale > height:
-                plans.append((crop, True, None))
+                plans.append((class_id, w, h, True, None))
                 n_draws += 1
             else:
-                plans.append((crop, True, min_scale))
+                plans.append((class_id, w, h, True, min_scale))
                 n_draws += 3
         else:
-            plans.append((crop, False, None))
+            plans.append((class_id, w, h, False, None))
             n_draws += 2
     # Generator.uniform(lo, hi) is lo + (hi - lo) * u for one double u.
-    u = iter(rng.random(n_draws).tolist())
-    lo, hi = config.rescale_min, config.rescale_max
-
-    class_ids: list[int] = []
-    placements: list[_Edges] = []
-    for (class_id, w, h), rescaled, min_scale in plans:
+    v = iter(rng.random(n_draws).tolist())
+    for class_id, w, h, rescaled, min_scale in plans:
         scale = 1.0
         if rescaled:
-            factor = lo + (hi - lo) * next(u)
+            factor = lo + (hi - lo) * next(v)
             if min_scale is None:
                 log.warning(
                     "crop %.0fx%.0f of class %s does not fit %sx%s even at "
@@ -266,8 +298,6 @@ def fbr_mix(
             if w * scale > width or h * scale > height:
                 scale = min_scale
         pw, ph = w * scale, h * scale
-        x = 0.0 + (width - pw) * next(u)
-        y = 0.0 + (height - ph) * next(u)
-        class_ids.append(class_id)
-        placements.append((x, y, x + pw, y + ph))
-    return Mix(class_ids, placements)
+        x = 0.0 + (width - pw) * next(v)
+        y = 0.0 + (height - ph) * next(v)
+        out += (class_id, image, x, y, x + pw, y + ph)

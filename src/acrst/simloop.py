@@ -18,13 +18,12 @@ import io
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, replace
-from itertools import compress, islice
 from typing import Any, Sequence
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank, sample_crops
+from .cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank
 from .dataset import ClassCdfs, Dataset, split_standard
 from .filtering import keep_mask, oracle_activations
 from .metrics import class_kld, evaluate, fg_ratio
@@ -37,8 +36,8 @@ from .model import (
     ema_update,
     student_update,
 )
-from .rebalance import ClassStats, SamplingDistribution, affr_distribution, fbr_mix, pseudo_recall
-from .rebalance import Mix, occlusion_survivors
+from .rebalance import ClassStats, SamplingDistribution, affr_distribution, draw_pastes
+from .rebalance import pseudo_recall, survivor_mask
 from .seeding import derive_seed, substream
 
 EPOCH_CSV_COLUMNS = (
@@ -175,23 +174,24 @@ def label_pass(
     rng: np.random.Generator,
     config: ExperimentConfig,
     cdfs: ClassCdfs,
-    paste: tuple[CropBank, SamplingDistribution] | None = None,
-) -> tuple[Detections, np.ndarray, list[Mix]]:
+    paste: tuple[tuple, list[float]] | None = None,
+) -> tuple[Detections, np.ndarray, np.ndarray]:
     """Pseudo-label ``dataset.images[i]`` for each ``i`` of ``indices``, in order.
 
     Per image the pass only draws: the teacher's detections (by ``cdfs``), in
     a two-stage filter mode the oracle's two doubles per class, and, given
-    ``paste`` (a bank and its sampling distribution), the image's crops and
-    their placements. Array passes then compute every detection's box and
-    score, and set each row's oracle activation, against
+    ``paste`` (a :meth:`CropBank.class_table`), the image's crops and their
+    placements. Array passes then compute every detection's box and score,
+    and set each row's oracle activation, against
     :attr:`Dataset.class_presence` with the filter's ``tau_ml`` as the low
     band's edge, and its keep bit. With the ``two_stage`` toggle off,
-    filtering is by score alone. Returns the detections, the keep bits and,
-    when pasting, each image's paste.
+    filtering is by score alone. Returns the detections, the keep bits and
+    the (6, pastes) array of :func:`draw_pastes`' columns, image being the
+    position in ``indices``.
     """
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     two_stage = fcfg.mode != "one_stage"
-    dets, mixes = Detections(), []
+    dets, pastes = Detections(), []
     draws = np.empty((len(indices), dataset.num_classes, 2)) if two_stage else None
     for j, i in enumerate(indices):
         img = dataset.images[i]
@@ -199,15 +199,15 @@ def label_pass(
         if two_stage:
             rng.random(out=draws[j])
         if paste:
-            crops = sample_crops(*paste, config.paste.crops_per_image, rng)
-            mixes.append(fbr_mix((img.width, img.height), crops, rng, config.paste))
+            draw_pastes((img.width, img.height), *paste, rng, config.paste, j, pastes)
     activations = None
     if two_stage:
         image = np.repeat(np.arange(len(indices)), dets.counts)
         cls = dets.class_id - 1
         present = dataset.class_presence[np.asarray(indices, dtype=np.intp)[image], cls]
         activations = oracle_activations(draws[image, cls], present, config.oracle, fcfg.tau_ml)
-    return dets, keep_mask(dets.score, activations, fcfg), mixes
+    pastes = np.array(pastes, dtype=float).reshape(-1, 6).T
+    return dets, keep_mask(dets.score, activations, fcfg), pastes
 
 
 def run_epoch(
@@ -251,38 +251,36 @@ def run_epoch(
     sup_losses: list[LossBreakdown] = []
     unsup_losses: list[LossBreakdown] = []
     cdfs = labeled.class_cdfs
-    paste = (bank, dist) if _pastes(config) else None
+    paste = bank.class_table(dist.mu) if _pastes(config) else None
 
     for _ in range(config.batches_per_epoch):
         batch = rng.choice(n_unl, size=min(config.unlabeled_batch, n_unl), replace=False).tolist()
-        dets, keep, mixes = label_pass(teacher, unlabeled, batch, rng, config, cdfs, paste)
-        # Per image, its class ids with the pasted ones first.
-        unsup_images: list[list[int]] = []
-        rows, bits = dets.rows(), iter(keep.tolist())
-        for j, n in enumerate(dets.counts):
-            kept = list(compress(islice(rows, n), islice(bits, n)))
-            if paste:
-                mix = mixes[j]
-                survivors = occlusion_survivors(kept, mix.placements, occlusion_threshold)
-                class_ids = mix.class_ids + survivors
-            else:
-                class_ids = [row[0] for row in kept]
-            unsup_images.append(class_ids)
-            fg_total += len(class_ids)
-            bg_total += max(budget - len(class_ids), 0)
-        pasted = [c for mix in mixes for c in mix.class_ids]
+        dets, keep, pastes = label_pass(teacher, unlabeled, batch, rng, config, cdfs, paste)
+        image = np.repeat(np.arange(len(batch)), dets.counts)[keep]
+        class_ids = dets.class_id[keep]
+        pasted = pastes[0].astype(np.intp)
+        if paste:
+            # Per image, the pasted class ids in paste order, then the kept
+            # rows that survive them in row order.
+            alive = survivor_mask(dets.table[:4, keep], image, pastes, occlusion_threshold)
+            image = np.concatenate((pastes[1].astype(np.intp), image[alive]))
+            class_ids = np.concatenate((pasted, class_ids[alive]))[np.argsort(image, kind="stable")]
+        counts = np.bincount(image, minlength=len(batch))
+        fg_total += len(class_ids)
+        bg_total += int(np.maximum(budget - counts, 0).sum())
         pasted_total += _class_counts(pasted, k)
 
         lab_idx = rng.choice(n_lab, size=min(config.labeled_batch, n_lab), replace=False)
-        lab_images = [[row[0] for row in labeled.images[int(i)].truth_rows] for i in lab_idx]
+        lab_rows = [labeled.images[int(i)].truth_rows for i in lab_idx]
+        lab_ids = [row[0] for rows in lab_rows for row in rows]
         # Labeled instances always carry regression targets; pasted crops
         # join them only under selective supervision.
-        lab_reg = sum(map(len, lab_images))
+        lab_reg = len(lab_ids)
         unsup_reg = len(pasted) if config.selective_supervision else 0
-        sup_losses.append(batch_loss(student, lab_images, budget, lab_reg))
-        unsup_losses.append(batch_loss(student, unsup_images, budget, unsup_reg))
+        sup_losses.append(batch_loss(student, lab_ids, list(map(len, lab_rows)), budget, lab_reg))
+        unsup_losses.append(batch_loss(student, class_ids, counts, budget, unsup_reg))
 
-        exposure = _class_counts([c for ids in lab_images + unsup_images for c in ids], k)
+        exposure = _class_counts(lab_ids, k) + _class_counts(class_ids, k)
         student = student_update(student, exposure, lab_reg + unsup_reg, config.detector.lr)
         teacher = ema_update(teacher, student, config.detector.ema_alpha)
         exposure_total += exposure

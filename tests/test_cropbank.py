@@ -10,11 +10,10 @@ from acrst.cropbank import (
     EmptyBankError,
     build_labeled_bank,
     refresh_pseudo_bank,
-    sample_crops,
 )
 from acrst.dataset import ClassCdfs, ImageRecord, parse_coco_annotations
 from acrst.model import Detections, DetectorParams, detect
-from acrst.rebalance import SamplingDistribution
+from acrst.rebalance import PasteConfig, SamplingDistribution, draw_pastes
 
 
 def entry(class_id, origin="labeled", score=1.0, w=10):
@@ -35,6 +34,29 @@ def pseudo(class_id, w=10):
 def rows(instances):
     """The crop rows of ``instances``, in order."""
     return tuple((i.class_id, i.bbox.w, i.bbox.h) for i in instances)
+
+
+# Every crop of these tests fits a SIDE x SIDE image as it is.
+SIDE = 1000.0
+
+
+def paste_columns(bank, distribution, n, rng):
+    """:func:`draw_pastes`' paste columns, flat, for ``n`` crops drawn from
+    ``bank`` by ``distribution`` onto a SIDE x SIDE image."""
+    pools, cdf = bank.class_table(distribution.mu)
+    out = []
+    draw_pastes((SIDE, SIDE), pools, cdf, rng, PasteConfig(crops_per_image=n), 0, out)
+    return out
+
+
+def pasted_crops(bank, distribution, n, rng):
+    """The (class, w, h) crop rows that :func:`paste_columns` pastes, each side
+    rounded back from the pasted box's integer-sided edges."""
+    flat = paste_columns(bank, distribution, n, rng)
+    return [
+        (c, round(x2 - x1), round(y2 - y1))
+        for c, _, x1, y1, x2, y2 in zip(*[iter(flat)] * 6)
+    ]
 
 
 class TestCropEntry:
@@ -105,14 +127,14 @@ class TestSampling:
         bank = CropBank(labeled_bank=rows([entry(1), entry(2), entry(2)]))
         dist = SamplingDistribution(mu=(0.0, 1.0))
         rng = np.random.default_rng(0)
-        crops = sample_crops(bank, dist, 50, rng)
+        crops = pasted_crops(bank, dist, 50, rng)
         assert len(crops) == 50
         assert all(c[0] == 2 for c in crops)
 
     def test_renormalizes_over_available_classes(self):
         bank = CropBank(labeled_bank=rows([entry(1)]))
         dist = SamplingDistribution(mu=(0.1, 0.9))
-        crops = sample_crops(bank, dist, 20, np.random.default_rng(1))
+        crops = pasted_crops(bank, dist, 20, np.random.default_rng(1))
         assert all(c[0] == 1 for c in crops)
 
     def test_union_of_banks_is_sampled(self):
@@ -121,32 +143,32 @@ class TestSampling:
             pseudo_bank=rows([pseudo(1, w=200)]),
         )
         dist = SamplingDistribution.uniform(1)
-        crops = sample_crops(bank, dist, 400, np.random.default_rng(2))
+        crops = pasted_crops(bank, dist, 400, np.random.default_rng(2))
         widths = {c[1] for c in crops}
         assert widths == {100, 200}
 
     def test_empty_bank_raises(self):
         bank = CropBank(labeled_bank=())
         with pytest.raises(EmptyBankError):
-            sample_crops(bank, SamplingDistribution.uniform(2), 1, np.random.default_rng(0))
+            pasted_crops(bank, SamplingDistribution.uniform(2), 1, np.random.default_rng(0))
 
     def test_zero_weight_on_available_classes_raises(self):
         bank = CropBank(labeled_bank=rows([entry(1)]))
         dist = SamplingDistribution(mu=(0.0, 1.0))
         with pytest.raises(ValueError):
-            sample_crops(bank, dist, 1, np.random.default_rng(0))
+            pasted_crops(bank, dist, 1, np.random.default_rng(0))
 
     def test_deterministic_for_seed(self):
         bank = CropBank(labeled_bank=rows([entry(1), entry(2), entry(3)]))
         dist = SamplingDistribution.uniform(3)
-        a = sample_crops(bank, dist, 100, np.random.default_rng(42))
-        b = sample_crops(bank, dist, 100, np.random.default_rng(42))
+        a = pasted_crops(bank, dist, 100, np.random.default_rng(42))
+        b = pasted_crops(bank, dist, 100, np.random.default_rng(42))
         assert a == b
 
     def test_uniform_frequencies_within_two_percent(self):
         bank = CropBank(labeled_bank=rows([entry(1), entry(2)]))
         dist = SamplingDistribution.uniform(2)
-        crops = sample_crops(bank, dist, 100_000, np.random.default_rng(7))
+        crops = pasted_crops(bank, dist, 100_000, np.random.default_rng(7))
         share = sum(c[0] == 1 for c in crops) / len(crops)
         assert abs(share - 0.5) < 0.02
 
@@ -158,7 +180,7 @@ class TestSampling:
         )
         dist = SamplingDistribution(mu=(0.4, 0.3, 0.2, 0.1))
         n = 100_000
-        crops = sample_crops(bank, dist, n, np.random.default_rng(123))
+        crops = pasted_crops(bank, dist, n, np.random.default_rng(123))
         observed = np.bincount([c[0] for c in crops], minlength=5)[1:]
         expected = np.asarray(dist.mu) * n
         result = scipy.stats.chisquare(observed, expected)
@@ -178,17 +200,17 @@ class TestSampling:
 
         monkeypatch.setattr(Instance, "__init__", counting)
         dist, rng = SamplingDistribution.uniform(2), np.random.default_rng(4)
-        crops = [c for _ in range(200) for c in sample_crops(bank, dist, 4, rng)]
-        # Every crop is a row the bank holds, returned as that one object.
-        stored = {id(row) for row in (*bank.labeled_bank, *bank.pseudo_bank)}
-        assert all(id(c) in stored for c in crops)
+        crops = [c for _ in range(200) for c in pasted_crops(bank, dist, 4, rng)]
+        # Every pasted crop is a row the bank holds, and none became an instance.
+        assert set(crops) <= {*bank.labeled_bank, *bank.pseudo_bank}
+        assert len(set(crops)) > 30
         assert made == []
         pseudo(1)  # the patched constructor does count an instance
         assert len(made) == 1
 
     def test_within_class_entries_uniform(self):
         bank = CropBank(labeled_bank=rows(entry(1, w=i) for i in range(1, 5)))
-        crops = sample_crops(
+        crops = pasted_crops(
             bank, SamplingDistribution.uniform(1), 100_000, np.random.default_rng(5)
         )
         counts = np.bincount([int(c[1]) - 1 for c in crops], minlength=4)
@@ -232,6 +254,18 @@ def _choice_sample_crops(bank, distribution, n, rng):
     return out
 
 
+def _choice_paste_columns(bank, distribution, n, rng):
+    """Reference paste columns: :func:`_choice_sample_crops`' crops, each
+    placed as it is by scalar rng.uniform draws onto a SIDE x SIDE image."""
+    out = []
+    for crop in _choice_sample_crops(bank, distribution, n, rng):
+        w, h = crop.bbox.w, crop.bbox.h
+        x = float(rng.uniform(0.0, SIDE - w))
+        y = float(rng.uniform(0.0, SIDE - h))
+        out += (crop.class_id, 0, x, y, x + w, y + h)
+    return out
+
+
 def _outcome(sampler, bank, distribution, n, rng):
     try:
         return sampler(bank, distribution, n, rng)
@@ -259,8 +293,9 @@ def _bank_and_distributions(draw):
 
 
 class TestSampleEquivalence:
-    """The row bank's class table draws the crops, in order, that rng.choice
-    drew from the bank of instances, from the same doubles."""
+    """The row bank's class table, through draw_pastes, draws the crops, in
+    order, that rng.choice drew from the bank of instances, from the same
+    doubles, and raises as it did."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -307,7 +342,7 @@ class TestSampleEquivalence:
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for i, n in enumerate(sizes):
             dist = dists[i % len(dists)]
-            got = _outcome(sample_crops, bank, dist, n, rng_got)
-            want = _outcome(_choice_sample_crops, ref_bank, dist, n, rng_want)
-            assert got == (list(rows(want)) if isinstance(want, list) else want)
+            got = _outcome(paste_columns, bank, dist, n, rng_got)
+            want = _outcome(_choice_paste_columns, ref_bank, dist, n, rng_want)
+            assert got == want
         assert rng_got.random() == rng_want.random()

@@ -356,13 +356,14 @@ def _pass_matches_reference(seed, dataset, indices, teacher, config, oracle):
     by image: detect, then the reference ``oracle``'s label in a two-stage
     mode, then the per-prediction filter on the image's predictions. Both must
     detect the same rows, keep the same ones and leave their generators in the
-    same state. Returns the number of rows."""
+    same state, and the pass, given nothing to paste, has no paste columns.
+    Returns the number of rows."""
     rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
     cdfs, k = dataset.class_cdfs, dataset.num_classes
     fcfg = config.filter
     if not config.two_stage:
         fcfg = FilterConfig(fcfg.tau_cls, mode="one_stage")
-    dets, keep, mixes = label_pass(teacher, dataset, indices, rng_got, config, cdfs)
+    dets, keep, pastes = label_pass(teacher, dataset, indices, rng_got, config, cdfs)
     want_dets, want_keep = Detections(), []
     for i in indices:
         record = dataset.images[i]
@@ -374,10 +375,10 @@ def _pass_matches_reference(seed, dataset, indices, teacher, config, oracle):
         ref = _ref_two_stage_mining if fcfg.mode == "two_stage_mining" else _ref_two_stage_filter
         kept = set(map(id, ref(preds, label, fcfg)))
         want_keep += [id(p) in kept for p in preds]
-    assert list(dets.rows()) == list(want_dets.rows())
+    assert dets.table.tolist() == want_dets.table.tolist()
     assert dets.counts == want_dets.counts
     assert keep.tolist() == want_keep
-    assert mixes == []
+    assert pastes.shape == (6, 0)
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
     return len(want_keep)
 

@@ -59,6 +59,11 @@ def inst(class_id, x=50, y=50, w=40, h=40):
     return Instance(class_id=class_id, bbox=BBox(x, y, w, h), source_image_id=1)
 
 
+def det_rows(out):
+    """(class, x, y, w, h, score) of each row of the detections ``out``."""
+    return zip(out.class_id.tolist(), *out.table[:4].tolist(), out.score.tolist())
+
+
 def synth_detect(params, record, rng, class_weights=None):
     """Reference per-image detector: :func:`detect` on one image as
     predictions, its classes drawn by ``class_weights`` (uniform when omitted)."""
@@ -68,7 +73,7 @@ def synth_detect(params, record, rng, class_weights=None):
         raise ValueError("class_weights must have one entry per class")
     out = Detections()
     detect(params, record, rng, ClassCdfs(weights), out)
-    return [Prediction(c, BBox(x, y, w, h), s) for c, x, y, w, h, s in out.rows()]
+    return [Prediction(c, BBox(x, y, w, h), s) for c, x, y, w, h, s in det_rows(out)]
 
 
 class TestParams:
@@ -302,7 +307,7 @@ ZERO_LOSS = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 class TestLossBreakdown:
     def test_log_two_example(self):
         student = params(recall=(0.5,), confusion=0.0, loc=1.0)
-        out = batch_loss(student, [[1]], budget=1, n_reg=1)
+        out = batch_loss(student, [1], [1], budget=1, n_reg=1)
         assert math.isclose(out.rpn_cls, math.log(2), abs_tol=1e-12)
         assert math.isclose(out.roi_cls, math.log(2), abs_tol=1e-12)
         assert out.rpn_reg == 0.0
@@ -311,7 +316,7 @@ class TestLossBreakdown:
     def test_perfect_targets_zero_loss(self):
         # A perfect student still pays the objectness clamp, but nothing else.
         student = params(recall=(1.0,), confusion=0.0, loc=1.0)
-        out = batch_loss(student, [[1, 1]], budget=2, n_reg=2)
+        out = batch_loss(student, [1, 1], [2], budget=2, n_reg=2)
         assert out.roi_cls == 0.0
         assert out.rpn_reg == out.roi_reg == 0.0
         assert math.isclose(out.rpn_cls, -math.log(1.0 - 1e-4), abs_tol=1e-12)
@@ -319,45 +324,44 @@ class TestLossBreakdown:
     def test_background_uses_complement_objectness(self):
         # Zero mean recall puts background objectness at 0.02 + 0.2.
         student = params(recall=(0.0, 0.0))
-        out = batch_loss(student, [[]], budget=1, n_reg=0)
+        out = batch_loss(student, [], [0], budget=1, n_reg=0)
         assert math.isclose(out.rpn_cls, -math.log(0.78), abs_tol=1e-12)
         assert math.isclose(out.roi_cls, -math.log(0.78), abs_tol=1e-12)
 
     def test_regression_mode_gating(self):
         student = params(loc=0.0)  # box residuals of 0.1 per coordinate
         expected = 4 * smooth_l1(0.1)
-        assert math.isclose(batch_loss(student, [[1]], 1, 1).rpn_reg, expected)
-        assert batch_loss(student, [[1]], 1, 0).rpn_reg == 0.0
+        assert math.isclose(batch_loss(student, [1], [1], 1, 1).rpn_reg, expected)
+        assert batch_loss(student, [1], [1], 1, 0).rpn_reg == 0.0
         # Every target carries the same residuals, so the mean is one target's.
-        assert math.isclose(batch_loss(student, [[1, 2]], 1, 1).rpn_reg, expected)
+        assert math.isclose(batch_loss(student, [1, 2], [2], 1, 1).rpn_reg, expected)
 
     def test_selective_at_least_cls_only(self):
         # One of the two instances pasted: selective supervision regresses
         # it, class-only supervision nothing.
-        batch = [[1, 2]]
-        selective = batch_loss(params(), batch, 3, 1)
-        cls_only = batch_loss(params(), batch, 3, 0)
+        selective = batch_loss(params(), [1, 2], [2], 3, 1)
+        cls_only = batch_loss(params(), [1, 2], [2], 3, 0)
         assert selective.total >= cls_only.total
         assert selective.rpn_cls == cls_only.rpn_cls
 
     def test_total_composition(self):
-        out = batch_loss(params(), [[1]], 2, 1)
+        out = batch_loss(params(), [1], [1], 2, 1)
         assert math.isclose(
             out.total, out.rpn_cls + out.rpn_reg + out.roi_cls + out.roi_reg, abs_tol=1e-12
         )
         assert out.rpn_reg == out.roi_reg
 
     def test_reg_averages_over_reg_pool_only(self):
-        out = batch_loss(params(loc=0.0), [[1]], 3, 1)
+        out = batch_loss(params(loc=0.0), [1], [1], 3, 1)
         assert math.isclose(out.rpn_reg, 4 * smooth_l1(0.1), abs_tol=1e-12)
 
     def test_empty_targets(self):
-        assert batch_loss(params(), [], 16, 0) == ZERO_LOSS
-        assert batch_loss(params(), [[], []], 0, 0) == ZERO_LOSS
+        assert batch_loss(params(), [], [], 16, 0) == ZERO_LOSS
+        assert batch_loss(params(), [], [0, 0], 0, 0) == ZERO_LOSS
 
     def test_clamped_log_finite(self):
         student = params(recall=(0.0, 0.0), confusion=1.0)
-        out = batch_loss(student, [[1, 2]], 2, 2)
+        out = batch_loss(student, [1, 2], [2], 2, 2)
         assert math.isfinite(out.total)
 
 
@@ -492,9 +496,9 @@ def _loss_batch(draw):
 
 
 class TestBatchLossEquivalence:
-    """batch_loss on class ids and a regression count equals the per-proposal
-    composition on the same images' instances exactly, in every mode the
-    count stands for."""
+    """batch_loss on flat class ids, per-image counts and a regression count
+    equals the per-proposal composition on the same images' instances
+    exactly, in every mode the count stands for."""
 
     @settings(max_examples=300, deadline=None)
     @given(batch=_loss_batch())
@@ -505,8 +509,9 @@ class TestBatchLossEquivalence:
     def test_matches_per_target_oracle(self, batch):
         student, images, budget = batch
         for mode in ("supervised", "unsup_cls_only", "unsup_selective"):
-            class_ids = [ids for ids, _ in images]
-            got = batch_loss(student, class_ids, budget, _n_reg(images, mode))
+            class_ids = [c for ids, _ in images for c in ids]
+            counts = [len(ids) for ids, _ in images]
+            got = batch_loss(student, class_ids, counts, budget, _n_reg(images, mode))
             want = _oracle_batch_loss(student, _as_instances(images), budget, mode)
             for field in ("rpn_cls", "rpn_reg", "roi_cls", "roi_reg", "total"):
                 assert getattr(got, field) == getattr(want, field), (mode, field)
@@ -521,7 +526,7 @@ class TestBatchLossEquivalence:
         for skill in np.random.default_rng(0).random(2000):
             student = params(recall=(float(skill),), confusion=0.0, loc=1.0)
             for ids in ([1], []):
-                assert batch_loss(student, [ids], 1, len(ids)) == _oracle_batch_loss(
+                assert batch_loss(student, ids, [len(ids)], 1, len(ids)) == _oracle_batch_loss(
                     student, _as_instances([image(ids)]), 1, "supervised"
                 )
 
@@ -804,7 +809,7 @@ class TestSynthDetectEquivalence:
             start = len(out.score)
             detect(detector, rec, rng_got, cdfs, out)
             want = _oracle_synth_detect(detector, rec, rng_want, class_weights=weights)
-            rows = [(c, *(float(v).hex() for v in values)) for c, *values in list(out.rows())[start:]]
+            rows = [(c, *(float(v).hex() for v in values)) for c, *values in list(det_rows(out))[start:]]
             assert rows == _bits(want)
         assert rng_got.random() == rng_want.random()
 
@@ -824,7 +829,7 @@ class TestSynthDetectEquivalence:
         normals = [corner[0], corner[1], size[0] - 10, size[1] - 10]
         out = Detections()
         detect(detector, rec, _FixedDraws(normals), ClassCdfs([1.0]), out)
-        (_, *got, _), = out.rows()
+        (_, *got, _), = det_rows(out)
         x, y = -0.0 + normals[0] * 1.0, -0.0 + normals[1] * 1.0
         assert (x.hex(), y.hex()) == (corner[0].hex(), corner[1].hex())
         w, h = max(10 + normals[2] * 1.0, 1e-3), max(10 + normals[3] * 1.0, 1e-3)
@@ -875,7 +880,7 @@ class TestOnePass:
             rng_got.random(foreign)
             want.append(_oracle_synth_detect(detector, rec, rng_want, class_weights=weights))
             rng_want.random(foreign)
-        rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in out.rows()])
+        rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in det_rows(out)])
         assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
         assert next(rows, None) is None
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
@@ -924,7 +929,7 @@ class TestTruthRows:
             out = Detections()
             detect(perfect, rec, np.random.default_rng(0), ClassCdfs([1.0] * 5), out)
             assert out.counts == [len(rec.truth_rows)] and rec.truth_rows
-            for (c, *box, _), (want_c, *want_box) in zip(out.rows(), rec.truth_rows):
+            for (c, *box, _), (want_c, *want_box) in zip(det_rows(out), rec.truth_rows):
                 assert c == want_c
                 assert box == pytest.approx(want_box, rel=1e-12, abs=1e-12)
 
@@ -991,6 +996,6 @@ class TestDetectBounds:
             detect(detector, rec, rng, ClassCdfs([1.0]), out)
         x_max = math.nextafter(rec.width, math.inf)
         y_max = math.nextafter(rec.height, math.inf)
-        for _, x, y, w, h, _ in out.rows():
+        for _, x, y, w, h, _ in det_rows(out):
             assert x >= 0 and y >= 0 and w > 0 and h > 0
             assert x + w <= x_max and y + h <= y_max

@@ -1,24 +1,29 @@
+import copy
 import logging
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acrst import rebalance
 from acrst.api import BBox, Instance, PastePlacement, merge_annotations, visible_fraction
-from acrst.dataset import ImageRecord
+from acrst.dataset import MIN_BOX_SIDE, ImageRecord
 from acrst.rebalance import (
+    _FULL_OCCLUSION_EPS,
     LABELED_ABSENT_PR,
     ClassStats,
-    Mix,
     PasteConfig,
     SamplingDistribution,
+    _visible,
     affr_distribution,
-    fbr_mix,
-    occlusion_survivors,
+    draw_pastes,
     pseudo_recall,
+    survivor_mask,
 )
 
 
@@ -31,15 +36,47 @@ def truth_instances(record):
     return [Instance(c, BBox(x, y, w, h), record.id) for c, x, y, w, h in record.truth_rows]
 
 
+class Mix(NamedTuple):
+    """An image after pasting: its class ids, the pasted ones first in paste
+    order, then the surviving base ones, and each pasted box's edges."""
+
+    class_ids: list[int]
+    placements: list[tuple[float, float, float, float]]
+
+
+def _forcing_table(rows, rng):
+    """Pools of one crop row each, and a class CDF, under which ``rng``'s next
+    class draws pick ``rows`` in order: the CDF steps midway between the
+    sorted doubles those draws will take."""
+    u = copy.deepcopy(rng).random(len(rows)).tolist()
+    order = sorted(range(len(rows)), key=u.__getitem__)
+    steps = [u[i] for i in order]
+    cdf = [(a + b) / 2.0 for a, b in zip(steps, steps[1:])] + [1.0]
+    return tuple((rows[i],) for i in order), cdf
+
+
+def paste(size, rows, rng, config, image=0):
+    """draw_pastes of the crop rows ``rows``, in order, onto an image of
+    ``size``: its paste columns as a (6, pastes) array."""
+    out = []
+    pools, cdf = _forcing_table(rows, rng)
+    draw_pastes(size, pools, cdf, rng, replace(config, crops_per_image=len(rows)), image, out)
+    return np.array(out, dtype=float).reshape(-1, 6).T
+
+
 def mix(record, crops, rng, config):
-    """fbr_mix onto a record, each crop given as an instance, then the record's
-    ground truth that survives the pasted boxes, as the loop merges them: the
-    pasted classes first, then the surviving base classes."""
-    base = list(record.truth_rows)
+    """draw_pastes onto a record, each crop given as an instance, then the
+    record's ground truth that survivor_mask keeps under the pasted boxes, as
+    the loop merges them: the pasted classes first, then the surviving base
+    classes."""
     rows = [(c.class_id, c.bbox.w, c.bbox.h) for c in crops]
-    pasted = fbr_mix((record.width, record.height), rows, rng, config)
-    survivors = occlusion_survivors(base, pasted.placements, config.occlusion_threshold)
-    return Mix(pasted.class_ids + survivors, pasted.placements)
+    pastes = paste((record.width, record.height), rows, rng, config)
+    base = np.array([row[1:] for row in record.truth_rows], dtype=float).reshape(-1, 4).T
+    image = np.zeros(len(record.truth_rows), dtype=np.intp)
+    alive = survivor_mask(base, image, pastes, config.occlusion_threshold).tolist()
+    survivors = [row[0] for row, keep in zip(record.truth_rows, alive) if keep]
+    edges = [tuple(e) for e in pastes[2:].T.tolist()]
+    return Mix(pastes[0].astype(int).tolist() + survivors, edges)
 
 
 class TestPseudoRecall:
@@ -253,11 +290,11 @@ class TestFbrMix:
     def record(self, width=100, height=80):
         return ImageRecord(id=1, width=width, height=height, truth_rows=((1, 10, 10, 20, 20),))
 
-    def test_returns_the_pasted_classes_alone(self):
-        got = fbr_mix((100, 80), [(2, 30, 20), (3, 5, 5)], np.random.default_rng(1),
-                      PasteConfig())
-        assert got.class_ids == [2, 3] and len(got.placements) == 2
-        assert fbr_mix((100, 80), [], np.random.default_rng(1), PasteConfig()) == Mix([], [])
+    def test_returns_the_pasted_columns_alone(self):
+        got = paste((100, 80), [(2, 30, 20), (3, 5, 5)], np.random.default_rng(1), PasteConfig(),
+                    image=7)
+        assert got[0].tolist() == [2, 3] and got[1].tolist() == [7, 7] and got.shape == (6, 2)
+        assert paste((100, 80), [], np.random.default_rng(1), PasteConfig()).shape == (6, 0)
 
     def test_no_crops_passes_through(self):
         mixed = mix(self.record(), [], np.random.default_rng(0), PasteConfig())
@@ -344,7 +381,7 @@ class MixedRecord:
 
 
 def _as_mix(mixed):
-    """A reference result as :func:`fbr_mix` gives it: class ids and edges."""
+    """A reference result as :func:`mix` gives it: class ids and edges."""
     return Mix(
         [inst.class_id for inst in mixed.merged_annotations],
         [(b.x, b.y, b.x2, b.y2) for b in (p.target_bbox for p in mixed.placements)],
@@ -352,10 +389,13 @@ def _as_mix(mixed):
 
 
 def _per_crop_fbr_mix(record, crops, rng, config):
-    """Reference paste loop: scalar rng.uniform draws, crop by crop.
+    """Reference paste loop: scalar rng.uniform draws, crop by crop, after the
+    class and entry doubles that pick ``crops`` in order under
+    :func:`_forcing_table`.
 
     Returns the mixed record and the scale applied to each placed crop.
     """
+    rng.random(2 * len(crops))
     width, height = record.width, record.height
     placements, scales = [], []
     for c in crops:
@@ -523,13 +563,14 @@ class TestPasteEquivalence:
               PasteConfig(rescale_min=0.5, rescale_max=0.5, occlusion_threshold=0.5)),
         seed=1,
     )
-    def test_fbr_mix_matches_per_crop_loop(self, case, seed):
+    def test_draw_pastes_matches_per_crop_loop(self, case, seed):
         records, config = case
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for record, crops in records:
             got = mix(record, crops, rng_got, config)
             want, _ = _per_crop_fbr_mix(record, crops, rng_want, config)
             assert got == _as_mix(want)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
         assert rng_got.random() == rng_want.random()
 
     def test_fits_rescales_and_skips_in_one_image(self, caplog):
@@ -551,6 +592,134 @@ class TestPasteEquivalence:
         assert [r.getMessage() for r in caplog.records] == [
             "crop 200x200 of class 5 does not fit 100x60 even at minimum rescale; skipped"
         ]
+
+
+# Coordinates up to 1e9 and sides down to MIN_BOX_SIDE, with the edges and
+# small values where rounding bites.
+_far = st.one_of(st.sampled_from([0.0, 1.0, 1e9]), st.floats(0.0, 12.0), st.floats(0.0, 1e9))
+_thin = st.one_of(
+    st.sampled_from([MIN_BOX_SIDE, 1.0, 10.0]),
+    st.floats(MIN_BOX_SIDE, 12.0),
+    st.floats(MIN_BOX_SIDE, 1e9),
+)
+
+# A row the known overlap rounds past: its clipped right edge,
+# x1 + (x2 - x1), is one ulp beyond the row's x + w.
+_PAST_EDGE_ROW = (18.266865139080878, 0.0, 78.20832396268057, 5.0)
+_PAST_EDGE_PASTE = (27.17190023531588, 1.0, 27.17190023531588 + 90, 3.0)
+
+
+@st.composite
+def _pasted_over(draw, box, kind):
+    """The edges of a pasted box placed relative to the row ``box``."""
+    x, y, w, h = box
+    if kind == "share_edge":
+        return (x + w, y, x + w + draw(_thin), y + h)
+    if kind == "nest":
+        return (x + w / 4, y + h / 4, x + w / 2, y + h / 2)
+    if kind == "cover":
+        return (x - 1.0, y - 1.0, x + w + 1.0, y + h + 1.0)
+    if kind == "equal":
+        return (x, y, x + w, y + h)
+    if kind == "past_edge":
+        left = x + w * draw(st.floats(0.0, 1.0))
+        return (left, y + h / 4, left + w + draw(_thin), y + h / 2)
+    if kind == "one_ulp":
+        return (math.nextafter(x + w, -math.inf), y - 1.0, x + w + 3.0, y + h + 1.0)
+    if kind == "partial":
+        left, top = x + w * draw(st.floats(-0.5, 1.0)), y + h * draw(st.floats(-0.5, 1.0))
+        return (left, top, left + draw(_thin), top + draw(_thin))
+    left, top = draw(_far), draw(_far)
+    return (left, top, left + draw(_thin), top + draw(_thin))
+
+
+_PASTE_KINDS = ["share_edge", "nest", "cover", "equal", "past_edge", "one_ulp", "partial", "any"]
+
+
+@st.composite
+def _occlusion_pass(draw):
+    """One to four images, each its rows (x, y, w, h) and its pasted boxes'
+    edges, most of them placed relative to one of its rows."""
+    images = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [
+            (draw(_far), draw(_far), draw(_thin), draw(_thin))
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        edges = []
+        for kind in draw(st.lists(st.sampled_from(_PASTE_KINDS), max_size=5)):
+            if not rows:
+                kind = "any"
+            box = draw(st.sampled_from(rows)) if rows else None
+            edges.append(draw(_pasted_over(box or (0.0, 0.0, 1.0, 1.0), kind)))
+        images.append((rows, edges))
+    return images
+
+
+def _pass_columns(images):
+    """The rows' (4, N) boxes and image column, and the (6, P) paste columns."""
+    boxes = [box for rows, _ in images for box in rows]
+    image = [j for j, (rows, _) in enumerate(images) for _ in rows]
+    pastes = [(1, j, *e) for j, (_, edges) in enumerate(images) for e in edges]
+    return (
+        np.array(boxes, dtype=float).reshape(-1, 4).T,
+        np.array(image, dtype=np.intp),
+        np.array(pastes, dtype=float).reshape(-1, 6).T,
+    )
+
+
+SURVIVOR_BUDGET_S = 10.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(images=_occlusion_pass(), threshold=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+@example(images=[([_PAST_EDGE_ROW], [_PAST_EDGE_PASTE])], threshold=0.0)
+def _survivor_passes(images, threshold):
+    want = []
+    for rows, edges in images:
+        for box in rows:
+            vf = _visible(*box, edges)
+            want.append(vf > _FULL_OCCLUSION_EPS and vf >= threshold)
+    assert survivor_mask(*_pass_columns(images), threshold).tolist() == want
+
+
+class TestSurvivorMask:
+    """The per-pass occlusion decision is :func:`_visible`'s, row by row."""
+
+    def test_past_edge_case_reaches_the_grid(self):
+        x, _, w, _ = _PAST_EDGE_ROW
+        x1 = _PAST_EDGE_PASTE[0]
+        assert x1 + ((x + w) - x1) > x + w
+
+    def test_matches_visible_row_by_row(self):
+        start = time.perf_counter()
+        _survivor_passes()
+        elapsed = time.perf_counter() - start
+        assert elapsed <= SURVIVOR_BUDGET_S, f"took {elapsed:.1f}s, budget {SURVIVOR_BUDGET_S:.0f}s"
+
+    def test_visible_only_for_undecided_rows(self, monkeypatch):
+        # Threshold 0.3. Image 0: the paste covers half of row A, so the bound
+        # keeps it; row B is untouched; row C lies inside the paste. Image 1:
+        # the third paste covers all of row D; the first two overlap each
+        # other on row E, whose summed overlaps leave 0.2 visible but whose
+        # union leaves 0.4. Rows C, D and E reach _visible.
+        rows_0 = [(0.0, 0.0, 10.0, 10.0), (20.0, 0.0, 10.0, 10.0), (1.0, 1.0, 2.0, 2.0)]
+        rows_1 = [(32.0, 2.0, 4.0, 4.0), (0.0, 0.0, 20.0, 10.0)]
+        images = [
+            (rows_0, [(0.0, 0.0, 5.0, 10.0)]),
+            (rows_1, [(0.0, 0.0, 8.0, 10.0), (4.0, 0.0, 12.0, 10.0), (30.0, 0.0, 40.0, 10.0)]),
+        ]
+        calls = []
+
+        def counting(*args):
+            calls.append(args[:4])
+            return _visible(*args)
+
+        monkeypatch.setattr(rebalance, "_visible", counting)
+        assert survivor_mask(*_pass_columns(images), 0.3).tolist() == [
+            True, True, False, False, True
+        ]
+        assert calls == [rows_0[2], *rows_1]
 
 
 class TestSamplingDistributionInvariants:
