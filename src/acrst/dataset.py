@@ -133,6 +133,11 @@ class Dataset:
         return columns, [len(img.truth_rows) for img in self.images]
 
     @cached_property
+    def truth_offsets(self) -> list[int]:
+        """Where each image's rows start in :attr:`truth_columns`; built once, on first use."""
+        return np.cumsum([0, *self.truth_columns[1][:-1]]).tolist()
+
+    @cached_property
     def class_presence(self) -> np.ndarray:
         """Whether each image (row, in order) holds each class (column k-1 =
         class k) in its ground truth; built once, on first use, read-only."""

@@ -203,15 +203,18 @@ def evaluate(
         claimed_iou[a:b] = 0.0
         claimed_iou[a + rows[claimed]] = image_ious[rows[claimed], claims[claimed]]
 
-    # Per-image sums in claim order, then their total: the float additions
-    # that box_miou in report.json has always been computed with.
+    # Per-image sums in claim order, then their total, added left to right:
+    # the built-in sum compensates from Python 3.12 on, and rounds otherwise.
     matches = np.flatnonzero(claimed_iou)
     matches = matches[np.lexsort((-scores[matches], p_image[matches]))]
     values = claimed_iou[matches].tolist()
     cuts = (np.flatnonzero(np.diff(p_image[matches])) + 1).tolist()
     iou_sum = 0.0
     for a, b in zip([0, *cuts], [*cuts, len(values)]):
-        iou_sum += sum(values[a:b])
+        image_sum = 0.0
+        for value in values[a:b]:
+            image_sum += value
+        iou_sum += image_sum
     aps = (0.0,) * len(AP_THRESHOLDS)
     if len(g_image) and len(scores):
         ranked = hits[:, np.argsort(-scores, kind="stable")]

@@ -17,17 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import MIN_BOX_SIDE, ClassCdfs, ImageRecord
+from .dataset import MIN_BOX_SIDE, ClassCdfs, Dataset
 
 # Decay floors: confusion and partial-box rates never fall below these.
 CONFUSION_FLOOR = 0.01
 PARTIAL_FLOOR = 0.01
 
 _LOG_CLAMP = 1e-12
-
-# Per emitted truth row: its 5 fields, 4 normals, class emitted, score base and double.
-_ROW_FIELDS = 12
-
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -113,20 +109,23 @@ def ema_update(
 
 
 class Detections:
-    """Detector output over a sequence of images: the columns class_id, x, y,
-    w, h and score, one row per box, one image's rows after another's, and
-    ``counts``, each image's number of rows; ``table`` holds the columns as
-    one (x, y, w, h, class, score) float array. :func:`detect` records only
-    draws: reading a column computes every row recorded since the last read.
+    """The output of detector ``params`` over images of ``dataset``, classes
+    drawn by ``cdfs``: the columns class_id, x, y, w, h and score, one row per
+    box, one image's rows after another's, and ``counts``, each image's number
+    of rows; ``table`` holds the columns as one (x, y, w, h, class, score)
+    float array. :func:`detect` records only draws: per image its sides and
+    its numbers of rows and false positives; per emitted truth row its index
+    into ``dataset.truth_columns``, the class it emitted and its score double,
+    and its four normals, in place in an array that doubles when full.
+    Reading a column computes every row recorded since the last read.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dataset: Dataset, params: DetectorParams, cdfs: ClassCdfs) -> None:
+        self.dataset, self.params, self.cdfs = dataset, params, cdfs
         self.counts: list[int] = []
-        self._table = np.empty((6, 0))
-        # The draws since the last read, flat. Per image: width, height, noise
-        # scale per px of the shorter side, emitted truth rows, false positives;
-        # per truth row its _ROW_FIELDS; per partial box its row and 4 doubles;
-        # per false positive its class and 5 doubles.
+        self._table, self._normals = np.empty((6, 0)), np.empty((64, 4))
+        # The draws since the last read, flat: 4 values per image, 3 per truth
+        # row, a row and 4 doubles per partial box; 6 doubles per false positive.
         self._images, self._rows, self._partial, self._fps = [], [], [], []
 
     @property
@@ -144,20 +143,23 @@ class Detections:
         numpy pass. Each ``a if cond else b`` of the per-row detector became
         ``np.where(cond, a, b)``, so NaN and signed zeros come out as they did.
         """
-        images = np.array(self._images).reshape(-1, 5).T
-        n_rows, n_fp = images[3:].astype(np.intp)
-        rows = np.array(self._rows, dtype=float).reshape(-1, _ROW_FIELDS).T
-        corner, size, normals, (cls, base, u_score) = rows[1:3], rows[3:5], rows[5:9], rows[9:]
-        noise = np.repeat(images[2], n_rows) * np.where(size[0] <= size[1], size[0], size[1])
+        images = np.array(self._images, dtype=float).reshape(-1, 4).T
+        n_rows, n_fp = images[2:].astype(np.intp)
+        truth, cls, u_score = np.array(self._rows, dtype=float).reshape(-1, 3).T
+        columns = self.dataset.truth_columns[0][:, truth.astype(np.intp)]
+        corner, size, true_class = columns[:2], columns[2:4], columns[4].astype(np.intp)
+        normals = self._normals[:len(truth)].T
+        noise = (1.0 - self.params.loc_skill) * 0.1 * np.where(size[0] <= size[1], size[0], size[1])
         corner, size = corner + normals[:2] * noise, size + normals[2:] * noise
         size = np.where(size >= MIN_BOX_SIDE, size, MIN_BOX_SIDE)
-        at, u_area, u_w, *u_corner = np.array(self._partial).reshape(-1, 5).T
+        at, u_area, u_w, *u_corner = np.array(self._partial, dtype=float).reshape(-1, 5).T
         at = at.astype(np.intp)
         area_frac = 0.4 + (0.7 - 0.4) * u_area
         frac_w = area_frac + (1.0 - area_frac) * u_w
         part_size = size[:, at] * (frac_w, area_frac / frac_w)
         corner[:, at] += (size[:, at] - part_size) * u_corner
         size[:, at] = part_size
+        base = np.array(self.params.score_bases)[true_class - 1]
         score = base + (-0.1 + (0.1 - (-0.1)) * u_score)
         score = np.where(score > 0.0, score, 0.0)
         score = np.where(score < 1.0, score, 1.0)
@@ -167,27 +169,23 @@ class Detections:
         lo = np.where(side - MIN_BOX_SIDE < lo, side - MIN_BOX_SIDE, lo)
         hi = np.where(corner + size <= side, corner + size, side)
         hi = np.where(lo + MIN_BOX_SIDE > hi, lo + MIN_BOX_SIDE, hi)
-        # A false positive's class, then its w, h, x, y and score doubles.
-        fp = np.array(self._fps).reshape(-1, 6).T
+        # A false positive's class double, then its w, h, x, y and score doubles.
+        fp = np.concatenate((np.empty(0), *self._fps)).reshape(-1, 6).T
+        fp_cls = np.searchsorted(self.cdfs[0], fp[0], side="right") + 1
         fp_side = np.repeat(images[:2], n_fp, axis=1)
         fp_size = (0.05 + (0.4 - 0.05) * fp[1:3]) * fp_side
         fp_corner, fp_score = (fp_side - fp_size) * fp[3:5], 0.3 + (0.8 - 0.3) * fp[5]
         # Each image's truth rows, then its false positives.
         key = np.repeat(np.tile(np.arange(len(n_rows)), 2), np.concatenate((n_rows, n_fp)))
         return np.concatenate((np.vstack((lo, hi - lo, cls, score)),
-                               np.vstack((fp_corner, fp_size, fp[0], fp_score))),
+                               np.vstack((fp_corner, fp_size, fp_cls, fp_score))),
                               axis=1)[:, np.argsort(key, kind="stable")]
 
 
-def detect(
-    params: DetectorParams,
-    record: ImageRecord,
-    rng: np.random.Generator,
-    cdfs: ClassCdfs,
-    out: Detections,
-) -> None:
-    """Simulate detector output on one image from its hidden ground truth,
-    appending the image's draws and its number of rows to ``out``.
+def detect(out: Detections, image: int, rng: np.random.Generator) -> None:
+    """Simulate ``out.params``' output on ``out.dataset.images[image]`` from its
+    hidden ground truth, appending the image's draws and its number of rows
+    to ``out``.
 
     Each ground-truth row ``(class_id, x, y, w, h)`` of class k is emitted
     with probability recall_skill[k], perturbed by zero-mean noise with
@@ -197,8 +195,8 @@ def detect(
     confusion_rate. Scores follow a logistic in the true class's skill plus
     uniform +-0.1 noise, clamped to [0, 1]. Poisson(fp_rate) background false
     positives get frequency-weighted classes and scores uniform in [0.3, 0.8].
-    Boxes are clipped to the image. ``cdfs`` are the :class:`ClassCdfs` that
-    confusion targets and false-positive classes are drawn by.
+    Boxes are clipped to the image. Confusion targets and false-positive
+    classes are drawn by ``out.cdfs``.
 
     The stream is the one a scalar draw per value took: per emitted row four
     normals, then partial, [4 box], confusion, [class] and score doubles,
@@ -210,41 +208,43 @@ def detect(
     a call each; false positives take ``poisson``, then six doubles each in
     one call.
     """
-    recall, score_bases, confuses = params.recall_skill, params.score_bases, params.n_classes > 1
+    params, cdfs, dataset = out.params, out.cdfs, out.dataset
+    recall, confuses = params.recall_skill, params.n_classes > 1
     partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
     random, standard_normal = rng.random, rng.standard_normal
-    truth, rows, partial = record.truth_rows, out._rows, out._partial
-    n_before, last = len(rows), len(truth) - 1
+    record, first = dataset.images[image], dataset.truth_offsets[image]
+    truth, rows, partial, normals = record.truth_rows, out._rows, out._partial, out._normals
+    n = n_before = len(rows) // 3
+    last = first + len(truth) - 1
     u = random() if truth else 0.0
-    for j, row in enumerate(truth):
+    for t, row in enumerate(truth, first):
         true_class = row[0]
         if u >= recall[true_class - 1]:
-            if j < last:
+            if t < last:
                 u = random()
             continue
-        rows += row
-        rows += standard_normal(4).tolist()
-        d = random(4 if j < last else 3).tolist()  # the row's doubles, in stream order
+        if n == len(normals):  # full: double it
+            normals = out._normals = np.concatenate((normals, np.empty_like(normals)))
+        standard_normal(out=normals[n])
+        d = random(4 if t < last else 3).tolist()  # the row's doubles, in stream order
         at = 1  # where the confusion double lies in d
         if d[0] < partial_rate:
             d += random(4).tolist()
-            partial += (len(rows) // _ROW_FIELDS, *d[1:5])
+            partial += (n, *d[1:5])
             at = 5
         cls = true_class
         if d[at] < confusion_rate and confuses:
             d.append(random())
             at += 1
             cls = bisect_right(cdfs[true_class], d[at]) + 1
-        rows += (cls, score_bases[true_class - 1], d[at + 1])
+        rows += (t, cls, d[at + 1])
+        n += 1
         u = d[-1]
-    n_rows = (len(rows) - n_before) // _ROW_FIELDS
     n_fp = rng.poisson(params.fp_rate)
     if n_fp:
-        draws = random(6 * n_fp).tolist()
-        draws[::6] = [bisect_right(cdfs[0], v) + 1 for v in draws[::6]]
-        out._fps += draws
-    out._images += (record.width, record.height, (1.0 - params.loc_skill) * 0.1, n_rows, n_fp)
-    out.counts.append(n_rows + n_fp)
+        out._fps.append(random(6 * n_fp))
+    out._images += (record.width, record.height, n - n_before, n_fp)
+    out.counts.append(n - n_before + n_fp)
 
 
 def student_update(
@@ -336,7 +336,9 @@ def batch_loss(
     repeats = np.ones(len(foreground), dtype=np.intp)
     repeats[bg_slots] = n_bg
 
-    mean_recall = sum(params.recall_skill) / k
+    # Every float sum here is a cumsum, which adds left to right: np.sum adds
+    # pairwise, and the built-in sum compensates from Python 3.12 on.
+    mean_recall = float(np.cumsum(params.recall_skill)[-1]) / k
     bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
     bg_log = _safe_log(1.0 - bg_objectness)
     objectness_logs = []
@@ -350,18 +352,17 @@ def batch_loss(
     def mean_nll(class_terms: list[float]) -> float:
         table = np.asarray(class_terms + [bg_log], dtype=float)
         per_target = np.repeat(table[term_index], repeats)
-        # cumsum adds left to right, as a Python loop over the proposals
-        # would; np.sum adds pairwise and rounds differently. Subtracting
-        # from 0.0 keeps an all-zero sum at +0.0, as that loop did.
+        # Subtracting from 0.0 keeps an all-zero sum at +0.0, as a Python
+        # loop over the proposals did.
         return (0.0 - float(np.cumsum(per_target)[-1])) / n_targets
 
     rpn_cls = mean_nll(objectness_logs)
     roi_cls = mean_nll(class_logs)
 
     if n_reg:
-        delta = (1.0 - params.loc_skill) * 0.1
-        per_target = sum(smooth_l1(d) for d in (delta, delta, delta, delta))
-        reg = sum([per_target] * n_reg) / n_reg
+        per_box = smooth_l1((1.0 - params.loc_skill) * 0.1)  # each of the four residuals
+        per_target = per_box + per_box + per_box + per_box
+        reg = float(np.cumsum(np.full(n_reg, per_target))[-1]) / n_reg
     else:
         reg = 0.0
     total = rpn_cls + reg + roi_cls + reg

@@ -142,9 +142,9 @@ def _class_counts(class_ids: Sequence[int], k: int) -> np.ndarray:
 
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
-    """Each loss term's mean over batches, summed in batch order."""
-    columns = zip(*(astuple(p) for p in parts))
-    return LossBreakdown(*(sum(column) / len(parts) for column in columns))
+    """Each loss term's mean over batches, its sum added left to right."""
+    sums = np.cumsum([astuple(p) for p in parts], axis=0)[-1]
+    return LossBreakdown(*(sums / len(parts)).tolist())
 
 
 def pretrain(
@@ -191,14 +191,14 @@ def label_pass(
     """
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     two_stage = fcfg.mode != "one_stage"
-    dets, pastes = Detections(), []
+    dets, pastes = Detections(dataset, teacher, cdfs), []
     draws = np.empty((len(indices), dataset.num_classes, 2)) if two_stage else None
     for j, i in enumerate(indices):
-        img = dataset.images[i]
-        detect(teacher, img, rng, cdfs, dets)
+        detect(dets, i, rng)
         if two_stage:
             rng.random(out=draws[j])
         if paste:
+            img = dataset.images[i]
             draw_pastes((img.width, img.height), *paste, rng, config.paste, j, pastes)
     activations = None
     if two_stage:

@@ -11,7 +11,7 @@ from acrst.cropbank import (
     build_labeled_bank,
     refresh_pseudo_bank,
 )
-from acrst.dataset import ClassCdfs, ImageRecord, parse_coco_annotations
+from acrst.dataset import ClassCdfs, Dataset, ImageRecord, parse_coco_annotations
 from acrst.model import Detections, DetectorParams, detect
 from acrst.rebalance import PasteConfig, SamplingDistribution, draw_pastes
 
@@ -100,14 +100,14 @@ class TestRefresh:
             recall_skill=(1.0,) * 3, confusion_rate=0.0, loc_skill=1.0, partial_rate=0.0,
             fp_rate=0.0, confidence_sharpness=8.0,
         )
-        self.dets = Detections()
-        for image_id, truth in [
+        records = tuple(ImageRecord(image_id, 10.0, 10.0, tuple(truth)) for image_id, truth in [
             (5, [(1, 0.0, 0.0, 4.0, 4.0), (2, 3.0, 3.0, 2.0, 2.0)]),
             (6, [(2, 1.0, 1.0, 5.0, 5.0), (3, 0.5, 0.5, 1.0, 1.0), (1, 2.0, 2.0, 3.0, 3.0)]),
             (7, []),
-        ]:
-            record = ImageRecord(image_id, 10.0, 10.0, tuple(truth))
-            detect(exact, record, np.random.default_rng(0), ClassCdfs([1.0] * 3), self.dets)
+        ])
+        self.dets = Detections(Dataset(records, ()), exact, ClassCdfs([1.0] * 3))
+        for image in range(len(records)):
+            detect(self.dets, image, np.random.default_rng(0))
         self.kept = [True, False, True, False, True]
 
     def test_wholesale_replacement(self):

@@ -364,11 +364,11 @@ def _pass_matches_reference(seed, dataset, indices, teacher, config, oracle):
     if not config.two_stage:
         fcfg = FilterConfig(fcfg.tau_cls, mode="one_stage")
     dets, keep, pastes = label_pass(teacher, dataset, indices, rng_got, config, cdfs)
-    want_dets, want_keep = Detections(), []
+    want_dets, want_keep = Detections(dataset, teacher, cdfs), []
     for i in indices:
         record = dataset.images[i]
         start = len(want_dets.score)
-        detect(teacher, record, rng_want, cdfs, want_dets)
+        detect(want_dets, i, rng_want)
         two_stage = fcfg.mode != "one_stage"
         label = oracle(record, config.oracle, rng_want, k, fcfg.tau_ml) if two_stage else None
         preds = [pred(c, s) for c, s in zip(want_dets.class_id[start:], want_dets.score[start:])]

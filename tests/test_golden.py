@@ -5,6 +5,7 @@ byte the same. The figures depend on numpy's random streams, so the test runs
 only with the numpy version CI pins.
 """
 
+import builtins
 import hashlib
 import json
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from acrst import metrics, model, simloop
 from acrst.cli import main
 
 pytestmark = pytest.mark.skipif(
@@ -167,6 +169,33 @@ def report_sha256(config: Path, out: Path) -> str:
 
 
 def test_example_config_report(tmp_path):
+    assert report_sha256(EXAMPLE_CONFIG, tmp_path / "out") == EXAMPLE_SHA256
+
+
+def neumaier_sum(values, start=0):
+    """The built-in sum as Python 3.12 and later compute it: integers exactly,
+    floats with Neumaier's compensated summation."""
+    values = list(values)
+    if not any(isinstance(v, float) for v in [start, *values]):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for value in values:
+        t = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - t) + value
+        else:
+            compensation += (value - t) + total
+        total = t
+    return total + compensation
+
+
+def test_report_does_not_depend_on_builtin_sum_rounding(tmp_path, monkeypatch):
+    # CPython 3.12 changed sum() of floats to compensated summation, and
+    # pyproject admits 3.10 and up: the loop's float sums add left to right
+    # themselves, so the report stays the same under either sum().
+    assert neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    for module in (metrics, model, simloop):
+        monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
     assert report_sha256(EXAMPLE_CONFIG, tmp_path / "out") == EXAMPLE_SHA256
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrst.api import BBox, Instance, Prediction
-from acrst.dataset import MIN_BOX_SIDE, ClassCdfs, ImageRecord
+from acrst.dataset import MIN_BOX_SIDE, ClassCdfs, Dataset, ImageRecord
 from acrst.model import (
     CONFUSION_FLOOR,
     PARTIAL_FLOOR,
@@ -59,6 +59,11 @@ def inst(class_id, x=50, y=50, w=40, h=40):
     return Instance(class_id=class_id, bbox=BBox(x, y, w, h), source_image_id=1)
 
 
+def detections(detector, records, cdfs):
+    """An empty :class:`Detections` of ``detector`` over a dataset of ``records``."""
+    return Detections(Dataset(tuple(records), ()), detector, cdfs)
+
+
 def det_rows(out):
     """(class, x, y, w, h, score) of each row of the detections ``out``."""
     return zip(out.class_id.tolist(), *out.table[:4].tolist(), out.score.tolist())
@@ -71,8 +76,8 @@ def synth_detect(params, record, rng, class_weights=None):
     weights = np.ones(k) if class_weights is None else np.asarray(class_weights, dtype=float)
     if weights.shape != (k,):
         raise ValueError("class_weights must have one entry per class")
-    out = Detections()
-    detect(params, record, rng, ClassCdfs(weights), out)
+    out = detections(params, [record], ClassCdfs(weights))
+    detect(out, 0, rng)
     return [Prediction(c, BBox(x, y, w, h), s) for c, x, y, w, h, s in det_rows(out)]
 
 
@@ -804,10 +809,10 @@ class TestSynthDetectEquivalence:
         detector, weights, records = case
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         cdfs = ClassCdfs([1.0] * detector.n_classes if weights is None else weights)
-        out = Detections()
-        for rec in records:
+        out = detections(detector, records, cdfs)
+        for image, rec in enumerate(records):
             start = len(out.score)
-            detect(detector, rec, rng_got, cdfs, out)
+            detect(out, image, rng_got)
             want = _oracle_synth_detect(detector, rec, rng_want, class_weights=weights)
             rows = [(c, *(float(v).hex() for v in values)) for c, *values in list(det_rows(out))[start:]]
             assert rows == _bits(want)
@@ -827,8 +832,8 @@ class TestSynthDetectEquivalence:
         detector = params(recall=(1.0,), confusion=0.0, loc=0.0, partial=0.0, fp=0.0)
         rec = record([inst(1, -0.0, -0.0, 10, 10)], width=40.0, height=30.0)
         normals = [corner[0], corner[1], size[0] - 10, size[1] - 10]
-        out = Detections()
-        detect(detector, rec, _FixedDraws(normals), ClassCdfs([1.0]), out)
+        out = detections(detector, [rec], ClassCdfs([1.0]))
+        detect(out, 0, _FixedDraws(normals))
         (_, *got, _), = det_rows(out)
         x, y = -0.0 + normals[0] * 1.0, -0.0 + normals[1] * 1.0
         assert (x.hex(), y.hex()) == (corner[0].hex(), corner[1].hex())
@@ -874,9 +879,9 @@ class TestOnePass:
         detector, weights, records = case
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         cdfs = ClassCdfs([1.0] * detector.n_classes if weights is None else weights)
-        out, want = Detections(), []
-        for rec in records:
-            detect(detector, rec, rng_got, cdfs, out)
+        out, want = detections(detector, records, cdfs), []
+        for image, rec in enumerate(records):
+            detect(out, image, rng_got)
             rng_got.random(foreign)
             want.append(_oracle_synth_detect(detector, rec, rng_want, class_weights=weights))
             rng_want.random(foreign)
@@ -884,6 +889,73 @@ class TestOnePass:
         assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
         assert next(rows, None) is None
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+class TestRecording:
+    """What :func:`detect` records per row (a truth index, the class emitted,
+    a score double and normals written in place) gives the scalar-draw
+    detector's rows however the pass is read, however many rows it holds and
+    in whatever order its images come."""
+
+    def check_pass(self, detector, records, order, seed, read_after=()):
+        """Detect ``records[i]`` for each ``i`` of ``order`` into one
+        :class:`Detections`, reading its table after the images at the
+        positions in ``read_after``; each image's rows must equal the scalar
+        detector's, and the generator must end where it does."""
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        out, want = detections(detector, records, ClassCdfs([1.0] * detector.n_classes)), []
+        for position, image in enumerate(order):
+            detect(out, image, rng_got)
+            if position in read_after:
+                assert len(out.counts) == position + 1 and len(out.score) == sum(out.counts)
+            want.append(_oracle_synth_detect(detector, records[image], rng_want))
+        rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in det_rows(out)])
+        assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
+        assert next(rows, None) is None
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        return out
+
+    def test_read_after_the_first_image_equals_one_read(self):
+        detector = params(recall=(0.9, 0.7), confusion=0.5, partial=0.5, fp=2.0)
+        records = [record([inst(1), inst(2, 10, 20, 60, 30)]),
+                   record([inst(2), inst(1, 0, 0, 30, 20), inst(1, 100, 90, 50, 70)]),
+                   record([inst(1, 150, 150, 50, 50)])]
+        once = self.check_pass(detector, records, [0, 1, 2], seed=8)
+        twice = self.check_pass(detector, records, [0, 1, 2], seed=8, read_after={0})
+        assert twice.counts == once.counts
+        assert twice.table.tobytes() == once.table.tobytes()
+
+    def test_rows_past_the_initial_normals_array(self):
+        # Every row emitted: the array doubles at least twice, and a read in
+        # between writes the next rows' normals from its start again.
+        detector = params(recall=(1.0, 1.0), partial=0.3, fp=0.5)
+        initial = len(detections(detector, [], ClassCdfs([1.0, 1.0]))._normals)
+        rows = [inst(1 + j % 2, j % 150, (7 * j) % 150, 20 + j % 30, 10 + j % 40) for j in range(50)]
+        records = [record(rows)] * (3 * initial // 50 + 1)
+        order = list(range(len(records)))
+        out = self.check_pass(detector, records, order, seed=9)
+        assert sum(len(r.truth_rows) for r in records) > 2 * initial
+        self.check_pass(detector, records, order, seed=9, read_after={0, len(records) - 2})
+        assert len(out._normals) >= 4 * initial
+
+    def test_images_without_truth_rows_between_others(self):
+        # Empty images share their truth offset with the next image; the pass
+        # visits the images out of order and one of them twice, as a batch may.
+        records = [record([]), record([inst(1), inst(2, 10, 20, 60, 30)]), record([]), record([]),
+                   record([inst(2, 0, 0, 30, 20)]), record([])]
+        for fp in (0.0, 3.0):
+            detector = params(recall=(1.0, 0.8), fp=fp)
+            self.check_pass(detector, records, [4, 0, 2, 1, 5, 3, 1], seed=10, read_after={2})
+
+    def test_false_positive_classes_by_searchsorted(self):
+        # Class doubles equal to CDF steps (a zero-weight class repeats one),
+        # 0.0 and just below 1.0 pick what bisect_right picks.
+        cdfs = ClassCdfs([1.0, 0.0, 2.0, 3.0, 0.0])
+        doubles = [*(u for u in cdfs[0] if u < 1.0), 0.0, math.nextafter(1.0, 0.0)]
+        out = detections(params(recall=(1.0,) * 5, fp=1.0), [record([])], cdfs)
+        detect(out, 0, _FalsePositiveDraws(doubles))
+        assert out.class_id.tolist() == [bisect_right(cdfs[0], u) + 1 for u in doubles]
+        assert out.class_id.tolist() == [3, 3, 4, 1, 4]
 
 
 class _CountingDraws:
@@ -911,8 +983,8 @@ class TestDrawCalls:
         # emission double in another; the scalar path made 4n uniform calls.
         exact = params(recall=(1.0,), confusion=0.0, partial=0.0, fp=0.0)
         rng = _CountingDraws(0)
-        out = Detections()
-        detect(exact, record([inst(1)] * n), rng, ClassCdfs([1.0]), out)
+        out = detections(exact, [record([inst(1)] * n)], ClassCdfs([1.0]))
+        detect(out, 0, rng)
         assert rng.calls == {"random": n + 1, "standard_normal": n, "poisson": 1}
         assert out.counts == [n]
 
@@ -926,8 +998,8 @@ class TestTruthRows:
         records = [*synthetic_dataset(30, 5, seed=2).images,
                    record([inst(1, 20, 15, 313.2, 235.6), inst(2, 0.5, 0, 3, 0.25)], 333.3, 250.7)]
         for rec in records:
-            out = Detections()
-            detect(perfect, rec, np.random.default_rng(0), ClassCdfs([1.0] * 5), out)
+            out = detections(perfect, [rec], ClassCdfs([1.0] * 5))
+            detect(out, 0, np.random.default_rng(0))
             assert out.counts == [len(rec.truth_rows)] and rec.truth_rows
             for (c, *box, _), (want_c, *want_box) in zip(det_rows(out), rec.truth_rows):
                 assert c == want_c
@@ -941,14 +1013,34 @@ class _FixedDraws:
     def __init__(self, normals):
         self.normals = normals
 
-    def standard_normal(self, n):
-        return np.array(self.normals[:n])
+    def standard_normal(self, n=None, out=None):
+        if out is None:
+            return np.array(self.normals[:n])
+        out[:] = self.normals[:len(out)]
 
     def random(self, n=None):
         return 0.0 if n is None else np.zeros(n)
 
     def poisson(self, lam):
         return 0
+
+
+class _FalsePositiveDraws(_FixedDraws):
+    """A generator stand-in for an image without truth rows: one false
+    positive per class double given, its other five doubles 0.5."""
+
+    def __init__(self, class_doubles):
+        super().__init__([])
+        self.class_doubles = class_doubles
+
+    def poisson(self, lam):
+        return len(self.class_doubles)
+
+    def random(self, n=None):
+        doubles = np.full((len(self.class_doubles), 6), 0.5)
+        doubles[:, 0] = self.class_doubles
+        assert n == doubles.size
+        return doubles.ravel()
 
 
 @st.composite
@@ -991,9 +1083,9 @@ class TestDetectBounds:
     def test_rows_stay_inside_the_image(self, case, seed):
         detector, rec = case
         rng = np.random.default_rng(seed)
-        out = Detections()
+        out = detections(detector, [rec], ClassCdfs([1.0]))
         for _ in range(20):
-            detect(detector, rec, rng, ClassCdfs([1.0]), out)
+            detect(out, 0, rng)
         x_max = math.nextafter(rec.width, math.inf)
         y_max = math.nextafter(rec.height, math.inf)
         for _, x, y, w, h, _ in det_rows(out):
