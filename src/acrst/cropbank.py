@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -88,5 +88,5 @@ def build_labeled_bank(labeled: Dataset) -> CropBank:
 def refresh_pseudo_bank(bank: CropBank, dets: Detections, kept: Sequence[bool]) -> CropBank:
     """``bank`` with its pseudo bank replaced wholesale: the crop of each row
     of ``dets`` that ``kept`` marks, in order."""
-    rows = zip(dets.class_id.tolist(), dets.w.tolist(), dets.h.tolist())
-    return CropBank(bank.labeled_bank, tuple(compress(rows, kept)))
+    rows = zip(dets.class_id[kept].tolist(), *dets.boxes[2:, kept].tolist())
+    return CropBank(bank.labeled_bank, tuple(rows))

@@ -2,8 +2,9 @@
 foreground ratio and class distribution divergence.
 
 :func:`evaluate` scores a whole epoch's evaluation from one IoU pass over its
-same-image, same-class pairs, and runs the greedy matcher only on the images
-where a prediction or a ground truth has two candidates.
+same-image, same-class pairs, and runs the greedy matcher, once, over the
+scored pairs of the images where a prediction or a ground truth has two
+candidates.
 """
 
 from __future__ import annotations
@@ -47,39 +48,41 @@ def _same_key_pairs(p_key: np.ndarray, g_key: np.ndarray) -> tuple[np.ndarray, n
     return pair_p, g_order[offset + np.arange(len(pair_p))]
 
 
-def _greedy(
-    ious: np.ndarray, scores: np.ndarray, thresholds: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy matching of one image at every threshold in one pass.
+def _greedy(pair_p: np.ndarray, pair_g: np.ndarray, ious: np.ndarray, scores: np.ndarray,
+            kept: np.ndarray, match_iou: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy one-to-one matching over (prediction, ground truth) pairs and
+    their IoUs, at every threshold in one pass.
 
-    Returns the claim order (descending score, then prediction index) and a
-    (threshold, prediction) array of the claimed ground-truth index, -1 where
-    the prediction matched nothing. At each threshold a prediction claims the
-    free ground truth of highest IoU, the lower index on equal IoU, if that
-    IoU is at or above the threshold.
+    Lane ``t`` matches every prediction at ``AP_THRESHOLDS[t]``, and a last
+    lane the predictions that ``kept`` marks at ``match_iou``. Predictions
+    claim in descending ``scores`` order, equal scores by index; in each of
+    its lanes a prediction claims the free ground truth of highest IoU among
+    its pairs, the lower index on equal IoU, if that IoU reaches the lane's
+    threshold. Returns the lane and the pair index of each claim.
     """
-    order = np.argsort(-scores, kind="stable")
-    claims = [[-1] * len(scores) for _ in thresholds]
-    if ious.size:
-        lowest = min(thresholds)
-        values = ious.tolist()
-        # Each row's ground truths by descending IoU, the lower index first on ties.
-        ranked = np.argsort(-ious, axis=1, kind="stable").tolist()
-        taken: list[set[int]] = [set() for _ in thresholds]
-        for pi in order.tolist():
-            row = values[pi]
-            candidates = [gi for gi in ranked[pi] if row[gi] >= lowest]
-            if not candidates:
-                continue
-            for thr, claimed, claim in zip(thresholds, taken, claims):
-                # The first free candidate holds the highest IoU still free.
-                for gi in candidates:
-                    if gi not in claimed:
-                        if row[gi] >= thr:
-                            claimed.add(gi)
-                            claim[pi] = gi
-                        break
-    return order, np.array(claims, dtype=np.intp).reshape(len(thresholds), len(scores))
+    thresholds = (*AP_THRESHOLDS, match_iou)
+    every, with_kept = range(len(AP_THRESHOLDS)), range(len(thresholds))
+    # Pairs by claim order, each prediction's by descending IoU, then ground truth.
+    order = np.lexsort((pair_g, -ious, pair_p, -scores[pair_p]))
+    taken: list[set[int]] = [set() for _ in thresholds]
+    claim_lanes, claim_pairs = [], []
+    current, lanes = -1, []
+    for at, p, g, iou in zip(order.tolist(), pair_p[order].tolist(), pair_g[order].tolist(),
+                             ious[order].tolist()):
+        if p != current:
+            current, lanes = p, list(with_kept if kept[p] else every)
+        # A lane stays open past taken ground truths; the first free one
+        # holds the highest IoU still free, and closes the lane.
+        still = []
+        for lane in lanes:
+            if g in taken[lane]:
+                still.append(lane)
+            elif iou >= thresholds[lane]:
+                taken[lane].add(g)
+                claim_lanes.append(lane)
+                claim_pairs.append(at)
+        lanes = still
+    return np.array(claim_lanes, dtype=np.intp), np.array(claim_pairs, dtype=np.intp)
 
 
 def fg_ratio(foreground: int, background: int) -> float:
@@ -94,10 +97,8 @@ def class_kld(pseudo_counts: Sequence[int], truth_counts: Sequence[int]) -> floa
     zero. Both have 1e-6 added to each entry and are normalized first, so
     the result is finite even with empty classes. Direction is pseudo || truth.
     """
-    p = np.asarray(pseudo_counts, dtype=float)
-    q = np.asarray(truth_counts, dtype=float)
-    p = p + 1e-6
-    q = q + 1e-6
+    p = np.asarray(pseudo_counts, dtype=float) + 1e-6
+    q = np.asarray(truth_counts, dtype=float) + 1e-6
     p = p / p.sum()
     q = q / q.sum()
     return float(np.sum(p * np.log(p / q)))
@@ -159,8 +160,9 @@ def evaluate(
     The IoU of every same-image, same-class pair is computed in one pass. In
     an image where no prediction and no ground truth has two pairs at or above
     the lowest threshold, a pair matches at a threshold exactly when its IoU
-    reaches it; only the other, contested images go through the greedy
-    matcher. The raw predictions are matched at all of :data:`AP_THRESHOLDS`;
+    reaches it; only the other, contested images' pairs at or above it go
+    through the greedy matcher, in one pass that matches every threshold at
+    once. The raw predictions are matched at all of :data:`AP_THRESHOLDS`;
     pooled over images and ranked by a stable sort on descending score, they
     give every threshold's 101-point interpolated AP in one pass over the
     (threshold, prediction) hits, 0.0 when there is no ground truth. The kept
@@ -168,8 +170,6 @@ def evaluate(
     """
     kept = np.asarray(kept, dtype=bool)
     n_images = len(p_count)
-    p_start = np.cumsum([0, *p_count]).tolist()
-    g_start = np.cumsum([0, *g_count]).tolist()
     boxes, scores = preds[:5], preds[5]
 
     p_image = np.repeat(np.arange(n_images), p_count)
@@ -179,10 +179,10 @@ def evaluate(
     classes -= classes.min(initial=0)
     keys = np.concatenate((p_image, g_image)) * (classes.max(initial=0) + 1) + classes
     pair_p, pair_g = _same_key_pairs(keys[:len(scores)], keys[len(scores):])
-    ious = _iou(boxes[:, pair_p], truths[:, pair_g])
+    ious = _iou(boxes.take(pair_p, axis=1), truths.take(pair_g, axis=1))
 
     candidate = ious >= min(AP_THRESHOLDS[0], match_iou)
-    cand_p, cand_g = pair_p[candidate], pair_g[candidate]
+    cand_p, cand_g, cand_iou = pair_p[candidate], pair_g[candidate], ious[candidate]
     contested = np.zeros(n_images, dtype=bool)
     contested[p_image[np.bincount(cand_p, minlength=len(scores)) > 1]] = True
     contested[g_image[np.bincount(cand_g, minlength=len(g_image)) > 1]] = True
@@ -190,18 +190,19 @@ def evaluate(
     # threshold its IoU reaches. A kept prediction's claimed IoU is 0.0 where
     # it matched nothing, since a match has an IoU of at least match_iou > 0.
     best = np.zeros(len(scores))
-    best[cand_p] = ious[candidate]
+    best[cand_p] = cand_iou
     hits = best >= np.array(AP_THRESHOLDS)[:, None]
     claimed_iou = np.where(kept & (best >= match_iou), best, 0.0)
-    for i in np.flatnonzero(contested).tolist():
-        a, b = p_start[i], p_start[i + 1]
-        image_ious = _iou(boxes[:, a:b, None], truths[:, None, g_start[i]:g_start[i + 1]])
-        hits[:, a:b] = _greedy(image_ious, scores[a:b], AP_THRESHOLDS)[1] >= 0
-        rows = np.flatnonzero(kept[a:b])
-        claims = _greedy(image_ious[rows], scores[a:b][rows], (match_iou,))[1][0]
-        claimed = claims >= 0
-        claimed_iou[a:b] = 0.0
-        claimed_iou[a + rows[claimed]] = image_ious[rows[claimed], claims[claimed]]
+    # The contested images' predictions are matched over their candidate pairs.
+    pick = contested[p_image[cand_p]]
+    if pick.any():
+        pair_p, pair_g, pair_iou = cand_p[pick], cand_g[pick], cand_iou[pick]
+        lane, pair = _greedy(pair_p, pair_g, pair_iou, scores, kept, match_iou)
+        in_contested = contested[p_image]
+        hits[:, in_contested], claimed_iou[in_contested] = False, 0.0
+        ap = lane < len(AP_THRESHOLDS)
+        hits[lane[ap], pair_p[pair[ap]]] = True
+        claimed_iou[pair_p[pair[~ap]]] = pair_iou[pair[~ap]]
 
     # Per-image sums in claim order, then their total, added left to right:
     # the built-in sum compensates from Python 3.12 on, and rounds otherwise.

@@ -110,44 +110,60 @@ def ema_update(
 
 class Detections:
     """The output of detector ``params`` over images of ``dataset``, classes
-    drawn by ``cdfs``: the columns class_id, x, y, w, h and score, one row per
-    box, one image's rows after another's, and ``counts``, each image's number
-    of rows; ``table`` holds the columns as one (x, y, w, h, class, score)
-    float array. :func:`detect` records only draws: per image its sides and
-    its numbers of rows and false positives; per emitted truth row its index
-    into ``dataset.truth_columns``, the class it emitted and its score double,
-    and its four normals, in place in an array that doubles when full.
-    Reading a column computes every row recorded since the last read.
+    drawn by ``cdfs``: one row per box, image after image, and ``counts``, each
+    image's number of rows. :func:`detect` records only draws: per image its
+    sides and numbers of rows and false positives; per emitted truth row its
+    index into ``dataset.truth_columns``, the class it emitted, its score
+    double, and its four normals, in place in an array that doubles when full.
+
+    Once the pass is recorded, the first read computes a group of columns:
+    ``labels`` (class, score) or ``boxes`` (x, y, w, h), in one row order; a
+    pass read for classes and scores alone computes no box. ``class_id`` and
+    ``score`` are the labels' rows, ``table`` the (x, y, w, h, class, score) rows.
     """
 
     def __init__(self, dataset: Dataset, params: DetectorParams, cdfs: ClassCdfs) -> None:
         self.dataset, self.params, self.cdfs = dataset, params, cdfs
         self.counts: list[int] = []
-        self._table, self._normals = np.empty((6, 0)), np.empty((64, 4))
-        # The draws since the last read, flat: 4 values per image, 3 per truth
-        # row, a row and 4 doubles per partial box; 6 doubles per false positive.
+        self._normals = np.empty((64, 4))
+        # The pass's draws, flat: 4 values per image, 3 per truth row, a row
+        # and 4 doubles per partial box; 6 doubles per false positive.
         self._images, self._rows, self._partial, self._fps = [], [], [], []
 
-    @property
-    def table(self) -> np.ndarray:
-        if self._images:
-            self._table = np.concatenate((self._table, self._arithmetic()), axis=1)
-            self._images, self._rows, self._partial, self._fps = [], [], [], []
-        return self._table
-
-    class_id = property(lambda self: self.table[4].astype(np.intp))
-    x, y, w, h, score = (property(lambda self, i=i: self.table[i]) for i in (0, 1, 2, 3, 5))
-
-    def _arithmetic(self) -> np.ndarray:
-        """The table columns of the rows recorded since the last read, in one
-        numpy pass. Each ``a if cond else b`` of the per-row detector became
-        ``np.where(cond, a, b)``, so NaN and signed zeros come out as they did.
-        """
+    @cached_property
+    def _draws(self) -> tuple[np.ndarray, ...]:
+        """The draws as arrays, and the order that puts each image's truth
+        rows, then its false positives, in place."""
         images = np.array(self._images, dtype=float).reshape(-1, 4).T
         n_rows, n_fp = images[2:].astype(np.intp)
         truth, cls, u_score = np.array(self._rows, dtype=float).reshape(-1, 3).T
-        columns = self.dataset.truth_columns[0][:, truth.astype(np.intp)]
-        corner, size, true_class = columns[:2], columns[2:4], columns[4].astype(np.intp)
+        fp = np.concatenate((np.empty(0), *self._fps)).reshape(-1, 6).T
+        key = np.repeat(np.arange(2 * len(n_rows)) % len(n_rows), np.concatenate((n_rows, n_fp)))
+        order = np.argsort(key, kind="stable")
+        return images[:2], n_rows, n_fp, truth.astype(np.intp), cls, u_score, fp, order
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The (class, score) rows. Each ``a if cond else b`` of the per-row
+        detector became ``np.where(cond, a, b)``, here and in :attr:`boxes`,
+        so NaN and signed zeros come out as they did."""
+        _, _, _, truth, cls, u_score, fp, order = self._draws
+        true_class = self.dataset.truth_columns[0][4, truth].astype(np.intp)
+        base = np.array(self.params.score_bases)[true_class - 1]
+        score = base + (-0.1 + (0.1 - (-0.1)) * u_score)
+        score = np.where(score > 0.0, score, 0.0)
+        score = np.where(score < 1.0, score, 1.0)
+        # A false positive's class double comes first of its six, its score's last.
+        fp_cls = np.searchsorted(self.cdfs[0], fp[0], side="right") + 1
+        fp_score = 0.3 + (0.8 - 0.3) * fp[5]
+        return np.concatenate(((cls, score), (fp_cls, fp_score)), axis=1).take(order, axis=1)
+
+    @cached_property
+    def boxes(self) -> np.ndarray:
+        """The (x, y, w, h) rows."""
+        sides, n_rows, n_fp, truth, _, _, fp, order = self._draws
+        columns = self.dataset.truth_columns[0][:4, truth]
+        corner, size = columns[:2], columns[2:]
         normals = self._normals[:len(truth)].T
         noise = (1.0 - self.params.loc_skill) * 0.1 * np.where(size[0] <= size[1], size[0], size[1])
         corner, size = corner + normals[:2] * noise, size + normals[2:] * noise
@@ -159,33 +175,28 @@ class Detections:
         part_size = size[:, at] * (frac_w, area_frac / frac_w)
         corner[:, at] += (size[:, at] - part_size) * u_corner
         size[:, at] = part_size
-        base = np.array(self.params.score_bases)[true_class - 1]
-        score = base + (-0.1 + (0.1 - (-0.1)) * u_score)
-        score = np.where(score > 0.0, score, 0.0)
-        score = np.where(score < 1.0, score, 1.0)
         # Clipped to the image with a minimal positive extent.
-        side = np.repeat(images[:2], n_rows, axis=1)
+        side = np.repeat(sides, n_rows, axis=1)
         lo = np.where(corner >= 0.0, corner, 0.0)
         lo = np.where(side - MIN_BOX_SIDE < lo, side - MIN_BOX_SIDE, lo)
         hi = np.where(corner + size <= side, corner + size, side)
         hi = np.where(lo + MIN_BOX_SIDE > hi, lo + MIN_BOX_SIDE, hi)
-        # A false positive's class double, then its w, h, x, y and score doubles.
-        fp = np.concatenate((np.empty(0), *self._fps)).reshape(-1, 6).T
-        fp_cls = np.searchsorted(self.cdfs[0], fp[0], side="right") + 1
-        fp_side = np.repeat(images[:2], n_fp, axis=1)
+        # A false positive's w, h, x and y doubles follow its class double.
+        fp_side = np.repeat(sides, n_fp, axis=1)
         fp_size = (0.05 + (0.4 - 0.05) * fp[1:3]) * fp_side
-        fp_corner, fp_score = (fp_side - fp_size) * fp[3:5], 0.3 + (0.8 - 0.3) * fp[5]
-        # Each image's truth rows, then its false positives.
-        key = np.repeat(np.tile(np.arange(len(n_rows)), 2), np.concatenate((n_rows, n_fp)))
-        return np.concatenate((np.vstack((lo, hi - lo, cls, score)),
-                               np.vstack((fp_corner, fp_size, fp_cls, fp_score))),
-                              axis=1)[:, np.argsort(key, kind="stable")]
+        fp_corner = (fp_side - fp_size) * fp[3:5]
+        return np.concatenate((np.concatenate((lo, hi - lo)), np.concatenate((fp_corner, fp_size))),
+                              axis=1).take(order, axis=1)
+
+    table = property(lambda self: np.concatenate((self.boxes, self.labels)))
+    class_id = cached_property(lambda self: self.labels[0].astype(np.intp))
+    score = property(lambda self: self.labels[1])
 
 
 def detect(out: Detections, image: int, rng: np.random.Generator) -> None:
     """Simulate ``out.params``' output on ``out.dataset.images[image]`` from its
     hidden ground truth, appending the image's draws and its number of rows
-    to ``out``.
+    to ``out``, which must not have been read: its columns are computed once.
 
     Each ground-truth row ``(class_id, x, y, w, h)`` of class k is emitted
     with probability recall_skill[k], perturbed by zero-mean noise with
@@ -208,6 +219,8 @@ def detect(out: Detections, image: int, rng: np.random.Generator) -> None:
     a call each; false positives take ``poisson``, then six doubles each in
     one call.
     """
+    if "_draws" in out.__dict__:
+        raise RuntimeError("detect on Detections that were read: record each pass anew")
     params, cdfs, dataset = out.params, out.cdfs, out.dataset
     recall, confuses = params.recall_skill, params.n_classes > 1
     partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
@@ -341,13 +354,9 @@ def batch_loss(
     mean_recall = float(np.cumsum(params.recall_skill)[-1]) / k
     bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
     bg_log = _safe_log(1.0 - bg_objectness)
-    objectness_logs = []
-    class_logs = []
-    for skill in params.recall_skill:
-        objectness_logs.append(_safe_log(min(max(skill, 1e-4), 1.0 - 1e-4)))
-        class_logs.append(
-            _safe_log(min(max(skill * (1.0 - params.confusion_rate), 1e-4), 1.0))
-        )
+    skills = params.recall_skill
+    objectness_logs = [_safe_log(min(max(s, 1e-4), 1.0 - 1e-4)) for s in skills]
+    class_logs = [_safe_log(min(max(s * (1.0 - params.confusion_rate), 1e-4), 1.0)) for s in skills]
 
     def mean_nll(class_terms: list[float]) -> float:
         table = np.asarray(class_terms + [bg_log], dtype=float)
@@ -365,7 +374,4 @@ def batch_loss(
         reg = float(np.cumsum(np.full(n_reg, per_target))[-1]) / n_reg
     else:
         reg = 0.0
-    total = rpn_cls + reg + roi_cls + reg
-    return LossBreakdown(
-        rpn_cls=rpn_cls, rpn_reg=reg, roi_cls=roi_cls, roi_reg=reg, total=total
-    )
+    return LossBreakdown(rpn_cls, reg, roi_cls, reg, rpn_cls + reg + roi_cls + reg)

@@ -181,8 +181,8 @@ def label_pass(
     Per image the pass only draws: the teacher's detections (by ``cdfs``), in
     a two-stage filter mode the oracle's two doubles per class, and, given
     ``paste`` (a :meth:`CropBank.class_table`), the image's crops and their
-    placements. Array passes then compute every detection's box and score,
-    and set each row's oracle activation, against
+    placements. Array passes then compute every detection's class and score
+    (its box only when read), and set each row's oracle activation, against
     :attr:`Dataset.class_presence` with the filter's ``tau_ml`` as the low
     band's edge, and its keep bit. With the ``two_stage`` toggle off,
     filtering is by score alone. Returns the detections, the keep bits and
@@ -262,7 +262,7 @@ def run_epoch(
         if paste:
             # Per image, the pasted class ids in paste order, then the kept
             # rows that survive them in row order.
-            alive = survivor_mask(dets.table[:4, keep], image, pastes, occlusion_threshold)
+            alive = survivor_mask(dets.boxes[:, keep], image, pastes, occlusion_threshold)
             image = np.concatenate((pastes[1].astype(np.intp), image[alive]))
             class_ids = np.concatenate((pasted, class_ids[alive]))[np.argsort(image, kind="stable")]
         counts = np.bincount(image, minlength=len(batch))
@@ -316,16 +316,8 @@ def run_epoch(
     )
     # Off-period epochs pass on the same bank, and with it its class tables.
     if state.epoch % config.refresh_period == 0:
-        bank = refresh_pseudo_bank(bank, dets, kept.tolist())
-    new_state = LoopState(
-        teacher=teacher,
-        student=student,
-        bank=bank,
-        labeled=labeled,
-        unlabeled=unlabeled,
-        epoch=state.epoch + 1,
-    )
-    return new_state, trace
+        bank = refresh_pseudo_bank(bank, dets, kept)
+    return replace(state, teacher=teacher, student=student, bank=bank, epoch=state.epoch + 1), trace
 
 
 def run_experiment(config: ExperimentConfig, dataset: Dataset) -> RunReport:
@@ -357,9 +349,8 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset) -> RunReport:
             "instances; adjust split_fraction or the dataset"
         )
     student = pretrain(config, labeled, substream(seed, "pretrain"))
-    teacher = student
     state = LoopState(
-        teacher=teacher, student=student, bank=bank, labeled=labeled, unlabeled=unlabeled
+        teacher=student, student=student, bank=bank, labeled=labeled, unlabeled=unlabeled
     )
 
     traces: list[EpochTrace] = []

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -364,14 +366,15 @@ def _pass_matches_reference(seed, dataset, indices, teacher, config, oracle):
     if not config.two_stage:
         fcfg = FilterConfig(fcfg.tau_cls, mode="one_stage")
     dets, keep, pastes = label_pass(teacher, dataset, indices, rng_got, config, cdfs)
-    want_dets, want_keep = Detections(dataset, teacher, cdfs), []
+    want_dets, labels, want_keep = Detections(dataset, teacher, cdfs), [], []
     for i in indices:
-        record = dataset.images[i]
-        start = len(want_dets.score)
         detect(want_dets, i, rng_want)
         two_stage = fcfg.mode != "one_stage"
-        label = oracle(record, config.oracle, rng_want, k, fcfg.tau_ml) if two_stage else None
-        preds = [pred(c, s) for c, s in zip(want_dets.class_id[start:], want_dets.score[start:])]
+        labels.append(oracle(dataset.images[i], config.oracle, rng_want, k, fcfg.tau_ml)
+                      if two_stage else None)
+    rows = iter(zip(want_dets.class_id.tolist(), want_dets.score.tolist()))
+    for label, n in zip(labels, want_dets.counts):
+        preds = [pred(c, s) for c, s in islice(rows, n)]
         ref = _ref_two_stage_mining if fcfg.mode == "two_stage_mining" else _ref_two_stage_filter
         kept = set(map(id, ref(preds, label, fcfg)))
         want_keep += [id(p) in kept for p in preds]

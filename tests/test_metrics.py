@@ -1,15 +1,16 @@
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acrst import metrics
 from acrst.api import BBox, Instance, Prediction
 from acrst.metrics import (
     AP_THRESHOLDS,
     RECALL_POINTS,
-    _greedy,
     _interpolated_aps,
     class_kld,
     evaluate,
@@ -412,7 +413,10 @@ class TestOnePassEquivalence:
         for preds, k, g in zip(raw, keep, gts):
             pairs = _ref_match([p for p, kept in zip(preds, k) if kept], g, match_iou)
             matched += len(pairs)
-            iou_sum += sum(v for _, _, v in pairs)
+            image_sum = 0.0
+            for _, _, v in pairs:
+                image_sum += v
+            iou_sum += image_sum
         assert result.matched == matched
         assert result.iou_sum == iou_sum
 
@@ -436,8 +440,10 @@ class TestOnePassEquivalence:
 
 # Reference oracle: the per-image evaluator that the one-pass IoU evaluator
 # replaced, kept verbatim but for its IoU matrix, which is rebuilt from the
-# box objects here. Every image goes through the greedy matcher, and every
-# threshold's AP through the per-threshold AP that the batched AP replaced.
+# box objects here, and its sums, which add left to right. Every image goes
+# through the per-image greedy matcher that the pooled matcher replaced, and
+# every threshold's AP through the per-threshold AP that the batched AP
+# replaced.
 
 
 def _interpolated_ap(ranked_hits, n_gt):
@@ -468,6 +474,41 @@ def _per_image_iou_matrix(preds, gts):
     return inter / ((pw * ph + gw * gh) - inter)
 
 
+def _greedy(
+    ious: np.ndarray, scores: np.ndarray, thresholds: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching of one image at every threshold in one pass.
+
+    Returns the claim order (descending score, then prediction index) and a
+    (threshold, prediction) array of the claimed ground-truth index, -1 where
+    the prediction matched nothing. At each threshold a prediction claims the
+    free ground truth of highest IoU, the lower index on equal IoU, if that
+    IoU is at or above the threshold.
+    """
+    order = np.argsort(-scores, kind="stable")
+    claims = [[-1] * len(scores) for _ in thresholds]
+    if ious.size:
+        lowest = min(thresholds)
+        values = ious.tolist()
+        # Each row's ground truths by descending IoU, the lower index first on ties.
+        ranked = np.argsort(-ious, axis=1, kind="stable").tolist()
+        taken: list[set[int]] = [set() for _ in thresholds]
+        for pi in order.tolist():
+            row = values[pi]
+            candidates = [gi for gi in ranked[pi] if row[gi] >= lowest]
+            if not candidates:
+                continue
+            for thr, claimed, claim in zip(thresholds, taken, claims):
+                # The first free candidate holds the highest IoU still free.
+                for gi in candidates:
+                    if gi not in claimed:
+                        if row[gi] >= thr:
+                            claimed.add(gi)
+                            claim[pi] = gi
+                        break
+    return order, np.array(claims, dtype=np.intp).reshape(len(thresholds), len(scores))
+
+
 def _per_image_evaluate(raw_by_image, keep_by_image, gts_by_image, match_iou):
     scores, hits = [], []
     matched = 0
@@ -481,7 +522,10 @@ def _per_image_evaluate(raw_by_image, keep_by_image, gts_by_image, match_iou):
         order, claims = _greedy(kept_ious, scores[-1][rows], (match_iou,))
         pairs = order[claims[0, order] >= 0]
         matched += len(pairs)
-        iou_sum += sum(kept_ious[pairs, claims[0, pairs]].tolist())
+        image_sum = 0.0
+        for value in kept_ious[pairs, claims[0, pairs]].tolist():
+            image_sum += value
+        iou_sum += image_sum
     n_gt = sum(len(gts) for gts in gts_by_image)
     if n_gt == 0 or not any(len(s) for s in scores):
         aps = (0.0,) * len(AP_THRESHOLDS)
@@ -540,6 +584,23 @@ class TestPerImageEquivalence:
     @example(scene=[([], [], [gt(1, 0, 0, 4, 4)]),
                     ([pred(1, 0, 0, 4, 4, 0.5)] * 2, [False, False], [])],
              match_iou=0.3)
+    # Two contested images whose ground truths share the local indices 0 and
+    # 1, their predictions interleaved by score: a claim holds in its image only.
+    @example(scene=[([pred(1, 0, 0, 8, 8, 0.9), pred(1, 0, 0, 8, 8, 0.7)], [True, True],
+                     [gt(1, 0, 0, 8, 8), gt(1, 0, 0, 8, 8)]),
+                    ([pred(1, 0, 0, 8, 8, 0.8), pred(1, 0, 0, 8, 8, 0.6)], [True, True],
+                     [gt(1, 0, 0, 8, 8), gt(1, 0, 0, 8, 8)])],
+             match_iou=0.5)
+    # Equal IoUs (0.5) on two free ground truths: the first prediction claims
+    # the lower index, the second prediction's only overlap.
+    @example(scene=[([pred(1, 0, 0, 10, 10, 0.9), pred(1, 0, 0, 10, 5, 0.5)], [True, True],
+                     [gt(1, 0, 0, 10, 5), gt(1, 0, 5, 10, 5)])],
+             match_iou=0.5)
+    # Among all predictions the first claims the one ground truth; among the
+    # kept ones the second, kept alone, claims it.
+    @example(scene=[([pred(1, 0, 0, 10, 10, 0.9), pred(1, 0, 0, 10, 9, 0.8)], [False, True],
+                     [gt(1, 0, 0, 10, 10)])],
+             match_iou=0.5)
     def test_matches_the_per_image_evaluator(self, scene, match_iou):
         raw = [s[0] for s in scene]
         keep = [s[1] for s in scene]
@@ -551,20 +612,21 @@ class TestPerImageEquivalence:
         assert result.iou_sum == iou_sum
 
     def test_greedy_runs_on_contested_images_only(self, monkeypatch):
-        calls = []
+        calls, pooled = [], metrics._greedy
 
-        def counted(ious, scores, thresholds):
-            calls.append(ious.shape)
-            return _greedy(ious, scores, thresholds)
+        def counted(pair_p, pair_g, *args):
+            calls.append((pair_p.tolist(), pair_g.tolist()))
+            return pooled(pair_p, pair_g, *args)
 
-        monkeypatch.setattr("acrst.metrics._greedy", counted)
+        monkeypatch.setattr(metrics, "_greedy", counted)
         lone = ([pred(1, 0, 0, 10, 10, 0.9)], [gt(1, 0, 0, 10, 10), gt(2, 0, 0, 10, 10)])
         # Two predictions over one ground truth: both clear 0.5 against it.
         crowded = ([pred(1, 0, 0, 10, 10, 0.9), pred(1, 0, 0, 10, 9, 0.8)], [gt(1, 0, 0, 10, 10)])
         result = evaluate_images([lone[0], crowded[0]], [[True], [True, True]],
                                  [lone[1], crowded[1]], 0.5)
-        # The crowded image is matched at the AP thresholds, then at match_iou.
-        assert calls == [(2, 1), (2, 1)]
+        # One call, over the crowded image's pairs alone: predictions 1 and 2
+        # against ground truth 2, at the AP thresholds and match_iou at once.
+        assert calls == [([1, 2], [2, 2])]
         assert (result.matched, result.iou_sum) == (2, 2.0)
         calls.clear()
         evaluate_images([lone[0]], [[True]], [lone[1]], 0.5)

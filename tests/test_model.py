@@ -390,7 +390,10 @@ def _oracle_safe_log(p):
 
 
 def _oracle_image_targets(student, instances, n_pasted, budget):
-    mean_recall = sum(student.recall_skill) / student.n_classes
+    recall_sum = 0.0
+    for skill in student.recall_skill:
+        recall_sum += skill
+    mean_recall = recall_sum / student.n_classes
     bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
     delta = (1.0 - student.loc_skill) * 0.1
     targets = []
@@ -442,7 +445,13 @@ def _oracle_loss_breakdown(targets, mode):
             and (mode == "supervised" or t.from_cropbank)
         ]
     if reg_pool:
-        reg = sum(sum(smooth_l1(d) for d in t.box_delta) for t in reg_pool) / len(reg_pool)
+        reg = 0.0
+        for t in reg_pool:
+            box = 0.0
+            for d in t.box_delta:
+                box += smooth_l1(d)
+            reg += box
+        reg /= len(reg_pool)
     else:
         reg = 0.0
     total = rpn_cls + reg + roi_cls + reg
@@ -809,13 +818,13 @@ class TestSynthDetectEquivalence:
         detector, weights, records = case
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         cdfs = ClassCdfs([1.0] * detector.n_classes if weights is None else weights)
-        out = detections(detector, records, cdfs)
+        out, want = detections(detector, records, cdfs), []
         for image, rec in enumerate(records):
-            start = len(out.score)
             detect(out, image, rng_got)
-            want = _oracle_synth_detect(detector, rec, rng_want, class_weights=weights)
-            rows = [(c, *(float(v).hex() for v in values)) for c, *values in list(det_rows(out))[start:]]
-            assert rows == _bits(want)
+            want.append(_oracle_synth_detect(detector, rec, rng_want, class_weights=weights))
+        rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in det_rows(out)])
+        assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
+        assert next(rows, None) is None
         assert rng_got.random() == rng_want.random()
 
     @settings(max_examples=300, deadline=None)
@@ -894,20 +903,18 @@ class TestOnePass:
 class TestRecording:
     """What :func:`detect` records per row (a truth index, the class emitted,
     a score double and normals written in place) gives the scalar-draw
-    detector's rows however the pass is read, however many rows it holds and
-    in whatever order its images come."""
+    detector's rows however many rows the pass holds and in whatever order
+    its images come; the pass is read once it is recorded, each column group
+    computed on its first read."""
 
-    def check_pass(self, detector, records, order, seed, read_after=()):
+    def check_pass(self, detector, records, order, seed):
         """Detect ``records[i]`` for each ``i`` of ``order`` into one
-        :class:`Detections`, reading its table after the images at the
-        positions in ``read_after``; each image's rows must equal the scalar
-        detector's, and the generator must end where it does."""
+        :class:`Detections`, then read it; each image's rows must equal the
+        scalar detector's, and the generator must end where it does."""
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         out, want = detections(detector, records, ClassCdfs([1.0] * detector.n_classes)), []
-        for position, image in enumerate(order):
+        for image in order:
             detect(out, image, rng_got)
-            if position in read_after:
-                assert len(out.counts) == position + 1 and len(out.score) == sum(out.counts)
             want.append(_oracle_synth_detect(detector, records[image], rng_want))
         rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in det_rows(out)])
         assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
@@ -915,27 +922,53 @@ class TestRecording:
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
         return out
 
-    def test_read_after_the_first_image_equals_one_read(self):
+    def recorded(self, seed):
+        """A recorded, unread pass over three images with partial, confused
+        and false-positive rows."""
         detector = params(recall=(0.9, 0.7), confusion=0.5, partial=0.5, fp=2.0)
         records = [record([inst(1), inst(2, 10, 20, 60, 30)]),
                    record([inst(2), inst(1, 0, 0, 30, 20), inst(1, 100, 90, 50, 70)]),
                    record([inst(1, 150, 150, 50, 50)])]
-        once = self.check_pass(detector, records, [0, 1, 2], seed=8)
-        twice = self.check_pass(detector, records, [0, 1, 2], seed=8, read_after={0})
-        assert twice.counts == once.counts
-        assert twice.table.tobytes() == once.table.tobytes()
+        out, rng = detections(detector, records, ClassCdfs([1.0, 2.0])), np.random.default_rng(seed)
+        for image in (0, 1, 2, 1):
+            detect(out, image, rng)
+        return out
+
+    def test_labels_then_boxes_equal_one_table_read(self):
+        labels_first, table_first = self.recorded(seed=8), self.recorded(seed=8)
+        ids, scores = labels_first.class_id.tobytes(), labels_first.score.tobytes()
+        boxes = labels_first.boxes.tobytes()
+        table = table_first.table
+        assert sum(table_first.counts) == table.shape[1] > 4
+        assert boxes == table[:4].tobytes() and scores == table[5].tobytes()
+        assert ids == table[4].astype(np.intp).tobytes()
+        assert labels_first.table.tobytes() == table.tobytes()
+
+    def test_a_labels_read_computes_no_box(self):
+        # The normals enter the boxes alone: a read of classes and scores that
+        # touched them would compute the box columns too.
+        out = self.recorded(seed=11)
+        normals, out._normals = out._normals, _Unreadable()
+        assert len(out.class_id) == len(out.score) == sum(out.counts)
+        assert "boxes" not in vars(out)
+        out._normals = normals
+        assert out.boxes.shape == (4, sum(out.counts))
+
+    def test_detect_after_a_read_raises(self):
+        for read in ("class_id", "boxes", "table"):
+            out = self.recorded(seed=12)
+            getattr(out, read)
+            with pytest.raises(RuntimeError, match="read"):
+                detect(out, 0, np.random.default_rng(0))
 
     def test_rows_past_the_initial_normals_array(self):
-        # Every row emitted: the array doubles at least twice, and a read in
-        # between writes the next rows' normals from its start again.
+        # Every row emitted: the array doubles at least twice.
         detector = params(recall=(1.0, 1.0), partial=0.3, fp=0.5)
         initial = len(detections(detector, [], ClassCdfs([1.0, 1.0]))._normals)
         rows = [inst(1 + j % 2, j % 150, (7 * j) % 150, 20 + j % 30, 10 + j % 40) for j in range(50)]
         records = [record(rows)] * (3 * initial // 50 + 1)
-        order = list(range(len(records)))
-        out = self.check_pass(detector, records, order, seed=9)
+        out = self.check_pass(detector, records, list(range(len(records))), seed=9)
         assert sum(len(r.truth_rows) for r in records) > 2 * initial
-        self.check_pass(detector, records, order, seed=9, read_after={0, len(records) - 2})
         assert len(out._normals) >= 4 * initial
 
     def test_images_without_truth_rows_between_others(self):
@@ -945,7 +978,7 @@ class TestRecording:
                    record([inst(2, 0, 0, 30, 20)]), record([])]
         for fp in (0.0, 3.0):
             detector = params(recall=(1.0, 0.8), fp=fp)
-            self.check_pass(detector, records, [4, 0, 2, 1, 5, 3, 1], seed=10, read_after={2})
+            self.check_pass(detector, records, [4, 0, 2, 1, 5, 3, 1], seed=10)
 
     def test_false_positive_classes_by_searchsorted(self):
         # Class doubles equal to CDF steps (a zero-weight class repeats one),
@@ -1004,6 +1037,13 @@ class TestTruthRows:
             for (c, *box, _), (want_c, *want_box) in zip(det_rows(out), rec.truth_rows):
                 assert c == want_c
                 assert box == pytest.approx(want_box, rel=1e-12, abs=1e-12)
+
+
+class _Unreadable:
+    """An array stand-in that fails any read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("read")
 
 
 class _FixedDraws:
