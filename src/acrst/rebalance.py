@@ -49,8 +49,8 @@ class ClassStats:
     expected pseudo count of each class.
     """
 
-    pseudo_counts: tuple[int, ...]
-    labeled_counts: tuple[int, ...]
+    pseudo_counts: Sequence[int]
+    labeled_counts: Sequence[int]
     ratio: float
 
     def __post_init__(self) -> None:

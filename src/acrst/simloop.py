@@ -226,16 +226,10 @@ def run_epoch(
     k = labeled.num_classes
     n_lab, n_unl = len(labeled.images), len(unlabeled.images)
     budget, occlusion_threshold = config.proposal_budget, config.paste.occlusion_threshold
-    labeled_counts = labeled.class_counts
 
     # The sampling distribution is fixed for the epoch: the bank only changes
     # at the refresh step below.
-    stats = ClassStats(
-        pseudo_counts=tuple(_class_counts([row[0] for row in bank.pseudo_bank], k).tolist()),
-        labeled_counts=tuple(int(c) for c in labeled_counts),
-        ratio=n_unl / n_lab,
-    )
-    pr = pseudo_recall(stats)
+    pr = pseudo_recall(ClassStats(bank.pseudo_counts, labeled.class_counts, n_unl / n_lab))
     # Until the first refresh the pseudo bank is empty, so every pseudo recall
     # is zero and affr_distribution would fall back to uniform with a warning.
     before_first_refresh = state.epoch == 0 and not bank.n_pseudo
@@ -314,7 +308,7 @@ def run_epoch(
         class_exposure=tuple(int(c) for c in exposure_total),
         pasted_counts=tuple(int(c) for c in pasted_total),
     )
-    # Off-period epochs pass on the same bank, and with it its class tables.
+    # Off-period epochs pass on the same bank, and with it its class counts.
     if state.epoch % config.refresh_period == 0:
         bank = refresh_pseudo_bank(bank, dets, kept)
     return replace(state, teacher=teacher, student=student, bank=bank, epoch=state.epoch + 1), trace

@@ -161,6 +161,20 @@ class TestAffrDistribution:
         np.testing.assert_allclose(mu, limit, atol=1e-12)
         assert not caplog.records
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pr=st.lists(st.one_of(st.just(LABELED_ABSENT_PR), st.floats(0.0, 1e6)), max_size=7),
+        real=st.floats(0.0, 1e6),
+        at=st.integers(0, 7),
+        beta=st.one_of(st.floats(0.0, 10.0), st.floats(10.0, 1e308)),
+    )
+    def test_real_classes_keep_positive_weight(self, pr, real, at, beta):
+        # A class with labeled crops is a real class, so the crop bank's class
+        # table always has weight to draw by, even once every raw weight underflows.
+        pr.insert(at, real)
+        mu = np.asarray(affr_distribution(pr, beta=beta).mu)
+        assert mu[np.asarray(pr) < LABELED_ABSENT_PR].sum() > 0.0
+
     def test_all_sentinel_falls_back_to_uniform(self):
         dist = affr_distribution([LABELED_ABSENT_PR] * 4, beta=2.0)
         np.testing.assert_allclose(dist.mu, [0.25] * 4, atol=1e-12)

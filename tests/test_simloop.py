@@ -289,6 +289,26 @@ class TestPseudoLabelsStayColumns:
         assert made == ["ImageRecord", "BBox", "Instance"]
 
 
+class _UnreadableRows(tuple):
+    """Crop rows whose number can be read, but not the rows themselves."""
+
+    def __iter__(self):
+        raise AssertionError("the pseudo bank's rows were read")
+
+
+class TestBankCounts:
+    def test_epoch_without_pasting_reads_counts_not_rows(self, corpus):
+        config = quick_config(fbr=False, affr=True)
+        state = initial_state(config, corpus)
+        state, _ = run_epoch(state, config, substream(config.seed, "epoch", 0))
+        assert state.bank.n_pseudo > 0
+        rows = _UnreadableRows(state.bank.pseudo_bank)
+        sealed = dataclasses.replace(state, bank=dataclasses.replace(state.bank, pseudo_bank=rows))
+        _, want = run_epoch(state, config, substream(config.seed, "epoch", 1))
+        _, got = run_epoch(sealed, config, substream(config.seed, "epoch", 1))
+        assert got == want
+
+
 class _DrawLog:
     """A generator that notes the shape of every draw made into an array and
     passes every call on to ``rng``, so the stream is unchanged."""
