@@ -13,7 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,10 +111,11 @@ def ema_update(
 class Detections:
     """The output of detector ``params`` over images of ``dataset``, classes
     drawn by ``cdfs``: one row per box, image after image, and ``counts``, each
-    image's number of rows. :func:`detect` records only draws: per image its
-    sides and numbers of rows and false positives; per emitted truth row its
-    index into ``dataset.truth_columns``, the class it emitted, its score
-    double, and its four normals, in place in an array that doubles when full.
+    image's number of rows. The recorder that :func:`detect` binds to it once
+    per pass records only draws: per image its sides and numbers of rows and
+    false positives; per emitted truth row its index into
+    ``dataset.truth_columns``, the class it emitted, its score double, and its
+    four normals, in place in an array that doubles when full.
 
     Once the pass is recorded, the first read computes a group of columns:
     ``labels`` (class, score) or ``boxes`` (x, y, w, h), in one row order; a
@@ -193,10 +194,11 @@ class Detections:
     score = property(lambda self: self.labels[1])
 
 
-def detect(out: Detections, image: int, rng: np.random.Generator) -> None:
-    """Simulate ``out.params``' output on ``out.dataset.images[image]`` from its
-    hidden ground truth, appending the image's draws and its number of rows
-    to ``out``, which must not have been read: its columns are computed once.
+def detect(out: Detections, rng: np.random.Generator) -> Callable[[int], None]:
+    """A recorder, bound once per pass, whose call ``record(image)`` simulates
+    ``out.params``' output on ``out.dataset.images[image]`` from its hidden
+    ground truth, appending the image's draws and its number of rows to
+    ``out``, which must not have been read: its columns are computed once.
 
     Each ground-truth row ``(class_id, x, y, w, h)`` of class k is emitted
     with probability recall_skill[k], perturbed by zero-mean noise with
@@ -217,47 +219,60 @@ def detect(out: Detections, image: int, rng: np.random.Generator) -> None:
     partial double fires, and 1 once the confusion double fires among two or
     more classes. The first emission double, and one after a missed row, take
     a call each; false positives take ``poisson``, then six doubles each in
-    one call.
+    one call. A row draws into fixed buffers and keeps copies of its doubles.
     """
     if "_draws" in out.__dict__:
         raise RuntimeError("detect on Detections that were read: record each pass anew")
     params, cdfs, dataset = out.params, out.cdfs, out.dataset
-    recall, confuses = params.recall_skill, params.n_classes > 1
+    recall = (0.0, *params.recall_skill)  # by class id
+    confuses, fp_rate = params.n_classes > 1, params.fp_rate
     partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
-    random, standard_normal = rng.random, rng.standard_normal
-    record, first = dataset.images[image], dataset.truth_offsets[image]
-    truth, rows, partial, normals = record.truth_rows, out._rows, out._partial, out._normals
-    n = n_before = len(rows) // 3
-    last = first + len(truth) - 1
-    u = random() if truth else 0.0
-    for t, row in enumerate(truth, first):
-        true_class = row[0]
-        if u >= recall[true_class - 1]:
-            if t < last:
-                u = random()
-            continue
-        if n == len(normals):  # full: double it
-            normals = out._normals = np.concatenate((normals, np.empty_like(normals)))
-        standard_normal(out=normals[n])
-        d = random(4 if t < last else 3).tolist()  # the row's doubles, in stream order
-        at = 1  # where the confusion double lies in d
-        if d[0] < partial_rate:
-            d += random(4).tolist()
-            partial += (n, *d[1:5])
-            at = 5
-        cls = true_class
-        if d[at] < confusion_rate and confuses:
-            d.append(random())
-            at += 1
-            cls = bisect_right(cdfs[true_class], d[at]) + 1
-        rows += (t, cls, d[at + 1])
-        n += 1
-        u = d[-1]
-    n_fp = rng.poisson(params.fp_rate)
-    if n_fp:
-        out._fps.append(random(6 * n_fp))
-    out._images += (record.width, record.height, n - n_before, n_fp)
-    out.counts.append(n - n_before + n_fp)
+    random, standard_normal, poisson = rng.random, rng.standard_normal, rng.poisson
+    images, offsets = dataset.images, dataset.truth_offsets
+    rows, partial, sides, fps, counts = out._rows, out._partial, out._images, out._fps, out.counts
+    three, four, box = np.empty(3), np.empty(4), np.empty(4)
+
+    def record(image: int) -> None:
+        img, first, normals = images[image], offsets[image], out._normals
+        truth = img.truth_rows
+        n = n_before = len(rows) // 3
+        cap = len(normals)
+        last = first + len(truth) - 1
+        u = random() if truth else 0.0
+        for t, row in enumerate(truth, first):
+            true_class = row[0]
+            if u >= recall[true_class]:
+                if t < last:
+                    u = random()
+                continue
+            if n == cap:  # full: double it
+                normals = out._normals = np.concatenate((normals, np.empty_like(normals)))
+                cap += cap
+            standard_normal(out=normals[n])
+            buffer = four if t < last else three
+            random(out=buffer)
+            d = buffer.tolist()  # the row's doubles, in stream order
+            at = 1  # where the confusion double lies in d
+            if d[0] < partial_rate:
+                random(out=box)
+                d += box.tolist()
+                partial.extend((n, *d[1:5]))
+                at = 5
+            cls = true_class
+            if d[at] < confusion_rate and confuses:
+                d.append(random())
+                at += 1
+                cls = bisect_right(cdfs[true_class], d[at]) + 1
+            rows.extend((t, cls, d[at + 1]))
+            n += 1
+            u = d[-1]
+        n_fp = poisson(fp_rate)
+        if n_fp:
+            fps.append(random(6 * n_fp))
+        sides.extend((img.width, img.height, n - n_before, n_fp))
+        counts.append(n - n_before + n_fp)
+
+    return record
 
 
 def student_update(

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -143,7 +143,8 @@ def _class_counts(class_ids: Sequence[int], k: int) -> np.ndarray:
 
 def _mean_breakdown(parts: list[LossBreakdown]) -> LossBreakdown:
     """Each loss term's mean over batches, its sum added left to right."""
-    sums = np.cumsum([astuple(p) for p in parts], axis=0)[-1]
+    sums = np.cumsum([(p.rpn_cls, p.rpn_reg, p.roi_cls, p.roi_reg, p.total) for p in parts],
+                     axis=0)[-1]
     return LossBreakdown(*(sums / len(parts)).tolist())
 
 
@@ -178,11 +179,12 @@ def label_pass(
 ) -> tuple[Detections, np.ndarray, np.ndarray]:
     """Pseudo-label ``dataset.images[i]`` for each ``i`` of ``indices``, in order.
 
-    Per image the pass only draws: the teacher's detections (by ``cdfs``), in
-    a two-stage filter mode the oracle's two doubles per class, and, given
-    ``paste`` (a :meth:`CropBank.class_table`), the image's crops and their
-    placements. Array passes then compute every detection's class and score
-    (its box only when read), and set each row's oracle activation, against
+    Per image the pass only draws: the teacher's detections (by ``cdfs``,
+    into one recorder that :func:`detect` binds), in a two-stage filter mode
+    the oracle's two doubles per class, and, given ``paste`` (a
+    :meth:`CropBank.class_table`), the image's crops and their placements.
+    Array passes then compute every detection's class and score (its box only
+    when read), and set each row's oracle activation, against
     :attr:`Dataset.class_presence` with the filter's ``tau_ml`` as the low
     band's edge, and its keep bit. With the ``two_stage`` toggle off,
     filtering is by score alone. Returns the detections, the keep bits and
@@ -192,9 +194,10 @@ def label_pass(
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     two_stage = fcfg.mode != "one_stage"
     dets, pastes = Detections(dataset, teacher, cdfs), []
+    record = detect(dets, rng)
     draws = np.empty((len(indices), dataset.num_classes, 2)) if two_stage else None
     for j, i in enumerate(indices):
-        detect(dets, i, rng)
+        record(i)
         if two_stage:
             rng.random(out=draws[j])
         if paste:

@@ -32,6 +32,19 @@ def rows(instances):
     return tuple((i.class_id, i.bbox.w, i.bbox.h) for i in instances)
 
 
+def crop_bank(labeled, pseudo_instances=()):
+    """A bank of the crop rows of ``labeled`` and the crop columns of
+    ``pseudo_instances``."""
+    columns = np.array(rows(pseudo_instances), dtype=float).reshape(-1, 3).T
+    return CropBank(labeled_bank=rows(labeled), pseudo_class_ids=columns[0].astype(np.intp),
+                    pseudo_sizes=columns[1:])
+
+
+def pseudo_rows(bank):
+    """The (class, w, h) rows of ``bank``'s pseudo crops, in order."""
+    return tuple(zip(bank.pseudo_class_ids.tolist(), *bank.pseudo_sizes.tolist()))
+
+
 # Every crop of these tests fits a SIDE x SIDE image as it is.
 SIDE = 1000.0
 
@@ -102,8 +115,9 @@ class TestRefresh:
             (7, []),
         ])
         self.dets = Detections(Dataset(records, ()), exact, ClassCdfs([1.0] * 3))
+        record = detect(self.dets, np.random.default_rng(0))
         for image in range(len(records)):
-            detect(self.dets, image, np.random.default_rng(0))
+            record(image)
         self.kept = [True, False, True, False, True]
 
     def test_wholesale_replacement(self):
@@ -112,10 +126,10 @@ class TestRefresh:
         assert bank is not self.bank
         assert bank.labeled_bank is self.bank.labeled_bank
         # The kept rows' class and size, in order.
-        assert bank.pseudo_bank == ((1, 4.0, 4.0), (2, 5.0, 5.0), (1, 3.0, 3.0))
+        assert pseudo_rows(bank) == ((1, 4.0, 4.0), (2, 5.0, 5.0), (1, 3.0, 3.0))
         again = refresh_pseudo_bank(bank, self.dets, [False] * 5)
         assert again.n_pseudo == 0
-        assert again.pseudo_bank == ()
+        assert pseudo_rows(again) == ()
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
@@ -131,11 +145,54 @@ class TestRefresh:
         assert bank.pseudo_counts.tolist() == [0] * k
         for _ in range(2):
             dets = Detections(ds, noisy, ds.class_cdfs)
+            record = detect(dets, rng)
             for image in range(len(ds.images)):
-                detect(dets, image, rng)
+                record(image)
             bank = refresh_pseudo_bank(bank, dets, rng.random(sum(dets.counts)) < share)
-            recount = np.bincount([row[0] - 1 for row in bank.pseudo_bank], minlength=k)
+            recount = np.bincount([row[0] - 1 for row in pseudo_rows(bank)], minlength=k)
             assert bank.pseudo_counts.tolist() == recount.tolist()
+
+
+class TestClassTableFromColumns:
+    """A refreshed bank keeps its pseudo crops as columns; the class table
+    built from them holds the pools that grouping crop rows gave: per class
+    with a crop, its labeled rows, then the kept detections' (class, w, h)
+    rows, each in order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.floats(0.0, 1.0),
+        weights=st.lists(st.floats(1e-3, 1.0), min_size=5, max_size=5),
+    )
+    def test_pools_equal_grouped_rows(self, k, seed, share, weights):
+        ds = synthetic_dataset(6, k, seed=seed % 997)
+        noisy = DetectorParams(
+            recall_skill=(0.8,) * k, confusion_rate=0.3, loc_skill=0.5, partial_rate=0.2,
+            fp_rate=1.5, confidence_sharpness=8.0,
+        )
+        rng = np.random.default_rng(seed)
+        dets = Detections(ds, noisy, ds.class_cdfs)
+        record = detect(dets, rng)
+        for image in range(len(ds.images)):
+            record(image)
+        kept = rng.random(sum(dets.counts)) < share
+        labeled = build_labeled_bank(ds)
+        bank = refresh_pseudo_bank(labeled, dets, kept)
+        mu = SamplingDistribution.normalized(weights[:k]).mu
+        pools, cdf = bank.class_table(mu)
+        # The reference groups rows read off the detections' (x, y, w, h,
+        # class, score) table.
+        crop_rows = [*labeled.labeled_bank, *((int(c), w, h) for (_, _, w, h, c, _), keep in zip(
+            dets.table.T.tolist(), kept) if keep)]
+        groups = {}
+        for crop in crop_rows:
+            groups.setdefault(crop[0], []).append(crop)
+        available = [c for c in range(1, k + 1) if c in groups]
+        assert repr(pools) == repr(tuple(groups[c] for c in available))
+        assert bank.n_pseudo == int(kept.sum())
+        assert len(cdf) == len(available) and cdf[-1] == 1.0
 
 
 class TestSampling:
@@ -154,10 +211,7 @@ class TestSampling:
         assert all(c[0] == 1 for c in crops)
 
     def test_union_of_banks_is_sampled(self):
-        bank = CropBank(
-            labeled_bank=rows([entry(1, w=100)]),
-            pseudo_bank=rows([pseudo(1, w=200)]),
-        )
+        bank = crop_bank([entry(1, w=100)], [pseudo(1, w=200)])
         dist = SamplingDistribution.uniform(1)
         crops = pasted_crops(bank, dist, 400, np.random.default_rng(2))
         widths = {c[1] for c in crops}
@@ -179,10 +233,7 @@ class TestSampling:
 
     def test_two_level_sampling_matches_distribution_chisquare(self):
         """Class frequencies at 1e5 draws pass a goodness-of-fit test."""
-        bank = CropBank(
-            labeled_bank=rows(entry(k) for k in (1, 1, 1, 2, 3, 3)),
-            pseudo_bank=rows([pseudo(k) for k in (2, 4)]),
-        )
+        bank = crop_bank([entry(k) for k in (1, 1, 1, 2, 3, 3)], [pseudo(k) for k in (2, 4)])
         dist = SamplingDistribution(mu=(0.4, 0.3, 0.2, 0.1))
         n = 100_000
         crops = pasted_crops(bank, dist, n, np.random.default_rng(123))
@@ -192,10 +243,7 @@ class TestSampling:
         assert result.pvalue > 0.001
 
     def test_sampled_crops_are_bank_rows(self, monkeypatch):
-        bank = CropBank(
-            labeled_bank=rows([entry(1, w=1)]),
-            pseudo_bank=rows([pseudo(1 + i % 2, w=10 + i) for i in range(40)]),
-        )
+        bank = crop_bank([entry(1, w=1)], [pseudo(1 + i % 2, w=10 + i) for i in range(40)])
         made = []
         init = Instance.__init__
 
@@ -207,7 +255,7 @@ class TestSampling:
         dist, rng = SamplingDistribution.uniform(2), np.random.default_rng(4)
         crops = [c for _ in range(200) for c in pasted_crops(bank, dist, 4, rng)]
         # Every pasted crop is a row the bank holds, and none became an instance.
-        assert set(crops) <= {*bank.labeled_bank, *bank.pseudo_bank}
+        assert set(crops) <= {*bank.labeled_bank, *pseudo_rows(bank)}
         assert len(set(crops)) > 30
         assert made == []
         pseudo(1)  # the patched constructor does count an instance
@@ -336,7 +384,7 @@ class TestSampleEquivalence:
     )
     def test_matches_choice_sampler(self, case, sizes, seed):
         labeled, pseudo_labels, dists = case
-        bank = CropBank(labeled_bank=rows(labeled), pseudo_bank=rows(pseudo_labels))
+        bank = crop_bank(labeled, pseudo_labels)
         ref_bank = _InstanceBank(labeled, pseudo_labels)
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for i, n in enumerate(sizes):

@@ -367,8 +367,9 @@ def _pass_matches_reference(seed, dataset, indices, teacher, config, oracle):
         fcfg = FilterConfig(fcfg.tau_cls, mode="one_stage")
     dets, keep, pastes = label_pass(teacher, dataset, indices, rng_got, config, cdfs)
     want_dets, labels, want_keep = Detections(dataset, teacher, cdfs), [], []
+    record = detect(want_dets, rng_want)
     for i in indices:
-        detect(want_dets, i, rng_want)
+        record(i)
         two_stage = fcfg.mode != "one_stage"
         labels.append(oracle(dataset.images[i], config.oracle, rng_want, k, fcfg.tau_ml)
                       if two_stage else None)

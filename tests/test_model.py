@@ -77,7 +77,7 @@ def synth_detect(params, record, rng, class_weights=None):
     if weights.shape != (k,):
         raise ValueError("class_weights must have one entry per class")
     out = detections(params, [record], ClassCdfs(weights))
-    detect(out, 0, rng)
+    detect(out, rng)(0)
     return [Prediction(c, BBox(x, y, w, h), s) for c, x, y, w, h, s in det_rows(out)]
 
 
@@ -819,8 +819,9 @@ class TestSynthDetectEquivalence:
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         cdfs = ClassCdfs([1.0] * detector.n_classes if weights is None else weights)
         out, want = detections(detector, records, cdfs), []
+        record_image = detect(out, rng_got)
         for image, rec in enumerate(records):
-            detect(out, image, rng_got)
+            record_image(image)
             want.append(_oracle_synth_detect(detector, rec, rng_want, class_weights=weights))
         rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in det_rows(out)])
         assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
@@ -842,7 +843,7 @@ class TestSynthDetectEquivalence:
         rec = record([inst(1, -0.0, -0.0, 10, 10)], width=40.0, height=30.0)
         normals = [corner[0], corner[1], size[0] - 10, size[1] - 10]
         out = detections(detector, [rec], ClassCdfs([1.0]))
-        detect(out, 0, _FixedDraws(normals))
+        detect(out, _FixedDraws(normals))(0)
         (_, *got, _), = det_rows(out)
         x, y = -0.0 + normals[0] * 1.0, -0.0 + normals[1] * 1.0
         assert (x.hex(), y.hex()) == (corner[0].hex(), corner[1].hex())
@@ -889,8 +890,9 @@ class TestOnePass:
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         cdfs = ClassCdfs([1.0] * detector.n_classes if weights is None else weights)
         out, want = detections(detector, records, cdfs), []
+        record_image = detect(out, rng_got)
         for image, rec in enumerate(records):
-            detect(out, image, rng_got)
+            record_image(image)
             rng_got.random(foreign)
             want.append(_oracle_synth_detect(detector, rec, rng_want, class_weights=weights))
             rng_want.random(foreign)
@@ -913,8 +915,9 @@ class TestRecording:
         scalar detector's, and the generator must end where it does."""
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         out, want = detections(detector, records, ClassCdfs([1.0] * detector.n_classes)), []
+        record_image = detect(out, rng_got)
         for image in order:
-            detect(out, image, rng_got)
+            record_image(image)
             want.append(_oracle_synth_detect(detector, records[image], rng_want))
         rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in det_rows(out)])
         assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
@@ -929,9 +932,10 @@ class TestRecording:
         records = [record([inst(1), inst(2, 10, 20, 60, 30)]),
                    record([inst(2), inst(1, 0, 0, 30, 20), inst(1, 100, 90, 50, 70)]),
                    record([inst(1, 150, 150, 50, 50)])]
-        out, rng = detections(detector, records, ClassCdfs([1.0, 2.0])), np.random.default_rng(seed)
+        out = detections(detector, records, ClassCdfs([1.0, 2.0]))
+        record_image = detect(out, np.random.default_rng(seed))
         for image in (0, 1, 2, 1):
-            detect(out, image, rng)
+            record_image(image)
         return out
 
     def test_labels_then_boxes_equal_one_table_read(self):
@@ -959,7 +963,7 @@ class TestRecording:
             out = self.recorded(seed=12)
             getattr(out, read)
             with pytest.raises(RuntimeError, match="read"):
-                detect(out, 0, np.random.default_rng(0))
+                detect(out, np.random.default_rng(0))
 
     def test_rows_past_the_initial_normals_array(self):
         # Every row emitted: the array doubles at least twice.
@@ -986,9 +990,42 @@ class TestRecording:
         cdfs = ClassCdfs([1.0, 0.0, 2.0, 3.0, 0.0])
         doubles = [*(u for u in cdfs[0] if u < 1.0), 0.0, math.nextafter(1.0, 0.0)]
         out = detections(params(recall=(1.0,) * 5, fp=1.0), [record([])], cdfs)
-        detect(out, 0, _FalsePositiveDraws(doubles))
+        detect(out, _FalsePositiveDraws(doubles))(0)
         assert out.class_id.tolist() == [bisect_right(cdfs[0], u) + 1 for u in doubles]
         assert out.class_id.tolist() == [3, 3, 4, 1, 4]
+
+
+class TestFixedBuffers:
+    """A recorder draws each row's doubles into buffers it reuses for every
+    row; each row must keep its own values. Over two images, rows take the
+    partial branch, the confusion branch and an image's last row (3 doubles
+    rather than 4), alone and together, and the pass equals the scalar-draw
+    detector, score and box doubles alike."""
+
+    def test_rows_keep_their_own_doubles(self):
+        detector = params(recall=(1.0, 1.0, 1.0), confusion=0.5, partial=0.5, loc=0.5, fp=1.0)
+        records = [record([inst(1, 20, 30), inst(2, 60, 80, 50, 30), inst(3, 110, 40, 30, 60)]),
+                   record([inst(3, 40, 40, 60, 50), inst(1, 100, 120, 40, 40)])]
+        rng_got, rng_want = np.random.default_rng(1), np.random.default_rng(1)
+        out = detections(detector, records, ClassCdfs([1.0, 2.0, 3.0]))
+        record_image = detect(out, rng_got)
+        for image in range(len(records)):
+            record_image(image)
+        want = [_oracle_synth_detect(detector, rec, rng_want, class_weights=[1.0, 2.0, 3.0])
+                for rec in records]
+        # The branches each truth row took: every row is emitted, and the
+        # recorder notes the truth index and class of each.
+        truth_class = [row[0] for rec in records for row in rec.truth_rows]
+        partial = set(out._partial[::5])
+        confused = {n for n, (t, c) in enumerate(zip(out._rows[::3], out._rows[1::3]))
+                    if c != truth_class[t]}
+        last = {2, 4}
+        assert partial == {0, 1, 2} and confused == {1, 2, 4}
+        assert partial - last and partial & last and confused - last and confused & last
+        rows = iter([(c, *(float(v).hex() for v in values)) for c, *values in det_rows(out)])
+        assert [list(islice(rows, n)) for n in out.counts] == [_bits(preds) for preds in want]
+        assert next(rows, None) is None
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 class _CountingDraws:
@@ -1017,7 +1054,7 @@ class TestDrawCalls:
         exact = params(recall=(1.0,), confusion=0.0, partial=0.0, fp=0.0)
         rng = _CountingDraws(0)
         out = detections(exact, [record([inst(1)] * n)], ClassCdfs([1.0]))
-        detect(out, 0, rng)
+        detect(out, rng)(0)
         assert rng.calls == {"random": n + 1, "standard_normal": n, "poisson": 1}
         assert out.counts == [n]
 
@@ -1032,7 +1069,7 @@ class TestTruthRows:
                    record([inst(1, 20, 15, 313.2, 235.6), inst(2, 0.5, 0, 3, 0.25)], 333.3, 250.7)]
         for rec in records:
             out = detections(perfect, [rec], ClassCdfs([1.0] * 5))
-            detect(out, 0, np.random.default_rng(0))
+            detect(out, np.random.default_rng(0))(0)
             assert out.counts == [len(rec.truth_rows)] and rec.truth_rows
             for (c, *box, _), (want_c, *want_box) in zip(det_rows(out), rec.truth_rows):
                 assert c == want_c
@@ -1058,8 +1095,10 @@ class _FixedDraws:
             return np.array(self.normals[:n])
         out[:] = self.normals[:len(out)]
 
-    def random(self, n=None):
-        return 0.0 if n is None else np.zeros(n)
+    def random(self, n=None, out=None):
+        if out is None:
+            return 0.0 if n is None else np.zeros(n)
+        out[:] = 0.0
 
     def poisson(self, lam):
         return 0
@@ -1124,8 +1163,9 @@ class TestDetectBounds:
         detector, rec = case
         rng = np.random.default_rng(seed)
         out = detections(detector, [rec], ClassCdfs([1.0]))
+        record_image = detect(out, rng)
         for _ in range(20):
-            detect(out, 0, rng)
+            record_image(0)
         x_max = math.nextafter(rec.width, math.inf)
         y_max = math.nextafter(rec.height, math.inf)
         for _, x, y, w, h, _ in det_rows(out):

@@ -4,12 +4,13 @@ import logging
 import math
 import re
 
+import numpy as np
 import pytest
 
 from acrst import simloop
 from acrst.api import BBox, ImageLevelLabel, Instance, PastePlacement, Prediction, two_stage_filter
 from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
-from acrst.cropbank import build_labeled_bank, refresh_pseudo_bank
+from acrst.cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank
 from acrst.dataset import Category, Dataset, ImageRecord, parse_coco_annotations, split_standard
 from acrst.filtering import FilterConfig, OracleNoise
 from acrst.model import LossBreakdown, ema_update
@@ -290,23 +291,53 @@ class TestPseudoLabelsStayColumns:
 
 
 class _UnreadableRows(tuple):
-    """Crop rows whose number can be read, but not the rows themselves."""
+    """Pseudo bank columns whose length can be read, but not their crops."""
 
     def __iter__(self):
-        raise AssertionError("the pseudo bank's rows were read")
+        raise AssertionError("the pseudo bank's crops were read")
+
+    def __getitem__(self, index):
+        raise AssertionError("the pseudo bank's crops were read")
+
+
+class _NoRows(np.ndarray):
+    """Columns that fail to become Python rows."""
+
+    def tolist(self):
+        raise AssertionError("pseudo crop rows were built")
+
+    __iter__ = tolist
+
+
+class _SealedColumns:
+    """Detections whose class and box columns cannot become rows."""
+
+    def __init__(self, dets):
+        self.class_id, self.boxes = dets.class_id.view(_NoRows), dets.boxes.view(_NoRows)
 
 
 class TestBankCounts:
-    def test_epoch_without_pasting_reads_counts_not_rows(self, corpus):
+    def test_epoch_without_pasting_reads_counts_not_rows(self, corpus, monkeypatch):
+        # An epoch that does not paste builds no pseudo crop row: the refresh
+        # keeps columns that cannot become rows here, and the class table,
+        # where rows are built, is never asked for.
+        tables = []
+        monkeypatch.setattr(CropBank, "class_table", lambda bank, mu: tables.append(mu))
+        monkeypatch.setattr(simloop, "refresh_pseudo_bank", lambda bank, dets, kept:
+                            refresh_pseudo_bank(bank, _SealedColumns(dets), kept))
         config = quick_config(fbr=False, affr=True)
         state = initial_state(config, corpus)
         state, _ = run_epoch(state, config, substream(config.seed, "epoch", 0))
-        assert state.bank.n_pseudo > 0
-        rows = _UnreadableRows(state.bank.pseudo_bank)
-        sealed = dataclasses.replace(state, bank=dataclasses.replace(state.bank, pseudo_bank=rows))
+        bank = state.bank
+        assert bank.n_pseudo > 0 and bank.pseudo_sizes.shape == (2, bank.n_pseudo)
+        # The next epoch reads the pseudo bank's counts, not its crops.
+        unread = _UnreadableRows([0] * bank.n_pseudo)
+        sealed = dataclasses.replace(state, bank=dataclasses.replace(
+            bank, pseudo_class_ids=unread, pseudo_sizes=unread))
         _, want = run_epoch(state, config, substream(config.seed, "epoch", 1))
         _, got = run_epoch(sealed, config, substream(config.seed, "epoch", 1))
         assert got == want
+        assert tables == []
 
 
 class _DrawLog:
@@ -352,7 +383,10 @@ class TestOracleGate:
         # Every batch image, then every unlabeled image once for evaluation.
         n_unl = len(state.unlabeled.images)
         per_epoch = config.batches_per_epoch * min(config.unlabeled_batch, n_unl) + n_unl
-        assert draws == [(corpus.num_classes, 2)] * (3 * per_epoch)
+        oracle = [shape for shape in draws if len(shape) == 2]
+        assert oracle == [(corpus.num_classes, 2)] * (3 * per_epoch)
+        # The rest are the detector's rows, drawn into its 3- and 4-double buffers.
+        assert {shape for shape in draws if len(shape) != 2} == {(3,), (4,)}
         # The counter does see labels built by hand.
         ImageLevelLabel(image_id=1, activations=(0.5,))
         assert len(built) == 1
