@@ -11,7 +11,6 @@ from acrst.api import BBox, Instance, Prediction
 from acrst.metrics import (
     AP_THRESHOLDS,
     RECALL_POINTS,
-    _interpolated_aps,
     class_kld,
     evaluate,
     fg_ratio,
@@ -278,8 +277,8 @@ class TestAp5095:
         assert ap(tight, gts).ap5095 > ap(loose, gts).ap5095
 
 
-# Reference oracle: the per-threshold matching and AP that the one-pass
-# evaluator replaced, kept verbatim so the evaluator can be held to it exactly.
+# Reference: the per-threshold matcher that the one-pass evaluator replaced,
+# kept verbatim for the worked half-IoU scene below.
 
 
 def _ref_iou(a, b):
@@ -308,34 +307,6 @@ def _ref_match(preds, gts, iou_thr):
             claimed[best_gi] = True
             pairs.append((pi, best_gi, best_iou))
     return pairs
-
-
-def _ref_average_precision(preds_by_image, gts_by_image, iou_thr):
-    rows = []
-    n_gt = 0
-    for preds, gts in zip(preds_by_image, gts_by_image):
-        n_gt += len(gts)
-        matched = {pi for pi, _, _ in _ref_match(preds, gts, iou_thr)}
-        rows.extend((p.score, i in matched) for i, p in enumerate(preds))
-    if n_gt == 0 or not rows:
-        return 0.0
-    rows.sort(key=lambda r: -r[0])
-    tp = np.cumsum([r[1] for r in rows])
-    fp = np.cumsum([not r[1] for r in rows])
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    sample_points = np.linspace(0.0, 1.0, 101)
-    indices = np.searchsorted(recall, sample_points, side="left")
-    sampled = np.where(indices < len(envelope), envelope[np.minimum(indices, len(envelope) - 1)], 0.0)
-    return float(sampled.mean())
-
-
-def _ref_ap_50_95(preds_by_image, gts_by_image):
-    thresholds = [0.5 + 0.05 * i for i in range(10)]
-    return float(
-        np.mean([_ref_average_precision(preds_by_image, gts_by_image, t) for t in thresholds])
-    )
 
 
 # Coordinates on a coarse grid, scaled by a step that is either exact (whole
@@ -386,39 +357,8 @@ _HALF_IOU_SCENE = (
 
 
 class TestOnePassEquivalence:
-    """The evaluator equals per-threshold matching exactly, not approximately."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        scene=st.lists(_image(), max_size=4),
-        match_iou=st.sampled_from([0.5, 0.3, 0.75, 1.0, 1 / 7]),
-    )
-    @example(
-        scene=[(_HALF_IOU_SCENE[0][0], [True, True, False, False], _HALF_IOU_SCENE[1][0])],
-        match_iou=0.5,
-    )
-    def test_matches_the_per_threshold_oracle(self, scene, match_iou):
-        raw = [s[0] for s in scene]
-        keep = [s[1] for s in scene]
-        gts = [s[2] for s in scene]
-        result = evaluate_images(raw, keep, gts, match_iou)
-
-        expected_aps = tuple(_ref_average_precision(raw, gts, t) for t in AP_THRESHOLDS)
-        assert result.aps == expected_aps
-        assert result.ap50 == _ref_average_precision(raw, gts, 0.5)
-        assert result.ap5095 == _ref_ap_50_95(raw, gts)
-
-        matched = 0
-        iou_sum = 0.0
-        for preds, k, g in zip(raw, keep, gts):
-            pairs = _ref_match([p for p, kept in zip(preds, k) if kept], g, match_iou)
-            matched += len(pairs)
-            image_sum = 0.0
-            for _, _, v in pairs:
-                image_sum += v
-            iou_sum += image_sum
-        assert result.matched == matched
-        assert result.iou_sum == iou_sum
+    """Worked scenes of the evaluator; ``TestPerImageEquivalence`` holds it
+    to its reference on generated scenes."""
 
     def test_half_iou_scene(self):
         raw, gts = _HALF_IOU_SCENE
@@ -575,7 +515,7 @@ class TestPerImageEquivalence:
     @settings(max_examples=400, deadline=None)
     @given(
         scene=st.lists(st.one_of(_crowded_image(), _image()), max_size=6),
-        match_iou=st.sampled_from([0.3, 0.5, 1.0]),
+        match_iou=st.sampled_from([0.3, 0.5, 0.75, 1.0, 1 / 7]),
     )
     @example(
         scene=[(_HALF_IOU_SCENE[0][0], [True, True, False, False], _HALF_IOU_SCENE[1][0])],
@@ -600,6 +540,32 @@ class TestPerImageEquivalence:
     # kept ones the second, kept alone, claims it.
     @example(scene=[([pred(1, 0, 0, 10, 10, 0.9), pred(1, 0, 0, 10, 9, 0.8)], [False, True],
                      [gt(1, 0, 0, 10, 10)])],
+             match_iou=0.5)
+    # Ranked hits with no hit at any threshold: 7 predictions of another
+    # class than the 3 ground truths.
+    @example(scene=[([pred(2, 10 * i, 0, 4, 4, 0.9 - 0.1 * i) for i in range(7)],
+                     [i % 2 == 0 for i in range(7)], [gt(1, 10 * i, 0, 4, 4) for i in range(3)])],
+             match_iou=0.5)
+    # Hits at every threshold: 7 exact copies of 7 ground truths, then of 7
+    # among 9, where recall stops short of 1.
+    @example(scene=[([pred(1, 10 * i, 0, 4, 4, 0.9 - 0.1 * i) for i in range(7)],
+                     [i % 2 == 0 for i in range(7)], [gt(1, 10 * i, 0, 4, 4) for i in range(7)])],
+             match_iou=1.0)
+    @example(scene=[([pred(1, 10 * i, 0, 4, 4, 0.9 - 0.1 * i) for i in range(7)],
+                     [i % 2 == 0 for i in range(7)], [gt(1, 10 * i, 0, 4, 4) for i in range(9)])],
+             match_iou=0.75)
+    # A single prediction at IoU 0.72: a hit at the five thresholds up to 0.7.
+    @example(scene=[([pred(1, 0, 0, 18, 4, 0.6)], [True], [gt(1, 0, 0, 25, 4)])],
+             match_iou=1 / 7)
+    # A single prediction at IoU 0.52 among 4 ground truths: a hit at 0.5
+    # alone, a miss at the other thresholds.
+    @example(scene=[([pred(1, 0, 0, 13, 4, 0.6)], [True],
+                     [gt(1, 0, 0, 25, 4), *(gt(1, 10 * i, 0, 4, 4) for i in range(3, 6))])],
+             match_iou=0.75)
+    # Three matches whose IoUs, 0.6, 1.0 and 4/7, add to one double in score
+    # order and to another in reverse.
+    @example(scene=[([pred(1, 0, 0, 3, 2, 0.9), pred(1, 20, 0, 6, 5, 0.8), pred(1, 40, 0, 4, 7, 0.7)],
+                     [True] * 3, [gt(1, 0, 0, 5, 2), gt(1, 20, 0, 6, 5), gt(1, 40, 0, 7, 7)])],
              match_iou=0.5)
     def test_matches_the_per_image_evaluator(self, scene, match_iou):
         raw = [s[0] for s in scene]
@@ -637,36 +603,31 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-@st.composite
-def _hit_rows(draw):
-    """(rows of true-positive flags, ground-truth count): 1 to 12 rows of one
-    length, each row's flags free or all equal."""
-    n = draw(st.integers(1, 40))
-    row = st.one_of(
-        st.lists(st.booleans(), min_size=n, max_size=n),
-        st.booleans().map(lambda flag: [flag] * n),
-    )
-    rows = np.array(draw(st.lists(row, min_size=1, max_size=12)), dtype=bool)
-    return rows, draw(st.integers(max(1, int(rows.sum(axis=1).max())), n + 5))
-
-
 class TestBatchedAp:
-    """Every row's AP from the one 2-D pass equals the per-threshold AP, bit
-    for bit."""
+    """The one 2-D AP pass samples the 101 recall points and ranks tied
+    scores as the per-threshold AP does."""
 
     def test_recall_points(self):
         assert RECALL_POINTS.tolist() == np.linspace(0.0, 1.0, 101).tolist()
 
-    @settings(max_examples=400, deadline=None)
-    @given(case=_hit_rows())
-    @example(case=(np.zeros((10, 7), dtype=bool), 3))  # no hits
-    @example(case=(np.ones((10, 7), dtype=bool), 7))  # all hits
-    @example(case=(np.ones((10, 7), dtype=bool), 9))  # all hits, recall short of 1
-    @example(case=(np.array([[True]] * 5 + [[False]] * 5), 1))  # a single prediction
-    @example(case=(np.array([[False], [True]]), 4))
-    def test_matches_per_threshold_ap(self, case):
-        rows, n_gt = case
-        got = _interpolated_aps(rows, n_gt)
+    # Hit matrices whose APs can be counted by hand: the 101 recall points
+    # k / 100 that a row reaches at precision 1 score 1, the rest score 0.
+    @pytest.mark.parametrize(
+        "rows, n_gt, want",
+        [
+            (np.zeros((10, 7), dtype=bool), 3, [0.0] * 10),
+            (np.ones((10, 7), dtype=bool), 7, [1.0] * 10),
+            # Recall stops at 7/9, so points 0 to 0.77 score.
+            (np.ones((10, 7), dtype=bool), 9, [78 / 101] * 10),
+            (np.array([[True]] * 5 + [[False]] * 5), 1, [1.0] * 5 + [0.0] * 5),
+            # Recall 1/4 at precision 1: points 0 to 0.25 score.
+            (np.array([[False], [True]]), 4, [0.0, 26 / 101]),
+        ],
+        ids=["no_hits", "all_hits", "recall_short_of_1", "single_prediction", "miss_then_hit"],
+    )
+    def test_worked_hit_matrices(self, rows, n_gt, want):
+        got = metrics._interpolated_aps(rows, n_gt)
+        assert _hex(got) == _hex(want)
         assert _hex(got) == _hex(_interpolated_ap(row, n_gt) for row in rows)
 
     @pytest.mark.parametrize("score", [0.0, 0.5, 1.0])
