@@ -163,23 +163,14 @@ def _visible(x: float, y: float, w: float, h: float, rects: Sequence[_Edges]) ->
             clipped.append((x1, y1, x1 + (x2 - x1), y1 + (y2 - y1)))
     if not clipped:
         return 1.0
-    x1, y1, x2, y2 = clipped[0]
-    if len(clipped) == 1 and x2 <= ix2 and y2 <= iy2:
-        # One overlap whose edges stay inside the box: the only grid cell
-        # that can be covered is the overlap itself.
-        cx, cy = (x1 + x2) / 2.0, (y1 + y2) / 2.0
-        inside = x1 < cx < x2 and y1 < cy < y2
-        covered_area = (x2 - x1) * (y2 - y1) if inside else 0.0
-    else:
-        covered_area = _grid_covered_area((x, y, ix2, iy2), clipped)
     area = w * h
-    visible = max(0.0, area - covered_area)
+    visible = max(0.0, area - _grid_covered_area((x, y, ix2, iy2), clipped))
     return min(1.0, visible / area)
 
 
 def _grid_covered_area(box: _Edges, clipped: Sequence[_Edges]) -> float:
     """Area of the grid cells of ``box`` whose centers some overlap covers, the
-    cells x-major and added as ``np.sum`` adds them: left to right below eight."""
+    cells x-major and added by ``np.sum``."""
     xs = sorted({box[0], box[2], *(c[0] for c in clipped), *(c[2] for c in clipped)})
     ys = sorted({box[1], box[3], *(c[1] for c in clipped), *(c[3] for c in clipped)})
     x_cells = [((a + b) / 2.0, b - a) for a, b in zip(xs, xs[1:])]
@@ -190,12 +181,7 @@ def _grid_covered_area(box: _Edges, clipped: Sequence[_Edges]) -> float:
         for cy, h in y_cells
         if any(x1 < cx < x2 and y1 < cy < y2 for x1, y1, x2, y2 in clipped)
     ]
-    if len(areas) >= 8:
-        return float(np.sum(areas))
-    total = 0.0
-    for area in areas:
-        total += area
-    return total
+    return float(np.sum(areas))
 
 
 def survivor_mask(

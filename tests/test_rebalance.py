@@ -500,8 +500,8 @@ def _paste_case(draw):
 
 
 class TestPasteEquivalence:
-    """Bulk draws and closed-form occlusion reproduce the per-crop loop and the
-    cell grid exactly."""
+    """Bulk draws and the occlusion grid reproduce the per-crop loop and the
+    reference cell grid exactly."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=_occluded_box())
@@ -514,6 +514,19 @@ class TestPasteEquivalence:
         case=(
             BBox(18.266865139080878, 0, 78.20832396268057, 5),
             [BBox(27.17190023531588, 1, 90, 2)],
+        )
+    )
+    # Two overlaps clipped at the box's right edge, x + w, where each
+    # overlap's left edge plus its width, x1 + (x2 - x1), is not x + w: the
+    # grid's edges, and so the fraction's last bit, follow the sum.
+    @example(
+        case=(
+            BBox(0.0067697896808121905, 0.00037039063503570426,
+                 0.03392927710154865, 0.008471741715505365),
+            [BBox(0.01059345919491031, 0.0033077010379664283,
+                  0.03143513421814417, 0.006496367507258549),
+             BBox(0.009121583230363831, 0.0030373645049684645,
+                  0.035270540725082275, 0.009497825018657875)],
         )
     )
     # Sixteen covered cells, whose areas np.sum adds pairwise: adding them
@@ -536,20 +549,6 @@ class TestPasteEquivalence:
     def test_visible_fraction_matches_grid(self, case):
         inst, occluders = case
         assert visible_fraction(inst, occluders) == _grid_visible_fraction(inst, occluders)
-
-    def test_short_sums_left_to_right_equal_np_sum(self):
-        # The grid adds fewer than eight cell areas left to right and more
-        # with np.sum. That keeps to np.sum's bits only while np.sum adds an
-        # array of one to seven doubles left to right from 0.0.
-        rng = np.random.default_rng(0)
-        for n in range(1, 8):
-            for _ in range(2000):
-                widths = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
-                areas = (widths * rng.random(n) * 10.0 ** rng.integers(-3, 4, n)).tolist()
-                total = 0.0
-                for area in areas:
-                    total += area
-                assert total.hex() == float(np.sum(areas)).hex(), areas
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -699,11 +698,6 @@ def _survivor_passes(images, threshold):
 
 class TestSurvivorMask:
     """The per-pass occlusion decision is :func:`_visible`'s, row by row."""
-
-    def test_past_edge_case_reaches_the_grid(self):
-        x, _, w, _ = _PAST_EDGE_ROW
-        x1 = _PAST_EDGE_PASTE[0]
-        assert x1 + ((x + w) - x1) > x + w
 
     def test_matches_visible_row_by_row(self):
         start = time.perf_counter()
