@@ -9,6 +9,7 @@ candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,12 +97,15 @@ def class_kld(pseudo_counts: Sequence[int], truth_counts: Sequence[int]) -> floa
     The arguments are per-class counts of one length, the truth's not all
     zero. Both have 1e-6 added to each entry and are normalized first, so
     the result is finite even with empty classes. Direction is pseudo || truth.
+    Each log is ``math.log``'s: numpy picks its log kernel by CPU, and the
+    report's bytes may not depend on the CPU.
     """
     p = np.asarray(pseudo_counts, dtype=float) + 1e-6
     q = np.asarray(truth_counts, dtype=float) + 1e-6
     p = p / p.sum()
     q = q / q.sum()
-    return float(np.sum(p * np.log(p / q)))
+    logs = np.array([math.log(r) for r in (p / q).tolist()])
+    return float(np.sum(p * logs))
 
 
 def _interpolated_aps(ranked_hits: np.ndarray, n_gt: int) -> np.ndarray:

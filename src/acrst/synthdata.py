@@ -38,8 +38,9 @@ def synthetic_dataset(
         raise ValueError("max_box must not exceed the image's shorter side")
 
     rng = np.random.default_rng(seed)
-    # The CDF ``Generator.choice(p=...)`` builds from the normalized weights.
-    cdf = ClassCdfs(skew ** np.arange(n_classes))[0]
+    # The CDF ``Generator.choice(p=...)`` builds from the normalized weights,
+    # each weight a Python float power: numpy picks its power kernel by CPU.
+    cdf = ClassCdfs([skew**k for k in range(n_classes)])[0]
     # As doubles, as ``Generator.uniform`` takes its bounds.
     box_lo, box_span = float(min_box), float(max_box) - float(min_box)
 

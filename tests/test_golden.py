@@ -22,7 +22,10 @@ pytestmark = pytest.mark.skipif(
 
 EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example.json"
 
-EXAMPLE_SHA256 = "04f0401fc9181d0a0b21501ecc1d160bcd4296685a5ba17f6b13134bf5053983"
+EXAMPLE_SHA256 = "75a4dc033501557103967f869a6d7edae988d46970ed0c44e9cc8887aee7aac2"
+# The example report with every "kld" leaf removed, recorded when class_kld
+# took its logs from np.log: the switch to math.log moved no other leaf.
+EXAMPLE_WITHOUT_KLD_SHA256 = "f2bb2e083fc3febcb05544f98a7b5c5bf585d8b781bee854f48d29c88966b363"
 RESCALE_SHA256 = "1e86f032469edcb740d79a4bc58aa2c77230555ec126ba9d949fe46f02a42145"
 CROWDED_SHA256 = "e8d9d5ea6a4b4275fc237ade63821dbe5fe2302ee11ced7aec4d9e32748dd1d3"
 PASTE_HEAVY_SHA256 = "458146a921532efc6510e877166413c21ed9d79667d761bbd59e50bf7fc766fd"
@@ -170,6 +173,15 @@ def report_sha256(config: Path, out: Path) -> str:
 
 def test_example_config_report(tmp_path):
     assert report_sha256(EXAMPLE_CONFIG, tmp_path / "out") == EXAMPLE_SHA256
+
+
+def test_example_config_report_moved_only_in_kld(tmp_path):
+    assert main(["run", "--config", str(EXAMPLE_CONFIG), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    for leaves in (*report["epochs"], report["summary"]["final"]):
+        del leaves["kld"]
+    stripped = json.dumps(report, indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(stripped).hexdigest() == EXAMPLE_WITHOUT_KLD_SHA256
 
 
 def neumaier_sum(values, start=0):
