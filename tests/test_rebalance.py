@@ -516,9 +516,9 @@ class TestPasteEquivalence:
             [BBox(27.17190023531588, 1, 90, 2)],
         )
     )
-    # Two overlaps clipped at the box's right edge, x + w, where each
-    # overlap's left edge plus its width, x1 + (x2 - x1), is not x + w: the
-    # grid's edges, and so the fraction's last bit, follow the sum.
+    # Two overlaps clipped at the box's right and bottom edges. The second's
+    # left edge plus its width, x1 + (x2 - x1), falls one ulp short of x + w;
+    # the grid's edges, and so the fraction's last bit, follow that sum.
     @example(
         case=(
             BBox(0.0067697896808121905, 0.00037039063503570426,
