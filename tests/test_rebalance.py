@@ -550,6 +550,20 @@ class TestPasteEquivalence:
         inst, occluders = case
         assert visible_fraction(inst, occluders) == _grid_visible_fraction(inst, occluders)
 
+    def test_clipped_edges_keep_their_rounded_sum(self):
+        # The two-overlap example above, on _visible's edges. Storing the
+        # clipped right edge as x2 rather than x1 + (x2 - x1) moves the
+        # fraction's last bit to 0.36230199302071386.
+        box = (0.0067697896808121905, 0.00037039063503570426,
+               0.03392927710154865, 0.008471741715505365)
+        rects = [
+            (0.01059345919491031, 0.0033077010379664283,
+             0.04202859341305448, 0.009804068545224977),
+            (0.009121583230363831, 0.0030373645049684645,
+             0.04439212395544611, 0.012535189523626339),
+        ]
+        assert _visible(*box, rects).hex() == (0.362301993020714).hex()
+
     @settings(max_examples=200, deadline=None)
     @given(
         cases=st.lists(_occluded_box(), min_size=1, max_size=5),
