@@ -23,7 +23,6 @@ from .dataset import MIN_BOX_SIDE, ClassCdfs, Dataset
 CONFUSION_FLOOR = 0.01
 PARTIAL_FLOOR = 0.01
 
-_LOG_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class DetectorParams:
@@ -319,10 +318,6 @@ def smooth_l1(x: float) -> float:
     return 0.5 * x * x if ax < 1.0 else ax - 0.5
 
 
-def _safe_log(p: float) -> float:
-    return math.log(max(p, _LOG_CLAMP))
-
-
 def batch_loss(
     params: DetectorParams,
     class_ids: Sequence[int],
@@ -368,10 +363,10 @@ def batch_loss(
     # pairwise, and the built-in sum compensates from Python 3.12 on.
     mean_recall = float(np.cumsum(params.recall_skill)[-1]) / k
     bg_objectness = min(0.98, 0.02 + 0.2 * (1.0 - mean_recall))
-    bg_log = _safe_log(1.0 - bg_objectness)
+    bg_log = math.log(1.0 - bg_objectness)
     skills = params.recall_skill
-    objectness_logs = [_safe_log(min(max(s, 1e-4), 1.0 - 1e-4)) for s in skills]
-    class_logs = [_safe_log(min(max(s * (1.0 - params.confusion_rate), 1e-4), 1.0)) for s in skills]
+    objectness_logs = [math.log(min(max(s, 1e-4), 1.0 - 1e-4)) for s in skills]
+    class_logs = [math.log(min(max(s * (1.0 - params.confusion_rate), 1e-4), 1.0)) for s in skills]
 
     def mean_nll(class_terms: list[float]) -> float:
         table = np.asarray(class_terms + [bg_log], dtype=float)

@@ -155,8 +155,6 @@ def _visible(x: float, y: float, w: float, h: float, rects: Sequence[_Edges]) ->
     ix2, iy2 = x + w, y + h
     clipped = []
     for ox1, oy1, ox2, oy2 in rects:
-        if ox2 <= x or ix2 <= ox1 or oy2 <= y or iy2 <= oy1:
-            continue  # disjoint, or touching along an edge
         x1, y1 = max(ox1, x), max(oy1, y)
         x2, y2 = min(ox2, ix2), min(oy2, iy2)
         if x2 > x1 and y2 > y1:
@@ -165,7 +163,7 @@ def _visible(x: float, y: float, w: float, h: float, rects: Sequence[_Edges]) ->
         return 1.0
     area = w * h
     visible = max(0.0, area - _grid_covered_area((x, y, ix2, iy2), clipped))
-    return min(1.0, visible / area)
+    return visible / area
 
 
 def _grid_covered_area(box: _Edges, clipped: Sequence[_Edges]) -> float:
@@ -205,7 +203,7 @@ def survivor_mask(
     ix2, iy2 = x + w, y + h
     x1, x2 = np.maximum(ox1, x), np.minimum(ox2, ix2)
     y1, y2 = np.maximum(oy1, y), np.minimum(oy2, iy2)
-    hit = (ox2 > x) & (ix2 > ox1) & (oy2 > y) & (iy2 > oy1) & (x2 > x1) & (y2 > y1)
+    hit = (x2 > x1) & (y2 > y1)
     clipped_area = ((x1 + (x2 - x1)) - x1) * ((y1 + (y2 - y1)) - y1)
     alive = np.bincount(pair_row[hit], minlength=len(image)) == 0
     bound = np.bincount(pair_row[hit], weights=clipped_area[hit], minlength=len(image))[~alive]
