@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from acrst.api import BBox, ImageLevelLabel, Prediction, two_stage_filter, two_stage_mining
 from acrst.config import ConfigError, ExperimentConfig, config_from_dict
 from acrst.dataset import Category, Dataset, ImageRecord
-from acrst.filtering import FilterConfig, OracleNoise, oracle_activations
+from acrst.filtering import FilterConfig, OracleNoise, keep_mask, oracle_activations
 from acrst.model import Detections, DetectorParams, detect
 from acrst.simloop import label_pass
 
@@ -75,6 +75,40 @@ class TestTwoStageMining:
         assert kept == []
 
 
+class TestSetRelations:
+    """AND output is a subset of one-stage output; OR output a superset."""
+
+    def test_random_predictions(self):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            n_classes = int(rng.integers(1, 6))
+            preds = [
+                pred(int(rng.integers(1, n_classes + 1)), float(rng.random()))
+                for _ in range(int(rng.integers(0, 12)))
+            ]
+            lab = ImageLevelLabel(
+                image_id=1, activations=tuple(rng.random(n_classes).tolist())
+            )
+            tau_cls = float(rng.random())
+            tau_ml = float(rng.random())
+            one = two_stage_filter(
+                preds, None, FilterConfig(tau_cls, tau_ml, "one_stage")
+            )
+            both = two_stage_filter(
+                preds, lab, FilterConfig(tau_cls, tau_ml, "two_stage_filtering")
+            )
+            either = two_stage_mining(
+                preds, lab, FilterConfig(tau_cls, tau_ml, "two_stage_mining")
+            )
+            assert set(map(id, both)) <= set(map(id, one)) <= set(map(id, either))
+            # Exact membership, element by element.
+            for p in preds:
+                act = lab.activation(p.class_id)
+                assert (p in one) == (p.score >= tau_cls)
+                assert (p in both) == (p.score >= tau_cls and act >= tau_ml)
+                assert (p in either) == (p.score >= tau_cls or act >= tau_ml)
+
+
 # Reference filters: the per-prediction filters the keep mask replaced, kept
 # verbatim but for their mode checks.
 
@@ -97,6 +131,43 @@ def _ref_two_stage_mining(preds, image_label, config):
         if p.score >= config.tau_cls
         or image_label.activation(p.class_id) >= config.tau_ml
     ]
+
+
+_threshold = st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0])
+
+
+class TestKeepMaskEquivalence:
+    """The keep mask, given each prediction's score and the activation of its
+    class, keeps what the per-prediction filters kept, in every mode."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        data=st.data(),
+        tau_cls=_threshold,
+        tau_ml=_threshold,
+        mode=st.sampled_from(["one_stage", "two_stage_filtering", "two_stage_mining"]),
+    )
+    def test_matches_reference_filters(self, k, data, tau_cls, tau_ml, mode):
+        activations = data.draw(st.lists(_threshold, min_size=k, max_size=k))
+        label = ImageLevelLabel(image_id=1, activations=tuple(activations))
+        preds = data.draw(st.lists(
+            st.builds(pred, st.integers(1, k), st.one_of(_threshold, st.floats(0.0, 1.0))),
+            max_size=10,
+        ))
+        config = FilterConfig(tau_cls, tau_ml, mode)
+        scores = [p.score for p in preds]
+        mask = keep_mask(scores, [label.activation(p.class_id) for p in preds], config).tolist()
+        kept = [p for p, keep in zip(preds, mask) if keep]
+        if mode == "two_stage_mining":
+            want = _ref_two_stage_mining(preds, label, config)
+            got = two_stage_mining(preds, label, config)
+        else:
+            want = _ref_two_stage_filter(preds, label, config)
+            got = two_stage_filter(preds, label, config)
+        assert list(map(id, kept)) == list(map(id, want)) == list(map(id, got))
+        # The mining wrapper is the OR gate whatever mode the config names.
+        assert two_stage_mining(preds, label, config) == _ref_two_stage_mining(preds, label, config)
 
 
 def oracle_label(record, noise, rng, n_classes, tau_ml):

@@ -630,6 +630,22 @@ class TestClassCdfs:
 class TestDrawWeightedEquivalence:
     """A draw from the class CDFs picks what rng.choice picked, from the same double."""
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cases=st.lists(_weights_and_exclude(), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(cases=[(np.array([0.0, 0.0, 0.0]), None), (np.array([0.0, 0.0]), 2)], seed=0)
+    @example(cases=[(np.array([1.0]), 1), (np.array([1.0]), None)], seed=1)
+    @example(cases=[(np.array([0.0, 3.0, 0.0, 1.0]), 2)] * 20, seed=2)
+    def test_matches_choice(self, cases, seed):
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for weights, exclude in cases:
+            got = bisect_right(ClassCdfs(weights)[exclude or 0], rng_got.random()) + 1
+            want = _choice_draw_weighted(rng_want, weights, exclude)
+            assert got == want
+        assert rng_got.random() == rng_want.random()
+
     def test_synth_detect_unchanged(self):
         # Confusions and background false positives draw classes by weight.
         p = params(recall=(0.9, 0.6, 0.3), confusion=0.6, fp=3.0)

@@ -232,6 +232,31 @@ class TestVisibleFraction:
         vf = visible_fraction(BBox(0, 0, 4, 4), [BBox(4, 0, 4, 4)])
         assert vf == 1.0
 
+    def test_matches_pixel_rasterization(self):
+        """Exact grid decomposition agrees with integer-grid pixel counting."""
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            x, y = rng.integers(0, 20, size=2)
+            w, h = rng.integers(1, 30, size=2)
+            inst = BBox(float(x), float(y), float(w), float(h))
+            occluders = []
+            for _ in range(int(rng.integers(0, 5))):
+                ox, oy = rng.integers(0, 40, size=2)
+                ow, oh = rng.integers(1, 25, size=2)
+                occluders.append(BBox(float(ox), float(oy), float(ow), float(oh)))
+            mask = np.zeros((int(h), int(w)), dtype=bool)
+            for occ in occluders:
+                x1 = int(np.clip(occ.x - x, 0, w))
+                y1 = int(np.clip(occ.y - y, 0, h))
+                x2 = int(np.clip(occ.x2 - x, 0, w))
+                y2 = int(np.clip(occ.y2 - y, 0, h))
+                mask[y1:y2, x1:x2] = True
+            expected = 1.0 - mask.sum() / (w * h)
+            assert math.isclose(
+                visible_fraction(inst, occluders), expected, abs_tol=1e-9
+            )
+
+
 class TestMerge:
     def setup_method(self):
         self.base = [
@@ -538,6 +563,21 @@ class TestPasteEquivalence:
              0.04439212395544611, 0.012535189523626339),
         ]
         assert _visible(*box, rects).hex() == (0.362301993020714).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cases=st.lists(_occluded_box(), min_size=1, max_size=5),
+        threshold=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_merge_matches_grid(self, cases, threshold):
+        # Every generated box is a base instance; every occluder is pasted.
+        base = [Instance(1, inst, 1) for inst, _ in cases]
+        pasted = [
+            PastePlacement(crop=crop(2, occ.w, occ.h), target_bbox=occ)
+            for _, occluders in cases
+            for occ in occluders
+        ]
+        assert merge_annotations(base, pasted, threshold) == _grid_merge(base, pasted, threshold)
 
     @settings(max_examples=300, deadline=None)
     @given(case=_paste_case(), seed=st.integers(0, 2**32 - 1))
