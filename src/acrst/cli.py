@@ -39,11 +39,13 @@ def _read_text(path: Path, what: str) -> str:
 
 def _read_json(path: Path, what: str, invalid: str):
     """The JSON document at ``path``; malformed JSON is a usage error whose
-    message starts with ``invalid`` and gives the line and column."""
+    message starts with ``invalid`` and gives the line and column, if any."""
     try:
         return json.loads(_read_text(path, what))
     except json.JSONDecodeError as e:
         raise _UsageError(f"{invalid}: {e.msg} (line {e.lineno} column {e.colno})") from e
+    except (RecursionError, ValueError) as e:  # nesting too deep, an integer too long
+        raise _UsageError(f"{invalid}: {e}") from e
 
 
 def _load_config(path_text: str) -> dict:

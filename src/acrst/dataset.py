@@ -9,6 +9,7 @@ truth as ``(class_id, x, y, w, h)`` rows.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -177,16 +178,28 @@ def parse_coco_annotations(text: str) -> Dataset:
     section and :class:`ValidationError` for schema violations, such as no
     category, a record that is not an object, an image side outside [1, 1e9],
     a box value that is not a finite number or a box side below
-    :data:`MIN_BOX_SIDE`; messages name the record. Use
-    :func:`split_standard` to divide the images into a labeled and an
-    unlabeled side.
+    :data:`MIN_BOX_SIDE`; messages name the record and, of several faults,
+    the first checked. The cyclic garbage collector pauses while the
+    document's objects, which hold no cycles, are built. Use
+    :func:`split_standard` to divide the images into labeled and unlabeled.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_coco(text)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse_coco(text: str) -> Dataset:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(
-            f"malformed annotation document: {e.msg} (line {e.lineno} column {e.colno})"
-        ) from e
+        raise ParseError(f"malformed annotation document: {e.msg} "
+                         f"(line {e.lineno} column {e.colno})") from e
+    except (RecursionError, ValueError) as e:  # nesting too deep, an integer too long
+        raise ParseError(f"malformed annotation document: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("annotation document must be a JSON object")
     for section in ("images", "annotations", "categories"):
@@ -194,9 +207,9 @@ def parse_coco_annotations(text: str) -> Dataset:
             raise ParseError(f"annotation document missing '{section}' section")
         if not isinstance(doc[section], list):
             raise ParseError(f"annotation section '{section}' must be a JSON list")
-        for i, record in enumerate(doc[section]):
-            if not isinstance(record, dict):
-                raise ValidationError(f"{section}[{i}] must be a JSON object, got {record!r}")
+        if not set(map(type, doc[section])) <= {dict}:
+            i, record = next((i, r) for i, r in enumerate(doc[section]) if type(r) is not dict)
+            raise ValidationError(f"{section}[{i}] must be a JSON object, got {record!r}")
 
     categories: list[Category] = []
     class_of_source: dict[int, int] = {}
@@ -210,12 +223,15 @@ def parse_coco_annotations(text: str) -> Dataset:
     if not categories:
         raise ValidationError("annotation document has no categories")
 
-    image_meta: dict = {}
-    image_order: list = []
+    image_meta: dict = {}  # image id -> (width, height, truth rows), in input order
     for i, img in enumerate(doc["images"]):
-        image_id = _require(img, "id", "images", i, _ID)
-        width = _require(img, "width", "images", i)
-        height = _require(img, "height", "images", i)
+        try:  # each field read once and its type checked inline; _require names a fault
+            image_id, width, height = img["id"], img["width"], img["height"]
+        except KeyError:
+            image_id = None
+        if type(image_id) not in _ID:
+            for k, t in (("id", _ID), ("width", None), ("height", None)):
+                _require(img, k, "images", i, t)
         if image_id in image_meta:
             raise ValidationError(f"duplicate image id {image_id}")
         if type(width) not in _NUMBER or type(height) not in _NUMBER:
@@ -224,31 +240,30 @@ def parse_coco_annotations(text: str) -> Dataset:
         if not (MIN_IMAGE_SIDE <= width <= MAX_IMAGE_SIDE
                 and MIN_IMAGE_SIDE <= height <= MAX_IMAGE_SIDE):
             raise ValidationError(f"image {image_id} width and height must be in [1, 1e9]")
-        image_meta[image_id] = (float(width), float(height))
-        image_order.append(image_id)
+        image_meta[image_id] = (float(width), float(height), [])
 
-    rows: dict[object, list[tuple]] = {i: [] for i in image_order}
     seen_ann: set = set()
     for i, ann in enumerate(doc["annotations"]):
-        ann_id = _require(ann, "id", "annotations", i, _ID)
-        image_id = _require(ann, "image_id", "annotations", i, _ID)
-        cat_id = _require(ann, "category_id", "annotations", i, _INT)
-        bbox = _require(ann, "bbox", "annotations", i)
+        try:
+            ann_id, image_id, cat_id, bbox = (
+                ann["id"], ann["image_id"], ann["category_id"], ann["bbox"])
+        except KeyError:
+            ann_id = None
+        if type(ann_id) not in _ID or type(image_id) not in _ID or type(cat_id) is not int:
+            for k, t in (("id", _ID), ("image_id", _ID), ("category_id", _INT), ("bbox", None)):
+                _require(ann, k, "annotations", i, t)
         if ann_id in seen_ann:
             raise ValidationError(f"duplicate annotation id {ann_id}")
         seen_ann.add(ann_id)
         if image_id not in image_meta:
-            raise ValidationError(
-                f"annotation {ann_id} references unknown image {image_id}"
-            )
+            raise ValidationError(f"annotation {ann_id} references unknown image {image_id}")
         if cat_id not in class_of_source:
-            raise ValidationError(
-                f"annotation {ann_id} references unknown category {cat_id}"
-            )
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+            raise ValidationError(f"annotation {ann_id} references unknown category {cat_id}")
+        if type(bbox) is not list or len(bbox) != 4:
             raise ValidationError(f"annotation {ann_id} bbox must be [x, y, w, h]")
         x, y, w, h = bbox
-        if not {type(x), type(y), type(w), type(h)} <= _NUMBER:
+        if not (type(x) in _NUMBER and type(y) in _NUMBER
+                and type(w) in _NUMBER and type(h) in _NUMBER):
             raise ValidationError(f"annotation {ann_id} bbox values must be numbers, got {bbox}")
         try:
             x, y, w, h = float(x), float(y), float(w), float(h)
@@ -260,12 +275,12 @@ def parse_coco_annotations(text: str) -> Dataset:
             raise ValidationError(
                 f"annotation {ann_id} box sides must be at least {MIN_BOX_SIDE}, got {bbox}"
             )
-        width, height = image_meta[image_id]
+        width, height, rows = image_meta[image_id]
         if not (x >= 0 and y >= 0 and x + w <= width and y + h <= height):
             raise ValidationError(f"annotation {ann_id} box {bbox} is not inside image {image_id}")
-        rows[image_id].append((class_of_source[cat_id], x, y, w, h))
+        rows.append((class_of_source[cat_id], x, y, w, h))
 
-    images = tuple(ImageRecord(i, *image_meta[i], tuple(rows[i])) for i in image_order)
+    images = tuple(ImageRecord(i, w, h, tuple(rows)) for i, (w, h, rows) in image_meta.items())
     return Dataset(images=images, categories=tuple(categories))
 
 

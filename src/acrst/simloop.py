@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -115,7 +115,10 @@ class RunReport:
             "config": self.config,
             "seed": self.seed,
             "categories": list(self.categories),
-            "epochs": [asdict(t) for t in self.traces],
+            "epochs": [  # vars, not asdict's deep copy; the other fields are numbers or tuples
+                {**vars(t), "sup_loss": {**vars(t.sup_loss)}, "unsup_loss": {**vars(t.unsup_loss)}}
+                for t in self.traces
+            ],
             "summary": self.summary,
         }
 
@@ -331,9 +334,7 @@ def run_experiment(config: ExperimentConfig, dataset: Dataset) -> RunReport:
             if not 1 <= row[0] <= k:
                 raise ConfigError(f"image {img.id}: ground-truth class {row[0]} is not in 1..{k}")
     seed = config.seed
-    labeled, unlabeled = split_standard(
-        dataset, config.split_fraction, derive_seed(seed, "split")
-    )
+    labeled, unlabeled = split_standard(dataset, config.split_fraction, derive_seed(seed, "split"))
     if not labeled.images or not unlabeled.images:
         raise ConfigError(
             "split produced an empty side; adjust split_fraction or dataset size"

@@ -776,3 +776,45 @@ class TestUnreadableFile:
         assert main(["report", "--in", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"cannot read report {out / 'report.json'}: Permission denied" in err
+
+
+# Documents the JSON decoder refuses without a position, and their reasons.
+_REFUSED = [
+    pytest.param("[" * 100_000 + "]" * 100_000, "recursion depth", id="nested-past-the-limit"),
+    pytest.param('{"seed": ' + "9" * 5000 + "}", "4300 digits", id="integer-of-5000-digits"),
+]
+
+
+class TestRefusedJson:
+    """A file nested past Python's recursion limit, or holding an integer of
+    more than 4,300 digits, exits 2 naming the file, as other malformed JSON
+    does; the annotation parser names the document."""
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("text, reason", _REFUSED)
+    def test_config(self, tmp_path, capsys, command, text, reason):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config {config} is not valid JSON: " in err and reason in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, reason", _REFUSED)
+    def test_annotation_file(self, tmp_path, capsys, text, reason):
+        ann = tmp_path / "ann.json"
+        ann.write_text(text, encoding="utf-8")
+        config = write_config(tmp_path, dataset={"type": "coco_json", "path": str(ann)})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "error: malformed annotation document: " in err and reason in err
+
+    @pytest.mark.parametrize("text, reason", _REFUSED)
+    def test_report(self, tmp_path, capsys, text, reason):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        (out / "report.json").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"corrupt report {out / 'report.json'}: " in err and reason in err

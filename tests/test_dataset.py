@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from acrst.api import BBox, Instance
 from acrst.dataset import (
+    MAX_IMAGE_SIDE,
     MIN_BOX_SIDE,
+    MIN_IMAGE_SIDE,
     Category,
     Dataset,
     ImageRecord,
@@ -432,3 +436,341 @@ class TestSyntheticEquivalence:
         rng = np.random.default_rng(seed)
         assert got == _scalar_synthetic_dataset(n_images, n_classes, rng, **kwargs)
         assert len(made) == 1 and made[0].bit_generator.state == rng.bit_generator.state
+
+
+# The parser's reference: acrst.dataset's parser and its helpers as they were
+# before each field was read once and checked inline.
+
+# The types a JSON number parses to; ``type(True)`` is bool, so booleans fail.
+_NUMBER = frozenset((int, float))
+# Category ids are JSON integers and names strings; other ids integers or strings.
+_INT = frozenset((int,))
+_STR = frozenset((str,))
+_ID = frozenset((int, str))
+_KINDS = {_INT: "an integer", _STR: "a string", _ID: "an integer or a string"}
+
+
+def _require(record: dict, key: str, section: str, index: int, types: frozenset | None = None):
+    """``record[key]`` of ``section[index]``, checked to be present and, given
+    ``types``, of one of them."""
+    try:
+        value = record[key]
+    except KeyError:
+        raise ValidationError(f"{section}[{index}] missing required field '{key}'") from None
+    if types is not None and type(value) not in types:
+        kinds = _KINDS[types]
+        raise ValidationError(f"{section}[{index}] field '{key}' must be {kinds}, got {value!r}")
+    return value
+
+
+def _reference_parse_coco(text: str) -> Dataset:
+    """The parser as it was before its fields were read once and checked
+    inline: every check raises where it is made, record by record."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(
+            f"malformed annotation document: {e.msg} (line {e.lineno} column {e.colno})"
+        ) from e
+    if not isinstance(doc, dict):
+        raise ParseError("annotation document must be a JSON object")
+    for section in ("images", "annotations", "categories"):
+        if section not in doc:
+            raise ParseError(f"annotation document missing '{section}' section")
+        if not isinstance(doc[section], list):
+            raise ParseError(f"annotation section '{section}' must be a JSON list")
+        for i, record in enumerate(doc[section]):
+            if not isinstance(record, dict):
+                raise ValidationError(f"{section}[{i}] must be a JSON object, got {record!r}")
+
+    categories: list[Category] = []
+    class_of_source: dict[int, int] = {}
+    for slot, cat in enumerate(doc["categories"], start=1):
+        source_id = _require(cat, "id", "categories", slot - 1, _INT)
+        name = _require(cat, "name", "categories", slot - 1, _STR)
+        if source_id in class_of_source:
+            raise ValidationError(f"duplicate category id {source_id}")
+        class_of_source[source_id] = slot
+        categories.append(Category(id=slot, name=name, source_id=source_id))
+    if not categories:
+        raise ValidationError("annotation document has no categories")
+
+    image_meta: dict = {}
+    image_order: list = []
+    for i, img in enumerate(doc["images"]):
+        image_id = _require(img, "id", "images", i, _ID)
+        width = _require(img, "width", "images", i)
+        height = _require(img, "height", "images", i)
+        if image_id in image_meta:
+            raise ValidationError(f"duplicate image id {image_id}")
+        if type(width) not in _NUMBER or type(height) not in _NUMBER:
+            raise ValidationError(f"image {image_id} width and height must be numbers")
+        # Positive comparisons, so that NaN fails them too.
+        if not (MIN_IMAGE_SIDE <= width <= MAX_IMAGE_SIDE
+                and MIN_IMAGE_SIDE <= height <= MAX_IMAGE_SIDE):
+            raise ValidationError(f"image {image_id} width and height must be in [1, 1e9]")
+        image_meta[image_id] = (float(width), float(height))
+        image_order.append(image_id)
+
+    rows: dict[object, list[tuple]] = {i: [] for i in image_order}
+    seen_ann: set = set()
+    for i, ann in enumerate(doc["annotations"]):
+        ann_id = _require(ann, "id", "annotations", i, _ID)
+        image_id = _require(ann, "image_id", "annotations", i, _ID)
+        cat_id = _require(ann, "category_id", "annotations", i, _INT)
+        bbox = _require(ann, "bbox", "annotations", i)
+        if ann_id in seen_ann:
+            raise ValidationError(f"duplicate annotation id {ann_id}")
+        seen_ann.add(ann_id)
+        if image_id not in image_meta:
+            raise ValidationError(
+                f"annotation {ann_id} references unknown image {image_id}"
+            )
+        if cat_id not in class_of_source:
+            raise ValidationError(
+                f"annotation {ann_id} references unknown category {cat_id}"
+            )
+        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+            raise ValidationError(f"annotation {ann_id} bbox must be [x, y, w, h]")
+        x, y, w, h = bbox
+        if not {type(x), type(y), type(w), type(h)} <= _NUMBER:
+            raise ValidationError(f"annotation {ann_id} bbox values must be numbers, got {bbox}")
+        try:
+            x, y, w, h = float(x), float(y), float(w), float(h)
+        except OverflowError:
+            raise ValidationError(f"annotation {ann_id} bbox {bbox} exceeds a double") from None
+        # Positive comparisons, so that NaN fails them; the image is finite,
+        # so an infinite side or corner fails the bounds.
+        if not (w >= MIN_BOX_SIDE and h >= MIN_BOX_SIDE):
+            raise ValidationError(
+                f"annotation {ann_id} box sides must be at least {MIN_BOX_SIDE}, got {bbox}"
+            )
+        width, height = image_meta[image_id]
+        if not (x >= 0 and y >= 0 and x + w <= width and y + h <= height):
+            raise ValidationError(f"annotation {ann_id} box {bbox} is not inside image {image_id}")
+        rows[image_id].append((class_of_source[cat_id], x, y, w, h))
+
+    images = tuple(ImageRecord(i, *image_meta[i], tuple(rows[i])) for i in image_order)
+    return Dataset(images=images, categories=tuple(categories))
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+def _set(**fields):
+    return lambda record: {**record, **fields} if isinstance(record, dict) else record
+
+
+def _drop(key):
+    def edit(record):
+        return {k: v for k, v in record.items() if k != key} if isinstance(record, dict) else record
+
+    return edit
+
+
+def _retype(key):
+    """A record whose integer ``key`` is the equal bool or float, which a dict
+    lookup finds as the integer."""
+    def edit(record):
+        value = record.get(key) if isinstance(record, dict) else None
+        if type(value) is not int:
+            return record
+        return {**record, key: bool(value) if value in (0, 1) else float(value)}
+
+    return edit
+
+
+# Per section, the record faults of TestParse::test_ill_typed_record_named,
+# each missing field, ids that equal an integer id without being integers,
+# references to an unknown image or category, a record that is a list, a
+# negative corner, and bboxes of four values that are not a list.
+_RECORD_FAULTS = {
+    "categories": [
+        lambda r: 5, lambda r: [r], _set(id=[7]), _set(id="a"), _set(id=7.5), _set(id=True),
+        _set(name=None), _set(name=5), _set(name=["a"]), _set(name=True), _drop("id"),
+        _drop("name"), _retype("id"),
+    ],
+    "images": [
+        lambda r: "x", lambda r: [r], _set(width="w"), _set(width=True), _set(width=_INF),
+        _set(height=_NAN), _set(width=1e160), _set(height=10**9 + 1), _set(width=0.999),
+        _set(height=1e-200), _set(width=10**400), _set(id=[11]), _set(id=10.0), _set(id=None),
+        _drop("id"), _drop("width"), _drop("height"), _retype("id"),
+    ],
+    "annotations": [
+        lambda r: None, lambda r: [r], _set(bbox=["a", 1, 1, 1]), _set(bbox=[5, "5", 20, 10]),
+        _set(bbox=[5, 5, True, 10]), _set(bbox=[_NAN, 20, 40, 30]), _set(bbox=[30, 20, _NAN, 30]),
+        _set(bbox=[30, 20, 40, _INF]), _set(bbox=[30, 20, 10**400, 30]),
+        _set(bbox=[-10**400, 0, 5, 5]), _set(bbox=[5, 5, 1e-300, 10]),
+        _set(bbox=[30, 20, 40, 9e-4]), _set(bbox=[0, -1, 1, 1]), _set(bbox=[-0.5, 0, 1, 1]),
+        _set(bbox=[1e9, 0, 5, 5]), _set(bbox=[5, 5, 20]), _set(bbox=[0, 0, 1, 1, 1]),
+        _set(bbox="abcd"), _set(bbox={"x": 0, "y": 0, "w": 1, "h": 1}), _set(bbox=5),
+        _set(bbox=None), _set(id=[3]), _set(image_id=[10]), _set(image_id=12345),
+        _set(category_id=7.0), _set(category_id=42), _drop("id"), _drop("image_id"),
+        _drop("category_id"), _drop("bbox"), _retype("id"), _retype("image_id"),
+        _retype("category_id"),
+    ],
+}
+# Faults of a whole section.
+_SECTION_FAULTS = [
+    lambda d: d.update(images=5), lambda d: d.update(annotations={"id": 1}),
+    lambda d: d.update(categories=[]), lambda d: d.pop("images", None),
+    lambda d: d.pop("categories", None),
+]
+# Every fault as (section, edit). A None edit repeats another record's id,
+# listed four times a section to be drawn about as often as an id's faults;
+# a None section edits the document.
+_FAULTS = [
+    *((s, f) for s in _RECORD_FAULTS for f in [*_RECORD_FAULTS[s], *[None] * 4]),
+    *((None, f) for f in _SECTION_FAULTS),
+]
+
+
+def _coco_document(rng: random.Random) -> dict:
+    """A valid annotation document, then none, one or several faults in
+    random records and sections, each applied over the ones before."""
+    def ids(count):  # from small ranges, so that a fault's id often names a record
+        return list(dict.fromkeys(rng.choice([rng.randint(-1, 4), rng.choice("ab")])
+                                  for _ in range(count)))
+
+    def side():
+        return rng.choice([1, 48, 64, 10**9, 1e9, rng.uniform(1.0, 1e3)])
+
+    cat_ids = rng.sample(range(-1, 5), rng.randint(1, 3))
+    categories = [{"id": c, "name": rng.choice(["", "a", "cat"])} for c in cat_ids]
+    images = [{"id": i, "width": side(), "height": side()} for i in ids(rng.randint(1, 4))]
+    annotations = []
+    for ann_id in ids(rng.randint(1, 8)):
+        img = rng.choice(images)
+        box = []
+        for length in (img["width"], img["height"]):
+            size = rng.choice([MIN_BOX_SIDE, 1, length, max(1, int(length) // 2),
+                               rng.uniform(MIN_BOX_SIDE, length)])
+            box.insert(len(box) // 2, rng.choice([0, -0.0, rng.uniform(0, length - size)]))
+            box.append(size)
+        annotations.append({"id": ann_id, "image_id": img["id"],
+                            "category_id": rng.choice(cat_ids), "bbox": box})
+    doc = {"images": images, "annotations": annotations, "categories": categories}
+    for section, fault in rng.choices(_FAULTS, k=rng.choice([0, 1, 1, 2, 3])):
+        records = doc.get(section)
+        if section is None:
+            fault(doc)
+        elif isinstance(records, list) and records:
+            # Half the faults land in a section's first record, so that
+            # records with several faults are common.
+            i, j = rng.choice([0, rng.randrange(len(records))]), rng.randrange(len(records))
+            if fault is not None:
+                records[i] = fault(records[i])
+            elif i != j and isinstance(records[i], dict) and isinstance(records[j], dict):
+                records[i] = {**records[i], "id": records[j].get("id")}
+    return doc
+
+
+class TestParseEquivalence:
+    """The parser returns the reference's dataset, or raises its error, with
+    its message: of several faults, the same one is named."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, seed):
+        text = json.dumps(_coco_document(random.Random(seed)))
+        try:
+            want = _reference_parse_coco(text)
+        except (ParseError, ValidationError) as e:
+            with pytest.raises((ParseError, ValidationError)) as got:
+                parse_coco_annotations(text)
+            assert (type(got.value), str(got.value)) == (type(e), str(e))
+        else:
+            got = parse_coco_annotations(text)
+            assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            # Record types come first, for every section, before any field.
+            pytest.param(lambda d: (d["images"].append("x"), d["categories"][0].update(name=None)),
+                         r"^images\[2\] must be a JSON object", id="record-type-before-category"),
+            pytest.param(lambda d: (d.pop("categories"), d["annotations"].insert(0, None)),
+                         r"^annotations\[0\] must be a JSON object", id="record-type-before-section"),
+            # Then categories, images and annotations, in that order.
+            pytest.param(lambda d: (d["images"][0].pop("width"), d["categories"][1].update(id="a")),
+                         r"^categories\[1\] field 'id'", id="category-before-image"),
+            pytest.param(lambda d: (d["annotations"][0].pop("id"), d["images"][1].update(width=0)),
+                         r"^image 11 width and height must be in", id="image-before-annotation"),
+            # Within a section, record by record.
+            pytest.param(lambda d: (d["annotations"][2].pop("bbox"),
+                                    d["annotations"][1].update(bbox="abcd")),
+                         r"^annotation 2 bbox must be", id="earlier-record"),
+            # Within a record, its fields in order: ids, then references, then the box.
+            pytest.param(lambda d: (d["images"][0].pop("height"), d["images"][0].pop("width")),
+                         r"^images\[0\] missing required field 'width'$", id="width-before-height"),
+            pytest.param(lambda d: (d["annotations"][0].pop("image_id"),
+                                    d["annotations"][0].update(category_id=7.0)),
+                         r"^annotations\[0\] missing required field 'image_id'$",
+                         id="image-id-before-category-id"),
+            pytest.param(lambda d: d["images"][1].update(id=10, width="w"),
+                         r"^duplicate image id 10$", id="repeated-id-before-width"),
+            pytest.param(lambda d: d["annotations"][0].update(image_id=5, category_id=4,
+                                                              bbox=[0, 0, 0, 0]),
+                         r"^annotation 1 references unknown image 5$", id="image-before-category"),
+            pytest.param(lambda d: d["annotations"][0].update(category_id=True, bbox=None),
+                         r"^annotations\[0\] field 'category_id'", id="type-before-bbox"),
+            pytest.param(lambda d: d["annotations"][1].update(bbox=[10**400, 20, 1e-9, 30]),
+                         r"^annotation 2 bbox \[\d+, 20, 1e-09, 30\] exceeds a double$",
+                         id="overflow-before-side"),
+        ],
+    )
+    def test_first_fault_named(self, coco_text, edit, named):
+        doc = json.loads(coco_text)
+        edit(doc)
+        text = json.dumps(doc)
+        with pytest.raises((ParseError, ValidationError), match=named) as got:
+            parse_coco_annotations(text)
+        with pytest.raises(type(got.value), match=named):
+            _reference_parse_coco(text)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[" * 100_000 + "]" * 100_000, "recursion depth"),
+            ('{"images": [], "annotations": [], "categories": [{"id": 1' + "0" * 5000
+             + ', "name": "a"}]}', "4300 digits"),
+        ],
+        ids=["nested-past-the-recursion-limit", "integer-of-5001-digits"],
+    )
+    def test_decoder_refusal_is_a_parse_error(self, text, named):
+        with pytest.raises(ParseError, match=f"^malformed annotation document: .*{named}"):
+            parse_coco_annotations(text)
+
+
+class TestCollectorPaused:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: None, None),
+            (lambda d: d.pop("images"), ParseError),
+            (lambda d: d["images"][0].update(width="w"), ValidationError),
+        ],
+        ids=["parsed", "parse-error", "validation-error"],
+    )
+    def test_callers_state_restored(self, coco_text, enabled, edit, error):
+        doc = json.loads(coco_text)
+        edit(doc)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if error is None:
+                parse_coco_annotations(json.dumps(doc))
+            else:
+                with pytest.raises(error):
+                    parse_coco_annotations(json.dumps(doc))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_paused_while_the_document_is_built(self, coco_text, monkeypatch):
+        seen, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or loads(text))
+        assert gc.isenabled()
+        parse_coco_annotations(coco_text)
+        assert seen == [False] and gc.isenabled()
