@@ -67,9 +67,9 @@ class CropBank:
 def build_labeled_bank(labeled: Dataset) -> CropBank:
     """The labeled split's ground-truth crops, a ``(class_id, w, h)`` row per
     truth row, in image order, and an empty pseudo bank's zero counts."""
-    return CropBank(labeled_bank=tuple(
-        (row[0], row[3], row[4]) for img in labeled.images for row in img.truth_rows
-    ), pseudo_counts=np.zeros(labeled.num_classes, dtype=np.int64))
+    _, _, w, h, class_id = labeled.truth_columns[0]
+    crops = zip(class_id.astype(np.intp).tolist(), w.tolist(), h.tolist())
+    return CropBank(labeled_bank=tuple(crops), pseudo_counts=np.zeros(labeled.num_classes, dtype=np.int64))
 
 
 def refresh_pseudo_bank(bank: CropBank, dets: Detections, kept: Sequence[bool]) -> CropBank:

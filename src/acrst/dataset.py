@@ -13,6 +13,7 @@ import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -71,13 +72,12 @@ class ClassCdfs(dict):
     A draw is ``bisect_right(cdf, u) + 1`` for one double ``u``, which picks
     what ``Generator.choice(p=...)`` picks from it. Weights that leave nothing
     to draw fall back to uniform over the classes allowed. A row is built the
-    first time it is looked up, and kept.
+    first time it is looked up, and kept. The weights arrive non-negative:
+    its makers pass class counts and the powers of a skew in (0, 1].
     """
 
     def __init__(self, class_weights: Sequence[float]) -> None:
         self.weights = np.asarray(class_weights, dtype=float)
-        if (self.weights < 0).any():
-            raise ValueError("class_weights must be non-negative")
 
     def __missing__(self, exclude: int) -> list[float]:
         w = self.weights.copy()
@@ -114,8 +114,8 @@ class Dataset:
 
         Counted once, since a dataset never changes, into a read-only array.
         """
-        ids = [row[0] - 1 for img in self.images for row in img.truth_rows]
-        counts = np.bincount(np.array(ids, dtype=np.int64), minlength=self.num_classes)
+        class_ids = self.truth_columns[0][4].astype(np.intp)
+        counts = np.bincount(class_ids - 1, minlength=self.num_classes)
         counts.flags.writeable = False
         return counts
 
@@ -125,24 +125,22 @@ class Dataset:
         return ClassCdfs(self.class_counts)
 
     @cached_property
-    def truth_columns(self) -> tuple[np.ndarray, list[int]]:
+    def truth_columns(self) -> tuple[np.ndarray, list[int], list[int]]:
         """The (x, y, w, h, class) columns of every ground-truth instance, images
-        in order, and each image's count; built once, on first use, read-only."""
-        rows = [(*row[1:], row[0]) for img in self.images for row in img.truth_rows]
-        columns = np.array(rows, dtype=float).reshape(-1, 5).T
+        in order, each image's count of them and where its rows start; the one
+        walk over the ground truth, built once, on first use, read-only."""
+        rows = [row for img in self.images for row in img.truth_rows]
+        flat = np.fromiter(chain.from_iterable(rows), float, 5 * len(rows))
+        columns = flat.reshape(-1, 5).T[[1, 2, 3, 4, 0]]
         columns.flags.writeable = False
-        return columns, [len(img.truth_rows) for img in self.images]
-
-    @cached_property
-    def truth_offsets(self) -> list[int]:
-        """Where each image's rows start in :attr:`truth_columns`; built once, on first use."""
-        return np.cumsum([0, *self.truth_columns[1][:-1]]).tolist()
+        counts = [len(img.truth_rows) for img in self.images]
+        return columns, counts, list(accumulate(counts, initial=0))[:-1]
 
     @cached_property
     def class_presence(self) -> np.ndarray:
         """Whether each image (row, in order) holds each class (column k-1 =
         class k) in its ground truth; built once, on first use, read-only."""
-        columns, counts = self.truth_columns
+        columns, counts = self.truth_columns[:2]
         present = np.zeros((len(self.images), self.num_classes), dtype=bool)
         present[np.repeat(np.arange(len(counts)), counts), columns[4].astype(np.intp) - 1] = True
         present.flags.writeable = False

@@ -23,18 +23,17 @@ RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 
 def _iou(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Class-aware IoU of (x, y, w, h, class) columns ``p`` and ``g``, broadcast.
+    """IoU of (x, y, w, h) columns ``p`` and ``g``, broadcast.
 
     The overlap's width is the lesser right edge ``x + w`` minus the greater
-    left edge, its height likewise. Pairs of different classes are 0, which no
-    threshold in (0, 1] matches.
+    left edge, its height likewise. Classes are not compared here:
+    :func:`evaluate` pairs only same-image, same-class rows.
     """
-    px, py, pw, ph, pc = p
-    gx, gy, gw, gh, gc = g
+    px, py, pw, ph = p
+    gx, gy, gw, gh = g
     iw = np.minimum(px + pw, gx + gw) - np.maximum(px, gx)
     ih = np.minimum(py + ph, gy + gh) - np.maximum(py, gy)
-    overlaps = (iw > 0) & (ih > 0) & (pc == gc)
-    inter = np.where(overlaps, iw * ih, 0.0)
+    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0.0)
     return inter / ((pw * ph + gw * gh) - inter)
 
 
@@ -174,16 +173,16 @@ def evaluate(
     """
     kept = np.asarray(kept, dtype=bool)
     n_images = len(p_count)
-    boxes, scores = preds[:5], preds[5]
+    scores = preds[5]
 
     p_image = np.repeat(np.arange(n_images), p_count)
     g_image = np.repeat(np.arange(n_images), g_count)
     # A same-image, same-class pair shares the key image * span + class offset.
-    classes = np.concatenate((boxes[4], truths[4])).astype(np.int64)
+    classes = np.concatenate((preds[4], truths[4])).astype(np.int64)
     classes -= classes.min(initial=0)
     keys = np.concatenate((p_image, g_image)) * (classes.max(initial=0) + 1) + classes
     pair_p, pair_g = _same_key_pairs(keys[:len(scores)], keys[len(scores):])
-    ious = _iou(boxes.take(pair_p, axis=1), truths.take(pair_g, axis=1))
+    ious = _iou(preds[:4].take(pair_p, axis=1), truths[:4].take(pair_g, axis=1))
 
     candidate = ious >= min(AP_THRESHOLDS[0], match_iou)
     cand_p, cand_g, cand_iou = pair_p[candidate], pair_g[candidate], ious[candidate]

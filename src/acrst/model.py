@@ -197,7 +197,8 @@ def detect(out: Detections, rng: np.random.Generator) -> Callable[[int], None]:
     """A recorder, bound once per pass, whose call ``record(image)`` simulates
     ``out.params``' output on ``out.dataset.images[image]`` from its hidden
     ground truth, appending the image's draws and its number of rows to
-    ``out``, which must not have been read: its columns are computed once.
+    ``out``, which must not have been read, since its columns are computed
+    once; the loop records each pass into a new one.
 
     Each ground-truth row ``(class_id, x, y, w, h)`` of class k is emitted
     with probability recall_skill[k], perturbed by zero-mean noise with
@@ -220,14 +221,12 @@ def detect(out: Detections, rng: np.random.Generator) -> Callable[[int], None]:
     a call each; false positives take ``poisson``, then six doubles each in
     one call. A row draws into fixed buffers and keeps copies of its doubles.
     """
-    if "_draws" in out.__dict__:
-        raise RuntimeError("detect on Detections that were read: record each pass anew")
     params, cdfs, dataset = out.params, out.cdfs, out.dataset
     recall = (0.0, *params.recall_skill)  # by class id
     confuses, fp_rate = params.n_classes > 1, params.fp_rate
     partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
     random, standard_normal, poisson = rng.random, rng.standard_normal, rng.poisson
-    images, offsets = dataset.images, dataset.truth_offsets
+    images, offsets = dataset.images, dataset.truth_columns[2]
     rows, partial, sides, fps, counts = out._rows, out._partial, out._images, out._fps, out.counts
     three, four, box = np.empty(3), np.empty(4), np.empty(4)
 

@@ -288,7 +288,7 @@ def run_epoch(
     # Full-set teacher evaluation; also the pseudo-label source for refresh.
     dets, kept, _ = label_pass(teacher, unlabeled, range(n_unl), rng, config, cdfs)
     pseudo_counts = np.bincount(dets.class_id[kept] - 1, minlength=k)
-    evaluation = evaluate(dets.table, dets.counts, kept, *unlabeled.truth_columns, config.match_iou)
+    evaluation = evaluate(dets.table, dets.counts, kept, *unlabeled.truth_columns[:2], config.match_iou)
     matched = evaluation.matched
     n_kept_total = int(kept.sum())
     n_gt_total = sum(unlabeled.truth_columns[1])

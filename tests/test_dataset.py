@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrst.api import BBox, Instance
+from acrst.cropbank import build_labeled_bank
 from acrst.dataset import (
     MAX_IMAGE_SIDE,
     MIN_BOX_SIDE,
@@ -266,6 +267,32 @@ class TestSplit:
         np.testing.assert_array_equal(
             total, labeled.class_counts + unlabeled.class_counts
         )
+
+
+class TestTruthColumns:
+    def test_one_walk_gives_counts_offsets_and_crops(self, coco_text):
+        doc = json.loads(coco_text)
+        doc["images"] = [{"id": 1, "width": 30, "height": 30}, doc["images"][0],
+                         {"id": 2, "width": 30, "height": 30}, doc["images"][1],
+                         {"id": 3, "width": 30, "height": 30}]
+        integer_sides = Dataset(images=(
+            ImageRecord(id=1, width=100, height=80, truth_rows=((3, 5, 5, 20, 10), (1, 0, 0, 7, 9))),
+            ImageRecord(id=2, width=50, height=50),
+            ImageRecord(id=3, width=64, height=64, truth_rows=((3, 1, 2, 3, 4),)),
+        ), categories=tuple(Category(k, f"c{k}", k) for k in (1, 2, 3)))
+        for ds in (parse_coco_annotations(json.dumps(doc)),
+                   synthetic_dataset(40, 5, seed=6, mean_extra_instances=1.5), integer_sides):
+            rows = [row for img in ds.images for row in img.truth_rows]
+            columns, counts, offsets = ds.truth_columns
+            assert counts == [len(img.truth_rows) for img in ds.images]
+            assert offsets == [sum(counts[:i]) for i in range(len(counts))]
+            for img, first, n in zip(ds.images, offsets, counts):
+                assert columns[:, first:first + n].T.tolist() == [[*r[1:], r[0]] for r in img.truth_rows]
+            assert ds.class_counts.tolist() == [
+                sum(row[0] == k for row in rows) for k in range(1, ds.num_classes + 1)]
+            crops = build_labeled_bank(ds).labeled_bank
+            assert crops == tuple((c, w, h) for c, _, _, w, h in rows)
+            assert all(type(crop[0]) is int for crop in crops)
 
 
 class TestRecordInvariants:

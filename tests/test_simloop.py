@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import logging
@@ -531,6 +532,18 @@ class TestReportSerialization:
     def test_json_keys_sorted(self, report):
         text = report.to_json()
         assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    def test_to_dict_hands_out_copies(self, report):
+        # Each epoch dict and its two loss dicts are copies of the trace's:
+        # editing them reaches neither a later to_dict nor to_json.
+        first, text = report.to_dict(), report.to_json()
+        want = copy.deepcopy(first)
+        epoch = first["epochs"][0]
+        epoch["sup_loss"].clear()
+        epoch["unsup_loss"]["total"] = -1.0
+        epoch.clear()
+        assert report.to_dict() == want
+        assert report.to_json() == text
 
     def test_csv_shape(self, report):
         lines = report.epochs_csv().split("\n")
