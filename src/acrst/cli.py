@@ -81,6 +81,9 @@ def _build_dataset(config: ExperimentConfig) -> Dataset:
 
 def _cli_document(args) -> dict:
     """``--seed``, ``--enable`` and ``--disable`` as a partial config document."""
+    both = sorted(set(args.enable or []) & set(args.disable or []))
+    if both:
+        raise _UsageError(f"toggle '{both[0]}' is named by both --enable and --disable")
     toggles = {**dict.fromkeys(args.enable or [], True), **dict.fromkeys(args.disable or [], False)}
     return {"toggles": toggles} if args.seed is None else {"toggles": toggles, "seed": args.seed}
 

@@ -287,14 +287,15 @@ def student_update(
     rates decay toward their floors by the same signal. The exposure holds one
     count per class, none negative; zero exposure and zero regression targets
     change nothing.
+
+    Every parameter comes back a plain float, the value numpy computes: the
+    recorder :func:`detect` binds tests them once per truth row, and a test
+    against a numpy scalar is slower than one between two floats.
     """
     exposure = np.asarray(batch_class_exposure, dtype=float)
-    total = exposure.sum()
-    share = exposure / max(1.0, total)
-    recall = tuple(
-        min(1.0, s + lr * e * (1.0 - s))
-        for s, e in zip(params.recall_skill, share)
-    )
+    total = float(exposure.sum())
+    share = (exposure / max(1.0, total)).tolist()
+    recall = tuple(min(1.0, s + lr * e * (1.0 - s)) for s, e in zip(params.recall_skill, share))
     reg_signal = batch_reg_targets / max(1.0, total)
     loc = min(1.0, params.loc_skill + lr * reg_signal * (1.0 - params.loc_skill))
     decay = 1.0 - lr * reg_signal

@@ -79,6 +79,19 @@ class TestRun:
             "selective_supervision": True,
         }
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flags", [
+        ["--disable", "fbr", "--enable", "fbr"],
+        ["--enable", "affr", "--disable", "fbr", "--disable", "affr"],
+    ])
+    def test_toggle_enabled_and_disabled_exits_two(self, tmp_path, capsys, command, flags):
+        config = write_config(tmp_path, sweep={"runs": [{"name": "only"}]})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
+        toggle = flags[-1]
+        assert f"toggle '{toggle}' is named by both --enable and --disable" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
         assert "not found" in capsys.readouterr().err

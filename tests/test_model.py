@@ -1,7 +1,7 @@
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acrst.api import BBox, Instance, Prediction
+from acrst.config import ExperimentConfig
 from acrst.dataset import MIN_BOX_SIDE, ClassCdfs, Dataset, ImageRecord
 from acrst.model import (
     CONFUSION_FLOOR,
@@ -23,6 +24,7 @@ from acrst.model import (
     smooth_l1,
     student_update,
 )
+from acrst.simloop import pretrain
 from acrst.synthdata import synthetic_dataset
 
 
@@ -291,6 +293,84 @@ class TestStudentUpdate:
         out = student_update(p, [5, 5], 10, lr=0.3)
         assert out.fp_rate == 0.7
         assert out.confidence_sharpness == 6.0
+
+
+def _numpy_student_update(params, batch_class_exposure, batch_reg_targets, lr):
+    """The update as it was when its values were numpy scalars: ``total`` a
+    numpy sum and ``share`` a numpy array."""
+    exposure = np.asarray(batch_class_exposure, dtype=float)
+    total = exposure.sum()
+    share = exposure / max(1.0, total)
+    recall = tuple(
+        min(1.0, s + lr * e * (1.0 - s))
+        for s, e in zip(params.recall_skill, share)
+    )
+    reg_signal = batch_reg_targets / max(1.0, total)
+    loc = min(1.0, params.loc_skill + lr * reg_signal * (1.0 - params.loc_skill))
+    decay = 1.0 - lr * reg_signal
+    confusion = CONFUSION_FLOOR + max(0.0, params.confusion_rate - CONFUSION_FLOOR) * decay
+    partial = PARTIAL_FLOOR + max(0.0, params.partial_rate - PARTIAL_FLOOR) * decay
+    return DetectorParams(
+        recall_skill=recall,
+        confusion_rate=min(1.0, max(0.0, confusion)),
+        loc_skill=max(0.0, loc),
+        partial_rate=min(1.0, max(0.0, partial)),
+        fp_rate=params.fp_rate,
+        confidence_sharpness=params.confidence_sharpness,
+    )
+
+
+def _field_values(p):
+    """Every parameter value, the recall skills one by one."""
+    values = []
+    for field in fields(p):
+        value = getattr(p, field.name)
+        values.extend(value if field.name == "recall_skill" else (value,))
+    return values
+
+
+def _assert_plain_floats(p):
+    assert [type(v) for v in _field_values(p)] == [float] * (p.n_classes + 5)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+class TestPlainFloatParams:
+    """The update hands the recorder plain floats, bit for bit the values the
+    numpy-scalar update gave."""
+
+    def test_pretrain_update_and_ema_give_floats(self):
+        config = ExperimentConfig(pretrain_epochs=2, epochs=2)
+        labeled = synthetic_dataset(20, 4, seed=3)
+        student = pretrain(config, labeled, np.random.default_rng(0))
+        _assert_plain_floats(student)
+        student = student_update(student, np.array([3, 0, 5, 1], dtype=np.int64), 9, lr=0.1)
+        _assert_plain_floats(student)
+        _assert_plain_floats(ema_update(config.detector.build(4), student, alpha=0.9))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda k: st.tuples(
+            st.lists(_unit, min_size=k, max_size=k),
+            st.lists(st.lists(st.integers(0, 10**6), min_size=k, max_size=k), min_size=1, max_size=4),
+        )),
+        _unit, _unit, _unit,
+        st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(([0.5, 0.5], [[0, 0], [3, 1]]), 0.2, 0.5, 0.2, [0, 2, 0, 0], 0.1)
+    def test_matches_numpy_update(self, skills_and_exposures, confusion, loc, partial, regs, lr):
+        recall, exposures = skills_and_exposures
+        ours = ref = params(recall=tuple(recall), confusion=confusion, loc=loc, partial=partial)
+        # Chained, as the loop chains them: the reference then reads its own
+        # numpy-scalar output.
+        for exposure, n_reg in zip(exposures, regs):
+            exposure = np.array(exposure, dtype=np.int64)
+            ours = student_update(ours, exposure, n_reg, lr)
+            ref = _numpy_student_update(ref, exposure, n_reg, lr)
+            assert _hex_row(_field_values(ours)) == _hex_row(_field_values(ref))
+            _assert_plain_floats(ours)
 
 
 class TestSmoothL1:
