@@ -143,7 +143,7 @@ def _sweep_plan(raw_config: dict) -> tuple[list[dict], list[int] | None]:
         if not isinstance(spec, dict) or "name" not in spec:
             raise _UsageError(f"sweep.runs[{i}] needs a 'name'")
         name = spec["name"]  # names a directory: one path component, unique in the plan
-        if not isinstance(name, str) or name in names | {"", ".", ".."} or {"/", "\\"} & set(name):
+        if not isinstance(name, str) or name in names | {"", ".", ".."} or {"/", "\\", "\0"} & set(name):
             raise _UsageError(f"sweep.runs[{i}].name must be a unique directory name, got {name!r}")
         names.add(name)
         # Other keys and values are checked per run by config_from_dict, as failed rows.
@@ -219,17 +219,6 @@ def _load_report(path: Path) -> dict:
     return report
 
 
-def _write_slices(report: dict, slice_dir: Path, prefix: str) -> None:
-    slice_dir.mkdir(parents=True, exist_ok=True)
-    for metric in _SUMMARY_METRICS:
-        rows = [(row["epoch"], row[metric]) for row in report["epochs"]]
-        name = f"{prefix}{metric}_vs_epoch.csv"
-        with (slice_dir / name).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", metric])
-            writer.writerows(rows)
-
-
 def _print_report_summary(label: str, report: dict) -> None:
     summary = report["summary"]
     final = summary.get("final", {})
@@ -246,20 +235,14 @@ def cmd_report(args) -> int:
     in_dir = Path(getattr(args, "in"))
     if not in_dir.is_dir():
         raise _UsageError(f"input directory not found: {in_dir}")
-    # (label, run directory, slice prefix) for each report to render.
-    if (in_dir / "report.json").is_file():
-        runs, lead = [(in_dir.name, in_dir, "")], ""
-    elif (in_dir / "summary.csv").is_file():
-        subs = sorted(p for p in in_dir.iterdir() if (p / "report.json").is_file())
-        runs = [(sub.name, sub, f"{sub.name}__") for sub in subs]
-        lead = f"aggregated {len(runs)} runs; "
-    else:
+    sweep = not (in_dir / "report.json").is_file()
+    if sweep and not (in_dir / "summary.csv").is_file():
         raise _UsageError(f"{in_dir} holds neither report.json nor summary.csv")
-    for label, run_dir, prefix in runs:
-        report = _load_report(run_dir / "report.json")
-        _print_report_summary(label, report)
-        _write_slices(report, in_dir / "slices", prefix)
-    print(f"{lead}slices written to {in_dir / 'slices'}")
+    run_dirs = sorted(p for p in in_dir.iterdir() if (p / "report.json").is_file()) if sweep else [in_dir]
+    for run_dir in run_dirs:
+        _print_report_summary(run_dir.name, _load_report(run_dir / "report.json"))
+    if sweep:
+        print(f"aggregated {len(run_dirs)} runs")
     return 0
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -78,14 +77,6 @@ class EpochTrace:
     mu: tuple[float, ...]
     class_exposure: tuple[int, ...]
     pasted_counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name in (
-            "total_loss", "fg_ratio", "kld", "pseudo_acc",
-            "pseudo_rec", "box_miou", "ap50", "ap5095",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"trace field {name} is not finite")
 
 
 @dataclass(frozen=True)

@@ -578,6 +578,8 @@ class TestSweep:
             ([{"name": ".."}], "sweep.runs[0].name"),
             ([{"name": ""}], "sweep.runs[0].name"),
             ([{"name": 5}], "sweep.runs[0].name"),
+            # A NUL ran the whole experiment, then failed at mkdir as a failed row.
+            ([{"name": "ok"}, {"name": "a\0b"}], "sweep.runs[1].name"),
         ],
     )
     def test_run_name_that_is_not_a_unique_path_component_exits_two(
@@ -677,29 +679,40 @@ class TestReport:
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         return out
 
-    def test_single_run_slices(self, tmp_path, capsys):
+    @staticmethod
+    def tree(root: Path) -> dict:
+        """Every path under ``root`` with its bytes, None for a directory."""
+        return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+    def test_single_run_prints_and_writes_nothing(self, tmp_path, capsys):
         out = self.run_once(tmp_path)
+        before = self.tree(out)
         capsys.readouterr()
         assert main(["report", "--in", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert "ap5095=" in stdout
-        for metric in METRICS:
-            slice_path = out / "slices" / f"{metric}_vs_epoch.csv"
-            assert slice_path.is_file()
-            lines = slice_path.read_text().strip().split("\n")
-            assert lines[0] == f"epoch,{metric}"
-            assert len(lines) == 1 + 2  # two mutual epochs
+        assert "ap5095=" in capsys.readouterr().out
+        assert self.tree(out) == before
 
-    def test_sweep_aggregation(self, tmp_path, capsys):
+    def test_sweep_prints_and_writes_nothing(self, tmp_path, capsys):
         config = write_config(tmp_path, sweep={"runs": [{"name": "a"}, {"name": "b"}], "seeds": [1]})
         out = tmp_path / "sweep"
-        main(["sweep", "--config", str(config), "--out", str(out)])
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        before = self.tree(out)
         capsys.readouterr()
         assert main(["report", "--in", str(out)]) == 0
         stdout = capsys.readouterr().out
+        assert stdout.count("ap5095=") == 2
         assert "aggregated 2 runs" in stdout
-        assert (out / "slices" / "a__seed1__ap50_vs_epoch.csv").is_file()
-        assert (out / "slices" / "b__seed1__kld_vs_epoch.csv").is_file()
+        assert self.tree(out) == before
+
+    def test_run_directory_holding_a_file_named_slices_exits_zero(self, tmp_path, capsys):
+        # report once wrote a slices/ directory here and exited 1 on the file.
+        out = self.run_once(tmp_path)
+        (out / "slices").write_text("not a directory\n", encoding="utf-8")
+        before = self.tree(out)
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 0
+        assert "ap5095=" in capsys.readouterr().out
+        assert self.tree(out) == before
 
     def test_missing_directory_exits_two(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "void")]) == 2

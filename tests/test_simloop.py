@@ -14,12 +14,11 @@ from acrst.config import ConfigError, DetectorConfig, ExperimentConfig
 from acrst.cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank
 from acrst.dataset import Category, Dataset, ImageRecord, parse_coco_annotations, split_standard
 from acrst.filtering import FilterConfig, OracleNoise
-from acrst.model import LossBreakdown, ema_update
+from acrst.model import ema_update
 from acrst.rebalance import PasteConfig, SamplingDistribution, affr_distribution
 from acrst.seeding import derive_seed, substream
 from acrst.simloop import (
     EPOCH_CSV_COLUMNS,
-    EpochTrace,
     LoopState,
     pretrain,
     run_epoch,
@@ -568,27 +567,3 @@ class TestReportSerialization:
         assert len(report.categories) == len(corpus.categories)
         assert report.categories[0]["name"] == corpus.categories[0].name
 
-
-class TestTraceValidation:
-    def test_rejects_non_finite(self):
-        zero = LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            EpochTrace(
-                epoch=0,
-                sup_loss=zero,
-                unsup_loss=zero,
-                total_loss=float("nan"),
-                fg_ratio=0.1,
-                kld=0.0,
-                pseudo_acc=1.0,
-                pseudo_rec=1.0,
-                box_miou=0.5,
-                ap50=0.5,
-                ap5095=0.3,
-                n_pseudo=0,
-                n_u=0,
-                pr=(0.0,),
-                mu=(1.0,),
-                class_exposure=(0,),
-                pasted_counts=(0,),
-            )
