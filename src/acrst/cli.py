@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import sys
@@ -238,8 +239,13 @@ def cmd_report(args) -> int:
     sweep = not (in_dir / "report.json").is_file()
     if sweep and not (in_dir / "summary.csv").is_file():
         raise _UsageError(f"{in_dir} holds neither report.json nor summary.csv")
-    run_dirs = sorted(p for p in in_dir.iterdir() if (p / "report.json").is_file()) if sweep else [in_dir]
+    run_dirs = [in_dir]
+    if sweep:  # the ok runs summary.csv lists, in its order; not an earlier sweep's left there
+        rows = csv.DictReader(io.StringIO(_read_text(in_dir / "summary.csv", "summary")))
+        run_dirs = [in_dir / f"{r.get('run')}__seed{r.get('seed')}" for r in rows if r.get("status") == "ok"]
     for run_dir in run_dirs:
+        if not run_dir.is_dir():
+            raise _UsageError(f"run directory {run_dir} listed in summary.csv is missing")
         _print_report_summary(run_dir.name, _load_report(run_dir / "report.json"))
     if sweep:
         print(f"aggregated {len(run_dirs)} runs")

@@ -6,70 +6,67 @@ refreshes it; the loop alone owns that schedule, and each refresh counts the
 new pseudo bank's classes once. Sampling is two-level: first a class from a
 sampling distribution, then a uniform entry of that class from the union of
 both banks; :meth:`CropBank.class_table` builds both levels' tables and
-:func:`~acrst.rebalance.draw_pastes` draws by them. A crop is the class and
-size that pasting reads: a ``(class_id, w, h)`` row in the labeled bank and
-the pools, an entry of two columns in the pseudo bank.
+:func:`~acrst.rebalance.place_pastes` draws by them. A crop is the class and
+size that pasting reads, kept as columns in both banks and the class table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import Dataset
 from .model import Detections
-from .rebalance import Crop
+from .rebalance import ClassTable
 
 
 @dataclass(frozen=True, eq=False)
 class CropBank:
-    """Immutable snapshot of both banks, labeled crop rows and pseudo crop
-    columns, and the pseudo bank's count per class (index k-1 = class k)."""
+    """Immutable snapshot of both banks, each a class id column and a (w, h)
+    column pair, and the pseudo bank's count per class (index k-1 = class k)."""
 
-    labeled_bank: tuple[Crop, ...]
+    labeled_class_ids: np.ndarray
+    labeled_sizes: np.ndarray
     pseudo_class_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     pseudo_sizes: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))
     pseudo_counts: Sequence[int] = ()
 
     @property
     def n_labeled(self) -> int:
-        return len(self.labeled_bank)
+        return len(self.labeled_class_ids)
 
     @property
     def n_pseudo(self) -> int:
         return len(self.pseudo_class_ids)
 
-    def class_table(self, mu: tuple[float, ...]) -> tuple[tuple, list[float]]:
-        """Crop pools of the classes with stored crops, and their class CDF,
-        which :func:`~acrst.rebalance.draw_pastes` draws crops by.
-
-        A class's pool holds its labeled rows, then its pseudo rows, built
-        here alone, once per epoch that pastes. The CDF, a list, is the one
-        ``Generator.choice`` builds from the weights renormalized over the
-        classes with crops. The loop calls this only when the labeled bank
-        holds a crop of a class in 1..k, and every such class has positive
-        weight in ``mu``.
-        """
-        groups: dict[int, list[Crop]] = {}
-        pseudo_bank = zip(self.pseudo_class_ids.tolist(), *self.pseudo_sizes.tolist())
-        for crop in chain(self.labeled_bank, pseudo_bank):
-            groups.setdefault(crop[0], []).append(crop)
-        available = [k for k in range(1, len(mu) + 1) if k in groups]
-        weights = np.asarray(mu, dtype=float)[np.array(available) - 1]
+    def class_table(self, mu: tuple[float, ...]) -> ClassTable:
+        """The :class:`~acrst.rebalance.ClassTable` of the classes in 1..k with
+        crops, by a stable sort of both banks' columns once per pasting epoch: a
+        pool holds its labeled crops, then its pseudo crops; the CDF is the one
+        ``Generator.choice`` builds from their weights in ``mu``, renormalized.
+        The loop calls this only when the labeled bank holds such a crop."""
+        class_id = np.concatenate((self.labeled_class_ids, self.pseudo_class_ids))
+        order = np.argsort(class_id, kind="stable")
+        class_id = class_id[order]
+        edges = np.searchsorted(class_id, np.arange(1, len(mu) + 2))
+        lengths = np.diff(edges)
+        available = lengths > 0
+        weights = np.asarray(mu, dtype=float)[available]
         cdf = np.cumsum(weights / weights.sum())
         cdf /= cdf[-1]
-        return tuple(groups[k] for k in available), cdf.tolist()
+        sizes = np.concatenate((self.labeled_sizes, self.pseudo_sizes), axis=1)[:, order[:edges[-1]]]
+        return ClassTable(class_id[:edges[-1]], sizes, edges[:-1][available], lengths[available],
+                          cdf, sizes[:, edges[0]:].max(axis=1, keepdims=True))
 
 
 def build_labeled_bank(labeled: Dataset) -> CropBank:
-    """The labeled split's ground-truth crops, a ``(class_id, w, h)`` row per
-    truth row, in image order, and an empty pseudo bank's zero counts."""
-    _, _, w, h, class_id = labeled.truth_columns[0]
-    crops = zip(class_id.astype(np.intp).tolist(), w.tolist(), h.tolist())
-    return CropBank(labeled_bank=tuple(crops), pseudo_counts=np.zeros(labeled.num_classes, dtype=np.int64))
+    """The labeled split's ground-truth crops, class and (w, h) columns of its
+    truth rows in image order, and an empty pseudo bank's zero counts."""
+    columns = labeled.truth_columns[0]
+    return CropBank(columns[4].astype(np.intp), columns[2:4],
+                    pseudo_counts=np.zeros(labeled.num_classes, dtype=np.int64))
 
 
 def refresh_pseudo_bank(bank: CropBank, dets: Detections, kept: Sequence[bool]) -> CropBank:
@@ -77,4 +74,4 @@ def refresh_pseudo_bank(bank: CropBank, dets: Detections, kept: Sequence[bool]) 
     columns of the rows of ``dets`` that ``kept`` marks, and their count per class."""
     class_ids = dets.class_id[kept]
     counts = np.bincount(class_ids - 1, minlength=len(bank.pseudo_counts))
-    return CropBank(bank.labeled_bank, class_ids, dets.boxes[2:, kept], counts)
+    return CropBank(bank.labeled_class_ids, bank.labeled_sizes, class_ids, dets.boxes[2:, kept], counts)

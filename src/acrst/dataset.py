@@ -137,6 +137,11 @@ class Dataset:
         return columns, counts, list(accumulate(counts, initial=0))[:-1]
 
     @cached_property
+    def image_sizes(self) -> np.ndarray:
+        """Each image's (width, height) columns, in order; built once, on first use."""
+        return np.array([(img.width, img.height) for img in self.images], dtype=float).reshape(-1, 2).T
+
+    @cached_property
     def class_presence(self) -> np.ndarray:
         """Whether each image (row, in order) holds each class (column k-1 =
         class k) in its ground truth; built once, on first use, read-only."""

@@ -1,9 +1,9 @@
 """Foreground-background and foreground-foreground rebalancing.
 
 Two mechanisms act on training images. Crop-and-paste mixing raises the
-foreground share of training targets: per image, `draw_pastes` draws the
-crops and their placements; per pass, `survivor_mask` drops the base boxes
-they occlude by visible fraction. An adaptive class sampling distribution
+foreground share of training targets: per pass, `place_pastes` picks the
+crops and places them from each image's doubles, and `survivor_mask` drops
+the base boxes they occlude by visible fraction. An adaptive class sampling distribution
 decides which classes get pasted: classes whose pseudo-label recall is low
 receive high sampling weight (`pseudo_recall`, `affr_distribution`).
 Geometry is handled in annotation space only.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +38,6 @@ _FULL_OCCLUSION_EPS = 1e-12
 _UNION_BOUND_MARGIN = 1e-9
 
 _Edges = tuple[float, float, float, float]
-# A crop as the bank stores it: (class_id, w, h).
-Crop = tuple[int, float, float]
 
 
 @dataclass(frozen=True)
@@ -83,13 +82,31 @@ class SamplingDistribution:
 
 @dataclass(frozen=True)
 class PasteConfig:
-    """Crop-and-paste settings for `draw_pastes` plus the sampling exponent."""
+    """Crop-and-paste settings for `place_pastes` plus the sampling exponent."""
 
     crops_per_image: int = 2
     rescale_min: float = 0.5
     rescale_max: float = 1.0
     occlusion_threshold: float = 0.0
     beta: float = 2.0
+
+
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """An epoch's crops by class (:meth:`CropBank.class_table`): class and (w, h)
+    columns, each pool's start and length, the pools' CDF and the largest (w, h)."""
+
+    class_id: np.ndarray
+    sizes: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    cdf: np.ndarray
+    largest: np.ndarray
+
+    @cached_property
+    def lists(self) -> tuple[list, ...]:
+        """CDF, starts, lengths, w and h as lists, for :func:`placement_draws`."""
+        return self.cdf.tolist(), self.starts.tolist(), self.lengths.tolist(), *self.sizes.tolist()
 
 
 def pseudo_recall(stats: ClassStats) -> np.ndarray:
@@ -186,7 +203,7 @@ def survivor_mask(
     boxes: np.ndarray, image: np.ndarray, pastes: np.ndarray, occlusion_threshold: float
 ) -> np.ndarray:
     """Per row of ``boxes`` ((x, y, w, h) columns) on image ``image``, whether
-    the pasted boxes of that image, in :func:`draw_pastes`' columns with
+    the pasted boxes of that image, in :func:`place_pastes`' columns with
     images ascending, leave it neither fully occluded nor less than the
     threshold visible. A row that no pasted box overlaps survives, as does one
     whose overlaps' summed areas leave ``_UNION_BOUND_MARGIN`` more than the
@@ -216,72 +233,63 @@ def survivor_mask(
     return alive
 
 
-def draw_pastes(
-    size: tuple[float, float],
-    pools: Sequence[Sequence[Crop]],
-    cdf: list[float],
-    rng: np.random.Generator,
-    config: PasteConfig,
-    image: int,
-    out: list,
-) -> None:
-    """Draw ``config.crops_per_image`` crops and paste each at a uniform
-    random in-bounds position onto image ``image`` of ``size`` (width,
-    height), appending its paste columns (class, image, x1, y1, x2, y2) to
-    ``out``.
-
-    A crop's class is drawn by ``cdf`` over the class ``pools``, as
-    :meth:`CropBank.class_table` gives them, then its entry uniformly within
-    the class's pool. A crop that fits is pasted at its own size. One that
-    does not is rescaled so its longer side becomes a uniform random fraction
-    (config range) of the destination's shorter side; if it still cannot fit
-    even at the minimum rescale it is skipped with a warning. Which of the
-    image's own boxes the pasted ones leave is :func:`survivor_mask`'s to say.
-    """
-    n = config.crops_per_image
-    width, height = size
-    lo, hi = config.rescale_min, config.rescale_max
-    # n class draws, then n entry draws, from one call.
-    u = rng.random(2 * n).tolist()
-    # A crop's placement draws follow from its geometry: a position (2
-    # doubles) when it fits, a rescale factor and a position (3) when it fits
-    # once rescaled, a rescale factor alone (1) when it is skipped. Since a
-    # larger factor never fits where the minimum does not, the image's doubles
-    # come from one call.
-    plans: list[tuple[int, float, float, bool, float | None]] = []
-    n_draws = 0
+def placement_draws(u: list[float], width: float, height: float, table: ClassTable,
+                    config: PasteConfig) -> int:
+    """How many placement doubles the crops that class and entry doubles ``u``
+    pick take on a ``width`` x ``height`` image: a position (2) if a crop fits,
+    a rescale factor and a position (3) if it fits at the minimum rescale (a
+    larger factor never fits where the minimum does not), a factor (1) if not."""
+    (cdf, starts, lengths, ws, hs), n, total = table.lists, len(u) // 2, 0
     for a, b in zip(u[:n], u[n:]):
-        pool = pools[bisect_right(cdf, a)]
-        class_id, w, h = pool[int(b * len(pool))]
-        if w > width or h > height:
-            # Rescaled: the minimum rescale, or None when even that overflows.
-            min_scale = lo * min(width, height) / max(w, h)
-            if w * min_scale > width or h * min_scale > height:
-                plans.append((class_id, w, h, True, None))
-                n_draws += 1
-            else:
-                plans.append((class_id, w, h, True, min_scale))
-                n_draws += 3
+        pool = bisect_right(cdf, a)
+        at = starts[pool] + int(b * lengths[pool])
+        w, h = ws[at], hs[at]
+        if w <= width and h <= height:
+            total += 2
         else:
-            plans.append((class_id, w, h, False, None))
-            n_draws += 2
-    # Generator.uniform(lo, hi) is lo + (hi - lo) * u for one double u.
-    v = iter(rng.random(n_draws).tolist())
-    for class_id, w, h, rescaled, min_scale in plans:
-        scale = 1.0
-        if rescaled:
-            factor = lo + (hi - lo) * next(v)
-            if min_scale is None:
-                log.warning(
-                    "crop %.0fx%.0f of class %s does not fit %sx%s even at "
-                    "minimum rescale; skipped",
-                    w, h, class_id, width, height,
-                )
-                continue
-            scale = factor * min(width, height) / max(w, h)
-            if w * scale > width or h * scale > height:
-                scale = min_scale
-        pw, ph = w * scale, h * scale
-        x = 0.0 + (width - pw) * next(v)
-        y = 0.0 + (height - ph) * next(v)
-        out += (class_id, image, x, y, x + pw, y + ph)
+            min_scale = config.rescale_min * min(width, height) / max(w, h)
+            total += 1 if w * min_scale > width or h * min_scale > height else 3
+    return total
+
+
+def place_pastes(draws: np.ndarray, sizes: np.ndarray, table: ClassTable,
+                 config: PasteConfig) -> np.ndarray:
+    """The paste columns (class, image, x1, y1, x2, y2) of a pass's images, in
+    order, from row j of ``draws``, image j's doubles: a class double per crop,
+    an entry double per crop, then :func:`placement_draws`' many; ``sizes`` its
+    (width, height) in column j. A crop's class is drawn by the table's CDF,
+    then its entry uniformly within the class's pool. A crop that fits is
+    pasted at its own size. One that does not is rescaled so its longer side
+    becomes a uniform random fraction (config range) of the image's shorter
+    side, or skipped with a warning if even the minimum rescale overflows."""
+    n, lo, hi = config.crops_per_image, config.rescale_min, config.rescale_max
+    image = np.repeat(np.arange(len(draws)), n)
+    pool = np.searchsorted(table.cdf, draws[:, :n].ravel(), side="right")
+    entry = table.starts[pool] + (draws[:, n:2 * n].ravel() * table.lengths[pool]).astype(np.intp)
+    class_id, (pw, ph), (width, height) = table.class_id[entry], table.sizes[:, entry], sizes[:, image]
+    # Each crop's x double; its y double follows.
+    at = np.arange(len(image)) % n * 2 + 2 * n
+    out = np.flatnonzero((pw > width) | (ph > height))
+    if len(out):
+        w, h, W, H = pw[out], ph[out], width[out], height[out]
+        short, long = np.minimum(W, H), np.maximum(w, h)
+        with np.errstate(over="ignore"):  # huge rescale bounds overflow to inf, as in floats
+            min_scale = lo * short / long
+            skip = (w * min_scale > W) | (h * min_scale > H)
+            count = np.full((len(draws), n), 2)
+            count.flat[out] = np.where(skip, 1, 3)
+            at = (2 * n + np.cumsum(count, axis=1) - count).ravel()
+            # Generator.uniform(lo, hi) is lo + (hi - lo) * u for one double u.
+            scale = (lo + (hi - lo) * draws[image[out], at[out]]) * short / long
+            scale = np.where((w * scale > W) | (h * scale > H), min_scale, scale)
+            pw[out], ph[out] = w * scale, h * scale
+        for cw, ch, c, cW, cH in zip(*(v[skip].tolist() for v in (w, h, class_id[out], W, H))):
+            log.warning("crop %.0fx%.0f of class %s does not fit %sx%s even at minimum rescale; "
+                        "skipped", cw, ch, c, cW, cH)
+        at[out] += 1
+        keep = count.ravel() != 1
+        class_id, image, width, height, pw, ph, at = (
+            v[keep] for v in (class_id, image, width, height, pw, ph, at))
+    x = 0.0 + (width - pw) * draws[image, at]
+    y = 0.0 + (height - ph) * draws[image, at + 1]
+    return np.array((class_id, image, x, y, x + pw, y + ph), dtype=float)

@@ -35,8 +35,8 @@ from .model import (
     ema_update,
     student_update,
 )
-from .rebalance import ClassStats, SamplingDistribution, affr_distribution, draw_pastes
-from .rebalance import pseudo_recall, survivor_mask
+from .rebalance import ClassStats, ClassTable, SamplingDistribution, affr_distribution
+from .rebalance import place_pastes, placement_draws, pseudo_recall, survivor_mask
 from .seeding import derive_seed, substream
 
 EPOCH_CSV_COLUMNS = (
@@ -169,41 +169,51 @@ def label_pass(
     rng: np.random.Generator,
     config: ExperimentConfig,
     cdfs: ClassCdfs,
-    paste: tuple[tuple, list[float]] | None = None,
+    paste: ClassTable | None = None,
 ) -> tuple[Detections, np.ndarray, np.ndarray]:
     """Pseudo-label ``dataset.images[i]`` for each ``i`` of ``indices``, in order.
 
-    Per image the pass only draws: the teacher's detections (by ``cdfs``,
-    into one recorder that :func:`detect` binds), in a two-stage filter mode
-    the oracle's two doubles per class, and, given ``paste`` (a
-    :meth:`CropBank.class_table`), the image's crops and their placements.
-    Array passes then compute every detection's class and score (its box only
-    when read), and set each row's oracle activation, against
-    :attr:`Dataset.class_presence` with the filter's ``tau_ml`` as the low
-    band's edge, and its keep bit. With the ``two_stage`` toggle off,
-    filtering is by score alone. Returns the detections, the keep bits and
-    the (6, pastes) array of :func:`draw_pastes`' columns, image being the
-    position in ``indices``.
-    """
+    Per image the pass only draws: the teacher's detections (by ``cdfs``, into
+    one recorder that :func:`detect` binds), then in one call into its row of
+    one array, in a two-stage filter mode the oracle's two doubles per class
+    and, given ``paste`` (a :meth:`CropBank.class_table`), its crops' doubles;
+    an image that a crop of the table outsizes draws its :func:`placement_draws`
+    in a second call. Array passes then compute every detection's class and
+    score (its box only when read), oracle activation (against
+    :attr:`Dataset.class_presence`, the filter's ``tau_ml`` the low band's
+    edge) and keep bit, by score alone with ``two_stage`` off, and the pastes.
+    Returns the detections, the keep bits and :func:`place_pastes`' columns."""
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     two_stage = fcfg.mode != "one_stage"
-    dets, pastes = Detections(dataset, teacher, cdfs), []
+    k2 = 2 * dataset.num_classes if two_stage else 0
+    n = config.paste.crops_per_image if paste else 0
+    dets = Detections(dataset, teacher, cdfs)
     record = detect(dets, rng)
-    draws = np.empty((len(indices), dataset.num_classes, 2)) if two_stage else None
+    # Oracle doubles, class and entry doubles, then up to 3 placement doubles a crop.
+    draws = np.zeros((len(indices), k2 + 5 * n))
+    rows, head = draws[:, :k2 + 4 * n], k2 + 2 * n
+    fits = [True] * len(indices)
+    if paste:
+        sizes = dataset.image_sizes[:, indices]
+        fits = (sizes >= paste.largest).all(axis=0).tolist()
     for j, i in enumerate(indices):
         record(i)
-        if two_stage:
-            rng.random(out=draws[j])
-        if paste:
-            img = dataset.images[i]
-            draw_pastes((img.width, img.height), *paste, rng, config.paste, j, pastes)
+        if not head:
+            continue
+        if fits[j]:
+            rng.random(out=rows[j])
+        else:
+            rng.random(out=draws[j, :head])
+            m = placement_draws(draws[j, k2:head].tolist(), *sizes[:, j].tolist(), paste, config.paste)
+            rng.random(out=draws[j, head:head + m])
+    pastes = place_pastes(draws[:, k2:], sizes, paste, config.paste) if paste else np.zeros((6, 0))
     activations = None
     if two_stage:
         image = np.repeat(np.arange(len(indices)), dets.counts)
         cls = dets.class_id - 1
         present = dataset.class_presence[np.asarray(indices, dtype=np.intp)[image], cls]
-        activations = oracle_activations(draws[image, cls], present, config.oracle, fcfg.tau_ml)
-    pastes = np.array(pastes, dtype=float).reshape(-1, 6).T
+        oracle = draws[:, :k2].reshape(len(indices), dataset.num_classes, 2)[image, cls]
+        activations = oracle_activations(oracle, present, config.oracle, fcfg.tau_ml)
     return dets, keep_mask(dets.score, activations, fcfg), pastes
 
 

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -703,6 +704,39 @@ class TestReport:
         assert stdout.count("ap5095=") == 2
         assert "aggregated 2 runs" in stdout
         assert self.tree(out) == before
+
+    def test_sweep_reads_the_runs_its_summary_lists(self, tmp_path, capsys):
+        # A second sweep into the same directory leaves the first one's run
+        # directories; report reads only the runs the new summary.csv lists.
+        out = tmp_path / "sweep"
+        first = write_config(tmp_path, sweep={"runs": [{"name": "a"}, {"name": "b"}], "seeds": [1]})
+        second = write_config(tmp_path, "second.json", sweep={"runs": [{"name": "c"}], "seeds": [1]})
+        assert main(["sweep", "--config", str(first), "--out", str(out)]) == 0
+        assert main(["sweep", "--config", str(second), "--out", str(out)]) == 0
+        assert (out / "a__seed1" / "report.json").is_file()
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == ["c__seed1"]
+        assert lines[-1] == "aggregated 1 runs"
+
+    def test_sweep_prints_its_runs_in_summary_order(self, tmp_path, capsys):
+        config = write_config(tmp_path, sweep={"runs": [{"name": "z"}, {"name": "a"}], "seeds": [2, 1]})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 0
+        labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert labels == ["z__seed2", "z__seed1", "a__seed2", "a__seed1"]
+
+    def test_missing_listed_run_directory_exits_two(self, tmp_path, capsys):
+        config = write_config(tmp_path, sweep={"runs": [{"name": "a"}, {"name": "b"}], "seeds": [1]})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        shutil.rmtree(out / "b__seed1")
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 2
+        assert str(out / "b__seed1") in capsys.readouterr().err
 
     def test_run_directory_holding_a_file_named_slices_exits_zero(self, tmp_path, capsys):
         # report once wrote a slices/ directory here and exited 1 on the file.

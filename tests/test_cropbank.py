@@ -8,7 +8,7 @@ from acrst.api import BBox, CropEntry, Instance
 from acrst.cropbank import CropBank, build_labeled_bank, refresh_pseudo_bank
 from acrst.dataset import ClassCdfs, Dataset, ImageRecord, parse_coco_annotations
 from acrst.model import Detections, DetectorParams, detect
-from acrst.rebalance import PasteConfig, SamplingDistribution, draw_pastes
+from acrst.rebalance import PasteConfig, SamplingDistribution, place_pastes
 from acrst.synthdata import synthetic_dataset
 
 
@@ -33,11 +33,17 @@ def rows(instances):
 
 
 def crop_bank(labeled, pseudo_instances=()):
-    """A bank of the crop rows of ``labeled`` and the crop columns of
-    ``pseudo_instances``."""
-    columns = np.array(rows(pseudo_instances), dtype=float).reshape(-1, 3).T
-    return CropBank(labeled_bank=rows(labeled), pseudo_class_ids=columns[0].astype(np.intp),
-                    pseudo_sizes=columns[1:])
+    """A bank of the crop columns of ``labeled`` and of ``pseudo_instances``."""
+    (lab, lab_sizes), (ids, sizes) = (
+        (c[0].astype(np.intp), c[1:])
+        for c in (np.array(rows(i), dtype=float).reshape(-1, 3).T for i in (labeled, pseudo_instances))
+    )
+    return CropBank(lab, lab_sizes, ids, sizes)
+
+
+def labeled_rows(bank):
+    """The (class, w, h) rows of ``bank``'s labeled crops, in order."""
+    return tuple(zip(bank.labeled_class_ids.tolist(), *bank.labeled_sizes.tolist()))
 
 
 def pseudo_rows(bank):
@@ -50,12 +56,15 @@ SIDE = 1000.0
 
 
 def paste_columns(bank, distribution, n, rng):
-    """:func:`draw_pastes`' paste columns, flat, for ``n`` crops drawn from
-    ``bank`` by ``distribution`` onto a SIDE x SIDE image."""
-    pools, cdf = bank.class_table(distribution.mu)
-    out = []
-    draw_pastes((SIDE, SIDE), pools, cdf, rng, PasteConfig(crops_per_image=n), 0, out)
-    return out
+    """:func:`place_pastes`' paste columns, flat, for ``n`` crops drawn from
+    ``bank`` by ``distribution`` onto a SIDE x SIDE image. Every crop fits, so
+    the image's class, entry and position doubles come from one call, as the
+    loop draws them."""
+    draws = np.zeros((1, 5 * n))
+    rng.random(out=draws[0, :4 * n])
+    table = bank.class_table(distribution.mu)
+    return place_pastes(draws, np.array([[SIDE], [SIDE]]), table,
+                        PasteConfig(crops_per_image=n)).T.ravel().tolist()
 
 
 def pasted_crops(bank, distribution, n, rng):
@@ -63,7 +72,7 @@ def pasted_crops(bank, distribution, n, rng):
     rounded back from the pasted box's integer-sided edges."""
     flat = paste_columns(bank, distribution, n, rng)
     return [
-        (c, round(x2 - x1), round(y2 - y1))
+        (int(c), round(x2 - x1), round(y2 - y1))
         for c, _, x1, y1, x2, y2 in zip(*[iter(flat)] * 6)
     ]
 
@@ -89,7 +98,7 @@ class TestBuild:
         assert bank.n_labeled == 3
         assert bank.n_pseudo == 0
         # One row per ground-truth instance of the split, in image order.
-        assert bank.labeled_bank == tuple(
+        assert labeled_rows(bank) == tuple(
             (c, w, h) for img in ds.images for c, _, _, w, h in img.truth_rows
         )
 
@@ -97,12 +106,12 @@ class TestBuild:
         ds = parse_coco_annotations(coco_text)
         bank = build_labeled_bank(ds)
         # Category 7 is class 1; the crop keeps the box's size and nothing else.
-        assert bank.labeled_bank[0] == (1, 20, 10)
+        assert labeled_rows(bank)[0] == (1, 20, 10)
 
 
 class TestRefresh:
     def setup_method(self):
-        self.bank = CropBank(labeled_bank=rows([entry(1), entry(2)]))
+        self.bank = crop_bank([entry(1), entry(2)])
         # Image 5 has two detections, image 6 three, image 7 none: a detector
         # without noise, misses, confusion or false positives emits its truth rows.
         exact = DetectorParams(
@@ -124,7 +133,8 @@ class TestRefresh:
         bank = refresh_pseudo_bank(self.bank, self.dets, self.kept)
         assert bank.n_pseudo == 3
         assert bank is not self.bank
-        assert bank.labeled_bank is self.bank.labeled_bank
+        assert bank.labeled_class_ids is self.bank.labeled_class_ids
+        assert bank.labeled_sizes is self.bank.labeled_sizes
         # The kept rows' class and size, in order.
         assert pseudo_rows(bank) == ((1, 4.0, 4.0), (2, 5.0, 5.0), (1, 3.0, 3.0))
         again = refresh_pseudo_bank(bank, self.dets, [False] * 5)
@@ -181,10 +191,15 @@ class TestClassTableFromColumns:
         labeled = build_labeled_bank(ds)
         bank = refresh_pseudo_bank(labeled, dets, kept)
         mu = SamplingDistribution.normalized(weights[:k]).mu
-        pools, cdf = bank.class_table(mu)
+        table = bank.class_table(mu)
+        pools = tuple(
+            list(zip(table.class_id[a:a + n].tolist(), *table.sizes[:, a:a + n].tolist()))
+            for a, n in zip(table.starts.tolist(), table.lengths.tolist())
+        )
+        cdf = table.cdf.tolist()
         # The reference groups rows read off the detections' (x, y, w, h,
         # class, score) table.
-        crop_rows = [*labeled.labeled_bank, *((int(c), w, h) for (_, _, w, h, c, _), keep in zip(
+        crop_rows = [*labeled_rows(labeled), *((int(c), w, h) for (_, _, w, h, c, _), keep in zip(
             dets.table.T.tolist(), kept) if keep)]
         groups = {}
         for crop in crop_rows:
@@ -193,11 +208,12 @@ class TestClassTableFromColumns:
         assert repr(pools) == repr(tuple(groups[c] for c in available))
         assert bank.n_pseudo == int(kept.sum())
         assert len(cdf) == len(available) and cdf[-1] == 1.0
+        assert table.largest.T.tolist() == [np.array(crop_rows)[:, 1:].max(axis=0).tolist()]
 
 
 class TestSampling:
     def test_one_hot_distribution(self):
-        bank = CropBank(labeled_bank=rows([entry(1), entry(2), entry(2)]))
+        bank = crop_bank([entry(1), entry(2), entry(2)])
         dist = SamplingDistribution(mu=(0.0, 1.0))
         rng = np.random.default_rng(0)
         crops = pasted_crops(bank, dist, 50, rng)
@@ -205,7 +221,7 @@ class TestSampling:
         assert all(c[0] == 2 for c in crops)
 
     def test_renormalizes_over_available_classes(self):
-        bank = CropBank(labeled_bank=rows([entry(1)]))
+        bank = crop_bank([entry(1)])
         dist = SamplingDistribution(mu=(0.1, 0.9))
         crops = pasted_crops(bank, dist, 20, np.random.default_rng(1))
         assert all(c[0] == 1 for c in crops)
@@ -218,14 +234,14 @@ class TestSampling:
         assert widths == {100, 200}
 
     def test_deterministic_for_seed(self):
-        bank = CropBank(labeled_bank=rows([entry(1), entry(2), entry(3)]))
+        bank = crop_bank([entry(1), entry(2), entry(3)])
         dist = SamplingDistribution.uniform(3)
         a = pasted_crops(bank, dist, 100, np.random.default_rng(42))
         b = pasted_crops(bank, dist, 100, np.random.default_rng(42))
         assert a == b
 
     def test_uniform_frequencies_within_two_percent(self):
-        bank = CropBank(labeled_bank=rows([entry(1), entry(2)]))
+        bank = crop_bank([entry(1), entry(2)])
         dist = SamplingDistribution.uniform(2)
         crops = pasted_crops(bank, dist, 100_000, np.random.default_rng(7))
         share = sum(c[0] == 1 for c in crops) / len(crops)
@@ -255,14 +271,14 @@ class TestSampling:
         dist, rng = SamplingDistribution.uniform(2), np.random.default_rng(4)
         crops = [c for _ in range(200) for c in pasted_crops(bank, dist, 4, rng)]
         # Every pasted crop is a row the bank holds, and none became an instance.
-        assert set(crops) <= {*bank.labeled_bank, *pseudo_rows(bank)}
+        assert set(crops) <= {*labeled_rows(bank), *pseudo_rows(bank)}
         assert len(set(crops)) > 30
         assert made == []
         pseudo(1)  # the patched constructor does count an instance
         assert len(made) == 1
 
     def test_within_class_entries_uniform(self):
-        bank = CropBank(labeled_bank=rows(entry(1, w=i) for i in range(1, 5)))
+        bank = crop_bank([entry(1, w=i) for i in range(1, 5)])
         crops = pasted_crops(
             bank, SamplingDistribution.uniform(1), 100_000, np.random.default_rng(5)
         )
@@ -347,7 +363,7 @@ def _bank_and_distributions(draw):
 
 class TestSampleEquivalence:
     """On every bank the loop can build, the row bank's class table, through
-    draw_pastes, draws the crops, in order, that rng.choice drew from the bank
+    place_pastes, draws the crops, in order, that rng.choice drew from the bank
     of instances, from the same doubles."""
 
     @settings(max_examples=300, deadline=None)

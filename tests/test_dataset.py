@@ -290,9 +290,10 @@ class TestTruthColumns:
                 assert columns[:, first:first + n].T.tolist() == [[*r[1:], r[0]] for r in img.truth_rows]
             assert ds.class_counts.tolist() == [
                 sum(row[0] == k for row in rows) for k in range(1, ds.num_classes + 1)]
-            crops = build_labeled_bank(ds).labeled_bank
+            bank = build_labeled_bank(ds)
+            crops = tuple(zip(bank.labeled_class_ids.tolist(), *bank.labeled_sizes.tolist()))
             assert crops == tuple((c, w, h) for c, _, _, w, h in rows)
-            assert all(type(crop[0]) is int for crop in crops)
+            assert bank.labeled_class_ids.dtype == np.intp
 
 
 class TestRecordInvariants:

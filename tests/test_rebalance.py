@@ -1,5 +1,6 @@
 import copy
 import logging
+from bisect import bisect_right
 import math
 import time
 from dataclasses import dataclass, replace
@@ -12,19 +13,26 @@ from hypothesis import strategies as st
 
 from acrst import rebalance
 from acrst.api import BBox, Instance, PastePlacement, merge_annotations, visible_fraction
-from acrst.dataset import MIN_BOX_SIDE, ImageRecord
+from acrst.config import ExperimentConfig
+from acrst.cropbank import CropBank
+from acrst.dataset import MIN_BOX_SIDE, Category, ClassCdfs, Dataset, ImageRecord
+from acrst.filtering import FilterConfig
+from acrst.model import Detections, DetectorParams, detect
 from acrst.rebalance import (
     _FULL_OCCLUSION_EPS,
     LABELED_ABSENT_PR,
     ClassStats,
+    ClassTable,
     PasteConfig,
     SamplingDistribution,
     _visible,
     affr_distribution,
-    draw_pastes,
+    place_pastes,
+    placement_draws,
     pseudo_recall,
     survivor_mask,
 )
+from acrst.simloop import label_pass
 
 
 def crop(class_id, w, h, image_id=1):
@@ -45,27 +53,36 @@ class Mix(NamedTuple):
 
 
 def _forcing_table(rows, rng):
-    """Pools of one crop row each, and a class CDF, under which ``rng``'s next
-    class draws pick ``rows`` in order: the CDF steps midway between the
-    sorted doubles those draws will take."""
+    """A class table of one crop row a pool, under which ``rng``'s next class
+    draws pick ``rows`` in order: the CDF steps midway between the sorted
+    doubles those draws will take."""
     u = copy.deepcopy(rng).random(len(rows)).tolist()
     order = sorted(range(len(rows)), key=u.__getitem__)
     steps = [u[i] for i in order]
     cdf = [(a + b) / 2.0 for a, b in zip(steps, steps[1:])] + [1.0]
-    return tuple((rows[i],) for i in order), cdf
+    class_id, w, h = np.array([rows[i] for i in order], dtype=float).reshape(-1, 3).T
+    sizes = np.stack((w, h))
+    return ClassTable(class_id.astype(np.intp), sizes, np.arange(len(rows)),
+                      np.ones(len(rows), dtype=np.intp), np.array(cdf),
+                      sizes.max(axis=1, initial=0.0, keepdims=True))
 
 
-def paste(size, rows, rng, config, image=0):
-    """draw_pastes of the crop rows ``rows``, in order, onto an image of
-    ``size``: its paste columns as a (6, pastes) array."""
-    out = []
-    pools, cdf = _forcing_table(rows, rng)
-    draw_pastes(size, pools, cdf, rng, replace(config, crops_per_image=len(rows)), image, out)
-    return np.array(out, dtype=float).reshape(-1, 6).T
+# A teacher that draws nothing on an image without ground truth.
+_BLIND = DetectorParams(recall_skill=(1.0,), confusion_rate=0.0, loc_skill=1.0, partial_rate=0.0,
+                        fp_rate=0.0, confidence_sharpness=8.0)
+
+
+def paste(size, rows, rng, config):
+    """label_pass's paste columns, a (6, pastes) array, on one image of
+    ``size`` without ground truth, whose crops are the rows ``rows``, in order."""
+    table = _forcing_table(rows, rng)
+    one_stage = ExperimentConfig(two_stage=False, paste=replace(config, crops_per_image=len(rows)))
+    dataset = Dataset((ImageRecord(1, *size, ()),), ())
+    return label_pass(_BLIND, dataset, [0], rng, one_stage, ClassCdfs([1.0]), table)[2]
 
 
 def mix(record, crops, rng, config):
-    """draw_pastes onto a record, each crop given as an instance, then the
+    """label_pass's pastes onto a record, each crop given as an instance, then the
     record's ground truth that survivor_mask keeps under the pasted boxes, as
     the loop merges them: the pasted classes first, then the surviving base
     classes."""
@@ -305,9 +322,8 @@ class TestFbrMix:
         return ImageRecord(id=1, width=width, height=height, truth_rows=((1, 10, 10, 20, 20),))
 
     def test_returns_the_pasted_columns_alone(self):
-        got = paste((100, 80), [(2, 30, 20), (3, 5, 5)], np.random.default_rng(1), PasteConfig(),
-                    image=7)
-        assert got[0].tolist() == [2, 3] and got[1].tolist() == [7, 7] and got.shape == (6, 2)
+        got = paste((100, 80), [(2, 30, 20), (3, 5, 5)], np.random.default_rng(1), PasteConfig())
+        assert got[0].tolist() == [2, 3] and got[1].tolist() == [0, 0] and got.shape == (6, 2)
         assert paste((100, 80), [], np.random.default_rng(1), PasteConfig()).shape == (6, 0)
 
     def test_no_crops_passes_through(self):
@@ -346,6 +362,18 @@ class TestFbrMix:
             mixed = mix(rec, [crop(2, 100, 100)], np.random.default_rng(0), config)
         assert mixed == Mix(class_ids=[1], placements=[])
         assert any("skipped" in r.message for r in caplog.records)
+
+    def test_class_double_on_a_cdf_step_takes_the_next_class(self):
+        # As bisect_right picked it in the per-crop loop: a class double equal
+        # to a step of the CDF falls in the class after the step.
+        table = ClassTable(np.array([1, 2]), np.array([[1.0, 2.0], [1.0, 2.0]]), np.array([0, 1]),
+                           np.array([1, 1]), np.array([0.25, 1.0]), np.array([[2.0], [2.0]]))
+        config = PasteConfig(crops_per_image=1)
+        got = place_pastes(np.array([[0.25, 0.0, 0.5, 0.5]]), np.array([[10.0], [10.0]]), table,
+                           config)
+        assert got.T.tolist() == [[2.0, 0.0, 4.0, 4.0, 6.0, 6.0]]
+        # Class 2's 2x2 crop needs a rescale on a 1.5x1.5 image; class 1's would fit.
+        assert placement_draws([0.25, 0.0], 1.5, 1.5, table, config) == 3
 
     def test_paste_occlusion_bookkeeping(self):
         # Crops as large as the image force placement at the origin, so the
@@ -499,6 +527,80 @@ def _paste_case(draw):
     return records, config
 
 
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _per_crop_pass(dataset, indices, crop_rows, mu, config, teacher, rng):
+    """Reference paste columns and skip warnings of a pass: per image the
+    detector's draws, in a two-stage mode the oracle's two doubles per class,
+    then the class and entry doubles that pick its crops from pools of
+    instances and :func:`_per_crop_fbr_mix`'s scalar placement draws."""
+    k, n = dataset.num_classes, config.paste.crops_per_image
+    pools = {}
+    for c, w, h in crop_rows:
+        pools.setdefault(c, []).append(crop(c, w, h))
+    available = [c for c in range(1, k + 1) if c in pools]
+    weights = np.asarray(mu)[np.array(available) - 1]
+    cdf = np.cumsum(weights / weights.sum())
+    cdf = (cdf / cdf[-1]).tolist()
+    record = detect(Detections(dataset, teacher, dataset.class_cdfs), rng)
+    columns, warnings = [], []
+    for j, i in enumerate(indices):
+        record(i)
+        if config.two_stage:
+            rng.random(2 * k)
+        u = copy.deepcopy(rng).random(2 * n).tolist()
+        crops = []
+        for a, b in zip(u[:n], u[n:]):
+            pool = pools[available[bisect_right(cdf, a)]]
+            crops.append(pool[int(b * len(pool))])
+        img = dataset.images[i]
+        mixed, _ = _per_crop_fbr_mix(img, crops, rng, config.paste)
+        columns += [[float(p.crop.class_id), float(j), b.x, b.y, b.x2, b.y2]
+                    for p, b in ((p, p.target_bbox) for p in mixed.placements)]
+        placed = {id(p.crop) for p in mixed.placements}
+        warnings += [f"crop {c.bbox.w:.0f}x{c.bbox.h:.0f} of class {c.class_id} does not fit "
+                     f"{img.width}x{img.height} even at minimum rescale; skipped"
+                     for c in crops if id(c) not in placed]
+    return columns, warnings
+
+
+# Every crop of the strategy below fits the 500x450 image as it is.
+_PASS_SIZES = [(10.0, 10.0), (37.0, 23.0), (100.0, 60.0), (60.0, 100.0), (320.0, 240.0),
+               (500.0, 450.0), (500.0, 450.0)]
+
+
+@st.composite
+def _mixed_pass(draw):
+    """Images of mixed sizes, some with ground truth, the order a pass labels
+    them in, and a bank whose crops fit some images as they are, need a
+    rescale on others and fit some not even at the minimum rescale; some
+    crops lie past class 3, and at least one labeled crop inside it."""
+    records = draw(st.lists(st.tuples(st.sampled_from(_PASS_SIZES), st.integers(0, 2)),
+                            min_size=1, max_size=6))
+    side = st.one_of(st.sampled_from([5.0, 20.0, 60.0, 150.0, 200.0, 300.0]), st.floats(1.0, 400.0))
+    row = st.tuples(st.integers(1, 4), side, side)
+    labeled = draw(st.lists(row, max_size=6))
+    labeled.insert(0, (draw(st.integers(1, 3)), draw(side), draw(side)))
+    pseudo_rows = draw(st.lists(row, max_size=4))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3))
+    indices = draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=8))
+    rescale_min = draw(st.sampled_from([0.25, 0.5, 1.0, 1.3, 2.0]))
+    paste_config = PasteConfig(
+        crops_per_image=draw(st.integers(1, 4)),
+        rescale_min=rescale_min,
+        rescale_max=rescale_min + draw(st.sampled_from([0.0, 0.5, 1.5])),
+    )
+    return (tuple(records), tuple(labeled), tuple(pseudo_rows), tuple(weights), indices,
+            draw(st.booleans()), paste_config)
+
+
 class TestPasteEquivalence:
     """Bulk draws and the occlusion grid reproduce the per-crop loop and the
     reference cell grid exactly."""
@@ -590,7 +692,14 @@ class TestPasteEquivalence:
               PasteConfig(rescale_min=0.5, rescale_max=0.5, occlusion_threshold=0.5)),
         seed=1,
     )
-    def test_draw_pastes_matches_per_crop_loop(self, case, seed):
+    # Rescale bounds so large that a factor times a side overflows to inf,
+    # silently, as in Python floats: the crop takes the minimum rescale, or
+    # with the minimum itself that large it is skipped.
+    @example(case=([(ImageRecord(1, 60, 100, ()), [crop(2, 250.0, 90.0)])],
+                   PasteConfig(rescale_min=0.5, rescale_max=1e308)), seed=2)
+    @example(case=([(ImageRecord(1, 60, 100, ()), [crop(2, 250.0, 90.0)])],
+                   PasteConfig(rescale_min=1e308, rescale_max=1e308)), seed=2)
+    def test_pastes_match_per_crop_loop(self, case, seed):
         records, config = case
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for record, crops in records:
@@ -601,7 +710,8 @@ class TestPasteEquivalence:
         assert rng_got.random() == rng_want.random()
 
     def test_fits_rescales_and_skips_in_one_image(self, caplog):
-        rec = ImageRecord(id=1, width=100, height=60, truth_rows=((1, 40, 20, 20, 20),))
+        # Float sides, as every parsed or generated dataset holds them.
+        rec = ImageRecord(id=1, width=100.0, height=60.0, truth_rows=((1, 40, 20, 20, 20),))
         config = PasteConfig(rescale_min=1.3, rescale_max=1.8)
         # As is; at the drawn factor; at rescale_min; skipped.
         crops = [crop(2, 20, 20), crop(3, 300, 100), crop(4, 200, 150), crop(5, 200, 200)]
@@ -617,8 +727,50 @@ class TestPasteEquivalence:
         assert scales[1] != 1.3 * 60 / 300
         assert scales[2] == 1.3 * 60 / 200
         assert [r.getMessage() for r in caplog.records] == [
-            "crop 200x200 of class 5 does not fit 100x60 even at minimum rescale; skipped"
+            "crop 200x200 of class 5 does not fit 100.0x60.0 even at minimum rescale; skipped"
         ]
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_mixed_pass(), seed=st.integers(0, 2**32 - 1))
+    # One pass: the 320x240 images take the single call; on the 100x60 image
+    # a 20x20 crop fits, a 300x100 one is rescaled and a 200x200 one skipped.
+    @example(
+        case=((((320.0, 240.0), 1), ((100.0, 60.0), 2), ((320.0, 240.0), 0)),
+              ((1, 20.0, 20.0), (2, 300.0, 100.0), (3, 200.0, 200.0)), (),
+              (1.0, 1.0, 1.0), [0, 1, 2, 1], True, PasteConfig(crops_per_image=4,
+                                                               rescale_min=1.3, rescale_max=1.8)),
+        seed=5,
+    )
+    def test_pass_mixes_single_and_counted_draws(self, case, seed):
+        records, labeled, pseudo_rows, weights, indices, two_stage, paste_config = case
+        k = 3
+        dataset = Dataset(
+            tuple(ImageRecord(j, w, h, ((1 + j % k, 0.0, 0.0, w / 2, h / 2),) * n_truth)
+                  for j, ((w, h), n_truth) in enumerate(records)),
+            tuple(Category(c, f"c{c}", c) for c in range(1, k + 1)),
+        )
+        columns = [np.array(rows, dtype=float).reshape(-1, 3).T for rows in (labeled, pseudo_rows)]
+        bank = CropBank(columns[0][0].astype(np.intp), columns[0][1:],
+                        columns[1][0].astype(np.intp), columns[1][1:])
+        mu = SamplingDistribution.normalized(weights).mu
+        config = ExperimentConfig(two_stage=two_stage, paste=paste_config,
+                                  filter=FilterConfig(mode="two_stage_filtering"))
+        teacher = DetectorParams(recall_skill=(0.8,) * k, confusion_rate=0.3, loc_skill=0.5,
+                                 partial_rate=0.2, fp_rate=0.5, confidence_sharpness=8.0)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        logger, seen = logging.getLogger("acrst.rebalance"), _Messages()
+        logger.addHandler(seen)
+        try:
+            _, _, got = label_pass(teacher, dataset, indices, rng_got, config, dataset.class_cdfs,
+                                   bank.class_table(mu))
+        finally:
+            logger.removeHandler(seen)
+        want, warnings = _per_crop_pass(dataset, indices, [*labeled, *pseudo_rows], mu, config,
+                                        teacher, rng_want)
+        assert got.T.tolist() == want
+        assert seen.messages == warnings
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 # Coordinates up to 1e9 and sides down to MIN_BOX_SIDE, with the edges and

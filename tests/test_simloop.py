@@ -143,7 +143,8 @@ class TestLoopStructure:
             new_state, _ = run_epoch(state, config, substream(config.seed, "epoch", epoch))
             # An off-period epoch passes on the very bank it was given.
             assert (new_state.bank is state.bank) == (epoch % 3 != 0)
-            assert new_state.bank.labeled_bank is first.bank.labeled_bank
+            assert new_state.bank.labeled_class_ids is first.bank.labeled_class_ids
+            assert new_state.bank.labeled_sizes is first.bank.labeled_sizes
             state = new_state
         assert refreshed == [0, 3, 6]
 
@@ -357,8 +358,9 @@ class _DrawLog:
 
 
 class TestOracleGate:
-    """A two-stage epoch makes one oracle draw, two doubles per class, per
-    image it labels, and builds no ImageLevelLabel for any of them."""
+    """A two-stage epoch draws the oracle's two doubles per class for each
+    image it labels, in one call with the image's paste doubles, and builds no
+    ImageLevelLabel for any of them."""
 
     @pytest.mark.parametrize("mode", ["two_stage_filtering", "two_stage_mining"])
     def test_no_image_level_label_per_image(self, corpus, monkeypatch, mode):
@@ -380,13 +382,17 @@ class TestOracleGate:
             draws += rng.into
         assert trace.n_pseudo > 0
         assert built == []
-        # Every batch image, then every unlabeled image once for evaluation.
+        # Per epoch every batch image, whose crops all fit, draws the oracle's
+        # doubles and its crops' class, entry and position doubles in one
+        # call; then every unlabeled image once for evaluation, the oracle's.
+        k, n = corpus.num_classes, config.paste.crops_per_image
         n_unl = len(state.unlabeled.images)
-        per_epoch = config.batches_per_epoch * min(config.unlabeled_batch, n_unl) + n_unl
-        oracle = [shape for shape in draws if len(shape) == 2]
-        assert oracle == [(corpus.num_classes, 2)] * (3 * per_epoch)
+        batch = config.batches_per_epoch * min(config.unlabeled_batch, n_unl)
+        detector = {(3,), (4,)}
+        per_image = [shape for shape in draws if shape not in detector]
+        assert per_image == ([(2 * k + 4 * n,)] * batch + [(2 * k,)] * n_unl) * 3
         # The rest are the detector's rows, drawn into its 3- and 4-double buffers.
-        assert {shape for shape in draws if len(shape) != 2} == {(3,), (4,)}
+        assert {shape for shape in draws if shape in detector} == detector
         # The counter does see labels built by hand.
         ImageLevelLabel(image_id=1, activations=(0.5,))
         assert len(built) == 1
