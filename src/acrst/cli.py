@@ -8,14 +8,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import logging
+import os
 import sys
 from itertools import takewhile
 from pathlib import Path
 
 from .config import SECTIONS, TOGGLES, ConfigError, ExperimentConfig, config_from_dict
-from .dataset import Dataset, ParseError, ValidationError, parse_coco_annotations
+from .dataset import Dataset, ParseError, ValidationError, load_json, parse_coco_annotations
 from .seeding import derive_seed
 from .simloop import EPOCH_CSV_COLUMNS, RunReport, run_experiment
 from .synthdata import synthetic_dataset
@@ -38,22 +38,11 @@ def _read_text(path: Path, what: str) -> str:
         raise _UsageError(f"cannot read {what} {path}: {e.strerror}") from e
 
 
-def _read_json(path: Path, what: str, invalid: str):
-    """The JSON document at ``path``; malformed JSON is a usage error whose
-    message starts with ``invalid`` and gives the line and column, if any."""
-    try:
-        return json.loads(_read_text(path, what))
-    except json.JSONDecodeError as e:
-        raise _UsageError(f"{invalid}: {e.msg} (line {e.lineno} column {e.colno})") from e
-    except (RecursionError, ValueError) as e:  # nesting too deep, an integer too long
-        raise _UsageError(f"{invalid}: {e}") from e
-
-
 def _load_config(path_text: str) -> dict:
     path = Path(path_text)
     if not path.is_file():
         raise _UsageError(f"config file not found: {path}")
-    doc = _read_json(path, "config", f"config {path} is not valid JSON")
+    doc = load_json(_read_text(path, "config"), f"config {path} is not valid JSON")
     if not isinstance(doc, dict):
         raise _UsageError(f"config {path} must hold a JSON object, got {type(doc).__name__}")
     return doc
@@ -120,12 +109,8 @@ def cmd_run(args) -> int:
             path.rmdir()
         raise
     _write_run_artifacts(report, out_dir)
-    final = report.summary.get("final", {})
     print(f"run complete: {report.summary['epochs_run']} mutual epochs -> {args.out}")
-    for metric in _SUMMARY_METRICS:
-        if metric in final:
-            value = final[metric]
-            print(f"  {metric}: {value:.6f}" if isinstance(value, float) else f"  {metric}: {value}")
+    _print_report_summary(out_dir.name, report.summary)
     return 0
 
 
@@ -169,6 +154,9 @@ def cmd_sweep(args) -> int:
     base = config_from_dict(raw, cli_doc)
     if seeds is None:
         seeds = [base.seed]
+    for i, spec in enumerate(runs):  # a run directory's name is at most 255 bytes
+        if max(len(os.fsencode(f"{spec['name']}__seed{seed}")) for seed in seeds) > 255:
+            raise _UsageError(f"sweep.runs[{i}].name is too long: a run directory name is at most 255 bytes")
 
     out_dir = _make_out_dir(args.out)
     rows = []
@@ -207,7 +195,7 @@ def _load_report(path: Path) -> dict:
     """The report at ``path``, checked to have the shape ``report`` reads: an
     object whose ``epochs`` is a list of objects holding every epoch column
     and whose ``summary`` is an object."""
-    report = _read_json(path, "report", f"corrupt report {path}")
+    report = load_json(_read_text(path, "report"), f"corrupt report {path}")
     if not isinstance(report, dict) or not isinstance(report.get("epochs"), list):
         raise _UsageError(f"report {path} must be a JSON object whose 'epochs' is a list")
     for i, row in enumerate(report["epochs"]):
@@ -220,8 +208,7 @@ def _load_report(path: Path) -> dict:
     return report
 
 
-def _print_report_summary(label: str, report: dict) -> None:
-    summary = report["summary"]
+def _print_report_summary(label: str, summary: dict) -> None:
     final = summary.get("final", {})
     parts = [f"epochs={summary.get('epochs_run', '?')}"]
     parts += [
@@ -242,11 +229,14 @@ def cmd_report(args) -> int:
     run_dirs = [in_dir]
     if sweep:  # the ok runs summary.csv lists, in its order; not an earlier sweep's left there
         rows = csv.DictReader(io.StringIO(_read_text(in_dir / "summary.csv", "summary")))
-        run_dirs = [in_dir / f"{r.get('run')}__seed{r.get('seed')}" for r in rows if r.get("status") == "ok"]
+        try:
+            run_dirs = [in_dir / f"{r.get('run')}__seed{r.get('seed')}" for r in rows if r.get("status") == "ok"]
+        except csv.Error as e:
+            raise _UsageError(f"corrupt summary {in_dir / 'summary.csv'}: {e}") from e
     for run_dir in run_dirs:
         if not run_dir.is_dir():
             raise _UsageError(f"run directory {run_dir} listed in summary.csv is missing")
-        _print_report_summary(run_dir.name, _load_report(run_dir / "report.json"))
+        _print_report_summary(run_dir.name, _load_report(run_dir / "report.json")["summary"])
     if sweep:
         print(f"aggregated {len(run_dirs)} runs")
     return 0

@@ -2,8 +2,7 @@
 
 The labeled bank is built once from ground truth and never changes. The pseudo
 bank is replaced wholesale from post-filtering predictions whenever the loop
-refreshes it; the loop alone owns that schedule, and each refresh counts the
-new pseudo bank's classes once. Sampling is two-level: first a class from a
+refreshes it; the loop alone owns that schedule. Sampling is two-level: first a class from a
 sampling distribution, then a uniform entry of that class from the union of
 both banks; :meth:`CropBank.class_table` builds both levels' tables and
 :func:`~acrst.rebalance.place_pastes` draws by them. A crop is the class and
@@ -25,13 +24,12 @@ from .rebalance import ClassTable
 @dataclass(frozen=True, eq=False)
 class CropBank:
     """Immutable snapshot of both banks, each a class id column and a (w, h)
-    column pair, and the pseudo bank's count per class (index k-1 = class k)."""
+    column pair."""
 
     labeled_class_ids: np.ndarray
     labeled_sizes: np.ndarray
     pseudo_class_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     pseudo_sizes: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)))
-    pseudo_counts: Sequence[int] = ()
 
     @property
     def n_labeled(self) -> int:
@@ -63,15 +61,12 @@ class CropBank:
 
 def build_labeled_bank(labeled: Dataset) -> CropBank:
     """The labeled split's ground-truth crops, class and (w, h) columns of its
-    truth rows in image order, and an empty pseudo bank's zero counts."""
+    truth rows in image order, and an empty pseudo bank."""
     columns = labeled.truth_columns[0]
-    return CropBank(columns[4].astype(np.intp), columns[2:4],
-                    pseudo_counts=np.zeros(labeled.num_classes, dtype=np.int64))
+    return CropBank(columns[4].astype(np.intp), columns[2:4])
 
 
 def refresh_pseudo_bank(bank: CropBank, dets: Detections, kept: Sequence[bool]) -> CropBank:
     """``bank`` with its pseudo bank replaced wholesale: the class and (w, h)
-    columns of the rows of ``dets`` that ``kept`` marks, and their count per class."""
-    class_ids = dets.class_id[kept]
-    counts = np.bincount(class_ids - 1, minlength=len(bank.pseudo_counts))
-    return CropBank(bank.labeled_class_ids, bank.labeled_sizes, class_ids, dets.boxes[2:, kept], counts)
+    columns of the rows of ``dets`` that ``kept`` marks."""
+    return CropBank(bank.labeled_class_ids, bank.labeled_sizes, dets.class_id[kept], dets.boxes[2:, kept])

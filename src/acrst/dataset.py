@@ -25,7 +25,7 @@ MIN_IMAGE_SIDE, MAX_IMAGE_SIDE = 1.0, 1e9
 
 
 class ParseError(ValueError):
-    """Annotation document is not valid JSON or misses a required section."""
+    """A JSON document is malformed, or an annotation document misses a required section."""
 
 
 class ValidationError(ValueError):
@@ -195,14 +195,19 @@ def parse_coco_annotations(text: str) -> Dataset:
             gc.enable()
 
 
-def _parse_coco(text: str) -> Dataset:
+def load_json(text: str, invalid: str):
+    """The JSON document ``text``; malformed JSON is a :class:`ParseError`
+    whose message starts with ``invalid`` and gives the line and column, if any."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"malformed annotation document: {e.msg} "
-                         f"(line {e.lineno} column {e.colno})") from e
+        raise ParseError(f"{invalid}: {e.msg} (line {e.lineno} column {e.colno})") from e
     except (RecursionError, ValueError) as e:  # nesting too deep, an integer too long
-        raise ParseError(f"malformed annotation document: {e}") from e
+        raise ParseError(f"{invalid}: {e}") from e
+
+
+def _parse_coco(text: str) -> Dataset:
+    doc = load_json(text, "malformed annotation document")
     if not isinstance(doc, dict):
         raise ParseError("annotation document must be a JSON object")
     for section in ("images", "annotations", "categories"):

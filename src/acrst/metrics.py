@@ -177,9 +177,8 @@ def evaluate(
 
     p_image = np.repeat(np.arange(n_images), p_count)
     g_image = np.repeat(np.arange(n_images), g_count)
-    # A same-image, same-class pair shares the key image * span + class offset.
+    # A same-image, same-class pair shares the key image * span + class.
     classes = np.concatenate((preds[4], truths[4])).astype(np.int64)
-    classes -= classes.min(initial=0)
     keys = np.concatenate((p_image, g_image)) * (classes.max(initial=0) + 1) + classes
     pair_p, pair_g = _same_key_pairs(keys[:len(scores)], keys[len(scores):])
     ious = _iou(preds[:4].take(pair_p, axis=1), truths[:4].take(pair_g, axis=1))

@@ -111,7 +111,7 @@ class Detections:
     """The output of detector ``params`` over images of ``dataset``, classes
     drawn by ``cdfs``: one row per box, image after image, and ``counts``, each
     image's number of rows. The recorder that :func:`detect` binds to it once
-    per pass records only draws: per image its sides and numbers of rows and
+    per pass records only draws: per image its index and numbers of rows and
     false positives; per emitted truth row its index into
     ``dataset.truth_columns``, the class it emitted, its score double, and its
     four normals, in place in an array that doubles when full.
@@ -124,9 +124,8 @@ class Detections:
 
     def __init__(self, dataset: Dataset, params: DetectorParams, cdfs: ClassCdfs) -> None:
         self.dataset, self.params, self.cdfs = dataset, params, cdfs
-        self.counts: list[int] = []
         self._normals = np.empty((64, 4))
-        # The pass's draws, flat: 4 values per image, 3 per truth row, a row
+        # The pass's draws, flat: 3 values per image, 3 per truth row, a row
         # and 4 doubles per partial box; 6 doubles per false positive.
         self._images, self._rows, self._partial, self._fps = [], [], [], []
 
@@ -134,13 +133,12 @@ class Detections:
     def _draws(self) -> tuple[np.ndarray, ...]:
         """The draws as arrays, and the order that puts each image's truth
         rows, then its false positives, in place."""
-        images = np.array(self._images, dtype=float).reshape(-1, 4).T
-        n_rows, n_fp = images[2:].astype(np.intp)
+        image, n_rows, n_fp = np.array(self._images, dtype=np.intp).reshape(-1, 3).T
         truth, cls, u_score = np.array(self._rows, dtype=float).reshape(-1, 3).T
         fp = np.concatenate((np.empty(0), *self._fps)).reshape(-1, 6).T
         key = np.repeat(np.arange(2 * len(n_rows)) % len(n_rows), np.concatenate((n_rows, n_fp)))
         order = np.argsort(key, kind="stable")
-        return images[:2], n_rows, n_fp, truth.astype(np.intp), cls, u_score, fp, order
+        return self.dataset.image_sizes[:, image], n_rows, n_fp, truth.astype(np.intp), cls, u_score, fp, order
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -190,15 +188,16 @@ class Detections:
 
     table = property(lambda self: np.concatenate((self.boxes, self.labels)))
     class_id = cached_property(lambda self: self.labels[0].astype(np.intp))
+    counts = cached_property(lambda self: (self._draws[1] + self._draws[2]).tolist())
     score = property(lambda self: self.labels[1])
 
 
 def detect(out: Detections, rng: np.random.Generator) -> Callable[[int], None]:
     """A recorder, bound once per pass, whose call ``record(image)`` simulates
     ``out.params``' output on ``out.dataset.images[image]`` from its hidden
-    ground truth, appending the image's draws and its number of rows to
-    ``out``, which must not have been read, since its columns are computed
-    once; the loop records each pass into a new one.
+    ground truth, appending the image's index, numbers of rows and false
+    positives, and its draws to ``out``, which must not have been read, since
+    its columns are computed once; the loop records each pass into a new one.
 
     Each ground-truth row ``(class_id, x, y, w, h)`` of class k is emitted
     with probability recall_skill[k], perturbed by zero-mean noise with
@@ -227,7 +226,7 @@ def detect(out: Detections, rng: np.random.Generator) -> Callable[[int], None]:
     partial_rate, confusion_rate = params.partial_rate, params.confusion_rate
     random, standard_normal, poisson = rng.random, rng.standard_normal, rng.poisson
     images, offsets = dataset.images, dataset.truth_columns[2]
-    rows, partial, sides, fps, counts = out._rows, out._partial, out._images, out._fps, out.counts
+    rows, partial, per_image, fps = out._rows, out._partial, out._images, out._fps
     three, four, box = np.empty(3), np.empty(4), np.empty(4)
 
     def record(image: int) -> None:
@@ -267,8 +266,7 @@ def detect(out: Detections, rng: np.random.Generator) -> Callable[[int], None]:
         n_fp = poisson(fp_rate)
         if n_fp:
             fps.append(random(6 * n_fp))
-        sides.extend((img.width, img.height, n - n_before, n_fp))
-        counts.append(n - n_before + n_fp)
+        per_image.extend((image, n - n_before, n_fp))
 
     return record
 

@@ -236,7 +236,8 @@ def run_epoch(
 
     # The sampling distribution is fixed for the epoch: the bank only changes
     # at the refresh step below.
-    pr = pseudo_recall(ClassStats(bank.pseudo_counts, labeled.class_counts, n_unl / n_lab))
+    bank_counts = np.bincount(bank.pseudo_class_ids - 1, minlength=k)
+    pr = pseudo_recall(ClassStats(bank_counts, labeled.class_counts, n_unl / n_lab))
     # Until the first refresh the pseudo bank is empty, so every pseudo recall
     # is zero and affr_distribution would fall back to uniform with a warning.
     before_first_refresh = state.epoch == 0 and not bank.n_pseudo
@@ -315,7 +316,7 @@ def run_epoch(
         class_exposure=tuple(int(c) for c in exposure_total),
         pasted_counts=tuple(int(c) for c in pasted_total),
     )
-    # Off-period epochs pass on the same bank, and with it its class counts.
+    # Off-period epochs pass on the same bank.
     if state.epoch % config.refresh_period == 0:
         bank = refresh_pseudo_bank(bank, dets, kept)
     return replace(state, teacher=teacher, student=student, bank=bank, epoch=state.epoch + 1), trace

@@ -47,6 +47,16 @@ class TestRun:
         assert "run complete" in stdout
         assert "ap5095" in stdout
 
+    @pytest.mark.parametrize("overrides", [{}, {"seed": 9, "epochs": 3}, {"epochs": 2}])
+    def test_last_line_is_the_report_line(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert main(["report", "--in", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [last]
+        assert last.startswith("out: epochs=")
+
     def test_report_is_deterministic(self, tmp_path):
         config = write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -581,6 +591,9 @@ class TestSweep:
             ([{"name": 5}], "sweep.runs[0].name"),
             # A NUL ran the whole experiment, then failed at mkdir as a failed row.
             ([{"name": "ok"}, {"name": "a\0b"}], "sweep.runs[1].name"),
+            # So did a run directory name over 255 bytes.
+            ([{"name": "n" * 249}], "sweep.runs[0].name"),
+            ([{"name": "ok"}, {"name": "\u00e9" * 125}], "sweep.runs[1].name"),
         ],
     )
     def test_run_name_that_is_not_a_unique_path_component_exits_two(
@@ -590,6 +603,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_longest_run_directory_name_decides_against_255_bytes(self, tmp_path, capsys):
+        # Seed 123456 makes n * 245 + "__seed123456" 257 bytes long.
+        config = self.sweep_config(tmp_path, runs=[{"name": "n" * 245}], seeds=(1, 123456))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert "sweep.runs[0].name" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        config = self.sweep_config(tmp_path, runs=[{"name": "n" * 243}], seeds=(1, 123456))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / ("n" * 243 + "__seed123456") / "report.json").is_file()
 
     def test_run_is_a_partial_config_document(self, tmp_path):
         runs = [{"name": "half", "split_fraction": 0.5, "paste": {"beta": 2.0}}]
@@ -747,6 +770,15 @@ class TestReport:
         assert main(["report", "--in", str(out)]) == 0
         assert "ap5095=" in capsys.readouterr().out
         assert self.tree(out) == before
+
+    def test_summary_that_is_not_csv_exits_two(self, tmp_path, capsys):
+        # A field over csv's limit of 131,072 characters exited 1.
+        sweep = tmp_path / "sweep"
+        sweep.mkdir()
+        (sweep / "summary.csv").write_text("run,seed,status\n" + "x" * 131073 + ",1,ok\n", encoding="utf-8")
+        assert main(["report", "--in", str(sweep)]) == 2
+        err = capsys.readouterr().err
+        assert f"corrupt summary {sweep / 'summary.csv'}" in err and "field larger" in err
 
     def test_missing_directory_exits_two(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "void")]) == 2

@@ -141,27 +141,6 @@ class TestRefresh:
         assert again.n_pseudo == 0
         assert pseudo_rows(again) == ()
 
-    @settings(max_examples=60, deadline=None)
-    @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0))
-    def test_counts_equal_a_recount_of_the_rows(self, k, seed, share):
-        ds = synthetic_dataset(6, k, seed=seed % 997)
-        # Misses, wrong classes and false positives, so any class may be kept.
-        noisy = DetectorParams(
-            recall_skill=(0.8,) * k, confusion_rate=0.3, loc_skill=0.5, partial_rate=0.2,
-            fp_rate=1.5, confidence_sharpness=8.0,
-        )
-        rng = np.random.default_rng(seed)
-        bank = build_labeled_bank(ds)
-        assert bank.pseudo_counts.tolist() == [0] * k
-        for _ in range(2):
-            dets = Detections(ds, noisy, ds.class_cdfs)
-            record = detect(dets, rng)
-            for image in range(len(ds.images)):
-                record(image)
-            bank = refresh_pseudo_bank(bank, dets, rng.random(sum(dets.counts)) < share)
-            recount = np.bincount([row[0] - 1 for row in pseudo_rows(bank)], minlength=k)
-            assert bank.pseudo_counts.tolist() == recount.tolist()
-
 
 class TestClassTableFromColumns:
     """A refreshed bank keeps its pseudo crops as columns; the class table

@@ -292,7 +292,7 @@ class TestPseudoLabelsStayColumns:
 
 
 class _UnreadableRows(tuple):
-    """Pseudo bank columns whose length can be read, but not their crops."""
+    """A pseudo bank column whose length can be read, but not its crops."""
 
     def __iter__(self):
         raise AssertionError("the pseudo bank's crops were read")
@@ -319,9 +319,9 @@ class _SealedColumns:
 
 class TestBankCounts:
     def test_epoch_without_pasting_reads_counts_not_rows(self, corpus, monkeypatch):
-        # An epoch that does not paste builds no pseudo crop row: the refresh
-        # keeps columns that cannot become rows here, and the class table,
-        # where rows are built, is never asked for.
+        # An epoch that does not paste builds no pseudo crop row and reads no
+        # crop size: the refresh keeps columns that cannot become rows here,
+        # and the class table, where sizes are read, is never asked for.
         tables = []
         monkeypatch.setattr(CropBank, "class_table", lambda bank, mu: tables.append(mu))
         monkeypatch.setattr(simloop, "refresh_pseudo_bank", lambda bank, dets, kept:
@@ -331,10 +331,9 @@ class TestBankCounts:
         state, _ = run_epoch(state, config, substream(config.seed, "epoch", 0))
         bank = state.bank
         assert bank.n_pseudo > 0 and bank.pseudo_sizes.shape == (2, bank.n_pseudo)
-        # The next epoch reads the pseudo bank's counts, not its crops.
-        unread = _UnreadableRows([0] * bank.n_pseudo)
+        # The next epoch counts the pseudo bank's classes but reads no crop size.
         sealed = dataclasses.replace(state, bank=dataclasses.replace(
-            bank, pseudo_class_ids=unread, pseudo_sizes=unread))
+            bank, pseudo_sizes=_UnreadableRows([0] * bank.n_pseudo)))
         _, want = run_epoch(state, config, substream(config.seed, "epoch", 1))
         _, got = run_epoch(sealed, config, substream(config.seed, "epoch", 1))
         assert got == want
