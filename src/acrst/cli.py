@@ -128,8 +128,11 @@ def _sweep_plan(raw_config: dict) -> tuple[list[dict], list[int] | None]:
     for i, spec in enumerate(runs):
         if not isinstance(spec, dict) or "name" not in spec:
             raise _UsageError(f"sweep.runs[{i}] needs a 'name'")
-        name = spec["name"]  # names a directory: one path component, unique in the plan
-        if not isinstance(name, str) or name in names | {"", ".", ".."} or {"/", "\\", "\0"} & set(name):
+        # A name names a directory: one path component, unique in the plan, with no
+        # lone surrogate, which summary.csv, written in UTF-8, cannot hold.
+        name = spec["name"]
+        if (not isinstance(name, str) or name in names | {"", ".", ".."} or {"/", "\\", "\0"} & set(name)
+                or any("\ud800" <= c <= "\udfff" for c in name)):
             raise _UsageError(f"sweep.runs[{i}].name must be a unique directory name, got {name!r}")
         names.add(name)
         # Other keys and values are checked per run by config_from_dict, as failed rows.

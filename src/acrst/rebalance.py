@@ -12,9 +12,7 @@ Geometry is handled in annotation space only.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -103,10 +101,10 @@ class ClassTable:
     cdf: np.ndarray
     largest: np.ndarray
 
-    @cached_property
-    def lists(self) -> tuple[list, ...]:
-        """CDF, starts, lengths, w and h as lists, for :func:`placement_draws`."""
-        return self.cdf.tolist(), self.starts.tolist(), self.lengths.tolist(), *self.sizes.tolist()
+    def fits(self, sizes: np.ndarray) -> np.ndarray:
+        """Per (width, height) column of ``sizes``, whether every crop of the
+        table fits it as it is."""
+        return (sizes >= self.largest).all(axis=0)
 
 
 def pseudo_recall(stats: ClassStats) -> np.ndarray:
@@ -233,63 +231,44 @@ def survivor_mask(
     return alive
 
 
-def placement_draws(u: list[float], width: float, height: float, table: ClassTable,
-                    config: PasteConfig) -> int:
-    """How many placement doubles the crops that class and entry doubles ``u``
-    pick take on a ``width`` x ``height`` image: a position (2) if a crop fits,
-    a rescale factor and a position (3) if it fits at the minimum rescale (a
-    larger factor never fits where the minimum does not), a factor (1) if not."""
-    (cdf, starts, lengths, ws, hs), n, total = table.lists, len(u) // 2, 0
-    for a, b in zip(u[:n], u[n:]):
-        pool = bisect_right(cdf, a)
-        at = starts[pool] + int(b * lengths[pool])
-        w, h = ws[at], hs[at]
-        if w <= width and h <= height:
-            total += 2
-        else:
-            min_scale = config.rescale_min * min(width, height) / max(w, h)
-            total += 1 if w * min_scale > width or h * min_scale > height else 3
-    return total
-
-
 def place_pastes(draws: np.ndarray, sizes: np.ndarray, table: ClassTable,
                  config: PasteConfig) -> np.ndarray:
     """The paste columns (class, image, x1, y1, x2, y2) of a pass's images, in
-    order, from row j of ``draws``, image j's doubles: a class double per crop,
-    an entry double per crop, then :func:`placement_draws`' many; ``sizes`` its
-    (width, height) in column j. A crop's class is drawn by the table's CDF,
-    then its entry uniformly within the class's pool. A crop that fits is
-    pasted at its own size. One that does not is rescaled so its longer side
+    order, from row j of ``draws``, image j's doubles, with ``sizes`` its
+    (width, height) in column j: a class double per crop, an entry double per
+    crop, then per crop its placement slots, x and y on an image that the
+    table :meth:`~ClassTable.fits`, and a rescale double, x and y on one it
+    does not. A crop's class is drawn by the table's CDF, then its entry
+    uniformly within the class's pool. A crop that fits is pasted at its own
+    size and reads x and y. One that does not is rescaled so its longer side
     becomes a uniform random fraction (config range) of the image's shorter
-    side, or skipped with a warning if even the minimum rescale overflows."""
+    side and reads all three, or is skipped with a warning, reading none, if
+    even the minimum rescale overflows."""
     n, lo, hi = config.crops_per_image, config.rescale_min, config.rescale_max
     image = np.repeat(np.arange(len(draws)), n)
     pool = np.searchsorted(table.cdf, draws[:, :n].ravel(), side="right")
     entry = table.starts[pool] + (draws[:, n:2 * n].ravel() * table.lengths[pool]).astype(np.intp)
     class_id, (pw, ph), (width, height) = table.class_id[entry], table.sizes[:, entry], sizes[:, image]
-    # Each crop's x double; its y double follows.
-    at = np.arange(len(image)) % n * 2 + 2 * n
-    out = np.flatnonzero((pw > width) | (ph > height))
-    if len(out):
+    crop = np.arange(len(image)) % n
+    at = 2 * n + 2 * crop  # each crop's x double; its y double follows
+    outsized = ~table.fits(sizes)
+    if outsized.any():
+        at = np.where(outsized[image], at + crop + 1, at)  # past each crop's rescale double
+        out = np.flatnonzero((pw > width) | (ph > height))
         w, h, W, H = pw[out], ph[out], width[out], height[out]
         short, long = np.minimum(W, H), np.maximum(w, h)
         with np.errstate(over="ignore"):  # huge rescale bounds overflow to inf, as in floats
             min_scale = lo * short / long
             skip = (w * min_scale > W) | (h * min_scale > H)
-            count = np.full((len(draws), n), 2)
-            count.flat[out] = np.where(skip, 1, 3)
-            at = (2 * n + np.cumsum(count, axis=1) - count).ravel()
             # Generator.uniform(lo, hi) is lo + (hi - lo) * u for one double u.
-            scale = (lo + (hi - lo) * draws[image[out], at[out]]) * short / long
+            scale = (lo + (hi - lo) * draws[image[out], at[out] - 1]) * short / long
             scale = np.where((w * scale > W) | (h * scale > H), min_scale, scale)
             pw[out], ph[out] = w * scale, h * scale
         for cw, ch, c, cW, cH in zip(*(v[skip].tolist() for v in (w, h, class_id[out], W, H))):
             log.warning("crop %.0fx%.0f of class %s does not fit %sx%s even at minimum rescale; "
                         "skipped", cw, ch, c, cW, cH)
-        at[out] += 1
-        keep = count.ravel() != 1
         class_id, image, width, height, pw, ph, at = (
-            v[keep] for v in (class_id, image, width, height, pw, ph, at))
+            np.delete(v, out[skip]) for v in (class_id, image, width, height, pw, ph, at))
     x = 0.0 + (width - pw) * draws[image, at]
     y = 0.0 + (height - ph) * draws[image, at + 1]
     return np.array((class_id, image, x, y, x + pw, y + ph), dtype=float)

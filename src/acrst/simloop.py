@@ -36,7 +36,7 @@ from .model import (
     student_update,
 )
 from .rebalance import ClassStats, ClassTable, SamplingDistribution, affr_distribution
-from .rebalance import place_pastes, placement_draws, pseudo_recall, survivor_mask
+from .rebalance import place_pastes, pseudo_recall, survivor_mask
 from .seeding import derive_seed, substream
 
 EPOCH_CSV_COLUMNS = (
@@ -176,36 +176,32 @@ def label_pass(
     Per image the pass only draws: the teacher's detections (by ``cdfs``, into
     one recorder that :func:`detect` binds), then in one call into its row of
     one array, in a two-stage filter mode the oracle's two doubles per class
-    and, given ``paste`` (a :meth:`CropBank.class_table`), its crops' doubles;
-    an image that a crop of the table outsizes draws its :func:`placement_draws`
-    in a second call. Array passes then compute every detection's class and
-    score (its box only when read), oracle activation (against
-    :attr:`Dataset.class_presence`, the filter's ``tau_ml`` the low band's
-    edge) and keep bit, by score alone with ``two_stage`` off, and the pastes.
-    Returns the detections, the keep bits and :func:`place_pastes`' columns."""
+    and, given ``paste`` (a :meth:`CropBank.class_table`), a class and an
+    entry double per crop, then per crop its placement slots: x and y on an
+    image that the table :meth:`~ClassTable.fits`, a rescale double, x and y
+    on one it does not (:func:`place_pastes`). Array passes then compute every
+    detection's class and score (its box only when read), oracle activation
+    (against :attr:`Dataset.class_presence`, the filter's ``tau_ml`` the low
+    band's edge) and keep bit, by score alone with ``two_stage`` off, and the
+    pastes. Returns the detections, the keep bits and :func:`place_pastes`'
+    columns."""
     fcfg = config.filter if config.two_stage else replace(config.filter, mode="one_stage")
     two_stage = fcfg.mode != "one_stage"
     k2 = 2 * dataset.num_classes if two_stage else 0
     n = config.paste.crops_per_image if paste else 0
     dets = Detections(dataset, teacher, cdfs)
     record = detect(dets, rng)
-    # Oracle doubles, class and entry doubles, then up to 3 placement doubles a crop.
+    # Oracle doubles, class and entry doubles, then 2 placement slots a crop, or 3.
     draws = np.zeros((len(indices), k2 + 5 * n))
-    rows, head = draws[:, :k2 + 4 * n], k2 + 2 * n
+    rows = draws[:, :k2 + 4 * n]
     fits = [True] * len(indices)
     if paste:
         sizes = dataset.image_sizes[:, indices]
-        fits = (sizes >= paste.largest).all(axis=0).tolist()
+        fits = paste.fits(sizes).tolist()
     for j, i in enumerate(indices):
         record(i)
-        if not head:
-            continue
-        if fits[j]:
-            rng.random(out=rows[j])
-        else:
-            rng.random(out=draws[j, :head])
-            m = placement_draws(draws[j, k2:head].tolist(), *sizes[:, j].tolist(), paste, config.paste)
-            rng.random(out=draws[j, head:head + m])
+        if k2 or n:
+            rng.random(out=rows[j] if fits[j] else draws[j])
     pastes = place_pastes(draws[:, k2:], sizes, paste, config.paste) if paste else np.zeros((6, 0))
     activations = None
     if two_stage:

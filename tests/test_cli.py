@@ -594,6 +594,10 @@ class TestSweep:
             # So did a run directory name over 255 bytes.
             ([{"name": "n" * 249}], "sweep.runs[0].name"),
             ([{"name": "ok"}, {"name": "\u00e9" * 125}], "sweep.runs[1].name"),
+            # A lone surrogate, which os.fsencode refuses, exited 1; one it
+            # escapes ran the run, then failed writing summary.csv, exit 1.
+            ([{"name": "a\ud800"}], "sweep.runs[0].name"),
+            ([{"name": "ok"}, {"name": "a\udc80"}], "sweep.runs[1].name"),
         ],
     )
     def test_run_name_that_is_not_a_unique_path_component_exits_two(

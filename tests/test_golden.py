@@ -26,7 +26,11 @@ EXAMPLE_SHA256 = "75a4dc033501557103967f869a6d7edae988d46970ed0c44e9cc8887aee7aa
 # The example report with every "kld" leaf removed, recorded when class_kld
 # took its logs from np.log: the switch to math.log moved no other leaf.
 EXAMPLE_WITHOUT_KLD_SHA256 = "f2bb2e083fc3febcb05544f98a7b5c5bf585d8b781bee854f48d29c88966b363"
-RESCALE_SHA256 = "1e86f032469edcb740d79a4bc58aa2c77230555ec126ba9d949fe46f02a42145"
+# Re-recorded when each crop of an image that some crop of the class table
+# outsizes took fixed placement slots (1e86f032… before).
+RESCALE_SHA256 = "2c33dee21bb2e71e482991e5fc5fcd9d7aed77e1ed67f9acf7172f039cd58cac"
+# The RESCALE report's config echo, recorded before that change; no draw reaches it.
+RESCALE_CONFIG_ECHO_SHA256 = "2964ff202bc32ac2a6cdf2667143041a2a3fb7c478bacdea0f67ac7f2ea18a8d"
 CROWDED_SHA256 = "e8d9d5ea6a4b4275fc237ade63821dbe5fe2302ee11ced7aec4d9e32748dd1d3"
 PASTE_HEAVY_SHA256 = "458146a921532efc6510e877166413c21ed9d79667d761bbd59e50bf7fc766fd"
 BANK_REUSE_SHA256 = "adff4358499c3dfc6b593abd9c37f7c434cfc25efc62c6a49172bdbe95c3cfc1"
@@ -211,13 +215,32 @@ def test_report_does_not_depend_on_builtin_sum_rounding(tmp_path, monkeypatch):
     assert report_sha256(EXAMPLE_CONFIG, tmp_path / "out") == EXAMPLE_SHA256
 
 
-def test_rescaling_coco_report(tmp_path, monkeypatch):
+def rescale_report_sha256(tmp_path, monkeypatch) -> str:
     # The report echoes dataset.path, so the annotation file sits at a fixed
     # relative path in the working directory.
     monkeypatch.chdir(tmp_path)
     Path("coco.json").write_text(json.dumps(rescale_coco()), encoding="utf-8")
     Path("config.json").write_text(json.dumps(RESCALE_CONFIG), encoding="utf-8")
-    assert report_sha256(Path("config.json"), Path("out")) == RESCALE_SHA256
+    return report_sha256(Path("config.json"), Path("out"))
+
+
+def test_rescaling_coco_report(tmp_path, monkeypatch):
+    assert rescale_report_sha256(tmp_path, monkeypatch) == RESCALE_SHA256
+
+
+def test_rescaling_coco_report_moved_only_in_its_draws(tmp_path, monkeypatch):
+    # The placement slots move the epochs and final metrics; the config, the
+    # categories, the seed and the split's counts are as recorded before.
+    rescale_report_sha256(tmp_path, monkeypatch)
+    report = json.loads(Path("out/report.json").read_text(encoding="utf-8"))
+    config_echo = json.dumps(report["config"], sort_keys=True).encode()
+    assert hashlib.sha256(config_echo).hexdigest() == RESCALE_CONFIG_ECHO_SHA256
+    assert report["categories"] == [{"id": k, "name": f"c{k}", "source_id": k} for k in (1, 2, 3)]
+    assert report["seed"] == 101
+    assert {key: value for key, value in report["summary"].items() if key != "final"} == {
+        "epochs_run": 4, "pretrain_epochs": 2, "n_labeled_images": 12, "n_unlabeled_images": 28,
+        "n_labeled_instances": 25,
+    }
 
 
 def test_crowded_coco_report(tmp_path, monkeypatch):

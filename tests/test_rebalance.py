@@ -28,7 +28,6 @@ from acrst.rebalance import (
     _visible,
     affr_distribution,
     place_pastes,
-    placement_draws,
     pseudo_recall,
     survivor_mask,
 )
@@ -372,8 +371,12 @@ class TestFbrMix:
         got = place_pastes(np.array([[0.25, 0.0, 0.5, 0.5]]), np.array([[10.0], [10.0]]), table,
                            config)
         assert got.T.tolist() == [[2.0, 0.0, 4.0, 4.0, 6.0, 6.0]]
-        # Class 2's 2x2 crop needs a rescale on a 1.5x1.5 image; class 1's would fit.
-        assert placement_draws([0.25, 0.0], 1.5, 1.5, table, config) == 3
+        # On a 1.5x1.5 image, which the 2x2 crop outsizes, class 2's crop takes
+        # the rescale double: 0.75 * 1.5 / 2 makes it 1.125 wide. Class 1's
+        # 1x1 crop would fit and read x from the fourth double.
+        got = place_pastes(np.array([[0.25, 0.0, 0.5, 0.5, 0.5]]), np.array([[1.5], [1.5]]), table,
+                           config)
+        assert got.T.tolist() == [[2.0, 0.0, 0.1875, 0.1875, 1.3125, 1.3125]]
 
     def test_paste_occlusion_bookkeeping(self):
         # Crops as large as the image force placement at the origin, so the
@@ -430,29 +433,34 @@ def _as_mix(mixed):
     )
 
 
-def _per_crop_fbr_mix(record, crops, rng, config):
-    """Reference paste loop: scalar rng.uniform draws, crop by crop, after the
-    class and entry doubles that pick ``crops`` in order under
-    :func:`_forcing_table`.
+def _per_crop_fbr_mix(record, crops, rng, config, largest=None):
+    """Reference paste loop: scalar draws, crop by crop, after the class and
+    entry doubles that pick ``crops`` in order under :func:`_forcing_table`.
+    On an image that the table's largest crop, ``largest`` (w, h) or else the
+    largest of ``crops``, outsizes, each crop draws three doubles: a rescale
+    double, x and y; on any other, two: x and y.
 
     Returns the mixed record and the scale applied to each placed crop.
     """
     rng.random(2 * len(crops))
     width, height = record.width, record.height
+    if largest is None:
+        largest = [max((getattr(c.bbox, side) for c in crops), default=0.0) for side in "wh"]
+    outsized = largest[0] > width or largest[1] > height
+    lo, hi = config.rescale_min, config.rescale_max
     placements, scales = [], []
     for c in crops:
+        u = rng.random(3 if outsized else 2).tolist()
         w, h = c.bbox.w, c.bbox.h
         scale = 1.0
         if w > width or h > height:
-            factor = float(rng.uniform(config.rescale_min, config.rescale_max))
-            scale = factor * min(width, height) / max(w, h)
+            scale = (lo + (hi - lo) * u[0]) * min(width, height) / max(w, h)
             if w * scale > width or h * scale > height:
-                scale = config.rescale_min * min(width, height) / max(w, h)
+                scale = lo * min(width, height) / max(w, h)
                 if w * scale > width or h * scale > height:
                     continue
         pw, ph = w * scale, h * scale
-        x = float(rng.uniform(0.0, width - pw))
-        y = float(rng.uniform(0.0, height - ph))
+        x, y = 0.0 + (width - pw) * u[-2], 0.0 + (height - ph) * u[-1]
         placements.append(PastePlacement(crop=c, target_bbox=BBox(x, y, pw, ph)))
         scales.append(scale)
     merged = _grid_merge(truth_instances(record), placements, config.occlusion_threshold)
@@ -540,12 +548,14 @@ def _per_crop_pass(dataset, indices, crop_rows, mu, config, teacher, rng):
     """Reference paste columns and skip warnings of a pass: per image the
     detector's draws, in a two-stage mode the oracle's two doubles per class,
     then the class and entry doubles that pick its crops from pools of
-    instances and :func:`_per_crop_fbr_mix`'s scalar placement draws."""
+    instances and :func:`_per_crop_fbr_mix`'s scalar placement draws, given
+    the largest crop over the pools in 1..k."""
     k, n = dataset.num_classes, config.paste.crops_per_image
     pools = {}
     for c, w, h in crop_rows:
         pools.setdefault(c, []).append(crop(c, w, h))
     available = [c for c in range(1, k + 1) if c in pools]
+    largest = [max(row[side] for row in crop_rows if 1 <= row[0] <= k) for side in (1, 2)]
     weights = np.asarray(mu)[np.array(available) - 1]
     cdf = np.cumsum(weights / weights.sum())
     cdf = (cdf / cdf[-1]).tolist()
@@ -561,7 +571,7 @@ def _per_crop_pass(dataset, indices, crop_rows, mu, config, teacher, rng):
             pool = pools[available[bisect_right(cdf, a)]]
             crops.append(pool[int(b * len(pool))])
         img = dataset.images[i]
-        mixed, _ = _per_crop_fbr_mix(img, crops, rng, config.paste)
+        mixed, _ = _per_crop_fbr_mix(img, crops, rng, config.paste, largest)
         columns += [[float(p.crop.class_id), float(j), b.x, b.y, b.x2, b.y2]
                     for p, b in ((p, p.target_bbox) for p in mixed.placements)]
         placed = {id(p.crop) for p in mixed.placements}
@@ -733,8 +743,9 @@ class TestPasteEquivalence:
 
     @settings(max_examples=150, deadline=None)
     @given(case=_mixed_pass(), seed=st.integers(0, 2**32 - 1))
-    # One pass: the 320x240 images take the single call; on the 100x60 image
-    # a 20x20 crop fits, a 300x100 one is rescaled and a 200x200 one skipped.
+    # One pass: every crop fits the 320x240 images, which draw 2 placement
+    # doubles a crop; the 100x60 image, which draws 3 a crop, takes a 20x20
+    # crop as it is, rescales a 300x100 one and skips a 200x200 one.
     @example(
         case=((((320.0, 240.0), 1), ((100.0, 60.0), 2), ((320.0, 240.0), 0)),
               ((1, 20.0, 20.0), (2, 300.0, 100.0), (3, 200.0, 200.0)), (),
@@ -742,7 +753,7 @@ class TestPasteEquivalence:
                                                                rescale_min=1.3, rescale_max=1.8)),
         seed=5,
     )
-    def test_pass_mixes_single_and_counted_draws(self, case, seed):
+    def test_pass_mixes_fitting_and_outsized_images(self, case, seed):
         records, labeled, pseudo_rows, weights, indices, two_stage, paste_config = case
         k = 3
         dataset = Dataset(

@@ -341,19 +341,39 @@ class TestBankCounts:
 
 
 class _DrawLog:
-    """A generator that notes the shape of every draw made into an array and
-    passes every call on to ``rng``, so the stream is unchanged."""
+    """A generator that notes every ``random`` call, by the shape it draws
+    into (``None`` for one double, the size for a sized call), and every
+    ``poisson`` call, and passes every call on to ``rng``, so the stream is
+    unchanged."""
 
     def __init__(self, rng):
         self.rng, self.into = rng, []
 
-    def random(self, *args, out=None, **kwargs):
-        if out is not None:
-            self.into.append(out.shape)
-        return self.rng.random(*args, out=out, **kwargs)
+    def random(self, size=None, out=None):
+        self.into.append(size if out is None else out.shape)
+        return self.rng.random(size, out=out)
+
+    def poisson(self, lam):
+        self.into.append("poisson")
+        return self.rng.poisson(lam)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
+
+    def after_detector(self):
+        """Per labeled image, in order, the shapes drawn after the detector's
+        draws: those end with the image's ``poisson`` call and a sized call
+        for its false positives, and the next image's begin with one double."""
+        images = []
+        for prev, call in zip([None, *self.into], self.into):
+            if call == "poisson":
+                images.append([])
+            elif call is None:
+                images.append(None)
+            elif images and images[-1] is not None:
+                if not (prev == "poisson" and isinstance(call, int)):  # not the false positives'
+                    images[-1].append(call)
+        return [shapes for shapes in images if shapes is not None]
 
 
 class TestOracleGate:
@@ -372,13 +392,14 @@ class TestOracleGate:
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(ImageLevelLabel, "__init__", counting_init)
-        draws = []
+        draws, per_image = [], []
         for epoch in range(3):
             rng = _DrawLog(substream(config.seed, "epoch", epoch))
             state, trace = run_epoch(state, config, rng)
             plain, plain_trace = run_epoch(plain, config, substream(config.seed, "epoch", epoch))
             assert trace == plain_trace
             draws += rng.into
+            per_image += rng.after_detector()
         assert trace.n_pseudo > 0
         assert built == []
         # Per epoch every batch image, whose crops all fit, draws the oracle's
@@ -387,14 +408,45 @@ class TestOracleGate:
         k, n = corpus.num_classes, config.paste.crops_per_image
         n_unl = len(state.unlabeled.images)
         batch = config.batches_per_epoch * min(config.unlabeled_batch, n_unl)
+        assert per_image == ([[(2 * k + 4 * n,)]] * batch + [[(2 * k,)]] * n_unl) * 3
+        # The detector draws its rows into its 3- and 4-double buffers.
         detector = {(3,), (4,)}
-        per_image = [shape for shape in draws if shape not in detector]
-        assert per_image == ([(2 * k + 4 * n,)] * batch + [(2 * k,)] * n_unl) * 3
-        # The rest are the detector's rows, drawn into its 3- and 4-double buffers.
         assert {shape for shape in draws if shape in detector} == detector
         # The counter does see labels built by hand.
         ImageLevelLabel(image_id=1, activations=(0.5,))
         assert len(built) == 1
+
+    @pytest.mark.parametrize("two_stage", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_call_per_image_whatever_its_crops_draw(self, two_stage, seed, caplog):
+        # Every crop fits the 320x240 image and, exactly, the 300x200 one; on
+        # the 100x60 ones a 20x20 crop fits, a 300x100 one is rescaled and a
+        # 200x200 one skipped.
+        sizes = [(320.0, 240.0), (100.0, 60.0), (100.0, 60.0), (300.0, 200.0)]
+        dataset = Dataset(
+            tuple(ImageRecord(j, w, h, ((1 + j % 3, 0.0, 0.0, w / 2, h / 2),) * (j % 3))
+                  for j, (w, h) in enumerate(sizes)),
+            tuple(Category(c, f"c{c}", c) for c in (1, 2, 3)),
+        )
+        bank = CropBank(np.array([1, 2, 3]), np.array([[20.0, 300.0, 200.0], [20.0, 100.0, 200.0]]))
+        k, n = 3, 4
+        config = quick_config(two_stage=two_stage, filter=FilterConfig(mode="two_stage_filtering"),
+                              paste=PasteConfig(crops_per_image=n, rescale_min=1.3, rescale_max=1.8))
+        teacher = DetectorConfig(initial_recall_skill=0.8, fp_rate=0.5).build(k)
+        indices = [0, 1, 2, 3, 1, 2, 0, 1]
+        rng = _DrawLog(np.random.default_rng(seed))
+        with caplog.at_level(logging.WARNING):
+            _, _, pastes = simloop.label_pass(teacher, dataset, indices, rng, config,
+                                              dataset.class_cdfs, bank.class_table((1 / 3,) * 3))
+        k2 = 2 * k if two_stage else 0
+        fits = [sizes[i][0] >= 300.0 for i in indices]
+        assert rng.after_detector() == [[(k2 + 4 * n,)] if f else [(k2 + 5 * n,)] for f in fits]
+        # The small images fit, rescale and skip crops in the same pass: on
+        # them every crop but the 20x20 one is rescaled.
+        small = np.isin(pastes[1], np.flatnonzero(np.logical_not(fits)))
+        widths = pastes[4, small] - pastes[2, small]
+        assert (widths == 20.0).any() and (widths != 20.0).any()
+        assert "skipped" in caplog.text
 
 
 class TestZeroRecallWarning:
